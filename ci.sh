@@ -17,44 +17,26 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> simspeed --smoke (grid cycle/atom equality + throughput regression gate)"
+echo "==> simspeed --smoke (cycle/atom equality + throughput regression gate)"
 # Besides the cycle/atom-equality asserts, smoke mode gates the measured
-# event x flat throughput against the recorded BENCH_simspeed.json and
-# fails on a >15% regression (skips with a note if the file is absent).
+# session throughput against the recorded BENCH_simspeed.json and fails
+# on a >15% regression (skips with a note if the file is absent).
 cargo run --release -q -p phloem-bench --bin simspeed -- --smoke
 
 echo "==> trace-smoke (Perfetto schema + trace-vs-untraced cycle identity)"
 cargo run --release -q -p phloem-bench --bin trace -- --smoke
 
-echo "==> trace_oracle (trace/RunStats reconciliation across the grid)"
-cargo test -q --test trace_oracle
-
 echo "==> fuzzdiff --smoke (differential fuzzing, fixed seed)"
 cargo run --release -q -p phloem-bench --bin fuzzdiff -- --smoke
 
-echo "==> fuzzdiff --faults --smoke (fault injection, grid-identical outcomes)"
+echo "==> fuzzdiff --faults --smoke (fault injection: bounded, uncorrupted, deterministic outcomes)"
 cargo run --release -q -p phloem-bench --bin fuzzdiff -- --faults --smoke
-
-echo "==> sim_robustness (watchdog/fault/degradation pins)"
-cargo test -q --test sim_robustness
-
-echo "==> phloem-pool unit tests (steal fairness, park/unpark, panic containment)"
-cargo test -q -p phloem-pool
-
-echo "==> pool_determinism (bit-identical reports across worker counts)"
-cargo test -q --test pool_determinism
 
 echo "==> parallel --smoke (fleet scaling: determinism + overhead gates)"
 # Asserts >=1.5x host speedup at 4 workers when the host has >=4 cores;
 # on smaller hosts the speedup gate is skipped (hardware-bounded) but
 # the determinism and overhead assertions still run.
 cargo run --release -q -p phloem-bench --bin parallel -- --smoke
-
-echo "==> channel_unit (bounded channel backends: capacity edges, drop-termination, CV ordering, seeded stress)"
-cargo test -q -p pipette-sim --test channel_unit
-
-echo "==> native_equivalence (native threads vs serial interpreter vs simulator, full channel x thread matrix)"
-cargo test -q --test native_equivalence
 
 echo "==> fuzzdiff --native --smoke (generated genomes on real threads vs the serial oracle)"
 # Every generated pipeline runs on all three channel backends at
@@ -68,9 +50,6 @@ echo "==> native --smoke (native-backend wall clock: oracle-verified runs, host-
 # natively on every channel and verifies against its host oracle.
 SCALE=tiny cargo run --release -q -p phloem-bench --bin native -- --smoke
 
-echo "==> phloem-service tests (cache-key sensitivity, grid bit-identity, daemon smoke + error paths, persistence)"
-cargo test -q -p phloem-service
-
 echo "==> serve --smoke (service replay: bit-identical warm hits, >=0.5 hit-rate gate, persist/restore round-trip)"
 # The smoke pass includes the restart pass: caches are persisted to a
 # snapshot, the transport is rebuilt from it, and the warm-after-restart
@@ -80,8 +59,13 @@ SCALE=tiny cargo run --release -q -p phloem-bench --bin serve -- --smoke
 echo "==> chaos --smoke (deterministic fault injection against a live phloemd)"
 # 7 fault shapes (severed connections, malformed/oversized input, slow
 # partial writes, shutdown races, SIGKILL restart, snapshot corruption)
-# x 3 seeds; every seed must pass. The full run uses 20 seeds.
+# x 3 seeds; every seed must pass. The full run uses 20 seeds. chaos
+# spawns the phloemd next to it, which no earlier step builds.
+cargo build --release -q -p phloem-service --bin phloemd
 cargo run --release -q -p phloem-bench --bin chaos -- --smoke
+
+echo "==> benchmark/run.sh --smoke (every BENCHMARK.json workload, short; metric names checked)"
+bash benchmark/run.sh --smoke
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings

@@ -6,13 +6,8 @@
 //! indirect loads, filters, atomic RMWs, write-then-read hazards, early
 //! breaks), compiles each at every cut subset of its top-ranked
 //! decoupling points across the pass-ablation grid, runs every pipeline
-//! that compiles on the timed machine across the scheduler × engine ×
-//! fast-forward grid, and compares:
-//!
-//! * final memory against [`phloem_ir::interp::run_serial`] (the
-//!   correctness oracle), and
-//! * simulated cycles across every scheduler × engine × fast-forward
-//!   combination (which must be bit-identical).
+//! that compiles on the timed machine, and compares its final memory
+//! against [`phloem_ir::interp::run_serial`] (the correctness oracle).
 //!
 //! A successfully compiled pipeline that traps at runtime is also a
 //! failure: the validator and `Pipeline::check` are supposed to reject
@@ -36,7 +31,7 @@
 //! fuzzdiff --jobs N             # host workers (default: PHLOEM_WORKERS
 //!                               # or available parallelism)
 //! fuzzdiff --validate-benchsuite  # validate every benchsuite/PGO pipeline
-//! fuzzdiff --faults             # fault injection: 40 plans x 6 targets x grid
+//! fuzzdiff --faults             # fault injection: 40 plans x 6 targets, each run twice
 //! fuzzdiff --faults --smoke     # CI: 6 plans per target
 //! fuzzdiff --native             # native backend vs oracle: 200 genomes,
 //!                               # channel x thread grid, real OS threads
@@ -47,8 +42,7 @@
 //! `--validate-benchsuite` mode).
 
 use phloem_bench::fuzz::{
-    check_native, fuzz_sweep, fuzz_sweep_with, minimize, minimize_with, render_failure, GRID,
-    NATIVE_GRID,
+    check_native, fuzz_sweep, fuzz_sweep_with, minimize, minimize_with, render_failure, NATIVE_GRID,
 };
 use phloem_bench::jobs;
 use phloem_benchsuite::fault_targets::targets as fault_targets;
@@ -57,7 +51,7 @@ use phloem_compiler::search::{enumerate_pipelines, SearchOptions};
 use phloem_compiler::CompileOptions;
 use phloem_ir::{MemState, Pipeline};
 use phloem_pool::Pool;
-use pipette_sim::{ExecEngine, FaultPlan, MachineConfig, SchedulerKind, Session, WatchdogConfig};
+use pipette_sim::{FaultPlan, MachineConfig, Session, WatchdogConfig};
 
 // ---------------------------------------------------------------------
 // Benchsuite/PGO validation mode (used by results/run_all.sh).
@@ -137,23 +131,18 @@ fn validate_benchsuite(pool: &Pool) -> i32 {
 // Fault-injection enforcement mode (`--faults`).
 // ---------------------------------------------------------------------
 
-/// Renders a faulted run's outcome as a canonical string for grid
-/// comparison: either the final cycle count (with a memory check
-/// against the unfaulted reference) or the structured trap.
+/// Renders a faulted run's outcome as a canonical string: either the
+/// final cycle count (with a memory check against the unfaulted
+/// reference) or the structured trap.
 fn faulted_outcome(
     target: &phloem_benchsuite::fault_targets::FaultTarget,
     plan: &FaultPlan,
-    sched: SchedulerKind,
-    engine: ExecEngine,
-    fast_forward: bool,
     cfg: &MachineConfig,
     ref_mem: &MemState,
 ) -> String {
-    let mut cfg = cfg.clone();
-    cfg.fast_forward = fast_forward;
-    let mut session = Session::new(cfg, target.mem.clone());
+    let mut session = Session::new(cfg.clone(), target.mem.clone());
     session.set_faults(plan.clone());
-    match session.run_with_engine(&target.pipeline, &target.params, sched, engine) {
+    match session.run(&target.pipeline, &target.params) {
         Ok(_) => {
             let (mem, stats) = session.finish();
             if mem.same_contents(ref_mem) {
@@ -169,23 +158,23 @@ fn faulted_outcome(
     }
 }
 
-/// What one fault plan resolved to across the whole grid.
+/// What one fault plan resolved to.
 enum PlanVerdict {
-    /// All grid points completed with the same clean outcome.
+    /// Both runs completed with the same clean outcome.
     Completed,
-    /// All grid points trapped identically.
+    /// Both runs trapped identically.
     Trapped,
-    /// Grid divergence or silent corruption: the rendered report.
+    /// Nondeterminism or silent corruption: the rendered report.
     Failed(String),
 }
 
-/// Runs every fault target under `plans_per_target` seeded fault plans,
-/// across the full scheduler × engine × fast-forward grid, and checks
-/// that every faulted run (a) terminates within the watchdog budget,
-/// (b) never silently corrupts memory, and (c) resolves to the *same*
-/// outcome — same trap or same completion cycle — at all six grid
-/// points. Plans fan out over the pool; verdicts are reported in plan
-/// order, so the output is worker-count-independent.
+/// Runs every fault target under `plans_per_target` seeded fault plans
+/// and checks that every faulted run (a) terminates within the watchdog
+/// budget, (b) never silently corrupts memory, and (c) is
+/// deterministic: the same plan run twice resolves to the *same*
+/// outcome string — same trap or same completion cycle. Plans fan out
+/// over the pool; verdicts are reported in plan order, so the output is
+/// worker-count-independent.
 fn fault_mode(seed: u64, plans_per_target: u64, pool: &Pool) -> i32 {
     let base_cfg = MachineConfig::paper_1core();
     let start = std::time::Instant::now();
@@ -195,9 +184,8 @@ fn fault_mode(seed: u64, plans_per_target: u64, pool: &Pool) -> i32 {
     let mut trapped = 0u64;
     let mut completed = 0u64;
     for (ti, target) in fault_targets(&base_cfg).iter().enumerate() {
-        // Unfaulted reference on the default combo: cycles bound the
-        // fault horizons and the watchdog budget; memory is the
-        // corruption oracle.
+        // Unfaulted reference: cycles bound the fault horizons and the
+        // watchdog budget; memory is the corruption oracle.
         let mut session = Session::new(base_cfg.clone(), target.mem.clone());
         if let Err(t) = session.run(&target.pipeline, &target.params) {
             println!("FAIL {}: unfaulted reference trapped: {t}", target.name);
@@ -226,14 +214,9 @@ fn fault_mode(seed: u64, plans_per_target: u64, pool: &Pool) -> i32 {
                 ref_stats.cycles,
                 atom_horizon,
             );
-            let mut outcomes: Vec<(String, String)> = Vec::new();
-            for (sched, engine, ff) in GRID {
-                let o = faulted_outcome(target, &plan, sched, engine, ff, &cfg, &ref_mem);
-                outcomes.push((format!("{sched:?}/{engine:?}/ff={ff}"), o));
-            }
-            let first = &outcomes[0].1;
-            let diverged = outcomes.iter().any(|(_, o)| o != first);
-            if diverged || first.contains("SILENT CORRUPTION") {
+            let first = faulted_outcome(target, &plan, &cfg, &ref_mem);
+            let again = faulted_outcome(target, &plan, &cfg, &ref_mem);
+            if first != again || first.contains("SILENT CORRUPTION") {
                 let mut report = format!(
                     "FAIL {} plan_seed={plan_seed:#x} ({} faults):\n",
                     target.name,
@@ -242,9 +225,8 @@ fn fault_mode(seed: u64, plans_per_target: u64, pool: &Pool) -> i32 {
                 for f in &plan.faults {
                     report.push_str(&format!("    {f:?}\n"));
                 }
-                for (combo, o) in &outcomes {
-                    report.push_str(&format!("    {combo:<22} -> {o}\n"));
-                }
+                report.push_str(&format!("    first run  -> {first}\n"));
+                report.push_str(&format!("    second run -> {again}\n"));
                 PlanVerdict::Failed(report)
             } else if first.starts_with("trap") {
                 PlanVerdict::Trapped
@@ -254,7 +236,7 @@ fn fault_mode(seed: u64, plans_per_target: u64, pool: &Pool) -> i32 {
         });
         for v in verdicts {
             plans += 1;
-            runs += GRID.len() as u64;
+            runs += 2;
             match v {
                 Ok(PlanVerdict::Completed) => completed += 1,
                 Ok(PlanVerdict::Trapped) => trapped += 1,

@@ -1,28 +1,21 @@
 //! Host simulation throughput (`BENCH_simspeed.json`): simulated
-//! megacycles per wall-clock second on the PGO search workload, across
-//! the scheduler (polling vs. event-driven) and execution-engine
-//! (tree-walking vs. flat bytecode) dimensions.
+//! megacycles per wall-clock second on the PGO search workload.
 //!
 //! The PGO search (Fig. 13) is the simulator's heaviest consumer — it
 //! profiles every candidate pipeline over the training inputs — so it
-//! is where simulator host-efficiency matters most. Every combination
-//! produces bit-identical simulated cycles (asserted here per run); the
-//! difference is purely host work. `Polling` × `Tree` is the seed
-//! simulator's full host model, so the combined ratio reported here is
-//! the cumulative host speedup over the seed; the flat-over-tree ratio
-//! isolates the bytecode engine's contribution under the event-driven
-//! scheduler.
+//! is where simulator host-efficiency matters most. Three sections:
 //!
-//! Two flat-over-tree ratios are reported, deliberately:
-//!
-//! * **end-to-end** — the full sweep, where the cycle-accurate `World`
-//!   model (cache hierarchy, issue ports, predictors) dominates host
-//!   time and is shared by both engines, so the achievable ratio is
-//!   bounded well below the engines' intrinsic difference;
-//! * **engine-isolated** — the same BFS kernel driven serially against
-//!   a unit-latency world, so host time is interpreter dispatch and
-//!   little else. This is the honest measure of the engine swap itself;
-//!   both rows execute identical atom sequences (asserted).
+//! * **session** — the full sweep through `Session`, plus the same
+//!   sweep with the watchdog off and under the three tracing modes
+//!   (each must reproduce the baseline's simulated cycles exactly);
+//! * **engine-isolated** — the serial BFS kernel driven against a
+//!   unit-latency world on each interpreter, so host time is
+//!   interpreter dispatch and little else (`FlatInterp`, the
+//!   simulator's engine, against `StepInterp`, the oracle's; both
+//!   execute identical atom sequences, asserted);
+//! * **world-isolated** — the same serial kernel through the full
+//!   `Session`, so the gap to the engine-isolated flat row is the
+//!   per-atom host cost of the timing model.
 //!
 //! Output: a summary on stdout and `BENCH_simspeed.json` in the current
 //! directory. Set `SCALE=tiny|small|full` as usual; `REPS=<n>` (default
@@ -30,7 +23,7 @@
 //! best repetition is reported, minimizing host noise). With `--smoke`
 //! (used by CI) the sweep is truncated to a handful of candidates, one
 //! repetition, and no JSON is written — the cycle-equality and
-//! atom-equality assertions across all combinations still run.
+//! atom-equality assertions still run.
 //!
 //! Noise policy: every timed section is best-of-reps, and the smoke
 //! regression gate additionally runs **pool-quiesced** — it takes the
@@ -47,12 +40,13 @@ use phloem_bench::{header, machine, scale};
 use phloem_benchsuite::{bfs, Variant};
 use phloem_compiler::search::{enumerate_pipelines, SearchOptions};
 use phloem_compiler::PassConfig;
+use phloem_ir::ExecEngine;
 use phloem_ir::{
     bind_params, compile, ArrayId, BinOp, BlockReason, BranchId, FlatInterp, LoadId, MemState,
     QueueId, StageExec, StageSpec, StepInterp, StepResult, Tid, Time, Trap, UopClass, Value, World,
 };
 use phloem_workloads::{training_graphs, GraphInput};
-use pipette_sim::{ExecEngine, MachineConfig, NoopSink, SchedulerKind, WatchdogConfig};
+use pipette_sim::{MachineConfig, NoopSink, WatchdogConfig};
 
 /// How each timed run engages the tracing layer.
 #[derive(Clone, Copy, PartialEq)]
@@ -71,8 +65,7 @@ enum TraceMode {
 
 /// Profiles one candidate cut set over the training graphs; returns the
 /// total simulated cycles, or `None` if the candidate fails to compile
-/// or run (the search skips such candidates in every scheduler mode
-/// alike, so the workloads stay comparable).
+/// or run (the search skips such candidates too).
 fn profile_candidate(
     cuts: &[LoadId],
     cfg: &MachineConfig,
@@ -120,7 +113,7 @@ fn profile_candidate(
 
 /// One timed sweep of the whole PGO search workload: every candidate,
 /// every training graph. Returns `(total simulated cycles, per-candidate
-/// cycle totals)` — the latter is compared across combinations to assert
+/// cycle totals)` — the latter is compared across rows to assert
 /// bit-identical timing.
 fn sweep(
     candidates: &[Vec<LoadId>],
@@ -151,11 +144,8 @@ impl Timed {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn time_combo(
+fn time_sweep(
     label: &'static str,
-    kind: SchedulerKind,
-    engine: ExecEngine,
     watchdog: WatchdogConfig,
     candidates: &[Vec<LoadId>],
     graphs: &[GraphInput],
@@ -163,8 +153,6 @@ fn time_combo(
     trace: TraceMode,
 ) -> Timed {
     let mut cfg = machine();
-    cfg.scheduler = kind;
-    cfg.engine = engine;
     cfg.watchdog = watchdog;
     // Warm-up (page cache, lazy allocations) outside the timed region.
     let _ = profile_candidate(&candidates[0], &cfg, graphs, trace);
@@ -189,8 +177,8 @@ fn time_combo(
     }
 }
 
-/// Times the three tracing modes (no sink, disabled sink, null sink on)
-/// on the fastest combo, interleaved within each repetition so that
+/// Times the three tracing modes (no sink, disabled sink, null sink
+/// on), interleaved within each repetition so that
 /// host-load drift cannot masquerade as tracing overhead. Returns the
 /// modes in declaration order (best repetition kept for each) plus the
 /// raw per-repetition wall times, one `[none, disabled, null]` row per
@@ -201,13 +189,11 @@ fn time_trace_trio(
     reps: usize,
 ) -> ([Timed; 3], Vec<[f64; 3]>) {
     const MODES: [(&str, TraceMode); 3] = [
-        ("event x flat (rebaselined)", TraceMode::None),
-        ("event x flat, sink mask 0", TraceMode::DisabledSink),
-        ("event x flat, null sink on", TraceMode::CountingSink),
+        ("session (rebaselined)", TraceMode::None),
+        ("session, sink mask 0", TraceMode::DisabledSink),
+        ("session, null sink on", TraceMode::CountingSink),
     ];
-    let mut cfg = machine();
-    cfg.scheduler = SchedulerKind::EventDriven;
-    cfg.engine = ExecEngine::Flat;
+    let cfg = machine();
     for (_, mode) in MODES {
         let _ = profile_candidate(&candidates[0], &cfg, graphs, mode);
     }
@@ -416,14 +402,12 @@ fn time_interp(
 
 /// World-isolated: the *same* serial BFS kernel as the interp rows, but
 /// driven through the full `Session` — cycle-accurate caches, issue
-/// calendar, predictors, watchdog — on the event-driven × flat combo.
+/// calendar, predictors, watchdog.
 /// Both sides execute identical atom sequences (asserted in `main`), so
 /// the gap between this row's ns/atom and `interp_flat`'s is the host
 /// cost of the timing model itself, per atom.
 fn time_world_isolated(graphs: &[GraphInput], passes: usize, reps: usize) -> InterpTimed {
-    let mut cfg = machine();
-    cfg.scheduler = SchedulerKind::EventDriven;
-    cfg.engine = ExecEngine::Flat;
+    let cfg = machine();
     let run_all = |passes: usize| -> u64 {
         let mut atoms = 0u64;
         for _ in 0..passes {
@@ -452,7 +436,7 @@ fn time_world_isolated(graphs: &[GraphInput], passes: usize, reps: usize) -> Int
 }
 
 /// CI regression gate (smoke mode only): compares the measured
-/// event-driven × flat throughput against the last recorded
+/// session throughput against the last recorded
 /// `BENCH_simspeed.json` and fails on a >15% regression. This host's
 /// throughput drifts ~±10% on minute timescales (frequency scaling,
 /// shared-box neighbors), so a dip below the floor triggers up to two
@@ -474,16 +458,16 @@ fn gate_against_recorded(measured_mcps: f64, mut remeasure: impl FnMut() -> f64)
         println!("  regression gate: {PATH} not found; skipped (run the full bench to record)");
         return;
     };
-    // Hand-rolled extraction of `"event_flat": { ... "mcycles_per_s": N }`
+    // Hand-rolled extraction of `"session": { ... "mcycles_per_s": N }`
     // (no JSON crate in-tree; the bench itself writes this shape).
     let recorded = text
-        .split("\"event_flat\"")
+        .split("\"session\"")
         .nth(1)
         .and_then(|s| s.split("\"mcycles_per_s\":").nth(1))
         .and_then(|s| s.trim().split([',', '}']).next())
         .and_then(|s| s.trim().parse::<f64>().ok());
     let Some(recorded) = recorded else {
-        println!("  regression gate: could not parse event_flat from {PATH}; skipped");
+        println!("  regression gate: could not parse session from {PATH}; skipped");
         return;
     };
     let floor = recorded * (1.0 - MAX_REGRESSION);
@@ -504,7 +488,7 @@ fn gate_against_recorded(measured_mcps: f64, mut remeasure: impl FnMut() -> f64)
     );
     assert!(
         measured >= floor,
-        "simspeed regression: event x flat measured {measured:.1} Mcycles/s, \
+        "simspeed regression: session measured {measured:.1} Mcycles/s, \
          more than {:.0}% below the recorded {recorded:.1} in {PATH}",
         MAX_REGRESSION * 100.0
     );
@@ -539,47 +523,23 @@ fn main() {
         reps
     );
 
-    let polling_tree = time_combo(
-        "polling x tree (seed)",
-        SchedulerKind::Polling,
-        ExecEngine::Tree,
-        WatchdogConfig::default(),
-        &candidates,
-        &graphs,
-        reps,
-        TraceMode::None,
-    );
-    let event_tree = time_combo(
-        "event-driven x tree",
-        SchedulerKind::EventDriven,
-        ExecEngine::Tree,
-        WatchdogConfig::default(),
-        &candidates,
-        &graphs,
-        reps,
-        TraceMode::None,
-    );
-    // Even in smoke mode the headline combo gets three repetitions: it
+    // Even in smoke mode the headline row gets three repetitions: it
     // feeds the CI regression gate, and one-rep numbers on a noisy host
     // would trip a 15% threshold spuriously.
-    let flat_reps = if smoke { 3 } else { reps };
-    let event_flat = time_combo(
-        "event-driven x flat",
-        SchedulerKind::EventDriven,
-        ExecEngine::Flat,
+    let session_reps = if smoke { 3 } else { reps };
+    let session = time_sweep(
+        "session",
         WatchdogConfig::default(),
         &candidates,
         &graphs,
-        flat_reps,
+        session_reps,
         TraceMode::None,
     );
-    // Watchdog overhead: the fastest combo again with the watchdog
-    // fully disabled. The checks run at round boundaries only, so the
-    // target is well under 2% of host time.
-    let event_flat_wd_off = time_combo(
-        "event-driven x flat (watchdog off)",
-        SchedulerKind::EventDriven,
-        ExecEngine::Flat,
+    // Watchdog overhead: the same sweep with the watchdog fully
+    // disabled. The checks run at round boundaries only, so the target
+    // is well under 2% of host time.
+    let session_wd_off = time_sweep(
+        "session (watchdog off)",
         WatchdogConfig::off(),
         &candidates,
         &graphs,
@@ -597,26 +557,17 @@ fn main() {
     let (trio, trace_rep_secs) = time_trace_trio(&candidates, &graphs, trace_reps);
     let [trace_base, trace_off, trace_null] = trio;
 
-    for t in [
-        &event_tree,
-        &event_flat,
-        &event_flat_wd_off,
-        &trace_base,
-        &trace_off,
-        &trace_null,
-    ] {
+    for t in [&session_wd_off, &trace_base, &trace_off, &trace_null] {
         assert_eq!(
-            t.per_candidate, polling_tree.per_candidate,
-            "{} disagreed with the seed on simulated cycles",
+            t.per_candidate, session.per_candidate,
+            "{} disagreed with the baseline on simulated cycles",
             t.label
         );
     }
 
     for t in [
-        &polling_tree,
-        &event_tree,
-        &event_flat,
-        &event_flat_wd_off,
+        &session,
+        &session_wd_off,
         &trace_base,
         &trace_off,
         &trace_null,
@@ -629,11 +580,7 @@ fn main() {
             t.sim_cycles / 1_000_000
         );
     }
-    let flat_over_tree = event_flat.mcps() / event_tree.mcps();
-    let event_over_polling = event_tree.mcps() / polling_tree.mcps();
-    let total = event_flat.mcps() / polling_tree.mcps();
-    let watchdog_overhead_pct =
-        (event_flat_wd_off.mcps() / event_flat.mcps() - 1.0).max(0.0) * 100.0;
+    let watchdog_overhead_pct = (session_wd_off.mcps() / session.mcps() - 1.0).max(0.0) * 100.0;
     // Tracing overhead estimator. The true cost is a constant, so every
     // noise source only ever *inflates* a measured ratio; the cleanest
     // observation is therefore the smallest. Two views, take the lower:
@@ -658,15 +605,12 @@ fn main() {
     };
     let tracing_off_overhead_pct = trace_overhead_pct(1);
     let tracing_null_sink_overhead_pct = trace_overhead_pct(2);
-    println!("  host speedup, flat engine over tree (event-driven): {flat_over_tree:.2}x");
-    println!("  host speedup, event-driven over polling (tree)    : {event_over_polling:.2}x");
-    println!("  cumulative over the seed simulator                : {total:.2}x");
-    println!("  watchdog overhead (event-driven x flat, on vs off): {watchdog_overhead_pct:.2}%");
+    println!("  watchdog overhead (on vs off)                     : {watchdog_overhead_pct:.2}%");
     println!(
         "  tracing-disabled overhead (mask-0 sink vs no sink): {tracing_off_overhead_pct:.2}%"
     );
     println!("  null-sink overhead (all events built, discarded)  : {tracing_null_sink_overhead_pct:.2}%");
-    println!("  (identical simulated cycles in every combination)");
+    println!("  (identical simulated cycles in every row)");
     assert!(
         tracing_off_overhead_pct < 1.0,
         "tracing-disabled overhead {tracing_off_overhead_pct:.2}% breaches the 1% budget"
@@ -720,11 +664,9 @@ fn main() {
                 let pinned = phloem_pool::pin_to_core(0);
                 println!("  regression gate: pin to core 0: {pinned}");
             }
-            gate_against_recorded(event_flat.mcps(), || {
-                time_combo(
-                    "event-driven x flat (gate retry)",
-                    SchedulerKind::EventDriven,
-                    ExecEngine::Flat,
+            gate_against_recorded(session.mcps(), || {
+                time_sweep(
+                    "session (gate retry)",
                     WatchdogConfig::default(),
                     &candidates,
                     &graphs,
@@ -737,7 +679,7 @@ fn main() {
         return;
     }
 
-    let combo_json = |t: &Timed| {
+    let sweep_json = |t: &Timed| {
         format!(
             "{{ \"wall_s\": {:.6}, \"mcycles_per_s\": {:.3} }}",
             t.best_secs,
@@ -752,26 +694,21 @@ fn main() {
         )
     };
     let json = format!(
-        "{{\n  \"bench\": \"simspeed\",\n  \"workload\": \"BFS PGO search over training graphs\",\n  \"scale\": \"{:?}\",\n  \"candidates\": {},\n  \"reps\": {},\n  \"sim_cycles_total\": {},\n  \"polling_tree\": {},\n  \"event_tree\": {},\n  \"event_flat\": {},\n  \"host_speedup_flat_over_tree\": {:.4},\n  \"host_speedup_event_over_polling\": {:.4},\n  \"host_speedup_total_over_seed\": {:.4},\n  \"interp_tree\": {},\n  \"interp_flat\": {},\n  \"interp_speedup_flat_over_tree\": {:.4},\n  \"event_flat_world_isolated\": {},\n  \"world_over_interp_ratio\": {:.4},\n  \"event_flat_watchdog_off\": {},\n  \"watchdog_overhead_pct\": {:.4},\n  \"event_flat_trace_disabled\": {},\n  \"event_flat_null_sink\": {},\n  \"tracing_off_overhead_pct\": {:.4},\n  \"tracing_null_sink_overhead_pct\": {:.4},\n  \"note\": \"host_speedup_flat_over_tree is end-to-end over the full sweep, where the shared cycle-accurate World model dominates host time; interp_speedup_flat_over_tree isolates the execution-engine swap (same kernel, unit-latency world, identical atom sequences). event_flat_world_isolated drives the identical serial kernel and atom sequence through the full cycle-accurate Session, so world_over_interp_ratio (its ns/atom over interp_flat's) is the per-atom host cost of the timing model itself. In --smoke mode the bench additionally gates the measured event_flat throughput against the value recorded here, failing on a >15 percent regression. watchdog_overhead_pct compares event_flat against the same combo with the watchdog disabled (target <2%); the interp_* rows bypass the scheduler entirely and so carry no watchdog checks by construction. tracing_off_overhead_pct compares a run with no trace sink against one with an installed sink whose interest mask is empty (every emit point reduces to one cached mask test; budget <1%, asserted); tracing_null_sink_overhead_pct is the same comparison against a sink subscribed to every event that discards them, isolating the emit-path cost from aggregation. The three tracing modes are timed interleaved within each repetition, and the reported ratio is the cleanest of best-of-reps and same-repetition pairings: the true cost is a constant, so host-load noise can only inflate a measured ratio.\"\n}}\n",
+        "{{\n  \"bench\": \"simspeed\",\n  \"workload\": \"BFS PGO search over training graphs\",\n  \"scale\": \"{:?}\",\n  \"candidates\": {},\n  \"reps\": {},\n  \"sim_cycles_total\": {},\n  \"session\": {},\n  \"interp_tree\": {},\n  \"interp_flat\": {},\n  \"interp_speedup_flat_over_tree\": {:.4},\n  \"session_world_isolated\": {},\n  \"world_over_interp_ratio\": {:.4},\n  \"session_watchdog_off\": {},\n  \"watchdog_overhead_pct\": {:.4},\n  \"session_trace_disabled\": {},\n  \"session_null_sink\": {},\n  \"tracing_off_overhead_pct\": {:.4},\n  \"tracing_null_sink_overhead_pct\": {:.4},\n  \"note\": \"session is the full sweep through Session. interp_speedup_flat_over_tree isolates the two interpreters (same kernel, unit-latency world, identical atom sequences): FlatInterp is the simulator's engine, StepInterp the serial oracle's. session_world_isolated drives the identical serial kernel and atom sequence through the full cycle-accurate Session, so world_over_interp_ratio (its ns/atom over interp_flat's) is the per-atom host cost of the timing model itself. In --smoke mode the bench additionally gates the measured session throughput against the value recorded here, failing on a >15 percent regression. watchdog_overhead_pct compares session against the same sweep with the watchdog disabled (target <2%); the interp_* rows bypass the scheduler entirely and so carry no watchdog checks by construction. tracing_off_overhead_pct compares a run with no trace sink against one with an installed sink whose interest mask is empty (every emit point reduces to one cached mask test; budget <1%, asserted); tracing_null_sink_overhead_pct is the same comparison against a sink subscribed to every event that discards them, isolating the emit-path cost from aggregation. The three tracing modes are timed interleaved within each repetition, and the reported ratio is the cleanest of best-of-reps and same-repetition pairings: the true cost is a constant, so host-load noise can only inflate a measured ratio.\"\n}}\n",
         scale(),
         candidates.len(),
         reps,
-        event_flat.sim_cycles,
-        combo_json(&polling_tree),
-        combo_json(&event_tree),
-        combo_json(&event_flat),
-        flat_over_tree,
-        event_over_polling,
-        total,
+        session.sim_cycles,
+        sweep_json(&session),
         interp_json(&interp_tree),
         interp_json(&interp_flat),
         interp_ratio,
         interp_json(&world_flat),
         world_over_interp,
-        combo_json(&event_flat_wd_off),
+        sweep_json(&session_wd_off),
         watchdog_overhead_pct,
-        combo_json(&trace_off),
-        combo_json(&trace_null),
+        sweep_json(&trace_off),
+        sweep_json(&trace_null),
         tracing_off_overhead_pct,
         tracing_null_sink_overhead_pct,
     );

@@ -105,18 +105,17 @@ fn main() {
     let m = bfs::run(&Variant::phloem(), &g, 0, &machine(), "power_law_500")
         .expect("BFS phloem on power_law_500");
     println!(
-        "  {:<16}{:>12}{:>12}{:>10}{:>10}{:>10}",
-        "stage", "full-stall", "empty-stall", "wakeups", "spurious", "re-polls"
+        "  {:<16}{:>12}{:>12}{:>10}{:>10}",
+        "stage", "full-stall", "empty-stall", "wakeups", "spurious"
     );
     for t in &m.stats.threads {
         println!(
-            "  {:<16}{:>12}{:>12}{:>10}{:>10}{:>10}",
+            "  {:<16}{:>12}{:>12}{:>10}{:>10}",
             t.name,
             t.queue_full_stall_cycles,
             t.queue_empty_stall_cycles,
             t.wakeups,
-            t.spurious_wakeups,
-            t.stall_polls
+            t.spurious_wakeups
         );
     }
     println!();

@@ -1,7 +1,7 @@
 //! Core of the differential fuzzer (`fuzzdiff`): genome generation,
 //! the exhaustive per-genome check over the cut-subset × pass-ablation
-//! × scheduler/engine/fast-forward grid, delta-debugging minimization,
-//! and the pool-parallel sweep driver.
+//! grid, delta-debugging minimization, and the pool-parallel sweep
+//! driver.
 //!
 //! Lives in the library (rather than the `fuzzdiff` binary) so that the
 //! determinism suite (`tests/pool_determinism.rs`) and the host-scaling
@@ -14,9 +14,7 @@ use phloem_ir::{
     Pipeline, Value,
 };
 use phloem_pool::Pool;
-use pipette_sim::{
-    ChannelKind, ExecBackend, ExecEngine, MachineConfig, NativeConfig, SchedulerKind,
-};
+use pipette_sim::{ChannelKind, ExecBackend, MachineConfig, NativeConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------
@@ -368,20 +366,6 @@ pub fn presets() -> Vec<PassConfig> {
     ]
 }
 
-/// Scheduler × engine × fast-forward points that must all agree
-/// bit-identically. Every sched/engine cell runs with the ring-based
-/// issue calendar (fast-forward on, the default); two cells repeat with
-/// the dense reference calendar, so any cycle the ring reclaims too
-/// eagerly shows up as a grid divergence without doubling the sweep.
-pub const GRID: [(SchedulerKind, ExecEngine, bool); 6] = [
-    (SchedulerKind::EventDriven, ExecEngine::Tree, true),
-    (SchedulerKind::EventDriven, ExecEngine::Flat, true),
-    (SchedulerKind::Polling, ExecEngine::Tree, true),
-    (SchedulerKind::Polling, ExecEngine::Flat, true),
-    (SchedulerKind::EventDriven, ExecEngine::Flat, false),
-    (SchedulerKind::Polling, ExecEngine::Tree, false),
-];
-
 /// Work counters of one sweep (or one genome's check).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Totals {
@@ -391,7 +375,7 @@ pub struct Totals {
     pub compiles: u64,
     /// Pipelines that compiled and were run.
     pub pipelines: u64,
-    /// Timed simulator runs (pipelines × grid points).
+    /// Timed simulator runs (one per pipeline).
     pub runs: u64,
 }
 
@@ -452,9 +436,8 @@ pub fn check(g: &Genome, totals: &mut Totals) -> Option<String> {
     None
 }
 
-/// Runs one compiled pipeline over the scheduler × engine ×
-/// fast-forward grid and diffs memory against the oracle and cycles
-/// across the grid.
+/// Runs one compiled pipeline on the timed simulator and diffs its
+/// final memory against the serial oracle.
 fn diff_pipeline(
     pipe: &Pipeline,
     mem: &MemState,
@@ -463,31 +446,14 @@ fn diff_pipeline(
     cfg: &MachineConfig,
     totals: &mut Totals,
 ) -> Option<String> {
-    let mut cycles: Option<u64> = None;
-    for (sched, engine, ff) in GRID {
-        totals.runs += 1;
-        let mut point_cfg = cfg.clone();
-        point_cfg.fast_forward = ff;
-        let mut session = pipette_sim::Session::new(point_cfg, mem.clone());
-        if let Err(t) = session.run_with_engine(pipe, params, sched, engine) {
-            return Some(format!("{sched:?}/{engine:?}/ff={ff} trapped: {t}"));
-        }
-        let (final_mem, stats) = session.finish();
-        if !final_mem.same_contents(&oracle.mem) {
-            return Some(format!(
-                "{sched:?}/{engine:?}/ff={ff}: final memory differs from the serial oracle"
-            ));
-        }
-        match cycles {
-            None => cycles = Some(stats.cycles),
-            Some(c) if c != stats.cycles => {
-                return Some(format!(
-                    "{sched:?}/{engine:?}/ff={ff}: {} cycles, other grid points took {c}",
-                    stats.cycles
-                ));
-            }
-            Some(_) => {}
-        }
+    totals.runs += 1;
+    let mut session = pipette_sim::Session::new(cfg.clone(), mem.clone());
+    if let Err(t) = session.run(pipe, params) {
+        return Some(format!("timed run trapped: {t}"));
+    }
+    let (final_mem, _stats) = session.finish();
+    if !final_mem.same_contents(&oracle.mem) {
+        return Some("final memory differs from the serial oracle".to_string());
     }
     None
 }

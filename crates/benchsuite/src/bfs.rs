@@ -15,14 +15,15 @@
 //!   per-vertex `NEXT` control value that Phloem's inter-stage DCE
 //!   removes — which is how Phloem ends up slightly ahead (Fig. 9).
 
-use crate::runner::{data_parallel_pipeline, serial_pipeline, Measurement, Variant};
-use phloem_compiler::{compile_static, decouple_with_cuts, CompileOptions};
+use crate::runner::{
+    measure, run_to_fixpoint, variant_pipeline, with_sink, Fringe, Measurement, Variant,
+};
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, CtrlHandler, Expr, Function, FunctionBuilder, HandlerEnd, MemState,
     Pipeline, QueueId, RaConfig, RaMode, StageProgram, Trap, Value,
 };
 use phloem_workloads::Graph;
-use pipette_sim::{CompiledPipeline, MachineConfig, Session, TraceSink};
+use pipette_sim::{CompiledPipeline, MachineConfig, TraceSink};
 
 const DONE: u32 = 0;
 const NEXT: u32 = 1;
@@ -317,32 +318,13 @@ pub fn pipeline_for(
     n_vertices: usize,
     cfg: &MachineConfig,
 ) -> Result<Pipeline, phloem_compiler::CompileError> {
-    match variant {
-        Variant::Serial => Ok(serial_pipeline(kernel())),
-        Variant::DataParallel(t) => {
-            let funcs = (0..*t).map(|k| dp_kernel(k, *t, n_vertices)).collect();
-            Ok(data_parallel_pipeline(funcs, cfg.smt_threads))
-        }
-        Variant::Phloem {
-            passes,
-            stages,
-            cuts,
-        } => {
-            let opts = CompileOptions {
-                passes: *passes,
-                smt_threads: cfg.smt_threads,
-                max_queues: cfg.max_queues,
-                max_ras: cfg.ras_per_core,
-                start_core: 0,
-            };
-            if cuts.is_empty() {
-                compile_static(&kernel(), *stages, &opts)
-            } else {
-                decouple_with_cuts(&kernel(), cuts, &opts)
-            }
-        }
-        Variant::Manual => Ok(manual_pipeline()),
-    }
+    variant_pipeline(
+        variant,
+        cfg,
+        kernel,
+        |tid, threads| dp_kernel(tid, threads, n_vertices),
+        manual_pipeline,
+    )
 }
 
 /// Runs BFS to completion (all rounds) and verifies distances against
@@ -372,8 +354,20 @@ pub fn run_traced(
     input: &str,
     sink: Box<dyn TraceSink>,
 ) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    let (r, s) = run_opt_traced(variant, g, root, cfg, input, Some(sink));
-    (r, s.expect("sink was installed"))
+    with_sink(run_opt_traced(variant, g, root, cfg, input, Some(sink)))
+}
+
+/// The round loop's view of [`BfsArrays`]: `threads` next-fringe
+/// segments of `segment` entries each.
+pub(crate) fn fringe(arrays: &BfsArrays, threads: usize, segment: usize) -> Fringe {
+    Fringe::strided(
+        arrays.fringe,
+        arrays.fringe_len,
+        arrays.next_fringe,
+        arrays.out_len,
+        threads,
+        segment,
+    )
 }
 
 fn run_opt_traced(
@@ -384,81 +378,31 @@ fn run_opt_traced(
     input: &str,
     sink: Option<Box<dyn TraceSink>>,
 ) -> (Result<Measurement, Trap>, Option<Box<dyn TraceSink>>) {
-    let threads = match variant {
-        Variant::DataParallel(t) => *t,
-        _ => 1,
-    };
+    let threads = variant.threads();
     let pipeline = pipeline_for(variant, g.num_vertices, cfg).expect("BFS pipeline construction");
     let (mem, arrays) = build_mem(g, root, threads);
-    let mut session = Session::new(cfg.clone(), mem);
-    if let Some(s) = sink {
-        session.set_trace(s);
-    }
-    let driven = (|session: &mut Session| -> Result<(), Trap> {
-        // Lower stage programs once: the flat engine would otherwise
-        // recompile the same pipeline every round.
+    let fringe = fringe(&arrays, threads, g.num_vertices);
+    let what = format!("BFS {}", variant.label());
+    let (r, sink) = measure(variant.label(), input, cfg, mem, sink, |session| {
+        // Lower stage programs once, not once per round.
         let compiled = CompiledPipeline::new(&pipeline)?;
-        let mut len = 1i64;
-        let mut cur_dist = 1i64;
-        let mut rounds = 0;
-        while len > 0 {
-            session
-                .mem_mut()
-                .store(arrays.fringe_len, 0, Value::I64(len))
-                .unwrap();
-            session.run_compiled(&pipeline, &compiled, &[("cur_dist", Value::I64(cur_dist))])?;
-            // Gather next fringe (host work, free — pointer swap in the paper).
-            let n = g.num_vertices;
-            let mut next = Vec::new();
-            for t in 0..threads {
-                let tlen = session.mem().load(arrays.out_len, t as i64).unwrap();
-                let tlen = tlen.as_i64().unwrap();
-                for k in 0..tlen {
-                    let v = session
-                        .mem()
-                        .load(arrays.next_fringe, (t * n) as i64 + k)
-                        .unwrap();
-                    next.push(v);
-                }
-            }
-            len = next.len() as i64;
-            for (k, v) in next.iter().enumerate() {
-                session
-                    .mem_mut()
-                    .store(arrays.fringe, k as i64, *v)
-                    .unwrap();
-            }
-            cur_dist += 1;
-            rounds += 1;
-            if rounds >= 100_000 {
-                return Err(Trap::Livelock {
-                    cycle: session.elapsed(),
-                    detail: format!(
-                        "BFS {} did not converge after {rounds} rounds",
-                        variant.label()
-                    ),
-                });
-            }
-        }
-        Ok(())
-    })(&mut session);
-    let sink = session.take_trace();
-    if let Err(e) = driven {
-        return (Err(e), sink);
-    }
-    let (mem, stats) = session.finish();
-    let got = mem.i64_vec(arrays.dist);
-    let want = g.bfs_distances(root);
-    assert_eq!(got, want, "BFS distances wrong for {}", variant.label());
-    (
-        Ok(Measurement {
-            variant: variant.label(),
-            input: input.into(),
-            cycles: stats.cycles,
-            stats,
-        }),
-        sink,
-    )
+        run_to_fixpoint(session, &fringe, 1, 100_000, &what, |session, round| {
+            let cur_dist = Value::I64(round as i64 + 1);
+            session.run_compiled(&pipeline, &compiled, &[("cur_dist", cur_dist)])?;
+            Ok(())
+        })
+    });
+    let checked = r.map(|(m, mem)| {
+        let want = g.bfs_distances(root);
+        assert_eq!(
+            mem.i64_vec(arrays.dist),
+            want,
+            "BFS distances wrong for {}",
+            m.variant
+        );
+        m
+    });
+    (checked, sink)
 }
 
 /// Returns the kernel's load ids in program order (for explicit cuts):

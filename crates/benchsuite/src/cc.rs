@@ -11,14 +11,15 @@
 //! this from serial semantics — which is why the paper's manual CC stays
 //! ahead of Phloem's.
 
-use crate::runner::{data_parallel_pipeline, serial_pipeline, Measurement, Variant};
-use phloem_compiler::{compile_static, CompileOptions};
+use crate::runner::{
+    measure, run_to_fixpoint, variant_pipeline, with_sink, Fringe, Measurement, Variant,
+};
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, CtrlHandler, Expr, Function, FunctionBuilder, HandlerEnd, MemState,
-    Pipeline, QueueId, RaConfig, RaMode, StageProgram, Trap, Value,
+    Pipeline, QueueId, RaConfig, RaMode, StageProgram, Trap,
 };
 use phloem_workloads::Graph;
-use pipette_sim::{CompiledPipeline, MachineConfig, Session, TraceSink};
+use pipette_sim::{CompiledPipeline, MachineConfig, TraceSink};
 
 const DONE: u32 = 0;
 const NEXT: u32 = 1;
@@ -343,32 +344,13 @@ pub fn pipeline_for(
     seg: usize,
     cfg: &MachineConfig,
 ) -> Result<Pipeline, phloem_compiler::CompileError> {
-    match variant {
-        Variant::Serial => Ok(serial_pipeline(kernel())),
-        Variant::DataParallel(t) => {
-            let funcs = (0..*t).map(|k| dp_kernel(k, *t, seg)).collect();
-            Ok(data_parallel_pipeline(funcs, cfg.smt_threads))
-        }
-        Variant::Phloem {
-            passes,
-            stages,
-            cuts,
-        } => {
-            let opts = CompileOptions {
-                passes: *passes,
-                smt_threads: cfg.smt_threads,
-                max_queues: cfg.max_queues,
-                max_ras: cfg.ras_per_core,
-                start_core: 0,
-            };
-            if cuts.is_empty() {
-                compile_static(&kernel(), *stages, &opts)
-            } else {
-                phloem_compiler::decouple_with_cuts(&kernel(), cuts, &opts)
-            }
-        }
-        Variant::Manual => Ok(manual_pipeline()),
-    }
+    variant_pipeline(
+        variant,
+        cfg,
+        kernel,
+        |tid, threads| dp_kernel(tid, threads, seg),
+        manual_pipeline,
+    )
 }
 
 /// Runs CC to convergence and verifies labels against the oracle.
@@ -394,8 +376,19 @@ pub fn run_traced(
     input: &str,
     sink: Box<dyn TraceSink>,
 ) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    let (r, s) = run_opt_traced(variant, g, cfg, input, Some(sink));
-    (r, s.expect("sink was installed"))
+    with_sink(run_opt_traced(variant, g, cfg, input, Some(sink)))
+}
+
+/// The round loop's view of [`CcArrays`], for `threads` producers.
+pub(crate) fn fringe(arrays: &CcArrays, threads: usize, g: &Graph) -> Fringe {
+    Fringe::strided(
+        arrays.fringe,
+        arrays.fringe_len,
+        arrays.next_fringe,
+        arrays.out_len,
+        threads,
+        segment(g),
+    )
 }
 
 fn run_opt_traced(
@@ -405,84 +398,25 @@ fn run_opt_traced(
     input: &str,
     sink: Option<Box<dyn TraceSink>>,
 ) -> (Result<Measurement, Trap>, Option<Box<dyn TraceSink>>) {
-    let threads = match variant {
-        Variant::DataParallel(t) => *t,
-        _ => 1,
-    };
+    let threads = variant.threads();
     let pipeline = pipeline_for(variant, segment(g), cfg).expect("CC pipeline");
     let (mem, arrays) = build_mem(g, threads);
-    let mut session = Session::new(cfg.clone(), mem);
-    if let Some(s) = sink {
-        session.set_trace(s);
-    }
-    let driven = (|session: &mut Session| -> Result<(), Trap> {
+    let fringe = fringe(&arrays, threads, g);
+    let what = format!("CC {}", variant.label());
+    let len = g.num_vertices as i64;
+    let (r, sink) = measure(variant.label(), input, cfg, mem, sink, |session| {
         let compiled = CompiledPipeline::new(&pipeline)?;
-        let mut len = g.num_vertices as i64;
-        let mut rounds = 0;
-        while len > 0 {
-            session
-                .mem_mut()
-                .store(arrays.fringe_len, 0, Value::I64(len))
-                .unwrap();
+        run_to_fixpoint(session, &fringe, len, 1_000_000, &what, |session, _| {
             session.run_compiled(&pipeline, &compiled, &[])?;
-            let seg = segment(g);
-            let mut next = Vec::new();
-            for t in 0..threads {
-                let tlen = session
-                    .mem()
-                    .load(arrays.out_len, t as i64)
-                    .unwrap()
-                    .as_i64()
-                    .unwrap();
-                for k in 0..tlen {
-                    next.push(
-                        session
-                            .mem()
-                            .load(arrays.next_fringe, (t * seg) as i64 + k)
-                            .unwrap(),
-                    );
-                }
-            }
-            len = next.len() as i64;
-            for (k, v) in next.iter().enumerate() {
-                session
-                    .mem_mut()
-                    .store(arrays.fringe, k as i64, *v)
-                    .unwrap();
-            }
-            rounds += 1;
-            if rounds >= 1_000_000 {
-                return Err(Trap::Livelock {
-                    cycle: session.elapsed(),
-                    detail: format!(
-                        "CC {} did not converge after {rounds} rounds",
-                        variant.label()
-                    ),
-                });
-            }
-        }
-        Ok(())
-    })(&mut session);
-    let sink = session.take_trace();
-    if let Err(e) = driven {
-        return (Err(e), sink);
-    }
-    let (mem, stats) = session.finish();
-    assert_eq!(
-        mem.i64_vec(arrays.labels),
-        oracle(g),
-        "CC labels wrong for {}",
-        variant.label()
-    );
-    (
-        Ok(Measurement {
-            variant: variant.label(),
-            input: input.into(),
-            cycles: stats.cycles,
-            stats,
-        }),
-        sink,
-    )
+            Ok(())
+        })
+    });
+    let checked = r.map(|(m, mem)| {
+        let got = mem.i64_vec(arrays.labels);
+        assert_eq!(got, oracle(g), "CC labels wrong for {}", m.variant);
+        m
+    });
+    (checked, sink)
 }
 
 #[cfg(test)]

@@ -3,8 +3,7 @@
 //! Each [`FaultTarget`] bundles a benchsuite pipeline with a populated
 //! input memory and parameter bindings so a harness (`fuzzdiff --faults`)
 //! can run one bounded kernel invocation under an injected
-//! [`pipette_sim::FaultPlan`] and compare outcomes across the
-//! scheduler × engine grid.
+//! [`pipette_sim::FaultPlan`] and check its outcome.
 //!
 //! The set deliberately spans the simulator's structural space: manual
 //! pipelines with inter-stage queues and chained RAs (BFS, CC, SpMM),
@@ -32,18 +31,10 @@ pub struct FaultTarget {
     pub params: Vec<(&'static str, Value)>,
 }
 
-/// Fills the BFS/graph fringe with every vertex so one invocation
-/// drives maximal queue traffic.
-fn densify_fringe(
-    mem: &mut MemState,
-    fringe: phloem_ir::ArrayId,
-    len: phloem_ir::ArrayId,
-    n: usize,
-) {
-    for i in 0..n {
-        mem.store(fringe, i as i64, Value::I64(i as i64)).unwrap();
-    }
-    mem.store(len, 0, Value::I64(n as i64)).unwrap();
+/// Fills the BFS fringe with every vertex so one invocation drives
+/// maximal queue traffic.
+fn densify_fringe(mem: &mut MemState, arrays: &bfs::BfsArrays, n: usize) {
+    bfs::fringe(arrays, 1, n).fill(mem, (0..n as i64).map(Value::I64));
 }
 
 /// Builds the standard fault-target set for a machine configuration.
@@ -59,7 +50,7 @@ pub fn targets(cfg: &MachineConfig) -> Vec<FaultTarget> {
     // BFS, hand-optimized: fetch stage + chained INDIRECT/SCAN RAs.
     {
         let (mut mem, arrays) = bfs::build_mem(&g, 0, 1);
-        densify_fringe(&mut mem, arrays.fringe, arrays.fringe_len, n);
+        densify_fringe(&mut mem, &arrays, n);
         out.push(FaultTarget {
             name: "bfs/manual",
             pipeline: bfs::manual_pipeline(),
@@ -71,7 +62,7 @@ pub fn targets(cfg: &MachineConfig) -> Vec<FaultTarget> {
     // BFS, Phloem static 4-stage: queue + control-value links.
     {
         let (mut mem, arrays) = bfs::build_mem(&g, 0, 1);
-        densify_fringe(&mut mem, arrays.fringe, arrays.fringe_len, n);
+        densify_fringe(&mut mem, &arrays, n);
         out.push(FaultTarget {
             name: "bfs/static4",
             pipeline: bfs::pipeline_for(&Variant::phloem(), n, cfg).expect("BFS static pipeline"),

@@ -16,13 +16,13 @@
 //! merges the middle stages to make room for a second level of stage
 //! replication (two update threads per core).
 
-use crate::runner::Measurement;
+use crate::runner::{data_parallel_pipeline, measure, run_to_fixpoint, Measurement};
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, CtrlHandler, Expr, FunctionBuilder, HandlerEnd, Pipeline, QueueId,
     RaConfig, RaMode, StageProgram, Stmt, Trap, Value, VarId,
 };
 use phloem_workloads::Graph;
-use pipette_sim::{CompiledPipeline, MachineConfig, Session};
+use pipette_sim::{CompiledPipeline, MachineConfig};
 
 const DONE: u32 = 0;
 
@@ -33,6 +33,10 @@ pub enum RepVariant {
     Phloem,
     /// The hand-tuned replicated pipeline.
     Manual,
+}
+
+fn rep_label(variant: RepVariant) -> String {
+    format!("replicated-{variant:?}")
 }
 
 fn pack(hi: Expr, lo: Expr) -> Expr {
@@ -245,59 +249,31 @@ pub fn run_bfs_replicated(
     let pipeline = bfs_replicated(replicas, variant);
     let (mem, arrays) = crate::bfs::build_mem(g, root, replicas);
     let n = g.num_vertices;
-    let mut session = Session::new(cfg.clone(), mem);
-    let mut len = 1i64;
-    let mut cur_dist = 1i64;
-    while len > 0 {
-        session
-            .mem_mut()
-            .store(arrays.fringe_len, 0, Value::I64(len))
-            .unwrap();
-        session.run(
-            &pipeline,
-            &[
-                ("cur_dist", Value::I64(cur_dist)),
-                ("seg", Value::I64(n as i64)),
-            ],
-        )?;
-        let mut next = Vec::new();
-        for t in 0..replicas {
-            let tlen = session
-                .mem()
-                .load(arrays.out_len, t as i64)
-                .unwrap()
-                .as_i64()
-                .unwrap();
-            for k in 0..tlen {
-                next.push(
-                    session
-                        .mem()
-                        .load(arrays.next_fringe, (t * n) as i64 + k)
-                        .unwrap(),
-                );
-            }
-        }
-        len = next.len() as i64;
-        for (k, v) in next.iter().enumerate() {
-            session
-                .mem_mut()
-                .store(arrays.fringe, k as i64, *v)
-                .unwrap();
-        }
-        cur_dist += 1;
-    }
-    let (mem, stats) = session.finish();
+    let fringe = crate::bfs::fringe(&arrays, replicas, n);
+    let (m, mem) = measure(rep_label(variant), input, cfg, mem, None, |session| {
+        run_to_fixpoint(
+            session,
+            &fringe,
+            1,
+            100_000,
+            "replicated BFS",
+            |session, k| {
+                let params = [
+                    ("cur_dist", Value::I64(k as i64 + 1)),
+                    ("seg", Value::I64(n as i64)),
+                ];
+                session.run(&pipeline, &params)?;
+                Ok(())
+            },
+        )
+    })
+    .0?;
     assert_eq!(
         mem.i64_vec(arrays.dist),
         g.bfs_distances(root),
         "replicated BFS distances wrong"
     );
-    Ok(Measurement {
-        variant: format!("replicated-{variant:?}"),
-        input: input.into(),
-        cycles: stats.cycles,
-        stats,
-    })
+    Ok(m)
 }
 
 // ---------------------------------------------------------------------
@@ -503,61 +479,30 @@ pub fn run_cc_replicated(
     let replicas = cfg.cores;
     let pipeline = cc_replicated(replicas, variant);
     let (mem, arrays) = crate::cc::build_mem(g, replicas);
-    let seg = crate::cc::segment(g);
-    let mut session = Session::new(cfg.clone(), mem);
-    let compiled = CompiledPipeline::new(&pipeline)?;
-    let mut len = g.num_vertices as i64;
-    let mut rounds = 0;
-    while len > 0 {
-        session
-            .mem_mut()
-            .store(arrays.fringe_len, 0, Value::I64(len))
-            .unwrap();
-        session.run_compiled(&pipeline, &compiled, &[("seg", Value::I64(seg as i64))])?;
-        let mut next = Vec::new();
-        for t in 0..replicas {
-            let tlen = session
-                .mem()
-                .load(arrays.out_len, t as i64)
-                .unwrap()
-                .as_i64()
-                .unwrap();
-            for k in 0..tlen {
-                next.push(
-                    session
-                        .mem()
-                        .load(arrays.next_fringe, (t * seg) as i64 + k)
-                        .unwrap(),
-                );
-            }
-        }
-        len = next.len() as i64;
-        for (k, v) in next.iter().enumerate() {
-            session
-                .mem_mut()
-                .store(arrays.fringe, k as i64, *v)
-                .unwrap();
-        }
-        rounds += 1;
-        if rounds >= 1_000_000 {
-            return Err(Trap::Livelock {
-                cycle: session.elapsed(),
-                detail: format!("replicated CC did not converge after {rounds} rounds"),
-            });
-        }
-    }
-    let (mem, stats) = session.finish();
+    let seg = Value::I64(crate::cc::segment(g) as i64);
+    let fringe = crate::cc::fringe(&arrays, replicas, g);
+    let len = g.num_vertices as i64;
+    let (m, mem) = measure(rep_label(variant), input, cfg, mem, None, |session| {
+        let compiled = CompiledPipeline::new(&pipeline)?;
+        run_to_fixpoint(
+            session,
+            &fringe,
+            len,
+            1_000_000,
+            "replicated CC",
+            |session, _| {
+                session.run_compiled(&pipeline, &compiled, &[("seg", seg)])?;
+                Ok(())
+            },
+        )
+    })
+    .0?;
     assert_eq!(
         mem.i64_vec(arrays.labels),
         crate::cc::oracle(g),
         "replicated CC labels wrong ({variant:?})"
     );
-    Ok(Measurement {
-        variant: format!("replicated-{variant:?}"),
-        input: input.into(),
-        cycles: stats.cycles,
-        stats,
-    })
+    Ok(m)
 }
 
 // ---------------------------------------------------------------------
@@ -781,68 +726,31 @@ pub fn run_radii_replicated(
         RepVariant::Manual => cfg.cores,
     };
     let (mem, arrays) = crate::radii::build_mem(g, replicas);
-    let seg = crate::radii::segment(g);
-    let mut session = Session::new(cfg.clone(), mem);
-    let mut len = crate::radii::sources(g).len() as i64;
-    let mut round = 1i64;
-    while len > 0 {
-        session
-            .mem_mut()
-            .store(arrays.fringe_len, 0, Value::I64(len))
-            .unwrap();
-        session.run(
-            &pipeline,
-            &[
-                ("round", Value::I64(round)),
-                ("seg", Value::I64(seg as i64)),
-            ],
-        )?;
-        let mut next = Vec::new();
-        for t in 0..replicas {
-            let tlen = session
-                .mem()
-                .load(arrays.out_len, t as i64)
-                .unwrap()
-                .as_i64()
-                .unwrap();
-            for k in 0..tlen {
-                next.push(
-                    session
-                        .mem()
-                        .load(arrays.next_fringe, (t * seg) as i64 + k)
-                        .unwrap(),
-                );
-            }
-        }
-        len = next.len() as i64;
-        for (k, v) in next.iter().enumerate() {
-            session
-                .mem_mut()
-                .store(arrays.fringe, k as i64, *v)
-                .unwrap();
-        }
-        let nv = session.mem().values(arrays.nvisited).to_vec();
-        session.mem_mut().set_values(arrays.visited, nv);
-        round += 1;
-        if round >= 1_000_000 {
-            return Err(Trap::Livelock {
-                cycle: session.elapsed(),
-                detail: format!("replicated radii did not converge after {round} rounds"),
-            });
-        }
-    }
-    let (mem, stats) = session.finish();
+    let seg = Value::I64(crate::radii::segment(g) as i64);
+    let fringe = crate::radii::fringe(&arrays, replicas, g);
+    let len = crate::radii::sources(g).len() as i64;
+    let (m, mem) = measure(rep_label(variant), input, cfg, mem, None, |session| {
+        run_to_fixpoint(
+            session,
+            &fringe,
+            len,
+            1_000_000,
+            "replicated radii",
+            |session, k| {
+                let params = [("round", Value::I64(k as i64 + 1)), ("seg", seg)];
+                session.run(&pipeline, &params)?;
+                crate::radii::swap_visited(session, &arrays);
+                Ok(())
+            },
+        )
+    })
+    .0?;
     assert_eq!(
         mem.i64_vec(arrays.radii),
         crate::radii::oracle(g),
         "replicated radii wrong ({variant:?})"
     );
-    Ok(Measurement {
-        variant: format!("replicated-{variant:?}"),
-        input: input.into(),
-        cycles: stats.cycles,
-        stats,
-    })
+    Ok(m)
 }
 
 // ---------------------------------------------------------------------
@@ -1017,49 +925,20 @@ pub fn run_prd_replicated(
     input: &str,
 ) -> Result<Measurement, Trap> {
     let threads = cfg.cores * cfg.smt_threads;
+    let n = g.num_vertices;
     let scatter = prd_scatter_replicated(cfg.cores, variant);
-    let apply = crate::runner::data_parallel_pipeline(
+    let apply = data_parallel_pipeline(
         (0..threads)
-            .map(|t| crate::prd::dp_apply(t, threads, g.num_vertices))
+            .map(|t| crate::prd::dp_apply(t, threads, n))
             .collect(),
         cfg.smt_threads,
     );
     let (mem, arrays) = crate::prd::build_mem(g, threads);
-    let n = g.num_vertices;
-    let mut session = Session::new(cfg.clone(), mem);
-    let mut len = n as i64;
-    for _ in 0..crate::prd::ITERATIONS {
-        if len == 0 {
-            break;
-        }
-        session
-            .mem_mut()
-            .store(arrays.fringe_len, 0, Value::I64(len))
-            .unwrap();
-        session.run(&scatter, &[])?;
-        session.run(&apply, &[("n", Value::I64(n as i64))])?;
-        let mut next = Vec::new();
-        for t in 0..threads {
-            let tlen = session
-                .mem()
-                .load(arrays.out_len, t as i64)
-                .unwrap()
-                .as_i64()
-                .unwrap();
-            let lo = (n as i64) * t as i64 / threads as i64;
-            for k in 0..tlen {
-                next.push(session.mem().load(arrays.active, lo + k).unwrap());
-            }
-        }
-        len = next.len() as i64;
-        for (k, v) in next.iter().enumerate() {
-            session
-                .mem_mut()
-                .store(arrays.active, k as i64, *v)
-                .unwrap();
-        }
-    }
-    let (mem, stats) = session.finish();
+    let fringe = crate::prd::fringe(&arrays, threads, n);
+    let (m, mem) = measure(rep_label(variant), input, cfg, mem, None, |session| {
+        crate::prd::iterate(session, &fringe, n, &scatter, &apply)
+    })
+    .0?;
     let ranks = mem.f64_vec(arrays.rank);
     let want = crate::prd::oracle(g);
     for (i, (a, b)) in ranks.iter().zip(&want).enumerate() {
@@ -1068,12 +947,7 @@ pub fn run_prd_replicated(
             "prd-rep {variant:?}: rank[{i}] {a} vs {b}"
         );
     }
-    Ok(Measurement {
-        variant: format!("replicated-{variant:?}"),
-        input: input.into(),
-        cycles: stats.cycles,
-        stats,
-    })
+    Ok(m)
 }
 
 #[cfg(test)]

@@ -12,8 +12,11 @@
 //! its accumulation order differs and results are compared with a
 //! tolerance.
 
-use crate::runner::{data_parallel_pipeline, serial_pipeline, Measurement, Variant};
-use phloem_compiler::{compile_static, CompileOptions};
+use crate::runner::{
+    compile_options, data_parallel_pipeline, measure, run_rounds, serial_pipeline,
+    variant_pipeline, with_sink, Fringe, Measurement, Variant,
+};
+use phloem_compiler::compile_static;
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, CtrlHandler, Expr, Function, FunctionBuilder, HandlerEnd, MemState,
     Pipeline, QueueId, RaConfig, RaMode, StageProgram, Trap, UnOp, Value,
@@ -417,16 +420,6 @@ pub fn manual_scatter() -> Pipeline {
     p
 }
 
-fn phloem_opts(cfg: &MachineConfig, passes: phloem_compiler::PassConfig) -> CompileOptions {
-    CompileOptions {
-        passes,
-        smt_threads: cfg.smt_threads,
-        max_queues: cfg.max_queues,
-        max_ras: cfg.ras_per_core,
-        start_core: 0,
-    }
-}
-
 /// Builds (scatter, apply) pipelines for a variant.
 ///
 /// # Errors
@@ -436,33 +429,14 @@ pub fn pipelines_for(
     n: usize,
     cfg: &MachineConfig,
 ) -> Result<(Pipeline, Pipeline), phloem_compiler::CompileError> {
-    let scatter = match variant {
-        Variant::Serial => serial_pipeline(scatter_kernel()),
-        Variant::DataParallel(t) => data_parallel_pipeline(
-            (0..*t).map(|k| dp_scatter(k, *t)).collect(),
-            cfg.smt_threads,
-        ),
-        Variant::Phloem {
-            passes,
-            stages,
-            cuts,
-        } => {
-            let opts = phloem_opts(cfg, *passes);
-            if cuts.is_empty() {
-                compile_static(&scatter_kernel(), *stages, &opts)?
-            } else {
-                phloem_compiler::decouple_with_cuts(&scatter_kernel(), cuts, &opts)?
-            }
-        }
-        Variant::Manual => manual_scatter(),
-    };
+    let scatter = variant_pipeline(variant, cfg, scatter_kernel, dp_scatter, manual_scatter)?;
     let apply = match variant {
         Variant::DataParallel(t) => data_parallel_pipeline(
             (0..*t).map(|k| dp_apply(k, *t, n)).collect(),
             cfg.smt_threads,
         ),
         Variant::Phloem { passes, .. } => {
-            compile_static(&apply_kernel(), 2, &phloem_opts(cfg, *passes))?
+            compile_static(&apply_kernel(), 2, &compile_options(cfg, *passes))?
         }
         // The apply phase is regular; serial and manual share it.
         _ => serial_pipeline(apply_kernel()),
@@ -493,8 +467,46 @@ pub fn run_traced(
     input: &str,
     sink: Box<dyn TraceSink>,
 ) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    let (r, s) = run_opt_traced(variant, g, cfg, input, Some(sink));
-    (r.map(|(m, _)| m), s.expect("sink was installed"))
+    let (r, sink) = with_sink(run_opt_traced(variant, g, cfg, input, Some(sink)));
+    (r.map(|(m, _)| m), sink)
+}
+
+/// The round loop's view of [`PrdArrays`]: the active list is
+/// compacted in place, thread `t`'s survivors starting at its slice of
+/// the `n` vertices.
+pub(crate) fn fringe(arrays: &PrdArrays, threads: usize, n: usize) -> Fringe {
+    Fringe {
+        fringe: arrays.active,
+        fringe_len: arrays.fringe_len,
+        next: arrays.active,
+        out_len: arrays.out_len,
+        starts: (0..threads)
+            .map(|t| (n as i64) * t as i64 / threads as i64)
+            .collect(),
+    }
+}
+
+/// Runs up to [`ITERATIONS`] scatter + apply iterations, stopping early
+/// once no vertex is active.
+pub(crate) fn iterate(
+    session: &mut Session,
+    fringe: &Fringe,
+    n: usize,
+    scatter: &Pipeline,
+    apply: &Pipeline,
+) -> Result<(), Trap> {
+    run_rounds(
+        session,
+        fringe,
+        n as i64,
+        ITERATIONS as u64,
+        |session, _| {
+            session.run(scatter, &[])?;
+            session.run(apply, &[("n", Value::I64(n as i64))])?;
+            Ok(())
+        },
+    )?;
+    Ok(())
 }
 
 #[allow(clippy::type_complexity)]
@@ -508,71 +520,15 @@ fn run_opt_traced(
     Result<(Measurement, Vec<f64>), Trap>,
     Option<Box<dyn TraceSink>>,
 ) {
-    let threads = match variant {
-        Variant::DataParallel(t) => *t,
-        _ => 1,
-    };
+    let threads = variant.threads();
     let n = g.num_vertices;
     let (scatter, apply) = pipelines_for(variant, n, cfg).expect("PRD pipelines");
     let (mem, arrays) = build_mem(g, threads);
-    let mut session = Session::new(cfg.clone(), mem);
-    if let Some(s) = sink {
-        session.set_trace(s);
-    }
-    let driven = (|session: &mut Session| -> Result<(), Trap> {
-        let mut len = n as i64;
-        for _ in 0..ITERATIONS {
-            if len == 0 {
-                break;
-            }
-            session
-                .mem_mut()
-                .store(arrays.fringe_len, 0, Value::I64(len))
-                .unwrap();
-            session.run(&scatter, &[])?;
-            session.run(&apply, &[("n", Value::I64(n as i64))])?;
-            // Gather per-thread active segments into a dense prefix.
-            let mut next = Vec::new();
-            for t in 0..threads {
-                let tlen = session
-                    .mem()
-                    .load(arrays.out_len, t as i64)
-                    .unwrap()
-                    .as_i64()
-                    .unwrap();
-                let lo = (n as i64) * t as i64 / threads as i64;
-                for k in 0..tlen {
-                    next.push(session.mem().load(arrays.active, lo + k).unwrap());
-                }
-            }
-            len = next.len() as i64;
-            for (k, v) in next.iter().enumerate() {
-                session
-                    .mem_mut()
-                    .store(arrays.active, k as i64, *v)
-                    .unwrap();
-            }
-        }
-        Ok(())
-    })(&mut session);
-    let sink = session.take_trace();
-    if let Err(e) = driven {
-        return (Err(e), sink);
-    }
-    let (mem, stats) = session.finish();
-    let ranks = mem.f64_vec(arrays.rank);
-    (
-        Ok((
-            Measurement {
-                variant: variant.label(),
-                input: input.into(),
-                cycles: stats.cycles,
-                stats,
-            },
-            ranks,
-        )),
-        sink,
-    )
+    let fringe = fringe(&arrays, threads, n);
+    let (r, sink) = measure(variant.label(), input, cfg, mem, sink, |session| {
+        iterate(session, &fringe, n, &scatter, &apply)
+    });
+    (r.map(|(m, mem)| (m, mem.f64_vec(arrays.rank))), sink)
 }
 
 /// Runs PRD and checks ranks against the serial reference (tolerance for

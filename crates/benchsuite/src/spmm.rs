@@ -13,14 +13,13 @@
 //! the remaining values in the other input queue up to its next control
 //! value".
 
-use crate::runner::{data_parallel_pipeline, serial_pipeline, Measurement, Variant};
-use phloem_compiler::{compile_static, CompileOptions};
+use crate::runner::{measure, variant_pipeline, with_sink, Measurement, Variant};
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId,
     RaConfig, RaMode, StageProgram, Trap, UnOp, Value,
 };
 use phloem_workloads::SparseMatrix;
-use pipette_sim::{MachineConfig, Session, TraceSink};
+use pipette_sim::{MachineConfig, TraceSink};
 
 const DONE: u32 = 0;
 const NEXT: u32 = 1;
@@ -453,32 +452,7 @@ pub fn pipeline_for(
     variant: &Variant,
     cfg: &MachineConfig,
 ) -> Result<Pipeline, phloem_compiler::CompileError> {
-    match variant {
-        Variant::Serial => Ok(serial_pipeline(kernel())),
-        Variant::DataParallel(t) => Ok(data_parallel_pipeline(
-            (0..*t).map(|k| dp_kernel(k, *t)).collect(),
-            cfg.smt_threads,
-        )),
-        Variant::Phloem {
-            passes,
-            stages,
-            cuts,
-        } => {
-            let opts = CompileOptions {
-                passes: *passes,
-                smt_threads: cfg.smt_threads,
-                max_queues: cfg.max_queues,
-                max_ras: cfg.ras_per_core,
-                start_core: 0,
-            };
-            if cuts.is_empty() {
-                compile_static(&kernel(), *stages, &opts)
-            } else {
-                phloem_compiler::decouple_with_cuts(&kernel(), cuts, &opts)
-            }
-        }
-        Variant::Manual => Ok(manual_pipeline()),
-    }
+    variant_pipeline(variant, cfg, kernel, dp_kernel, manual_pipeline)
 }
 
 /// Runs SpMM and verifies count/sum against the oracle.
@@ -506,8 +480,7 @@ pub fn run_traced(
     input: &str,
     sink: Box<dyn TraceSink>,
 ) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    let (r, s) = run_opt_traced(variant, a, bt, cfg, input, Some(sink));
-    (r, s.expect("sink was installed"))
+    with_sink(run_opt_traced(variant, a, bt, cfg, input, Some(sink)))
 }
 
 fn run_opt_traced(
@@ -518,40 +491,25 @@ fn run_opt_traced(
     input: &str,
     sink: Option<Box<dyn TraceSink>>,
 ) -> (Result<Measurement, Trap>, Option<Box<dyn TraceSink>>) {
-    let threads = match variant {
-        Variant::DataParallel(t) => *t,
-        _ => 1,
-    };
     let pipeline = pipeline_for(variant, cfg).expect("SpMM pipeline");
-    let (mem, arrays) = build_mem(a, bt, threads);
-    let mut session = Session::new(cfg.clone(), mem);
-    if let Some(s) = sink {
-        session.set_trace(s);
-    }
-    let driven = session.run(&pipeline, &[("n", Value::I64(a.rows as i64))]);
-    let sink = session.take_trace();
-    if let Err(e) = driven {
-        return (Err(e), sink);
-    }
-    let (mem, stats) = session.finish();
-    let cnt: i64 = mem.i64_vec(arrays.out_cnt).iter().sum();
-    let sum: f64 = mem.f64_vec(arrays.out_sum).iter().sum();
-    let (want_cnt, want_sum) = oracle(a, bt);
-    assert_eq!(cnt, want_cnt, "SpMM count wrong for {}", variant.label());
-    assert!(
-        (sum - want_sum).abs() <= 1e-9 + 1e-9 * want_sum.abs(),
-        "SpMM sum wrong for {}: {sum} vs {want_sum}",
-        variant.label()
-    );
-    (
-        Ok(Measurement {
-            variant: variant.label(),
-            input: input.into(),
-            cycles: stats.cycles,
-            stats,
-        }),
-        sink,
-    )
+    let (mem, arrays) = build_mem(a, bt, variant.threads());
+    let (r, sink) = measure(variant.label(), input, cfg, mem, sink, |session| {
+        session.run(&pipeline, &[("n", Value::I64(a.rows as i64))])?;
+        Ok(())
+    });
+    let checked = r.map(|(m, mem)| {
+        let cnt: i64 = mem.i64_vec(arrays.out_cnt).iter().sum();
+        let sum: f64 = mem.f64_vec(arrays.out_sum).iter().sum();
+        let (want_cnt, want_sum) = oracle(a, bt);
+        assert_eq!(cnt, want_cnt, "SpMM count wrong for {}", m.variant);
+        assert!(
+            (sum - want_sum).abs() <= 1e-9 + 1e-9 * want_sum.abs(),
+            "SpMM sum wrong for {}: {sum} vs {want_sum}",
+            m.variant
+        );
+        m
+    });
+    (checked, sink)
 }
 
 #[cfg(test)]

@@ -49,18 +49,17 @@ use crate::stmt::{CtrlHandler, HandlerEnd, Stmt};
 use crate::value::{BinOp, Trap, UnOp, Value};
 use serde::{Deserialize, Serialize};
 
-/// Which execution engine runs stage programs.
-///
-/// Both engines produce **bit-identical simulated cycles, statistics,
-/// and memory state** (the flat engine makes the same [`crate::World`]
-/// calls in the same order); they differ only in host throughput. The
-/// tree-walking [`crate::StepInterp`] is kept as the differential
-/// oracle, the same pattern the simulator uses for its polling
-/// scheduler reference.
+/// Names the two stage-program interpreters, for harnesses that time
+/// or diff one against the other. Nothing selects an engine at run
+/// time: the simulator always runs [`crate::flat::FlatInterp`], and the
+/// serial oracle and the native backend always run
+/// [`crate::step::StepInterp`]. Both make the same [`crate::World`]
+/// calls in the same order (`tests/flat_differential.rs` pins it), so
+/// they differ only in host throughput.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecEngine {
     /// Bytecode compilation + program-counter execution
-    /// ([`crate::flat::FlatInterp`]); the fast default.
+    /// ([`crate::flat::FlatInterp`]); the simulator's engine.
     #[default]
     Flat,
     /// The original tree-walking interpreter

@@ -114,9 +114,8 @@ impl<'p> StepInterp<'p> {
     }
 
     /// Committed atoms executed so far. Blocked attempts are not
-    /// counted, so the value is identical across engines *and*
-    /// schedulers (the polling scheduler re-polls blocked threads; the
-    /// event-driven one parks them).
+    /// counted, so the value is identical across engines and does not
+    /// depend on how often a blocked stage is re-stepped.
     pub fn steps(&self) -> u64 {
         self.steps
     }

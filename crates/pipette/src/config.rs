@@ -1,8 +1,7 @@
 //! Machine configuration (Table III of the paper).
 
-use crate::scheduler::SchedulerKind;
 use crate::watchdog::WatchdogConfig;
-use phloem_ir::{ExecEngine, UopClass};
+use phloem_ir::UopClass;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of one cache level.
@@ -73,32 +72,11 @@ pub struct MachineConfig {
     /// Host overhead, in cycles, to launch a pipeline invocation (used
     /// between program phases / fringe rounds).
     pub launch_overhead: u64,
-    /// How the simulator schedules stage threads. Does not affect
-    /// simulated cycles (both kinds are bit-identical); `Polling` is
-    /// the slower reference model kept for differential testing.
-    pub scheduler: SchedulerKind,
-    /// Which execution engine runs stage programs. Does not affect
-    /// simulated cycles (both engines are bit-identical); `Tree` is the
-    /// slower oracle kept for differential testing.
-    #[serde(default)]
-    pub engine: ExecEngine,
     /// Forward-progress watchdog limits (livelock window on, cycle cap
     /// off by default). Never fires on a healthy run; when it does fire
     /// it raises a structured trap instead of hanging the host.
     #[serde(default)]
     pub watchdog: WatchdogConfig,
-    /// Idle-cycle fast-forward: the per-core issue calendar is a
-    /// bounded ring whose base skips past reclaimed cycles at round
-    /// boundaries, instead of a dense array spanning the invocation.
-    /// Host-side only — simulated cycles are bit-identical either way
-    /// (`tests/fast_forward.rs` and fuzzdiff enforce it); `false` keeps
-    /// the dense reference layout for differential testing.
-    #[serde(default = "default_true")]
-    pub fast_forward: bool,
-}
-
-fn default_true() -> bool {
-    true
 }
 
 impl MachineConfig {
@@ -137,10 +115,7 @@ impl MachineConfig {
             prefetch: true,
             prefetch_degree: 2,
             launch_overhead: 300,
-            scheduler: SchedulerKind::EventDriven,
-            engine: ExecEngine::Flat,
             watchdog: WatchdogConfig::default(),
-            fast_forward: default_true(),
         }
     }
 

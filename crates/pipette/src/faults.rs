@@ -3,24 +3,21 @@
 //! A [`FaultPlan`] perturbs one pipeline invocation with hardware-shaped
 //! faults: queue-capacity squeezes, op-latency spikes (RA latency
 //! variance), transient dequeue-delivery stalls, and thread kills. The
-//! design invariant — enforced by `fuzzdiff --faults` across the full
-//! scheduler × engine grid — is that a faulted run always terminates in
+//! design invariant — enforced by `fuzzdiff --faults` — is that a
+//! faulted run always terminates in
 //! bounded cycles with either the correct output or a structured
 //! [`phloem_ir::Trap`]: never a hang, never silent corruption.
 //!
 //! ## Determinism
 //!
-//! Every fault trigger is keyed on a quantity that is bit-identical
-//! across the {event-driven, polling} × {flat, tree} grid:
+//! Every fault trigger is keyed on simulated state, never on host
+//! behaviour, so the same plan gives the same run every time:
 //!
 //! * **enqueue/dequeue ordinals** (the per-queue count of *successful*
-//!   operations so far, within one invocation) — identical because both
-//!   schedulers observe the identical sequence of successful queue ops;
-//! * **simulated issue cycles** — identical because blocked polls are
-//!   timing no-ops;
+//!   operations so far, within one invocation);
+//! * **simulated issue cycles**;
 //! * **per-stage atom counts** ([`phloem_ir::StageExec::steps`]),
-//!   checked at scheduler round boundaries, which both schedulers place
-//!   identically.
+//!   checked at scheduler round boundaries.
 //!
 //! Faults also never *unblock-then-reblock* a parked thread behind the
 //! event-driven scheduler's back: a squeeze only makes full-checks

@@ -67,10 +67,9 @@ pub use cache::{CacheStats, HitLevel, MemHierarchy};
 pub use config::{CacheParams, MachineConfig};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use faults::{Fault, FaultPlan};
-pub use machine::{CancelScope, CompiledPipeline, Machine, RunOutcome, SchedulerKind, Session};
+pub use machine::{CancelScope, CompiledPipeline, Machine, RunOutcome, Session};
 pub use metrics::{MetricsSink, QueueMetrics, StageMetrics};
 pub use native::{BackendScope, ChannelBackend, ChannelKind, ExecBackend, NativeConfig};
-pub use phloem_ir::ExecEngine;
 pub use phloem_pool::CancelToken;
 pub use stats::{CycleBreakdown, QueueStats, RunStats, ThreadStats};
 pub use trace::{

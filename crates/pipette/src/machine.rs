@@ -17,13 +17,10 @@ use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::faults::FaultPlan;
 use crate::native::{BackendScope, ExecBackend};
 use crate::scheduler;
-pub use crate::scheduler::SchedulerKind;
 use crate::stats::RunStats;
-use crate::timing::{
-    build_flat_interps, build_interps, compile_pipeline, AdvanceEvent, TimingWorld,
-};
+use crate::timing::{build_flat_interps, compile_pipeline, AdvanceEvent, TimingWorld};
 use crate::trace::{StageMeta, TraceMeta, TraceSink};
-use phloem_ir::{ExecEngine, MemState, Pipeline, StageKind, Time, Trap, Value};
+use phloem_ir::{MemState, Pipeline, StageKind, Time, Trap, Value};
 use phloem_pool::CancelToken;
 use std::cell::RefCell;
 
@@ -78,10 +75,10 @@ impl Drop for CancelScope {
 
 /// A pipeline's stage programs lowered to bytecode ahead of time.
 ///
-/// When the flat engine is selected, [`Session::run`] lowers every stage
-/// program on each invocation. That cost is negligible for one-shot
-/// runs, but host-driven algorithms invoke the same pipeline once per
-/// round (BFS rounds, PageRank-Delta phases): compile once with
+/// [`Session::run`] lowers every stage program to bytecode on each
+/// invocation. That cost is negligible for one-shot runs, but
+/// host-driven algorithms invoke the same pipeline once per round (BFS
+/// rounds, PageRank-Delta phases): compile once with
 /// [`CompiledPipeline::new`] and invoke via [`Session::run_compiled`].
 ///
 /// ## Sharing (the service-layer compile-cache hook)
@@ -276,46 +273,11 @@ impl Session {
     /// # Errors
     /// Traps on malformed pipelines, runtime errors, or deadlock.
     pub fn run(&mut self, pipeline: &Pipeline, params: &[(&str, Value)]) -> Result<Time, Trap> {
-        self.run_with(pipeline, params, self.cfg.scheduler)
-    }
-
-    /// Like [`Session::run`] with an explicit scheduler. Simulated
-    /// cycles are identical for every [`SchedulerKind`]; `Polling` is
-    /// the reference model for differential tests and host-throughput
-    /// baselines.
-    ///
-    /// # Errors
-    /// See [`Session::run`].
-    pub fn run_with(
-        &mut self,
-        pipeline: &Pipeline,
-        params: &[(&str, Value)],
-        scheduler: SchedulerKind,
-    ) -> Result<Time, Trap> {
-        self.run_with_engine(pipeline, params, scheduler, self.cfg.engine)
-    }
-
-    /// Like [`Session::run`] with both the scheduler and the execution
-    /// engine explicit. Simulated cycles, statistics, and memory are
-    /// identical for every scheduler × engine combination; the
-    /// differential tests pin this invariant.
-    ///
-    /// # Errors
-    /// See [`Session::run`].
-    pub fn run_with_engine(
-        &mut self,
-        pipeline: &Pipeline,
-        params: &[(&str, Value)],
-        scheduler: SchedulerKind,
-        engine: ExecEngine,
-    ) -> Result<Time, Trap> {
-        self.run_inner(pipeline, params, scheduler, engine, None)
+        self.run_inner(pipeline, params, None)
     }
 
     /// Like [`Session::run`], reusing bytecode lowered ahead of time by
-    /// [`CompiledPipeline::new`] (the tree engine has nothing to reuse
-    /// and ignores it, so callers can pass it unconditionally and keep
-    /// the engine dimension). `compiled` must come from an identical
+    /// [`CompiledPipeline::new`]. `compiled` must come from an identical
     /// pipeline.
     ///
     /// # Errors
@@ -326,21 +288,13 @@ impl Session {
         compiled: &CompiledPipeline,
         params: &[(&str, Value)],
     ) -> Result<Time, Trap> {
-        self.run_inner(
-            pipeline,
-            params,
-            self.cfg.scheduler,
-            self.cfg.engine,
-            Some(compiled),
-        )
+        self.run_inner(pipeline, params, Some(compiled))
     }
 
     fn run_inner(
         &mut self,
         pipeline: &Pipeline,
         params: &[(&str, Value)],
-        scheduler: SchedulerKind,
-        engine: ExecEngine,
         compiled: Option<&CompiledPipeline>,
     ) -> Result<Time, Trap> {
         let limits: ValidationKey = (
@@ -458,24 +412,16 @@ impl Session {
             .map(|s| matches!(s.kind, StageKind::Compute))
             .collect();
 
-        let sched_result = match engine {
-            ExecEngine::Tree => {
-                let mut interps = build_interps(pipeline, params, DEFAULT_BUDGET);
-                scheduler::run(&mut world, &mut interps, &is_compute, pipeline, scheduler)
-            }
-            ExecEngine::Flat => {
-                let owned;
-                let progs = match compiled {
-                    Some(c) => &c.progs,
-                    None => {
-                        owned = compile_pipeline(pipeline)?;
-                        &owned
-                    }
-                };
-                let mut interps = build_flat_interps(progs, pipeline, params, DEFAULT_BUDGET);
-                scheduler::run(&mut world, &mut interps, &is_compute, pipeline, scheduler)
+        let owned;
+        let progs = match compiled {
+            Some(c) => &c.progs,
+            None => {
+                owned = compile_pipeline(pipeline)?;
+                &owned
             }
         };
+        let mut interps = build_flat_interps(progs, pipeline, params, DEFAULT_BUDGET);
+        let sched_result = scheduler::run(&mut world, &mut interps, &is_compute, pipeline);
 
         // Final advance (no verdict) plus the makespan: last completion
         // among the pipeline's threads.

@@ -158,8 +158,19 @@ struct Hub {
     compute_remaining: AtomicUsize,
     abort: AtomicBool,
     trap: Mutex<Option<Trap>>,
-    lock: Mutex<()>,
+    lock: Mutex<Registered>,
     cv: Condvar,
+}
+
+/// The deadlock predicate's view of [`Hub::park`]: how many workers are
+/// parked having seen `epoch`. Keyed by epoch because `parked` alone
+/// over-counts: a worker woken by a bump stays in `parked` until the
+/// host schedules it again, which under load can outlast a peer's whole
+/// [`PARK_TIMEOUT`]. A bump voids every older registration at once.
+#[derive(Default)]
+struct Registered {
+    epoch: u64,
+    count: usize,
 }
 
 impl Hub {
@@ -171,7 +182,7 @@ impl Hub {
             compute_remaining: AtomicUsize::new(compute),
             abort: AtomicBool::new(false),
             trap: Mutex::new(None),
-            lock: Mutex::new(()),
+            lock: Mutex::new(Registered::default()),
             cv: Condvar::new(),
         }
     }
@@ -201,18 +212,27 @@ impl Hub {
     }
 
     /// Parks until the epoch moves past `seen`, an abort, or the
-    /// timeout. Returns `(woke_by_progress, every_live_worker_parked)` —
-    /// the second component sampled at timeout, while this worker is
-    /// still counted parked, is the deadlock predicate.
-    fn park(&self, seen: u64) -> (bool, bool) {
+    /// timeout. Returns the deadlock predicate: the park timed out, the
+    /// epoch still equals `seen`, and every live worker is registered
+    /// at that same epoch — so nobody has anything left to react to.
+    fn park(&self, seen: u64) -> bool {
         self.parked.fetch_add(1, Ordering::SeqCst);
         let deadline = Instant::now() + PARK_TIMEOUT;
-        let mut woke = true;
+        let mut timed_out = false;
         let mut g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        if g.epoch < seen {
+            *g = Registered {
+                epoch: seen,
+                count: 0,
+            };
+        }
+        if g.epoch == seen {
+            g.count += 1;
+        }
         while self.epoch.load(Ordering::SeqCst) == seen && !self.aborted() {
             let now = Instant::now();
             if now >= deadline {
-                woke = false;
+                timed_out = true;
                 break;
             }
             let (ng, _) = self
@@ -221,10 +241,16 @@ impl Hub {
                 .unwrap_or_else(|e| e.into_inner());
             g = ng;
         }
+        let deadlocked = timed_out
+            && g.epoch == seen
+            && g.count == self.live.load(Ordering::SeqCst)
+            && self.epoch.load(Ordering::SeqCst) == seen;
+        if g.epoch == seen {
+            g.count -= 1;
+        }
         drop(g);
-        let all_parked = self.parked.load(Ordering::SeqCst) == self.live.load(Ordering::SeqCst);
         self.parked.fetch_sub(1, Ordering::SeqCst);
-        (woke, all_parked)
+        deadlocked
     }
 
     /// Records the first trap and aborts everyone.
@@ -577,20 +603,18 @@ pub fn run_native(
             if all_done {
                 break;
             }
-            if !progressed && !hub.done() && !hub.aborted() {
-                let (woke, all_parked) = hub.park(seen);
-                if !woke && all_parked && !hub.done() && !hub.aborted() {
-                    let blocked: Vec<String> = mine
-                        .iter()
-                        .zip(&finished)
-                        .filter(|(_, &f)| !f)
-                        .map(|(&i, _)| pipeline.stages[i].program.func.name.clone())
-                        .collect();
-                    hub.fail(Trap::Deadlock(format!(
-                        "stages blocked with no progress: {blocked:?}"
-                    )));
-                    break;
-                }
+            let idle = !progressed && !hub.done() && !hub.aborted();
+            if idle && hub.park(seen) && !hub.done() && !hub.aborted() {
+                let blocked: Vec<String> = mine
+                    .iter()
+                    .zip(&finished)
+                    .filter(|(_, &f)| !f)
+                    .map(|(&i, _)| pipeline.stages[i].program.func.name.clone())
+                    .collect();
+                hub.fail(Trap::Deadlock(format!(
+                    "stages blocked with no progress: {blocked:?}"
+                )));
+                break;
             }
         }
         hub.worker_exit();
@@ -749,5 +773,71 @@ mod tests {
             matches!(err, Trap::Cancelled { ref detail, .. } if detail.contains("test says stop")),
             "{err:?}"
         );
+    }
+
+    /// The interleaving behind the false deadlocks, forced: a peer parks,
+    /// a bump wakes it, and the host does not schedule it again before
+    /// this worker's own park times out. The peer is still in `parked`,
+    /// but it has progress to react to, so this is not a deadlock; once
+    /// the peer has re-run and parked at the new epoch too, it is.
+    #[test]
+    fn a_woken_but_unscheduled_peer_is_not_a_deadlock() {
+        let hub = Hub::new(2, 1);
+        // The peer, inside `park(0)`.
+        hub.parked.fetch_add(1, Ordering::SeqCst);
+        hub.lock.lock().unwrap().count = 1;
+        hub.progress();
+        assert!(!hub.park(1), "the peer has epoch 1 to react to");
+        // The peer re-ran, found nothing to do, and parked at epoch 1.
+        hub.lock.lock().unwrap().count = 1;
+        assert!(hub.park(1), "both workers are stuck at epoch 1");
+    }
+
+    /// Seeded stress for the deadlock predicate: a healthy
+    /// producer/consumer pair, one thread per stage, small seeded queue
+    /// depths (so both stages park constantly), on a host saturated by
+    /// busy-spinning neighbours (so a woken peer is often pre-empted
+    /// before it leaves `park`). No run may ever report a deadlock.
+    #[test]
+    fn busy_neighbours_never_cause_a_false_deadlock() {
+        use std::sync::atomic::AtomicBool;
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..8 * cores {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                });
+            }
+            let mut seed = 0x5eed_f00d_u64;
+            let mut failures = Vec::new();
+            for run in 0..150 {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                let capacity = 1 + (seed % 3) as usize;
+                let channel = ChannelKind::ALL[(seed >> 8) as usize % ChannelKind::ALL.len()];
+                let (p, mut mem) = pc_pipeline();
+                let cfg = NativeConfig {
+                    channel,
+                    threads: 0,
+                };
+                let sum = run_native(&p, &mut mem, &[], &cfg, capacity, None)
+                    .map(|_| mem.i64_vec(ArrayId(1)));
+                if sum != Ok(vec![(0..64).sum::<i64>()]) {
+                    failures.push(format!("run {run} ({channel}, depth {capacity}): {sum:?}"));
+                }
+            }
+            // Stop the neighbours before asserting: the scope joins them.
+            stop.store(true, Ordering::Relaxed);
+            assert!(
+                failures.is_empty(),
+                "{} of 150 healthy runs failed: {:?}",
+                failures.len(),
+                &failures[..failures.len().min(3)]
+            );
+        });
     }
 }

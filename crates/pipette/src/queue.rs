@@ -18,8 +18,8 @@ use std::collections::VecDeque;
 use std::fmt;
 
 /// A queue state change that can unblock waiting threads. Carries the
-/// operation's completion time so wakeup trace events get grid-identical
-/// timestamps.
+/// operation's completion time, which timestamps the wakeup trace
+/// events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum QueueEvent {
     /// A value was enqueued (wakes threads blocked on *empty*).

@@ -1,12 +1,6 @@
 //! The event-driven SMT scheduler.
 //!
-//! ## From polling to wakeups
-//!
-//! The original scheduler scanned every unfinished thread each round and
-//! re-stepped it even when it was still blocked on the same queue — for
-//! a pipeline with one hot stage and several drained ones, most `step`
-//! calls were fruitless polls. This scheduler keeps each thread in one
-//! of three states:
+//! Each stage thread is in one of three states:
 //!
 //! * **Ready** — will run a slice at its position in the round scan;
 //! * **Waiting(reason)** — parked on the wait-list of the queue named by
@@ -16,35 +10,29 @@
 //! Every successful enqueue wakes the waiters of that queue's
 //! empty-list, every successful dequeue wakes its full-list (see
 //! [`QueueEvent`]). Events are drained after *every* slice, so a thread
-//! woken by an earlier-indexed thread still runs within the same round —
-//! exactly when the polling scheduler would have reached it.
+//! woken by an earlier-indexed thread still runs within the same round.
 //!
-//! ## Cycle-exactness invariant
-//!
-//! Simulated cycle counts are bit-identical to the polling scheduler's:
+//! ## Why skipping a parked thread is cycle-exact
 //!
 //! 1. A blocked `try_enq`/`try_deq` returns before touching timing state
-//!    (see `timing.rs`), so a fruitless poll is a timing no-op.
+//!    (see `timing.rs`), so re-stepping a still-blocked thread would be
+//!    a timing no-op.
 //! 2. A parked thread is skipped only while the awaited queue cannot
 //!    have changed in its favour (no enqueue since it found the queue
-//!    empty / no dequeue since it found it full); the skipped polls are
+//!    empty / no dequeue since it found it full); the skipped steps are
 //!    exactly the no-ops of (1).
-//! 3. All other `World` calls happen in the identical order: the round
-//!    scan is index-ordered, slices are [`SLICE`]-bounded as before, and
-//!    wakeups only clear the skip condition — they never reorder.
+//! 3. All other `World` calls happen in round-scan order: the scan is
+//!    index-ordered, slices are [`SLICE`]-bounded, and wakeups only
+//!    clear the skip condition — they never reorder.
 //!
-//! The per-thread `stall_polls` counter records re-polls of a parked
-//! thread with no intervening event; by construction it stays zero
-//! here, while the polling scheduler would have counted one per parked
-//! thread per round. `tests/properties.rs` asserts both the zero and
-//! the cycle-exactness against a reference polling implementation.
+//! The golden cycle counts and trace digests in
+//! `tests/golden_cycles.rs` pin the resulting schedule.
 
 use crate::queue::QueueEvent;
 use crate::timing::{AdvanceEvent, TimingWorld, WAIT_EMPTY, WAIT_FULL};
 use crate::trace::{TraceEvent, TraceVerdict, EV_FAULT, EV_SCHED, EV_WATCHDOG};
 use crate::watchdog::{self, ThreadCond};
 use phloem_ir::{BlockReason, Pipeline, QueueId, StageExec, StageProgram, StepResult, Stmt, Trap};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Maximum atoms a thread executes before yielding to the next one
@@ -58,32 +46,10 @@ enum ThreadState {
     Finished,
 }
 
-/// Which scheduling strategy drives the stage interpreters.
-///
-/// Both produce **bit-identical simulated cycles** (blocked queue polls
-/// have no timing side effects); they differ only in host work and in
-/// the `stall_polls` counter. `Polling` is the seed simulator's
-/// round-robin re-polling host loop, kept as the reference
-/// implementation for differential tests and host-throughput baselines
-/// (`BENCH_simspeed.json`). Both kinds share the calendar-ring issue
-/// tracker; its dense reference layout is selected independently via
-/// [`crate::MachineConfig::fast_forward`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulerKind {
-    /// Wait-list based: blocked threads are parked and only re-stepped
-    /// after an event on the awaited queue. `stall_polls` stays zero.
-    #[default]
-    EventDriven,
-    /// The seed model: round-robin re-polling of every unfinished
-    /// thread (every fruitless re-poll increments `stall_polls`).
-    Polling,
-}
-
 /// Runs all stage interpreters to completion of the compute stages.
 ///
-/// Generic over the execution engine ([`StageExec`]): the scheduler only
-/// needs stepping, finish state, and a name, so the same wait-list logic
-/// drives both the tree-walking and the flat bytecode interpreter.
+/// Generic over [`StageExec`]: the scheduler only needs stepping,
+/// finish state, and a name.
 ///
 /// # Errors
 /// Propagates traps; reports deadlock (with the wait cycle) when a full
@@ -93,7 +59,6 @@ pub(crate) fn run<E: StageExec>(
     interps: &mut [E],
     is_compute: &[bool],
     pipeline: &Pipeline,
-    kind: SchedulerKind,
 ) -> Result<(), Trap> {
     let n = interps.len();
     let nq = world.queues.len();
@@ -123,9 +88,8 @@ pub(crate) fn run<E: StageExec>(
                 continue;
             }
             // Fault injection: kill thresholds key on the atom count,
-            // checked at round boundaries — both grid-identical — and
-            // are tested *before* the parked-skip so a parked thread
-            // dies at the same round under either scheduler.
+            // checked at round boundaries, *before* the parked-skip so
+            // a parked thread can still be killed.
             if let Some(at) = world.fault_kill_at(i) {
                 if interps[i].steps() >= at {
                     killed[i] = true;
@@ -142,12 +106,9 @@ pub(crate) fn run<E: StageExec>(
             if is_compute[i] {
                 compute_live = true;
             }
-            let was_parked = matches!(state[i], ThreadState::Waiting(_));
-            if was_parked && kind == SchedulerKind::EventDriven {
+            if matches!(state[i], ThreadState::Waiting(_)) {
                 // Parked: the awaited queue has not changed in this
-                // thread's favour, so a poll would be a timing no-op.
-                // (Re-stepping here is what `stall_polls` counts in
-                // polling mode.)
+                // thread's favour, so a step would be a timing no-op.
                 continue;
             }
             let was_woken = std::mem::replace(&mut woken[i], false);
@@ -171,37 +132,27 @@ pub(crate) fn run<E: StageExec>(
                     state[i] = ThreadState::Ready;
                 }
                 StepResult::Blocked(b) => {
-                    if was_parked && steps == 0 {
-                        // Polling mode only: fruitless re-poll of an
-                        // already-blocked thread.
-                        world.threads[i].stats.stall_polls += 1;
-                    }
-                    let reparked = was_parked && steps == 0 && state[i] == ThreadState::Waiting(b);
                     state[i] = ThreadState::Waiting(b);
-                    if !reparked {
-                        // A *fresh* park (not a fruitless polling-mode
-                        // re-poll), so the event is grid-identical.
-                        let (queue, full) = match b {
-                            BlockReason::QueueFull(q) => {
-                                wait_full[q.0 as usize].push(i);
-                                world.wait_flags[q.0 as usize] |= WAIT_FULL;
-                                (q.0, true)
-                            }
-                            BlockReason::QueueEmpty(q) => {
-                                wait_empty[q.0 as usize].push(i);
-                                world.wait_flags[q.0 as usize] |= WAIT_EMPTY;
-                                (q.0, false)
-                            }
-                            BlockReason::Budget => unreachable!("matched above"),
-                        };
-                        let at = world.threads[i].cursor();
-                        world.emit(EV_SCHED, || TraceEvent::Park {
-                            thread: i as u32,
-                            queue,
-                            full,
-                            at,
-                        });
-                    }
+                    let (queue, full) = match b {
+                        BlockReason::QueueFull(q) => {
+                            wait_full[q.0 as usize].push(i);
+                            world.wait_flags[q.0 as usize] |= WAIT_FULL;
+                            (q.0, true)
+                        }
+                        BlockReason::QueueEmpty(q) => {
+                            wait_empty[q.0 as usize].push(i);
+                            world.wait_flags[q.0 as usize] |= WAIT_EMPTY;
+                            (q.0, false)
+                        }
+                        BlockReason::Budget => unreachable!("matched above"),
+                    };
+                    let at = world.threads[i].cursor();
+                    world.emit(EV_SCHED, || TraceEvent::Park {
+                        thread: i as u32,
+                        queue,
+                        full,
+                        at,
+                    });
                     if was_woken && steps == 0 {
                         // Woken, but another thread claimed the entry or
                         // slot first.
@@ -277,8 +228,8 @@ pub(crate) fn run<E: StageExec>(
             return Err(deadlock_trap(world, interps, &state, &killed, pipeline));
         }
         // One advance point per round: reclaim issue-calendar slots
-        // (the idle-cycle fast-forward) and run the watchdog verdict —
-        // consolidated so fast-forward can never skip a watchdog check.
+        // and run the watchdog verdict — consolidated so reclamation
+        // can never skip a watchdog check.
         if let Some(v) = world.advance_to(AdvanceEvent::RoundEnd) {
             // Cancellation is host-timing-driven (which round it fires
             // at depends on the wall clock), so unlike the two watchdog

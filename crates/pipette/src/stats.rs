@@ -38,11 +38,6 @@ pub struct ThreadStats {
     pub backend_stall_cycles: u64,
     /// Cycles lost to frontend causes (misprediction penalties).
     pub frontend_stall_cycles: u64,
-    /// Fruitless re-polls of a blocked thread with no intervening event
-    /// on the awaited queue. The event-driven scheduler parks blocked
-    /// threads on wait-lists, so this is structurally zero; a polling
-    /// scheduler would accumulate one per thread per scan round.
-    pub stall_polls: u64,
     /// Times this thread was moved from a wait-list back to the ready
     /// set by a queue event.
     pub wakeups: u64,
@@ -217,7 +212,6 @@ impl RunStats {
             mine.queue_empty_stall_cycles += theirs.queue_empty_stall_cycles;
             mine.backend_stall_cycles += theirs.backend_stall_cycles;
             mine.frontend_stall_cycles += theirs.frontend_stall_cycles;
-            mine.stall_polls += theirs.stall_polls;
             mine.wakeups += theirs.wakeups;
             mine.spurious_wakeups += theirs.spurious_wakeups;
             mine.finish_time = mine.finish_time.max(theirs.finish_time);

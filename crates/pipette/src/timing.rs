@@ -4,9 +4,9 @@
 //!
 //! ## Timing model
 //!
-//! Each stage (or RA) runs as a hardware thread driven by the shared
-//! [`StepInterp`](phloem_ir::StepInterp) from `phloem-ir`. The model
-//! captures the phenomena the paper's results hinge on:
+//! Each stage (or RA) runs as a hardware thread driven by the bytecode
+//! interpreter ([`FlatInterp`](phloem_ir::FlatInterp)) from `phloem-ir`.
+//! The model captures the phenomena the paper's results hinge on:
 //!
 //! * **Bounded instruction window per thread** (ROB partitioned among
 //!   active SMT threads): in-order dispatch, out-of-order completion,
@@ -28,11 +28,9 @@
 //! slot arena (`TimingWorld::slots`, see [`SlotRing`]); per-core issue
 //! bandwidth lives in a bounded calendar ring ([`IssueTracker`]) whose
 //! base advances past reclaimed cycles at round boundaries
-//! ([`TimingWorld::advance_to`]) — the idle-cycle fast-forward. With
-//! [`crate::MachineConfig::fast_forward`] off the tracker degrades to
-//! the dense one-byte-per-cycle array spanning the whole invocation,
-//! which is the reference the ring is differentially tested against
-//! (`tests/fast_forward.rs`, `fuzzdiff`). DESIGN.md § "Timing world"
+//! ([`TimingWorld::advance_to`]), so the clock skips idle stretches
+//! without touching them. The unit tests below check the ring against a
+//! dense one-byte-per-cycle reference. DESIGN.md § "Timing world"
 //! documents the layout and the reclaim-floor invariant.
 //!
 //! ## Blocked operations have no timing side effects
@@ -58,8 +56,7 @@ use crate::watchdog::{self, Verdict, WatchdogConfig};
 use phloem_pool::CancelToken;
 
 use phloem_ir::{
-    ArrayId, BinOp, BranchId, MemState, QueueId, StageKind, StageSpec, StepInterp, Tid, Time, Trap,
-    UopClass, Value, World,
+    ArrayId, BinOp, BranchId, MemState, QueueId, StageKind, Tid, Time, Trap, UopClass, Value, World,
 };
 
 /// A fixed-length ring of completion timestamps carved out of the shared
@@ -129,76 +126,45 @@ pub(crate) struct ThreadTiming {
 }
 
 impl ThreadTiming {
-    /// The thread's issue cursor (grid-identical; used as the timestamp
-    /// of scheduler-level trace events like parks).
+    /// The thread's issue cursor (the timestamp of scheduler-level
+    /// trace events like parks).
     pub(crate) fn cursor(&self) -> Time {
         self.cursor
     }
 }
 
-/// Per-core issue-bandwidth tracker: micro-ops issued per cycle.
+/// Per-core issue-bandwidth tracker: micro-ops issued per cycle, first
+/// fit.
 ///
-/// Two layouts behind one first-fit policy, so both return identical
-/// issue times for identical allocation sequences:
-///
-/// * **fast-forward on** (default): a bounded power-of-two *calendar
-///   ring* per core. `counts[(head + (t - base)) & mask]` holds the
-///   uops issued in cycle `t`; [`IssueTracker::advance`] moves `base`
-///   past cycles no in-flight op can claim anymore (the reclaim floor,
-///   see [`TimingWorld::advance_to`]), zeroing only the reclaimed span.
-///   The working set is the *active* issue span, not the invocation
-///   length — this is what lets the clock fast-forward across idle
-///   stretches without touching (or ever allocating) the skipped
-///   cycles.
-/// * **fast-forward off**: the dense flat array spanning the whole
-///   invocation (`counts[t - base]`, head pinned at 0, base never
-///   advancing). Kept as the reference layout for the differential
-///   grid; it replaces the seed's `BTreeMap` issue tracker, which is
-///   gone entirely.
+/// Each core has a bounded power-of-two *calendar ring*:
+/// `counts[(head + (t - base)) & mask]` holds the uops issued in cycle
+/// `t`; [`IssueTracker::advance`] moves `base` past cycles no in-flight
+/// op can claim anymore (the reclaim floor, see
+/// [`TimingWorld::advance_to`]), zeroing only the reclaimed span. The
+/// working set is the *active* issue span, not the invocation length —
+/// this is what lets the clock skip idle stretches without touching (or
+/// ever allocating) the skipped cycles.
 #[derive(Debug)]
 pub(crate) struct IssueTracker {
     /// Issue width in uops/cycle (fits a byte; asserted at build).
     width: u8,
-    /// Ring layout + base reclamation when true; dense flat array when
-    /// false. Mirrors [`MachineConfig::fast_forward`].
-    fast_forward: bool,
     lanes: Vec<IssueLane>,
 }
 
 /// One core's issue calendar.
 #[derive(Debug)]
 struct IssueLane {
-    /// Uops issued per cycle; ring (power-of-two len) or dense array.
+    /// Uops issued per cycle; a ring of power-of-two length.
     counts: Vec<u8>,
-    /// Ring slot holding cycle `base` (always 0 in dense mode).
+    /// Ring slot holding cycle `base`.
     head: usize,
-    /// Cycle held by slot `head`; the reclaim floor (invocation base in
-    /// dense mode, forever).
+    /// Cycle held by slot `head`; the reclaim floor.
     base: Time,
 }
 
 impl IssueLane {
-    /// Dense first-fit (fast-forward off): byte per cycle since the
-    /// invocation base, grown on demand, never reclaimed.
-    fn alloc_dense(&mut self, width: u8, want: Time) -> Time {
-        let mut slot = (want - self.base) as usize;
-        if slot >= self.counts.len() {
-            self.counts.resize(slot + 64, 0);
-        }
-        loop {
-            if self.counts[slot] < width {
-                self.counts[slot] += 1;
-                return self.base + slot as Time;
-            }
-            slot += 1;
-            if slot >= self.counts.len() {
-                self.counts.resize(slot + 64, 0);
-            }
-        }
-    }
-
-    /// Ring first-fit (fast-forward on): same scan over the calendar
-    /// ring. `want >= base` is the reclaim-floor invariant — every
+    /// First-fit scan over the calendar ring. `want >= base` is the
+    /// reclaim-floor invariant — every
     /// allocation request is at or past the oldest unretired window
     /// entry, and `advance` never moves `base` beyond that floor.
     #[inline]
@@ -265,7 +231,6 @@ impl IssueTracker {
         debug_assert!(cfg.issue_width <= u8::MAX as u64);
         IssueTracker {
             width: cfg.issue_width.min(u8::MAX as u64) as u8,
-            fast_forward: cfg.fast_forward,
             lanes: (0..cfg.cores)
                 .map(|_| IssueLane {
                     counts: Vec::new(),
@@ -277,23 +242,14 @@ impl IssueTracker {
     }
 
     /// Allocates the earliest issue slot `>= want` on `core` with spare
-    /// issue bandwidth (first-fit; identical times in both layouts).
+    /// issue bandwidth.
     #[inline]
     fn alloc(&mut self, core: usize, want: Time) -> Time {
-        let lane = &mut self.lanes[core];
-        if self.fast_forward {
-            lane.alloc_ring(self.width, want)
-        } else {
-            lane.alloc_dense(self.width, want)
-        }
+        self.lanes[core].alloc_ring(self.width, want)
     }
 
-    /// Fast-forwards every lane's base to `floor` (no-op when the dense
-    /// reference layout is active).
+    /// Moves every lane's base to `floor`.
     fn advance(&mut self, floor: Time) {
-        if !self.fast_forward {
-            return;
-        }
         for lane in &mut self.lanes {
             lane.advance(floor);
         }
@@ -313,12 +269,11 @@ enum Attr {
 /// The events [`TimingWorld::advance_to`] is driven by. Clock
 /// advancement (issue-calendar reclamation *and* the watchdog's
 /// forward-progress checks) is consolidated behind this one entry point
-/// so fast-forward can never skip a watchdog window: the only place the
+/// so reclamation can never skip a watchdog window: the only place the
 /// clock base moves is also the place the watchdog looks.
 pub(crate) enum AdvanceEvent {
     /// A scheduler round boundary: reclaim issue slots up to the window
-    /// floor, then run the watchdog verdict. Round boundaries are
-    /// grid-identical, so so are the verdicts.
+    /// floor, then run the watchdog verdict.
     RoundEnd,
     /// End of the invocation: final reclamation, no verdict (the run
     /// already completed or trapped).
@@ -517,7 +472,7 @@ impl<'a> TimingWorld<'a> {
     /// compute thread (every `want` is `>= win.oldest()`, window
     /// entries are monotone, and RA threads never allocate issue
     /// slots), so cycles below the minimum are dead and the calendar
-    /// base may fast-forward past them.
+    /// base may skip past them.
     fn issue_floor(&self) -> Time {
         self.threads
             .iter()
@@ -528,12 +483,11 @@ impl<'a> TimingWorld<'a> {
     }
 
     /// The single clock-advancement entry point (see [`AdvanceEvent`]):
-    /// fast-forwards the issue calendar past reclaimed idle cycles and,
-    /// at round boundaries, runs the watchdog verdict. Reclamation is
-    /// host-side only — it can never change simulated time, stall
-    /// attribution, fault windows (keyed on ordinals/atom counts,
-    /// queried inline per op), or trace emission; `tests/fast_forward.rs`
-    /// and the fuzzdiff grid enforce this bit-exactly.
+    /// moves the issue calendar past reclaimed idle cycles and, at round
+    /// boundaries, runs the watchdog verdict. Reclamation is host-side
+    /// only — it can never change simulated time, stall attribution,
+    /// fault windows (keyed on ordinals/atom counts, queried inline per
+    /// op), or trace emission.
     pub(crate) fn advance_to(&mut self, ev: AdvanceEvent) -> Option<Verdict> {
         let floor = self.issue_floor();
         self.issue.advance(floor);
@@ -1055,34 +1009,7 @@ impl World for TimingWorld<'_> {
     }
 }
 
-/// Builds the tree-walking interpreters for a pipeline's stages (one
-/// hardware thread per stage), each with the standard step budget.
-pub(crate) fn build_interps<'p>(
-    pipeline: &'p phloem_ir::Pipeline,
-    params: &[(&str, Value)],
-    budget: u64,
-) -> Vec<StepInterp<'p>> {
-    pipeline
-        .stages
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let bound = phloem_ir::bind_params(&s.program.func, params);
-            StepInterp::new(
-                StageSpec {
-                    func: &s.program.func,
-                    handlers: &s.program.handlers,
-                },
-                Tid(i as u32),
-                &bound,
-            )
-            .with_budget(budget)
-        })
-        .collect()
-}
-
-/// Compiles every stage program of a pipeline to bytecode (for
-/// [`phloem_ir::ExecEngine::Flat`]).
+/// Compiles every stage program of a pipeline to bytecode.
 ///
 /// # Errors
 /// Propagates compile-time traps (out-of-range ids in unvalidated
@@ -1097,8 +1024,8 @@ pub(crate) fn compile_pipeline(
         .collect()
 }
 
-/// Builds the flat bytecode interpreters for a pipeline's stages,
-/// mirroring [`build_interps`].
+/// Builds the bytecode interpreters for a pipeline's stages (one
+/// hardware thread per stage), each with the given step budget.
 pub(crate) fn build_flat_interps<'p>(
     progs: &'p [phloem_ir::BytecodeProgram],
     pipeline: &phloem_ir::Pipeline,
@@ -1119,6 +1046,27 @@ pub(crate) fn build_flat_interps<'p>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl IssueLane {
+        /// Dense first-fit reference for the ring: byte per cycle since
+        /// the base, grown on demand, never reclaimed.
+        fn alloc_dense(&mut self, width: u8, want: Time) -> Time {
+            let mut slot = (want - self.base) as usize;
+            if slot >= self.counts.len() {
+                self.counts.resize(slot + 64, 0);
+            }
+            loop {
+                if self.counts[slot] < width {
+                    self.counts[slot] += 1;
+                    return self.base + slot as Time;
+                }
+                slot += 1;
+                if slot >= self.counts.len() {
+                    self.counts.resize(slot + 64, 0);
+                }
+            }
+        }
+    }
 
     fn lane() -> IssueLane {
         IssueLane {

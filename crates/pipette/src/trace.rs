@@ -10,18 +10,16 @@
 //! verdicts. Events flow into a [`TraceSink`] installed with
 //! [`crate::Session::set_trace`].
 //!
-//! ## Grid identity
+//! ## Determinism
 //!
-//! The event stream is **bit-identical across the
-//! {event-driven, polling} × {flat, tree} grid**, for the same reason
-//! simulated cycles are: every emit point sits on a code path whose
-//! order and operands are grid-invariant. In particular, *no* event is
-//! emitted for a fruitless re-poll of a blocked thread (the only
-//! behaviour that differs between the schedulers — `stall_polls` counts
-//! those), and fault events fire only at the *successful* operation or
-//! round boundary that applies them. `tests/trace_oracle.rs` pins the
-//! identity, and pins that the trace totals reconcile exactly with
-//! [`crate::RunStats`].
+//! The event stream is a pure function of (pipeline, memory, machine
+//! configuration, fault plan): every emit point sits on a code path
+//! whose order and operands depend on simulated state only. No event is
+//! emitted for a blocked queue attempt, and fault events fire only at
+//! the *successful* operation or round boundary that applies them.
+//! `tests/golden_cycles.rs` pins stream digests for the golden
+//! workloads; `tests/trace_oracle.rs` pins that the trace totals
+//! reconcile exactly with [`crate::RunStats`].
 //!
 //! ## Zero overhead when off
 //!

@@ -18,12 +18,10 @@
 //!   queues are exempt (a serial stage has no queue activity at all);
 //!   their backstop is the op budget and the cycle cap.
 //!
-//! Both checks run at round boundaries, which are identical across the
-//! {event-driven, polling} × {flat, tree} grid, and compare quantities
-//! (completion times, atom counts) that are also grid-identical — so a
-//! watchdog trap fires at the *same simulated cycle with the same
-//! message* no matter how the host schedules or executes the stages.
-//! `tests/sim_robustness.rs` pins this.
+//! Both checks run at scheduler round boundaries and compare simulated
+//! quantities only (completion times, atom counts), so a watchdog trap
+//! fires at the *same simulated cycle with the same message* on every
+//! run. `tests/sim_robustness.rs` pins the trap shapes.
 //!
 //! The diagnostics snapshot lists every thread with its scheduler state,
 //! atoms executed, and cycles since its own last progress event, plus
@@ -115,7 +113,7 @@ pub(crate) fn verdict(world: &TimingWorld<'_>) -> Option<Verdict> {
 pub(crate) enum ThreadCond {
     /// Runnable (or mid-slice) at the round boundary.
     Ready,
-    /// Parked on (or re-polling) a queue.
+    /// Parked on a queue.
     Waiting(BlockReason),
     /// The stage program terminated normally.
     Finished,
@@ -132,7 +130,7 @@ pub(crate) fn qdesc(world: &TimingWorld<'_>, q: phloem_ir::QueueId) -> String {
 
 /// Renders the shared diagnostics snapshot: per-thread state, atoms
 /// executed, cycles since that thread's last progress event, and every
-/// queue's occupancy. All quantities are grid-identical.
+/// queue's occupancy. All quantities are simulated state.
 pub(crate) fn render_snapshot<E: StageExec>(
     world: &TimingWorld<'_>,
     interps: &[E],

@@ -20,16 +20,13 @@
 //!   that invariant: [`search_options_digest`] skips
 //!   `SearchOptions::workers`, because `tests/pool_determinism.rs`
 //!   guarantees worker count never changes a report, and keying on it
-//!   would only split the cache. Machine-level host toggles
-//!   (`scheduler`, `engine`, `fast_forward`) stay *in* the machine key:
-//!   they are part of the config a client asked to simulate, and a
-//!   conservative key is always correct.
+//!   would only split the cache.
 
 use phloem_benchsuite::Measurement;
 use phloem_compiler::search::SearchOptions;
 use phloem_compiler::{CompileOptions, PassConfig};
-use phloem_ir::{ExecEngine, Function};
-use pipette_sim::{MachineConfig, RunStats, SchedulerKind};
+use phloem_ir::Function;
+use pipette_sim::{CacheParams, MachineConfig, RunStats, WatchdogConfig};
 
 /// Incremental FNV-1a (64-bit) over a field-tagged byte stream.
 #[derive(Clone, Copy, Debug)]
@@ -132,57 +129,71 @@ pub fn compile_options_digest(o: &CompileOptions) -> u64 {
     h.finish()
 }
 
-fn scheduler_tag(s: SchedulerKind) -> u64 {
-    match s {
-        SchedulerKind::EventDriven => 0,
-        SchedulerKind::Polling => 1,
-    }
-}
-
-fn engine_tag(e: ExecEngine) -> u64 {
-    match e {
-        ExecEngine::Flat => 0,
-        ExecEngine::Tree => 1,
-    }
-}
-
-/// Digest of the machine configuration — every field, including the
-/// host-side toggles (`scheduler`, `engine`, `fast_forward`): those are
-/// pinned bit-identical by the differential suites, but they are part
-/// of the configuration a client names, and a conservative key is
-/// always correct (it can only cause an extra miss, never a wrong hit).
+/// Digest of the machine configuration — every field. The patterns
+/// below are exhaustive (no `..`), so a field added to
+/// [`MachineConfig`], [`CacheParams`] or [`WatchdogConfig`] fails to
+/// compile here until it is hashed: a field can never be silently left
+/// out of the cache key.
 pub fn machine_config_digest(m: &MachineConfig) -> u64 {
+    let MachineConfig {
+        cores,
+        smt_threads,
+        issue_width,
+        rob_size,
+        mshrs,
+        mispredict_penalty,
+        queue_capacity,
+        max_queues,
+        ras_per_core,
+        ra_concurrency,
+        ra_op_latency,
+        queue_latency,
+        inter_core_queue_latency,
+        l1,
+        l2,
+        l3_kb_per_core,
+        l3_ways,
+        l3_latency,
+        dram_latency,
+        dram_controllers,
+        dram_cycles_per_line,
+        prefetch,
+        prefetch_degree,
+        launch_overhead,
+        watchdog,
+    } = m;
+    let WatchdogConfig {
+        cycle_cap,
+        livelock_window,
+    } = watchdog;
     let mut h = KeyHasher::new();
-    h.usize(m.cores)
-        .usize(m.smt_threads)
-        .u64(m.issue_width)
-        .usize(m.rob_size)
-        .usize(m.mshrs)
-        .u64(m.mispredict_penalty)
-        .usize(m.queue_capacity)
-        .u64(m.max_queues as u64)
-        .usize(m.ras_per_core)
-        .usize(m.ra_concurrency)
-        .u64(m.ra_op_latency)
-        .u64(m.queue_latency)
-        .u64(m.inter_core_queue_latency);
-    for c in [&m.l1, &m.l2] {
-        h.usize(c.kb).usize(c.ways).u64(c.latency);
+    h.usize(*cores)
+        .usize(*smt_threads)
+        .u64(*issue_width)
+        .usize(*rob_size)
+        .usize(*mshrs)
+        .u64(*mispredict_penalty)
+        .usize(*queue_capacity)
+        .u64(*max_queues as u64)
+        .usize(*ras_per_core)
+        .usize(*ra_concurrency)
+        .u64(*ra_op_latency)
+        .u64(*queue_latency)
+        .u64(*inter_core_queue_latency);
+    for CacheParams { kb, ways, latency } in [l1, l2] {
+        h.usize(*kb).usize(*ways).u64(*latency);
     }
-    h.usize(m.l3_kb_per_core)
-        .usize(m.l3_ways)
-        .u64(m.l3_latency)
-        .u64(m.dram_latency)
-        .usize(m.dram_controllers)
-        .u64(m.dram_cycles_per_line)
-        .bool(m.prefetch)
-        .u64(m.prefetch_degree)
-        .u64(m.launch_overhead)
-        .u64(scheduler_tag(m.scheduler))
-        .u64(engine_tag(m.engine))
-        .u64(m.watchdog.cycle_cap)
-        .u64(m.watchdog.livelock_window)
-        .bool(m.fast_forward);
+    h.usize(*l3_kb_per_core)
+        .usize(*l3_ways)
+        .u64(*l3_latency)
+        .u64(*dram_latency)
+        .usize(*dram_controllers)
+        .u64(*dram_cycles_per_line)
+        .bool(*prefetch)
+        .u64(*prefetch_degree)
+        .u64(*launch_overhead)
+        .u64(*cycle_cap)
+        .u64(*livelock_window);
     h.finish()
 }
 
@@ -190,8 +201,8 @@ pub fn machine_config_digest(m: &MachineConfig) -> u64 {
 /// can observe — the keying counterpart of
 /// `tests/native_equivalence.rs`: native execution is real threads and
 /// real channels, so the simulated timing model (cache hierarchy, DRAM
-/// and queue latencies, issue width, ROB, prefetcher, scheduler,
-/// engine, fast-forward, watchdog) provably cannot change its results.
+/// and queue latencies, issue width, ROB, prefetcher, watchdog)
+/// provably cannot change its results.
 /// Only the fields that shape the *program* — validation limits and
 /// channel depth — are keyed:
 ///
@@ -253,7 +264,6 @@ pub fn stats_digest(s: &RunStats) -> u64 {
             .u64(t.queue_empty_stall_cycles)
             .u64(t.backend_stall_cycles)
             .u64(t.frontend_stall_cycles)
-            .u64(t.stall_polls)
             .u64(t.wakeups)
             .u64(t.spurious_wakeups)
             .u64(t.finish_time);

@@ -4,7 +4,7 @@
 //! ## Format
 //!
 //! ```text
-//! phloem-cache v1
+//! phloem-cache v2
 //! C <key:16-hex> <check:16-hex> <payload-json>
 //! S <key:16-hex> <check:16-hex> <payload-json>
 //! ```
@@ -36,8 +36,10 @@ use crate::key::KeyHasher;
 use std::io::Write;
 use std::path::Path;
 
-/// Magic first line; bump the version when the row format changes.
-const HEADER: &str = "phloem-cache v1";
+/// Magic first line; bump the version when the row format or what a
+/// key digests changes, so rows no probe can reach are dropped at load
+/// instead of occupying LRU capacity.
+const HEADER: &str = "phloem-cache v2";
 
 /// Which cache a snapshot row belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -5,7 +5,7 @@
 //! * **Backend-irrelevant exclusion**: the native machine digest
 //!   ([`phloem_service::key::native_machine_config_digest`]) ignores
 //!   every timing-model field — native execution cannot observe cache
-//!   latencies, the scheduler, or the watchdog — while remaining
+//!   latencies or the watchdog — while remaining
 //!   sensitive to the validation limits and channel depth the backend
 //!   *can* observe. Both directions are swept field by field.
 //! * **Op behaviour**: `simulate_native` answers `bypass` (wall-clock
@@ -16,7 +16,7 @@
 use phloem_service::key::{machine_config_digest, native_machine_config_digest};
 use phloem_service::{Service, ServiceConfig};
 use phloem_workloads::catalog::Scale;
-use pipette_sim::{ExecEngine, MachineConfig, SchedulerKind};
+use pipette_sim::MachineConfig;
 
 /// Labeled single-field mutations of a [`MachineConfig`].
 type FieldMutators = Vec<(&'static str, fn(&mut MachineConfig))>;
@@ -51,9 +51,6 @@ fn native_irrelevant() -> FieldMutators {
         ("dram_latency", |m| m.dram_latency += 1),
         ("prefetch", |m| m.prefetch = !m.prefetch),
         ("launch_overhead", |m| m.launch_overhead += 1),
-        ("scheduler", |m| m.scheduler = SchedulerKind::Polling),
-        ("engine", |m| m.engine = ExecEngine::Tree),
-        ("fast_forward", |m| m.fast_forward = !m.fast_forward),
         ("watchdog.cycle_cap", |m| m.watchdog.cycle_cap /= 2),
     ]
 }

@@ -6,27 +6,16 @@
 //!
 //! * a token that never fires is **observationally free** — outcome,
 //!   `RunStats`, final memory, and trace digest are bit-identical to a
-//!   run with no token at all, on every point of the
-//!   {scheduler} × {engine} × {fast-forward} grid;
+//!   run with no token at all;
 //! * a token cancelled *before* the run starts fires at the first round
-//!   boundary, which is grid-identical — so the resulting
-//!   `Trap::Cancelled` lands on the **same simulated cycle with the
-//!   same message** across the whole grid (the host clock only decides
-//!   *whether* a round gets cancelled, never what the simulated state
-//!   at that round is).
+//!   boundary — so the resulting `Trap::Cancelled` lands on the **same
+//!   simulated cycle with the same message** however the token reached
+//!   the session (the host clock only decides *whether* a round gets
+//!   cancelled, never what the simulated state at that round is).
 
 use phloem_benchsuite::fault_targets::{targets, FaultTarget};
-use pipette_sim::{
-    CancelScope, CancelToken, DigestSink, ExecEngine, MachineConfig, SchedulerKind, Session,
-};
+use pipette_sim::{CancelScope, CancelToken, DigestSink, MachineConfig, Session};
 use std::time::Duration;
-
-const GRID: [(SchedulerKind, ExecEngine); 4] = [
-    (SchedulerKind::EventDriven, ExecEngine::Flat),
-    (SchedulerKind::EventDriven, ExecEngine::Tree),
-    (SchedulerKind::Polling, ExecEngine::Flat),
-    (SchedulerKind::Polling, ExecEngine::Tree),
-];
 
 /// Everything observable from one run: the outcome (makespan or the
 /// trap, rendered), `RunStats` and final memory via `Debug`, and the
@@ -45,8 +34,16 @@ enum Tok {
     ExplicitUnfired,
     /// Ambient `CancelScope` with a deadline far beyond the run.
     AmbientUnfired,
-    /// A token cancelled before the run starts.
-    PreCancelled,
+    /// `Session::set_cancel` with a token cancelled before the run.
+    ExplicitPreCancelled,
+    /// Ambient `CancelScope` with a token cancelled before the run.
+    AmbientPreCancelled,
+}
+
+fn pre_cancelled() -> CancelToken {
+    let t = CancelToken::new();
+    t.cancel("test drain");
+    t
 }
 
 fn observe(target: &FaultTarget, cfg: &MachineConfig, tok: &Tok) -> Observed {
@@ -54,6 +51,7 @@ fn observe(target: &FaultTarget, cfg: &MachineConfig, tok: &Tok) -> Observed {
         Tok::AmbientUnfired => Some(CancelScope::enter(CancelToken::with_deadline(
             Duration::from_secs(3600),
         ))),
+        Tok::AmbientPreCancelled => Some(CancelScope::enter(pre_cancelled())),
         _ => None,
     };
     let mut session = Session::new(cfg.clone(), target.mem.clone());
@@ -61,12 +59,8 @@ fn observe(target: &FaultTarget, cfg: &MachineConfig, tok: &Tok) -> Observed {
         Tok::ExplicitUnfired => {
             session.set_cancel(CancelToken::with_deadline(Duration::from_secs(3600)));
         }
-        Tok::PreCancelled => {
-            let t = CancelToken::new();
-            t.cancel("test drain");
-            session.set_cancel(t);
-        }
-        Tok::None | Tok::AmbientUnfired => {}
+        Tok::ExplicitPreCancelled => session.set_cancel(pre_cancelled()),
+        Tok::None | Tok::AmbientUnfired | Tok::AmbientPreCancelled => {}
     }
     session.set_trace(Box::new(DigestSink::new()));
     let outcome = match session.run(&target.pipeline, &target.params) {
@@ -84,71 +78,54 @@ fn observe(target: &FaultTarget, cfg: &MachineConfig, tok: &Tok) -> Observed {
     }
 }
 
-/// An unfired token — explicit or ambient — changes nothing, anywhere
-/// on the grid: same outcome, stats, memory, and trace digest as a
-/// token-free run.
+/// An unfired token — explicit or ambient — changes nothing: same
+/// outcome, stats, memory, and trace digest as a token-free run.
 #[test]
 fn unfired_tokens_are_observationally_free() {
-    let base = MachineConfig::paper_1core();
-    let all = targets(&base);
+    let cfg = MachineConfig::paper_1core();
+    let all = targets(&cfg);
     for target in all.iter().take(3) {
-        for (sched, engine) in GRID {
-            for fast_forward in [true, false] {
-                let mut cfg = base.clone();
-                cfg.scheduler = sched;
-                cfg.engine = engine;
-                cfg.fast_forward = fast_forward;
-                let bare = observe(target, &cfg, &Tok::None);
-                for tok in [Tok::ExplicitUnfired, Tok::AmbientUnfired] {
-                    let armed = observe(target, &cfg, &tok);
-                    let label = format!("{} ({sched:?}/{engine:?}/ff={fast_forward})", target.name);
-                    assert_eq!(bare.outcome, armed.outcome, "{label}: outcome diverged");
-                    assert_eq!(bare.stats, armed.stats, "{label}: RunStats diverged");
-                    assert_eq!(bare.mem, armed.mem, "{label}: final memory diverged");
-                    assert_eq!(bare.digest, armed.digest, "{label}: trace digest diverged");
-                }
-            }
+        let bare = observe(target, &cfg, &Tok::None);
+        for tok in [Tok::ExplicitUnfired, Tok::AmbientUnfired] {
+            let armed = observe(target, &cfg, &tok);
+            let label = target.name;
+            assert_eq!(bare.outcome, armed.outcome, "{label}: outcome diverged");
+            assert_eq!(bare.stats, armed.stats, "{label}: RunStats diverged");
+            assert_eq!(bare.mem, armed.mem, "{label}: final memory diverged");
+            assert_eq!(bare.digest, armed.digest, "{label}: trace digest diverged");
         }
     }
 }
 
-/// A pre-cancelled token traps at the first round boundary — which is
-/// grid-identical, so every cell reports the same `Trap::Cancelled` at
-/// the same cycle with the same snapshot, and the trace digest matches
-/// a token-free run's digest truncated at that round (cancellation
-/// itself emits no trace event).
+/// A pre-cancelled token traps at the first round boundary, with the
+/// cancel reason in the trap. The grid is {target} × {explicit, ambient
+/// token}: on each target both deliveries report the same
+/// `Trap::Cancelled` at the same cycle with the same snapshot, the same
+/// memory, and the same trace digest (cancellation itself emits no
+/// trace event).
 #[test]
 fn pre_cancelled_runs_trap_identically_across_the_grid() {
-    let base = MachineConfig::paper_1core();
-    let all = targets(&base);
-    let target = &all[0]; // bfs/manual: dense queue traffic
-    let mut first: Option<Observed> = None;
-    for (sched, engine) in GRID {
-        for fast_forward in [true, false] {
-            let mut cfg = base.clone();
-            cfg.scheduler = sched;
-            cfg.engine = engine;
-            cfg.fast_forward = fast_forward;
-            let got = observe(target, &cfg, &Tok::PreCancelled);
-            let label = format!("{sched:?}/{engine:?}/ff={fast_forward}");
-            assert!(
-                got.outcome.starts_with("trap=cancelled at cycle "),
-                "{label}: expected a Cancelled trap, got {}",
-                got.outcome
-            );
-            assert!(
-                got.outcome.contains("test drain"),
-                "{label}: trap must carry the cancel reason: {}",
-                got.outcome
-            );
-            match &first {
-                None => first = Some(got),
-                Some(want) => {
-                    assert_eq!(want.outcome, got.outcome, "{label}: trap diverged");
-                    assert_eq!(want.mem, got.mem, "{label}: final memory diverged");
-                    assert_eq!(want.digest, got.digest, "{label}: trace digest diverged");
-                }
-            }
-        }
+    let cfg = MachineConfig::paper_1core();
+    let all = targets(&cfg);
+    for target in all.iter().take(3) {
+        let explicit = observe(target, &cfg, &Tok::ExplicitPreCancelled);
+        let ambient = observe(target, &cfg, &Tok::AmbientPreCancelled);
+        let label = target.name;
+        assert!(
+            explicit.outcome.starts_with("trap=cancelled at cycle "),
+            "{label}: expected a Cancelled trap, got {}",
+            explicit.outcome
+        );
+        assert!(
+            explicit.outcome.contains("test drain"),
+            "{label}: trap must carry the cancel reason: {}",
+            explicit.outcome
+        );
+        assert_eq!(explicit.outcome, ambient.outcome, "{label}: trap diverged");
+        assert_eq!(explicit.mem, ambient.mem, "{label}: final memory diverged");
+        assert_eq!(
+            explicit.digest, ambient.digest,
+            "{label}: trace digest diverged"
+        );
     }
 }

@@ -4,8 +4,7 @@
 //!
 //! * An **empty** [`FaultPlan`] is bit-identical to no plan at all —
 //!   same simulated cycles, same `RunStats`, same final memory, same
-//!   trace digest — on every fault target and every point of the
-//!   scheduler × engine grid (randomized pairing via proptest).
+//!   trace digest — on every fault target.
 //! * Ordinal-windowed faults trace **exactly one event per trigger**:
 //!   a `DequeueStall` over `[from, until)` emits one `FaultDeqStall`
 //!   per affected successful dequeue, a `QueueSqueeze` emits one
@@ -15,25 +14,13 @@
 use proptest::prelude::*;
 
 use phloem_benchsuite::fault_targets::{targets, FaultTarget};
-use pipette_sim::{
-    DigestSink, ExecEngine, Fault, FaultPlan, MachineConfig, RingSink, SchedulerKind, Session,
-    TraceEvent,
-};
-
-const GRID: [(SchedulerKind, ExecEngine); 4] = [
-    (SchedulerKind::EventDriven, ExecEngine::Flat),
-    (SchedulerKind::EventDriven, ExecEngine::Tree),
-    (SchedulerKind::Polling, ExecEngine::Flat),
-    (SchedulerKind::Polling, ExecEngine::Tree),
-];
+use pipette_sim::{DigestSink, Fault, FaultPlan, MachineConfig, RingSink, Session, TraceEvent};
 
 /// Runs one target to completion (they are built to succeed unfaulted)
 /// and returns everything observable: makespan, stats, memory, digest.
 fn observe(
     target: &FaultTarget,
     cfg: &MachineConfig,
-    sched: SchedulerKind,
-    engine: ExecEngine,
     plan: Option<FaultPlan>,
 ) -> (u64, String, u64) {
     let mut session = Session::new(cfg.clone(), target.mem.clone());
@@ -42,7 +29,7 @@ fn observe(
     }
     session.set_trace(Box::new(DigestSink::new()));
     let end = session
-        .run_with_engine(&target.pipeline, &target.params, sched, engine)
+        .run(&target.pipeline, &target.params)
         .unwrap_or_else(|e| panic!("{} must run clean: {e}", target.name));
     let sink = session.take_trace().unwrap();
     let digest = sink.downcast_ref::<DigestSink>().unwrap().digest();
@@ -58,16 +45,12 @@ proptest! {
     /// `set_faults(empty)` must be indistinguishable from never calling
     /// `set_faults`, down to the trace stream.
     #[test]
-    fn empty_fault_plan_is_bit_identical_to_no_plan(
-        target_idx in 0usize..5,
-        grid_idx in 0usize..4,
-    ) {
+    fn empty_fault_plan_is_bit_identical_to_no_plan(target_idx in 0usize..5) {
         let cfg = MachineConfig::paper_1core();
         let all = targets(&cfg);
         let target = &all[target_idx % all.len()];
-        let (sched, engine) = GRID[grid_idx];
-        let bare = observe(target, &cfg, sched, engine, None);
-        let empty = observe(target, &cfg, sched, engine, Some(FaultPlan::new(vec![])));
+        let bare = observe(target, &cfg, None);
+        let empty = observe(target, &cfg, Some(FaultPlan::new(vec![])));
         prop_assert_eq!(bare.0, empty.0, "makespan diverged on {}", target.name);
         prop_assert_eq!(&bare.1, &empty.1, "stats/memory diverged on {}", target.name);
         prop_assert_eq!(bare.2, empty.2, "trace digest diverged on {}", target.name);
@@ -164,46 +147,4 @@ fn queue_squeeze_traces_exactly_one_event_per_squeezed_enqueue() {
         until - from,
         "one FaultSqueeze per squeezed enqueue, no more, no less"
     );
-}
-
-#[test]
-fn fault_event_counts_are_grid_identical() {
-    let plan = FaultPlan::new(vec![
-        Fault::DequeueStall {
-            queue: 0,
-            extra: 3,
-            from_deq: 0,
-            until_deq: 4,
-        },
-        Fault::QueueSqueeze {
-            queue: 0,
-            cap: 2,
-            from_enq: 0,
-            until_enq: 4,
-        },
-    ]);
-    let mut first: Option<(usize, usize)> = None;
-    for (sched, engine) in GRID {
-        let mut cfg = MachineConfig::paper_1core();
-        cfg.scheduler = sched;
-        cfg.engine = engine;
-        let target = &targets(&cfg)[0];
-        let (events, _) = run_faulted(target, &cfg, plan.clone());
-        let stalls = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::FaultDeqStall { .. }))
-            .count();
-        let squeezes = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::FaultSqueeze { .. }))
-            .count();
-        match first {
-            None => first = Some((stalls, squeezes)),
-            Some(f) => assert_eq!(
-                f,
-                (stalls, squeezes),
-                "{sched:?}/{engine:?}: fault event counts diverged"
-            ),
-        }
-    }
 }

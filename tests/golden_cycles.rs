@@ -1,12 +1,13 @@
 //! Golden simulated-cycle regression tests.
 //!
-//! Infrastructure refactors (polling -> event-driven scheduler, tree ->
-//! bytecode execution engine) must not change the timing model: these
-//! tests pin the exact cycle counts produced by the pinned timing model
-//! on deterministic workloads, through small single-core pipelines,
-//! replicated multicore ones, and both execution engines. Any
-//! divergence means the change altered *simulated time*, not just host
-//! time.
+//! Infrastructure refactors must not change the timing model: these
+//! tests pin the exact cycle counts and trace-event digests the timing
+//! model produces on deterministic workloads, through small single-core
+//! pipelines and replicated multicore ones. The pins were recorded
+//! while the seed's polling scheduler, the tree-walking engine and the
+//! dense issue calendar all still agreed with the surviving path, so
+//! they are the reference now that those are gone. Any divergence means
+//! a change altered *simulated time*, not just host time.
 //!
 //! To re-capture after an intentional timing-model change:
 //! `GOLDEN_PRINT=1 cargo test --test golden_cycles -- --nocapture`
@@ -14,7 +15,7 @@
 use phloem_benchsuite::fig14::{run_bfs_replicated, run_cc_replicated, RepVariant};
 use phloem_benchsuite::{bfs, cc, spmm, taco, Variant};
 use phloem_workloads::{graph, matrix};
-use pipette_sim::{DigestSink, ExecEngine, MachineConfig, SchedulerKind, TraceSink};
+use pipette_sim::{DigestSink, MachineConfig, TraceSink};
 
 /// `(label, cycles)` pinned from the seed timing model (verified
 /// unchanged by the stream-prefetcher sentinel fix on these workloads).
@@ -31,27 +32,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("cc/replicated/power_law_300", 17109),
 ];
 
-fn measure_all(engine: ExecEngine) -> Vec<(&'static str, u64)> {
-    measure_with(engine, SchedulerKind::EventDriven)
-}
-
-fn measure_with(engine: ExecEngine, scheduler: SchedulerKind) -> Vec<(&'static str, u64)> {
-    measure_grid(engine, scheduler, true)
-}
-
-fn measure_grid(
-    engine: ExecEngine,
-    scheduler: SchedulerKind,
-    fast_forward: bool,
-) -> Vec<(&'static str, u64)> {
-    let mut cfg1 = MachineConfig::paper_1core();
-    cfg1.engine = engine;
-    cfg1.scheduler = scheduler;
-    cfg1.fast_forward = fast_forward;
-    let mut cfg4 = MachineConfig::paper_multicore(4);
-    cfg4.engine = engine;
-    cfg4.scheduler = scheduler;
-    cfg4.fast_forward = fast_forward;
+fn measure_all() -> Vec<(&'static str, u64)> {
+    let cfg1 = MachineConfig::paper_1core();
+    let cfg4 = MachineConfig::paper_multicore(4);
     let mut out = Vec::new();
 
     let g = graph::power_law(500, 3, 3);
@@ -130,7 +113,7 @@ fn measure_grid(
 
 #[test]
 fn cycle_counts_match_the_seed_model_exactly() {
-    let got = measure_all(ExecEngine::Flat);
+    let got = measure_all();
     if std::env::var("GOLDEN_PRINT").is_ok() {
         for (label, cycles) in &got {
             println!("    (\"{label}\", {cycles}),");
@@ -147,44 +130,16 @@ fn cycle_counts_match_the_seed_model_exactly() {
     }
 }
 
-#[test]
-fn tree_engine_matches_flat_engine_exactly() {
-    let flat = measure_all(ExecEngine::Flat);
-    let tree = measure_all(ExecEngine::Tree);
-    assert_eq!(
-        flat, tree,
-        "the bytecode engine changed simulated time vs the tree oracle"
-    );
-}
-
-#[test]
-fn polling_scheduler_matches_event_driven_exactly() {
-    // The full grid: simulated cycles are a property of the timing
-    // model, not of how the host schedules stage interpreters.
-    let golden = measure_with(ExecEngine::Flat, SchedulerKind::EventDriven);
-    for engine in [ExecEngine::Flat, ExecEngine::Tree] {
-        let got = measure_with(engine, SchedulerKind::Polling);
-        assert_eq!(
-            golden, got,
-            "Polling/{engine:?} changed simulated time vs EventDriven/Flat"
-        );
-    }
-}
-
 /// `(label, digest)` — golden order-sensitive digests of the canonical
-/// trace event stream. The trace-oracle suite proves the stream is
-/// grid-identical, so pinning one grid point (event-driven × flat) pins
-/// all four; any change here means the *semantic event sequence*
-/// changed, not just its rendering.
+/// trace event stream; any change here means the *semantic event
+/// sequence* changed, not just its rendering.
 const GOLDEN_TRACE: &[(&str, u64)] = &[
     ("bfs/phloem/power_law_500", 0x9ed73ba4e6f7d62e),
     ("taco-spmv/phloem/rnd_48", 0x359e146c78bcc5de),
 ];
 
-fn trace_digests(engine: ExecEngine, scheduler: SchedulerKind) -> Vec<(&'static str, u64)> {
-    let mut cfg = MachineConfig::paper_1core();
-    cfg.engine = engine;
-    cfg.scheduler = scheduler;
+fn trace_digests() -> Vec<(&'static str, u64)> {
+    let cfg = MachineConfig::paper_1core();
     let digest_of = |sink: Box<dyn TraceSink>| {
         sink.downcast_ref::<DigestSink>()
             .expect("digest sink")
@@ -220,7 +175,7 @@ fn trace_digests(engine: ExecEngine, scheduler: SchedulerKind) -> Vec<(&'static 
 
 #[test]
 fn trace_digests_match_the_pinned_event_streams() {
-    let got = trace_digests(ExecEngine::Flat, SchedulerKind::EventDriven);
+    let got = trace_digests();
     if std::env::var("GOLDEN_PRINT").is_ok() {
         for (label, digest) in &got {
             println!("    (\"{label}\", {digest:#018x}),");
@@ -238,41 +193,8 @@ fn trace_digests_match_the_pinned_event_streams() {
 }
 
 #[test]
-fn trace_digests_are_grid_identical_on_the_golden_workloads() {
-    let golden = trace_digests(ExecEngine::Flat, SchedulerKind::EventDriven);
-    for (engine, sched) in [
-        (ExecEngine::Tree, SchedulerKind::EventDriven),
-        (ExecEngine::Flat, SchedulerKind::Polling),
-        (ExecEngine::Tree, SchedulerKind::Polling),
-    ] {
-        assert_eq!(
-            golden,
-            trace_digests(engine, sched),
-            "{sched:?}/{engine:?} produced a different event stream"
-        );
-    }
-}
-
-/// The dense reference issue calendar (fast-forward off) must land on
-/// the same pinned cycle counts as the default ring calendar: the ring
-/// only reclaims cycles no thread can issue into, so it is a host-side
-/// layout choice, never a timing-model change.
-#[test]
-fn fast_forward_off_matches_the_golden_pins() {
-    let got = measure_grid(ExecEngine::Flat, SchedulerKind::EventDriven, false);
-    assert_eq!(got.len(), GOLDEN.len());
-    for ((label, cycles), (glabel, golden)) in got.iter().zip(GOLDEN) {
-        assert_eq!(label, glabel);
-        assert_eq!(
-            cycles, golden,
-            "{label}: the dense issue calendar diverged from the pinned cycles"
-        );
-    }
-}
-
-#[test]
 fn repeated_runs_are_deterministic() {
-    let a = measure_all(ExecEngine::Flat);
-    let b = measure_all(ExecEngine::Flat);
+    let a = measure_all();
+    let b = measure_all();
     assert_eq!(a, b, "simulation is not deterministic across runs");
 }

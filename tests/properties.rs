@@ -176,89 +176,6 @@ proptest! {
         }
     }
 
-    /// Scheduler order must never change simulated time: the
-    /// event-driven scheduler and the reference polling scheduler are
-    /// required to produce bit-identical cycle counts, stall
-    /// attributions, and queue occupancy traces on arbitrary kernels.
-    /// Only the host-side work may differ — event-driven never blindly
-    /// re-polls a parked thread (`stall_polls == 0`), while polling
-    /// does whenever a thread ever blocked.
-    #[test]
-    fn scheduler_kind_does_not_change_cycles(spec in spec_strategy()) {
-        use pipette_sim::{MachineConfig, SchedulerKind, Session};
-        let kernel = build_kernel(&spec);
-        let mem = build_mem(&spec);
-        let opts = CompileOptions::default();
-        let analysis = phloem_compiler::analyze(&kernel);
-        let cuts: Vec<_> = analysis.candidates().into_iter().take(2).collect();
-        let Ok(pipe) = decouple_with_cuts(&kernel, &cuts, &opts) else { return Ok(()); };
-        let params = [("n", Value::I64(spec.n as i64))];
-        let run = |kind: SchedulerKind| {
-            let mut s = Session::new(MachineConfig::paper_1core(), mem.clone());
-            s.run_with(&pipe, &params, kind).unwrap();
-            let (m, stats) = s.finish();
-            (m, stats)
-        };
-        let (em, ev) = run(SchedulerKind::EventDriven);
-        let (pm, po) = run(SchedulerKind::Polling);
-        prop_assert!(em.same_contents(&pm));
-        prop_assert_eq!(ev.cycles, po.cycles);
-        prop_assert_eq!(ev.threads.len(), po.threads.len());
-        for (e, p) in ev.threads.iter().zip(&po.threads) {
-            prop_assert_eq!(e.finish_time, p.finish_time);
-            prop_assert_eq!(e.queue_stall_cycles, p.queue_stall_cycles);
-            prop_assert_eq!(e.queue_full_stall_cycles, p.queue_full_stall_cycles);
-            prop_assert_eq!(e.queue_empty_stall_cycles, p.queue_empty_stall_cycles);
-            prop_assert_eq!(e.backend_stall_cycles, p.backend_stall_cycles);
-            prop_assert_eq!(e.frontend_stall_cycles, p.frontend_stall_cycles);
-            // The whole point of the event-driven core: no blind re-polls.
-            prop_assert_eq!(e.stall_polls, 0);
-        }
-        prop_assert_eq!(ev.queues.len(), po.queues.len());
-        for (e, p) in ev.queues.iter().zip(&po.queues) {
-            prop_assert_eq!(e.enqs, p.enqs);
-            prop_assert_eq!(e.deqs, p.deqs);
-            prop_assert_eq!(&e.occupancy_hist, &p.occupancy_hist);
-        }
-        // Wakeup accounting is host-side but tracks the same simulated
-        // queue events, so it must agree between the two schedulers.
-        // (Polling may additionally report stall_polls > 0 — fruitless
-        // re-polls of threads parked across a round boundary — which is
-        // exactly the work the event-driven scheduler eliminates.)
-        for (e, p) in ev.threads.iter().zip(&po.threads) {
-            prop_assert_eq!(e.wakeups, p.wakeups);
-            prop_assert_eq!(e.spurious_wakeups, p.spurious_wakeups);
-        }
-    }
-
-    /// The execution engine is a host-side choice: the flat bytecode
-    /// engine and the tree-walking oracle must produce bit-identical
-    /// simulated cycles, statistics, and memory under *both*
-    /// schedulers on arbitrary kernels. (The flat engine only changes
-    /// how fast the host steps a stage, never what the stage does.)
-    #[test]
-    fn exec_engine_does_not_change_cycles(spec in spec_strategy()) {
-        use pipette_sim::{ExecEngine, MachineConfig, SchedulerKind, Session};
-        let kernel = build_kernel(&spec);
-        let mem = build_mem(&spec);
-        let opts = CompileOptions::default();
-        let analysis = phloem_compiler::analyze(&kernel);
-        let cuts: Vec<_> = analysis.candidates().into_iter().take(2).collect();
-        let Ok(pipe) = decouple_with_cuts(&kernel, &cuts, &opts) else { return Ok(()); };
-        let params = [("n", Value::I64(spec.n as i64))];
-        let run = |kind: SchedulerKind, engine: ExecEngine| {
-            let mut s = Session::new(MachineConfig::paper_1core(), mem.clone());
-            s.run_with_engine(&pipe, &params, kind, engine).unwrap();
-            s.finish()
-        };
-        for kind in [SchedulerKind::EventDriven, SchedulerKind::Polling] {
-            let (fm, fs) = run(kind, ExecEngine::Flat);
-            let (tm, ts) = run(kind, ExecEngine::Tree);
-            prop_assert!(fm.same_contents(&tm), "memory diverged under {kind:?}");
-            prop_assert_eq!(fs, ts, "stats diverged under {kind:?}");
-        }
-    }
-
     /// The timed machine computes the same memory as the functional
     /// interpreter (timing must never change semantics).
     #[test]

@@ -1,6 +1,6 @@
-//! Robustness pins: the watchdog, fault injection, and PGO degradation
-//! behave identically across the {event-driven, polling} × {tree, flat}
-//! scheduler/engine grid, and never false-positive on healthy runs.
+//! Robustness pins: watchdog and fault-injection traps have a fixed,
+//! diagnosable shape that does not depend on whether the run is traced,
+//! PGO degrades gracefully, and nothing false-positives on healthy runs.
 
 use phloem_benchsuite::fault_targets::targets;
 use phloem_benchsuite::{bfs, spmm, Variant};
@@ -9,16 +9,49 @@ use phloem_ir::{
     ArrayDecl, BinOp, Expr, FunctionBuilder, MemState, Pipeline, QueueId, StageProgram, Trap, Value,
 };
 use phloem_workloads::{graph, matrix};
-use pipette_sim::{
-    ExecEngine, Fault, FaultPlan, MachineConfig, SchedulerKind, Session, WatchdogConfig,
-};
+use pipette_sim::{Fault, FaultPlan, MachineConfig, NoopSink, Session, WatchdogConfig};
 
-const GRID: [(SchedulerKind, ExecEngine); 4] = [
-    (SchedulerKind::EventDriven, ExecEngine::Tree),
-    (SchedulerKind::EventDriven, ExecEngine::Flat),
-    (SchedulerKind::Polling, ExecEngine::Tree),
-    (SchedulerKind::Polling, ExecEngine::Flat),
-];
+/// Runs `pipe` to its trap on every point of the grid the trap-shape
+/// tests run over — no trace sink, a sink with an empty interest mask,
+/// a sink subscribed to every event — checks the trap with `check`, and
+/// returns its rendering. A trap is simulated state, so it must render
+/// identically on all three.
+fn trap_across_grid(
+    cfg: &MachineConfig,
+    mem: &MemState,
+    faults: Option<&FaultPlan>,
+    pipe: &Pipeline,
+    params: &[(&str, Value)],
+    check: impl Fn(&str, &Trap),
+) -> String {
+    let mut first: Option<String> = None;
+    for (label, sink) in [
+        ("untraced", None),
+        ("disabled sink", Some(NoopSink::disabled())),
+        ("counting sink", Some(NoopSink::counting())),
+    ] {
+        let mut session = Session::new(cfg.clone(), mem.clone());
+        if let Some(plan) = faults {
+            session.set_faults(plan.clone());
+        }
+        if let Some(sink) = sink {
+            session.set_trace(Box::new(sink));
+        }
+        let err = session
+            .run(pipe, params)
+            .expect_err("the run must end in a structured trap");
+        check(label, &err);
+        let rendered = err.to_string();
+        match &first {
+            None => first = Some(rendered),
+            Some(f) => assert_eq!(
+                f, &rendered,
+                "{label}: trap differs from the first grid point"
+            ),
+        }
+    }
+    first.expect("the grid is not empty")
+}
 
 /// A two-stage pipeline whose producer spins on a memory flag that is
 /// never set (the classic CV-polling livelock): it keeps executing —so
@@ -63,26 +96,12 @@ fn cv_polling_livelock_traps_identically_across_grid() {
         cycle_cap: u64::MAX,
         livelock_window: 10_000,
     };
-    let mut first: Option<String> = None;
-    for (sched, engine) in GRID {
-        let mut session = Session::new(cfg.clone(), mem.clone());
-        let err = session
-            .run_with_engine(&pipe, &[], sched, engine)
-            .expect_err("a CV-polling spin loop must trap, not terminate");
+    let msg = trap_across_grid(&cfg, &mem, None, &pipe, &[], |label, err| {
         assert!(
             matches!(err, Trap::Livelock { .. }),
-            "{sched:?}/{engine:?}: expected Livelock, got {err}"
+            "{label}: a CV-polling spin loop must trap as Livelock, got {err}"
         );
-        let rendered = err.to_string();
-        match &first {
-            None => first = Some(rendered),
-            Some(f) => assert_eq!(
-                f, &rendered,
-                "{sched:?}/{engine:?} livelock trap differs from the first grid point"
-            ),
-        }
-    }
-    let msg = first.unwrap();
+    });
     assert!(
         msg.contains("snapshot @cycle"),
         "livelock trap must carry the diagnostics snapshot: {msg}"
@@ -100,26 +119,20 @@ fn producer_kill_traps_identically_across_grid() {
         thread: 0,
         after_atoms: 40,
     }]);
-    let mut first: Option<String> = None;
-    for (sched, engine) in GRID {
-        let mut session = Session::new(cfg.clone(), target.mem.clone());
-        session.set_faults(plan.clone());
-        let err = session
-            .run_with_engine(&target.pipeline, &target.params, sched, engine)
-            .expect_err("a fired producer kill must end in a structured trap");
-        let rendered = err.to_string();
-        assert!(
-            rendered.contains("killed (fault)"),
-            "{sched:?}/{engine:?}: trap must name the killed thread: {rendered}"
-        );
-        match &first {
-            None => first = Some(rendered),
-            Some(f) => assert_eq!(
-                f, &rendered,
-                "{sched:?}/{engine:?} kill trap differs from the first grid point"
-            ),
-        }
-    }
+    trap_across_grid(
+        &cfg,
+        &target.mem,
+        Some(&plan),
+        &target.pipeline,
+        &target.params,
+        |label, err| {
+            let rendered = err.to_string();
+            assert!(
+                rendered.contains("killed (fault)"),
+                "{label}: trap must name the killed thread: {rendered}"
+            );
+        },
+    );
 }
 
 /// The watchdog defaults must never fire on a healthy workload: the

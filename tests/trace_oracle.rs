@@ -1,17 +1,13 @@
 //! Trace-oracle tests: the tracing layer observes the simulation, it
 //! never participates in it.
 //!
-//! Three families of pins:
+//! Two families of pins (the event stream's own digest is pinned in
+//! `tests/golden_cycles.rs`):
 //!
-//! 1. **Non-interference** — enabling tracing (even a sink subscribed
-//!    to every event) must not change a single simulated cycle or any
-//!    [`pipette_sim::RunStats`] counter, on every point of the
-//!    {event-driven, polling} × {tree, flat} scheduler/engine grid.
-//! 2. **Grid identity** — the semantic event stream itself is a
-//!    property of the timing model, not of the host scheduler or
-//!    execution engine: its order-sensitive digest is bit-identical
-//!    across the grid.
-//! 3. **Reconciliation** — the trace is *semantically consistent* with
+//! 1. **Non-interference** — installing a sink (with an empty interest
+//!    mask, or subscribed to every event) must not change a single
+//!    simulated cycle or any [`pipette_sim::RunStats`] counter.
+//! 2. **Reconciliation** — the trace is *semantically consistent* with
 //!    the run's own statistics: per-thread stall-span sums equal the
 //!    `ThreadStats` stall counters exactly, event-derived queue
 //!    occupancy histograms equal `QueueStats::occupancy_hist`, wakeup
@@ -28,26 +24,12 @@ use phloem_benchsuite::{bfs, taco, Measurement, Variant};
 use phloem_ir::Trap;
 use phloem_workloads::{graph, matrix};
 use pipette_sim::{
-    DigestSink, ExecEngine, Fault, FaultPlan, MachineConfig, MetricsSink, NoopSink, RingSink,
-    SchedulerKind, Session, StallKind, TeeSink, TraceEvent, TraceSink, TraceVerdict,
+    Fault, FaultPlan, MachineConfig, MetricsSink, NoopSink, RingSink, Session, StallKind, TeeSink,
+    TraceEvent, TraceSink, TraceVerdict,
 };
-
-const GRID: [(SchedulerKind, ExecEngine); 4] = [
-    (SchedulerKind::EventDriven, ExecEngine::Flat),
-    (SchedulerKind::EventDriven, ExecEngine::Tree),
-    (SchedulerKind::Polling, ExecEngine::Flat),
-    (SchedulerKind::Polling, ExecEngine::Tree),
-];
 
 type Runner =
     fn(&MachineConfig, Option<Box<dyn TraceSink>>) -> (Measurement, Option<Box<dyn TraceSink>>);
-
-fn cfg_for(sched: SchedulerKind, engine: ExecEngine) -> MachineConfig {
-    let mut cfg = MachineConfig::paper_1core();
-    cfg.scheduler = sched;
-    cfg.engine = engine;
-    cfg
-}
 
 /// The two oracle workloads: a graph app with CV handlers and RA
 /// stages, and a taco kernel with a different queue topology.
@@ -91,63 +73,40 @@ fn run_spmv(
 // 1. Non-interference
 // ---------------------------------------------------------------------
 
+/// The grid is {workload} × {sink}: a sink with an empty interest mask
+/// and one subscribed to every event.
 #[test]
 fn tracing_never_changes_cycles_or_stats_anywhere_on_the_grid() {
+    let cfg = MachineConfig::paper_1core();
     for run in [run_bfs as Runner, run_spmv as Runner] {
-        for (sched, engine) in GRID {
-            let cfg = cfg_for(sched, engine);
-            let (plain, _) = run(&cfg, None);
-            let (traced, sink) = run(&cfg, Some(Box::new(NoopSink::counting())));
+        let (plain, _) = run(&cfg, None);
+        for (label, sink, sees_events) in [
+            ("disabled sink", NoopSink::disabled(), false),
+            ("counting sink", NoopSink::counting(), true),
+        ] {
+            let (traced, sink) = run(&cfg, Some(Box::new(sink)));
             assert_eq!(
                 plain.cycles, traced.cycles,
-                "{sched:?}/{engine:?}: tracing changed the makespan"
+                "{label}: tracing changed the makespan"
             );
             assert_eq!(
                 plain.stats, traced.stats,
-                "{sched:?}/{engine:?}: tracing changed RunStats"
+                "{label}: tracing changed RunStats"
             );
             let sink = sink.unwrap();
             let noop = sink.downcast_ref::<NoopSink>().expect("noop sink");
-            assert!(
+            assert_eq!(
                 noop.events > 0,
-                "{sched:?}/{engine:?}: the counting sink saw no events — emit points dead?"
+                sees_events,
+                "{label}: saw {} events — emit points dead, or the mask ignored?",
+                noop.events
             );
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// 2. Grid identity of the event stream
-// ---------------------------------------------------------------------
-
-#[test]
-fn event_stream_digest_is_grid_identical() {
-    for (name, run) in [
-        ("bfs", run_bfs as Runner),
-        ("taco-spmv", run_spmv as Runner),
-    ] {
-        let mut first: Option<u64> = None;
-        for (sched, engine) in GRID {
-            let cfg = cfg_for(sched, engine);
-            let (_, sink) = run(&cfg, Some(Box::new(DigestSink::new())));
-            let sink = sink.unwrap();
-            let digest = sink
-                .downcast_ref::<DigestSink>()
-                .expect("digest sink")
-                .digest();
-            match first {
-                None => first = Some(digest),
-                Some(f) => assert_eq!(
-                    f, digest,
-                    "{name} @ {sched:?}/{engine:?}: event stream diverged from the first grid point"
-                ),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 3. Reconciliation with RunStats
+// 2. Reconciliation with RunStats
 // ---------------------------------------------------------------------
 
 /// Sums the ring's events into per-thread and per-queue accumulators
@@ -303,22 +262,20 @@ fn reconcile(m: &Measurement, ring: &RingSink, metrics: &MetricsSink) {
 
 #[test]
 fn traces_reconcile_exactly_with_run_stats() {
+    let cfg = MachineConfig::paper_1core();
     for run in [run_bfs as Runner, run_spmv as Runner] {
-        for (sched, engine) in GRID {
-            let cfg = cfg_for(sched, engine);
-            let tee = TeeSink::new(vec![
-                Box::new(RingSink::unbounded()),
-                Box::new(MetricsSink::new()),
-            ]);
-            let (m, sink) = run(&cfg, Some(Box::new(tee)));
-            let sink = sink.unwrap();
-            let tee = sink.downcast_ref::<TeeSink>().expect("tee");
-            let ring = tee.sinks()[0].downcast_ref::<RingSink>().expect("ring");
-            let metrics = tee.sinks()[1]
-                .downcast_ref::<MetricsSink>()
-                .expect("metrics");
-            reconcile(&m, ring, metrics);
-        }
+        let tee = TeeSink::new(vec![
+            Box::new(RingSink::unbounded()),
+            Box::new(MetricsSink::new()),
+        ]);
+        let (m, sink) = run(&cfg, Some(Box::new(tee)));
+        let sink = sink.unwrap();
+        let tee = sink.downcast_ref::<TeeSink>().expect("tee");
+        let ring = tee.sinks()[0].downcast_ref::<RingSink>().expect("ring");
+        let metrics = tee.sinks()[1]
+            .downcast_ref::<MetricsSink>()
+            .expect("metrics");
+        reconcile(&m, ring, metrics);
     }
 }
 
@@ -328,55 +285,53 @@ fn traces_reconcile_exactly_with_run_stats() {
 
 #[test]
 fn a_fired_thread_kill_traces_one_fault_kill_and_one_verdict() {
-    for (sched, engine) in GRID {
-        let cfg = cfg_for(sched, engine);
-        let target = &targets(&cfg)[0];
-        let mut session = Session::new(cfg.clone(), target.mem.clone());
-        session.set_faults(FaultPlan::new(vec![Fault::ThreadKill {
-            thread: 0,
-            after_atoms: 40,
-        }]));
-        session.set_trace(Box::new(RingSink::unbounded()));
-        let err = session
-            .run_with_engine(&target.pipeline, &target.params, sched, engine)
-            .expect_err("a fired producer kill must trap");
-        assert!(matches!(
-            err,
-            Trap::ThreadKilled { .. } | Trap::Deadlock { .. }
-        ));
-        let sink = session.take_trace().expect("sink still installed");
-        let ring = sink.downcast_ref::<RingSink>().expect("ring");
-        let kills: Vec<_> = ring
-            .events()
-            .filter(|e| matches!(e, TraceEvent::FaultKill { .. }))
-            .collect();
-        assert_eq!(
-            kills.len(),
-            1,
-            "{sched:?}/{engine:?}: ThreadKill must trace exactly one FaultKill"
-        );
-        assert!(
-            matches!(kills[0], TraceEvent::FaultKill { thread: 0, .. }),
-            "{sched:?}/{engine:?}: FaultKill names the wrong thread"
-        );
-        let verdicts: Vec<_> = ring
-            .events()
-            .filter_map(|e| match e {
-                TraceEvent::Verdict { verdict, .. } => Some(*verdict),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            verdicts.len(),
-            1,
-            "{sched:?}/{engine:?}: a trapped run must trace exactly one terminal Verdict"
-        );
-        assert!(
-            matches!(verdicts[0], TraceVerdict::Killed | TraceVerdict::Deadlock),
-            "{sched:?}/{engine:?}: unexpected verdict {:?}",
-            verdicts[0]
-        );
-    }
+    let cfg = MachineConfig::paper_1core();
+    let target = &targets(&cfg)[0];
+    let mut session = Session::new(cfg.clone(), target.mem.clone());
+    session.set_faults(FaultPlan::new(vec![Fault::ThreadKill {
+        thread: 0,
+        after_atoms: 40,
+    }]));
+    session.set_trace(Box::new(RingSink::unbounded()));
+    let err = session
+        .run(&target.pipeline, &target.params)
+        .expect_err("a fired producer kill must trap");
+    assert!(matches!(
+        err,
+        Trap::ThreadKilled { .. } | Trap::Deadlock { .. }
+    ));
+    let sink = session.take_trace().expect("sink still installed");
+    let ring = sink.downcast_ref::<RingSink>().expect("ring");
+    let kills: Vec<_> = ring
+        .events()
+        .filter(|e| matches!(e, TraceEvent::FaultKill { .. }))
+        .collect();
+    assert_eq!(
+        kills.len(),
+        1,
+        "ThreadKill must trace exactly one FaultKill"
+    );
+    assert!(
+        matches!(kills[0], TraceEvent::FaultKill { thread: 0, .. }),
+        "FaultKill names the wrong thread"
+    );
+    let verdicts: Vec<_> = ring
+        .events()
+        .filter_map(|e| match e {
+            TraceEvent::Verdict { verdict, .. } => Some(*verdict),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        verdicts.len(),
+        1,
+        "a trapped run must trace exactly one terminal Verdict"
+    );
+    assert!(
+        matches!(verdicts[0], TraceVerdict::Killed | TraceVerdict::Deadlock),
+        "unexpected verdict {:?}",
+        verdicts[0]
+    );
 }
 
 /// Sessions accumulate: two invocations through one sink must produce
@@ -384,7 +339,7 @@ fn a_fired_thread_kill_traces_one_fault_kill_and_one_verdict() {
 /// accumulated RunStats (this is exactly how benchsuite drivers run).
 #[test]
 fn multi_invocation_sessions_accumulate_in_the_sink() {
-    let cfg = cfg_for(SchedulerKind::EventDriven, ExecEngine::Flat);
+    let cfg = MachineConfig::paper_1core();
     let (m, sink) = run_bfs(&cfg, Some(Box::new(RingSink::unbounded())));
     let sink = sink.unwrap();
     let ring = sink.downcast_ref::<RingSink>().expect("ring");

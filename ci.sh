@@ -50,12 +50,6 @@ echo "==> native --smoke (native-backend wall clock: oracle-verified runs, host-
 # natively on every channel and verifies against its host oracle.
 SCALE=tiny cargo run --release -q -p phloem-bench --bin native -- --smoke
 
-echo "==> serve --smoke (service replay: bit-identical warm hits, >=0.5 hit-rate gate, persist/restore round-trip)"
-# The smoke pass includes the restart pass: caches are persisted to a
-# snapshot, the transport is rebuilt from it, and the warm-after-restart
-# hit-rate is gated >= 0.5 with bit-identical restored responses.
-SCALE=tiny cargo run --release -q -p phloem-bench --bin serve -- --smoke
-
 echo "==> chaos --smoke (deterministic fault injection against a live phloemd)"
 # 7 fault shapes (severed connections, malformed/oversized input, slow
 # partial writes, shutdown races, SIGKILL restart, snapshot corruption)

@@ -16,7 +16,7 @@
 //! measurements whether it ran on one worker or sixteen.
 
 use phloem_benchsuite::{bfs, cc, prd, radii, spmm, Measurement, Variant};
-use phloem_ir::Trap;
+use phloem_ir::{Function, Trap};
 use phloem_pool::Pool;
 use phloem_workloads::{
     catalog::{self, Scale},
@@ -117,28 +117,95 @@ fn budgeted(cfg: &MachineConfig, cycle_cap: Option<u64>) -> MachineConfig {
     cfg
 }
 
-/// Runs one request on the caller's thread. Unknown apps and input
-/// names surface as [`Trap::BadId`] — a per-request error, never a
-/// batch abort.
+/// A trace sink handed to (and back from) a benchmark run.
+type Sink = Box<dyn TraceSink>;
+type Ran = Result<Measurement, Trap>;
+/// A traced run hands its sink back with the result.
+type Traced = (Ran, Sink);
+
+/// How an app runs, by the catalog family its inputs come from: the
+/// plain runner and the traced one (which hands the sink back).
+enum Runner {
+    Graph(
+        fn(&Variant, &Graph, &MachineConfig, &str) -> Ran,
+        fn(&Variant, &Graph, &MachineConfig, &str, Sink) -> Traced,
+    ),
+    /// Matrix apps take `(matrix, transpose)`.
+    Matrix(
+        fn(&Variant, &SparseMatrix, &SparseMatrix, &MachineConfig, &str) -> Ran,
+        fn(&Variant, &SparseMatrix, &SparseMatrix, &MachineConfig, &str, Sink) -> Traced,
+    ),
+}
+
+/// The one place app names are known: name → (the serial kernel that
+/// `compile` and `search` lower, input family + runner).
+fn app(name: &str) -> Option<(fn() -> Function, Runner)> {
+    Some(match name {
+        "bfs" => (
+            bfs::kernel,
+            Runner::Graph(
+                |v, g, c, n| bfs::run(v, g, 0, c, n),
+                |v, g, c, n, s| bfs::run_traced(v, g, 0, c, n, s),
+            ),
+        ),
+        "cc" => (cc::kernel, Runner::Graph(cc::run, cc::run_traced)),
+        "prd" => (
+            prd::scatter_kernel,
+            Runner::Graph(prd::run, prd::run_traced),
+        ),
+        "radii" => (radii::kernel, Runner::Graph(radii::run, radii::run_traced)),
+        "spmm" => (spmm::kernel, Runner::Matrix(spmm::run, spmm::run_traced)),
+        _ => return None,
+    })
+}
+
+/// The benchmark kernel a request's `app` names.
+pub fn app_kernel(name: &str) -> Option<Function> {
+    app(name).map(|(kernel, _)| kernel())
+}
+
+/// The body traced and untraced runs share: budget, app dispatch, input
+/// resolution. Unknown apps and input names surface as [`Trap::BadId`]
+/// — a per-request error, never a batch abort.
+fn run_with(
+    inputs: &PreparedInputs,
+    cfg: &MachineConfig,
+    req: &SimRequest,
+    sink: Option<Sink>,
+) -> Result<(Measurement, Option<Sink>), Trap> {
+    let cfg = budgeted(cfg, req.cycle_cap);
+    let (v, name) = (&req.variant, req.input.as_str());
+    let (_, runner) =
+        app(&req.app).ok_or_else(|| Trap::BadId(format!("unknown app {:?}", req.app)))?;
+    let kept = |(r, s): Traced| (r, Some(s));
+    let (result, sink) = match (runner, sink) {
+        (Runner::Graph(run, _), None) => {
+            let g = resolve_graph(inputs, name)?;
+            (run(v, &g, &cfg, name), None)
+        }
+        (Runner::Graph(_, run), Some(s)) => {
+            let g = resolve_graph(inputs, name)?;
+            kept(run(v, &g, &cfg, name, s))
+        }
+        (Runner::Matrix(run, _), None) => {
+            let m = resolve_matrix(inputs, name)?;
+            (run(v, &m.0, &m.1, &cfg, name), None)
+        }
+        (Runner::Matrix(_, run), Some(s)) => {
+            let m = resolve_matrix(inputs, name)?;
+            kept(run(v, &m.0, &m.1, &cfg, name, s))
+        }
+    };
+    Ok((result?, sink))
+}
+
+/// Runs one request on the caller's thread.
 pub fn run_one(
     inputs: &PreparedInputs,
     cfg: &MachineConfig,
     req: &SimRequest,
 ) -> Result<Measurement, Trap> {
-    let cfg = budgeted(cfg, req.cycle_cap);
-    let v = &req.variant;
-    let name = req.input.as_str();
-    match req.app.as_str() {
-        "spmm" => {
-            let m = resolve_matrix(inputs, name)?;
-            spmm::run(v, &m.0, &m.1, &cfg, name)
-        }
-        "bfs" => bfs::run(v, resolve_graph(inputs, name)?.as_ref(), 0, &cfg, name),
-        "cc" => cc::run(v, resolve_graph(inputs, name)?.as_ref(), &cfg, name),
-        "prd" => prd::run(v, resolve_graph(inputs, name)?.as_ref(), &cfg, name),
-        "radii" => radii::run(v, resolve_graph(inputs, name)?.as_ref(), &cfg, name),
-        other => Err(Trap::BadId(format!("unknown app {other:?}"))),
-    }
+    run_with(inputs, cfg, req, None).map(|(m, _)| m)
 }
 
 /// The canonical trace digest of one run: the FNV-1a hash over the
@@ -152,74 +219,24 @@ pub struct TraceDigest {
 }
 
 /// Like [`run_one`], with a [`DigestSink`] observing every pipeline
-/// invocation. The digest is returned even when the run traps, so a
-/// failed run's partial trace remains inspectable.
+/// invocation.
 pub fn run_one_traced(
     inputs: &PreparedInputs,
     cfg: &MachineConfig,
     req: &SimRequest,
-) -> (Result<Measurement, Trap>, TraceDigest) {
-    let cfg = budgeted(cfg, req.cycle_cap);
-    let v = &req.variant;
-    let name = req.input.as_str();
-    let sink: Box<dyn TraceSink> = Box::new(DigestSink::new());
-    let (result, sink) = match req.app.as_str() {
-        "spmm" => {
-            let m = match resolve_matrix(inputs, name) {
-                Ok(m) => m,
-                Err(t) => {
-                    return (
-                        Err(t),
-                        TraceDigest {
-                            digest: 0,
-                            events: 0,
-                        },
-                    )
-                }
-            };
-            spmm::run_traced(v, &m.0, &m.1, &cfg, name, sink)
-        }
-        "bfs" | "cc" | "prd" | "radii" => {
-            let g = match resolve_graph(inputs, name) {
-                Ok(g) => g,
-                Err(t) => {
-                    return (
-                        Err(t),
-                        TraceDigest {
-                            digest: 0,
-                            events: 0,
-                        },
-                    )
-                }
-            };
-            match req.app.as_str() {
-                "bfs" => bfs::run_traced(v, &g, 0, &cfg, name, sink),
-                "cc" => cc::run_traced(v, &g, &cfg, name, sink),
-                "prd" => prd::run_traced(v, &g, &cfg, name, sink),
-                _ => radii::run_traced(v, &g, &cfg, name, sink),
-            }
-        }
-        other => {
-            return (
-                Err(Trap::BadId(format!("unknown app {other:?}"))),
-                TraceDigest {
-                    digest: 0,
-                    events: 0,
-                },
-            )
-        }
-    };
-    let digest = sink
-        .downcast_ref::<DigestSink>()
-        .map(|d| TraceDigest {
+) -> Result<(Measurement, TraceDigest), Trap> {
+    let (m, sink) = run_with(inputs, cfg, req, Some(Box::new(DigestSink::new())))?;
+    let d = sink
+        .as_deref()
+        .and_then(|s| s.downcast_ref::<DigestSink>())
+        .ok_or_else(|| Trap::Malformed("traced run lost its digest sink".into()))?;
+    Ok((
+        m,
+        TraceDigest {
             digest: d.digest(),
             events: d.count,
-        })
-        .unwrap_or(TraceDigest {
-            digest: 0,
-            events: 0,
-        });
-    (result, digest)
+        },
+    ))
 }
 
 fn resolve_graph(inputs: &PreparedInputs, name: &str) -> Result<Arc<Graph>, Trap> {
@@ -235,6 +252,19 @@ fn resolve_matrix(
     inputs
         .matrix(name)
         .ok_or_else(|| Trap::BadId(format!("unknown matrix input {name:?}")))
+}
+
+/// The text of a host-task panic that may reach a response: its first
+/// line, capped at 200 bytes, so an assert that `Debug`-prints a whole
+/// result vector cannot put kilobytes on the wire.
+pub(crate) fn panic_message(panic: &phloem_pool::TaskPanic) -> String {
+    let text = panic.to_string();
+    let line = text.lines().next().unwrap_or_default();
+    let mut end = line.len().min(200);
+    while !line.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("host task panicked: {}", &line[..end])
 }
 
 /// A batched session over a shared pool, machine config, and prepared
@@ -269,7 +299,7 @@ impl<'a> Batch<'a> {
             .into_iter()
             .map(|slot| match slot {
                 Ok(r) => r,
-                Err(panic) => Err(Trap::Malformed(format!("host task panicked: {panic}"))),
+                Err(panic) => Err(Trap::Malformed(panic_message(&panic))),
             })
             .collect()
     }
@@ -305,6 +335,18 @@ mod tests {
         let out = Batch::new(&pool, &inputs, &cfg).run(&reqs);
         assert!(matches!(out[0], Err(Trap::BadId(_))));
         assert!(matches!(out[1], Err(Trap::BadId(_))));
+    }
+
+    #[test]
+    fn panic_text_is_one_bounded_line() {
+        let long = phloem_pool::TaskPanic {
+            index: 3,
+            message: format!("assertion failed: é{}\n  left: [0, 1, 2]", "x".repeat(4096)),
+        };
+        let text = panic_message(&long);
+        assert!(text.starts_with("host task panicked: task 3 panicked: assertion failed: é"));
+        assert!(!text.contains('\n') && !text.contains("left:"), "{text}");
+        assert!(text.len() <= 220, "{}", text.len());
     }
 
     #[test]

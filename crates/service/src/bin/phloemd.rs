@@ -46,7 +46,8 @@
 //!   (work that outlives it is cancelled and answered, not orphaned),
 //!   the cache is persisted, and the daemon exits.
 
-use phloem_service::{Json, Service, ServiceConfig};
+use phloem_service::proto::error_frame;
+use phloem_service::{Service, ServiceConfig};
 use phloem_workloads::catalog::Scale;
 use std::io::{BufRead, BufReader, Write};
 use std::os::fd::AsRawFd;
@@ -436,22 +437,10 @@ fn finish_line(buf: Vec<u8>) -> LineRead {
 }
 
 /// A structured error response constructed daemon-side (before the
-/// service ever sees the line), matching the service's error shape.
+/// service ever sees the line): the service's own error frame, under
+/// `id: 0, op: "read"`.
 fn error_line(kind: &str, message: &str) -> String {
-    Json::Obj(vec![
-        ("id".to_string(), Json::u64(0)),
-        ("op".to_string(), Json::str("read")),
-        ("ok".to_string(), Json::Bool(false)),
-        ("cache".to_string(), Json::str("bypass")),
-        (
-            "error".to_string(),
-            Json::Obj(vec![
-                ("kind".to_string(), Json::str(kind)),
-                ("message".to_string(), Json::str(message)),
-            ]),
-        ),
-    ])
-    .render()
+    error_frame(0, "read", "bypass", kind, message, None)
 }
 
 /// Reads one batch (lines until a blank line or EOF), answers it, and

@@ -22,7 +22,7 @@
 //!   guarantees worker count never changes a report, and keying on it
 //!   would only split the cache.
 
-use phloem_benchsuite::Measurement;
+use phloem_benchsuite::{Measurement, Variant};
 use phloem_compiler::search::SearchOptions;
 use phloem_compiler::{CompileOptions, PassConfig};
 use phloem_ir::Function;
@@ -237,6 +237,38 @@ pub fn search_options_digest(o: &SearchOptions) -> u64 {
         .u64(compile_options_digest(&o.compile))
         .u64(o.profile_cycle_cap)
         .u64(o.retry_cap_factor);
+    h.finish()
+}
+
+/// Digest of a benchmark variant (trace-cache keying): the variant
+/// tag plus everything that selects its pipeline — the data-parallel
+/// width, or the pass switches, stage budget and explicit cuts.
+pub fn variant_digest(v: &Variant) -> u64 {
+    let mut h = KeyHasher::new();
+    match v {
+        Variant::Serial => {
+            h.u64(0);
+        }
+        Variant::DataParallel(n) => {
+            h.u64(1).usize(*n);
+        }
+        Variant::Phloem {
+            passes,
+            stages,
+            cuts,
+        } => {
+            h.u64(2)
+                .u64(pass_config_digest(passes))
+                .usize(*stages)
+                .usize(cuts.len());
+            for c in cuts {
+                h.u64(c.0 as u64);
+            }
+        }
+        Variant::Manual => {
+            h.u64(3);
+        }
+    }
     h.finish()
 }
 

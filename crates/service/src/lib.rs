@@ -20,13 +20,18 @@
 //! * [`service`] + the `phloemd` binary — a newline-delimited-JSON
 //!   request server (stdin or a Unix socket) running batches
 //!   concurrently with per-request watchdog budgets and cache-hit
-//!   provenance on every response.
+//!   provenance on every response. Every compute op takes one path —
+//!   plan → admit → execute → render — over one cached value, the
+//!   payload fragment rendered at miss time ([`persist`] snapshots it
+//!   as is).
 //!
-//! The wire protocol lives in [`proto`]; the workspace `serde` is an
-//! offline no-op shim, so JSON is hand-rolled there.
+//! The wire protocol — requests, the `ok` frame and the one error
+//! frame — lives in [`proto`]; the workspace `serde` is an offline
+//! no-op shim, so JSON is hand-rolled in [`json`].
 
 pub mod batch;
 pub mod cache;
+pub mod json;
 pub mod key;
 pub mod persist;
 pub mod proto;

@@ -35,6 +35,7 @@
 use crate::key::KeyHasher;
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Magic first line; bump the version when the row format or what a
 /// key digests changes, so rows no probe can reach are dropped at load
@@ -71,13 +72,15 @@ pub struct PersistCounters {
 }
 
 /// Everything a save writes / a load returns: `(key, rendered payload)`
-/// pairs per cache, least recently used first.
+/// pairs per cache, least recently used first. A payload is the cached
+/// value itself — the fragment rendered once at miss time — so saving
+/// shares it rather than re-rendering or copying it.
 #[derive(Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Compile-cache entries.
-    pub compile: Vec<(u64, String)>,
+    pub compile: Vec<(u64, Arc<str>)>,
     /// Search/trace-cache entries.
-    pub search: Vec<(u64, String)>,
+    pub search: Vec<(u64, Arc<str>)>,
 }
 
 impl Snapshot {
@@ -175,7 +178,7 @@ pub fn load(path: &Path) -> std::io::Result<Loaded> {
     Ok(out)
 }
 
-fn parse_line(line: &str) -> Option<(Sel, u64, String)> {
+fn parse_line(line: &str) -> Option<(Sel, u64, Arc<str>)> {
     let sel = match line.as_bytes().first()? {
         b'C' => Sel::Compile,
         b'S' => Sel::Search,
@@ -192,7 +195,7 @@ fn parse_line(line: &str) -> Option<(Sel, u64, String)> {
     if line_check(sel, key, payload) != check {
         return None;
     }
-    Some((sel, key, payload.to_string()))
+    Some((sel, key, payload.into()))
 }
 
 #[cfg(test)]
@@ -208,10 +211,10 @@ mod tests {
     fn sample() -> Snapshot {
         Snapshot {
             compile: vec![
-                (0xdead_beef, r#"{"app":"bfs","stages":4}"#.to_string()),
-                (7, r#"{"app":"cc","stages":2}"#.to_string()),
+                (0xdead_beef, r#"{"app":"bfs","stages":4}"#.into()),
+                (7, r#"{"app":"cc","stages":2}"#.into()),
             ],
-            search: vec![(42, r#"{"best_cuts":[3],"viable":2}"#.to_string())],
+            search: vec![(42, r#"{"best_cuts":[3],"viable":2}"#.into())],
         }
     }
 
@@ -312,7 +315,7 @@ mod tests {
         let path = temp_file("atomic");
         save(&path, &sample()).unwrap();
         let second = Snapshot {
-            compile: vec![(1, "{}".to_string())],
+            compile: vec![(1, "{}".into())],
             search: Vec::new(),
         };
         save(&path, &second).unwrap();

@@ -1,330 +1,15 @@
-//! The `phloemd` wire protocol: newline-delimited JSON, hand-rolled.
-//!
-//! The workspace's `serde` is an offline no-op shim (derives emit empty
-//! impls), so this module carries its own minimal JSON: a recursive-
-//! descent parser and a deterministic renderer over a small [`Json`]
-//! tree. Objects preserve insertion order (a `Vec` of pairs, not a
-//! map), so a response renders byte-identically every time — the
-//! property the cache bit-identity tests and the serve bench's
-//! replay-equality check both lean on.
+//! The `phloemd` wire protocol: newline-delimited JSON requests, and
+//! the two frames that answer them.
 //!
 //! One request per line; a **blank line ends a batch** (the daemon
 //! answers each batch before reading the next, so a client can observe
-//! warm-cache behaviour within a single connection).
+//! warm-cache behaviour within a single connection). Every answer is
+//! either [`ok_frame`] — the `id`/`op`/`ok`/`cache` envelope followed by
+//! the op's payload — or [`error_frame`], the one error shape the
+//! service and the daemon share. The JSON itself lives in
+//! [`crate::json`] and is re-exported here.
 
-use std::fmt::Write as _;
-
-/// A JSON value. Numbers are `f64` (every integer the protocol carries
-/// fits in the 53-bit mantissa; cycle counts are capped far below it).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience string constructor.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Convenience `u64` constructor.
-    pub fn u64(v: u64) -> Json {
-        Json::Num(v as f64)
-    }
-
-    /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The number as `u64`, if this is a non-negative integral number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The number as `usize`, via [`Json::as_u64`].
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|v| v as usize)
-    }
-
-    /// Renders compact JSON (no whitespace), deterministically.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => render_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_string(k, out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parses one JSON document, rejecting trailing garbage.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing characters at byte {}", p.i));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.i))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.i)),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            // Surrogates collapse to the replacement
-                            // character; the protocol never emits them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = &self.b[self.i..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
-    }
-}
+pub use crate::json::{parse, Json};
 
 // ---------------------------------------------------------------------
 // Requests
@@ -405,11 +90,47 @@ pub struct Request {
     pub deadline_ms: Option<u64>,
 }
 
+/// Why a request line was refused before planning: everything an error
+/// frame needs. A line that is not a well-formed request has no id or
+/// op to echo and reads `id: 0, op: "parse", kind: "parse"`; a
+/// well-formed request carrying a wrong-typed field keeps its own
+/// `id`/`op` and reads `kind: "bad_request"`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Rejected {
+    /// The id to echo.
+    pub id: u64,
+    /// The op name to echo.
+    pub op: &'static str,
+    /// The error kind.
+    pub kind: &'static str,
+    /// What was wrong, naming the offending field.
+    pub message: String,
+}
+
+/// Reads optional field `key`: absent is `None`, and a present value
+/// `conv` refuses is an error naming the field — never a silent default.
+fn field<T>(
+    v: &Json,
+    key: &str,
+    want: &str,
+    conv: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(key)
+        .map(|j| conv(j).ok_or_else(|| format!("field {key:?} must be {want}")))
+        .transpose()
+}
+
 /// Parses one request line.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = parse(line)?;
+pub fn parse_request(line: &str) -> Result<Request, Rejected> {
+    let unparsed = |message: String| Rejected {
+        id: 0,
+        op: "parse",
+        kind: "parse",
+        message,
+    };
+    let v = parse(line).map_err(unparsed)?;
     if !matches!(v, Json::Obj(_)) {
-        return Err("request must be a JSON object".into());
+        return Err(unparsed("request must be a JSON object".into()));
     }
     let op = match v.get("op").and_then(Json::as_str) {
         Some("compile") => Op::Compile,
@@ -419,67 +140,94 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some("trace") => Op::Trace,
         Some("stats") => Op::Stats,
         Some("shutdown") => Op::Shutdown,
-        Some(other) => return Err(format!("unknown op {other:?}")),
-        None => return Err("missing \"op\"".into()),
+        Some(other) => return Err(unparsed(format!("unknown op {other:?}"))),
+        None => return Err(unparsed("missing \"op\"".into())),
     };
     let id = match v.get("id") {
-        Some(j) => j.as_u64().ok_or("\"id\" must be a non-negative integer")?,
-        None => return Err("missing \"id\"".into()),
+        Some(j) => j
+            .as_u64()
+            .ok_or_else(|| unparsed("\"id\" must be a non-negative integer".into()))?,
+        None => return Err(unparsed("missing \"id\"".into())),
     };
-    let s = |k: &str| v.get(k).and_then(Json::as_str).map(String::from);
+    let bad = |message: String| Rejected {
+        id,
+        op: op.name(),
+        kind: "bad_request",
+        message,
+    };
+    let s = |k| field(&v, k, "a string", |j| j.as_str().map(String::from)).map_err(bad);
+    let n = |k| field(&v, k, "a non-negative integer", Json::as_usize).map_err(bad);
+    let n64 = |k| field(&v, k, "a non-negative integer", Json::as_u64).map_err(bad);
     Ok(Request {
         id,
         op,
-        app: s("app"),
-        input: s("input"),
-        variant: s("variant"),
-        passes: s("passes"),
-        stages: v.get("stages").and_then(Json::as_usize),
-        threads: v.get("threads").and_then(Json::as_usize),
-        channel: s("channel"),
-        cycle_cap: v.get("cycle_cap").and_then(Json::as_u64),
-        top_k: v.get("top_k").and_then(Json::as_usize),
-        max_stages: v.get("max_stages").and_then(Json::as_usize),
-        deadline_ms: v.get("deadline_ms").and_then(Json::as_u64),
+        app: s("app")?,
+        input: s("input")?,
+        variant: s("variant")?,
+        passes: s("passes")?,
+        stages: n("stages")?,
+        threads: n("threads")?,
+        channel: s("channel")?,
+        cycle_cap: n64("cycle_cap")?,
+        top_k: n("top_k")?,
+        max_stages: n("max_stages")?,
+        deadline_ms: n64("deadline_ms")?,
     })
+}
+
+// ---------------------------------------------------------------------
+// Response frames
+// ---------------------------------------------------------------------
+
+/// The four fields every frame starts with.
+fn envelope(id: u64, op: &str, ok: bool, cache: &str) -> [(&'static str, Json); 4] {
+    [
+        ("id", Json::u64(id)),
+        ("op", Json::str(op)),
+        ("ok", Json::Bool(ok)),
+        ("cache", Json::str(cache)),
+    ]
+}
+
+/// An `ok:true` frame: the envelope followed by the fields of
+/// `fragment`, a compactly rendered JSON object (`{}` for none). The
+/// fragment is spliced in as text, so a cached payload reaches the wire
+/// with exactly the bytes it was rendered to at miss time.
+pub fn ok_frame(id: u64, op: Op, cache: &str, fragment: &str) -> String {
+    let mut out = Json::obj(envelope(id, op.name(), true, cache)).render();
+    if fragment.len() > 2 {
+        out.pop();
+        out.push(',');
+        out.push_str(&fragment[1..]);
+    }
+    out
+}
+
+/// The one error frame: `{id, op, ok:false, cache, error:{kind,
+/// message[, retry_after_ms]}}`. Every error the service or the daemon
+/// answers is built here.
+pub fn error_frame(
+    id: u64,
+    op: &str,
+    cache: &str,
+    kind: &str,
+    message: &str,
+    retry_after_ms: Option<u64>,
+) -> String {
+    let retry = retry_after_ms.map(|ms| ("retry_after_ms", Json::u64(ms)));
+    let error = [("kind", Json::str(kind)), ("message", Json::str(message))];
+    let error = Json::obj(error.into_iter().chain(retry));
+    Json::obj(
+        envelope(id, op, false, cache)
+            .into_iter()
+            .chain([("error", error)]),
+    )
+    .render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrips_nested_values() {
-        let src = r#"{"a":[1,2.5,-3],"b":{"c":"x\"y\n","d":null},"e":true}"#;
-        let v = parse(src).unwrap();
-        assert_eq!(parse(&v.render()).unwrap(), v);
-        assert_eq!(
-            v.get("a").unwrap(),
-            &Json::Arr(vec![Json::Num(1.0), Json::Num(2.5), Json::Num(-3.0)])
-        );
-        assert_eq!(
-            v.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\"y\n")
-        );
-    }
-
-    #[test]
-    fn render_is_deterministic_and_integral() {
-        let v = Json::Obj(vec![
-            ("n".into(), Json::u64(123_456_789)),
-            ("f".into(), Json::Num(0.5)),
-        ]);
-        assert_eq!(v.render(), r#"{"n":123456789,"f":0.5}"#);
-        assert_eq!(v.render(), v.render());
-    }
-
-    #[test]
-    fn rejects_trailing_garbage_and_bad_numbers() {
-        assert!(parse("{} x").is_err());
-        assert!(parse("1.2.3").is_err());
-        assert!(parse("{\"a\":}").is_err());
-        assert!(parse("\"unterminated").is_err());
-    }
 
     #[test]
     fn parses_a_request_line() {
@@ -500,17 +248,70 @@ mod tests {
     #[test]
     fn id_is_required_and_integral() {
         let missing = parse_request(r#"{"op":"stats"}"#).unwrap_err();
-        assert!(missing.contains("missing \"id\""), "{missing}");
+        assert!(missing.message.contains("missing \"id\""), "{missing:?}");
+        assert_eq!(
+            (missing.id, missing.op, missing.kind),
+            (0, "parse", "parse")
+        );
         let bad = parse_request(r#"{"id":"seven","op":"stats"}"#).unwrap_err();
-        assert!(bad.contains("non-negative integer"), "{bad}");
+        assert!(bad.message.contains("non-negative integer"), "{bad:?}");
         assert!(parse_request(r#"{"id":-1,"op":"stats"}"#).is_err());
         let r = parse_request(r#"{"id":3,"op":"stats","deadline_ms":0}"#).unwrap();
         assert_eq!(r.deadline_ms, Some(0));
     }
 
     #[test]
-    fn unicode_escapes_and_multibyte_decode() {
-        let v = parse("\"\\u0041\\u00e9 é\"").unwrap();
-        assert_eq!(v.as_str(), Some("Aé é"));
+    fn wrong_typed_fields_are_refused_by_name_under_the_requests_own_id() {
+        for (line, field) in [
+            (
+                r#"{"id":4,"op":"compile","app":"bfs","stages":"three"}"#,
+                "stages",
+            ),
+            (
+                r#"{"id":4,"op":"compile","app":"bfs","cycle_cap":-5}"#,
+                "cycle_cap",
+            ),
+            (
+                r#"{"id":4,"op":"compile","app":"bfs","cycle_cap":1.5}"#,
+                "cycle_cap",
+            ),
+            (
+                r#"{"id":4,"op":"compile","app":"bfs","deadline_ms":"soon"}"#,
+                "deadline_ms",
+            ),
+            (r#"{"id":4,"op":"compile","app":5}"#, "app"),
+            (
+                r#"{"id":4,"op":"compile","app":"bfs","threads":null}"#,
+                "threads",
+            ),
+        ] {
+            let e = parse_request(line).unwrap_err();
+            assert_eq!(
+                (e.id, e.op, e.kind),
+                (4, "compile", "bad_request"),
+                "{line}"
+            );
+            assert!(e.message.contains(&format!("{field:?}")), "{e:?}");
+        }
+    }
+
+    #[test]
+    fn frames_share_one_envelope_and_splice_fragments_verbatim() {
+        assert_eq!(
+            ok_frame(7, Op::Compile, "hit", r#"{"app":"bfs","x":0.5}"#),
+            r#"{"id":7,"op":"compile","ok":true,"cache":"hit","app":"bfs","x":0.5}"#
+        );
+        assert_eq!(
+            ok_frame(5, Op::Shutdown, "bypass", "{}"),
+            r#"{"id":5,"op":"shutdown","ok":true,"cache":"bypass"}"#
+        );
+        assert_eq!(
+            error_frame(0, "read", "bypass", "timed_out", "late", None),
+            r#"{"id":0,"op":"read","ok":false,"cache":"bypass","error":{"kind":"timed_out","message":"late"}}"#
+        );
+        assert_eq!(
+            error_frame(2, "simulate", "bypass", "overloaded", "full", Some(25)),
+            r#"{"id":2,"op":"simulate","ok":false,"cache":"bypass","error":{"kind":"overloaded","message":"full","retry_after_ms":25}}"#
+        );
     }
 }

@@ -1,0 +1,306 @@
+//! Execution: what runs inside a pool task, and the payload it builds.
+//!
+//! [`Service::execute`] turns one [`Work`] into the response payload —
+//! everything after the `id`/`op`/`ok`/`cache` envelope — rendered once
+//! to a compact JSON object. That rendered fragment is the value the
+//! caches hold, the snapshot persists and every later hit splices into
+//! its frame.
+
+use super::plan::{CompileWork, SearchWork, Work};
+use super::Service;
+use crate::batch::{run_one, run_one_traced, SimRequest};
+use crate::key;
+use crate::proto::Json;
+use phloem_benchsuite::{Measurement, Variant};
+use phloem_compiler::compile_static;
+use phloem_compiler::search::{search_profiled, CandidateProfile, ProfileOutcome, SearchError};
+use phloem_ir::{StageKind, Trap};
+use phloem_pool::CancelToken;
+use pipette_sim::{CompiledPipeline, ExecBackend, NativeConfig, RunStats, ThreadStats};
+use std::sync::Arc;
+
+/// Response payload fields, in render order.
+type Payload = Vec<(&'static str, Json)>;
+
+/// A failed execution: the `kind` and `message` of its error frame.
+pub(crate) struct ErrResp {
+    pub(crate) kind: &'static str,
+    pub(crate) message: String,
+}
+
+fn trap_err(t: Trap) -> ErrResp {
+    ErrResp {
+        kind: match t {
+            Trap::Cancelled { .. } => "cancelled",
+            _ => "trap",
+        },
+        message: t.to_string(),
+    }
+}
+
+/// Cancel reasons are empty only in pathological interleavings; keep
+/// the rendered message self-describing anyway.
+pub(crate) fn nonempty(reason: String) -> String {
+    if reason.is_empty() {
+        "cancelled".to_string()
+    } else {
+        reason
+    }
+}
+
+fn hex(digest: u64) -> Json {
+    Json::str(format!("{digest:016x}"))
+}
+
+impl Service {
+    /// Runs `work` to its rendered payload fragment.
+    pub(crate) fn execute(&self, work: &Work, cancel: &CancelToken) -> Result<Arc<str>, ErrResp> {
+        let payload = match work {
+            Work::Compile(c) => do_compile(c),
+            Work::Simulate(sim) => self.run(sim).map(|m| measurement_payload(&m)),
+            Work::SimulateNative(sim, native) => self.do_simulate_native(sim, *native),
+            Work::Search(s) => self.do_search(s, cancel),
+            Work::Trace(sim) => self.do_trace(sim),
+        }?;
+        Ok(Json::obj(payload).render().into())
+    }
+
+    fn run(&self, sim: &SimRequest) -> Result<Measurement, ErrResp> {
+        run_one(&self.inputs, &self.cfg.machine, sim).map_err(trap_err)
+    }
+
+    /// Runs one request on the native thread backend. The ambient
+    /// [`pipette_sim::BackendScope`] routes every session the app
+    /// constructs onto real threads; the per-request cancel token is
+    /// already ambient (the caller's `CancelScope`), so deadlines and
+    /// drains reach the native run's park loop. The native fleet is a
+    /// *nested* fleet inside this pool task — the pool's nested-fleet
+    /// path (`phloem-pool`) makes that legal.
+    fn do_simulate_native(
+        &self,
+        sim: &SimRequest,
+        native: NativeConfig,
+    ) -> Result<Payload, ErrResp> {
+        let m = phloem_benchsuite::with_backend(ExecBackend::Native(native), || self.run(sim))?;
+        let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut payload = measurement_payload(&m);
+        // Under the native backend the cycles slot carries wall-clock
+        // nanoseconds; label the payload honestly and stamp the
+        // native-relevant machine digest (timing-model fields excluded —
+        // see `key::native_machine_config_digest`) so provenance groups
+        // native results across timing configs.
+        payload.extend([
+            ("backend", Json::str("native")),
+            ("channel", Json::str(native.channel.label())),
+            ("threads", Json::u64(native.threads as u64)),
+            ("host_cores", Json::u64(host_cores as u64)),
+            (
+                "machine",
+                hex(key::native_machine_config_digest(&self.cfg.machine)),
+            ),
+        ]);
+        Ok(payload)
+    }
+
+    fn do_trace(&self, sim: &SimRequest) -> Result<Payload, ErrResp> {
+        let (m, digest) = run_one_traced(&self.inputs, &self.cfg.machine, sim).map_err(trap_err)?;
+        let mut payload = measurement_payload(&m);
+        payload.extend([
+            ("events", Json::u64(digest.events)),
+            ("trace", hex(digest.digest)),
+        ]);
+        Ok(payload)
+    }
+
+    fn do_search(&self, s: &SearchWork, cancel: &CancelToken) -> Result<Payload, ErrResp> {
+        let report = search_profiled(&s.kernel, &s.opts, |cuts, _pipe, budget| {
+            let sim = SimRequest {
+                app: s.app.clone(),
+                variant: Variant::Phloem {
+                    passes: s.passes,
+                    stages: s.opts.max_stages,
+                    cuts: cuts.to_vec(),
+                },
+                input: s.input.clone(),
+                cycle_cap: Some(budget.cycle_cap),
+            };
+            match run_one(&self.inputs, &self.cfg.machine, &sim) {
+                Ok(m) => {
+                    let profile = profile_from_stats(&m.stats);
+                    (ProfileOutcome::Ok(m.cycles as f64), Some(profile))
+                }
+                Err(Trap::CycleLimit { .. }) | Err(Trap::Livelock { .. }) => {
+                    (ProfileOutcome::TimedOut, None)
+                }
+                Err(t) => (ProfileOutcome::Trapped(t.to_string()), None),
+            }
+        })
+        .map_err(|e| match e {
+            SearchError::NoPipelines => ErrResp {
+                kind: "no_pipelines",
+                message: "no candidate pipeline compiles".to_string(),
+            },
+            // A cancelled search traps every candidate; report the
+            // cancellation, not a misleading "nothing was viable".
+            SearchError::NoViableCandidate { .. } if cancel.is_set() => ErrResp {
+                kind: "cancelled",
+                message: format!("search cancelled: {}", nonempty(cancel.reason())),
+            },
+            SearchError::NoViableCandidate { candidates } => ErrResp {
+                kind: "no_viable_candidate",
+                message: format!("all {} candidates failed to profile", candidates.len()),
+            },
+        })?;
+        let best = &report.candidates[report.best];
+        let viable = report
+            .candidates
+            .iter()
+            .filter(|c| matches!(c.outcome, ProfileOutcome::Ok(_)))
+            .count();
+        let mut payload = vec![
+            (
+                "best_cuts",
+                Json::Arr(best.cuts.iter().map(|c| Json::u64(c.0 as u64)).collect()),
+            ),
+            ("total_stages", Json::u64(best.total_stages as u64)),
+            ("compute_stages", Json::u64(best.compute_stages as u64)),
+            ("candidates", Json::u64(report.candidates.len() as u64)),
+            ("viable", Json::u64(viable as u64)),
+            (
+                "train_cycles",
+                Json::Num(best.train_cycles().unwrap_or(f64::NAN)),
+            ),
+        ];
+        if let Some(p) = &best.profile {
+            payload.push(("profile", profile_json(p)));
+        }
+        Ok(payload)
+    }
+}
+
+/// Compiles and validates: an `ok:true` compile answer means the
+/// pipeline lowered to bytecode and passed pre-simulation validation.
+fn do_compile(c: &CompileWork) -> Result<Payload, ErrResp> {
+    let pipeline = compile_static(&c.kernel, c.stages, &c.opts).map_err(|e| ErrResp {
+        kind: "compile_error",
+        message: e.to_string(),
+    })?;
+    CompiledPipeline::new(&pipeline).map_err(trap_err)?;
+    let total = pipeline.stages.len();
+    let compute = pipeline
+        .stages
+        .iter()
+        .filter(|s| matches!(s.kind, StageKind::Compute))
+        .count();
+    Ok(vec![
+        ("program", hex(key::program_digest(&c.kernel))),
+        ("app", Json::str(c.app.as_str())),
+        ("passes", Json::str(c.opts.passes.label())),
+        ("stages", Json::u64(total as u64)),
+        ("compute_stages", Json::u64(compute as u64)),
+        ("ra_stages", Json::u64((total - compute) as u64)),
+        ("queues", Json::u64(pipeline.num_queues as u64)),
+    ])
+}
+
+fn measurement_payload(m: &Measurement) -> Payload {
+    vec![
+        ("variant", Json::str(m.variant.clone())),
+        ("input", Json::str(m.input.clone())),
+        ("cycles", Json::u64(m.cycles)),
+        ("invocations", Json::u64(m.stats.invocations)),
+        ("stats", hex(key::stats_digest(&m.stats))),
+    ]
+}
+
+/// Builds a cycle-attribution profile from one run's statistics:
+/// the critical stage is the one bounding the makespan, utilization is
+/// non-stalled share of each stage's active window, and the dominant
+/// stall is the largest stall class summed across stages.
+fn profile_from_stats(stats: &RunStats) -> CandidateProfile {
+    let critical_stage = stats
+        .threads
+        .iter()
+        .max_by_key(|t| t.finish_time)
+        .map(|t| t.name.clone())
+        .unwrap_or_default();
+    let stage_utilization = stats
+        .threads
+        .iter()
+        .map(|t| {
+            let stalls = t.queue_stall_cycles + t.backend_stall_cycles + t.frontend_stall_cycles;
+            let util = if t.finish_time == 0 {
+                0.0
+            } else {
+                1.0 - (stalls.min(t.finish_time) as f64 / t.finish_time as f64)
+            };
+            (t.name.clone(), util)
+        })
+        .collect();
+    let total = |class: fn(&ThreadStats) -> u64| stats.threads.iter().map(class).sum::<u64>();
+    let classes = [
+        ("queue-full", total(|t| t.queue_full_stall_cycles)),
+        ("queue-empty", total(|t| t.queue_empty_stall_cycles)),
+        ("backend", total(|t| t.backend_stall_cycles)),
+        ("frontend", total(|t| t.frontend_stall_cycles)),
+    ];
+    // max_by_key keeps the *last* maximum; iterate in fixed order and
+    // prefer the first on ties for a stable label.
+    let dominant_stall = classes
+        .iter()
+        .rev()
+        .max_by_key(|(_, c)| *c)
+        .map(|(n, _)| n.to_string())
+        .unwrap_or_default();
+    CandidateProfile {
+        critical_stage,
+        stage_utilization,
+        dominant_stall,
+    }
+}
+
+fn profile_json(p: &CandidateProfile) -> Json {
+    let utilization = p.stage_utilization.iter().map(|(name, u)| {
+        Json::Arr(vec![
+            Json::str(name.clone()),
+            Json::Num((u * 1e4).round() / 1e4),
+        ])
+    });
+    Json::obj([
+        ("critical_stage", Json::str(p.critical_stage.clone())),
+        ("dominant_stall", Json::str(p.dominant_stall.clone())),
+        ("stage_utilization", Json::Arr(utilization.collect())),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn profile_from_stats_picks_critical_and_dominant() {
+        let stats = RunStats {
+            threads: vec![
+                ThreadStats {
+                    name: "s0".into(),
+                    finish_time: 100,
+                    queue_full_stall_cycles: 30,
+                    queue_stall_cycles: 30,
+                    ..Default::default()
+                },
+                ThreadStats {
+                    name: "s1".into(),
+                    finish_time: 200,
+                    backend_stall_cycles: 10,
+                    ..Default::default()
+                },
+            ],
+            ..Default::default()
+        };
+        let p = profile_from_stats(&stats);
+        assert_eq!(p.critical_stage, "s1");
+        assert_eq!(p.dominant_stall, "queue-full");
+        assert!((p.stage_utilization[0].1 - 0.7).abs() < 1e-12);
+        assert!((p.stage_utilization[1].1 - 0.95).abs() < 1e-12);
+    }
+}

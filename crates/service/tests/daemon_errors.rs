@@ -6,13 +6,13 @@ use phloem_service::proto::parse;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, Command, Stdio};
 
-fn spawn_phloemd(envs: &[(&str, &str)], extra: &[&str]) -> Child {
+fn spawn_phloemd(envs: &[(&str, &str)], extra: &[&str], stderr: Stdio) -> Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_phloemd"));
     cmd.args(extra)
         .args(["--scale", "tiny", "--workers", "2"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null());
+        .stderr(stderr);
     for (k, v) in envs {
         cmd.env(k, v);
     }
@@ -48,7 +48,7 @@ fn error_kind(resp: &str) -> String {
 
 /// Feeds `input` to a fresh stdin-mode daemon and returns its frames.
 fn run_stdin(envs: &[(&str, &str)], input: &str) -> Vec<Vec<String>> {
-    let mut child = spawn_phloemd(envs, &[]);
+    let mut child = spawn_phloemd(envs, &[], Stdio::null());
     child
         .stdin
         .as_mut()
@@ -126,6 +126,95 @@ fn zero_deadline_is_a_structured_cancelled_error() {
 }
 
 #[test]
+fn wrong_typed_fields_are_bad_requests_under_the_requests_own_id() {
+    // Each line carries one present-but-wrong field; before the fix the
+    // field was dropped and the request ran on the default.
+    let cases = [
+        ("compile", r#""app":"bfs","stages":"three""#, "stages"),
+        (
+            "simulate",
+            r#""app":"bfs","input":"internet-s","cycle_cap":-5"#,
+            "cycle_cap",
+        ),
+        (
+            "simulate",
+            r#""app":"bfs","input":"internet-s","cycle_cap":1.5"#,
+            "cycle_cap",
+        ),
+        (
+            "trace",
+            r#""app":"bfs","input":"internet-s","deadline_ms":"soon""#,
+            "deadline_ms",
+        ),
+        (
+            "search",
+            r#""app":"bfs","input":"internet-s","top_k":[2]"#,
+            "top_k",
+        ),
+        ("compile", r#""app":5"#, "app"),
+    ];
+    let mut input = String::new();
+    for (i, (op, body, _)) in cases.iter().enumerate() {
+        input.push_str(&format!("{{\"id\":{},\"op\":\"{op}\",{body}}}\n", i + 10));
+    }
+    // Absent fields keep their defaults.
+    input.push_str("{\"id\":99,\"op\":\"compile\",\"app\":\"bfs\"}\n\n");
+    let frames = run_stdin(&[], &input);
+    assert_eq!(frames[0].len(), cases.len() + 1);
+    for (i, ((op, _, field), resp)) in cases.iter().zip(&frames[0]).enumerate() {
+        assert_eq!(error_kind(resp), "bad_request", "{resp}");
+        let v = parse(resp).unwrap();
+        assert_eq!(v.get("id").and_then(|j| j.as_u64()), Some(i as u64 + 10));
+        assert_eq!(v.get("op").and_then(|j| j.as_str()), Some(*op), "{resp}");
+        let message = v.get("error").and_then(|e| e.get("message")).unwrap();
+        assert!(
+            message.as_str().unwrap().contains(&format!("{field:?}")),
+            "the message must name {field}: {resp}"
+        );
+    }
+    let last = frames[0].last().unwrap();
+    assert!(
+        last.contains(r#""ok":true"#) && last.contains(r#""stages":4"#),
+        "{last}"
+    );
+}
+
+#[test]
+fn zero_wide_data_parallel_is_a_bad_request_and_panics_nothing() {
+    // `"variant":"dp","threads":0` used to reach the app as
+    // `DataParallel(0)`, trip its oracle assert inside a pool task and
+    // answer a 24 KB trap frame holding the whole distance vector.
+    let mut child = spawn_phloemd(&[], &[], Stdio::piped());
+    let input = concat!(
+        "{\"id\":1,\"op\":\"simulate\",\"app\":\"bfs\",\"input\":\"internet-s\",",
+        "\"variant\":\"dp\",\"threads\":0}\n",
+        "{\"id\":2,\"op\":\"simulate_native\",\"app\":\"bfs\",\"input\":\"internet-s\",",
+        "\"variant\":\"dp\",\"threads\":0}\n",
+        // Still legal where it is the native worker count.
+        "{\"id\":3,\"op\":\"simulate_native\",\"app\":\"bfs\",\"input\":\"internet-s\",",
+        "\"variant\":\"serial\",\"threads\":0}\n",
+        "\n",
+    );
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "phloemd exited with {}", out.status);
+    let frames = frames(&String::from_utf8(out.stdout).unwrap());
+    for resp in &frames[0][..2] {
+        assert_eq!(error_kind(resp), "bad_request", "{resp}");
+        assert!(resp.contains("threads"), "{resp}");
+        assert!(resp.len() < 1024, "{} bytes on the wire", resp.len());
+    }
+    assert!(frames[0][2].contains(r#""ok":true"#), "{}", frames[0][2]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "daemon stderr:\n{stderr}");
+}
+
+#[test]
 fn oversized_line_is_discarded_with_request_too_large() {
     // Cap lines at 256 bytes; send a huge (valid-JSON!) line between
     // two good requests. The oversized one is answered in place and
@@ -155,6 +244,7 @@ fn socket_read_timeout_answers_timed_out_and_frees_the_connection() {
     let mut child = spawn_phloemd(
         &[("PHLOEMD_READ_TIMEOUT_MS", "150")],
         &["--socket", path.to_str().unwrap()],
+        Stdio::null(),
     );
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     while !path.exists() {

@@ -249,3 +249,108 @@ fn machine_config_change_invalidates_service_responses() {
     let second = b.handle_batch(&req);
     assert!(second.responses[0].contains(r#""cache":"miss""#));
 }
+
+// ---------------------------------------------------------------------
+// Trace/search key sensitivity, through the service
+// ---------------------------------------------------------------------
+
+/// `{"id":<id>,"op":<op>,<fields...>}` with the fields of `base`
+/// overridden (or extended) by `change`.
+fn request(id: u64, op: &str, base: &[(&str, &str)], change: Option<(&str, &str)>) -> String {
+    let mut fields: Vec<(&str, &str)> = base.to_vec();
+    if let Some((k, v)) = change {
+        match fields.iter_mut().find(|(name, _)| *name == k) {
+            Some(slot) => slot.1 = v,
+            None => fields.push((k, v)),
+        }
+    }
+    let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    format!("{{\"id\":{id},\"op\":\"{op}\",{}}}", body.join(","))
+}
+
+#[test]
+fn trace_and_search_keys_see_every_semantic_field_and_only_those() {
+    let trace: &[(&str, &str)] = &[
+        ("app", r#""bfs""#),
+        ("input", r#""internet-s""#),
+        ("variant", r#""phloem""#),
+        ("stages", "2"),
+        ("passes", r#""all""#),
+        ("cycle_cap", "40000000"),
+    ];
+    let trace_dp: &[(&str, &str)] = &[
+        ("app", r#""bfs""#),
+        ("input", r#""internet-s""#),
+        ("variant", r#""dp""#),
+        ("threads", "2"),
+    ];
+    let search: &[(&str, &str)] = &[
+        ("app", r#""bfs""#),
+        ("input", r#""internet-s""#),
+        ("top_k", "2"),
+        ("max_stages", "2"),
+        ("passes", r#""all""#),
+        ("cycle_cap", "40000000"),
+    ];
+    // (op, base request, single-field changes that must move the key)
+    type Row<'a> = (&'a str, &'a [(&'a str, &'a str)], &'a [(&'a str, &'a str)]);
+    let table: [Row; 3] = [
+        (
+            "trace",
+            trace,
+            &[
+                ("variant", r#""serial""#),
+                ("stages", "3"),
+                ("passes", r#""queues-only""#),
+                ("input", r#""road-ny-s""#),
+                ("cycle_cap", "40000001"),
+            ],
+        ),
+        ("trace", trace_dp, &[("threads", "3")]),
+        (
+            "search",
+            search,
+            &[
+                ("top_k", "3"),
+                ("max_stages", "3"),
+                ("passes", r#""queues-only""#),
+                ("input", r#""road-ny-s""#),
+                ("cycle_cap", "40000001"),
+            ],
+        ),
+    ];
+    let svc = tiny_service();
+    let ask = |line: String| {
+        let resp = svc
+            .handle_batch(std::slice::from_ref(&line))
+            .responses
+            .remove(0);
+        let v = parse(&resp).unwrap();
+        assert_eq!(
+            v.get("ok").and_then(|j| j.as_bool()),
+            Some(true),
+            "{line} -> {resp}"
+        );
+        v.get("cache").and_then(|j| j.as_str()).unwrap().to_string()
+    };
+    for (op, base, changes) in table {
+        assert_eq!(ask(request(1, op, base, None)), "miss", "{op}: cold base");
+        for &change in changes {
+            let line = request(2, op, base, Some(change));
+            assert_eq!(
+                ask(line.clone()),
+                "miss",
+                "{} must be keyed: {line}",
+                change.0
+            );
+        }
+        // Envelope-only fields never reach the key.
+        assert_eq!(
+            ask(request(77, op, base, None)),
+            "hit",
+            "{op}: id is not keyed"
+        );
+        let line = request(1, op, base, Some(("deadline_ms", "600000")));
+        assert_eq!(ask(line.clone()), "hit", "deadline_ms is not keyed: {line}");
+    }
+}

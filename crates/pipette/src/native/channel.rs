@@ -3,27 +3,45 @@
 //! Each hardware queue of a pipeline lowers to one bounded channel
 //! carrying [`Value`] words — data and in-band control values travel the
 //! same channel, exactly as they share the hardware FIFO in the
-//! simulator. The buffer implementation is pluggable behind
-//! [`ChannelBackend`]:
+//! simulator. [`ChannelKind`] picks the buffer:
 //!
-//! * [`ChannelKind::Mpsc`] — the std library's `sync_channel`, wrapped;
-//!   the conservative reference backend.
 //! * [`ChannelKind::Ring`] — a FastFlow-style bounded SPSC ring of
-//!   `capacity` slots with monotonic head/tail counters (acquire/release
-//!   pairs on the counters order the slot accesses).
-//! * [`ChannelKind::Hybrid`] — the ring plus a short bounded spin before
-//!   reporting `Full`/`Empty`, trading a few cycles of busy-wait for
-//!   fewer trips through the runtime's park path.
+//!   `capacity` slots with monotonic head/tail counters on cache lines
+//!   of their own (acquire/release pairs on the counters order the slot
+//!   accesses). The native backend's default.
+//! * [`ChannelKind::Hybrid`] — the ring plus, on the public endpoints,
+//!   a short bounded re-read of the peer's counter before reporting
+//!   `Full`/`Empty`. The slab endpoints drive it as a plain ring.
+//! * [`ChannelKind::Mpsc`] — the std library's `sync_channel` (itself
+//!   bounded) behind two mutexes; the conservative reference.
 //!
-//! The [`Sender`]/[`Receiver`] endpoints own the lifecycle bookkeeping
-//! the backends don't: sender counting (so a drained channel whose
-//! producers are all gone reports `Disconnected`, not `Empty`) and
-//! receiver liveness (so producers feeding a dead consumer learn about
-//! it instead of filling a buffer nobody drains). The validator
-//! guarantees every queue has exactly one consumer, so `Receiver` is
-//! unique per channel; fan-in queues (`EnqSel`/control broadcast) clone
-//! the `Sender`, and a send automatically serializes through a mutex
-//! whenever more than one `Sender` is live.
+//! There are two ways to drive a channel, over the same buffer:
+//!
+//! * The public [`Sender`]/[`Receiver`]: every `try_send` is visible to
+//!   the next `try_recv` and every `try_recv` frees its slot at once.
+//!   `tests/channel_unit.rs` pins this, and the benchmark's per-kind
+//!   ping-pong probe depends on it.
+//! * The crate-internal `SlabSender`/`SlabReceiver`, which the
+//!   native world wraps its endpoints in. On a ring with one producer
+//!   they work on a private cursor and store the shared counter once per
+//!   `SLAB` values, before reporting `Full`/`Empty`, on `flush` (the
+//!   world calls it when a stage's slice ends) and on drop — so the
+//!   cross-core traffic is per slab, not per value, and a blocked or
+//!   descheduled stage never sits on anything unpublished. The FIFO is
+//!   untouched: a control value is a word in a slot like any other, so
+//!   it keeps its place by construction. On `mpsc`, and while a fan-in
+//!   queue has several producers, they fall through to the public path
+//!   (fan-in serialises under `send_lock` and publishes every value).
+//!
+//! The endpoints own the lifecycle bookkeeping the buffers don't:
+//! sender counting (so a drained channel whose producers are all gone
+//! reports `Disconnected`, not `Empty`) and receiver liveness (so
+//! producers feeding a dead consumer learn about it instead of filling a
+//! buffer nobody drains). The validator guarantees every queue has
+//! exactly one consumer, so `Receiver` is unique per channel; fan-in
+//! queues (`EnqSel`/control broadcast) clone the `Sender`, and a send
+//! automatically serializes through a mutex whenever more than one
+//! `Sender` is live.
 
 use phloem_ir::Value;
 use std::cell::UnsafeCell;
@@ -151,6 +169,16 @@ impl ChannelBackend for MpscBackend {
     }
 }
 
+/// Keeps a shared index on cache lines of its own, so the producer's
+/// stores to `tail` never invalidate the line the consumer's `head`
+/// lives on (128 bytes: adjacent-line prefetchers pair 64-byte lines).
+/// Unverified on this host: `native_apps` read 0.62x / 0.64x / 0.60x
+/// serial at 128 / 64 / no alignment, five interleaved runs each, inside
+/// the 0.07x spread of one setting; only the fastest repetition's
+/// `ops_per_s` leaned (71 / 71 / 68).
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
 /// [`ChannelKind::Ring`]: a bounded SPSC ring with monotonically
 /// increasing head/tail counters (never wrapped, so full/empty are
 /// `tail - head == cap` / `tail == head` with no lap ambiguity).
@@ -160,17 +188,26 @@ impl ChannelBackend for MpscBackend {
 /// for `head` when a slot is vacated. This is the classic Lamport queue
 /// and is correct for exactly one concurrent pusher and one concurrent
 /// popper — which the endpoints enforce.
+///
+/// The shared counters are what the *peer* may rely on, not where an
+/// endpoint has got to: [`ChannelBackend::try_push`]/`try_pop` use them
+/// as their cursor and so publish every value at once, while the slab
+/// endpoints ([`SlabSender`], [`SlabReceiver`]) run ahead of them on a
+/// private cursor and store the shared one once per slab.
 struct RingBackend {
     slots: Box<[UnsafeCell<MaybeUninit<Value>>]>,
-    /// Next index to pop (only the consumer advances it).
-    head: AtomicU64,
-    /// Next index to push (only the producer advances it).
-    tail: AtomicU64,
+    /// Slots below this index are vacated (only the consumer stores it).
+    head: CachePadded<AtomicU64>,
+    /// Slots below this index are written (only a producer stores it).
+    tail: CachePadded<AtomicU64>,
 }
 
-// SAFETY: slot accesses are ordered by the acquire/release pairs on
-// `head`/`tail`; a slot is touched by at most one thread at a time
-// (producer while reserved, consumer after publication).
+// SAFETY: `slots` is the only field that is not already `Sync`. Slot
+// accesses are ordered by the acquire/release pairs on `head`/`tail`; a
+// slot is touched by at most one thread at a time (the producer between
+// the consumer's release of `head` past it and its own release of
+// `tail`, the consumer between that and its next release of `head`).
+// `Value` is `Copy + Send`.
 unsafe impl Send for RingBackend {}
 unsafe impl Sync for RingBackend {}
 
@@ -180,39 +217,68 @@ impl RingBackend {
             slots: (0..capacity)
                 .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
                 .collect(),
-            head: AtomicU64::new(0),
-            tail: AtomicU64::new(0),
+            head: CachePadded(AtomicU64::new(0)),
+            tail: CachePadded(AtomicU64::new(0)),
         }
+    }
+
+    fn capacity(&self) -> u64 {
+        self.slots.len() as u64
+    }
+
+    fn slot(&self, index: u64) -> *mut MaybeUninit<Value> {
+        self.slots[(index % self.capacity()) as usize].get()
+    }
+
+    /// Writes `v` into the slot of index `t` without publishing it.
+    ///
+    /// # Safety
+    /// The caller is the sole producer, `t` is its cursor (every index
+    /// below `t` written, none at or above it), and it has
+    /// acquire-loaded a `head` with `t - head < capacity`.
+    unsafe fn write(&self, t: u64, v: Value) {
+        // SAFETY: by the contract the consumer has vacated this slot's
+        // previous lap and cannot read this lap before `tail` passes `t`.
+        unsafe { (*self.slot(t)).write(v) };
+    }
+
+    /// Reads the slot of index `h` without vacating it.
+    ///
+    /// # Safety
+    /// The caller is the sole consumer, `h` is its cursor, and it has
+    /// acquire-loaded a `tail` with `h < tail`.
+    unsafe fn read(&self, h: u64) -> Value {
+        // SAFETY: by the contract the producer published this slot and
+        // cannot rewrite it before `head` passes `h`. `Value` is `Copy`,
+        // so no drop obligations remain in the slot.
+        unsafe { (*self.slot(h)).assume_init_read() }
     }
 }
 
 impl ChannelBackend for RingBackend {
     fn try_push(&self, v: Value) -> Result<(), Value> {
-        let t = self.tail.load(Ordering::Relaxed);
-        let h = self.head.load(Ordering::Acquire);
-        if t - h == self.slots.len() as u64 {
+        let t = self.tail.0.load(Ordering::Relaxed);
+        let h = self.head.0.load(Ordering::Acquire);
+        if t - h == self.capacity() {
             return Err(v);
         }
-        let slot = &self.slots[(t % self.slots.len() as u64) as usize];
-        // SAFETY: `t < h + cap` means the consumer has not reached this
-        // slot's lap; only this (sole) producer writes it.
-        unsafe { (*slot.get()).write(v) };
-        self.tail.store(t + 1, Ordering::Release);
+        // SAFETY: the endpoints admit one pusher at a time, whose cursor
+        // is the shared `tail` itself, and `t - h < capacity`.
+        unsafe { self.write(t, v) };
+        self.tail.0.store(t + 1, Ordering::Release);
         Ok(())
     }
 
     fn try_pop(&self) -> Option<Value> {
-        let h = self.head.load(Ordering::Relaxed);
-        let t = self.tail.load(Ordering::Acquire);
+        let h = self.head.0.load(Ordering::Relaxed);
+        let t = self.tail.0.load(Ordering::Acquire);
         if t == h {
             return None;
         }
-        let slot = &self.slots[(h % self.slots.len() as u64) as usize];
-        // SAFETY: `h < t` means the producer published this slot; only
-        // this (sole) consumer reads it. `Value` is `Copy`, so no drop
-        // obligations remain in the slot.
-        let v = unsafe { (*slot.get()).assume_init_read() };
-        self.head.store(h + 1, Ordering::Release);
+        // SAFETY: the receiver is unique, its cursor is the shared
+        // `head` itself, and `h < t`.
+        let v = unsafe { self.read(h) };
+        self.head.0.store(h + 1, Ordering::Release);
         Some(v)
     }
 }
@@ -254,9 +320,40 @@ impl ChannelBackend for HybridBackend {
     }
 }
 
+/// The three buffers behind one channel type. The public endpoints only
+/// need [`ChannelBackend`]; the slab endpoints also need to know whether
+/// there is a ring underneath whose indices they can run ahead of.
+enum Buffer {
+    Mpsc(MpscBackend),
+    Ring(RingBackend),
+    Hybrid(HybridBackend),
+}
+
+impl Buffer {
+    fn backend(&self) -> &dyn ChannelBackend {
+        match self {
+            Buffer::Mpsc(b) => b,
+            Buffer::Ring(b) => b,
+            Buffer::Hybrid(b) => b,
+        }
+    }
+
+    /// The ring under this buffer, if there is one. The slab endpoints
+    /// drive `hybrid`'s ring like any other: the worker's idle rounds
+    /// already retry a blocked stage, so a second spin inside the
+    /// channel buys nothing there.
+    fn ring(&self) -> Option<&RingBackend> {
+        match self {
+            Buffer::Mpsc(_) => None,
+            Buffer::Ring(r) => Some(r),
+            Buffer::Hybrid(h) => Some(&h.ring),
+        }
+    }
+}
+
 /// Shared channel state: the buffer plus lifecycle bookkeeping.
 struct Core {
-    backend: Box<dyn ChannelBackend>,
+    buffer: Buffer,
     /// Live `Sender` clones. When it hits zero the channel can never
     /// gain another value: `Empty` hardens into `Disconnected`.
     senders: AtomicUsize,
@@ -296,9 +393,9 @@ impl Sender {
                 .send_lock
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            self.core.backend.try_push(v)
+            self.core.buffer.backend().try_push(v)
         } else {
-            self.core.backend.try_push(v)
+            self.core.buffer.backend().try_push(v)
         };
         res.map_err(TrySendError::Full)
     }
@@ -336,13 +433,13 @@ impl Receiver {
     /// [`TryRecvError::Disconnected`] once the channel is drained and
     /// the last sender dropped.
     pub fn try_recv(&self) -> Result<Value, TryRecvError> {
-        if let Some(v) = self.core.backend.try_pop() {
+        if let Some(v) = self.core.buffer.backend().try_pop() {
             return Ok(v);
         }
         if self.core.senders.load(Ordering::Acquire) == 0 {
             // A value pushed just before the last sender dropped must
             // still drain: re-check the buffer *after* observing zero.
-            return match self.core.backend.try_pop() {
+            return match self.core.buffer.backend().try_pop() {
                 Some(v) => Ok(v),
                 None => Err(TryRecvError::Disconnected),
             };
@@ -357,6 +454,229 @@ impl Drop for Receiver {
     }
 }
 
+/// Values an endpoint moves on its private cursor before it stores the
+/// shared index. One cache-line transfer of the index (and one of each
+/// slot line) then serves a slab of values instead of one. The size is
+/// not tuned: `native_apps` read 0.60x / 0.62x / 0.60x serial at 4 / 8 /
+/// 16, five interleaved runs each, inside the 0.07x spread of one
+/// setting — blocked endpoints and slice ends publish before a slab
+/// fills at any of them.
+pub(crate) const SLAB: u64 = 8;
+
+/// One slab endpoint's private view of a ring: where it has got to,
+/// what it has told the peer, and what the peer last told it.
+struct Cursor {
+    /// Next index this endpoint touches. `[published, next)` is written
+    /// (producer) or read (consumer) but not yet the peer's to use.
+    next: u64,
+    /// The last value this endpoint stored to its shared index.
+    published: u64,
+    /// The peer's shared index as last loaded: a lower bound, refreshed
+    /// only when the ring looks full (producer) or empty (consumer)
+    /// against it.
+    peer: u64,
+}
+
+impl Cursor {
+    fn at(index: u64) -> Cursor {
+        Cursor {
+            next: index,
+            published: index,
+            peer: index,
+        }
+    }
+
+    /// Hands `[published, next)` to the peer. The release-store pairs
+    /// with the peer's acquire-load in [`Self::refresh`].
+    fn publish(&mut self, shared: &AtomicU64) {
+        if self.next != self.published {
+            shared.store(self.next, Ordering::Release);
+            self.published = self.next;
+        }
+    }
+
+    fn refresh(&mut self, peer: &AtomicU64) {
+        self.peer = peer.load(Ordering::Acquire);
+    }
+
+    /// Steps past the slot just written or read, publishing on a slab
+    /// boundary.
+    fn advance(&mut self, shared: &AtomicU64) {
+        self.next += 1;
+        if self.next - self.published >= SLAB {
+            self.publish(shared);
+        }
+    }
+}
+
+/// The producing endpoint as [`super::NativeWorld`] drives it: a
+/// [`Sender`] that, while it is the channel's only producer and the
+/// buffer is a ring, writes slots on a private cursor and publishes
+/// them a slab at a time.
+///
+/// What the consumer may rely on: everything sent is published by the
+/// time `try_send` reports `Full`, by the time [`Self::flush`] returns,
+/// and when the endpoint drops; and at least every [`SLAB`] values in
+/// between. Control values are ordinary words in that FIFO, so they keep
+/// their position whatever the slab boundaries are.
+pub(crate) struct SlabSender {
+    tx: Sender,
+    cursor: Cursor,
+    /// This endpoint has seen itself to be the channel's only producer
+    /// and taken `cursor` from the shared `tail`.
+    sole: bool,
+}
+
+impl SlabSender {
+    pub(crate) fn new(tx: Sender) -> SlabSender {
+        SlabSender {
+            tx,
+            cursor: Cursor::at(0),
+            sole: false,
+        }
+    }
+
+    /// [`Sender::try_send`], publishing by the slab.
+    ///
+    /// # Errors
+    /// As [`Sender::try_send`].
+    pub(crate) fn try_send(&mut self, v: Value) -> Result<(), TrySendError> {
+        let core = &*self.tx.core;
+        let Some(ring) = core.buffer.ring() else {
+            return self.tx.try_send(v);
+        };
+        let cur = &mut self.cursor;
+        if core.senders.load(Ordering::Acquire) > 1 {
+            // Fan-in: the producers share one cursor, the shared `tail`,
+            // under `send_lock`, so every value is published at once.
+            // `tx` cannot be cloned once wrapped, so the count only
+            // falls: fan-in comes before the private cursor, never after.
+            return self.tx.try_send(v);
+        }
+        if !core.receiver_alive.load(Ordering::Acquire) {
+            return Err(TrySendError::Disconnected(v));
+        }
+        if !self.sole {
+            // Acquire: the other producers' slot writes, published by
+            // their release-stores of `tail`, must happen before the
+            // release-store that publishes ours on top of them.
+            let tail = ring.tail.0.load(Ordering::Acquire);
+            (cur.next, cur.published) = (tail, tail);
+            self.sole = true;
+        }
+        // `>=`: after fan-in the cached `head` trails `next` by laps.
+        let full = |c: &Cursor| c.next - c.peer >= ring.capacity();
+        if full(cur) {
+            cur.refresh(&ring.head.0);
+            if full(cur) {
+                // The consumer must see a full ring before we say so.
+                cur.publish(&ring.tail.0);
+                return Err(TrySendError::Full(v));
+            }
+        }
+        // SAFETY: `senders == 1` and `Sender` is not `Sync`, so this is
+        // the sole producer; `next` is its cursor (taken from the shared
+        // index when it became sole, advanced only here); `peer` is an
+        // acquire-loaded `head` and `next - peer < capacity`.
+        unsafe { ring.write(cur.next, v) };
+        cur.advance(&ring.tail.0);
+        Ok(())
+    }
+
+    /// Publishes every value sent so far.
+    pub(crate) fn flush(&mut self) {
+        if let Some(ring) = self.tx.core.buffer.ring() {
+            self.cursor.publish(&ring.tail.0);
+        }
+    }
+}
+
+impl Drop for SlabSender {
+    /// Publishes before `tx` drops and the sender count falls, so the
+    /// receiver's drain-then-`Disconnected` check cannot miss a value.
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// The consuming endpoint as [`super::NativeWorld`] drives it: a
+/// [`Receiver`] that, on a ring, reads slots on a private cursor and
+/// hands them back to the producer a slab at a time.
+///
+/// What the producer may rely on: every slot read is vacated by the
+/// time `try_recv` reports `Empty` or `Disconnected`, by the time
+/// [`Self::flush`] returns, and when the endpoint drops; and at least
+/// every [`SLAB`] values in between.
+pub(crate) struct SlabReceiver {
+    rx: Receiver,
+    cursor: Cursor,
+}
+
+impl SlabReceiver {
+    pub(crate) fn new(rx: Receiver) -> SlabReceiver {
+        // Relaxed: only the receiver ever stores `head`, and handing the
+        // receiver to this thread ordered those stores before this load.
+        let head = rx
+            .core
+            .buffer
+            .ring()
+            .map_or(0, |ring| ring.head.0.load(Ordering::Relaxed));
+        SlabReceiver {
+            rx,
+            cursor: Cursor::at(head),
+        }
+    }
+
+    /// [`Receiver::try_recv`], vacating by the slab.
+    ///
+    /// # Errors
+    /// As [`Receiver::try_recv`].
+    pub(crate) fn try_recv(&mut self) -> Result<Value, TryRecvError> {
+        let core = &*self.rx.core;
+        let Some(ring) = core.buffer.ring() else {
+            return self.rx.try_recv();
+        };
+        let cur = &mut self.cursor;
+        let empty = |c: &Cursor| c.next == c.peer;
+        if empty(cur) {
+            cur.refresh(&ring.tail.0);
+            if empty(cur) {
+                // The producer must see an empty ring before we say so.
+                cur.publish(&ring.head.0);
+                if core.senders.load(Ordering::Acquire) > 0 {
+                    return Err(TryRecvError::Empty);
+                }
+                // A value published just before the last sender dropped
+                // must still drain: re-read `tail` *after* observing zero.
+                cur.refresh(&ring.tail.0);
+                if empty(cur) {
+                    return Err(TryRecvError::Disconnected);
+                }
+            }
+        }
+        // SAFETY: the receiver is unique and not `Sync`, so this is the
+        // sole consumer; `next` is its cursor (taken from the shared
+        // index, which nobody else stores, and advanced only here);
+        // `peer` is an acquire-loaded `tail` and `next < peer`.
+        let v = unsafe { ring.read(cur.next) };
+        cur.advance(&ring.head.0);
+        Ok(v)
+    }
+
+    /// Vacates every slot read so far.
+    pub(crate) fn flush(&mut self) {
+        if let Some(ring) = self.rx.core.buffer.ring() {
+            self.cursor.publish(&ring.head.0);
+        }
+    }
+}
+
+impl Drop for SlabReceiver {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
 /// Creates a bounded channel of the given kind and capacity.
 ///
 /// # Errors
@@ -365,21 +685,21 @@ pub fn channel(kind: ChannelKind, capacity: usize) -> Result<(Sender, Receiver),
     if capacity == 0 {
         return Err(ChannelError::ZeroCapacity);
     }
-    let backend: Box<dyn ChannelBackend> = match kind {
+    let buffer = match kind {
         ChannelKind::Mpsc => {
             let (tx, rx) = mpsc::sync_channel(capacity);
-            Box::new(MpscBackend {
+            Buffer::Mpsc(MpscBackend {
                 tx: Mutex::new(tx),
                 rx: Mutex::new(rx),
             })
         }
-        ChannelKind::Ring => Box::new(RingBackend::new(capacity)),
-        ChannelKind::Hybrid => Box::new(HybridBackend {
+        ChannelKind::Ring => Buffer::Ring(RingBackend::new(capacity)),
+        ChannelKind::Hybrid => Buffer::Hybrid(HybridBackend {
             ring: RingBackend::new(capacity),
         }),
     };
     let core = Arc::new(Core {
-        backend,
+        buffer,
         senders: AtomicUsize::new(1),
         receiver_alive: AtomicBool::new(true),
         send_lock: Mutex::new(()),
@@ -394,4 +714,204 @@ pub fn channel(kind: ChannelKind, capacity: usize) -> Result<(Sender, Receiver),
             _not_sync: std::marker::PhantomData,
         },
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    //! The slab endpoints' framing: what is visible when, and that the
+    //! FIFO (control values included) does not depend on where the slab
+    //! boundaries fall. The public endpoints' contract is pinned from
+    //! outside the crate, in `tests/channel_unit.rs`.
+
+    use super::*;
+
+    /// Minimal xorshift64*, as in `tests/channel_unit.rs`.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn slab_channel(kind: ChannelKind, capacity: usize) -> (SlabSender, SlabReceiver) {
+        let (tx, rx) = channel(kind, capacity).unwrap();
+        (SlabSender::new(tx), SlabReceiver::new(rx))
+    }
+
+    /// Message `i` of the stress stream: a control value on the last
+    /// slot of every slab and on the first of every third (so they sit
+    /// on and straddle the boundaries), floats and integers between.
+    fn message(i: u64) -> Value {
+        match i % SLAB {
+            r if r == SLAB - 1 => Value::Ctrl((i / SLAB % 5) as u32),
+            0 if (i / SLAB).is_multiple_of(3) => Value::Ctrl(7),
+            r if r % 2 == 0 => Value::F64(i as f64 + 0.5),
+            _ => Value::I64(i as i64),
+        }
+    }
+
+    /// Real producer and consumer threads over the slab path, for ring
+    /// depths below, at and above the slab, with seeded flushes standing
+    /// in for slice ends. Neither side ever flushes because it must: a
+    /// blocked endpoint has published everything, so the stream always
+    /// drains; the last partial slab arrives through `Drop`.
+    #[test]
+    fn slab_framing_keeps_the_fifo_at_every_depth() {
+        const N: u64 = 20_000;
+        for kind in [ChannelKind::Ring, ChannelKind::Hybrid, ChannelKind::Mpsc] {
+            for capacity in [1, 3, 7, 8, 9, 24, 100] {
+                let mut rng = Rng(0x51AB ^ (capacity as u64) << 8 ^ kind.label().len() as u64);
+                let (mut tx, mut rx) = slab_channel(kind, capacity);
+                let (producer_seed, consumer_seed) = (rng.next() | 1, rng.next() | 1);
+                let producer = std::thread::spawn(move || {
+                    let mut rng = Rng(producer_seed);
+                    let mut i = 0;
+                    while i < N {
+                        match tx.try_send(message(i)) {
+                            Ok(()) => i += 1,
+                            Err(TrySendError::Full(v)) => {
+                                assert_eq!(v, message(i), "Full hands the value back");
+                                std::thread::yield_now();
+                            }
+                            Err(TrySendError::Disconnected(_)) => panic!("receiver died"),
+                        }
+                        if rng.below(37) == 0 {
+                            tx.flush();
+                        }
+                    }
+                });
+                let mut rng = Rng(consumer_seed);
+                let mut got = 0;
+                loop {
+                    match rx.try_recv() {
+                        Ok(v) => {
+                            assert_eq!(v, message(got), "{kind} depth {capacity}: message {got}");
+                            got += 1;
+                        }
+                        Err(TryRecvError::Empty) => std::thread::yield_now(),
+                        Err(TryRecvError::Disconnected) => break,
+                    }
+                    if rng.below(41) == 0 {
+                        rx.flush();
+                    }
+                }
+                producer.join().unwrap();
+                assert_eq!(got, N, "{kind} depth {capacity}");
+            }
+        }
+    }
+
+    /// On a ring, a partial slab is the producer's own until one of the
+    /// three publication points: a `Full` report, `flush`, `Drop`.
+    #[test]
+    fn a_partial_slab_is_visible_after_block_flush_and_drop() {
+        for kind in [ChannelKind::Ring, ChannelKind::Hybrid] {
+            // Block: depth below the slab, so only `Full` can publish.
+            let (mut tx, mut rx) = slab_channel(kind, 4);
+            for i in 0..4 {
+                tx.try_send(Value::I64(i)).unwrap();
+            }
+            assert_eq!(
+                rx.try_recv(),
+                Err(TryRecvError::Empty),
+                "{kind}: unpublished"
+            );
+            assert_eq!(
+                tx.try_send(Value::I64(4)),
+                Err(TrySendError::Full(Value::I64(4)))
+            );
+            for i in 0..4 {
+                assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "{kind}: after Full");
+            }
+            // The consumer's side of the same rule: four slots read, none
+            // vacated until it reports `Empty`.
+            assert!(matches!(
+                tx.try_send(Value::I64(4)),
+                Err(TrySendError::Full(_))
+            ));
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+            tx.try_send(Value::I64(4)).unwrap();
+
+            // Flush (a slice end), then a slab boundary, then drop.
+            let (mut tx, mut rx) = slab_channel(kind, 24);
+            for i in 0..3 {
+                tx.try_send(Value::I64(i)).unwrap();
+            }
+            assert_eq!(
+                rx.try_recv(),
+                Err(TryRecvError::Empty),
+                "{kind}: unpublished"
+            );
+            tx.flush();
+            for i in 0..3 {
+                assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "{kind}: after flush");
+            }
+            for i in 3..3 + SLAB as i64 {
+                assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "{kind}: value {i}");
+                tx.try_send(Value::I64(i)).unwrap();
+            }
+            for i in 3..3 + SLAB as i64 {
+                assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "{kind}: after a slab");
+            }
+            tx.try_send(Value::Ctrl(9)).unwrap();
+            drop(tx);
+            assert_eq!(rx.try_recv(), Ok(Value::Ctrl(9)), "{kind}: after drop");
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{kind}");
+        }
+    }
+
+    /// Fan-in over slab endpoints: while both producers live every value
+    /// goes through the shared cursor under `send_lock`; when one leaves,
+    /// the survivor picks the cursor up where the two left it. Per-
+    /// producer order holds throughout and nothing is lost or repeated.
+    #[test]
+    fn fan_in_slab_senders_keep_per_producer_order() {
+        const EACH: i64 = 3_000;
+        const LANE: i64 = 1_000_000;
+        for kind in ChannelKind::ALL {
+            for capacity in [2, 8, 24] {
+                let (tx, rx) = channel(kind, capacity).unwrap();
+                let clone = tx.clone();
+                let mut rx = SlabReceiver::new(rx);
+                let producers: Vec<_> = [(0, tx, EACH), (1, clone, 3 * EACH)]
+                    .into_iter()
+                    .map(|(lane, tx, n)| {
+                        let mut tx = SlabSender::new(tx);
+                        std::thread::spawn(move || {
+                            for i in 0..n {
+                                while tx.try_send(Value::I64(lane * LANE + i)).is_err() {
+                                    std::thread::yield_now();
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                let mut next = [0i64, 0];
+                loop {
+                    match rx.try_recv() {
+                        Ok(Value::I64(v)) => {
+                            let lane = (v / LANE) as usize;
+                            assert_eq!(v % LANE, next[lane], "{kind} depth {capacity} lane {lane}");
+                            next[lane] += 1;
+                        }
+                        Ok(other) => panic!("unexpected {other:?}"),
+                        Err(TryRecvError::Empty) => std::thread::yield_now(),
+                        Err(TryRecvError::Disconnected) => break,
+                    }
+                }
+                for p in producers {
+                    p.join().unwrap();
+                }
+                assert_eq!(next, [EACH, 3 * EACH], "{kind} depth {capacity}");
+            }
+        }
+    }
 }

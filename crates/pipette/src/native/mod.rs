@@ -4,13 +4,19 @@
 //! backend actually runs the compiled pipeline on the host, mapping
 //!
 //! * each pipeline **stage** (compute and RA alike — RAs are stage
-//!   programs too) to an OS thread from a [`phloem_pool::Pool`] fleet,
-//! * each **hardware queue** to a bounded channel (pluggable behind
-//!   [`ChannelBackend`]; see [`ChannelKind`]), wired from the IR's
+//!   programs too) to a worker of a [`phloem_pool::Pool`] fleet: one
+//!   worker per stage (`threads: 0`), or stage `i` folded onto worker
+//!   `i % threads`, which round-robins its stages a slice at a time.
+//!   Worker 0 is the calling thread and the others are the pool's
+//!   resident threads, woken for the invocation rather than spawned and
+//!   joined by it (a graph app invokes a pipeline per round),
+//! * each **hardware queue** to a bounded channel of
+//!   `MachineConfig::queue_capacity` slots (three buffers behind
+//!   [`ChannelKind`]; the default is the SPSC ring), wired from the IR's
 //!   [`phloem_ir::queue_topology`] so single-producer queues take the
-//!   lock-free SPSC path,
-//! * **RA** stages to prefetch-hinted threads (their base-array loads
-//!   issue a hardware prefetch a few elements ahead),
+//!   lock-free path,
+//! * **RA** stages to prefetch-hinted stage threads (their base-array
+//!   loads issue a hardware prefetch a few elements ahead),
 //! * **control values** to in-band messages on the same channels — a
 //!   `Value::Ctrl` word travels the FIFO like any datum and dispatches
 //!   the consumer's handlers through the shared [`StepInterp`], so the
@@ -27,11 +33,29 @@
 //! differential harness (`tests/native_equivalence.rs`, `fuzzdiff
 //! --native`) exists to hunt the cases where it does not.
 //!
-//! Blocked stages park on a [`Hub`] epoch (the same protocol as the
-//! pool's idle workers): queue progress bumps the epoch and wakes
-//! parked workers; a full park timeout with every live worker parked
-//! and the epoch unchanged is a deadlock, reported as
-//! [`Trap::Deadlock`] just like the interpreter's scheduler loop.
+//! # What a hop costs
+//!
+//! Threads synchronise per stage slice and per blocked episode, never
+//! per value. An enqueue or dequeue touches only the stage's own
+//! cursor and a slot ([`mod@channel`]'s slab endpoints); the shared ring
+//! indices move once per slab of `channel::SLAB` values, before an
+//! endpoint reports full or empty, and when a slice ends — on *every*
+//! queue of the stage, so a stage blocked on one queue never withholds
+//! slots or values on another. After a slice that moved a value the
+//! worker bumps the [`Hub`] epoch once, indices first, so whoever sees
+//! the bump sees what it announces.
+//!
+//! A worker none of whose stages advanced retries them for
+//! `IDLE_ROUNDS` rounds (spinning when every worker has a core,
+//! yielding when they do not) and only then parks on the epoch, the
+//! same Dekker protocol as the pool's idle workers: it read the epoch
+//! before its last attempts, and sleeps only while the epoch still has
+//! that value. A full park timeout with every live worker registered at
+//! the same unchanged epoch is a deadlock, reported as
+//! [`Trap::Deadlock`] just like the interpreter's scheduler loop. The
+//! predicate needs no more than it did when every value bumped: each
+//! bump still follows real progress and still voids older
+//! registrations, and a worker that is spinning is not registered.
 
 pub mod channel;
 pub mod shared_mem;
@@ -40,6 +64,7 @@ pub use channel::{
     channel, ChannelBackend, ChannelError, ChannelKind, Receiver, Sender, TryRecvError,
     TrySendError,
 };
+use channel::{SlabReceiver, SlabSender};
 pub use shared_mem::SharedMem;
 
 use phloem_ir::{
@@ -50,7 +75,7 @@ use phloem_ir::{OpCounts, RaMode};
 use phloem_pool::{CancelToken, Pool};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which execution substrate a [`crate::Session`] drives.
@@ -75,7 +100,7 @@ pub struct NativeConfig {
 impl Default for NativeConfig {
     fn default() -> NativeConfig {
         NativeConfig {
-            channel: ChannelKind::Mpsc,
+            channel: ChannelKind::Ring,
             threads: 0,
         }
     }
@@ -130,6 +155,21 @@ const SLICE: u32 = 256;
 /// when nothing happens at all.
 const PARK_TIMEOUT: Duration = Duration::from_millis(10);
 
+/// Rounds over its blocked stages a worker retries before it sleeps in
+/// [`Hub::park`]. A peer that is running is usually one slab (well under
+/// a microsecond of its work) from unblocking us, while a futex sleep
+/// and wake costs tens of microseconds on this kind of host: parking on
+/// every blocked episode measured 0.10x serial on two workers, 256
+/// rounds 0.60x (64: 0.49x, 1024: 0.62x).
+const IDLE_ROUNDS: u32 = 256;
+
+/// Cores this process may run on, asked once (the standard library reads
+/// cgroup files to answer, and a graph app invokes a pipeline per round).
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// How many elements ahead an RA's base-array loads prefetch.
 const RA_PREFETCH_DIST: i64 = 8;
 
@@ -140,14 +180,20 @@ pub struct NativeRun {
     pub wall_nanos: u64,
     /// Committed dynamic-op counters, one slot per stage.
     pub counts: Vec<OpCounts>,
+    /// Times any worker bumped the progress epoch: once per stage slice
+    /// that moved a value, once per stage finish and worker exit.
+    pub epoch_bumps: u64,
+    /// Times any worker went to sleep in the park path.
+    pub parks: u64,
 }
 
 /// Rendezvous point for the stage workers: progress epoch, park/wake,
 /// first-trap capture, and liveness counters.
 struct Hub {
-    /// Bumped on every committed enq/deq and stage completion. SeqCst
-    /// pairs with `parked` (Dekker-style) so a producer that sees no
-    /// parked worker is guaranteed the would-be parker sees its bump.
+    /// Bumped after every stage slice that moved a value (its queue
+    /// indices published first) and on stage completion. SeqCst pairs
+    /// with `parked` (Dekker-style) so a worker that sees no parked peer
+    /// is guaranteed the would-be parker sees its bump.
     epoch: AtomicU64,
     /// Workers currently inside [`Hub::park`].
     parked: AtomicUsize,
@@ -157,6 +203,8 @@ struct Hub {
     /// (RAs may stay blocked, exactly like the interpreter scheduler).
     compute_remaining: AtomicUsize,
     abort: AtomicBool,
+    /// Calls to [`Hub::park`] (a statistic; publishes nothing).
+    parks: AtomicU64,
     trap: Mutex<Option<Trap>>,
     lock: Mutex<Registered>,
     cv: Condvar,
@@ -181,6 +229,7 @@ impl Hub {
             live: AtomicUsize::new(workers),
             compute_remaining: AtomicUsize::new(compute),
             abort: AtomicBool::new(false),
+            parks: AtomicU64::new(0),
             trap: Mutex::new(None),
             lock: Mutex::new(Registered::default()),
             cv: Condvar::new(),
@@ -216,6 +265,7 @@ impl Hub {
     /// epoch still equals `seen`, and every live worker is registered
     /// at that same epoch — so nobody has anything left to react to.
     fn park(&self, seen: u64) -> bool {
+        self.parks.fetch_add(1, Ordering::Relaxed);
         self.parked.fetch_add(1, Ordering::SeqCst);
         let deadline = Instant::now() + PARK_TIMEOUT;
         let mut timed_out = false;
@@ -297,9 +347,9 @@ impl Drop for PanicGuard<'_> {
 /// Per-stage channel endpoints, handed to the owning worker at startup.
 struct StageEndpoints {
     /// Sender per queue id this stage enqueues into.
-    senders: Vec<Option<Sender>>,
+    senders: Vec<Option<SlabSender>>,
     /// Receiver per queue id this stage dequeues from.
-    receivers: Vec<Option<Receiver>>,
+    receivers: Vec<Option<SlabReceiver>>,
 }
 
 /// The native [`World`]: shared memory + channels, no timing. All
@@ -307,9 +357,10 @@ struct StageEndpoints {
 /// invocation, never per operation.
 struct NativeWorld<'a> {
     mem: &'a SharedMem,
-    hub: &'a Hub,
     endpoints: StageEndpoints,
     counts: OpCounts,
+    /// A value was enqueued or dequeued since the last [`Self::end_slice`].
+    moved: bool,
     /// RA base array: loads from it prefetch ahead.
     ra_base: Option<ArrayId>,
     /// Dummy for the `World::mem` accessors, which the shared stepping
@@ -318,20 +369,43 @@ struct NativeWorld<'a> {
 }
 
 impl NativeWorld<'_> {
-    fn sender(&self, q: QueueId) -> Result<&Sender, Trap> {
+    fn sender(&mut self, q: QueueId) -> Result<&mut SlabSender, Trap> {
         self.endpoints
             .senders
-            .get(q.0 as usize)
-            .and_then(|s| s.as_ref())
+            .get_mut(q.0 as usize)
+            .and_then(|s| s.as_mut())
             .ok_or_else(|| Trap::BadId(format!("queue {}", q.0)))
     }
 
-    fn receiver(&self, q: QueueId) -> Result<&Receiver, Trap> {
+    fn receiver(&mut self, q: QueueId) -> Result<&mut SlabReceiver, Trap> {
         self.endpoints
             .receivers
-            .get(q.0 as usize)
-            .and_then(|r| r.as_ref())
+            .get_mut(q.0 as usize)
+            .and_then(|r| r.as_mut())
             .ok_or_else(|| Trap::BadId(format!("queue {}", q.0)))
+    }
+
+    /// Publishes what the slice just run left on private cursors — on
+    /// every queue of the stage, so a stage blocked on one queue never
+    /// sits on slots or values its peers on another are waiting for —
+    /// and returns whether the slice moved a value. The caller bumps the
+    /// epoch *after* this, so whoever sees the bump sees the indices.
+    fn end_slice(&mut self) -> bool {
+        if !self.moved {
+            return false;
+        }
+        self.endpoints
+            .senders
+            .iter_mut()
+            .flatten()
+            .for_each(SlabSender::flush);
+        self.endpoints
+            .receivers
+            .iter_mut()
+            .flatten()
+            .for_each(SlabReceiver::flush);
+        self.moved = false;
+        true
     }
 }
 
@@ -390,7 +464,7 @@ impl World for NativeWorld<'_> {
         match self.sender(q)?.try_send(w) {
             Ok(()) => {
                 self.counts.enqs += 1;
-                self.hub.progress();
+                self.moved = true;
                 Ok(Some(0))
             }
             // A dead consumer means this enqueue can never complete; the
@@ -405,7 +479,7 @@ impl World for NativeWorld<'_> {
         match self.receiver(q)?.try_recv() {
             Ok(v) => {
                 self.counts.deqs += 1;
-                self.hub.progress();
+                self.moved = true;
                 Ok(Some((v, 0)))
             }
             Err(TryRecvError::Empty | TryRecvError::Disconnected) => Ok(None),
@@ -444,7 +518,7 @@ fn build_channels(
         let (tx, rx) = channel(kind, capacity.max(1))
             .map_err(|e| Trap::Malformed(format!("queue {}: {e}", q.queue.0)))?;
         if let Some(c) = q.consumer {
-            eps[c].receivers[qi] = Some(rx);
+            eps[c].receivers[qi] = Some(SlabReceiver::new(rx));
         }
         let mut tx = Some(tx);
         for (i, &p) in q.producers.iter().enumerate() {
@@ -453,7 +527,7 @@ fn build_channels(
             } else {
                 tx.as_ref().expect("sender still held").clone()
             };
-            eps[p].senders[qi] = Some(s);
+            eps[p].senders[qi] = Some(SlabSender::new(s));
         }
         // A queue with no producers keeps `tx` alive here only until
         // this iteration ends; its receiver then reports Disconnected,
@@ -479,12 +553,32 @@ pub fn run_native(
     queue_capacity: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<NativeRun, Trap> {
+    let (run, trap) = run_fleet(pipeline, mem, params, cfg, queue_capacity, cancel);
+    match trap {
+        Some(t) => Err(t),
+        None => Ok(run),
+    }
+}
+
+/// [`run_native`], keeping the run's statistics when it trapped (the op
+/// counters are then partial).
+fn run_fleet(
+    pipeline: &Pipeline,
+    mem: &mut MemState,
+    params: &[(&str, Value)],
+    cfg: &NativeConfig,
+    queue_capacity: usize,
+    cancel: Option<&CancelToken>,
+) -> (NativeRun, Option<Trap>) {
     let nstages = pipeline.stages.len();
+    let mut run = NativeRun {
+        wall_nanos: 1,
+        counts: Vec::new(),
+        epoch_bumps: 0,
+        parks: 0,
+    };
     if nstages == 0 {
-        return Ok(NativeRun {
-            wall_nanos: 1,
-            counts: Vec::new(),
-        });
+        return (run, None);
     }
     let threads = if cfg.threads == 0 {
         nstages
@@ -499,15 +593,25 @@ pub fn run_native(
         .collect();
     let ncompute = is_compute.iter().filter(|&&c| c).count();
 
-    let endpoints = build_channels(pipeline, cfg.channel, queue_capacity)?;
+    let endpoints = match build_channels(pipeline, cfg.channel, queue_capacity) {
+        Ok(e) => e,
+        Err(t) => return (run, Some(t)),
+    };
     let slots: Vec<Mutex<Option<StageEndpoints>>> =
         endpoints.into_iter().map(|e| Mutex::new(Some(e))).collect();
     let shared = SharedMem::from_mem(mem);
     let hub = Hub::new(nworkers, ncompute);
+    // How an idle worker waits out its `IDLE_ROUNDS`. With a core per
+    // worker the peer it waits for is running, so it spins: a yield
+    // would queue it behind whatever else the host runs (the busy-
+    // neighbour stress took 9x longer with two yields per episode). With
+    // more workers than cores the peer may be waiting for *this* core,
+    // so it yields: spinning there measured 0.05x serial, yielding 0.5x.
+    let oversubscribed = nworkers > host_cores();
 
     let start = Instant::now();
     let pool = Pool::new(nworkers);
-    let results = pool.run(nworkers, |widx| {
+    let results = pool.run_resident(nworkers, |widx| {
         // Stage i runs on worker i % nworkers.
         let mine: Vec<usize> = (0..nstages).filter(|i| i % nworkers == widx).collect();
         let _guard = PanicGuard {
@@ -541,18 +645,20 @@ pub fn run_native(
             };
             worlds.push(NativeWorld {
                 mem: &shared,
-                hub: &hub,
                 endpoints: slots[i]
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .take()
                     .expect("each stage's endpoints are claimed once"),
                 counts: OpCounts::default(),
+                moved: false,
                 ra_base,
                 scratch: MemState::new(),
             });
         }
         let mut finished = vec![false; mine.len()];
+        // Consecutive rounds in which no stage of this worker advanced.
+        let mut idle_rounds = 0u32;
         'run: loop {
             if hub.aborted() || hub.done() {
                 break;
@@ -566,6 +672,9 @@ pub fn run_native(
                     break;
                 }
             }
+            // Read before the attempts below, every round: a bump before
+            // this read published indices the attempts will see, and one
+            // after it keeps `park(seen)` from sleeping.
             let seen = hub.epoch_now();
             let mut progressed = false;
             let mut all_done = true;
@@ -576,9 +685,8 @@ pub fn run_native(
                 all_done = false;
                 match interps[k].run_slice(&mut worlds[k], SLICE) {
                     Ok((n, res)) => {
-                        if n > 0 {
-                            progressed = true;
-                        }
+                        let moved = worlds[k].end_slice();
+                        progressed |= n > 0;
                         match res {
                             StepResult::Finished => {
                                 finished[k] = true;
@@ -593,6 +701,10 @@ pub fn run_native(
                             }
                             StepResult::Blocked(_) => {}
                         }
+                        // A finish has just bumped the epoch.
+                        if moved && !finished[k] {
+                            hub.progress();
+                        }
                     }
                     Err(t) => {
                         hub.fail(t);
@@ -603,8 +715,21 @@ pub fn run_native(
             if all_done {
                 break;
             }
-            let idle = !progressed && !hub.done() && !hub.aborted();
-            if idle && hub.park(seen) && !hub.done() && !hub.aborted() {
+            if progressed {
+                idle_rounds = 0;
+                continue;
+            }
+            idle_rounds += 1;
+            if idle_rounds <= IDLE_ROUNDS {
+                if oversubscribed {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+                continue;
+            }
+            idle_rounds = 0;
+            if hub.park(seen) && !hub.done() && !hub.aborted() {
                 let blocked: Vec<String> = mine
                     .iter()
                     .zip(&finished)
@@ -625,30 +750,30 @@ pub fn run_native(
             .collect();
         counts
     });
-    let wall_nanos = (start.elapsed().as_nanos() as u64).max(1);
+    run.wall_nanos = (start.elapsed().as_nanos() as u64).max(1);
+    run.epoch_bumps = hub.epoch_now();
+    run.parks = hub.parks.load(Ordering::Relaxed);
 
     shared.write_back(mem);
-    if let Some(t) = hub.trap.lock().unwrap_or_else(|e| e.into_inner()).take() {
-        return Err(t);
-    }
-    let mut counts = vec![OpCounts::default(); nstages];
+    let mut trap = hub.trap.lock().unwrap_or_else(|e| e.into_inner()).take();
+    run.counts = vec![OpCounts::default(); nstages];
     for r in results {
         match r {
             Ok(per_stage) => {
                 for (i, c) in per_stage {
-                    counts[i] = c;
+                    run.counts[i] = c;
                 }
             }
+            // The panic guard should already have recorded a trap; this
+            // is the backstop if the guard itself was skipped.
             Err(p) => {
-                // The panic guard should already have recorded a trap;
-                // this is the backstop if the guard itself was skipped.
-                return Err(Trap::Malformed(format!(
+                trap.get_or_insert(Trap::Malformed(format!(
                     "native stage worker panicked: {p}"
                 )));
             }
         }
     }
-    Ok(NativeRun { wall_nanos, counts })
+    (run, trap)
 }
 
 #[cfg(test)]
@@ -658,9 +783,13 @@ mod tests {
 
     const DONE: u32 = 0;
 
+    fn pc_pipeline() -> (Pipeline, MemState) {
+        pc_pipeline_of(64)
+    }
+
     /// Two-stage producer/consumer pipeline: stage 0 enqueues a[i] for
     /// i in 0..n plus DONE; stage 1 accumulates into out[0].
-    fn pc_pipeline() -> (Pipeline, MemState) {
+    fn pc_pipeline_of(n: i64) -> (Pipeline, MemState) {
         let q = QueueId(0);
         let mut p = Pipeline::new("pc");
 
@@ -668,7 +797,7 @@ mod tests {
         let a = s0.array_i64("a");
         let _out = s0.array_i64("out");
         let i = s0.var_i64("i");
-        s0.for_loop(i, Expr::i64(0), Expr::i64(64), |f| {
+        s0.for_loop(i, Expr::i64(0), Expr::i64(n), |f| {
             let l = f.load(a, Expr::var(i));
             f.enq(q, l);
         });
@@ -701,7 +830,7 @@ mod tests {
         );
 
         let mut mem = MemState::new();
-        mem.alloc_i64(ArrayDecl::i64("a"), 0..64);
+        mem.alloc_i64(ArrayDecl::i64("a"), 0..n);
         mem.alloc(ArrayDecl::i64("out"), 1);
         (p, mem)
     }
@@ -839,5 +968,126 @@ mod tests {
                 &failures[..failures.len().min(3)]
             );
         });
+    }
+    /// Synchronisation is per slice, not per value: on one worker (so
+    /// the schedule, and with it the count, is fixed) the producer fills
+    /// the queue and bumps once, the consumer drains it and bumps once.
+    /// A bump per value, as before, would read `2 * (N + 1)`.
+    #[test]
+    fn epoch_bumps_scale_with_slices_not_values() {
+        const N: i64 = 4096;
+        for kind in ChannelKind::ALL {
+            let (p, mut mem) = pc_pipeline_of(N);
+            let cfg = NativeConfig {
+                channel: kind,
+                threads: 1,
+            };
+            let run = run_native(&p, &mut mem, &[], &cfg, 24, None).unwrap();
+            assert_eq!(mem.i64_vec(ArrayId(1)), vec![(0..N).sum::<i64>()], "{kind}");
+            assert_eq!(run.counts[0].enqs + run.counts[1].deqs, 2 * (N as u64 + 1));
+            assert!(
+                run.epoch_bumps <= N as u64 / 8,
+                "{kind}: {} bumps for {N} values",
+                run.epoch_bumps
+            );
+            assert_eq!(run.parks, 0, "{kind}: a lone worker with work never sleeps");
+        }
+    }
+
+    /// Two workers, each stuck on the other's queue. Neither may trap
+    /// while the other is still in its spin phase (it is not registered
+    /// yet), and once both have parked at the same epoch the next timeout
+    /// must: a worker whose park timed out before its peer registered
+    /// parks once more and is there when the peer's times out. Counted in
+    /// parks, not milliseconds, so a loaded host stretches the run
+    /// without failing it; the slack over two parks per worker is for a
+    /// peer the host keeps off its core for a whole [`PARK_TIMEOUT`].
+    #[test]
+    fn a_stuck_pipeline_traps_within_a_few_parks_of_the_spin_phase() {
+        let (a, b) = (QueueId(0), QueueId(1));
+        let mut p = Pipeline::new("embrace");
+        for (name, from, to) in [("left", a, b), ("right", b, a)] {
+            let mut s = FunctionBuilder::new(name);
+            let v = s.var_i64("v");
+            s.deq(v, from);
+            s.enq(to, Expr::var(v));
+            p.add_stage(StageProgram::plain(s.build()), 0);
+        }
+        let mut mem = MemState::new();
+        let t0 = Instant::now();
+        let (run, trap) = run_fleet(&p, &mut mem, &[], &NativeConfig::default(), 4, None);
+        assert!(matches!(trap, Some(Trap::Deadlock(_))), "{trap:?}");
+        assert!(
+            t0.elapsed() >= PARK_TIMEOUT,
+            "trapped after {:?}: nobody sat a park out",
+            t0.elapsed()
+        );
+        assert!(
+            run.parks >= 2,
+            "{} parks: a worker never registered",
+            run.parks
+        );
+        assert!(run.parks <= 2 * 3, "{} parks to call a deadlock", run.parks);
+    }
+
+    /// The consumer reads `taken` values of queue A — fewer than a slab,
+    /// so its endpoint has not vacated them — and then blocks on queue
+    /// B, which the producer only feeds after pushing `depth + taken`
+    /// values through A. The machine has room for those; the native
+    /// backend has it only if a stage that blocks on one queue publishes
+    /// what it did on all of them.
+    #[test]
+    fn blocking_on_one_queue_publishes_pops_held_on_another() {
+        let (a, b) = (QueueId(0), QueueId(1));
+        let mut rng = 0x51AB_5EED_u64;
+        for case in 0..40 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let depth = 1 + (rng % 24) as i64;
+            let taken = 1 + (rng >> 8) as i64 % depth.min(channel::SLAB as i64 - 1);
+            let kind = ChannelKind::ALL[(rng >> 16) as usize % ChannelKind::ALL.len()];
+            let threads = 1 + (rng >> 24) as usize % 2;
+
+            let mut p = Pipeline::new("two-queues");
+            let mut s0 = FunctionBuilder::new("feed");
+            let _out = s0.array_i64("out");
+            let i = s0.var_i64("i");
+            s0.for_loop(i, Expr::i64(0), Expr::i64(depth + taken), |f| {
+                f.enq(a, Expr::var(i));
+            });
+            s0.enq(b, Expr::i64(1000));
+            p.add_stage(StageProgram::plain(s0.build()), 0);
+
+            let mut s1 = FunctionBuilder::new("drain");
+            let out = s1.array_i64("out");
+            let (i, v, acc) = (s1.var_i64("i"), s1.var_i64("v"), s1.var_i64("acc"));
+            let sum = |f: &mut FunctionBuilder, q| {
+                f.deq(v, q);
+                f.assign(acc, Expr::add(Expr::var(acc), Expr::var(v)));
+            };
+            s1.for_loop(i, Expr::i64(0), Expr::i64(taken), |f| sum(f, a));
+            sum(&mut s1, b);
+            s1.for_loop(i, Expr::i64(0), Expr::i64(depth), |f| sum(f, a));
+            s1.store(out, Expr::i64(0), Expr::var(acc));
+            p.add_stage(StageProgram::plain(s1.build()), 0);
+
+            let mut mem = MemState::new();
+            mem.alloc(ArrayDecl::i64("out"), 1);
+            let cfg = NativeConfig {
+                channel: kind,
+                threads,
+            };
+            let res = run_native(&p, &mut mem, &[], &cfg, depth as usize, None);
+            assert!(
+                res.is_ok(),
+                "case {case} ({kind}, depth {depth}, taken {taken}, {threads} workers): {res:?}"
+            );
+            assert_eq!(
+                mem.i64_vec(ArrayId(0)),
+                vec![(0..depth + taken).sum::<i64>() + 1000],
+                "case {case}"
+            );
+        }
     }
 }

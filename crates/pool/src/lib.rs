@@ -37,6 +37,14 @@
 //! * **optional core pinning** — `PHLOEM_PIN=1` pins worker `w` to core
 //!   `w % cores` (Linux `sched_setaffinity`; a no-op elsewhere).
 //!
+//! Tasks that wait on *each other* — the native backend's stage workers
+//! — are a different shape: they need a thread each, all at once, and
+//! a graph app launches them once per round, for as little as 200 µs
+//! of work.
+//! [`Pool::run_resident`] runs those on the caller plus threads that
+//! stay parked between runs (`resident.rs`), with the same panic
+//! isolation, pinning and quiesce-lock rules; nothing is stolen there.
+//!
 //! ## Determinism contract
 //!
 //! Tasks carry their index and results land in a pre-sized partition
@@ -55,6 +63,7 @@
 
 mod cancel;
 mod pin;
+mod resident;
 
 pub use cancel::{CancelToken, CancelWaker, WakerRegistration};
 pub use pin::pin_to_core;
@@ -268,6 +277,43 @@ impl Pool {
         F: Fn(usize, &T) -> R + Sync,
     {
         self.run_inner(items.len(), Some(cancel), |i| f(i, &items[i]))
+    }
+
+    /// Runs `n` indexed tasks that are all live at once, each on a
+    /// thread of its own, and returns their results in index order with
+    /// [`Pool::run`]'s panic isolation. For tasks that wait on one
+    /// another — the native backend's stage workers — which
+    /// [`Pool::run`] does not promise to overlap (an early worker may
+    /// steal a late one's task). The pool's worker count plays no part:
+    /// `n` tasks take the calling thread and `n - 1` others.
+    ///
+    /// The threads are resident: parked between runs rather than
+    /// spawned and joined by each, which a short pipeline invoked once
+    /// per graph round cannot afford. Concurrent runs never share one.
+    pub fn run_resident<R, F>(&self, n: usize, f: F) -> Vec<Result<R, TaskPanic>>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        // The quiesce lock, as in `run_inner`.
+        let nested = IN_FLEET.with(|flag| flag.get());
+        let _fleet = (!nested).then(|| quiesce_lock().read().unwrap_or_else(|e| e.into_inner()));
+        if n == 0 {
+            return Vec::new();
+        }
+        // Task 0 runs on this thread, which is the caller's and not the
+        // fleet's to pin.
+        let _scope = FleetScope::enter();
+        let pin = self.cfg.pin;
+        resident::run(n, |w| {
+            if pin && w > 0 {
+                let cores = std::thread::available_parallelism()
+                    .map(|c| c.get())
+                    .unwrap_or(1);
+                pin_to_core(w % cores);
+            }
+            run_guarded(w, &f)
+        })
     }
 
     fn run_inner<R, F>(

@@ -1,6 +1,6 @@
 //! Unit tests for the work-stealing fleet: result determinism, steal
-//! fairness, park/unpark, panic containment, and the empty/singleton
-//! edges. Timing-shaped scenarios use sleeps, which work on any host
+//! fairness, park/unpark, panic containment, the empty/singleton
+//! edges, and the resident-thread runs. Timing-shaped scenarios use sleeps, which work on any host
 //! (including a single-core one: sleeping threads release the CPU).
 
 use phloem_pool::{CancelToken, Pool, TaskPanic};
@@ -180,6 +180,91 @@ fn one_task_runs_inline() {
     let (i, tid) = out[0].as_ref().unwrap();
     assert_eq!(*i, 0);
     assert_eq!(*tid, caller, "a singleton fleet must not spawn threads");
+}
+
+/// The resident tests take turns, so each knows which threads are parked.
+static RESIDENT: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// `run_resident` tasks are all live at once, whatever the pool's worker
+/// count: every task waits at a barrier only the whole set can pass.
+/// Task 0 is the caller; results land by index; borrows are fine.
+#[test]
+fn resident_tasks_overlap_and_land_in_index_order() {
+    let _turn = RESIDENT.lock().unwrap_or_else(|e| e.into_inner());
+    let caller = std::thread::current().id();
+    for n in [0, 1, 2, 5] {
+        let barrier = std::sync::Barrier::new(n);
+        let out = Pool::new(1).run_resident(n, |i| {
+            barrier.wait();
+            (i * i, std::thread::current().id())
+        });
+        assert_eq!(out.len(), n);
+        let mut threads = std::collections::HashSet::new();
+        for (i, r) in out.iter().enumerate() {
+            let (sq, tid) = r.as_ref().unwrap();
+            assert_eq!(*sq, i * i, "n={n}");
+            assert_eq!(*tid == caller, i == 0, "n={n}: only task 0 is the caller's");
+            assert!(threads.insert(*tid), "n={n}: a thread per task");
+        }
+    }
+}
+
+/// Resident threads are borrowed, not spawned, by the second run, and
+/// two concurrent runs never share one (each run's tasks block on each
+/// other, so a shared thread would hang one of them).
+#[test]
+fn resident_threads_are_reused_and_never_shared() {
+    let _turn = RESIDENT.lock().unwrap_or_else(|e| e.into_inner());
+    // The off-caller threads of one run whose tasks all meet at `barrier`.
+    let ids = |n: usize, barrier: &std::sync::Barrier| {
+        Pool::new(n)
+            .run_resident(n, |_| {
+                barrier.wait();
+                std::thread::current().id()
+            })
+            .into_iter()
+            .skip(1)
+            .map(|r| r.unwrap())
+            .collect::<Vec<_>>()
+    };
+    // One barrier across both runs: neither finishes before both started.
+    let both = std::sync::Barrier::new(8);
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| ids(4, &both));
+        let b = s.spawn(|| ids(4, &both));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert!(a.iter().all(|t| !b.contains(t)), "{a:?} vs {b:?}");
+    // Six are parked now: the next run spawns nothing.
+    let again = ids(3, &std::sync::Barrier::new(3));
+    assert!(
+        again.iter().all(|t| a.contains(t) || b.contains(t)),
+        "{again:?} has a new thread"
+    );
+}
+
+/// A panicking resident task fills its own slot, on the caller's thread
+/// or off it; its thread serves the next run.
+#[test]
+fn resident_panics_are_contained_to_their_slot() {
+    let _turn = RESIDENT.lock().unwrap_or_else(|e| e.into_inner());
+    for bad in [0, 2] {
+        let out = Pool::new(3).run_resident(3, |i| {
+            if i == bad {
+                panic!("injected resident panic {i}");
+            }
+            i + 1
+        });
+        for (i, r) in out.iter().enumerate() {
+            if i == bad {
+                let e: &TaskPanic = r.as_ref().unwrap_err();
+                assert_eq!(e.index, bad);
+                assert!(e.message.contains("injected resident panic"), "{e}");
+            } else {
+                assert_eq!(r.as_ref().unwrap(), &(i + 1));
+            }
+        }
+    }
 }
 
 /// `map` hands each task its index and item.

@@ -209,9 +209,11 @@ pub fn machine_config_digest(m: &MachineConfig) -> u64 {
 /// * `cores`, `smt_threads`, `max_queues`, `ras_per_core` — pipeline
 ///   validation limits (`Pipeline::check`), which gate whether a run is
 ///   admitted at all;
-/// * `queue_capacity` — the native channels' bounded depth, which
-///   changes blocking behaviour (never results, but deadlock-vs-run
-///   for malformed pipelines).
+/// * `queue_capacity` — the native channels' bounded depth, one slot
+///   per simulated queue entry (slab publication changes when an index
+///   is shared, not how many values fit), which changes blocking
+///   behaviour (never results, but deadlock-vs-run for malformed
+///   pipelines).
 ///
 /// Keying native work on the full [`machine_config_digest`] would split
 /// provenance between configs that are indistinguishable to the

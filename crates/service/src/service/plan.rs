@@ -96,7 +96,7 @@ pub(crate) fn plan(cfg: &ServiceConfig, req: &Request) -> Result<Planned, String
         Op::SimulateNative => {
             let (sim, _) = plan_sim(cfg, req)?;
             let channel = match req.channel.as_deref() {
-                None => ChannelKind::Mpsc,
+                None => NativeConfig::default().channel,
                 Some(name) => ChannelKind::parse(name)
                     .ok_or_else(|| format!("unknown channel backend {name:?}"))?,
             };

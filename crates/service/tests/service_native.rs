@@ -110,7 +110,7 @@ fn simulate_native_answers_bypass_with_backend_annotations() {
         assert!(resp.contains(r#""host_cores":"#), "{resp}");
         assert!(resp.contains(r#""machine":""#), "{resp}");
     }
-    assert!(out.responses[0].contains(r#""channel":"mpsc""#));
+    assert!(out.responses[0].contains(r#""channel":"ring""#));
     assert!(out.responses[0].contains(r#""threads":0"#));
     assert!(out.responses[1].contains(r#""channel":"ring""#));
     assert!(out.responses[1].contains(r#""threads":2"#));

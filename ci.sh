@@ -55,7 +55,7 @@ echo "==> native --smoke (native-backend wall clock: oracle-verified runs, host-
 SCALE=tiny cargo run --release -q -p phloem-bench --bin native -- --smoke
 
 echo "==> chaos --smoke (deterministic fault injection against a live phloemd)"
-# 7 fault shapes (severed connections, malformed/oversized input, slow
+# 8 fault shapes (severed connections, malformed/oversized input, slow
 # partial writes, shutdown races, SIGKILL restart, snapshot corruption)
 # x 3 seeds; every seed must pass. The full run uses 20 seeds. chaos
 # spawns the phloemd next to it, which no earlier step builds.

@@ -3,7 +3,7 @@
 //! Spawns the daemon in socket mode and attacks it with seeded fault
 //! shapes, asserting after every one that the daemon answers structured
 //! errors (never garbage), stays healthy for well-formed traffic, and
-//! shuts down cleanly. Seven shapes, each run under `--seeds N`
+//! shuts down cleanly. Eight shapes, each run under `--seeds N`
 //! (default 20) distinct xorshift seeds that vary cut points, garbage
 //! content, chunk sizes, and timing jitter:
 //!
@@ -26,6 +26,11 @@
 //! 7. `snapshot_corruption` — a random byte of the snapshot is flipped;
 //!    the restart skips the corrupt entry (`corrupt_skipped >= 1`) and
 //!    keeps serving.
+//! 8. `interleaved_misses_sigkill` — two connections stream distinct
+//!    compile misses (so their snapshot saves contend) and the daemon
+//!    is SIGKILLed at a seeded point mid-stream; the restart reports
+//!    `corrupt_skipped == 0` and every frame that had an answered
+//!    successor on its connection is a bit-identical warm hit.
 //!
 //! `--smoke` runs all shapes at 3 seeds for CI; the full run writes
 //! `BENCH_chaos.json`. Everything is deterministic per seed — no clock
@@ -38,6 +43,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// xorshift64: tiny, deterministic, good enough to diversify a chaos
@@ -62,7 +68,6 @@ impl Rng {
 }
 
 const APPS: [&str; 5] = ["bfs", "cc", "prd", "radii", "spmm"];
-
 fn stats_req(id: u64) -> String {
     format!("{{\"id\":{id},\"op\":\"stats\"}}")
 }
@@ -444,11 +449,115 @@ fn snapshot_corruption(tag: &str, rng: &mut Rng) -> Result<(), String> {
     out
 }
 
+/// One connection's side of `interleaved_misses_sigkill`: one frame per
+/// request until the daemon dies. Returns `(request, answer)` for every
+/// frame whose successor was answered too — the daemon saves a frame's
+/// inserts before it reads the next, so those rows were on disk
+/// whatever the kill interrupted.
+fn stream_misses(
+    socket: &PathBuf,
+    reqs: &[String],
+    answered: &AtomicU64,
+) -> Result<Vec<(String, String)>, String> {
+    let mut c = Conn::open(socket)?;
+    let mut got = Vec::new();
+    for req in reqs {
+        let Ok(frame) = c.round_trip(std::slice::from_ref(req)) else {
+            break; // killed mid-frame
+        };
+        ensure_ok(&frame[0])?;
+        got.push((req.clone(), frame[0].clone()));
+        answered.fetch_add(1, Ordering::SeqCst);
+    }
+    got.pop();
+    Ok(got)
+}
+
+fn interleaved_misses_sigkill(tag: &str, rng: &mut Rng) -> Result<(), String> {
+    let cache = cache_file(tag);
+    let tmp = cache.with_extension("cache.tmp");
+    let _ = std::fs::remove_file(&cache);
+    let cache_arg = cache.to_str().unwrap().to_string();
+
+    // Distinct compiles, shuffled and dealt to two connections; each
+    // ends on a stats frame so its last compile has a successor.
+    let mut pool: Vec<String> = Vec::new();
+    for app in APPS {
+        for preset in ["all", "queues-only"] {
+            for stages in 2..=4 {
+                let id = pool.len();
+                pool.push(format!(
+                    "{{\"id\":{id},\"op\":\"compile\",\"app\":\"{app}\",\
+                     \"passes\":\"{preset}\",\"stages\":{stages}}}"
+                ));
+            }
+        }
+    }
+    for i in (1..pool.len()).rev() {
+        pool.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let per_conn = 4 + rng.below(5) as usize;
+    let scripts: Vec<Vec<String>> = pool
+        .chunks(per_conn)
+        .take(2)
+        .map(|reqs| [reqs, &[stats_req(999)]].concat())
+        .collect();
+    let frames = 2 * (per_conn as u64 + 1);
+    let kill_after = 4 + rng.below(frames - 3);
+
+    let d = Daemon::spawn(tag, &[], &["--cache-path", &cache_arg])?;
+    let socket = d.socket.clone();
+    let answered = AtomicU64::new(0);
+    let mut durable = std::thread::scope(|s| {
+        let clients: Vec<_> = scripts
+            .iter()
+            .map(|reqs| s.spawn(|| stream_misses(&socket, reqs, &answered)))
+            .collect();
+        while answered.load(Ordering::SeqCst) < kill_after
+            && !clients.iter().all(|c| c.is_finished())
+        {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        d.sigkill();
+        let mut durable = Vec::new();
+        for c in clients {
+            durable.extend(c.join().map_err(|_| "client thread panicked")??);
+        }
+        Ok::<_, String>(durable)
+    })?;
+    durable.retain(|(req, _)| req.contains("\"compile\""));
+    ensure(!durable.is_empty(), || {
+        format!("no frame had an answered successor before the kill at {kill_after}")
+    })?;
+
+    let d2 = Daemon::spawn(&format!("{tag}-b"), &[], &["--cache-path", &cache_arg])?;
+    let stats = d2.round_trip(&[stats_req(1)])?;
+    ensure(
+        stats_u64(&stats[0], "persistence", "corrupt_skipped")? == 0,
+        || format!("two connections' saves tore the snapshot: {}", stats[0]),
+    )?;
+    let reqs: Vec<String> = durable.iter().map(|(req, _)| req.clone()).collect();
+    let warm = d2.round_trip(&reqs)?;
+    for ((req, cold), warm) in durable.iter().zip(&warm) {
+        ensure(cold.contains("\"cache\":\"miss\""), || {
+            format!("{req} should have missed cold: {cold}")
+        })?;
+        ensure(
+            *warm == cold.replace("\"cache\":\"miss\"", "\"cache\":\"hit\""),
+            || format!("answered, then lost by the kill:\n  cold: {cold}\n  warm: {warm}"),
+        )?;
+    }
+    let out = d2.shutdown_clean();
+    let _ = std::fs::remove_file(&cache);
+    let _ = std::fs::remove_file(&tmp);
+    out
+}
+
 // ------------------------------------------------------------------ main
 
 type Shape = fn(&str, &mut Rng) -> Result<(), String>;
 
-const SHAPES: [(&str, Shape); 7] = [
+const SHAPES: [(&str, Shape); 8] = [
     ("conn_killed_mid_request", conn_killed_mid_request),
     ("malformed_json", malformed_json),
     ("oversized_line", oversized_line),
@@ -456,6 +565,7 @@ const SHAPES: [(&str, Shape); 7] = [
     ("shutdown_during_inflight", shutdown_during_inflight),
     ("sigkill_restart_warm", sigkill_restart_warm),
     ("snapshot_corruption", snapshot_corruption),
+    ("interleaved_misses_sigkill", interleaved_misses_sigkill),
 ];
 
 fn main() {

@@ -6,7 +6,7 @@
 //! is where simulator host-efficiency matters most. Three sections:
 //!
 //! * **session** — the full sweep through `Session`, plus the same
-//!   sweep with the watchdog off and under the three tracing modes
+//!   sweep with the watchdog off and under the four tracing modes
 //!   (each must reproduce the baseline's simulated cycles exactly);
 //! * **engine-isolated** — the serial BFS kernel driven against a
 //!   unit-latency world on each interpreter, so host time is
@@ -46,7 +46,7 @@ use phloem_ir::{
     QueueId, StageExec, StageSpec, StepInterp, StepResult, Tid, Time, Trap, UopClass, Value, World,
 };
 use phloem_workloads::{training_graphs, GraphInput};
-use pipette_sim::{MachineConfig, NoopSink, WatchdogConfig};
+use pipette_sim::{DigestSink, MachineConfig, NoopSink, TraceSink, WatchdogConfig};
 
 /// How each timed run engages the tracing layer.
 #[derive(Clone, Copy, PartialEq)]
@@ -61,6 +61,9 @@ enum TraceMode {
     /// and dispatched, then discarded. This isolates the emit-path cost
     /// from any real sink's aggregation work.
     CountingSink,
+    /// A [`DigestSink`]: every event is folded into the stream digest,
+    /// as `phloemd`'s `trace` op runs it. Its budget is asserted.
+    DigestSink,
 }
 
 /// Profiles one candidate cut set over the training graphs; returns the
@@ -79,30 +82,15 @@ fn profile_candidate(
     };
     let mut total = 0u64;
     for gi in graphs {
-        let m = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match trace {
-            TraceMode::None => bfs::run(&v, &gi.graph, 0, cfg, gi.name),
-            TraceMode::DisabledSink => {
-                bfs::run_traced(
-                    &v,
-                    &gi.graph,
-                    0,
-                    cfg,
-                    gi.name,
-                    Box::new(NoopSink::disabled()),
-                )
-                .0
-            }
-            TraceMode::CountingSink => {
-                bfs::run_traced(
-                    &v,
-                    &gi.graph,
-                    0,
-                    cfg,
-                    gi.name,
-                    Box::new(NoopSink::counting()),
-                )
-                .0
-            }
+        let sink: Option<Box<dyn TraceSink>> = match trace {
+            TraceMode::None => None,
+            TraceMode::DisabledSink => Some(Box::new(NoopSink::disabled())),
+            TraceMode::CountingSink => Some(Box::new(NoopSink::counting())),
+            TraceMode::DigestSink => Some(Box::new(DigestSink::new())),
+        };
+        let m = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match sink {
+            None => bfs::run(&v, &gi.graph, 0, cfg, gi.name),
+            Some(sink) => bfs::run_traced(&v, &gi.graph, 0, cfg, gi.name, sink).0,
         }))
         .ok()?
         .ok()?;
@@ -177,21 +165,22 @@ fn time_sweep(
     }
 }
 
-/// Times the three tracing modes (no sink, disabled sink, null sink
-/// on), interleaved within each repetition so that
+/// Times the four tracing modes (no sink, disabled sink, null sink
+/// on, digest sink), interleaved within each repetition so that
 /// host-load drift cannot masquerade as tracing overhead. Returns the
 /// modes in declaration order (best repetition kept for each) plus the
-/// raw per-repetition wall times, one `[none, disabled, null]` row per
-/// repetition, for the paired overhead estimator.
-fn time_trace_trio(
+/// raw per-repetition wall times, one `[none, disabled, null, digest]`
+/// row per repetition, for the paired overhead estimator.
+fn time_trace_modes(
     candidates: &[Vec<LoadId>],
     graphs: &[GraphInput],
     reps: usize,
-) -> ([Timed; 3], Vec<[f64; 3]>) {
-    const MODES: [(&str, TraceMode); 3] = [
+) -> ([Timed; 4], Vec<[f64; 4]>) {
+    const MODES: [(&str, TraceMode); 4] = [
         ("session (rebaselined)", TraceMode::None),
         ("session, sink mask 0", TraceMode::DisabledSink),
         ("session, null sink on", TraceMode::CountingSink),
+        ("session, digest sink", TraceMode::DigestSink),
     ];
     let cfg = machine();
     for (_, mode) in MODES {
@@ -205,7 +194,7 @@ fn time_trace_trio(
     });
     let mut rep_secs = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let mut row = [0.0f64; 3];
+        let mut row = [0.0f64; 4];
         for (i, (_, mode)) in MODES.iter().enumerate() {
             let t0 = Instant::now();
             let (total, per) = sweep(candidates, &cfg, graphs, *mode);
@@ -547,17 +536,23 @@ fn main() {
         TraceMode::None,
     );
     // Tracing overhead. The off-overhead comparison (no sink vs. a
-    // disabled sink) is the CI-pinned number, so the three tracing
+    // disabled sink) is the CI-pinned number, so the four tracing
     // modes are timed *interleaved*, rep by rep, with at least five
     // repetitions even in smoke mode: host drift (frequency scaling,
-    // neighbors on a shared box) then hits all three modes alike, and
+    // neighbors on a shared box) then hits all four modes alike, and
     // the best-of-reps comparison converges on the true delta instead
     // of on whichever block ran during a quiet spell.
     let trace_reps = reps.max(5);
-    let (trio, trace_rep_secs) = time_trace_trio(&candidates, &graphs, trace_reps);
-    let [trace_base, trace_off, trace_null] = trio;
+    let (modes, trace_rep_secs) = time_trace_modes(&candidates, &graphs, trace_reps);
+    let [trace_base, trace_off, trace_null, trace_digest] = modes;
 
-    for t in [&session_wd_off, &trace_base, &trace_off, &trace_null] {
+    for t in [
+        &session_wd_off,
+        &trace_base,
+        &trace_off,
+        &trace_null,
+        &trace_digest,
+    ] {
         assert_eq!(
             t.per_candidate, session.per_candidate,
             "{} disagreed with the baseline on simulated cycles",
@@ -571,6 +566,7 @@ fn main() {
         &trace_base,
         &trace_off,
         &trace_null,
+        &trace_digest,
     ] {
         println!(
             "  {:<26}: {:>8.1} Mcycles/s  ({:.3} s, {} Mcycles)",
@@ -605,15 +601,25 @@ fn main() {
     };
     let tracing_off_overhead_pct = trace_overhead_pct(1);
     let tracing_null_sink_overhead_pct = trace_overhead_pct(2);
+    let digest_sink_overhead_pct = trace_overhead_pct(3);
     println!("  watchdog overhead (on vs off)                     : {watchdog_overhead_pct:.2}%");
     println!(
         "  tracing-disabled overhead (mask-0 sink vs no sink): {tracing_off_overhead_pct:.2}%"
     );
     println!("  null-sink overhead (all events built, discarded)  : {tracing_null_sink_overhead_pct:.2}%");
+    println!(
+        "  digest-sink overhead (every event hashed)         : {digest_sink_overhead_pct:.2}%"
+    );
     println!("  (identical simulated cycles in every row)");
     assert!(
         tracing_off_overhead_pct < 1.0,
         "tracing-disabled overhead {tracing_off_overhead_pct:.2}% breaches the 1% budget"
+    );
+    // A `trace` request is its simulation plus this; hashing the events
+    // as `Debug` text read >150% here.
+    assert!(
+        digest_sink_overhead_pct <= 15.0,
+        "digest-sink overhead {digest_sink_overhead_pct:.2}% breaches the 15% budget"
     );
 
     // Engine-isolated: serial kernel, unit-latency world. More passes
@@ -694,7 +700,7 @@ fn main() {
         )
     };
     let json = format!(
-        "{{\n  \"bench\": \"simspeed\",\n  \"workload\": \"BFS PGO search over training graphs\",\n  \"scale\": \"{:?}\",\n  \"candidates\": {},\n  \"reps\": {},\n  \"sim_cycles_total\": {},\n  \"session\": {},\n  \"interp_tree\": {},\n  \"interp_flat\": {},\n  \"interp_speedup_flat_over_tree\": {:.4},\n  \"session_world_isolated\": {},\n  \"world_over_interp_ratio\": {:.4},\n  \"session_watchdog_off\": {},\n  \"watchdog_overhead_pct\": {:.4},\n  \"session_trace_disabled\": {},\n  \"session_null_sink\": {},\n  \"tracing_off_overhead_pct\": {:.4},\n  \"tracing_null_sink_overhead_pct\": {:.4},\n  \"note\": \"session is the full sweep through Session. interp_speedup_flat_over_tree isolates the two interpreters (same kernel, unit-latency world, identical atom sequences): FlatInterp is the simulator's engine, StepInterp the serial oracle's. session_world_isolated drives the identical serial kernel and atom sequence through the full cycle-accurate Session, so world_over_interp_ratio (its ns/atom over interp_flat's) is the per-atom host cost of the timing model itself. In --smoke mode the bench additionally gates the measured session throughput against the value recorded here, failing on a >15 percent regression. watchdog_overhead_pct compares session against the same sweep with the watchdog disabled (target <2%); the interp_* rows bypass the scheduler entirely and so carry no watchdog checks by construction. tracing_off_overhead_pct compares a run with no trace sink against one with an installed sink whose interest mask is empty (every emit point reduces to one cached mask test; budget <1%, asserted); tracing_null_sink_overhead_pct is the same comparison against a sink subscribed to every event that discards them, isolating the emit-path cost from aggregation. The three tracing modes are timed interleaved within each repetition, and the reported ratio is the cleanest of best-of-reps and same-repetition pairings: the true cost is a constant, so host-load noise can only inflate a measured ratio.\"\n}}\n",
+        "{{\n  \"bench\": \"simspeed\",\n  \"workload\": \"BFS PGO search over training graphs\",\n  \"scale\": \"{:?}\",\n  \"candidates\": {},\n  \"reps\": {},\n  \"sim_cycles_total\": {},\n  \"session\": {},\n  \"interp_tree\": {},\n  \"interp_flat\": {},\n  \"interp_speedup_flat_over_tree\": {:.4},\n  \"session_world_isolated\": {},\n  \"world_over_interp_ratio\": {:.4},\n  \"session_watchdog_off\": {},\n  \"watchdog_overhead_pct\": {:.4},\n  \"session_trace_disabled\": {},\n  \"session_null_sink\": {},\n  \"session_digest_sink\": {},\n  \"tracing_off_overhead_pct\": {:.4},\n  \"tracing_null_sink_overhead_pct\": {:.4},\n  \"digest_sink_overhead_pct\": {:.4},\n  \"note\": \"session is the full sweep through Session. interp_speedup_flat_over_tree isolates the two interpreters (same kernel, unit-latency world, identical atom sequences): FlatInterp is the simulator's engine, StepInterp the serial oracle's. session_world_isolated drives the identical serial kernel and atom sequence through the full cycle-accurate Session, so world_over_interp_ratio (its ns/atom over interp_flat's) is the per-atom host cost of the timing model itself. In --smoke mode the bench additionally gates the measured session throughput against the value recorded here, failing on a >15 percent regression. watchdog_overhead_pct compares session against the same sweep with the watchdog disabled (target <2%); the interp_* rows bypass the scheduler entirely and so carry no watchdog checks by construction. tracing_off_overhead_pct compares a run with no trace sink against one with an installed sink whose interest mask is empty (every emit point reduces to one cached mask test; budget <1%, asserted); tracing_null_sink_overhead_pct is the same comparison against a sink subscribed to every event that discards them, isolating the emit-path cost from aggregation; digest_sink_overhead_pct is the same comparison against a DigestSink folding every event word-wise, the sink behind phloemd's trace op (budget 15%, asserted). The four tracing modes are timed interleaved within each repetition, and the reported ratio is the cleanest of best-of-reps and same-repetition pairings: the true cost is a constant, so host-load noise can only inflate a measured ratio.\"\n}}\n",
         scale(),
         candidates.len(),
         reps,
@@ -709,8 +715,10 @@ fn main() {
         watchdog_overhead_pct,
         sweep_json(&trace_off),
         sweep_json(&trace_null),
+        sweep_json(&trace_digest),
         tracing_off_overhead_pct,
         tracing_null_sink_overhead_pct,
+        digest_sink_overhead_pct,
     );
     std::fs::write("BENCH_simspeed.json", &json).expect("write BENCH_simspeed.json");
     println!("  wrote BENCH_simspeed.json");

@@ -38,8 +38,9 @@
 //!   30000; `0` disables): a stalled client gets one `timed_out` error
 //!   frame and its connection is closed.
 //! * `--cache-path` enables crash-safe persistence: the snapshot is
-//!   rewritten atomically after every batch, so even a SIGKILL'd
-//!   daemon restarts with the last batch's caches warm.
+//!   rewritten atomically after every batch that cached something
+//!   new (one write at a time, shared between connections), so even a
+//!   SIGKILL'd daemon restarts with the last batch's caches warm.
 //! * A `{"op":"shutdown"}` request answers its batch, then drains:
 //!   new work is rejected with a structured `draining` error while
 //!   in-flight batches finish under the `--drain-ms` grace window
@@ -168,10 +169,14 @@ fn parse_num(s: &str, name: &str) -> usize {
     })
 }
 
-/// Persists the cache snapshot if configured, logging (not dying) on
-/// failure — a full disk must not take the daemon down with it.
-fn persist_caches(service: &Service) {
-    if let Err(e) = service.persist_now() {
+/// Logs (does not die on) a failed save — a full disk must not take
+/// the daemon down with it. After an answered frame the save is
+/// `persist_if_dirty`: the frame's inserts are durable before the next
+/// frame on that stream is read, and a frame that inserted nothing
+/// writes nothing. At exit it is `persist_now`, unconditional, because
+/// hits since the last insert reordered the LRU the snapshot records.
+fn log_persist(saved: std::io::Result<u64>) {
+    if let Err(e) = saved {
         eprintln!("phloemd: cache persist failed: {e}");
     }
 }
@@ -184,7 +189,7 @@ fn serve_stdio(service: &Service, limits: Limits) {
     let mut out = stdout.lock();
     loop {
         match serve_stream(service, &mut reader, &mut out, limits) {
-            StreamEnd::Continue => persist_caches(service),
+            StreamEnd::Continue => log_persist(service.persist_if_dirty()),
             StreamEnd::Eof => break,
             StreamEnd::Shutdown => break,
             StreamEnd::Timeout => break, // unreachable on stdin
@@ -194,7 +199,7 @@ fn serve_stdio(service: &Service, limits: Limits) {
             }
         }
     }
-    persist_caches(service);
+    log_persist(service.persist_now());
 }
 
 /// Serves socket connections concurrently (thread per connection, up
@@ -265,7 +270,7 @@ fn serve_socket(
     for h in handles {
         let _ = h.join();
     }
-    persist_caches(service);
+    log_persist(service.persist_now());
     let _ = std::fs::remove_file(path);
     eprintln!("phloemd: drained and exiting");
 }
@@ -325,11 +330,11 @@ fn serve_connection(
     let mut writer = stream;
     loop {
         match serve_stream(service, &mut reader, &mut writer, limits) {
-            StreamEnd::Continue => persist_caches(service),
+            StreamEnd::Continue => log_persist(service.persist_if_dirty()),
             StreamEnd::Eof => break,
             StreamEnd::Shutdown => {
                 shutdown.store(true, Ordering::SeqCst);
-                persist_caches(service);
+                log_persist(service.persist_if_dirty());
                 break;
             }
             StreamEnd::Timeout => {

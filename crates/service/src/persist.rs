@@ -4,7 +4,7 @@
 //! ## Format
 //!
 //! ```text
-//! phloem-cache v2
+//! phloem-cache v3
 //! C <key:16-hex> <check:16-hex> <payload-json>
 //! S <key:16-hex> <check:16-hex> <payload-json>
 //! ```
@@ -25,7 +25,9 @@
 //! * **Atomic save** — the snapshot is written to `<path>.tmp`,
 //!   `sync_all`'d, then renamed over `path`. A crash mid-save leaves
 //!   the previous snapshot intact; there is never a moment where
-//!   `path` holds a partial file.
+//!   `path` holds a partial file — provided saves to one `path` do not
+//!   overlap (they share the one tmp file). The service serialises its
+//!   own behind the store's save lock.
 //! * **Tolerant load** — a missing file is an empty snapshot; a
 //!   corrupt line (bad shape, bad hex, checksum mismatch) is skipped
 //!   and counted, never fatal. A corrupt *header* distrusts the whole
@@ -33,14 +35,17 @@
 //!   damaged snapshot can never prevent the daemon from starting.
 
 use crate::key::KeyHasher;
-use std::io::Write;
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
 /// Magic first line; bump the version when the row format or what a
 /// key digests changes, so rows no probe can reach are dropped at load
-/// instead of occupying LRU capacity.
-const HEADER: &str = "phloem-cache v2";
+/// instead of occupying LRU capacity. v3: the trace digest became a
+/// word-wise fold (DESIGN §trace); a v2 `"trace"` hex is a different
+/// function of the same stream and must not be served as a hit.
+const HEADER: &str = "phloem-cache v3";
 
 /// Which cache a snapshot row belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,10 +128,11 @@ pub fn save(path: &Path, snap: &Snapshot) -> std::io::Result<u64> {
         for (key, payload) in entries {
             debug_assert!(!payload.contains('\n'), "payloads are compact JSON");
             let check = line_check(sel, *key, payload);
-            text.push(sel.tag() as char);
-            text.push_str(&format!(" {key:016x} {check:016x} "));
-            text.push_str(payload);
-            text.push('\n');
+            let _ = writeln!(
+                text,
+                "{} {key:016x} {check:016x} {payload}",
+                sel.tag() as char
+            );
             written += 1;
         }
     }
@@ -304,6 +310,16 @@ mod tests {
     fn bad_header_distrusts_the_file_without_failing() {
         let path = temp_file("header");
         std::fs::write(&path, "phloem-cache v999\nC 00 00 {}\n").unwrap();
+        let loaded = load(&path).unwrap();
+        assert!(loaded.snapshot.is_empty());
+        assert_eq!(loaded.corrupt_skipped, 1);
+        // The previous version, every row's checksum intact: still one
+        // corrupt unit — its keys may name values computed under an
+        // older definition (v2's trace digests).
+        save(&path, &sample()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with("phloem-cache v3\n"));
+        std::fs::write(&path, text.replacen("v3", "v2", 1)).unwrap();
         let loaded = load(&path).unwrap();
         assert!(loaded.snapshot.is_empty());
         assert_eq!(loaded.corrupt_skipped, 1);

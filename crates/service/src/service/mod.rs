@@ -257,7 +257,20 @@ impl Service {
     /// written; `Ok(0)` and a no-op when persistence is disabled.
     pub fn persist_now(&self) -> std::io::Result<u64> {
         match &self.cfg.cache_path {
-            Some(path) => self.store.save(path),
+            Some(path) => self.store.save(path, false),
+            None => Ok(0),
+        }
+    }
+
+    /// [`Service::persist_now`] for the end of a frame: writes only if
+    /// a cache gained an entry that no completed save covers, so a
+    /// frame of hits, bypasses or errors costs no I/O and concurrent
+    /// connections share one write. On return every insert made before
+    /// the call is on disk. Hits reorder the LRU without making the
+    /// store dirty; the unconditional save at drain records the order.
+    pub fn persist_if_dirty(&self) -> std::io::Result<u64> {
+        match &self.cfg.cache_path {
+            Some(path) => self.store.save(path, true),
             None => Ok(0),
         }
     }

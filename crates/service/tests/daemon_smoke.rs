@@ -208,3 +208,55 @@ fn phloemd_socket_persists_caches_across_connections() {
     assert!(status.success(), "phloemd exited with {status}");
     assert!(!path.exists(), "socket file should be removed on shutdown");
 }
+
+#[test]
+fn phloemd_rewrites_the_snapshot_only_for_frames_that_cached_something() {
+    use std::os::unix::fs::MetadataExt;
+    let pid = std::process::id();
+    let cache = std::env::temp_dir().join(format!("phloemd-test-{pid}-frames.cache"));
+    let _ = std::fs::remove_file(&cache);
+    let mut child = spawn_phloemd(&["--cache-path", cache.to_str().unwrap()]);
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    // One frame in, one frame out. The daemon saves after it answers
+    // and before it reads on, so once frame N+1 is answered, frame N's
+    // save (or skip) is over.
+    let mut round_trip = |line: &str| {
+        write!(stdin, "{line}\n\n").unwrap();
+        stdin.flush().unwrap();
+        let mut answer = String::new();
+        stdout.read_line(&mut answer).unwrap();
+        let mut blank = String::new();
+        stdout.read_line(&mut blank).unwrap();
+        assert_eq!(blank, "\n", "one answer per frame");
+        answer
+    };
+    let inode = || std::fs::metadata(&cache).map(|m| m.ino()).ok();
+    let compile = r#"{"id":1,"op":"compile","app":"bfs"}"#;
+    let stats = r#"{"id":2,"op":"stats"}"#;
+
+    assert!(round_trip(compile).contains(r#""cache":"miss""#));
+    assert!(round_trip(stats).contains(r#""persisted":1"#));
+    let written = inode();
+    assert!(written.is_some(), "the miss was made durable");
+
+    // A hit, a bypass, an error: answered, nothing rewritten.
+    assert!(round_trip(compile).contains(r#""cache":"hit""#));
+    let simulate =
+        r#"{"id":3,"op":"simulate","app":"bfs","input":"internet-s","variant":"serial"}"#;
+    assert!(round_trip(simulate).contains(r#""cache":"bypass""#));
+    assert!(round_trip(r#"{"id":4,"op":"compile","app":"nope"}"#).contains(r#""ok":false"#));
+    assert!(round_trip(stats).contains(r#""persisted":1"#));
+    assert_eq!(inode(), written);
+
+    // The next miss is saved again, and so is the exit, unconditionally.
+    let other = r#"{"id":5,"op":"compile","app":"cc"}"#;
+    assert!(round_trip(other).contains(r#""cache":"miss""#));
+    assert!(round_trip(stats).contains(r#""persisted":3"#));
+    assert_ne!(inode(), written);
+    drop(stdin);
+    assert!(child.wait().unwrap().success());
+    let loaded = phloem_service::persist::load(&cache).unwrap();
+    assert_eq!((loaded.snapshot.len(), loaded.corrupt_skipped), (2, 0));
+    let _ = std::fs::remove_file(&cache);
+}

@@ -15,7 +15,8 @@
 use phloem_benchsuite::fig14::{run_bfs_replicated, run_cc_replicated, RepVariant};
 use phloem_benchsuite::{bfs, cc, spmm, taco, Variant};
 use phloem_workloads::{graph, matrix};
-use pipette_sim::{DigestSink, MachineConfig, TraceSink};
+use pipette_sim::{DigestSink, MachineConfig, TeeSink, TraceEvent, TraceMeta, TraceSink};
+use std::fmt::Write as _;
 
 /// `(label, cycles)` pinned from the seed timing model (verified
 /// unchanged by the stream-prefetcher sentinel fix on these workloads).
@@ -130,46 +131,121 @@ fn cycle_counts_match_the_seed_model_exactly() {
     }
 }
 
-/// `(label, digest)` — golden order-sensitive digests of the canonical
-/// trace event stream; any change here means the *semantic event
+/// `(label, seed digest, word digest)` — golden order-sensitive digests
+/// of the trace event stream; any change here means the *semantic event
 /// sequence* changed, not just its rendering.
-const GOLDEN_TRACE: &[(&str, u64)] = &[
-    ("bfs/phloem/power_law_500", 0x9ed73ba4e6f7d62e),
-    ("taco-spmv/phloem/rnd_48", 0x359e146c78bcc5de),
+///
+/// The first value is the seed's pin: byte-wise FNV-1a over each
+/// event's `Debug` text, which [`DebugTextSink`] still computes, so it
+/// witnesses that the stream has not moved since the seed. The second
+/// is [`DigestSink`]'s fold over [`TraceEvent::words`], the digest the
+/// library and `phloemd`'s `trace` op report.
+const GOLDEN_TRACE: &[(&str, u64, u64)] = &[
+    (
+        "bfs/phloem/power_law_500",
+        0x9ed73ba4e6f7d62e,
+        0xfe636c94cf894414,
+    ),
+    (
+        "taco-spmv/phloem/rnd_48",
+        0x359e146c78bcc5de,
+        0x67c0c348a703144e,
+    ),
 ];
 
-fn trace_digests() -> Vec<(&'static str, u64)> {
+/// The seed's digest definition, kept here (and only here) as a
+/// reference: FNV-1a, byte by byte, over `begin <pipeline> @<base>`,
+/// every event's `derive(Debug)` rendering, `end @<makespan>`, and
+/// finally `#<count>`.
+struct DebugTextSink {
+    hash: u64,
+    count: u64,
+    scratch: String,
+}
+
+impl DebugTextSink {
+    fn new() -> DebugTextSink {
+        DebugTextSink {
+            hash: 0xcbf2_9ce4_8422_2325,
+            count: 0,
+            scratch: String::new(),
+        }
+    }
+
+    fn fold(&mut self) {
+        self.hash = fnv_bytes(self.hash, &self.scratch);
+        self.scratch.clear();
+    }
+
+    fn digest(&self) -> u64 {
+        fnv_bytes(self.hash, &format!("#{}", self.count))
+    }
+}
+
+fn fnv_bytes(h: u64, s: &str) -> u64 {
+    s.bytes()
+        .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+impl TraceSink for DebugTextSink {
+    fn begin(&mut self, meta: &TraceMeta) {
+        let _ = write!(self.scratch, "begin {} @{}", meta.pipeline, meta.base);
+        self.fold();
+    }
+
+    fn event(&mut self, ev: &TraceEvent) {
+        let _ = write!(self.scratch, "{ev:?}");
+        self.fold();
+        self.count += 1;
+    }
+
+    fn end(&mut self, makespan: u64) {
+        let _ = write!(self.scratch, "end @{makespan}");
+        self.fold();
+    }
+}
+
+/// Both digests of one traced run, seed definition first.
+fn both_digests(run: impl FnOnce(Box<dyn TraceSink>) -> Box<dyn TraceSink>) -> (u64, u64) {
+    let tee = run(Box::new(TeeSink::new(vec![
+        Box::new(DebugTextSink::new()),
+        Box::new(DigestSink::new()),
+    ])));
+    let tee = tee.downcast_ref::<TeeSink>().expect("the tee comes back");
+    let text = tee.sinks()[0].downcast_ref::<DebugTextSink>();
+    let words = tee.sinks()[1].downcast_ref::<DigestSink>();
+    (
+        text.expect("text sink").digest(),
+        words.expect("digest sink").digest(),
+    )
+}
+
+fn trace_digests() -> Vec<(&'static str, u64, u64)> {
     let cfg = MachineConfig::paper_1core();
-    let digest_of = |sink: Box<dyn TraceSink>| {
-        sink.downcast_ref::<DigestSink>()
-            .expect("digest sink")
-            .digest()
-    };
     let mut out = Vec::new();
 
     let g = graph::power_law(500, 3, 3);
-    let (m, sink) = bfs::run_traced(
-        &Variant::phloem(),
-        &g,
-        0,
-        &cfg,
-        "power_law_500",
-        Box::new(DigestSink::new()),
-    );
-    m.expect("golden run");
-    out.push(("bfs/phloem/power_law_500", digest_of(sink)));
+    let (text, words) = both_digests(|sink| {
+        let (m, sink) = bfs::run_traced(&Variant::phloem(), &g, 0, &cfg, "power_law_500", sink);
+        m.expect("golden run");
+        sink
+    });
+    out.push(("bfs/phloem/power_law_500", text, words));
 
     let a = matrix::random_square(48, 4.0, 7);
-    let (m, sink) = taco::run_traced(
-        taco::TacoApp::Spmv,
-        &Variant::phloem(),
-        &a,
-        &cfg,
-        "rnd_48",
-        Box::new(DigestSink::new()),
-    );
-    m.expect("golden run");
-    out.push(("taco-spmv/phloem/rnd_48", digest_of(sink)));
+    let (text, words) = both_digests(|sink| {
+        let (m, sink) = taco::run_traced(
+            taco::TacoApp::Spmv,
+            &Variant::phloem(),
+            &a,
+            &cfg,
+            "rnd_48",
+            sink,
+        );
+        m.expect("golden run");
+        sink
+    });
+    out.push(("taco-spmv/phloem/rnd_48", text, words));
     out
 }
 
@@ -177,17 +253,22 @@ fn trace_digests() -> Vec<(&'static str, u64)> {
 fn trace_digests_match_the_pinned_event_streams() {
     let got = trace_digests();
     if std::env::var("GOLDEN_PRINT").is_ok() {
-        for (label, digest) in &got {
-            println!("    (\"{label}\", {digest:#018x}),");
+        for (label, text, words) in &got {
+            println!("    (\"{label}\", {text:#018x}, {words:#018x}),");
         }
         return;
     }
     assert_eq!(got.len(), GOLDEN_TRACE.len());
-    for ((label, digest), (glabel, golden)) in got.iter().zip(GOLDEN_TRACE) {
+    for ((label, text, words), (glabel, gtext, gwords)) in got.iter().zip(GOLDEN_TRACE) {
         assert_eq!(label, glabel);
         assert_eq!(
-            digest, golden,
-            "{label}: the semantic trace event stream diverged from the pinned digest"
+            text, gtext,
+            "{label}: the semantic trace event stream diverged from the seed's pinned digest"
+        );
+        assert_eq!(
+            words, gwords,
+            "{label}: the word digest moved while the event stream did not: \
+             TraceEvent::words or DigestSink's fold changed definition"
         );
     }
 }

@@ -17,10 +17,12 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> simspeed --smoke (cycle/atom equality + throughput regression gate)"
-# Besides the cycle/atom-equality asserts, smoke mode gates the measured
-# session throughput against the recorded BENCH_simspeed.json and fails
-# on a >15% regression (skips with a note if the file is absent).
+echo "==> simspeed --smoke (cycle/atom equality + engine-ratio floor + throughput regression gate)"
+# Besides the cycle/atom-equality asserts, the bytecode engine must stay
+# 1.2x the tree engine or better per atom, and smoke mode gates the
+# measured session throughput against the recorded BENCH_simspeed.json
+# and fails on a >15% regression (skips with a note if the file is
+# absent).
 cargo run --release -q -p phloem-bench --bin simspeed -- --smoke
 
 echo "==> trace-smoke (Perfetto schema + trace-vs-untraced cycle identity)"
@@ -40,7 +42,8 @@ cargo run --release -q -p phloem-bench --bin parallel -- --smoke
 
 echo "==> fuzzdiff --native --smoke (generated genomes on real threads vs the serial oracle)"
 # Every generated pipeline runs on all three channel backends at
-# 1/2/4 worker threads; any divergence is delta-debugged to a minimal
+# 1/2/4 worker threads, on the bytecode engine, against the tree
+# engine's serial run; any divergence is delta-debugged to a minimal
 # reproducer before the run fails.
 cargo run --release -q -p phloem-bench --bin fuzzdiff -- --native --smoke
 

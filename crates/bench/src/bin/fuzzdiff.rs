@@ -297,7 +297,8 @@ fn main() {
         // Native-backend differential sweep: the same genome stream the
         // simulator sweep draws, but every pipeline runs on real OS
         // threads across the channel × thread-count grid and is diffed
-        // against the serial oracle's memory.
+        // against the serial oracle's memory (bytecode engine on the
+        // threads, tree engine in the oracle).
         let (seed, count) = if has("--smoke") {
             (0xF00D, 25)
         } else {

@@ -17,6 +17,13 @@
 //! the app's host oracle internally, so a divergence aborts the bench
 //! rather than skewing a number.
 //!
+//! Beside each wall time the row says why it is what it is: the ops
+//! each stage committed against the serial kernel's (a lopsided cut
+//! bounds the pipeline at its heaviest stage, whatever the thread
+//! count), and per configuration the parks and epoch bumps of the
+//! repetition that was kept (a worker that sleeps through a 10 ms park
+//! timeout shows here before it shows in the ratio).
+//!
 //! Speedup expectations are gated on the host: a stage-per-thread
 //! pipeline cannot beat a serial interpreter on one core (the threads
 //! time-slice and every queue hop is pure overhead), so on a
@@ -35,34 +42,67 @@
 use std::time::Instant;
 
 use phloem_bench::{header, machine, run_graph_app, scale, GRAPH_APPS};
-use phloem_benchsuite::{spmm, taco, with_backend, Variant};
+use phloem_benchsuite::{spmm, taco, with_backend, Measurement, Variant};
 use phloem_workloads::{spmm_test_matrices, test_graphs};
+use pipette_sim::native::lifetime_counters;
 use pipette_sim::{ChannelKind, ExecBackend, NativeConfig};
 
-/// Best-of-reps wall seconds for one closure.
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
+/// One timed run: wall seconds, what the backend counted over it, and
+/// the ops each stage committed (summed over the app's invocations).
+struct Timed {
+    wall_s: f64,
+    parks: u64,
+    epoch_bumps: u64,
+    stage_ops: Vec<(String, u64)>,
 }
 
-/// One native pipeline configuration's best wall time.
+/// The fastest of `reps` runs of `f`, with that run's own counters.
+fn best_of(reps: usize, f: impl Fn() -> Measurement) -> Timed {
+    (0..reps)
+        .map(|_| {
+            let before = lifetime_counters();
+            let t0 = Instant::now();
+            let m = f();
+            let wall_s = t0.elapsed().as_secs_f64();
+            let after = lifetime_counters();
+            Timed {
+                wall_s,
+                parks: after.parks - before.parks,
+                epoch_bumps: after.epoch_bumps - before.epoch_bumps,
+                stage_ops: m
+                    .stats
+                    .threads
+                    .iter()
+                    .map(|t| (t.name.clone(), t.ops()))
+                    .collect(),
+            }
+        })
+        .min_by(|a, b| a.wall_s.total_cmp(&b.wall_s))
+        .expect("at least one repetition")
+}
+
+/// One native pipeline configuration's best run.
 struct Cell {
     channel: ChannelKind,
     /// `NativeConfig::threads`: 0 is one thread per stage.
     threads: usize,
     wall_s: f64,
     speedup: f64,
+    parks: u64,
+    epoch_bumps: u64,
 }
 
 struct Row {
     app: String,
     input: String,
     serial_s: f64,
+    /// Ops the serial kernel committed.
+    serial_ops: u64,
+    /// Ops each pipeline stage committed, read off the first cell:
+    /// compute stages commit the same in every cell, an RA a few more or
+    /// fewer (the run ends with its last compute stage, wherever the
+    /// schedule has left the RAs).
+    stage_ops: Vec<(String, u64)>,
     /// Channel-major, `thread_counts` order within a channel.
     cells: Vec<Cell>,
 }
@@ -76,30 +116,38 @@ impl Row {
         input: &str,
         reps: usize,
         thread_counts: &[usize],
-        run: impl Fn(&Variant),
+        run: impl Fn(&Variant) -> Measurement,
     ) -> Row {
         let serial = ExecBackend::Native(NativeConfig {
             threads: 1,
             ..NativeConfig::default()
         });
-        let serial_s = best_of(reps, || with_backend(serial, || run(&Variant::Serial)));
+        let serial = best_of(reps, || with_backend(serial, || run(&Variant::Serial)));
+        let mut stage_ops = Vec::new();
         let mut cells = Vec::new();
         for channel in ChannelKind::ALL {
             for &threads in thread_counts {
                 let backend = ExecBackend::Native(NativeConfig { channel, threads });
-                let wall_s = best_of(reps, || with_backend(backend, || run(&Variant::phloem())));
+                let t = best_of(reps, || with_backend(backend, || run(&Variant::phloem())));
+                if stage_ops.is_empty() {
+                    stage_ops = t.stage_ops;
+                }
                 cells.push(Cell {
                     channel,
                     threads,
-                    wall_s,
-                    speedup: serial_s / wall_s,
+                    wall_s: t.wall_s,
+                    speedup: serial.wall_s / t.wall_s,
+                    parks: t.parks,
+                    epoch_bumps: t.epoch_bumps,
                 });
             }
         }
         Row {
             app: app.to_string(),
             input: input.to_string(),
-            serial_s,
+            serial_s: serial.wall_s,
+            serial_ops: serial.stage_ops.iter().map(|(_, n)| n).sum(),
+            stage_ops,
             cells,
         }
     }
@@ -145,16 +193,16 @@ fn main() {
     let mut rows = Vec::new();
     for app in GRAPH_APPS {
         rows.push(Row::measure(app, gi.name, reps, &thread_counts, |v| {
-            run_graph_app(app, v, &gi.graph, &cfg, gi.name).expect(app);
+            run_graph_app(app, v, &gi.graph, &cfg, gi.name).expect(app)
         }));
     }
     rows.push(Row::measure("SpMM", mi.name, reps, &thread_counts, |v| {
-        spmm::run(v, &mi.matrix, &bt, &cfg, mi.name).expect("SpMM");
+        spmm::run(v, &mi.matrix, &bt, &cfg, mi.name).expect("SpMM")
     }));
     for t in taco::TacoApp::all() {
         let name = format!("taco-{t:?}");
         rows.push(Row::measure(&name, mi.name, reps, &thread_counts, |v| {
-            taco::run(t, v, &mi.matrix, &cfg, mi.name).expect("taco");
+            taco::run(t, v, &mi.matrix, &cfg, mi.name).expect("taco")
         }));
     }
 
@@ -176,6 +224,15 @@ fn main() {
             }
             println!();
         }
+        let split: Vec<String> = r.stage_ops.iter().map(|(_, n)| n.to_string()).collect();
+        println!(
+            "  {:<14} ops: serial {}, stages {}; parks {} (worst cell {})",
+            "",
+            r.serial_ops,
+            split.join(" / "),
+            r.cells.iter().map(|c| c.parks).sum::<u64>(),
+            r.cells.iter().map(|c| c.parks).max().unwrap_or(0),
+        );
     }
     println!("  every native run's memory was verified against the app's host oracle");
 
@@ -220,19 +277,27 @@ fn main() {
             .map(|c| {
                 format!(
                     "{{ \"channel\": \"{}\", \"threads\": {}, \"wall_s\": {:.6}, \
-                     \"speedup\": {:.4} }}",
+                     \"speedup\": {:.4}, \"parks\": {}, \"epoch_bumps\": {} }}",
                     c.channel.label(),
                     c.threads,
                     c.wall_s,
-                    c.speedup
+                    c.speedup,
+                    c.parks,
+                    c.epoch_bumps
                 )
             })
             .collect::<Vec<_>>()
             .join(", ");
+        let stages = r
+            .stage_ops
+            .iter()
+            .map(|(name, ops)| format!("{{ \"stage\": \"{name}\", \"ops\": {ops} }}"))
+            .collect::<Vec<_>>()
+            .join(", ");
         format!(
             "    {{ \"app\": \"{}\", \"input\": \"{}\", \"serial_wall_s\": {:.6}, \
-             \"native\": [{cells}] }}",
-            r.app, r.input, r.serial_s
+             \"serial_ops\": {}, \"stage_ops\": [{stages}], \"native\": [{cells}] }}",
+            r.app, r.input, r.serial_s, r.serial_ops
         )
     };
     let json = format!(
@@ -245,7 +310,10 @@ fn main() {
          host oracle in-run; a divergence aborts the bench\",\n  \
          \"note\": \"wall seconds are best-of-reps; speedup is the native phloem pipeline vs \
          the serial kernel under Native{{threads: 1}} (same interpreter, same shared memory) \
-         on the same host. Gates apply only when host_cores > 1: on a single core the stage \
+         on the same host. serial_ops and stage_ops are committed dynamic ops summed over the \
+         app's invocations (stage_ops from the first cell; the split does not depend on the \
+         schedule beyond an RA's last few ops); parks and epoch_bumps are those \
+         of the repetition whose wall time was kept. Gates apply only when host_cores > 1: on a single core the stage \
          threads time-slice and every queue hop is overhead, so the flat-or-worse curve is \
          recorded honestly with this note, matching BENCH_parallel.json's policy.\"\n}}\n",
         scale(),

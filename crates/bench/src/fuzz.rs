@@ -484,6 +484,9 @@ pub const NATIVE_GRID: [(ChannelKind, usize); 9] = [
 /// threads at every [`NATIVE_GRID`] point, and the final memory must
 /// equal the serial oracle's at all of them. A trap on a pipeline the
 /// compiler accepted is a failure, exactly as in the simulator sweep.
+/// The two sides share no engine: the threads run `FlatInterp` over
+/// bytecode, the oracle the tree-walking `StepInterp`, so this sweep
+/// also diffs the interpreters on every generated program.
 ///
 /// Candidates are capped at 2 (vs the simulator sweep's 3): each
 /// pipeline here fans out over 9 real-thread runs instead of 6

@@ -51,15 +51,17 @@ use serde::{Deserialize, Serialize};
 
 /// Names the two stage-program interpreters, for harnesses that time
 /// or diff one against the other. Nothing selects an engine at run
-/// time: the simulator always runs [`crate::flat::FlatInterp`], and the
-/// serial oracle and the native backend always run
-/// [`crate::step::StepInterp`]. Both make the same [`crate::World`]
-/// calls in the same order (`tests/flat_differential.rs` pins it), so
-/// they differ only in host throughput.
+/// time: the simulator and the native backend always run
+/// [`crate::flat::FlatInterp`], and the serial oracle
+/// ([`crate::interp`]) always runs [`crate::step::StepInterp`]. Both
+/// make the same [`crate::World`] calls in the same order
+/// (`tests/flat_differential.rs` pins it), so they differ only in host
+/// throughput.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecEngine {
     /// Bytecode compilation + program-counter execution
-    /// ([`crate::flat::FlatInterp`]); the simulator's engine.
+    /// ([`crate::flat::FlatInterp`]); the engine of the simulator and
+    /// the native backend.
     #[default]
     Flat,
     /// The original tree-walking interpreter

@@ -25,8 +25,70 @@
 use crate::bytecode::{BytecodeProgram, Instr, Opd};
 use crate::expr::{QueueId, VarId};
 use crate::stmt::HandlerEnd;
-use crate::value::{eval_binop, eval_unop, Trap, Value};
+use crate::value::{eval_binop, eval_unop, BinOp, Trap, UnOp, Value};
 use crate::world::{BlockReason, StepResult, Tid, Time, UopClass, World};
+
+/// `a op b` and the micro-op class it issues as: exactly
+/// `(eval_binop(op, a, b)?, UopClass::for_binop(op, a, b))`.
+///
+/// Integer arithmetic is what stage programs mostly do, and the generic
+/// pair is priced for dynamic typing: two float tests and two three-way
+/// coercions behind a `Result<_, Trap>`, the operator match, then the
+/// operand tags matched again for the class. Two integers under an
+/// operator that cannot trap take one match that yields value and class
+/// together; everything else (a float, a control value, `Div`, `Rem`,
+/// the shifts) falls through to the generic pair.
+#[inline(always)]
+fn binop(op: BinOp, a: Value, b: Value) -> Result<(Value, UopClass), Trap> {
+    if let (Value::I64(x), Value::I64(y)) = (a, b) {
+        let alu = match op {
+            BinOp::Add => Some(x.wrapping_add(y)),
+            BinOp::Sub => Some(x.wrapping_sub(y)),
+            BinOp::Mul => return Ok((Value::I64(x.wrapping_mul(y)), UopClass::IntMul)),
+            BinOp::And => Some(x & y),
+            BinOp::Or => Some(x | y),
+            BinOp::Xor => Some(x ^ y),
+            BinOp::Min => Some(x.min(y)),
+            BinOp::Max => Some(x.max(y)),
+            BinOp::Lt => Some((x < y) as i64),
+            BinOp::Le => Some((x <= y) as i64),
+            BinOp::Gt => Some((x > y) as i64),
+            BinOp::Ge => Some((x >= y) as i64),
+            BinOp::Eq => Some((x == y) as i64),
+            BinOp::Ne => Some((x != y) as i64),
+            BinOp::Div | BinOp::Rem | BinOp::Shl | BinOp::Shr => None,
+        };
+        if let Some(v) = alu {
+            return Ok((Value::I64(v), UopClass::IntAlu));
+        }
+    }
+    Ok((eval_binop(op, a, b)?, UopClass::for_binop(op, a, b)))
+}
+
+/// `op a` and the micro-op class it issues as: [`eval_unop`] and the
+/// float test on the operand, with the same shortcut as [`binop`] — an
+/// integer under an operator that cannot trap is computed in place.
+#[inline(always)]
+fn unop(op: UnOp, a: Value) -> Result<(Value, UopClass), Trap> {
+    if let Value::I64(x) = a {
+        let alu = match op {
+            UnOp::Neg => Some(x.wrapping_neg()),
+            UnOp::Not => Some((x == 0) as i64),
+            UnOp::BitNot => Some(!x),
+            UnOp::IsCtrl => Some(0),
+            UnOp::CtrlTag | UnOp::I2F | UnOp::F2I => None,
+        };
+        if let Some(v) = alu {
+            return Ok((Value::I64(v), UopClass::IntAlu));
+        }
+    }
+    let class = if matches!(a, Value::F64(_)) {
+        UopClass::FpAlu
+    } else {
+        UopClass::IntAlu
+    };
+    Ok((eval_unop(op, a)?, class))
+}
 
 /// One register slot: a value and its readiness time, kept adjacent so
 /// the common read-value-and-time access touches one location.
@@ -219,12 +281,7 @@ impl<'p> FlatInterp<'p> {
                     Instr::Un { op, a, dst } => {
                         let (op, a, dst) = (*op, *a, *dst);
                         let (va, ta) = self.read(a, flow);
-                        let res = eval_unop(op, va)?;
-                        let class = if matches!(va, Value::F64(_)) {
-                            UopClass::FpAlu
-                        } else {
-                            UopClass::IntAlu
-                        };
+                        let (res, class) = unop(op, va)?;
                         let t = world.uop(tid, class, ta);
                         self.set(dst, res, t);
                         pc += 1;
@@ -233,8 +290,7 @@ impl<'p> FlatInterp<'p> {
                         let (op, a, b, dst) = (*op, *a, *b, *dst);
                         let (va, ta) = self.read(a, flow);
                         let (vb, tb) = self.read(b, flow);
-                        let res = eval_binop(op, va, vb)?;
-                        let class = UopClass::for_binop(op, va, vb);
+                        let (res, class) = binop(op, va, vb)?;
                         let t = world.uop(tid, class, ta.max(tb));
                         self.set(dst, res, t);
                         pc += 1;
@@ -276,12 +332,7 @@ impl<'p> FlatInterp<'p> {
                     Instr::UnA { op, a, var } => {
                         let (op, a, var) = (*op, *a, *var);
                         let (va, ta) = self.read(a, flow);
-                        let res = eval_unop(op, va)?;
-                        let class = if matches!(va, Value::F64(_)) {
-                            UopClass::FpAlu
-                        } else {
-                            UopClass::IntAlu
-                        };
+                        let (res, class) = unop(op, va)?;
                         let t = world.uop(tid, class, ta);
                         self.set(var, res, t);
                         pc += 1;
@@ -291,8 +342,7 @@ impl<'p> FlatInterp<'p> {
                         let (op, a, b, var) = (*op, *a, *b, *var);
                         let (va, ta) = self.read(a, flow);
                         let (vb, tb) = self.read(b, flow);
-                        let res = eval_binop(op, va, vb)?;
-                        let class = UopClass::for_binop(op, va, vb);
+                        let (res, class) = binop(op, va, vb)?;
                         let t = world.uop(tid, class, ta.max(tb));
                         self.set(var, res, t);
                         pc += 1;
@@ -461,8 +511,7 @@ impl<'p> FlatInterp<'p> {
                         let (op, a, b, id, else_t) = (*op, *a, *b, *id, *else_t);
                         let (va, ta) = self.read(a, flow);
                         let (vb, tb) = self.read(b, flow);
-                        let res = eval_binop(op, va, vb)?;
-                        let class = UopClass::for_binop(op, va, vb);
+                        let (res, class) = binop(op, va, vb)?;
                         let t_cmp = world.uop(tid, class, ta.max(tb));
                         let taken = res.as_bool()?;
                         let resume = world.branch(tid, id, taken, t_cmp);
@@ -474,8 +523,7 @@ impl<'p> FlatInterp<'p> {
                         let (op, a, b, id, exit) = (*op, *a, *b, *id, *exit);
                         let (va, ta) = self.read(a, flow);
                         let (vb, tb) = self.read(b, flow);
-                        let res = eval_binop(op, va, vb)?;
-                        let class = UopClass::for_binop(op, va, vb);
+                        let (res, class) = binop(op, va, vb)?;
                         let t_cmp = world.uop(tid, class, ta.max(tb));
                         let taken = res.as_bool()?;
                         let resume = world.branch(tid, id, taken, t_cmp);
@@ -630,6 +678,96 @@ mod tests {
                 StepResult::Finished => break,
                 StepResult::Progress => {}
                 StepResult::Blocked(b) => panic!("unexpected block: {b:?}"),
+            }
+        }
+    }
+
+    /// Bitwise equality: `NaN` equals itself and `0.0` differs from
+    /// `-0.0`, neither of which `Value`'s `PartialEq` says.
+    fn same_word(a: Value, b: Value) -> bool {
+        match (a, b) {
+            (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        }
+    }
+
+    /// The values where integer and float semantics part ways: overflow,
+    /// shift counts at and past the width, signed zeroes, `NaN`, a
+    /// control value.
+    const EDGES: [Value; 12] = [
+        Value::I64(i64::MIN),
+        Value::I64(-1),
+        Value::I64(0),
+        Value::I64(1),
+        Value::I64(63),
+        Value::I64(64),
+        Value::I64(i64::MAX),
+        Value::F64(0.0),
+        Value::F64(-0.0),
+        Value::F64(1.5),
+        Value::F64(f64::NAN),
+        Value::Ctrl(0),
+    ];
+
+    fn same_outcome(
+        got: &Result<(Value, UopClass), Trap>,
+        want: &Result<(Value, UopClass), Trap>,
+    ) -> bool {
+        match (got, want) {
+            (Ok((gv, gc)), Ok((wv, wc))) => same_word(*gv, *wv) && gc == wc,
+            (Err(g), Err(w)) => g == w,
+            _ => false,
+        }
+    }
+
+    /// The fast path is an optimisation of the generic pair, not a second
+    /// definition of arithmetic: for every operator over every pairing of
+    /// [`EDGES`] it returns what the pair returns, traps included.
+    #[test]
+    fn binop_fast_path_equals_the_generic_pair() {
+        for op in BinOp::ALL {
+            // A new operator must be listed in `BinOp::ALL` (and placed
+            // in `binop`).
+            use BinOp::*;
+            match op {
+                Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr | Lt | Le | Gt | Ge
+                | Eq | Ne | Min | Max => {}
+            }
+            for a in EDGES {
+                for b in EDGES {
+                    let want = eval_binop(op, a, b).map(|v| (v, UopClass::for_binop(op, a, b)));
+                    let got = binop(op, a, b);
+                    assert!(
+                        same_outcome(&got, &want),
+                        "{a} {op} {b}: fast path {got:?}, generic {want:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Likewise for the unary operators, against [`eval_unop`] and the
+    /// tree interpreter's class rule (float operand, float unit).
+    #[test]
+    fn unop_fast_path_equals_the_generic_pair() {
+        use UnOp::*;
+        const OPS: [UnOp; 7] = [Neg, Not, BitNot, IsCtrl, CtrlTag, I2F, F2I];
+        for op in OPS {
+            match op {
+                Neg | Not | BitNot | IsCtrl | CtrlTag | I2F | F2I => {}
+            }
+            for a in EDGES {
+                let class = if matches!(a, Value::F64(_)) {
+                    UopClass::FpAlu
+                } else {
+                    UopClass::IntAlu
+                };
+                let want = eval_unop(op, a).map(|v| (v, class));
+                let got = unop(op, a);
+                assert!(
+                    same_outcome(&got, &want),
+                    "{op} {a}: fast path {got:?}, generic {want:?}"
+                );
             }
         }
     }

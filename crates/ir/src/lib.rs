@@ -16,9 +16,11 @@
 //!   ([`CtrlHandler`]), mirroring Pipette's ISA (Table I of the paper).
 //! * [`Pipeline`]: stage programs plus reference-accelerator
 //!   configurations ([`RaConfig`]) and queue topology.
-//! * A resumable [stepping interpreter](StepInterp) that drives both the
-//!   functional oracle in this crate ([`interp`]) and the cycle-level
-//!   timing model in `pipette-sim` through the same [`World`] trait.
+//! * Two resumable stage interpreters behind one [`World`] trait: the
+//!   tree-walking [`StepInterp`], which is the functional oracle in this
+//!   crate ([`interp`]), and [`FlatInterp`] over [`bytecode`], which
+//!   `pipette-sim` runs against its cycle-level timing model and on real
+//!   threads. They make the same `World` calls in the same order.
 //!
 //! ## Quick example
 //!

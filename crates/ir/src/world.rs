@@ -1,9 +1,10 @@
-//! The [`World`] trait: the boundary between the stepping interpreter and
-//! an execution substrate.
+//! The [`World`] trait: the boundary between a stage interpreter and an
+//! execution substrate.
 //!
-//! The same interpreter drives both the *functional* world defined here
-//! (all timestamps zero; used as the correctness oracle and for fast
-//! profiling) and the cycle-level Pipette timing model in `pipette-sim`.
+//! Either interpreter drives any world: the *functional* one defined
+//! here (all timestamps zero; used as the correctness oracle and for
+//! fast profiling), the cycle-level Pipette timing model in
+//! `pipette-sim`, and that crate's native world of real threads.
 
 use crate::expr::{ArrayId, BranchId, QueueId};
 use crate::mem::MemState;

@@ -336,19 +336,32 @@ impl Session {
         for s in &pipeline.stages {
             self.active_cores.insert(s.core);
         }
+        let owned;
+        let progs = match compiled {
+            Some(c) => &c.progs,
+            None => {
+                owned = compile_pipeline(pipeline)?;
+                &owned
+            }
+        };
         if let ExecBackend::Native(ncfg) = self.backend {
-            // Native runs share the validation path above (malformed
-            // pipelines fail identically on both backends) and then
-            // bypass the timing world entirely: stages execute on real
-            // threads and "cycles" are wall-clock nanoseconds.
-            let run = crate::native::run_native(
+            // Native runs share the validation path and the bytecode
+            // above (malformed pipelines fail identically on both
+            // backends) and then bypass the timing world entirely:
+            // stages execute on real threads and "cycles" are wall-clock
+            // nanoseconds.
+            let (run, trap) = crate::native::run_compiled(
                 pipeline,
+                progs,
                 &mut self.mem,
                 params,
                 &ncfg,
                 self.cfg.queue_capacity,
                 self.cancel.as_ref(),
-            )?;
+            );
+            if let Some(t) = trap {
+                return Err(t);
+            }
             let mut invocation = RunStats {
                 cycles: self.now + run.wall_nanos,
                 threads: Vec::with_capacity(pipeline.stages.len()),
@@ -412,14 +425,6 @@ impl Session {
             .map(|s| matches!(s.kind, StageKind::Compute))
             .collect();
 
-        let owned;
-        let progs = match compiled {
-            Some(c) => &c.progs,
-            None => {
-                owned = compile_pipeline(pipeline)?;
-                &owned
-            }
-        };
         let mut interps = build_flat_interps(progs, pipeline, params, DEFAULT_BUDGET);
         let sched_result = scheduler::run(&mut world, &mut interps, &is_compute, pipeline);
 

@@ -195,7 +195,13 @@ struct CachePadded<T>(T);
 /// endpoints ([`SlabSender`], [`SlabReceiver`]) run ahead of them on a
 /// private cursor and store the shared one once per slab.
 struct RingBackend {
+    /// `capacity` rounded up to a power of two, so an index finds its
+    /// slot with a mask (`index % 24` was a hardware divide per value
+    /// moved). Any `capacity` consecutive indices still land on distinct
+    /// slots, and full/empty are judged against `capacity`, never
+    /// against the allocation.
     slots: Box<[UnsafeCell<MaybeUninit<Value>>]>,
+    capacity: u64,
     /// Slots below this index are vacated (only the consumer stores it).
     head: CachePadded<AtomicU64>,
     /// Slots below this index are written (only a producer stores it).
@@ -214,20 +220,21 @@ unsafe impl Sync for RingBackend {}
 impl RingBackend {
     fn new(capacity: usize) -> RingBackend {
         RingBackend {
-            slots: (0..capacity)
+            slots: (0..capacity.next_power_of_two())
                 .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
                 .collect(),
+            capacity: capacity as u64,
             head: CachePadded(AtomicU64::new(0)),
             tail: CachePadded(AtomicU64::new(0)),
         }
     }
 
     fn capacity(&self) -> u64 {
-        self.slots.len() as u64
+        self.capacity
     }
 
     fn slot(&self, index: u64) -> *mut MaybeUninit<Value> {
-        self.slots[(index % self.capacity()) as usize].get()
+        self.slots[(index & (self.slots.len() as u64 - 1)) as usize].get()
     }
 
     /// Writes `v` into the slot of index `t` without publishing it.

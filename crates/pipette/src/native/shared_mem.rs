@@ -123,6 +123,7 @@ impl SharedMem {
     ///
     /// # Errors
     /// Traps on a bad array id or out-of-bounds index.
+    #[inline]
     pub fn load(&self, a: ArrayId, idx: i64) -> Result<Value, Trap> {
         let s = self.array(a)?;
         let k = Self::check_idx(s, idx)?;
@@ -137,6 +138,7 @@ impl SharedMem {
     /// # Errors
     /// Traps on a bad array id, out-of-bounds index, or storing a
     /// control value (checked before bounds, matching [`MemState`]).
+    #[inline]
     pub fn store(&self, a: ArrayId, idx: i64, v: Value) -> Result<(), Trap> {
         if let Value::Ctrl(c) = v {
             return Err(Trap::CtrlAsData(c));

@@ -48,6 +48,13 @@ pub struct ThreadStats {
     pub finish_time: Time,
 }
 
+impl ThreadStats {
+    /// Dynamic operations of every kind this thread committed.
+    pub fn ops(&self) -> u64 {
+        self.uops + self.branches + self.loads + self.stores + self.enqs + self.deqs
+    }
+}
+
 /// Occupancy and traffic counters for one hardware queue.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueueStats {
@@ -159,24 +166,20 @@ impl RunStats {
         self.threads
             .iter()
             .filter(|t| !t.is_ra)
-            .map(|t| t.uops + t.branches + t.loads + t.stores + t.enqs + t.deqs)
+            .map(ThreadStats::ops)
             .sum()
     }
 
     /// Total instructions including RA operations.
     pub fn total_ops(&self) -> u64 {
-        self.threads
-            .iter()
-            .map(|t| t.uops + t.branches + t.loads + t.stores + t.enqs + t.deqs)
-            .sum()
+        self.threads.iter().map(ThreadStats::ops).sum()
     }
 
     /// Builds the Fig. 10 breakdown from per-thread counters.
     pub fn cycle_breakdown(&self, issue_width: u64) -> CycleBreakdown {
         let mut b = CycleBreakdown::default();
         for t in self.threads.iter().filter(|t| !t.is_ra) {
-            let ops = t.uops + t.branches + t.loads + t.stores + t.enqs + t.deqs;
-            b.issue += ops as f64 / issue_width as f64;
+            b.issue += t.ops() as f64 / issue_width as f64;
             b.backend += t.backend_stall_cycles as f64;
             b.queue += t.queue_stall_cycles as f64;
             b.other += t.frontend_stall_cycles as f64;

@@ -15,14 +15,17 @@ echo "==> cargo test -q"
 cargo test -q
 
 echo "==> cargo test --workspace -q"
+# Includes the figure harness (crates/bench/tests/figures_tiny.rs renders
+# Tables I-V and Fig. 6 at SCALE=tiny against results/tiny/) and the
+# fleet's determinism and overhead bounds (tests/pool_determinism.rs).
 cargo test --workspace -q
 
 echo "==> simspeed --smoke (cycle/atom equality + engine-ratio floor + throughput regression gate)"
 # Besides the cycle/atom-equality asserts, the bytecode engine must stay
 # 1.2x the tree engine or better per atom, and smoke mode gates the
-# measured session throughput against the recorded BENCH_simspeed.json
-# and fails on a >15% regression (skips with a note if the file is
-# absent).
+# measured session throughput against the `session` row of the recorded
+# BENCH_simspeed.json and fails on a >15% regression (skips with a note
+# if the file is absent; fails if it is there without the row).
 cargo run --release -q -p phloem-bench --bin simspeed -- --smoke
 
 echo "==> trace-smoke (Perfetto schema + trace-vs-untraced cycle identity)"
@@ -33,12 +36,6 @@ cargo run --release -q -p phloem-bench --bin fuzzdiff -- --smoke
 
 echo "==> fuzzdiff --faults --smoke (fault injection: bounded, uncorrupted, deterministic outcomes)"
 cargo run --release -q -p phloem-bench --bin fuzzdiff -- --faults --smoke
-
-echo "==> parallel --smoke (fleet scaling: determinism + overhead gates)"
-# Asserts >=1.5x host speedup at 4 workers when the host has >=4 cores;
-# on smaller hosts the speedup gate is skipped (hardware-bounded) but
-# the determinism and overhead assertions still run.
-cargo run --release -q -p phloem-bench --bin parallel -- --smoke
 
 echo "==> fuzzdiff --native --smoke (generated genomes on real threads vs the serial oracle)"
 # Every generated pipeline runs on all three channel backends at

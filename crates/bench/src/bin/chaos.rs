@@ -37,6 +37,7 @@
 //! or entropy feeds the plan, only the seed.
 
 use phloem_bench::header;
+use phloem_bench::record::{self, host_cores, num, Gate};
 use phloem_service::proto::parse;
 use phloem_service::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -602,19 +603,17 @@ fn main() {
         "phloemd binary not found at {exe:?}; build the workspace first \
          (cargo build brings the sibling binary along)"
     );
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     println!(
-        "  {} shapes x {seeds} seeds, scale tiny, {host_cores} host core(s)",
-        SHAPES.len()
+        "  {} shapes x {seeds} seeds, scale tiny, {} host core(s)",
+        SHAPES.len(),
+        host_cores()
     );
 
     let t0 = Instant::now();
     let mut failures: Vec<String> = Vec::new();
     let mut passed_by_shape = Vec::new();
     for (idx, (name, shape)) in SHAPES.iter().enumerate() {
-        let mut passed = 0;
+        let mut passed = 0u64;
         for seed in 0..seeds {
             let tag = format!("{name}-{seed}");
             let mut rng = Rng::new(seed * SHAPES.len() as u64 + idx as u64);
@@ -632,20 +631,26 @@ fn main() {
         eprintln!("  FAIL {f}");
     }
     if !smoke {
-        let shape_json: Vec<String> = passed_by_shape
+        let mut rows: Vec<Json> = passed_by_shape
             .iter()
-            .map(|(name, passed)| format!("    \"{name}\": {passed}"))
+            .map(|(name, passed)| {
+                Json::obj([("name", Json::str(*name)), ("passed", Json::u64(*passed))])
+            })
             .collect();
-        let json = format!(
-            "{{\n  \"bench\": \"chaos\",\n  \"host_cores\": {host_cores},\n  \
-             \"seeds_per_shape\": {seeds},\n  \"wall_s\": {wall:.3},\n  \
-             \"passed\": {{\n{}\n  }},\n  \
-             \"note\": \"deterministic seeded fault injection against a live phloemd; \
-             every shape must pass every seed; see DESIGN.md section 10\"\n}}\n",
-            shape_json.join(",\n")
+        rows.push(Json::obj([
+            ("name", Json::str("all_shapes")),
+            ("wall_s", num(wall, 3)),
+        ]));
+        let passed: u64 = passed_by_shape.iter().map(|(_, passed)| passed).sum();
+        let all = (SHAPES.len() as u64 * seeds) as f64;
+        let gates = [Gate::at_least("seeds_passed", passed as f64, all, true)];
+        record::write(
+            "chaos",
+            phloem_workloads::Scale::Tiny,
+            seeds as usize,
+            &rows,
+            &gates,
         );
-        std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-        println!("  wrote BENCH_chaos.json");
     }
     assert!(
         failures.is_empty(),

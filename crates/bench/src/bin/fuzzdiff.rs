@@ -30,7 +30,6 @@
 //! fuzzdiff --seed S --count N   # custom sweep
 //! fuzzdiff --jobs N             # host workers (default: PHLOEM_WORKERS
 //!                               # or available parallelism)
-//! fuzzdiff --validate-benchsuite  # validate every benchsuite/PGO pipeline
 //! fuzzdiff --faults             # fault injection: 40 plans x 6 targets, each run twice
 //! fuzzdiff --faults --smoke     # CI: 6 plans per target
 //! fuzzdiff --native             # native backend vs oracle: 200 genomes,
@@ -38,94 +37,16 @@
 //! fuzzdiff --native --smoke     # CI: 25 genomes
 //! ```
 //!
-//! Exits nonzero on any divergence (or any validator rejection in
-//! `--validate-benchsuite` mode).
+//! Exits nonzero on any divergence.
 
 use phloem_bench::fuzz::{
     check_native, fuzz_sweep, fuzz_sweep_with, minimize, minimize_with, render_failure, NATIVE_GRID,
 };
 use phloem_bench::jobs;
 use phloem_benchsuite::fault_targets::targets as fault_targets;
-use phloem_benchsuite::{bfs, cc, radii, spmm, taco, Variant};
-use phloem_compiler::search::{enumerate_pipelines, SearchOptions};
-use phloem_compiler::CompileOptions;
-use phloem_ir::{MemState, Pipeline};
+use phloem_ir::MemState;
 use phloem_pool::Pool;
 use pipette_sim::{FaultPlan, MachineConfig, Session, WatchdogConfig};
-
-// ---------------------------------------------------------------------
-// Benchsuite/PGO validation mode (used by results/run_all.sh).
-// ---------------------------------------------------------------------
-
-fn validate_benchsuite(pool: &Pool) -> i32 {
-    let cfg = MachineConfig::paper_1core();
-    let limits = phloem_ir::ValidateLimits {
-        queues_per_core: cfg.max_queues,
-    };
-    let mut pipes: Vec<(String, Pipeline)> = vec![
-        ("bfs/manual".into(), bfs::manual_pipeline()),
-        ("cc/manual".into(), cc::manual_pipeline()),
-        ("radii/manual".into(), radii::manual_pipeline()),
-        ("spmm/manual".into(), spmm::manual_pipeline()),
-    ];
-    for (name, kernel) in [
-        ("bfs", bfs::kernel()),
-        ("cc", cc::kernel()),
-        ("radii", radii::kernel()),
-        ("spmm", spmm::kernel()),
-    ] {
-        match phloem_compiler::compile_static(&kernel, 4, &CompileOptions::default()) {
-            Ok(p) => pipes.push((format!("{name}/static"), p)),
-            Err(e) => {
-                println!("FAIL {name}/static: does not compile: {e}");
-                return 1;
-            }
-        }
-        // The PGO candidate set: every pipeline the search would profile.
-        for (cuts, p) in enumerate_pipelines(&kernel, &SearchOptions::default()) {
-            let label: Vec<u32> = cuts.iter().map(|c| c.0).collect();
-            pipes.push((format!("{name}/pgo{label:?}"), p));
-        }
-    }
-    for app in taco::TacoApp::all() {
-        match taco::pipelines_for(app, &Variant::phloem(), &cfg) {
-            Ok(ps) => {
-                for (pi, p) in ps.into_iter().enumerate() {
-                    pipes.push((format!("taco/{}/phase{pi}", app.name()), p));
-                }
-            }
-            Err(e) => {
-                println!("FAIL taco/{}: does not compile: {e}", app.name());
-                return 1;
-            }
-        }
-    }
-    // Validation is pure per pipeline: fan out, report in order.
-    let verdicts = pool.map(&pipes, |_i, (_name, p)| {
-        phloem_ir::validate_pipeline(p, &limits, "final").map_err(|e| e.to_string())
-    });
-    let mut failures = 0;
-    let total = pipes.len();
-    for ((name, _), verdict) in pipes.iter().zip(&verdicts) {
-        match verdict {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                println!("FAIL {name}: {e}");
-                failures += 1;
-            }
-            Err(panic) => {
-                println!("FAIL {name}: validator panicked: {}", panic.message);
-                failures += 1;
-            }
-        }
-    }
-    println!("validated {total} pipelines, {failures} failures");
-    if failures == 0 {
-        0
-    } else {
-        1
-    }
-}
 
 // ---------------------------------------------------------------------
 // Fault-injection enforcement mode (`--faults`).
@@ -282,9 +203,6 @@ fn main() {
             .and_then(|v| v.parse::<u64>().ok())
     };
     let pool = Pool::new(jobs());
-    if has("--validate-benchsuite") {
-        std::process::exit(validate_benchsuite(&pool));
-    }
     if has("--faults") {
         let plans = if has("--smoke") {
             6

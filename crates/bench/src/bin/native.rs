@@ -28,22 +28,24 @@
 //! pipeline cannot beat a serial interpreter on one core (the threads
 //! time-slice and every queue hop is pure overhead), so on a
 //! single-core host the bench records the honest flat-or-worse curve
-//! and notes the limit instead of failing — the same policy as
-//! `BENCH_parallel.json`. With `host_cores > 1` a loose overhead gate
-//! applies: the best configuration that crosses threads (per-stage or
-//! `nproc` workers; one worker has no cross-thread hop and is recorded
-//! only) must stay within 4x of serial wall time at every app (real
-//! speedup is input-size dependent; tiny CI inputs mostly measure
-//! thread hand-off and channel overhead).
+//! and its gates as not enforced instead of failing. With
+//! `host_cores > 1` a loose overhead gate applies: the best
+//! configuration that crosses threads (per-stage or `nproc` workers;
+//! one worker has no cross-thread hop and is recorded only) must stay
+//! within 4x of serial wall time at every app (real speedup is
+//! input-size dependent; tiny CI inputs mostly measure thread hand-off
+//! and channel overhead).
 //!
 //! `SCALE=tiny|small|full` sizes the inputs as usual; `--smoke` (CI)
 //! keeps the full app x channel x threads matrix but writes no JSON.
 
 use std::time::Instant;
 
-use phloem_bench::{header, machine, run_graph_app, scale, GRAPH_APPS};
-use phloem_benchsuite::{spmm, taco, with_backend, Measurement, Variant};
-use phloem_workloads::{spmm_test_matrices, test_graphs};
+use phloem_bench::record::{self, host_cores, num, Gate};
+use phloem_bench::{header, machine, scale};
+use phloem_benchsuite::apps::APPS;
+use phloem_benchsuite::{taco, with_backend, Measurement, Variant};
+use phloem_service::Json;
 use pipette_sim::native::lifetime_counters;
 use pipette_sim::{ChannelKind, ExecBackend, NativeConfig};
 
@@ -155,14 +157,8 @@ impl Row {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let reps: usize = std::env::var("REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2)
-        .max(1);
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let reps = record::reps(2);
+    let host_cores = host_cores();
     let cfg = machine();
 
     // One thread per stage, one worker (overhead parity: the hops with
@@ -186,19 +182,21 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let gi = &test_graphs(scale())[0];
-    let mi = &spmm_test_matrices(scale())[0];
-    let bt = mi.matrix.transpose();
-
     let mut rows = Vec::new();
-    for app in GRAPH_APPS {
-        rows.push(Row::measure(app, gi.name, reps, &thread_counts, |v| {
-            run_graph_app(app, v, &gi.graph, &cfg, gi.name).expect(app)
-        }));
+    for app in &APPS {
+        let i = &app.test_inputs(scale())[0];
+        rows.push(Row::measure(
+            app.name(),
+            i.name(),
+            reps,
+            &thread_counts,
+            |v| {
+                let ran = app.run(v, i.input(), &cfg, i.name(), None).0;
+                ran.unwrap_or_else(|e| panic!("{}: {e}", app.name()))
+            },
+        ));
     }
-    rows.push(Row::measure("SpMM", mi.name, reps, &thread_counts, |v| {
-        spmm::run(v, &mi.matrix, &bt, &cfg, mi.name).expect("SpMM")
-    }));
+    let mi = &phloem_workloads::spmm_test_matrices(scale())[0];
     for t in taco::TacoApp::all() {
         let name = format!("taco-{t:?}");
         rows.push(Row::measure(&name, mi.name, reps, &thread_counts, |v| {
@@ -241,24 +239,22 @@ fn main() {
     // puts stages on different threads must keep hop and park overhead
     // bounded. The one-worker column is recorded but not gated: it has
     // no cross-thread hop to go wrong. On one core the threads
-    // time-slice; the measured (flat-or-worse) curve is recorded with a
-    // note instead of failing on physics.
-    if host_cores > 1 {
-        for r in &rows {
-            let best = r
-                .cells
-                .iter()
-                .filter(|c| c.threads != 1)
-                .map(|c| c.speedup)
-                .fold(f64::MIN, f64::max);
-            assert!(
-                best >= 0.25,
-                "native overhead pathology on {}: best multi-threaded configuration \
-                 {best:.2}x vs serial (gate 0.25x, {host_cores} cores)",
-                r.app
-            );
-        }
-    } else {
+    // time-slice; the measured (flat-or-worse) curve is recorded with
+    // the gate marked unenforced instead of failing on physics.
+    let enforced = host_cores > 1;
+    let gate = |r: &Row| {
+        let crossing = r.cells.iter().filter(|c| c.threads != 1);
+        let best = crossing.map(|c| c.speedup).fold(f64::MIN, f64::max);
+        Gate::at_least(
+            format!("{}.best_cross_thread_speedup", r.app),
+            best,
+            0.25,
+            enforced,
+        )
+        .enforce()
+    };
+    let gates: Vec<Gate> = rows.iter().map(gate).collect();
+    if !enforced {
         println!(
             "  note: speedup gates skipped, host has only {host_cores} core(s); \
              a stage-per-thread pipeline is hardware-bounded below 1x there"
@@ -270,55 +266,32 @@ fn main() {
         return;
     }
 
-    let row_json = |r: &Row| {
-        let cells = r
-            .cells
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{ \"channel\": \"{}\", \"threads\": {}, \"wall_s\": {:.6}, \
-                     \"speedup\": {:.4}, \"parks\": {}, \"epoch_bumps\": {} }}",
-                    c.channel.label(),
-                    c.threads,
-                    c.wall_s,
-                    c.speedup,
-                    c.parks,
-                    c.epoch_bumps
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let stages = r
-            .stage_ops
-            .iter()
-            .map(|(name, ops)| format!("{{ \"stage\": \"{name}\", \"ops\": {ops} }}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "    {{ \"app\": \"{}\", \"input\": \"{}\", \"serial_wall_s\": {:.6}, \
-             \"serial_ops\": {}, \"stage_ops\": [{stages}], \"native\": [{cells}] }}",
-            r.app, r.input, r.serial_s, r.serial_ops
-        )
+    let cell = |c: &Cell| {
+        Json::obj([
+            ("channel", Json::str(c.channel.label())),
+            ("threads", Json::u64(c.threads as u64)),
+            ("wall_s", num(c.wall_s, 6)),
+            ("speedup", num(c.speedup, 4)),
+            ("parks", Json::u64(c.parks)),
+            ("epoch_bumps", Json::u64(c.epoch_bumps)),
+        ])
     };
-    let json = format!(
-        "{{\n  \"bench\": \"native\",\n  \"backend\": \"pipeline stages on OS threads \
-         (threads 0 = one per stage, N = stages folded onto N workers), bounded channels per \
-         hardware queue (mpsc | ring | hybrid)\",\n  \
-         \"host_cores\": {host_cores},\n  \"scale\": \"{:?}\",\n  \"reps\": {reps},\n  \
-         \"apps\": [\n{}\n  ],\n  \
-         \"verification\": \"every native run's final memory is checked against the app's \
-         host oracle in-run; a divergence aborts the bench\",\n  \
-         \"note\": \"wall seconds are best-of-reps; speedup is the native phloem pipeline vs \
-         the serial kernel under Native{{threads: 1}} (same interpreter, same shared memory) \
-         on the same host. serial_ops and stage_ops are committed dynamic ops summed over the \
-         app's invocations (stage_ops from the first cell; the split does not depend on the \
-         schedule beyond an RA's last few ops); parks and epoch_bumps are those \
-         of the repetition whose wall time was kept. Gates apply only when host_cores > 1: on a single core the stage \
-         threads time-slice and every queue hop is overhead, so the flat-or-worse curve is \
-         recorded honestly with this note, matching BENCH_parallel.json's policy.\"\n}}\n",
-        scale(),
-        rows.iter().map(row_json).collect::<Vec<_>>().join(",\n"),
-    );
-    std::fs::write("BENCH_native.json", &json).expect("write BENCH_native.json");
-    println!("  wrote BENCH_native.json");
+    let stage = |(name, ops): &(String, u64)| {
+        Json::obj([("stage", Json::str(name)), ("ops", Json::u64(*ops))])
+    };
+    let row = |r: &Row| {
+        Json::obj([
+            ("name", Json::str(&r.app)),
+            ("input", Json::str(&r.input)),
+            ("serial_wall_s", num(r.serial_s, 6)),
+            ("serial_ops", Json::u64(r.serial_ops)),
+            (
+                "stage_ops",
+                Json::Arr(r.stage_ops.iter().map(stage).collect()),
+            ),
+            ("native", Json::Arr(r.cells.iter().map(cell).collect())),
+        ])
+    };
+    let rows: Vec<Json> = rows.iter().map(row).collect();
+    record::write("native", scale(), reps, &rows, &gates);
 }

@@ -30,11 +30,14 @@
 //! not change a single simulated cycle, so the measured cycles are
 //! asserted equal to an untraced run of the same configuration.
 
-use phloem_bench::{header, machine, run_graph_app, run_graph_app_traced, scale};
+use phloem_bench::{header, machine, scale};
+use phloem_benchsuite::apps::app_by_id;
+use phloem_benchsuite::runner::with_sink;
 use phloem_benchsuite::taco::{self, TacoApp};
-use phloem_benchsuite::{spmm, Measurement, Variant};
+use phloem_benchsuite::{Measurement, Variant};
 use phloem_ir::Trap;
-use phloem_workloads::{spmm_test_matrices, taco_test_matrices, test_graphs};
+use phloem_service::proto::{parse, Json};
+use phloem_workloads::taco_test_matrices;
 use pipette_sim::{MetricsSink, PerfettoSink, TeeSink, TraceSink};
 
 struct Args {
@@ -115,122 +118,78 @@ fn run(
 ) {
     let cfg = machine();
     let v = &args.variant;
-    match args.app.as_str() {
-        "bfs" | "cc" | "prd" | "radii" => {
-            let app = match args.app.as_str() {
-                "bfs" => "BFS",
-                "cc" => "CC",
-                "prd" => "PRD",
-                _ => "Radii",
-            };
-            let gi = pick(test_graphs(scale()), |g| g.name, &args.input);
-            let plain = run_graph_app(app, v, &gi.graph, &cfg, gi.name);
-            let (traced, sink) = run_graph_app_traced(app, v, &gi.graph, &cfg, gi.name, sink);
-            (gi.name.to_string(), plain, traced, sink)
-        }
-        "spmm" => {
-            let mi = pick(spmm_test_matrices(scale()), |m| m.name, &args.input);
-            let bt = mi.matrix.transpose();
-            let plain = spmm::run(v, &mi.matrix, &bt, &cfg, mi.name);
-            let (traced, sink) = spmm::run_traced(v, &mi.matrix, &bt, &cfg, mi.name, sink);
-            (mi.name.to_string(), plain, traced, sink)
-        }
-        taco_name if taco_name.starts_with("taco-") => {
-            let app = match taco_name {
-                "taco-spmv" => TacoApp::Spmv,
-                "taco-sddmm" => TacoApp::Sddmm,
-                "taco-residual" => TacoApp::Residual,
-                "taco-mtmul" => TacoApp::Mtmul,
-                other => panic!("unknown taco app {other}"),
-            };
-            let mi = pick(taco_test_matrices(scale()), |m| m.name, &args.input);
-            let plain = taco::run(app, v, &mi.matrix, &cfg, mi.name);
-            let (traced, sink) = taco::run_traced(app, v, &mi.matrix, &cfg, mi.name, sink);
-            (mi.name.to_string(), plain, traced, sink)
-        }
-        other => panic!("unknown app {other} (bfs|cc|prd|radii|spmm|taco-*)"),
+    if let Some(app) = app_by_id(&args.app) {
+        let i = pick(app.test_inputs(scale()), |i| i.name(), &args.input);
+        let plain = app.run(v, i.input(), &cfg, i.name(), None).0;
+        let (traced, sink) = with_sink(app.run(v, i.input(), &cfg, i.name(), Some(sink)));
+        return (i.name().to_string(), plain, traced, sink);
     }
+    let app = TacoApp::all()
+        .into_iter()
+        .find(|t| format!("taco-{}", t.name().to_lowercase()) == args.app)
+        .unwrap_or_else(|| panic!("unknown app {} (bfs|cc|prd|radii|spmm|taco-*)", args.app));
+    let mi = pick(taco_test_matrices(scale()), |m| m.name, &args.input);
+    let plain = taco::run(app, v, &mi.matrix, &cfg, mi.name);
+    let (traced, sink) = taco::run_traced(app, v, &mi.matrix, &cfg, mi.name, sink);
+    (mi.name.to_string(), plain, traced, sink)
 }
 
-// ---------------------------------------------------------------------
-// Minimal Chrome-trace schema validation (no JSON dependency): checks
-// the envelope and that every event object carries the fields Perfetto
-// requires for its phase. Structural, not a full JSON parser — but it
-// rejects truncated output, unbalanced braces, and missing fields,
-// which is what the CI smoke step is for.
-// ---------------------------------------------------------------------
-
+/// Chrome-trace schema validation on the parsed JSON: the envelope
+/// carries `displayTimeUnit` and a `traceEvents` array, and every event
+/// carries the fields Perfetto requires for its phase. Returns the
+/// event count.
+///
+/// [`PerfettoSink`] writes the envelope's opening on the first line,
+/// one event per line, and `]}` on the last; the envelope (first line +
+/// last) and each event are parsed on their own, so a 70 MB trace never
+/// becomes one half-gigabyte tree. Nothing a whole-document parse would
+/// reject gets through: every line must be exactly one JSON object,
+/// every line but the last event must end in the array's comma, and an
+/// envelope that does not close does not parse.
 fn validate_chrome_trace(json: &str) -> Result<usize, String> {
-    let body = json.trim();
-    if !body.starts_with('{') || !body.ends_with('}') {
-        return Err("trace is not a JSON object".into());
+    let lines: Vec<&str> = json.trim_end().lines().collect();
+    let [open, events @ .., close] = lines.as_slice() else {
+        return Err("truncated trace: no envelope".into());
+    };
+    let envelope = parse(&format!("{open}{close}")).map_err(|e| format!("envelope: {e}"))?;
+    if envelope
+        .get("displayTimeUnit")
+        .and_then(Json::as_str)
+        .is_none()
+    {
+        return Err("missing displayTimeUnit".into());
     }
-    if !body.contains("\"traceEvents\"") {
-        return Err("missing traceEvents key".into());
+    if !matches!(envelope.get("traceEvents"), Some(Json::Arr(_))) {
+        return Err("missing traceEvents array".into());
     }
-    if !body.contains("\"displayTimeUnit\"") {
-        return Err("missing displayTimeUnit key".into());
-    }
-    // Balance check over the whole document (string-aware).
-    let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-    let mut max_depth = 0i64;
-    for c in body.chars() {
-        if in_str {
-            match (esc, c) {
-                (true, _) => esc = false,
-                (false, '\\') => esc = true,
-                (false, '"') => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => {
-                depth += 1;
-                max_depth = max_depth.max(depth);
-            }
-            '}' | ']' => depth -= 1,
-            _ => {}
-        }
-        if depth < 0 {
-            return Err("unbalanced braces".into());
-        }
-    }
-    if depth != 0 || in_str {
-        return Err("truncated JSON".into());
-    }
-    // Per-event field checks. PerfettoSink emits one event object per
-    // line inside the traceEvents array; validate each.
-    let mut events = 0usize;
-    for line in body.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with("{\"name\":") {
-            continue;
-        }
-        events += 1;
-        let phase = line
-            .split("\"ph\":\"")
-            .nth(1)
-            .and_then(|r| r.chars().next())
-            .ok_or_else(|| format!("event missing ph field: {line}"))?;
-        let need: &[&str] = match phase {
-            'X' => &["\"ts\":", "\"dur\":", "\"pid\":", "\"tid\":"],
-            'C' => &["\"ts\":", "\"pid\":", "\"args\":"],
-            'I' | 'i' => &["\"ts\":", "\"pid\":", "\"s\":"],
-            'M' => &["\"pid\":", "\"args\":"],
-            other => return Err(format!("unexpected phase {other:?}: {line}")),
+    for (i, line) in events.iter().enumerate() {
+        let event = match (line.strip_suffix(','), i + 1 == events.len()) {
+            (Some(event), false) => event,
+            (None, true) => line,
+            _ => return Err(format!("event {i}: misplaced array comma: {line}")),
         };
-        for field in need {
-            if !line.contains(field) {
-                return Err(format!("phase {phase} event missing {field}: {line}"));
-            }
-        }
+        let event = parse(event).map_err(|e| format!("event {i}: {e}: {line}"))?;
+        validate_event(&event).map_err(|e| format!("event {i}: {e}: {line}"))?;
     }
-    if events == 0 {
+    if events.is_empty() {
         return Err("no trace events emitted".into());
     }
-    Ok(events)
+    Ok(events.len())
+}
+
+fn validate_event(event: &Json) -> Result<(), String> {
+    let phase = event.get("ph").and_then(Json::as_str).ok_or("no ph")?;
+    let need: &[&str] = match phase {
+        "X" => &["name", "ts", "dur", "pid", "tid"],
+        "C" => &["name", "ts", "pid", "args"],
+        "I" | "i" => &["name", "ts", "pid", "s"],
+        "M" => &["name", "pid", "args"],
+        other => return Err(format!("unexpected phase {other:?}")),
+    };
+    match need.iter().find(|field| event.get(field).is_none()) {
+        Some(field) => Err(format!("phase {phase} event without {field:?}")),
+        None => Ok(()),
+    }
 }
 
 fn main() {
@@ -293,5 +252,47 @@ fn main() {
         );
     } else {
         println!("  smoke mode: schema validated, no file written; OK");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::validate_chrome_trace as validate;
+
+    const OPEN: &str = r#"{"displayTimeUnit":"ns","traceEvents":["#;
+    const META: &str = r#"{"name":"process_name","ph":"M","pid":0,"args":{"name":"bfs"}}"#;
+    const SLICE: &str = r#"{"name":"stall","cat":"stall","ph":"X","ts":3,"dur":1,"pid":0,"tid":0}"#;
+
+    #[test]
+    fn a_well_formed_trace_counts_its_events() {
+        assert_eq!(validate(&format!("{OPEN}\n{META},\n{SLICE}\n]}}\n")), Ok(2));
+    }
+
+    #[test]
+    fn rejected_traces() {
+        let rejects = |trace: String, why: &str| {
+            let e = validate(&trace).expect_err(why);
+            assert!(e.contains(why), "{why}: got {e}");
+        };
+        rejects(format!("{OPEN}\n{META},\n{}", &SLICE[..30]), "envelope");
+        rejects(format!("{OPEN}\n{META}\n}}\n"), "envelope");
+        rejects(
+            format!("{OPEN}\n{META}\n{SLICE}\n]}}\n"),
+            "misplaced array comma",
+        );
+        let no_dur = SLICE.replace("\"dur\":1,", "");
+        rejects(
+            format!("{OPEN}\n{META},\n{no_dur}\n]}}\n"),
+            "phase X event without \"dur\"",
+        );
+        rejects(format!("{OPEN}\n]}}\n"), "no trace events");
+        rejects(
+            format!("{{\"traceEvents\":[\n{META}\n]}}\n"),
+            "missing displayTimeUnit",
+        );
+        rejects(
+            format!("{OPEN}\n{}\n]}}\n", META.replace("\"M\"", "\"Q\"")),
+            "unexpected phase",
+        );
     }
 }

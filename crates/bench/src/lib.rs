@@ -1,40 +1,58 @@
 //! # phloem-bench
 //!
-//! Experiment harnesses that regenerate every table and figure of the
-//! Phloem paper's evaluation (Sec. VI-VII). One binary per artifact:
+//! What has no twin in `benchmark/` (the repo's end-to-end ledger): the
+//! paper's figures and the CI gates. Six binaries:
 //!
-//! | Binary   | Artifact | Contents |
-//! |----------|----------|----------|
-//! | `tables` | Tables I, III, IV, V | Pipette ISA, machine config, input catalogs |
-//! | `fig6`   | Fig. 6  | BFS pass ablation on a road network |
-//! | `fig9`   | Fig. 9  | Per-benchmark speedups (serial / data-parallel / Phloem static+PGO / manual) |
-//! | `fig10`  | Fig. 10 | Cycle breakdowns normalized to serial |
-//! | `fig11`  | Fig. 11 | Energy breakdowns normalized to serial |
-//! | `fig12`  | Fig. 12 | Taco benchmark speedups |
-//! | `fig13`  | Fig. 13 | Speedup distribution vs. pipeline length (PGO search) |
-//! | `fig14`  | Fig. 14 | Replicated pipelines on 4 cores x 4 threads |
+//! | Binary     | What it is |
+//! |------------|------------|
+//! | `figures`  | Tables I, III-V and Figs. 6, 9-14 (`figures fig6 fig9`, `figures all`); each is a function in [`figures`] returning what it prints |
+//! | `simspeed` | gate: cycle/atom equality across tracing modes and engines, tracing-overhead budgets, session throughput against `BENCH_simspeed.json` |
+//! | `native`   | gate: every app oracle-verified on real threads, host-gated 0.25x overhead bound (`BENCH_native.json`) |
+//! | `chaos`    | gate: seeded fault injection against a live `phloemd` (`BENCH_chaos.json`) |
+//! | `fuzzdiff` | gate: differential fuzzing against the serial oracle ([`fuzz`]) |
+//! | `trace`    | Perfetto trace + profile of one workload; `--smoke` gates the schema and traced/untraced cycle identity |
 //!
-//! Set `SCALE=tiny|small|full` to trade fidelity for runtime (default
-//! `small`); set `PGO=0` to skip the profile-guided search in `fig9`.
-//! Absolute cycle counts come from our simulator, not the authors'
-//! testbed: compare *shapes* (who wins, by roughly what factor), which
-//! each harness prints alongside the paper's reported numbers.
+//! The three `BENCH_*.json` files share one schema and one writer,
+//! [`record`]. Set `SCALE=tiny|small|full` to trade fidelity for runtime
+//! (default `small`; anything else is an error); set `PGO=0` to skip the
+//! profile-guided search in `fig9`. Absolute cycle counts come from our
+//! simulator, not the authors' testbed: compare *shapes* (who wins, by
+//! roughly what factor), which each figure prints alongside the paper's
+//! reported numbers.
 
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod fuzz;
-pub mod microbench;
+pub mod record;
 
-use phloem_benchsuite::{gmean, run_guarded, Measurement, Variant};
-use phloem_workloads::Scale;
-use pipette_sim::MachineConfig;
+use phloem_benchsuite::apps::{self, App, Input};
+use phloem_benchsuite::{gmean, Measurement, Variant};
+use phloem_compiler::search::{
+    search_profiled, CandidateProfile, ProfileBudget, ProfileOutcome, SearchOptions,
+};
+use phloem_compiler::PassConfig;
+use phloem_ir::{LoadId, Trap};
+use phloem_workloads::{Graph, Scale};
+use pipette_sim::{MachineConfig, MetricsSink};
 
-/// Reads the experiment scale from `SCALE` (default: small).
+/// Reads the experiment scale from `SCALE` (unset: small). Any other
+/// value than `tiny|small|full` ends the process with status 2 rather
+/// than quietly running a different sweep than the one asked for.
 pub fn scale() -> Scale {
-    match std::env::var("SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        Ok("full") => Scale::Full,
-        _ => Scale::Small,
+    let var = std::env::var_os("SCALE").map(|v| v.to_string_lossy().into_owned());
+    parse_scale(var.as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_scale(var: Option<&str>) -> Result<Scale, String> {
+    match var {
+        None | Some("small") => Ok(Scale::Small),
+        Some("tiny") => Ok(Scale::Tiny),
+        Some("full") => Ok(Scale::Full),
+        Some(other) => Err(format!("SCALE={other:?}: expected tiny|small|full")),
     }
 }
 
@@ -42,7 +60,7 @@ pub fn scale() -> Scale {
 /// a `--jobs N` argument when the harness got one, else the shared
 /// `PHLOEM_WORKERS` env override, else the host's available
 /// parallelism. This is the single `--jobs` path `results/run_all.sh`
-/// routes every figure harness through.
+/// routes `figures` through.
 pub fn jobs() -> usize {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
@@ -74,114 +92,36 @@ pub fn header(title: &str) {
     println!("== {title} ==");
 }
 
-/// One row of a speedup table.
-#[derive(Clone, Debug)]
-pub struct SpeedupRow {
-    /// Row label (benchmark or variant).
-    pub label: String,
-    /// Speedups, one per column.
-    pub values: Vec<f64>,
-}
-
-/// Prints a speedup table with aligned columns.
-pub fn print_speedups(cols: &[&str], rows: &[SpeedupRow]) {
-    print!("{:<12}", "");
-    for c in cols {
-        print!("{c:>16}");
-    }
-    println!();
-    for r in rows {
-        print!("{:<12}", r.label);
-        for v in &r.values {
-            print!("{:>15.2}x", v);
-        }
-        println!();
-    }
-    if rows.len() > 1 {
-        print!("{:<12}", "gmean");
-        for k in 0..cols.len() {
-            let g = gmean(rows.iter().map(|r| r.values[k]));
-            print!("{:>15.2}x", g);
-        }
-        println!();
-    }
-}
-
-/// The standard Fig. 9 variant set (PGO cuts are decided separately).
-pub fn fig9_variants(threads: usize) -> Vec<Variant> {
-    vec![
-        Variant::Serial,
-        Variant::DataParallel(threads),
-        Variant::phloem(),
-        Variant::Manual,
-    ]
-}
-
-/// Computes speedup-vs-serial columns from grouped measurements
-/// (variant rows per input), gmean'd across inputs.
-pub fn speedups_vs_serial(per_input: &[Vec<Measurement>]) -> Vec<f64> {
-    let nvars = per_input[0].len();
-    (1..nvars)
-        .map(|k| {
-            gmean(
-                per_input
-                    .iter()
-                    .map(|ms| ms[0].cycles as f64 / ms[k].cycles.max(1) as f64),
-            )
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------
-// Shared experiment drivers (fig9 / fig10 / fig11 / fig13 reuse these)
+// App lookups and PGO drivers (the figures, `benchmark/` and
+// `tests/pool_determinism.rs` share these)
 // ---------------------------------------------------------------------
-
-use phloem_compiler::search::{
-    search_profiled, CandidateProfile, ProfileBudget, ProfileOutcome, SearchOptions,
-};
-use phloem_ir::{LoadId, Trap};
-use phloem_workloads::{spmm_test_matrices, spmm_training_matrices, test_graphs, training_graphs};
-use pipette_sim::{MetricsSink, TraceSink};
 
 /// The graph applications of the C-path evaluation.
 pub const GRAPH_APPS: [&str; 4] = ["BFS", "CC", "PRD", "Radii"];
+
+/// The table row for `name` (`BFS`, `SpMM`, ...); an unknown name is a
+/// caller bug.
+pub fn app(name: &str) -> &'static App {
+    apps::app(name).unwrap_or_else(|| panic!("unknown app {name}"))
+}
 
 /// Runs one graph app variant on one input. Runtime traps (watchdog,
 /// faults, convergence stalls) come back as `Err`; oracle mismatches
 /// still panic (results are always verified inside).
 pub fn run_graph_app(
-    app: &str,
+    name: &str,
     v: &Variant,
-    g: &phloem_workloads::Graph,
+    g: &Graph,
     cfg: &MachineConfig,
     input: &str,
 ) -> Result<Measurement, Trap> {
-    match app {
-        "BFS" => phloem_benchsuite::bfs::run(v, g, 0, cfg, input),
-        "CC" => phloem_benchsuite::cc::run(v, g, cfg, input),
-        "PRD" => phloem_benchsuite::prd::run(v, g, cfg, input),
-        "Radii" => phloem_benchsuite::radii::run(v, g, cfg, input),
-        other => panic!("unknown app {other}"),
-    }
+    app(name).run(v, Input::Graph(g), cfg, input, None).0
 }
 
-/// Like [`run_graph_app`], with a [`TraceSink`] observing every
-/// pipeline invocation; the sink is returned even when the run traps.
-pub fn run_graph_app_traced(
-    app: &str,
-    v: &Variant,
-    g: &phloem_workloads::Graph,
-    cfg: &MachineConfig,
-    input: &str,
-    sink: Box<dyn TraceSink>,
-) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    match app {
-        "BFS" => phloem_benchsuite::bfs::run_traced(v, g, 0, cfg, input, sink),
-        "CC" => phloem_benchsuite::cc::run_traced(v, g, cfg, input, sink),
-        "PRD" => phloem_benchsuite::prd::run_traced(v, g, cfg, input, sink),
-        "Radii" => phloem_benchsuite::radii::run_traced(v, g, cfg, input, sink),
-        other => panic!("unknown app {other}"),
-    }
+/// The serial kernel of a graph app (for PGO enumeration).
+pub fn graph_app_kernel(name: &str) -> phloem_ir::Function {
+    app(name).kernel()
 }
 
 /// Reduces a metrics aggregate to the per-candidate profile the PGO
@@ -206,30 +146,36 @@ pub fn candidate_profile(m: &MetricsSink) -> CandidateProfile {
     }
 }
 
+/// Runs one variant on one input under a metrics aggregator; `None` if
+/// the run traps.
+pub(crate) fn traced_metrics(
+    app: &App,
+    v: &Variant,
+    input: Input<'_>,
+    cfg: &MachineConfig,
+    input_name: &str,
+) -> Option<MetricsSink> {
+    let (r, sink) = app.run(
+        v,
+        input,
+        cfg,
+        input_name,
+        Some(Box::new(MetricsSink::new())),
+    );
+    r.ok()?;
+    sink?.downcast_mut::<MetricsSink>().map(std::mem::take)
+}
+
 /// Runs one graph-app variant on one input under a metrics aggregator
 /// and reduces it to a [`CandidateProfile`]; `None` if the run traps.
 pub fn profile_graph_app(
-    app: &str,
+    name: &str,
     v: &Variant,
-    g: &phloem_workloads::Graph,
+    g: &Graph,
     cfg: &MachineConfig,
     input: &str,
 ) -> Option<CandidateProfile> {
-    let (r, sink) = run_graph_app_traced(app, v, g, cfg, input, Box::new(MetricsSink::new()));
-    r.ok()?;
-    let m = sink.downcast_ref::<MetricsSink>().expect("metrics sink");
-    Some(candidate_profile(m))
-}
-
-/// The serial kernel of a graph app (for PGO enumeration).
-pub fn graph_app_kernel(app: &str) -> phloem_ir::Function {
-    match app {
-        "BFS" => phloem_benchsuite::bfs::kernel(),
-        "CC" => phloem_benchsuite::cc::kernel(),
-        "PRD" => phloem_benchsuite::prd::scatter_kernel(),
-        "Radii" => phloem_benchsuite::radii::kernel(),
-        other => panic!("unknown app {other}"),
-    }
+    traced_metrics(app(name), v, Input::Graph(g), cfg, input).map(|m| candidate_profile(&m))
 }
 
 /// Outcome of the profile-guided search for one benchmark.
@@ -239,7 +185,7 @@ pub struct PgoOutcome {
     /// cost model, which empty cuts encode).
     pub best_cuts: Vec<LoadId>,
     /// Trace-derived profile of the best candidate (when the profiling
-    /// closure produced one; `None` under plain [`pgo_search`]).
+    /// closure produced one).
     pub best_profile: Option<CandidateProfile>,
     /// `(total stages incl. RAs, gmean training speedup)` per candidate.
     pub points: Vec<(usize, f64)>,
@@ -249,42 +195,17 @@ pub struct PgoOutcome {
 }
 
 /// Enumerates candidate pipelines for `kernel` and profiles each with
-/// `profile` under the search's per-candidate watchdog budget. The
-/// serial training cycles normalize the Fig. 13 speedups.
-///
-/// Built on [`phloem_compiler::search::search`]: candidates that trap
-/// or panic are recorded, timed-out ones get one retry at an enlarged
-/// budget, and a fully failed search degrades to empty `best_cuts`
-/// (static compilation) instead of aborting the harness.
-pub fn pgo_search(
-    kernel: &phloem_ir::Function,
-    serial_train_cycles: f64,
-    profile: impl Fn(&[LoadId], &ProfileBudget) -> ProfileOutcome + Sync,
-) -> PgoOutcome {
-    pgo_search_profiled(kernel, serial_train_cycles, |cuts, budget| {
-        (profile(cuts, budget), None)
-    })
-}
-
-/// [`pgo_search`] with a profiling closure that also returns a
-/// trace-derived [`CandidateProfile`] per candidate (usually built with
-/// [`candidate_profile`] from a [`MetricsSink`] run); the best
-/// candidate's profile surfaces in [`PgoOutcome::best_profile`].
-pub fn pgo_search_profiled(
-    kernel: &phloem_ir::Function,
-    serial_train_cycles: f64,
-    profile: impl Fn(&[LoadId], &ProfileBudget) -> (ProfileOutcome, Option<CandidateProfile>) + Sync,
-) -> PgoOutcome {
-    let opts = SearchOptions {
-        workers: jobs(),
-        ..SearchOptions::default()
-    };
-    pgo_search_with(&opts, kernel, serial_train_cycles, profile)
-}
-
-/// [`pgo_search_profiled`] with explicit [`SearchOptions`] — the
-/// determinism suite uses this to run the same fig-style sweep at
+/// `profile` under the search's per-candidate watchdog budget; the
+/// closure may also return a trace-derived [`CandidateProfile`], and the
+/// best candidate's surfaces in [`PgoOutcome::best_profile`]. The serial
+/// training cycles normalize the Fig. 13 speedups. Explicit
+/// [`SearchOptions`] let the determinism suite run the same sweep at
 /// several worker counts without touching env/argv.
+///
+/// Built on [`phloem_compiler::search::search_profiled`]: candidates
+/// that trap or panic are recorded, timed-out ones get one retry at an
+/// enlarged budget, and a fully failed search degrades to empty
+/// `best_cuts` (static compilation) instead of aborting the harness.
 pub fn pgo_search_with(
     opts: &SearchOptions,
     kernel: &phloem_ir::Function,
@@ -324,6 +245,41 @@ pub fn pgo_search_with(
     }
 }
 
+/// The all-passes Phloem variant pinned to a candidate's `cuts` (none:
+/// the static cost model's own).
+pub fn phloem_with_cuts(cuts: &[LoadId]) -> Variant {
+    Variant::Phloem {
+        passes: PassConfig::all(),
+        stages: 4,
+        cuts: cuts.to_vec(),
+    }
+}
+
+/// The Fig. 9/13 search for one app: every candidate of its kernel
+/// profiled over its training inputs on [`jobs`] workers, normalized to
+/// the serial variant's training cycles. `profiled` re-runs each viable
+/// candidate traced for its [`CandidateProfile`].
+pub(crate) fn pgo_for_app(app: &App, cfg: &MachineConfig, profiled: bool) -> PgoOutcome {
+    let whole = ProfileBudget {
+        cycle_cap: cfg.watchdog.cycle_cap,
+    };
+    let serial = train_outcome(app, &Variant::Serial, cfg, &whole)
+        .cycles()
+        .unwrap_or_else(|| panic!("{} serial training run", app.name()));
+    let opts = SearchOptions {
+        workers: jobs(),
+        ..SearchOptions::default()
+    };
+    pgo_search_with(&opts, &app.kernel(), serial, |cuts, budget| {
+        let v = phloem_with_cuts(cuts);
+        if profiled {
+            train_profiled(app, &v, cfg, budget)
+        } else {
+            (train_outcome(app, &v, cfg, budget), None)
+        }
+    })
+}
+
 /// Classifies one guarded profiling invocation: `Ok` carries the
 /// measured cycles; watchdog expirations become `TimedOut` (retryable
 /// at a larger budget); any other trap or panic becomes `Trapped`.
@@ -332,14 +288,10 @@ fn profiled_cycles(f: impl FnOnce() -> Result<Measurement, Trap>) -> Result<f64,
         Ok(Ok(m)) => Ok(m.cycles as f64),
         Ok(Err(Trap::CycleLimit { .. } | Trap::Livelock { .. })) => Err(ProfileOutcome::TimedOut),
         Ok(Err(trap)) => Err(ProfileOutcome::Trapped(trap.to_string())),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "unknown panic".into());
-            Err(ProfileOutcome::Trapped(format!("panicked: {msg}")))
-        }
+        Err(payload) => Err(ProfileOutcome::Trapped(format!(
+            "panicked: {}",
+            phloem_benchsuite::runner::panic_text(&*payload)
+        ))),
     }
 }
 
@@ -351,18 +303,18 @@ fn budgeted(cfg: &MachineConfig, budget: &ProfileBudget) -> MachineConfig {
     cfg
 }
 
-/// Profiles a graph-app variant over the training graphs under the
-/// given watchdog budget (gmean cycles on success).
-pub fn train_graph_outcome(
-    app: &str,
+/// Profiles a variant over the app's training inputs under the given
+/// watchdog budget (gmean cycles on success).
+pub(crate) fn train_outcome(
+    app: &App,
     v: &Variant,
     cfg: &MachineConfig,
     budget: &ProfileBudget,
 ) -> ProfileOutcome {
     let cfg = budgeted(cfg, budget);
     let mut vals = Vec::new();
-    for gi in training_graphs(scale()) {
-        match profiled_cycles(|| run_graph_app(app, v, &gi.graph, &cfg, gi.name)) {
+    for i in app.training_inputs(scale()) {
+        match profiled_cycles(|| app.run(v, i.input(), &cfg, i.name(), None).0) {
             Ok(c) => vals.push(c),
             Err(outcome) => return outcome,
         }
@@ -370,215 +322,33 @@ pub fn train_graph_outcome(
     ProfileOutcome::Ok(gmean(vals))
 }
 
-/// [`train_graph_outcome`] plus a [`CandidateProfile`] built by
-/// re-running the first training graph under a metrics aggregator
-/// (the extra traced run only happens for viable candidates).
-pub fn train_graph_profiled(
-    app: &str,
+/// [`train_outcome`] plus a [`CandidateProfile`] built by re-running the
+/// first training input under a metrics aggregator (the extra traced
+/// run only happens for viable candidates).
+pub(crate) fn train_profiled(
+    app: &App,
     v: &Variant,
     cfg: &MachineConfig,
     budget: &ProfileBudget,
 ) -> (ProfileOutcome, Option<CandidateProfile>) {
-    let outcome = train_graph_outcome(app, v, cfg, budget);
+    let outcome = train_outcome(app, v, cfg, budget);
     if !matches!(outcome, ProfileOutcome::Ok(_)) {
         return (outcome, None);
     }
     let cfg = budgeted(cfg, budget);
-    let profile = training_graphs(scale())
-        .into_iter()
-        .next()
-        .and_then(|gi| profile_graph_app(app, v, &gi.graph, &cfg, gi.name));
-    (outcome, profile)
+    let first = app.training_inputs(scale()).into_iter().next();
+    let metrics = first.and_then(|i| traced_metrics(app, v, i.input(), &cfg, i.name()));
+    (outcome, metrics.map(|m| candidate_profile(&m)))
 }
 
-/// Profiles a SpMM variant over the training matrices under the given
-/// watchdog budget (gmean cycles on success).
-pub fn train_spmm_outcome(
+/// [`train_profiled`] for a graph app by name.
+pub fn train_graph_profiled(
+    name: &str,
     v: &Variant,
     cfg: &MachineConfig,
     budget: &ProfileBudget,
-) -> ProfileOutcome {
-    let cfg = budgeted(cfg, budget);
-    let mut vals = Vec::new();
-    for mi in &spmm_training_matrices(scale()) {
-        let bt = mi.matrix.transpose();
-        match profiled_cycles(|| phloem_benchsuite::spmm::run(v, &mi.matrix, &bt, &cfg, mi.name)) {
-            Ok(c) => vals.push(c),
-            Err(outcome) => return outcome,
-        }
-    }
-    ProfileOutcome::Ok(gmean(vals))
-}
-
-/// Gmean cycles of a graph-app variant over the training graphs, under
-/// the config's own watchdog; `None` on any trap, timeout, or panic.
-pub fn train_graph_cycles(app: &str, v: &Variant, cfg: &MachineConfig) -> Option<f64> {
-    let budget = ProfileBudget {
-        cycle_cap: cfg.watchdog.cycle_cap,
-    };
-    train_graph_outcome(app, v, cfg, &budget).cycles()
-}
-
-/// Gmean cycles of a SpMM variant over the training matrices, under the
-/// config's own watchdog; `None` on any trap, timeout, or panic.
-pub fn train_spmm_cycles(v: &Variant, cfg: &MachineConfig) -> Option<f64> {
-    let budget = ProfileBudget {
-        cycle_cap: cfg.watchdog.cycle_cap,
-    };
-    train_spmm_outcome(v, cfg, &budget).cycles()
-}
-
-/// The complete Fig. 9/10/11 measurement matrix plus every failure the
-/// sweep absorbed along the way.
-pub struct Fig9Matrix {
-    /// `(app, per-input rows of [serial, data-parallel, phloem, manual,
-    /// phloem-pgo?])`. PGO adds a fifth column when enabled.
-    pub rows: Vec<(String, Vec<Vec<Measurement>>)>,
-    /// Variants (or PGO candidates) that trapped, timed out, or
-    /// panicked. A failed variant falls back to the serial baseline
-    /// measurement so speedup columns stay comparable (speedup 1.0x).
-    pub failures: Vec<String>,
-}
-
-/// Runs the non-serial variants of one input row, degrading each
-/// failure to the serial baseline and recording it.
-fn guarded_row(
-    app: &str,
-    input: &str,
-    serial: Measurement,
-    variants: &[Variant],
-    failures: &mut Vec<String>,
-    run: impl Fn(&Variant) -> Result<Measurement, Trap>,
-) -> Vec<Measurement> {
-    let mut ms = vec![serial.clone()];
-    for v in variants.iter().skip(1) {
-        let label = format!("{app}/{input}/{}", v.label());
-        match run_guarded(&label, || run(v)) {
-            Ok(m) => ms.push(m),
-            Err(msg) => {
-                eprintln!("[fig9]   FAILED {msg}; falling back to serial baseline");
-                failures.push(msg);
-                ms.push(Measurement {
-                    variant: format!("{} (failed; serial fallback)", v.label()),
-                    ..serial.clone()
-                });
-            }
-        }
-    }
-    ms
-}
-
-/// The complete Fig. 9/10/11 measurement matrix:
-/// `(app, per-input rows of [serial, data-parallel, phloem, manual,
-/// phloem-pgo?])`. PGO adds a fifth column when enabled.
-///
-/// Robust by construction: any variant that traps or panics is recorded
-/// in [`Fig9Matrix::failures`] and replaced by the serial baseline, so
-/// one bad pipeline cannot abort the whole figure. Only a failing
-/// *serial* run (the normalizer) is fatal.
-pub fn fig9_matrix(with_pgo: bool) -> Fig9Matrix {
-    let cfg = machine();
-    let graphs = test_graphs(scale());
-    let mut out = Vec::new();
-    let mut failures = Vec::new();
-    for app in GRAPH_APPS {
-        eprintln!("[fig9] {app}...");
-        let mut variants = fig9_variants(cfg.smt_threads);
-        if with_pgo {
-            let kernel = graph_app_kernel(app);
-            let serial =
-                train_graph_cycles(app, &Variant::Serial, &cfg).expect("serial training run");
-            let pgo = pgo_search_profiled(&kernel, serial, |cuts, budget| {
-                train_graph_profiled(
-                    app,
-                    &Variant::Phloem {
-                        passes: phloem_compiler::PassConfig::all(),
-                        stages: 4,
-                        cuts: cuts.to_vec(),
-                    },
-                    &cfg,
-                    budget,
-                )
-            });
-            if let Some(p) = &pgo.best_profile {
-                eprintln!(
-                    "[fig9]   {app} pgo best candidate: critical stage `{}`, dominant stall {}",
-                    p.critical_stage, p.dominant_stall
-                );
-            }
-            failures.extend(pgo.failures.iter().map(|f| format!("{app} pgo: {f}")));
-            variants.push(Variant::Phloem {
-                passes: phloem_compiler::PassConfig::all(),
-                stages: 4,
-                cuts: pgo.best_cuts,
-            });
-        }
-        let mut rows = Vec::new();
-        for gi in &graphs {
-            eprintln!("[fig9]   {} ({} edges)", gi.name, gi.graph.num_edges());
-            let serial = run_graph_app(app, &Variant::Serial, &gi.graph, &cfg, gi.name)
-                .unwrap_or_else(|e| panic!("{app} serial baseline on {}: {e}", gi.name));
-            rows.push(guarded_row(
-                app,
-                gi.name,
-                serial,
-                &variants,
-                &mut failures,
-                |v| run_graph_app(app, v, &gi.graph, &cfg, gi.name),
-            ));
-        }
-        out.push((app.to_string(), rows));
-    }
-    // SpMM.
-    eprintln!("[fig9] SpMM...");
-    let mut variants = fig9_variants(cfg.smt_threads);
-    if with_pgo {
-        let kernel = phloem_benchsuite::spmm::kernel();
-        let serial = train_spmm_cycles(&Variant::Serial, &cfg).expect("serial SpMM training");
-        let pgo = pgo_search(&kernel, serial, |cuts, budget| {
-            train_spmm_outcome(
-                &Variant::Phloem {
-                    passes: phloem_compiler::PassConfig::all(),
-                    stages: 4,
-                    cuts: cuts.to_vec(),
-                },
-                &cfg,
-                budget,
-            )
-        });
-        failures.extend(pgo.failures.iter().map(|f| format!("SpMM pgo: {f}")));
-        variants.push(Variant::Phloem {
-            passes: phloem_compiler::PassConfig::all(),
-            stages: 4,
-            cuts: pgo.best_cuts,
-        });
-    }
-    let mut rows = Vec::new();
-    for mi in spmm_test_matrices(scale()) {
-        eprintln!("[fig9]   {} ({} nnz)", mi.name, mi.matrix.nnz());
-        let bt = mi.matrix.transpose();
-        let serial = phloem_benchsuite::spmm::run(&Variant::Serial, &mi.matrix, &bt, &cfg, mi.name)
-            .unwrap_or_else(|e| panic!("SpMM serial baseline on {}: {e}", mi.name));
-        rows.push(guarded_row(
-            "SpMM",
-            mi.name,
-            serial,
-            &variants,
-            &mut failures,
-            |v| phloem_benchsuite::spmm::run(v, &mi.matrix, &bt, &cfg, mi.name),
-        ));
-    }
-    out.push(("SpMM".to_string(), rows));
-    if !failures.is_empty() {
-        eprintln!("[fig9] {} variant(s) fell back to serial:", failures.len());
-        for f in &failures {
-            eprintln!("[fig9]   - {f}");
-        }
-    }
-    Fig9Matrix {
-        rows: out,
-        failures,
-    }
+) -> (ProfileOutcome, Option<CandidateProfile>) {
+    train_profiled(app(name), v, cfg, budget)
 }
 
 #[cfg(test)]
@@ -586,15 +356,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn speedup_math() {
-        let mk = |cycles: u64| Measurement {
-            variant: "v".into(),
-            input: "i".into(),
-            cycles,
-            stats: Default::default(),
-        };
-        let per_input = vec![vec![mk(100), mk(50)], vec![mk(200), mk(50)]];
-        let s = speedups_vs_serial(&per_input);
-        assert!((s[0] - (2.0f64 * 4.0).sqrt()).abs() < 1e-9);
+    fn graph_apps_names_the_tables_graph_rows() {
+        let on_graphs = apps::APPS.iter().filter(|a| a.runs_on_graphs());
+        assert_eq!(on_graphs.map(|a| a.name()).collect::<Vec<_>>(), GRAPH_APPS);
+    }
+
+    #[test]
+    fn an_unknown_scale_is_an_error_naming_the_choices() {
+        assert_eq!(parse_scale(None), Ok(Scale::Small));
+        assert_eq!(parse_scale(Some("tiny")), Ok(Scale::Tiny));
+        assert_eq!(parse_scale(Some("full")), Ok(Scale::Full));
+        let e = parse_scale(Some("tniy")).unwrap_err();
+        assert!(e.contains("SCALE") && e.contains("tiny|small|full"), "{e}");
     }
 }

@@ -370,7 +370,10 @@ pub(crate) fn fringe(arrays: &BfsArrays, threads: usize, segment: usize) -> Frin
     )
 }
 
-fn run_opt_traced(
+/// The single run entry [`run`] and [`run_traced`] wrap (and the app
+/// table in [`crate::apps`] calls): `sink`, when given, observes every
+/// pipeline invocation and is handed back even when the run traps.
+pub fn run_opt_traced(
     variant: &Variant,
     g: &Graph,
     root: usize,

@@ -391,7 +391,10 @@ pub(crate) fn fringe(arrays: &CcArrays, threads: usize, g: &Graph) -> Fringe {
     )
 }
 
-fn run_opt_traced(
+/// The single run entry [`run`] and [`run_traced`] wrap (and the app
+/// table in [`crate::apps`] calls): `sink`, when given, observes every
+/// pipeline invocation and is handed back even when the run traps.
+pub fn run_opt_traced(
     variant: &Variant,
     g: &Graph,
     cfg: &MachineConfig,

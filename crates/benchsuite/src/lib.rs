@@ -6,6 +6,7 @@
 
 #![warn(missing_docs)]
 
+pub mod apps;
 pub mod bfs;
 pub mod cc;
 pub mod fault_targets;

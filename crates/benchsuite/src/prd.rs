@@ -444,16 +444,19 @@ pub fn pipelines_for(
     Ok((scatter, apply))
 }
 
-/// Runs PRD for [`ITERATIONS`] iterations; returns final ranks too.
+/// Runs PRD for up to [`ITERATIONS`] iterations and checks ranks against
+/// the serial reference (tolerance for reordered float accumulation in
+/// the data-parallel variant).
 ///
 /// Runtime failures (watchdog traps, injected faults) surface as
-/// `Err(Trap)`.
-pub fn run_with_ranks(
+/// `Err(Trap)`; a rank divergence still panics, as it means the variant
+/// miscompiled.
+pub fn run(
     variant: &Variant,
     g: &Graph,
     cfg: &MachineConfig,
     input: &str,
-) -> Result<(Measurement, Vec<f64>), Trap> {
+) -> Result<Measurement, Trap> {
     run_opt_traced(variant, g, cfg, input, None).0
 }
 
@@ -467,8 +470,7 @@ pub fn run_traced(
     input: &str,
     sink: Box<dyn TraceSink>,
 ) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    let (r, sink) = with_sink(run_opt_traced(variant, g, cfg, input, Some(sink)));
-    (r.map(|(m, _)| m), sink)
+    with_sink(run_opt_traced(variant, g, cfg, input, Some(sink)))
 }
 
 /// The round loop's view of [`PrdArrays`]: the active list is
@@ -509,17 +511,16 @@ pub(crate) fn iterate(
     Ok(())
 }
 
-#[allow(clippy::type_complexity)]
-fn run_opt_traced(
+/// The single run entry [`run`] and [`run_traced`] wrap (and the app
+/// table in [`crate::apps`] calls): `sink`, when given, observes every
+/// pipeline invocation and is handed back even when the run traps.
+pub fn run_opt_traced(
     variant: &Variant,
     g: &Graph,
     cfg: &MachineConfig,
     input: &str,
     sink: Option<Box<dyn TraceSink>>,
-) -> (
-    Result<(Measurement, Vec<f64>), Trap>,
-    Option<Box<dyn TraceSink>>,
-) {
+) -> (Result<Measurement, Trap>, Option<Box<dyn TraceSink>>) {
     let threads = variant.threads();
     let n = g.num_vertices;
     let (scatter, apply) = pipelines_for(variant, n, cfg).expect("PRD pipelines");
@@ -528,30 +529,18 @@ fn run_opt_traced(
     let (r, sink) = measure(variant.label(), input, cfg, mem, sink, |session| {
         iterate(session, &fringe, n, &scatter, &apply)
     });
-    (r.map(|(m, mem)| (m, mem.f64_vec(arrays.rank))), sink)
-}
-
-/// Runs PRD and checks ranks against the serial reference (tolerance for
-/// reordered float accumulation in the data-parallel variant).
-///
-/// Runtime failures surface as `Err(Trap)`; a rank divergence still
-/// panics, as it means the variant miscompiled.
-pub fn run(
-    variant: &Variant,
-    g: &Graph,
-    cfg: &MachineConfig,
-    input: &str,
-) -> Result<Measurement, Trap> {
-    let (m, ranks) = run_with_ranks(variant, g, cfg, input)?;
-    let reference = oracle(g);
-    for (i, (a, b)) in ranks.iter().zip(&reference).enumerate() {
-        assert!(
-            (a - b).abs() <= 1e-9 + 1e-6 * b.abs(),
-            "{}: rank[{i}] = {a} vs {b}",
-            variant.label()
-        );
-    }
-    Ok(m)
+    let checked = r.map(|(m, mem)| {
+        let reference = oracle(g);
+        for (i, (a, b)) in mem.f64_vec(arrays.rank).iter().zip(&reference).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-9 + 1e-6 * b.abs(),
+                "{}: rank[{i}] = {a} vs {b}",
+                m.variant
+            );
+        }
+        m
+    });
+    (checked, sink)
 }
 
 /// Host oracle mirroring the serial schedule exactly.

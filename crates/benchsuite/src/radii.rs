@@ -467,7 +467,10 @@ pub(crate) fn swap_visited(session: &mut Session, arrays: &RadiiArrays) {
     session.mem_mut().set_values(arrays.visited, nv);
 }
 
-fn run_opt_traced(
+/// The single run entry [`run`] and [`run_traced`] wrap (and the app
+/// table in [`crate::apps`] calls): `sink`, when given, observes every
+/// pipeline invocation and is handed back even when the run traps.
+pub fn run_opt_traced(
     variant: &Variant,
     g: &Graph,
     cfg: &MachineConfig,

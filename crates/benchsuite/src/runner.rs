@@ -307,15 +307,17 @@ pub fn run_guarded(
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(Ok(m)) => Ok(m),
         Ok(Err(trap)) => Err(format!("{label}: {trap}")),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "unknown panic".into());
-            Err(format!("{label}: panicked: {msg}"))
-        }
+        Err(payload) => Err(format!("{label}: panicked: {}", panic_text(&*payload))),
     }
+}
+
+/// The message of a caught panic payload.
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "unknown panic".into())
 }
 
 /// Geometric mean of an iterator of positive values.

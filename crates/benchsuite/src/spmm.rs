@@ -483,7 +483,10 @@ pub fn run_traced(
     with_sink(run_opt_traced(variant, a, bt, cfg, input, Some(sink)))
 }
 
-fn run_opt_traced(
+/// The single run entry [`run`] and [`run_traced`] wrap (and the app
+/// table in [`crate::apps`] calls): `sink`, when given, observes every
+/// pipeline invocation and is handed back even when the run traps.
+pub fn run_opt_traced(
     variant: &Variant,
     a: &SparseMatrix,
     bt: &SparseMatrix,

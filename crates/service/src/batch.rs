@@ -15,14 +15,15 @@
 //! `i`, and each simulation is pure, so a batch returns bit-identical
 //! measurements whether it ran on one worker or sixteen.
 
-use phloem_benchsuite::{bfs, cc, prd, radii, spmm, Measurement, Variant};
+use phloem_benchsuite::apps::{self, Input, Sink};
+use phloem_benchsuite::{Measurement, Variant};
 use phloem_ir::{Function, Trap};
 use phloem_pool::Pool;
 use phloem_workloads::{
     catalog::{self, Scale},
     Graph, SparseMatrix,
 };
-use pipette_sim::trace::{DigestSink, TraceSink};
+use pipette_sim::trace::DigestSink;
 use pipette_sim::MachineConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -117,56 +118,15 @@ fn budgeted(cfg: &MachineConfig, cycle_cap: Option<u64>) -> MachineConfig {
     cfg
 }
 
-/// A trace sink handed to (and back from) a benchmark run.
-type Sink = Box<dyn TraceSink>;
-type Ran = Result<Measurement, Trap>;
-/// A traced run hands its sink back with the result.
-type Traced = (Ran, Sink);
-
-/// How an app runs, by the catalog family its inputs come from: the
-/// plain runner and the traced one (which hands the sink back).
-enum Runner {
-    Graph(
-        fn(&Variant, &Graph, &MachineConfig, &str) -> Ran,
-        fn(&Variant, &Graph, &MachineConfig, &str, Sink) -> Traced,
-    ),
-    /// Matrix apps take `(matrix, transpose)`.
-    Matrix(
-        fn(&Variant, &SparseMatrix, &SparseMatrix, &MachineConfig, &str) -> Ran,
-        fn(&Variant, &SparseMatrix, &SparseMatrix, &MachineConfig, &str, Sink) -> Traced,
-    ),
-}
-
-/// The one place app names are known: name → (the serial kernel that
-/// `compile` and `search` lower, input family + runner).
-fn app(name: &str) -> Option<(fn() -> Function, Runner)> {
-    Some(match name {
-        "bfs" => (
-            bfs::kernel,
-            Runner::Graph(
-                |v, g, c, n| bfs::run(v, g, 0, c, n),
-                |v, g, c, n, s| bfs::run_traced(v, g, 0, c, n, s),
-            ),
-        ),
-        "cc" => (cc::kernel, Runner::Graph(cc::run, cc::run_traced)),
-        "prd" => (
-            prd::scatter_kernel,
-            Runner::Graph(prd::run, prd::run_traced),
-        ),
-        "radii" => (radii::kernel, Runner::Graph(radii::run, radii::run_traced)),
-        "spmm" => (spmm::kernel, Runner::Matrix(spmm::run, spmm::run_traced)),
-        _ => return None,
-    })
-}
-
 /// The benchmark kernel a request's `app` names.
 pub fn app_kernel(name: &str) -> Option<Function> {
-    app(name).map(|(kernel, _)| kernel())
+    apps::app_by_id(name).map(|a| a.kernel())
 }
 
-/// The body traced and untraced runs share: budget, app dispatch, input
-/// resolution. Unknown apps and input names surface as [`Trap::BadId`]
-/// — a per-request error, never a batch abort.
+/// The body traced and untraced runs share: budget, app lookup (the
+/// table in [`phloem_benchsuite::apps`] is the one place app names are
+/// known), input resolution. Unknown apps and input names surface as
+/// [`Trap::BadId`] — a per-request error, never a batch abort.
 fn run_with(
     inputs: &PreparedInputs,
     cfg: &MachineConfig,
@@ -175,26 +135,14 @@ fn run_with(
 ) -> Result<(Measurement, Option<Sink>), Trap> {
     let cfg = budgeted(cfg, req.cycle_cap);
     let (v, name) = (&req.variant, req.input.as_str());
-    let (_, runner) =
-        app(&req.app).ok_or_else(|| Trap::BadId(format!("unknown app {:?}", req.app)))?;
-    let kept = |(r, s): Traced| (r, Some(s));
-    let (result, sink) = match (runner, sink) {
-        (Runner::Graph(run, _), None) => {
-            let g = resolve_graph(inputs, name)?;
-            (run(v, &g, &cfg, name), None)
-        }
-        (Runner::Graph(_, run), Some(s)) => {
-            let g = resolve_graph(inputs, name)?;
-            kept(run(v, &g, &cfg, name, s))
-        }
-        (Runner::Matrix(run, _), None) => {
-            let m = resolve_matrix(inputs, name)?;
-            (run(v, &m.0, &m.1, &cfg, name), None)
-        }
-        (Runner::Matrix(_, run), Some(s)) => {
-            let m = resolve_matrix(inputs, name)?;
-            kept(run(v, &m.0, &m.1, &cfg, name, s))
-        }
+    let app = apps::app_by_id(&req.app)
+        .ok_or_else(|| Trap::BadId(format!("unknown app {:?}", req.app)))?;
+    let (result, sink) = if app.runs_on_graphs() {
+        let g = resolve_graph(inputs, name)?;
+        app.run(v, Input::Graph(&g), &cfg, name, sink)
+    } else {
+        let m = resolve_matrix(inputs, name)?;
+        app.run(v, Input::Matrix(&m.0, &m.1), &cfg, name, sink)
     };
     Ok((result?, sink))
 }

@@ -1,10 +1,12 @@
 #!/bin/bash
-# Runs every figure/table harness. Resilient by design: a harness that
-# traps or crashes is recorded in the final `FAILED:` summary instead of
-# aborting the sweep, and the ALL_HARNESSES_DONE sentinel always prints
-# when the loop itself completes.
+# Runs every table and figure (`figures <name>`, one process each, so one
+# that traps or crashes is recorded in the final `FAILED:` summary
+# instead of aborting the sweep; the ALL_HARNESSES_DONE sentinel always
+# prints when the loop itself completes). Writes results/<name>.txt
+# (tracked; EXPERIMENTS.md cites them) and results/<name>.log (stderr,
+# ignored).
 set -o pipefail
-cd /root/repo
+cd "$(dirname "$0")/.."
 export SCALE=small
 # One host-parallelism knob for the whole sweep: every harness fans its
 # per-candidate simulations over the phloem-pool work-stealing fleet.
@@ -29,22 +31,18 @@ run_harness() {
 
 cargo build -q --release -p phloem-bench || { echo "build failed"; exit 1; }
 
-echo "=== validating benchsuite/PGO pipelines ==="
-if ! cargo run -q --release -p phloem-bench --bin fuzzdiff -- --validate-benchsuite --jobs "$JOBS"; then
-  FAILED+=(validate-benchsuite)
-fi
 echo "=== fault-injection smoke ==="
 if ! cargo run -q --release -p phloem-bench --bin fuzzdiff -- --faults --smoke --jobs "$JOBS"; then
   FAILED+=(fuzzdiff-faults)
 fi
 
 for f in tables fig6 fig12 fig13 fig9 fig14; do
-  run_harness "$f" cargo run -q --release -p phloem-bench --bin "$f" -- --jobs "$JOBS"
+  run_harness "$f" cargo run -q --release -p phloem-bench --bin figures -- "$f" --jobs "$JOBS"
 done
-# Breakdown figures rerun the full matrix; tiny scale keeps the total
-# runtime sane and the shapes are scale-insensitive.
+# Breakdown figures measure the whole Fig. 9 matrix again; tiny scale
+# keeps the total runtime sane and the shapes are scale-insensitive.
 for f in fig10 fig11; do
-  run_harness "$f" env SCALE=tiny cargo run -q --release -p phloem-bench --bin "$f" -- --jobs "$JOBS"
+  run_harness "$f" env SCALE=tiny cargo run -q --release -p phloem-bench --bin figures -- "$f" --jobs "$JOBS"
 done
 
 if [ ${#FAILED[@]} -gt 0 ]; then

@@ -165,4 +165,17 @@ fn fig_style_sweep_is_worker_count_independent() {
             Some(r) => assert_eq!(r, &rendered, "fig-style sweep diverged at {w} workers"),
         }
     }
+    // A fleet never costs throughput, even oversubscribed: the tasks are
+    // whole simulations, so 8 workers on fewer cores must stay within 2x
+    // of one worker's wall time (and still render the same outcome).
+    let timed = |w: usize| {
+        let start = std::time::Instant::now();
+        assert_eq!(reference.as_ref(), Some(&render(w)));
+        start.elapsed().as_secs_f64()
+    };
+    let speedup = timed(1) / timed(8);
+    assert!(
+        speedup > 0.5,
+        "fleet overhead pathology: 8 workers run the sweep at {speedup:.2}x of 1 worker"
+    );
 }

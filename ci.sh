@@ -14,11 +14,14 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test --workspace -q"
-# Includes the figure harness (crates/bench/tests/figures_tiny.rs renders
-# Tables I-V and Fig. 6 at SCALE=tiny against results/tiny/) and the
-# fleet's determinism and overhead bounds (tests/pool_determinism.rs).
-cargo test --workspace -q
+echo "==> cargo test --workspace --exclude phloem-suite -q"
+# Every member crate's own tests, among them the figure harness
+# (crates/bench/tests/figures_tiny.rs renders Tables I-V and Fig. 6 at
+# SCALE=tiny against results/tiny/). The root package `phloem-suite` is
+# excluded: its tests/*.rs files (native_equivalence, pool_determinism,
+# golden_cycles, golden_ir, ...) and doctest are the step above, and
+# `--workspace` alone would run them a second time.
+cargo test --workspace --exclude phloem-suite -q
 
 echo "==> simspeed --smoke (cycle/atom equality + engine-ratio floor + throughput regression gate)"
 # Besides the cycle/atom-equality asserts, the bytecode engine must stay

@@ -14,22 +14,41 @@
 //!   `nodes`/`edges`, and an update stage. The hand version keeps a
 //!   per-vertex `NEXT` control value that Phloem's inter-stage DCE
 //!   removes — which is how Phloem ends up slightly ahead (Fig. 9).
+//!
+//! BFS's own: its arrays ([`arrays`]), the `cur_dist` parameter, its
+//! update rule ([`update`]: write-min of `cur_dist` into `dist`) and its
+//! oracle (`Graph::bfs_distances`). The traversal around them is
+//! [`crate::frontier`]'s.
 
+use crate::frontier::{self, Part, RowWalk, Segment, DONE, NEXT};
 use crate::runner::{
     measure, run_to_fixpoint, variant_pipeline, with_sink, Fringe, Measurement, Variant,
 };
 use phloem_ir::{
-    ArrayDecl, ArrayId, BinOp, CtrlHandler, Expr, Function, FunctionBuilder, HandlerEnd, MemState,
-    Pipeline, QueueId, RaConfig, RaMode, StageProgram, Trap, Value,
+    ArrayDecl, ArrayId, Function, FunctionBuilder, MemState, Pipeline, QueueId, StageProgram, Trap,
+    Value, VarId,
 };
 use phloem_workloads::Graph;
 use pipette_sim::{CompiledPipeline, MachineConfig, TraceSink};
 
-const DONE: u32 = 0;
-const NEXT: u32 = 1;
 const INF: i64 = i64::MAX;
 
-/// Array order shared by all BFS variants (ids must match the kernel).
+/// BFS's arrays, in allocation order: the one declaration every variant
+/// and [`build_mem`] share.
+pub fn arrays() -> Vec<ArrayDecl> {
+    let names = [
+        "fringe",
+        "nodes",
+        "edges",
+        "dist",
+        "next_fringe",
+        "fringe_len",
+        "out_len",
+    ];
+    names.map(ArrayDecl::i32).to_vec()
+}
+
+/// The ids [`arrays`] gives BFS's arrays.
 #[derive(Clone, Copy, Debug)]
 pub struct BfsArrays {
     /// Current fringe.
@@ -48,264 +67,126 @@ pub struct BfsArrays {
     pub out_len: ArrayId,
 }
 
-/// Allocates BFS memory for a graph. `nf_segment` is the per-thread
-/// next-fringe capacity (use `n` for single-producer variants).
+impl BfsArrays {
+    /// Looks every id up by name in [`arrays`]; no memory needed.
+    pub fn ids() -> BfsArrays {
+        let decls = arrays();
+        let id = |name| frontier::array_id(&decls, name);
+        BfsArrays {
+            fringe: id("fringe"),
+            nodes: id("nodes"),
+            edges: id("edges"),
+            dist: id("dist"),
+            next_fringe: id("next_fringe"),
+            fringe_len: id("fringe_len"),
+            out_len: id("out_len"),
+        }
+    }
+}
+
+/// Allocates BFS memory for a graph: `root` alone in the fringe at
+/// distance 0, and `threads` next-fringe segments of `n` entries.
 pub fn build_mem(g: &Graph, root: usize, threads: usize) -> (MemState, BfsArrays) {
     let n = g.num_vertices;
     let mut mem = MemState::new();
-    let mut fringe0 = vec![0i64; n.max(1)];
-    fringe0[0] = root as i64;
-    let fringe = mem.alloc_i64(ArrayDecl::i32("fringe"), fringe0);
-    let nodes = mem.alloc_i64(ArrayDecl::i32("nodes"), g.offsets.iter().copied());
-    let edges = mem.alloc_i64(ArrayDecl::i32("edges"), g.edges.iter().copied());
-    let mut dist0 = vec![INF; n];
-    dist0[root] = 0;
-    let dist = mem.alloc_i64(ArrayDecl::i32("dist"), dist0);
-    let next_fringe = mem.alloc(ArrayDecl::i32("next_fringe"), n.max(1) * threads.max(1));
-    let fringe_len = mem.alloc_i64(ArrayDecl::i32("fringe_len"), [1i64]);
-    let out_len = mem.alloc(ArrayDecl::i32("out_len"), threads.max(1));
-    (
-        mem,
-        BfsArrays {
-            fringe,
-            nodes,
-            edges,
-            dist,
-            next_fringe,
-            fringe_len,
-            out_len,
-        },
-    )
+    for decl in arrays() {
+        match decl.name.as_str() {
+            "fringe" => {
+                let mut fringe0 = vec![0i64; n.max(1)];
+                fringe0[0] = root as i64;
+                mem.alloc_i64(decl, fringe0)
+            }
+            "dist" => {
+                let mut dist0 = vec![INF; n];
+                dist0[root] = 0;
+                mem.alloc_i64(decl, dist0)
+            }
+            "next_fringe" => mem.alloc(decl, n.max(1) * threads.max(1)),
+            "fringe_len" => mem.alloc_i64(decl, [1i64]),
+            _ => frontier::alloc_graph_array(&mut mem, decl, g, threads),
+        };
+    }
+    (mem, BfsArrays::ids())
+}
+
+/// BFS's per-edge rule: a neighbour farther than `cur_dist` moves to
+/// `cur_dist` and joins the next fringe in `out`. Returns the count
+/// variable.
+pub(crate) fn update(
+    f: &mut FunctionBuilder,
+    a: &BfsArrays,
+    cur_dist: VarId,
+    ngh: VarId,
+    out: &Segment,
+    atomic: bool,
+) -> VarId {
+    frontier::write_min(f, a.dist, ngh, cur_dist, "od", out, atomic)
+}
+
+/// One BFS round over the whole fringe with plain updates (`None`), or
+/// over thread `part`'s slice with atomic-min updates, appending to its
+/// private segment of `segment` entries.
+fn round_kernel(part: Option<(Part, usize)>) -> Function {
+    let a = BfsArrays::ids();
+    let (name, out) = match part {
+        None => ("bfs".into(), Segment::serial(a.next_fringe, a.out_len)),
+        Some((Part { index: t, .. }, segment)) => (
+            format!("bfs-dp{t}"),
+            Segment::at(a.next_fringe, a.out_len, t * segment, t),
+        ),
+    };
+    let mut b = frontier::stage(name, &arrays());
+    let cd = b.param_i64("cur_dist");
+    let span = frontier::fringe_slice(&mut b, a.fringe_len, part.map(|p| p.0));
+    let len = frontier::for_each_vertex(&mut b, a.fringe, span, |f, v| {
+        let walk = RowWalk::declare(f);
+        walk.fetch(f, a.nodes, v);
+        walk.for_each_edge(f, a.edges, |f, ngh| {
+            update(f, &a, cd, ngh, &out, part.is_some())
+        })
+    });
+    out.publish(&mut b, len);
+    b.build()
 }
 
 /// The serial one-round BFS kernel (Fig. 2 left, one fringe pass).
 pub fn kernel() -> Function {
-    let mut b = FunctionBuilder::new("bfs");
-    let cd = b.param_i64("cur_dist");
-    let fringe = b.array_i32("fringe");
-    let nodes = b.array_i32("nodes");
-    let edges = b.array_i32("edges");
-    let dist = b.array_i32("dist");
-    let nf = b.array_i32("next_fringe");
-    let flen = b.array_i32("fringe_len");
-    let olen = b.array_i32("out_len");
-    let nl = b.var_i64("nl");
-    let i = b.var_i64("i");
-    let v = b.var_i64("v");
-    let s = b.var_i64("s");
-    let e = b.var_i64("e");
-    let j = b.var_i64("j");
-    let ngh = b.var_i64("ngh");
-    let od = b.var_i64("od");
-    let len = b.var_i64("len");
-    let l = b.load(flen, Expr::i64(0));
-    b.assign(nl, l);
-    b.for_loop(i, Expr::i64(0), Expr::var(nl), |f| {
-        let lv = f.load(fringe, Expr::var(i));
-        f.assign(v, lv);
-        let ls = f.load(nodes, Expr::var(v));
-        f.assign(s, ls);
-        let le = f.load(nodes, Expr::add(Expr::var(v), Expr::i64(1)));
-        f.assign(e, le);
-        f.for_loop(j, Expr::var(s), Expr::var(e), |f| {
-            let ln = f.load(edges, Expr::var(j));
-            f.assign(ngh, ln);
-            let lo = f.load(dist, Expr::var(ngh));
-            f.assign(od, lo);
-            f.if_then(Expr::bin(BinOp::Gt, Expr::var(od), Expr::var(cd)), |f| {
-                f.store(dist, Expr::var(ngh), Expr::var(cd));
-                f.store(nf, Expr::var(len), Expr::var(ngh));
-                f.assign(len, Expr::add(Expr::var(len), Expr::i64(1)));
-            });
-        });
-    });
-    b.store(olen, Expr::i64(0), Expr::var(len));
-    b.build()
-}
-
-/// Data-parallel (PBFS-style) per-thread kernel: thread `tid` of
-/// `threads` processes a slice of the fringe, updates distances with
-/// atomic-min, and appends winners to its private next-fringe segment.
-pub fn dp_kernel(tid: usize, threads: usize, segment: usize) -> Function {
-    let mut b = FunctionBuilder::new(format!("bfs-dp{tid}"));
-    let cd = b.param_i64("cur_dist");
-    let fringe = b.array_i32("fringe");
-    let nodes = b.array_i32("nodes");
-    let edges = b.array_i32("edges");
-    let dist = b.array_i32("dist");
-    let nf = b.array_i32("next_fringe");
-    let flen = b.array_i32("fringe_len");
-    let olen = b.array_i32("out_len");
-    let nl = b.var_i64("nl");
-    let lo = b.var_i64("lo");
-    let hi = b.var_i64("hi");
-    let i = b.var_i64("i");
-    let v = b.var_i64("v");
-    let s = b.var_i64("s");
-    let e = b.var_i64("e");
-    let j = b.var_i64("j");
-    let ngh = b.var_i64("ngh");
-    let old = b.var_i64("old");
-    let len = b.var_i64("len");
-    let l = b.load(flen, Expr::i64(0));
-    b.assign(nl, l);
-    let t = tid as i64;
-    let nt = threads as i64;
-    b.assign(
-        lo,
-        Expr::bin(
-            BinOp::Div,
-            Expr::mul(Expr::var(nl), Expr::i64(t)),
-            Expr::i64(nt),
-        ),
-    );
-    b.assign(
-        hi,
-        Expr::bin(
-            BinOp::Div,
-            Expr::mul(Expr::var(nl), Expr::i64(t + 1)),
-            Expr::i64(nt),
-        ),
-    );
-    b.for_loop(i, Expr::var(lo), Expr::var(hi), |f| {
-        let lv = f.load(fringe, Expr::var(i));
-        f.assign(v, lv);
-        let ls = f.load(nodes, Expr::var(v));
-        f.assign(s, ls);
-        let le = f.load(nodes, Expr::add(Expr::var(v), Expr::i64(1)));
-        f.assign(e, le);
-        f.for_loop(j, Expr::var(s), Expr::var(e), |f| {
-            let ln = f.load(edges, Expr::var(j));
-            f.assign(ngh, ln);
-            f.atomic_rmw(BinOp::Min, dist, Expr::var(ngh), Expr::var(cd), Some(old));
-            f.if_then(Expr::bin(BinOp::Gt, Expr::var(old), Expr::var(cd)), |f| {
-                f.store(
-                    nf,
-                    Expr::add(Expr::i64(t * segment as i64), Expr::var(len)),
-                    Expr::var(ngh),
-                );
-                f.assign(len, Expr::add(Expr::var(len), Expr::i64(1)));
-            });
-        });
-    });
-    b.store(olen, Expr::i64(t), Expr::var(len));
-    b.build()
+    round_kernel(None)
 }
 
 /// The hand-optimized Pipette pipeline (see module docs).
 pub fn manual_pipeline() -> Pipeline {
-    let arrays = vec![
-        ArrayDecl::i32("fringe"),
-        ArrayDecl::i32("nodes"),
-        ArrayDecl::i32("edges"),
-        ArrayDecl::i32("dist"),
-        ArrayDecl::i32("next_fringe"),
-        ArrayDecl::i32("fringe_len"),
-        ArrayDecl::i32("out_len"),
-    ];
-    let qv = QueueId(0);
-    let qse = QueueId(1);
-    let qn = QueueId(2);
+    let (arrays, a) = (arrays(), BfsArrays::ids());
+    let [qv, qse, qn] = [QueueId(0), QueueId(1), QueueId(2)];
     let mut p = Pipeline::new("bfs-manual");
 
-    // Stage 0: fetch fringe, enqueue v and v+1 for the nodes RA.
-    let mut s0 = FunctionBuilder::new("fetch-fringe");
-    let _cd0 = s0.param_i64("cur_dist");
-    let fringe = s0.array_i32("fringe");
-    for a in &arrays[1..] {
-        s0.array(a.clone());
-    }
-    let flen = ArrayId(5);
-    let nl = s0.var_i64("nl");
-    let i = s0.var_i64("i");
-    let v = s0.var_i64("v");
-    let l = s0.load(flen, Expr::i64(0));
-    s0.assign(nl, l);
-    s0.for_loop(i, Expr::i64(0), Expr::var(nl), |f| {
-        let lv = f.load(fringe, Expr::var(i));
-        f.assign(v, lv);
-        f.enq(qv, Expr::var(v));
-        f.enq(qv, Expr::add(Expr::var(v), Expr::i64(1)));
+    // Fetch the fringe, asking the nodes RA for each vertex's row.
+    let mut s0 = frontier::stage("fetch-fringe", &arrays);
+    s0.param_i64("cur_dist");
+    let fetch = frontier::fetch_stage(s0, (a.fringe, a.fringe_len), None, &[qv], |f, v| {
+        frontier::request_row(f, qv, v)
     });
-    s0.enq_ctrl(qv, DONE);
-    p.add_stage(StageProgram::plain(s0.build()), 0);
+    p.add_stage(fetch, 0);
 
-    // Chained RAs: nodes (INDIRECT) then edges (SCAN), the latter
-    // emitting a per-vertex NEXT the hand version kept.
-    p.add_ra(
-        RaConfig {
-            name: "nodes".into(),
-            mode: RaMode::Indirect,
-            base: ArrayId(1),
-            in_queue: qv,
-            out_queue: qse,
-            forward_ctrl: true,
-            scan_end_ctrl: None,
-        },
-        &arrays,
-        0,
-    );
-    p.add_ra(
-        RaConfig {
-            name: "edges".into(),
-            mode: RaMode::Scan,
-            base: ArrayId(2),
-            in_queue: qse,
-            out_queue: qn,
-            forward_ctrl: true,
-            scan_end_ctrl: Some(NEXT),
-        },
-        &arrays,
-        0,
-    );
+    // The hand version kept the per-vertex NEXT.
+    let csr = (a.nodes, a.edges);
+    frontier::add_csr_ras(&mut p, &arrays, csr, [qv, qse, qn], Some(NEXT), "", 0);
 
-    // Stage 3: update.
-    let mut s3 = FunctionBuilder::new("update");
+    let mut s3 = frontier::stage("update", &arrays);
     let cd = s3.param_i64("cur_dist");
-    for a in &arrays {
-        s3.array(a.clone());
-    }
-    let dist = ArrayId(3);
-    let nf = ArrayId(4);
-    let olen = ArrayId(6);
     let ngh = s3.var_i64("ngh");
-    let od = s3.var_i64("od");
-    let len = s3.var_i64("len");
-    s3.while_true(|f| {
+    let out = Segment::serial(a.next_fringe, a.out_len);
+    let len = frontier::forever(&mut s3, |f| {
         f.deq(ngh, qn);
-        let lo = f.load(dist, Expr::var(ngh));
-        f.assign(od, lo);
-        f.if_then(Expr::bin(BinOp::Gt, Expr::var(od), Expr::var(cd)), |f| {
-            f.store(dist, Expr::var(ngh), Expr::var(cd));
-            f.store(nf, Expr::var(len), Expr::var(ngh));
-            f.assign(len, Expr::add(Expr::var(len), Expr::i64(1)));
-        });
+        update(f, &a, cd, ngh, &out, false)
     });
-    s3.store(olen, Expr::i64(0), Expr::var(len));
-    let update = s3.build();
+    out.publish(&mut s3, len);
     let handlers = vec![
-        CtrlHandler {
-            queue: qn,
-            ctrl: Some(NEXT),
-            bind: None,
-            body: vec![],
-            end: HandlerEnd::Resume,
-        },
-        CtrlHandler {
-            queue: qn,
-            ctrl: Some(DONE),
-            bind: None,
-            body: vec![],
-            end: HandlerEnd::BreakLoops(1),
-        },
+        frontier::resume_on(qn, NEXT),
+        frontier::break_on(qn, DONE, 1),
     ];
-    p.add_stage(
-        StageProgram {
-            func: update,
-            handlers,
-        },
-        0,
-    );
+    let func = s3.build();
+    p.add_stage(StageProgram { func, handlers }, 0);
     p
 }
 
@@ -322,7 +203,7 @@ pub fn pipeline_for(
         variant,
         cfg,
         kernel,
-        |tid, threads| dp_kernel(tid, threads, n_vertices),
+        |index, of| round_kernel(Some((Part { index, of }, n_vertices))),
         manual_pipeline,
     )
 }

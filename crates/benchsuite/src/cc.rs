@@ -10,21 +10,39 @@
 //! queue instead of the update stage re-loading it. Phloem cannot derive
 //! this from serial semantics — which is why the paper's manual CC stays
 //! ahead of Phloem's.
+//!
+//! CC's own: its arrays ([`arrays`]), the per-vertex payload `labels[v]`
+//! (and where each variant loads it), its update rule ([`update`]:
+//! write-min of that label into `labels`) and its oracle. The traversal
+//! around them is [`crate::frontier`]'s.
 
+use crate::frontier::{self, Part, RowWalk, Segment};
 use crate::runner::{
     measure, run_to_fixpoint, variant_pipeline, with_sink, Fringe, Measurement, Variant,
 };
 use phloem_ir::{
-    ArrayDecl, ArrayId, BinOp, CtrlHandler, Expr, Function, FunctionBuilder, HandlerEnd, MemState,
-    Pipeline, QueueId, RaConfig, RaMode, StageProgram, Trap,
+    ArrayDecl, ArrayId, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId, StageProgram,
+    Trap, VarId,
 };
 use phloem_workloads::Graph;
 use pipette_sim::{CompiledPipeline, MachineConfig, TraceSink};
 
-const DONE: u32 = 0;
-const NEXT: u32 = 1;
+/// CC's arrays, in allocation order: the one declaration every variant
+/// and [`build_mem`] share.
+pub fn arrays() -> Vec<ArrayDecl> {
+    let names = [
+        "fringe",
+        "nodes",
+        "edges",
+        "labels",
+        "next_fringe",
+        "fringe_len",
+        "out_len",
+    ];
+    names.map(ArrayDecl::i32).to_vec()
+}
 
-/// Array ids shared by all CC variants.
+/// The ids [`arrays`] gives CC's arrays.
 #[derive(Clone, Copy, Debug)]
 pub struct CcArrays {
     /// Current fringe.
@@ -43,6 +61,23 @@ pub struct CcArrays {
     pub out_len: ArrayId,
 }
 
+impl CcArrays {
+    /// Looks every id up by name in [`arrays`]; no memory needed.
+    pub fn ids() -> CcArrays {
+        let decls = arrays();
+        let id = |name| frontier::array_id(&decls, name);
+        CcArrays {
+            fringe: id("fringe"),
+            nodes: id("nodes"),
+            edges: id("edges"),
+            labels: id("labels"),
+            next_fringe: id("next_fringe"),
+            fringe_len: id("fringe_len"),
+            out_len: id("out_len"),
+        }
+    }
+}
+
 /// Per-thread next-fringe capacity: a vertex may be pushed once per
 /// in-edge within one round.
 pub fn segment(g: &Graph) -> usize {
@@ -54,262 +89,107 @@ pub fn build_mem(g: &Graph, threads: usize) -> (MemState, CcArrays) {
     let n = g.num_vertices;
     let seg = segment(g);
     let mut mem = MemState::new();
-    // The fringe itself can also grow up to `seg` entries in one round.
-    let mut fringe0: Vec<i64> = (0..n as i64).collect();
-    fringe0.resize(seg, 0);
-    let fringe = mem.alloc_i64(ArrayDecl::i32("fringe"), fringe0);
-    let nodes = mem.alloc_i64(ArrayDecl::i32("nodes"), g.offsets.iter().copied());
-    let edges = mem.alloc_i64(ArrayDecl::i32("edges"), g.edges.iter().copied());
-    let labels = mem.alloc_i64(ArrayDecl::i32("labels"), (0..n as i64).collect::<Vec<_>>());
-    let next_fringe = mem.alloc(ArrayDecl::i32("next_fringe"), seg * threads.max(1));
-    let fringe_len = mem.alloc_i64(ArrayDecl::i32("fringe_len"), [n as i64]);
-    let out_len = mem.alloc(ArrayDecl::i32("out_len"), threads.max(1));
-    (
-        mem,
-        CcArrays {
-            fringe,
-            nodes,
-            edges,
-            labels,
-            next_fringe,
-            fringe_len,
-            out_len,
-        },
-    )
+    for decl in arrays() {
+        match decl.name.as_str() {
+            "fringe" => {
+                // The fringe itself can also grow up to `seg` entries in
+                // one round.
+                let mut fringe0: Vec<i64> = (0..n as i64).collect();
+                fringe0.resize(seg, 0);
+                mem.alloc_i64(decl, fringe0)
+            }
+            "labels" => mem.alloc_i64(decl, 0..n as i64),
+            "next_fringe" => mem.alloc(decl, seg * threads.max(1)),
+            "fringe_len" => mem.alloc_i64(decl, [n as i64]),
+            _ => frontier::alloc_graph_array(&mut mem, decl, g, threads),
+        };
+    }
+    (mem, CcArrays::ids())
+}
+
+/// CC's per-edge rule: a neighbour whose label is above `lv` takes `lv`
+/// and joins the next fringe in `out`. Returns the count variable.
+pub(crate) fn update(
+    f: &mut FunctionBuilder,
+    a: &CcArrays,
+    lv: VarId,
+    ngh: VarId,
+    out: &Segment,
+    atomic: bool,
+) -> VarId {
+    frontier::write_min(f, a.labels, ngh, lv, "ln", out, atomic)
 }
 
 /// Serial one-round CC kernel.
 pub fn kernel() -> Function {
-    let mut b = FunctionBuilder::new("cc");
-    let fringe = b.array_i32("fringe");
-    let nodes = b.array_i32("nodes");
-    let edges = b.array_i32("edges");
-    let labels = b.array_i32("labels");
-    let nf = b.array_i32("next_fringe");
-    let flen = b.array_i32("fringe_len");
-    let olen = b.array_i32("out_len");
-    let nl = b.var_i64("nl");
-    let i = b.var_i64("i");
-    let v = b.var_i64("v");
-    let lv = b.var_i64("lv");
-    let s = b.var_i64("s");
-    let e = b.var_i64("e");
-    let j = b.var_i64("j");
-    let ngh = b.var_i64("ngh");
-    let ln = b.var_i64("ln");
-    let len = b.var_i64("len");
-    let l = b.load(flen, Expr::i64(0));
-    b.assign(nl, l);
-    b.for_loop(i, Expr::i64(0), Expr::var(nl), |f| {
-        let lvv = f.load(fringe, Expr::var(i));
-        f.assign(v, lvv);
-        let ls = f.load(nodes, Expr::var(v));
-        f.assign(s, ls);
-        let le = f.load(nodes, Expr::add(Expr::var(v), Expr::i64(1)));
-        f.assign(e, le);
-        let llv = f.load(labels, Expr::var(v));
-        f.assign(lv, llv);
-        f.for_loop(j, Expr::var(s), Expr::var(e), |f| {
-            let lngh = f.load(edges, Expr::var(j));
-            f.assign(ngh, lngh);
-            let lln = f.load(labels, Expr::var(ngh));
-            f.assign(ln, lln);
-            f.if_then(Expr::bin(BinOp::Gt, Expr::var(ln), Expr::var(lv)), |f| {
-                f.store(labels, Expr::var(ngh), Expr::var(lv));
-                f.store(nf, Expr::var(len), Expr::var(ngh));
-                f.assign(len, Expr::add(Expr::var(len), Expr::i64(1)));
-            });
-        });
+    let a = CcArrays::ids();
+    let mut b = frontier::stage("cc", &arrays());
+    let out = Segment::serial(a.next_fringe, a.out_len);
+    let span = frontier::fringe_slice(&mut b, a.fringe_len, None);
+    let len = frontier::for_each_vertex(&mut b, a.fringe, span, |f, v| {
+        let lv = f.var_i64("lv");
+        let walk = RowWalk::declare(f);
+        walk.fetch(f, a.nodes, v);
+        frontier::load_to(f, lv, a.labels, v);
+        walk.for_each_edge(f, a.edges, |f, ngh| update(f, &a, lv, ngh, &out, false))
     });
-    b.store(olen, Expr::i64(0), Expr::var(len));
+    out.publish(&mut b, len);
     b.build()
 }
 
-/// Data-parallel per-thread kernel: atomic-min on labels.
-pub fn dp_kernel(tid: usize, threads: usize, segment: usize) -> Function {
-    let mut b = FunctionBuilder::new(format!("cc-dp{tid}"));
-    let fringe = b.array_i32("fringe");
-    let nodes = b.array_i32("nodes");
-    let edges = b.array_i32("edges");
-    let labels = b.array_i32("labels");
-    let nf = b.array_i32("next_fringe");
-    let flen = b.array_i32("fringe_len");
-    let olen = b.array_i32("out_len");
-    let nl = b.var_i64("nl");
-    let lo = b.var_i64("lo");
-    let hi = b.var_i64("hi");
-    let i = b.var_i64("i");
-    let v = b.var_i64("v");
-    let lv = b.var_i64("lv");
-    let s = b.var_i64("s");
-    let e = b.var_i64("e");
-    let j = b.var_i64("j");
-    let ngh = b.var_i64("ngh");
-    let old = b.var_i64("old");
-    let len = b.var_i64("len");
-    let l = b.load(flen, Expr::i64(0));
-    b.assign(nl, l);
-    let t = tid as i64;
-    let nt = threads as i64;
-    b.assign(
-        lo,
-        Expr::bin(
-            BinOp::Div,
-            Expr::mul(Expr::var(nl), Expr::i64(t)),
-            Expr::i64(nt),
-        ),
-    );
-    b.assign(
-        hi,
-        Expr::bin(
-            BinOp::Div,
-            Expr::mul(Expr::var(nl), Expr::i64(t + 1)),
-            Expr::i64(nt),
-        ),
-    );
-    b.for_loop(i, Expr::var(lo), Expr::var(hi), |f| {
-        let lvv = f.load(fringe, Expr::var(i));
-        f.assign(v, lvv);
-        let llv = f.load(labels, Expr::var(v));
-        f.assign(lv, llv);
-        let ls = f.load(nodes, Expr::var(v));
-        f.assign(s, ls);
-        let le = f.load(nodes, Expr::add(Expr::var(v), Expr::i64(1)));
-        f.assign(e, le);
-        f.for_loop(j, Expr::var(s), Expr::var(e), |f| {
-            let lngh = f.load(edges, Expr::var(j));
-            f.assign(ngh, lngh);
-            f.atomic_rmw(BinOp::Min, labels, Expr::var(ngh), Expr::var(lv), Some(old));
-            f.if_then(Expr::bin(BinOp::Gt, Expr::var(old), Expr::var(lv)), |f| {
-                f.store(
-                    nf,
-                    Expr::add(Expr::i64(t * segment as i64), Expr::var(len)),
-                    Expr::var(ngh),
-                );
-                f.assign(len, Expr::add(Expr::var(len), Expr::i64(1)));
-            });
-        });
+/// Data-parallel per-thread kernel: atomic-min on labels. (It reads
+/// `labels[v]` before the row bounds, the serial kernel after.)
+fn dp_kernel(tid: usize, threads: usize, segment: usize) -> Function {
+    let a = CcArrays::ids();
+    let mut b = frontier::stage(format!("cc-dp{tid}"), &arrays());
+    let out = Segment::at(a.next_fringe, a.out_len, tid * segment, tid);
+    let part = Part {
+        index: tid,
+        of: threads,
+    };
+    let span = frontier::fringe_slice(&mut b, a.fringe_len, Some(part));
+    let len = frontier::for_each_vertex(&mut b, a.fringe, span, |f, v| {
+        let lv = f.var_i64("lv");
+        frontier::load_to(f, lv, a.labels, v);
+        let walk = RowWalk::declare(f);
+        walk.fetch(f, a.nodes, v);
+        walk.for_each_edge(f, a.edges, |f, ngh| update(f, &a, lv, ngh, &out, true))
     });
-    b.store(olen, Expr::i64(t), Expr::var(len));
+    out.publish(&mut b, len);
     b.build()
 }
 
 /// Hand-optimized pipeline: stale `labels[v]` forwarded from the fetch
 /// stage (see module docs).
 pub fn manual_pipeline() -> Pipeline {
-    let arrays = vec![
-        ArrayDecl::i32("fringe"),
-        ArrayDecl::i32("nodes"),
-        ArrayDecl::i32("edges"),
-        ArrayDecl::i32("labels"),
-        ArrayDecl::i32("next_fringe"),
-        ArrayDecl::i32("fringe_len"),
-        ArrayDecl::i32("out_len"),
-    ];
-    let qv = QueueId(0);
-    let qse = QueueId(1);
-    let qn = QueueId(2);
-    let qlv = QueueId(3);
+    let (arrays, a) = (arrays(), CcArrays::ids());
+    let [qv, qse, qn, qlv] = [QueueId(0), QueueId(1), QueueId(2), QueueId(3)];
     let mut p = Pipeline::new("cc-manual");
 
-    let mut s0 = FunctionBuilder::new("fetch");
-    for a in &arrays {
-        s0.array(a.clone());
-    }
-    let (fringe, labels, flen) = (ArrayId(0), ArrayId(3), ArrayId(5));
-    let nl = s0.var_i64("nl");
-    let i = s0.var_i64("i");
-    let v = s0.var_i64("v");
-    let lv = s0.var_i64("lv");
-    let l = s0.load(flen, Expr::i64(0));
-    s0.assign(nl, l);
-    s0.for_loop(i, Expr::i64(0), Expr::var(nl), |f| {
-        let lvv = f.load(fringe, Expr::var(i));
-        f.assign(v, lvv);
+    let s0 = frontier::stage("fetch", &arrays);
+    let fringe = (a.fringe, a.fringe_len);
+    let fetch = frontier::fetch_stage(s0, fringe, None, &[qv, qlv], |f, v| {
         // Stale label read — safe for a monotone fixpoint.
-        let llv = f.load(labels, Expr::var(v));
-        f.assign(lv, llv);
+        let lv = f.var_i64("lv");
+        frontier::load_to(f, lv, a.labels, v);
         f.enq(qlv, Expr::var(lv));
-        f.enq(qv, Expr::var(v));
-        f.enq(qv, Expr::add(Expr::var(v), Expr::i64(1)));
+        frontier::request_row(f, qv, v);
     });
-    s0.enq_ctrl(qv, DONE);
-    s0.enq_ctrl(qlv, DONE);
-    p.add_stage(StageProgram::plain(s0.build()), 0);
+    p.add_stage(fetch, 0);
 
-    p.add_ra(
-        RaConfig {
-            name: "nodes".into(),
-            mode: RaMode::Indirect,
-            base: ArrayId(1),
-            in_queue: qv,
-            out_queue: qse,
-            forward_ctrl: true,
-            scan_end_ctrl: None,
-        },
-        &arrays,
-        0,
-    );
-    p.add_ra(
-        RaConfig {
-            name: "edges".into(),
-            mode: RaMode::Scan,
-            base: ArrayId(2),
-            in_queue: qse,
-            out_queue: qn,
-            forward_ctrl: true,
-            scan_end_ctrl: Some(NEXT),
-        },
-        &arrays,
-        0,
-    );
+    let csr = (a.nodes, a.edges);
+    let next = Some(frontier::NEXT);
+    frontier::add_csr_ras(&mut p, &arrays, csr, [qv, qse, qn], next, "", 0);
 
-    let mut s3 = FunctionBuilder::new("update");
-    for a in &arrays {
-        s3.array(a.clone());
-    }
-    let (labels3, nf, olen) = (ArrayId(3), ArrayId(4), ArrayId(6));
-    let lv3 = s3.var_i64("lv");
-    let ngh = s3.var_i64("ngh");
-    let ln = s3.var_i64("ln");
-    let len = s3.var_i64("len");
-    s3.while_true(|f| {
-        f.deq(lv3, qlv);
-        f.while_true(|f| {
-            f.deq(ngh, qn);
-            let lln = f.load(labels3, Expr::var(ngh));
-            f.assign(ln, lln);
-            f.if_then(Expr::bin(BinOp::Gt, Expr::var(ln), Expr::var(lv3)), |f| {
-                f.store(labels3, Expr::var(ngh), Expr::var(lv3));
-                f.store(nf, Expr::var(len), Expr::var(ngh));
-                f.assign(len, Expr::add(Expr::var(len), Expr::i64(1)));
-            });
-        });
+    let mut s3 = frontier::stage("update", &arrays);
+    let lv = s3.var_i64("lv");
+    let out = Segment::serial(a.next_fringe, a.out_len);
+    let (len, handlers) = frontier::grouped_consumer(&mut s3, lv, (qlv, qn), |f, ngh| {
+        update(f, &a, lv, ngh, &out, false)
     });
-    s3.store(olen, Expr::i64(0), Expr::var(len));
-    let handlers = vec![
-        CtrlHandler {
-            queue: qn,
-            ctrl: Some(NEXT),
-            bind: None,
-            body: vec![],
-            end: HandlerEnd::BreakLoops(1),
-        },
-        CtrlHandler {
-            queue: qlv,
-            ctrl: Some(DONE),
-            bind: None,
-            body: vec![],
-            end: HandlerEnd::BreakLoops(1),
-        },
-    ];
-    p.add_stage(
-        StageProgram {
-            func: s3.build(),
-            handlers,
-        },
-        0,
-    );
+    out.publish(&mut s3, len);
+    let func = s3.build();
+    p.add_stage(StageProgram { func, handlers }, 0);
     p
 }
 

@@ -11,21 +11,25 @@
 //! Ranks are `f64`; the data-parallel variant uses atomic float adds, so
 //! its accumulation order differs and results are compared with a
 //! tolerance.
+//!
+//! PRD's own: its arrays ([`arrays`]), the per-vertex payload
+//! ([`contribution`]: `delta[v] * invdeg[v]`), its update rule
+//! ([`accumulate`]), the apply phase and its oracle. The scatter
+//! traversal around them is [`crate::frontier`]'s.
 
+use crate::frontier::{self, Part, RowWalk, Segment};
 use crate::runner::{
     compile_options, data_parallel_pipeline, measure, run_rounds, serial_pipeline,
     variant_pipeline, with_sink, Fringe, Measurement, Variant,
 };
 use phloem_compiler::compile_static;
 use phloem_ir::{
-    ArrayDecl, ArrayId, BinOp, CtrlHandler, Expr, Function, FunctionBuilder, HandlerEnd, MemState,
-    Pipeline, QueueId, RaConfig, RaMode, StageProgram, Trap, UnOp, Value,
+    ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId,
+    StageProgram, Trap, UnOp, Value, VarId,
 };
 use phloem_workloads::Graph;
-use pipette_sim::{MachineConfig, Session, TraceSink};
+use pipette_sim::{CompiledPipeline, MachineConfig, Session, TraceSink};
 
-const DONE: u32 = 0;
-const NEXT: u32 = 1;
 const DAMPING: f64 = 0.85;
 const EPS: f64 = 1e-4;
 
@@ -33,7 +37,23 @@ const EPS: f64 = 1e-4;
 /// large inputs to bound simulation time; we do the same).
 pub const ITERATIONS: usize = 6;
 
-/// Array ids shared by all PRD variants (order matters).
+/// PRD's arrays, in allocation order: the one declaration every variant
+/// of both phases and [`build_mem`] share.
+pub fn arrays() -> Vec<ArrayDecl> {
+    vec![
+        ArrayDecl::i32("active"),
+        ArrayDecl::i32("nodes"),
+        ArrayDecl::i32("edges"),
+        ArrayDecl::f64("delta"),
+        ArrayDecl::f64("invdeg"),
+        ArrayDecl::f64("acc"),
+        ArrayDecl::f64("rank"),
+        ArrayDecl::i32("fringe_len"),
+        ArrayDecl::i32("out_len"),
+    ]
+}
+
+/// The ids [`arrays`] gives PRD's arrays.
 #[derive(Clone, Copy, Debug)]
 pub struct PrdArrays {
     /// Active vertex list.
@@ -56,246 +76,147 @@ pub struct PrdArrays {
     pub out_len: ArrayId,
 }
 
+impl PrdArrays {
+    /// Looks every id up by name in [`arrays`]; no memory needed.
+    pub fn ids() -> PrdArrays {
+        let decls = arrays();
+        let id = |name| frontier::array_id(&decls, name);
+        PrdArrays {
+            active: id("active"),
+            nodes: id("nodes"),
+            edges: id("edges"),
+            delta: id("delta"),
+            invdeg: id("invdeg"),
+            acc: id("acc"),
+            rank: id("rank"),
+            fringe_len: id("fringe_len"),
+            out_len: id("out_len"),
+        }
+    }
+}
+
 /// Allocates PRD memory: everything active with uniform initial delta.
 pub fn build_mem(g: &Graph, threads: usize) -> (MemState, PrdArrays) {
     let n = g.num_vertices;
     let mut mem = MemState::new();
-    let active = mem.alloc_i64(ArrayDecl::i32("active"), (0..n as i64).collect::<Vec<_>>());
-    let nodes = mem.alloc_i64(ArrayDecl::i32("nodes"), g.offsets.iter().copied());
-    let edges = mem.alloc_i64(ArrayDecl::i32("edges"), g.edges.iter().copied());
-    let delta = mem.alloc_f64(ArrayDecl::f64("delta"), vec![1.0 / n as f64; n]);
-    let invdeg = mem.alloc_f64(
-        ArrayDecl::f64("invdeg"),
-        (0..n).map(|v| 1.0 / g.degree(v).max(1) as f64),
-    );
-    let acc = mem.alloc_f64(ArrayDecl::f64("acc"), vec![0.0; n]);
-    let rank = mem.alloc_f64(ArrayDecl::f64("rank"), vec![0.0; n]);
-    let fringe_len = mem.alloc_i64(ArrayDecl::i32("fringe_len"), [n as i64]);
-    let out_len = mem.alloc(ArrayDecl::i32("out_len"), threads.max(1));
-    (
-        mem,
-        PrdArrays {
-            active,
-            nodes,
-            edges,
-            delta,
-            invdeg,
-            acc,
-            rank,
-            fringe_len,
-            out_len,
-        },
-    )
+    for decl in arrays() {
+        match decl.name.as_str() {
+            "active" => mem.alloc_i64(decl, 0..n as i64),
+            "delta" => mem.alloc_f64(decl, vec![1.0 / n as f64; n]),
+            "invdeg" => mem.alloc_f64(decl, (0..n).map(|v| 1.0 / g.degree(v).max(1) as f64)),
+            "acc" | "rank" => mem.alloc_f64(decl, vec![0.0; n]),
+            "fringe_len" => mem.alloc_i64(decl, [n as i64]),
+            _ => frontier::alloc_graph_array(&mut mem, decl, g, threads),
+        };
+    }
+    (mem, PrdArrays::ids())
+}
+
+/// PRD's per-vertex payload: loads `dv = delta[v]` and `iv = invdeg[v]`
+/// and returns the share `dv * iv` each neighbour receives.
+pub(crate) fn contribution(f: &mut FunctionBuilder, a: &PrdArrays, v: VarId) -> Expr {
+    let dv = f.var_f64("dv");
+    let iv = f.var_f64("iv");
+    frontier::load_to(f, dv, a.delta, v);
+    frontier::load_to(f, iv, a.invdeg, v);
+    Expr::mul(Expr::var(dv), Expr::var(iv))
+}
+
+/// PRD's per-edge rule: `acc[ngh] += share`, as a load and a store or as
+/// one atomic add.
+pub(crate) fn accumulate(
+    f: &mut FunctionBuilder,
+    a: &PrdArrays,
+    ngh: VarId,
+    share: Expr,
+    atomic: bool,
+) {
+    if atomic {
+        f.atomic_rmw(BinOp::Add, a.acc, Expr::var(ngh), share, None);
+        return;
+    }
+    let sum = f.var_f64("a");
+    frontier::load_to(f, sum, a.acc, ngh);
+    f.store(a.acc, Expr::var(ngh), Expr::add(Expr::var(sum), share));
+}
+
+/// Phase A (scatter) over the whole active list with plain adds
+/// (`None`), or over thread `part`'s slice with atomic adds.
+fn scatter_over(part: Option<Part>) -> Function {
+    let a = PrdArrays::ids();
+    let name = match part {
+        None => "prd-scatter".into(),
+        Some(p) => format!("prd-scatter{}", p.index),
+    };
+    let mut b = frontier::stage(name, &arrays());
+    let span = frontier::fringe_slice(&mut b, a.fringe_len, part);
+    frontier::for_each_vertex(&mut b, a.active, span, |f, v| {
+        let share = contribution(f, &a, v);
+        let c = f.var_f64("c");
+        f.assign(c, share);
+        let walk = RowWalk::declare(f);
+        walk.fetch(f, a.nodes, v);
+        walk.for_each_edge(f, a.edges, |f, ngh| {
+            accumulate(f, &a, ngh, Expr::var(c), part.is_some())
+        });
+    });
+    b.build()
 }
 
 /// Phase A (scatter) serial kernel.
 pub fn scatter_kernel() -> Function {
-    let mut b = FunctionBuilder::new("prd-scatter");
-    let active = b.array_i32("active");
-    let nodes = b.array_i32("nodes");
-    let edges = b.array_i32("edges");
-    let delta = b.array_f64("delta");
-    let invdeg = b.array_f64("invdeg");
-    let acc = b.array_f64("acc");
-    let _rank = b.array_f64("rank");
-    let flen = b.array_i32("fringe_len");
-    let _olen = b.array_i32("out_len");
-    let nl = b.var_i64("nl");
-    let i = b.var_i64("i");
+    scatter_over(None)
+}
+
+/// Phase B (apply): fold accumulators into ranks and rebuild the active
+/// set — over all `n` vertices (a launch parameter) when `part` is
+/// `None`, else over thread `part`'s range of a host-known `n`, its
+/// survivors compacted from the start of that range.
+pub(crate) fn apply_over(part: Option<(Part, usize)>) -> Function {
+    let a = PrdArrays::ids();
+    let name = match part {
+        None => "prd-apply".into(),
+        Some((p, _)) => format!("prd-apply{}", p.index),
+    };
+    let mut b = frontier::stage(name, &arrays());
+    let (span, out) = match part {
+        None => {
+            let n = b.param_i64("n");
+            let out = Segment::serial(a.active, a.out_len);
+            ((Expr::i64(0), Expr::var(n)), out)
+        }
+        Some((Part { index: t, of }, n)) => {
+            let (lo, hi) = (n * t / of, n * (t + 1) / of);
+            let out = Segment::at(a.active, a.out_len, lo, t);
+            ((Expr::i64(lo as i64), Expr::i64(hi as i64)), out)
+        }
+    };
     let v = b.var_i64("v");
-    let dv = b.var_f64("dv");
-    let iv = b.var_f64("iv");
-    let c = b.var_f64("c");
-    let s = b.var_i64("s");
-    let e = b.var_i64("e");
-    let j = b.var_i64("j");
-    let ngh = b.var_i64("ngh");
-    let a = b.var_f64("a");
-    let l = b.load(flen, Expr::i64(0));
-    b.assign(nl, l);
-    b.for_loop(i, Expr::i64(0), Expr::var(nl), |f| {
-        let lv = f.load(active, Expr::var(i));
-        f.assign(v, lv);
-        let ld = f.load(delta, Expr::var(v));
-        f.assign(dv, ld);
-        let li = f.load(invdeg, Expr::var(v));
-        f.assign(iv, li);
-        f.assign(c, Expr::mul(Expr::var(dv), Expr::var(iv)));
-        let ls = f.load(nodes, Expr::var(v));
-        f.assign(s, ls);
-        let le = f.load(nodes, Expr::add(Expr::var(v), Expr::i64(1)));
-        f.assign(e, le);
-        f.for_loop(j, Expr::var(s), Expr::var(e), |f| {
-            let ln = f.load(edges, Expr::var(j));
-            f.assign(ngh, ln);
-            let la = f.load(acc, Expr::var(ngh));
-            f.assign(a, la);
-            f.store(acc, Expr::var(ngh), Expr::add(Expr::var(a), Expr::var(c)));
+    let acc = b.var_f64("a");
+    let nd = b.var_f64("nd");
+    let r = b.var_f64("r");
+    let mag = b.var_f64("mag");
+    let len = b.var_i64("len");
+    b.for_loop(v, span.0, span.1, |f| {
+        frontier::load_to(f, acc, a.acc, v);
+        f.assign(nd, Expr::mul(Expr::var(acc), Expr::f64(DAMPING)));
+        f.store(a.acc, Expr::var(v), Expr::f64(0.0));
+        let neg = Expr::un(UnOp::Neg, Expr::var(nd));
+        f.assign(mag, Expr::bin(BinOp::Max, Expr::var(nd), neg));
+        f.if_then(Expr::bin(BinOp::Gt, Expr::var(mag), Expr::f64(EPS)), |f| {
+            frontier::load_to(f, r, a.rank, v);
+            f.store(a.rank, Expr::var(v), Expr::add(Expr::var(r), Expr::var(nd)));
+            f.store(a.delta, Expr::var(v), Expr::var(nd));
+            out.append(f, len, v);
         });
     });
+    out.publish(&mut b, len);
     b.build()
 }
 
-/// Phase B (apply) serial kernel: fold accumulators, rebuild active set.
+/// Phase B (apply) serial kernel.
 pub fn apply_kernel() -> Function {
-    let mut b = FunctionBuilder::new("prd-apply");
-    let n = b.param_i64("n");
-    let active = b.array_i32("active");
-    let _nodes = b.array_i32("nodes");
-    let _edges = b.array_i32("edges");
-    let delta = b.array_f64("delta");
-    let _invdeg = b.array_f64("invdeg");
-    let acc = b.array_f64("acc");
-    let rank = b.array_f64("rank");
-    let _flen = b.array_i32("fringe_len");
-    let olen = b.array_i32("out_len");
-    let v = b.var_i64("v");
-    let a = b.var_f64("a");
-    let nd = b.var_f64("nd");
-    let r = b.var_f64("r");
-    let mag = b.var_f64("mag");
-    let len = b.var_i64("len");
-    b.for_loop(v, Expr::i64(0), Expr::var(n), |f| {
-        let la = f.load(acc, Expr::var(v));
-        f.assign(a, la);
-        f.assign(nd, Expr::mul(Expr::var(a), Expr::f64(DAMPING)));
-        f.store(acc, Expr::var(v), Expr::f64(0.0));
-        f.assign(
-            mag,
-            Expr::bin(
-                BinOp::Max,
-                Expr::var(nd),
-                Expr::un(UnOp::Neg, Expr::var(nd)),
-            ),
-        );
-        f.if_then(Expr::bin(BinOp::Gt, Expr::var(mag), Expr::f64(EPS)), |f| {
-            let lr = f.load(rank, Expr::var(v));
-            f.assign(r, lr);
-            f.store(rank, Expr::var(v), Expr::add(Expr::var(r), Expr::var(nd)));
-            f.store(delta, Expr::var(v), Expr::var(nd));
-            f.store(active, Expr::var(len), Expr::var(v));
-            f.assign(len, Expr::add(Expr::var(len), Expr::i64(1)));
-        });
-    });
-    b.store(olen, Expr::i64(0), Expr::var(len));
-    b.build()
-}
-
-/// Data-parallel scatter: active list partitioned, atomic adds into acc.
-pub fn dp_scatter(tid: usize, threads: usize) -> Function {
-    let mut b = FunctionBuilder::new(format!("prd-scatter{tid}"));
-    let active = b.array_i32("active");
-    let nodes = b.array_i32("nodes");
-    let edges = b.array_i32("edges");
-    let delta = b.array_f64("delta");
-    let invdeg = b.array_f64("invdeg");
-    let acc = b.array_f64("acc");
-    let _rank = b.array_f64("rank");
-    let flen = b.array_i32("fringe_len");
-    let _olen = b.array_i32("out_len");
-    let nl = b.var_i64("nl");
-    let lo = b.var_i64("lo");
-    let hi = b.var_i64("hi");
-    let i = b.var_i64("i");
-    let v = b.var_i64("v");
-    let dv = b.var_f64("dv");
-    let iv = b.var_f64("iv");
-    let c = b.var_f64("c");
-    let s = b.var_i64("s");
-    let e = b.var_i64("e");
-    let j = b.var_i64("j");
-    let ngh = b.var_i64("ngh");
-    let l = b.load(flen, Expr::i64(0));
-    b.assign(nl, l);
-    let t = tid as i64;
-    let nt = threads as i64;
-    b.assign(
-        lo,
-        Expr::bin(
-            BinOp::Div,
-            Expr::mul(Expr::var(nl), Expr::i64(t)),
-            Expr::i64(nt),
-        ),
-    );
-    b.assign(
-        hi,
-        Expr::bin(
-            BinOp::Div,
-            Expr::mul(Expr::var(nl), Expr::i64(t + 1)),
-            Expr::i64(nt),
-        ),
-    );
-    b.for_loop(i, Expr::var(lo), Expr::var(hi), |f| {
-        let lv = f.load(active, Expr::var(i));
-        f.assign(v, lv);
-        let ld = f.load(delta, Expr::var(v));
-        f.assign(dv, ld);
-        let li = f.load(invdeg, Expr::var(v));
-        f.assign(iv, li);
-        f.assign(c, Expr::mul(Expr::var(dv), Expr::var(iv)));
-        let ls = f.load(nodes, Expr::var(v));
-        f.assign(s, ls);
-        let le = f.load(nodes, Expr::add(Expr::var(v), Expr::i64(1)));
-        f.assign(e, le);
-        f.for_loop(j, Expr::var(s), Expr::var(e), |f| {
-            let ln = f.load(edges, Expr::var(j));
-            f.assign(ngh, ln);
-            f.atomic_rmw(BinOp::Add, acc, Expr::var(ngh), Expr::var(c), None);
-        });
-    });
-    b.build()
-}
-
-/// Data-parallel apply: vertex ranges, private active segments.
-pub fn dp_apply(tid: usize, threads: usize, n: usize) -> Function {
-    let mut b = FunctionBuilder::new(format!("prd-apply{tid}"));
-    let active = b.array_i32("active");
-    let _nodes = b.array_i32("nodes");
-    let _edges = b.array_i32("edges");
-    let delta = b.array_f64("delta");
-    let _invdeg = b.array_f64("invdeg");
-    let acc = b.array_f64("acc");
-    let rank = b.array_f64("rank");
-    let _flen = b.array_i32("fringe_len");
-    let olen = b.array_i32("out_len");
-    let v = b.var_i64("v");
-    let a = b.var_f64("a");
-    let nd = b.var_f64("nd");
-    let r = b.var_f64("r");
-    let mag = b.var_f64("mag");
-    let len = b.var_i64("len");
-    let t = tid as i64;
-    let nt = threads as i64;
-    let lo = (n as i64) * t / nt;
-    let hi = (n as i64) * (t + 1) / nt;
-    b.for_loop(v, Expr::i64(lo), Expr::i64(hi), |f| {
-        let la = f.load(acc, Expr::var(v));
-        f.assign(a, la);
-        f.assign(nd, Expr::mul(Expr::var(a), Expr::f64(DAMPING)));
-        f.store(acc, Expr::var(v), Expr::f64(0.0));
-        f.assign(
-            mag,
-            Expr::bin(
-                BinOp::Max,
-                Expr::var(nd),
-                Expr::un(UnOp::Neg, Expr::var(nd)),
-            ),
-        );
-        f.if_then(Expr::bin(BinOp::Gt, Expr::var(mag), Expr::f64(EPS)), |f| {
-            let lr = f.load(rank, Expr::var(v));
-            f.assign(r, lr);
-            f.store(rank, Expr::var(v), Expr::add(Expr::var(r), Expr::var(nd)));
-            f.store(delta, Expr::var(v), Expr::var(nd));
-            f.store(
-                active,
-                Expr::add(Expr::i64(lo), Expr::var(len)),
-                Expr::var(v),
-            );
-            f.assign(len, Expr::add(Expr::var(len), Expr::i64(1)));
-        });
-    });
-    b.store(olen, Expr::i64(t), Expr::var(len));
-    b.build()
+    apply_over(None)
 }
 
 /// Hand-optimized scatter pipeline (single-core): fetch computes the
@@ -303,120 +224,31 @@ pub fn dp_apply(tid: usize, threads: usize, n: usize) -> Function {
 /// per-vertex `NEXT`, and the accumulate stage applies it. (The *merged*
 /// middle stage appears only in the replicated configuration, Fig. 14.)
 pub fn manual_scatter() -> Pipeline {
-    let arrays = vec![
-        ArrayDecl::i32("active"),
-        ArrayDecl::i32("nodes"),
-        ArrayDecl::i32("edges"),
-        ArrayDecl::f64("delta"),
-        ArrayDecl::f64("invdeg"),
-        ArrayDecl::f64("acc"),
-        ArrayDecl::f64("rank"),
-        ArrayDecl::i32("fringe_len"),
-        ArrayDecl::i32("out_len"),
-    ];
-    let qv = QueueId(0);
-    let qc = QueueId(1);
-    let qse = QueueId(2);
-    let qn = QueueId(3);
+    let (arrays, a) = (arrays(), PrdArrays::ids());
+    let [qv, qc, qse, qn] = [QueueId(0), QueueId(1), QueueId(2), QueueId(3)];
     let mut p = Pipeline::new("prd-manual");
 
-    // Stage 0: fetch active vertex + contribution; feed the nodes RA.
-    let mut s0 = FunctionBuilder::new("fetch");
-    for a in &arrays {
-        s0.array(a.clone());
-    }
-    let (active, delta, invdeg, flen) = (ArrayId(0), ArrayId(3), ArrayId(4), ArrayId(7));
-    let nl = s0.var_i64("nl");
-    let i = s0.var_i64("i");
-    let v = s0.var_i64("v");
-    let dv = s0.var_f64("dv");
-    let iv = s0.var_f64("iv");
-    let l = s0.load(flen, Expr::i64(0));
-    s0.assign(nl, l);
-    s0.for_loop(i, Expr::i64(0), Expr::var(nl), |f| {
-        let lv = f.load(active, Expr::var(i));
-        f.assign(v, lv);
-        let ld = f.load(delta, Expr::var(v));
-        f.assign(dv, ld);
-        let li = f.load(invdeg, Expr::var(v));
-        f.assign(iv, li);
-        f.enq(qc, Expr::mul(Expr::var(dv), Expr::var(iv)));
-        f.enq(qv, Expr::var(v));
-        f.enq(qv, Expr::add(Expr::var(v), Expr::i64(1)));
+    // Fetch active vertex + contribution; feed the nodes RA.
+    let s0 = frontier::stage("fetch", &arrays);
+    let active = (a.active, a.fringe_len);
+    let fetch = frontier::fetch_stage(s0, active, None, &[qv, qc], |f, v| {
+        let share = contribution(f, &a, v);
+        f.enq(qc, share);
+        frontier::request_row(f, qv, v);
     });
-    s0.enq_ctrl(qv, DONE);
-    s0.enq_ctrl(qc, DONE);
-    p.add_stage(StageProgram::plain(s0.build()), 0);
+    p.add_stage(fetch, 0);
 
-    // Chained RAs over nodes and edges, with a per-vertex NEXT.
-    p.add_ra(
-        RaConfig {
-            name: "nodes".into(),
-            mode: RaMode::Indirect,
-            base: ArrayId(1),
-            in_queue: qv,
-            out_queue: qse,
-            forward_ctrl: true,
-            scan_end_ctrl: None,
-        },
-        &arrays,
-        0,
-    );
-    p.add_ra(
-        RaConfig {
-            name: "edges".into(),
-            mode: RaMode::Scan,
-            base: ArrayId(2),
-            in_queue: qse,
-            out_queue: qn,
-            forward_ctrl: true,
-            scan_end_ctrl: Some(NEXT),
-        },
-        &arrays,
-        0,
-    );
+    let csr = (a.nodes, a.edges);
+    let next = Some(frontier::NEXT);
+    frontier::add_csr_ras(&mut p, &arrays, csr, [qv, qse, qn], next, "", 0);
 
-    // Stage 2: accumulate.
-    let mut s2 = FunctionBuilder::new("accumulate");
-    for a in &arrays {
-        s2.array(a.clone());
-    }
-    let acc = ArrayId(5);
-    let c2 = s2.var_f64("c");
-    let ngh = s2.var_i64("ngh");
-    let a2 = s2.var_f64("a");
-    s2.while_true(|f| {
-        f.deq(c2, qc);
-        f.while_true(|f| {
-            f.deq(ngh, qn);
-            let la = f.load(acc, Expr::var(ngh));
-            f.assign(a2, la);
-            f.store(acc, Expr::var(ngh), Expr::add(Expr::var(a2), Expr::var(c2)));
-        });
+    let mut s2 = frontier::stage("accumulate", &arrays);
+    let c = s2.var_f64("c");
+    let ((), handlers) = frontier::grouped_consumer(&mut s2, c, (qc, qn), |f, ngh| {
+        accumulate(f, &a, ngh, Expr::var(c), false)
     });
-    let h2 = vec![
-        CtrlHandler {
-            queue: qn,
-            ctrl: Some(NEXT),
-            bind: None,
-            body: vec![],
-            end: HandlerEnd::BreakLoops(1),
-        },
-        CtrlHandler {
-            queue: qc,
-            ctrl: Some(DONE),
-            bind: None,
-            body: vec![],
-            end: HandlerEnd::BreakLoops(1),
-        },
-    ];
-    p.add_stage(
-        StageProgram {
-            func: s2.build(),
-            handlers: h2,
-        },
-        0,
-    );
+    let func = s2.build();
+    p.add_stage(StageProgram { func, handlers }, 0);
     p
 }
 
@@ -429,12 +261,10 @@ pub fn pipelines_for(
     n: usize,
     cfg: &MachineConfig,
 ) -> Result<(Pipeline, Pipeline), phloem_compiler::CompileError> {
+    let dp_scatter = |index, of| scatter_over(Some(Part { index, of }));
     let scatter = variant_pipeline(variant, cfg, scatter_kernel, dp_scatter, manual_scatter)?;
     let apply = match variant {
-        Variant::DataParallel(t) => data_parallel_pipeline(
-            (0..*t).map(|k| dp_apply(k, *t, n)).collect(),
-            cfg.smt_threads,
-        ),
+        Variant::DataParallel(t) => dp_apply_pipeline(*t, n, cfg),
         Variant::Phloem { passes, .. } => {
             compile_static(&apply_kernel(), 2, &compile_options(cfg, *passes))?
         }
@@ -442,6 +272,13 @@ pub fn pipelines_for(
         _ => serial_pipeline(apply_kernel()),
     };
     Ok((scatter, apply))
+}
+
+/// The apply phase across `threads` data-parallel threads of `n` vertices.
+pub(crate) fn dp_apply_pipeline(threads: usize, n: usize, cfg: &MachineConfig) -> Pipeline {
+    let of = threads;
+    let part = |index| apply_over(Some((Part { index, of }, n)));
+    data_parallel_pipeline((0..threads).map(part).collect(), cfg.smt_threads)
 }
 
 /// Runs PRD for up to [`ITERATIONS`] iterations and checks ranks against
@@ -497,17 +334,15 @@ pub(crate) fn iterate(
     scatter: &Pipeline,
     apply: &Pipeline,
 ) -> Result<(), Trap> {
-    run_rounds(
-        session,
-        fringe,
-        n as i64,
-        ITERATIONS as u64,
-        |session, _| {
-            session.run(scatter, &[])?;
-            session.run(apply, &[("n", Value::I64(n as i64))])?;
-            Ok(())
-        },
-    )?;
+    // Lower both phases once, not once per iteration.
+    let scatter_code = CompiledPipeline::new(scatter)?;
+    let apply_code = CompiledPipeline::new(apply)?;
+    let rounds = ITERATIONS as u64;
+    run_rounds(session, fringe, n as i64, rounds, |session, _| {
+        session.run_compiled(scatter, &scatter_code, &[])?;
+        session.run_compiled(apply, &apply_code, &[("n", Value::I64(n as i64))])?;
+        Ok(())
+    })?;
     Ok(())
 }
 

@@ -6,24 +6,43 @@
 //! a per-round `radii[ngh] != round` test dedups fringe pushes. The
 //! update stage reads and writes `nvisited`/`radii`, so those accesses
 //! co-stage (Fig. 4), while `visited[v]` is prefetchable upstream.
+//!
+//! Radii's own: its arrays ([`arrays`]), the per-vertex payload
+//! `visited[v]`, the `round` parameter, its update rule ([`update`]: or
+//! the mask into `nvisited[ngh]`, stamp `radii[ngh]` once per round) and
+//! its oracle. The traversal around them is [`crate::frontier`]'s.
 
+use crate::frontier::{self, Part, RowWalk, Segment};
 use crate::runner::{
     measure, run_to_fixpoint, variant_pipeline, with_sink, Fringe, Measurement, Variant,
 };
 use phloem_ir::{
-    ArrayDecl, ArrayId, BinOp, CtrlHandler, Expr, Function, FunctionBuilder, HandlerEnd, MemState,
-    Pipeline, QueueId, RaConfig, RaMode, StageProgram, Trap, Value,
+    ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId,
+    StageProgram, Trap, Value, VarId,
 };
 use phloem_workloads::Graph;
 use pipette_sim::{CompiledPipeline, MachineConfig, Session, TraceSink};
 
-const DONE: u32 = 0;
-const NEXT: u32 = 1;
-
 /// Number of simultaneously-sampled BFS sources (bits in the mask).
 pub const SOURCES: usize = 32;
 
-/// Array ids shared by all Radii variants.
+/// Radii's arrays, in allocation order: the one declaration every
+/// variant and [`build_mem`] share.
+pub fn arrays() -> Vec<ArrayDecl> {
+    vec![
+        ArrayDecl::i32("fringe"),
+        ArrayDecl::i32("nodes"),
+        ArrayDecl::i32("edges"),
+        ArrayDecl::i64("visited"),
+        ArrayDecl::i64("nvisited"),
+        ArrayDecl::i32("radii"),
+        ArrayDecl::i32("next_fringe"),
+        ArrayDecl::i32("fringe_len"),
+        ArrayDecl::i32("out_len"),
+    ]
+}
+
+/// The ids [`arrays`] gives Radii's arrays.
 #[derive(Clone, Copy, Debug)]
 pub struct RadiiArrays {
     /// Current fringe.
@@ -46,6 +65,25 @@ pub struct RadiiArrays {
     pub out_len: ArrayId,
 }
 
+impl RadiiArrays {
+    /// Looks every id up by name in [`arrays`]; no memory needed.
+    pub fn ids() -> RadiiArrays {
+        let decls = arrays();
+        let id = |name| frontier::array_id(&decls, name);
+        RadiiArrays {
+            fringe: id("fringe"),
+            nodes: id("nodes"),
+            edges: id("edges"),
+            visited: id("visited"),
+            nvisited: id("nvisited"),
+            radii: id("radii"),
+            next_fringe: id("next_fringe"),
+            fringe_len: id("fringe_len"),
+            out_len: id("out_len"),
+        }
+    }
+}
+
 /// Per-thread next-fringe capacity.
 pub fn segment(g: &Graph) -> usize {
     g.num_edges().max(g.num_vertices).max(4)
@@ -62,306 +100,143 @@ pub fn build_mem(g: &Graph, threads: usize) -> (MemState, RadiiArrays) {
     let n = g.num_vertices;
     let seg = segment(g);
     let srcs = sources(g);
-    let mut mem = MemState::new();
-    let mut fringe0: Vec<i64> = srcs.iter().map(|&s| s as i64).collect();
-    fringe0.resize(seg, 0);
-    let fringe = mem.alloc_i64(ArrayDecl::i32("fringe"), fringe0);
-    let nodes = mem.alloc_i64(ArrayDecl::i32("nodes"), g.offsets.iter().copied());
-    let edges = mem.alloc_i64(ArrayDecl::i32("edges"), g.edges.iter().copied());
     let mut visited0 = vec![0i64; n];
     for (k, &s) in srcs.iter().enumerate() {
         visited0[s] |= 1 << k;
     }
-    let visited = mem.alloc_i64(ArrayDecl::i64("visited"), visited0.clone());
-    let nvisited = mem.alloc_i64(ArrayDecl::i64("nvisited"), visited0);
-    let radii = mem.alloc(ArrayDecl::i32("radii"), n);
-    let next_fringe = mem.alloc(ArrayDecl::i32("next_fringe"), seg * threads.max(1));
-    let fringe_len = mem.alloc_i64(ArrayDecl::i32("fringe_len"), [srcs.len() as i64]);
-    let out_len = mem.alloc(ArrayDecl::i32("out_len"), threads.max(1));
-    (
-        mem,
-        RadiiArrays {
-            fringe,
-            nodes,
-            edges,
-            visited,
-            nvisited,
-            radii,
-            next_fringe,
-            fringe_len,
-            out_len,
-        },
-    )
+    let mut mem = MemState::new();
+    for decl in arrays() {
+        match decl.name.as_str() {
+            "fringe" => {
+                let mut fringe0: Vec<i64> = srcs.iter().map(|&s| s as i64).collect();
+                fringe0.resize(seg, 0);
+                mem.alloc_i64(decl, fringe0)
+            }
+            "visited" | "nvisited" => mem.alloc_i64(decl, visited0.iter().copied()),
+            "radii" => mem.alloc(decl, n),
+            "next_fringe" => mem.alloc(decl, seg * threads.max(1)),
+            "fringe_len" => mem.alloc_i64(decl, [srcs.len() as i64]),
+            _ => frontier::alloc_graph_array(&mut mem, decl, g, threads),
+        };
+    }
+    (mem, RadiiArrays::ids())
+}
+
+/// Radii's per-edge rule: or the visiting vertex's mask `mv` into
+/// `nvisited[ngh]`; a neighbour whose mask grew is stamped with `round`
+/// and — once per round — joins the next fringe in `out`. The `atomic`
+/// form (one atomic-or) stamps and appends on every growth. Returns the
+/// count variable.
+pub(crate) fn update(
+    f: &mut FunctionBuilder,
+    a: &RadiiArrays,
+    (mv, round): (VarId, VarId),
+    ngh: VarId,
+    out: &Segment,
+    atomic: bool,
+) -> VarId {
+    let stamp = |f: &mut FunctionBuilder, len| {
+        f.store(a.radii, Expr::var(ngh), Expr::var(round));
+        out.append(f, len, ngh);
+    };
+    let or_mv = |mask| Expr::bin(BinOp::Or, Expr::var(mask), Expr::var(mv));
+    if atomic {
+        let old = f.var_i64("old");
+        let len = f.var_i64("len");
+        let (at, mask) = (Expr::var(ngh), Expr::var(mv));
+        f.atomic_rmw(BinOp::Or, a.nvisited, at, mask, Some(old));
+        f.if_then(Expr::ne(or_mv(old), Expr::var(old)), |f| stamp(f, len));
+        return len;
+    }
+    let mn = f.var_i64("mn");
+    let un = f.var_i64("un");
+    let rr = f.var_i64("rr");
+    let len = f.var_i64("len");
+    frontier::load_to(f, mn, a.nvisited, ngh);
+    f.assign(un, or_mv(mn));
+    f.if_then(Expr::ne(Expr::var(un), Expr::var(mn)), |f| {
+        f.store(a.nvisited, Expr::var(ngh), Expr::var(un));
+        frontier::load_to(f, rr, a.radii, ngh);
+        f.if_then(Expr::ne(Expr::var(rr), Expr::var(round)), |f| stamp(f, len));
+    });
+    len
 }
 
 /// Serial one-round Radii kernel.
 pub fn kernel() -> Function {
-    let mut b = FunctionBuilder::new("radii");
+    let a = RadiiArrays::ids();
+    let mut b = frontier::stage("radii", &arrays());
     let round = b.param_i64("round");
-    let fringe = b.array_i32("fringe");
-    let nodes = b.array_i32("nodes");
-    let edges = b.array_i32("edges");
-    let visited = b.array_i64("visited");
-    let nvisited = b.array_i64("nvisited");
-    let radii = b.array_i32("radii");
-    let nf = b.array_i32("next_fringe");
-    let flen = b.array_i32("fringe_len");
-    let olen = b.array_i32("out_len");
-    let nl = b.var_i64("nl");
-    let i = b.var_i64("i");
-    let v = b.var_i64("v");
-    let mv = b.var_i64("mv");
-    let s = b.var_i64("s");
-    let e = b.var_i64("e");
-    let j = b.var_i64("j");
-    let ngh = b.var_i64("ngh");
-    let mn = b.var_i64("mn");
-    let un = b.var_i64("un");
-    let rr = b.var_i64("rr");
-    let len = b.var_i64("len");
-    let l = b.load(flen, Expr::i64(0));
-    b.assign(nl, l);
-    b.for_loop(i, Expr::i64(0), Expr::var(nl), |f| {
-        let lvv = f.load(fringe, Expr::var(i));
-        f.assign(v, lvv);
-        let ls = f.load(nodes, Expr::var(v));
-        f.assign(s, ls);
-        let le = f.load(nodes, Expr::add(Expr::var(v), Expr::i64(1)));
-        f.assign(e, le);
-        let lmv = f.load(visited, Expr::var(v));
-        f.assign(mv, lmv);
-        f.for_loop(j, Expr::var(s), Expr::var(e), |f| {
-            let lngh = f.load(edges, Expr::var(j));
-            f.assign(ngh, lngh);
-            let lmn = f.load(nvisited, Expr::var(ngh));
-            f.assign(mn, lmn);
-            f.assign(un, Expr::bin(BinOp::Or, Expr::var(mn), Expr::var(mv)));
-            f.if_then(Expr::ne(Expr::var(un), Expr::var(mn)), |f| {
-                f.store(nvisited, Expr::var(ngh), Expr::var(un));
-                let lr = f.load(radii, Expr::var(ngh));
-                f.assign(rr, lr);
-                f.if_then(Expr::ne(Expr::var(rr), Expr::var(round)), |f| {
-                    f.store(radii, Expr::var(ngh), Expr::var(round));
-                    f.store(nf, Expr::var(len), Expr::var(ngh));
-                    f.assign(len, Expr::add(Expr::var(len), Expr::i64(1)));
-                });
-            });
-        });
+    let out = Segment::serial(a.next_fringe, a.out_len);
+    let span = frontier::fringe_slice(&mut b, a.fringe_len, None);
+    let len = frontier::for_each_vertex(&mut b, a.fringe, span, |f, v| {
+        let mv = f.var_i64("mv");
+        let walk = RowWalk::declare(f);
+        walk.fetch(f, a.nodes, v);
+        frontier::load_to(f, mv, a.visited, v);
+        walk.for_each_edge(f, a.edges, |f, ngh| {
+            update(f, &a, (mv, round), ngh, &out, false)
+        })
     });
-    b.store(olen, Expr::i64(0), Expr::var(len));
+    out.publish(&mut b, len);
     b.build()
 }
 
-/// Data-parallel kernel: atomic-or on visited masks.
-pub fn dp_kernel(tid: usize, threads: usize, segment: usize) -> Function {
-    let mut b = FunctionBuilder::new(format!("radii-dp{tid}"));
+/// Data-parallel kernel: atomic-or on visited masks. (It reads
+/// `visited[v]` before the row bounds, the serial kernel after.)
+fn dp_kernel(tid: usize, threads: usize, segment: usize) -> Function {
+    let a = RadiiArrays::ids();
+    let mut b = frontier::stage(format!("radii-dp{tid}"), &arrays());
     let round = b.param_i64("round");
-    let fringe = b.array_i32("fringe");
-    let nodes = b.array_i32("nodes");
-    let edges = b.array_i32("edges");
-    let visited = b.array_i64("visited");
-    let nvisited = b.array_i64("nvisited");
-    let radii = b.array_i32("radii");
-    let nf = b.array_i32("next_fringe");
-    let flen = b.array_i32("fringe_len");
-    let olen = b.array_i32("out_len");
-    let nl = b.var_i64("nl");
-    let lo = b.var_i64("lo");
-    let hi = b.var_i64("hi");
-    let i = b.var_i64("i");
-    let v = b.var_i64("v");
-    let mv = b.var_i64("mv");
-    let s = b.var_i64("s");
-    let e = b.var_i64("e");
-    let j = b.var_i64("j");
-    let ngh = b.var_i64("ngh");
-    let old = b.var_i64("old");
-    let len = b.var_i64("len");
-    let l = b.load(flen, Expr::i64(0));
-    b.assign(nl, l);
-    let t = tid as i64;
-    let nt = threads as i64;
-    b.assign(
-        lo,
-        Expr::bin(
-            BinOp::Div,
-            Expr::mul(Expr::var(nl), Expr::i64(t)),
-            Expr::i64(nt),
-        ),
-    );
-    b.assign(
-        hi,
-        Expr::bin(
-            BinOp::Div,
-            Expr::mul(Expr::var(nl), Expr::i64(t + 1)),
-            Expr::i64(nt),
-        ),
-    );
-    b.for_loop(i, Expr::var(lo), Expr::var(hi), |f| {
-        let lvv = f.load(fringe, Expr::var(i));
-        f.assign(v, lvv);
-        let lmv = f.load(visited, Expr::var(v));
-        f.assign(mv, lmv);
-        let ls = f.load(nodes, Expr::var(v));
-        f.assign(s, ls);
-        let le = f.load(nodes, Expr::add(Expr::var(v), Expr::i64(1)));
-        f.assign(e, le);
-        f.for_loop(j, Expr::var(s), Expr::var(e), |f| {
-            let lngh = f.load(edges, Expr::var(j));
-            f.assign(ngh, lngh);
-            f.atomic_rmw(
-                BinOp::Or,
-                nvisited,
-                Expr::var(ngh),
-                Expr::var(mv),
-                Some(old),
-            );
-            f.if_then(
-                Expr::ne(
-                    Expr::bin(BinOp::Or, Expr::var(old), Expr::var(mv)),
-                    Expr::var(old),
-                ),
-                |f| {
-                    f.store(radii, Expr::var(ngh), Expr::var(round));
-                    f.store(
-                        nf,
-                        Expr::add(Expr::i64(t * segment as i64), Expr::var(len)),
-                        Expr::var(ngh),
-                    );
-                    f.assign(len, Expr::add(Expr::var(len), Expr::i64(1)));
-                },
-            );
-        });
+    let out = Segment::at(a.next_fringe, a.out_len, tid * segment, tid);
+    let part = Part {
+        index: tid,
+        of: threads,
+    };
+    let span = frontier::fringe_slice(&mut b, a.fringe_len, Some(part));
+    let len = frontier::for_each_vertex(&mut b, a.fringe, span, |f, v| {
+        let mv = f.var_i64("mv");
+        frontier::load_to(f, mv, a.visited, v);
+        let walk = RowWalk::declare(f);
+        walk.fetch(f, a.nodes, v);
+        walk.for_each_edge(f, a.edges, |f, ngh| {
+            update(f, &a, (mv, round), ngh, &out, true)
+        })
     });
-    b.store(olen, Expr::i64(t), Expr::var(len));
+    out.publish(&mut b, len);
     b.build()
 }
 
 /// Hand-optimized pipeline (stale `visited[v]` forwarded from fetch).
 pub fn manual_pipeline() -> Pipeline {
-    let arrays = vec![
-        ArrayDecl::i32("fringe"),
-        ArrayDecl::i32("nodes"),
-        ArrayDecl::i32("edges"),
-        ArrayDecl::i64("visited"),
-        ArrayDecl::i64("nvisited"),
-        ArrayDecl::i32("radii"),
-        ArrayDecl::i32("next_fringe"),
-        ArrayDecl::i32("fringe_len"),
-        ArrayDecl::i32("out_len"),
-    ];
-    let qv = QueueId(0);
-    let qse = QueueId(1);
-    let qn = QueueId(2);
-    let qmv = QueueId(3);
+    let (arrays, a) = (arrays(), RadiiArrays::ids());
+    let [qv, qse, qn, qmv] = [QueueId(0), QueueId(1), QueueId(2), QueueId(3)];
     let mut p = Pipeline::new("radii-manual");
 
-    let mut s0 = FunctionBuilder::new("fetch");
-    for a in &arrays {
-        s0.array(a.clone());
-    }
-    let (fringe, visited, flen) = (ArrayId(0), ArrayId(3), ArrayId(7));
-    let nl = s0.var_i64("nl");
-    let i = s0.var_i64("i");
-    let v = s0.var_i64("v");
-    let mv = s0.var_i64("mv");
-    let l = s0.load(flen, Expr::i64(0));
-    s0.assign(nl, l);
-    s0.for_loop(i, Expr::i64(0), Expr::var(nl), |f| {
-        let lvv = f.load(fringe, Expr::var(i));
-        f.assign(v, lvv);
-        let lmv = f.load(visited, Expr::var(v));
-        f.assign(mv, lmv);
+    let s0 = frontier::stage("fetch", &arrays);
+    let fringe = (a.fringe, a.fringe_len);
+    let fetch = frontier::fetch_stage(s0, fringe, None, &[qv, qmv], |f, v| {
+        let mv = f.var_i64("mv");
+        frontier::load_to(f, mv, a.visited, v);
         f.enq(qmv, Expr::var(mv));
-        f.enq(qv, Expr::var(v));
-        f.enq(qv, Expr::add(Expr::var(v), Expr::i64(1)));
+        frontier::request_row(f, qv, v);
     });
-    s0.enq_ctrl(qv, DONE);
-    s0.enq_ctrl(qmv, DONE);
-    p.add_stage(StageProgram::plain(s0.build()), 0);
+    p.add_stage(fetch, 0);
 
-    p.add_ra(
-        RaConfig {
-            name: "nodes".into(),
-            mode: RaMode::Indirect,
-            base: ArrayId(1),
-            in_queue: qv,
-            out_queue: qse,
-            forward_ctrl: true,
-            scan_end_ctrl: None,
-        },
-        &arrays,
-        0,
-    );
-    p.add_ra(
-        RaConfig {
-            name: "edges".into(),
-            mode: RaMode::Scan,
-            base: ArrayId(2),
-            in_queue: qse,
-            out_queue: qn,
-            forward_ctrl: true,
-            scan_end_ctrl: Some(NEXT),
-        },
-        &arrays,
-        0,
-    );
+    let csr = (a.nodes, a.edges);
+    let next = Some(frontier::NEXT);
+    frontier::add_csr_ras(&mut p, &arrays, csr, [qv, qse, qn], next, "", 0);
 
-    let mut s3 = FunctionBuilder::new("update");
+    let mut s3 = frontier::stage("update", &arrays);
     let round = s3.param_i64("round");
-    for a in &arrays {
-        s3.array(a.clone());
-    }
-    let (nvisited3, radii, nf, olen) = (ArrayId(4), ArrayId(5), ArrayId(6), ArrayId(8));
-    let mv3 = s3.var_i64("mv");
-    let ngh = s3.var_i64("ngh");
-    let mn = s3.var_i64("mn");
-    let un = s3.var_i64("un");
-    let rr = s3.var_i64("rr");
-    let len = s3.var_i64("len");
-    s3.while_true(|f| {
-        f.deq(mv3, qmv);
-        f.while_true(|f| {
-            f.deq(ngh, qn);
-            let lmn = f.load(nvisited3, Expr::var(ngh));
-            f.assign(mn, lmn);
-            f.assign(un, Expr::bin(BinOp::Or, Expr::var(mn), Expr::var(mv3)));
-            f.if_then(Expr::ne(Expr::var(un), Expr::var(mn)), |f| {
-                f.store(nvisited3, Expr::var(ngh), Expr::var(un));
-                let lr = f.load(radii, Expr::var(ngh));
-                f.assign(rr, lr);
-                f.if_then(Expr::ne(Expr::var(rr), Expr::var(round)), |f| {
-                    f.store(radii, Expr::var(ngh), Expr::var(round));
-                    f.store(nf, Expr::var(len), Expr::var(ngh));
-                    f.assign(len, Expr::add(Expr::var(len), Expr::i64(1)));
-                });
-            });
-        });
+    let mv = s3.var_i64("mv");
+    let out = Segment::serial(a.next_fringe, a.out_len);
+    let (len, handlers) = frontier::grouped_consumer(&mut s3, mv, (qmv, qn), |f, ngh| {
+        update(f, &a, (mv, round), ngh, &out, false)
     });
-    s3.store(olen, Expr::i64(0), Expr::var(len));
-    let handlers = vec![
-        CtrlHandler {
-            queue: qn,
-            ctrl: Some(NEXT),
-            bind: None,
-            body: vec![],
-            end: HandlerEnd::BreakLoops(1),
-        },
-        CtrlHandler {
-            queue: qmv,
-            ctrl: Some(DONE),
-            bind: None,
-            body: vec![],
-            end: HandlerEnd::BreakLoops(1),
-        },
-    ];
-    p.add_stage(
-        StageProgram {
-            func: s3.build(),
-            handlers,
-        },
-        0,
-    );
+    out.publish(&mut s3, len);
+    let func = s3.build();
+    p.add_stage(StageProgram { func, handlers }, 0);
     p
 }
 

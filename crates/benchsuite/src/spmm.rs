@@ -12,7 +12,13 @@
 //! the end of an input queue through a control value, the consumer skips
 //! the remaining values in the other input queue up to its next control
 //! value".
+//!
+//! SpMM shares no traversal with the frontier apps; from
+//! [`crate::frontier`] it takes the slice bounds of its data-parallel
+//! kernel, the stage builder over its one array declaration ([`arrays`])
+//! and the control-value tags.
 
+use crate::frontier::{self, Part, DONE, NEXT};
 use crate::runner::{measure, variant_pipeline, with_sink, Measurement, Variant};
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId,
@@ -21,10 +27,22 @@ use phloem_ir::{
 use phloem_workloads::SparseMatrix;
 use pipette_sim::{MachineConfig, TraceSink};
 
-const DONE: u32 = 0;
-const NEXT: u32 = 1;
+/// SpMM's arrays, in allocation order: the one declaration every variant
+/// and [`build_mem`] share.
+pub fn arrays() -> Vec<ArrayDecl> {
+    vec![
+        ArrayDecl::i32("arp"),
+        ArrayDecl::i32("aci"),
+        ArrayDecl::f64("avl"),
+        ArrayDecl::i32("btp"),
+        ArrayDecl::i32("btci"),
+        ArrayDecl::f64("btvl"),
+        ArrayDecl::i32("out_cnt"),
+        ArrayDecl::f64("out_sum"),
+    ]
+}
 
-/// Array ids shared by all SpMM variants.
+/// The ids [`arrays`] gives SpMM's arrays.
 #[derive(Clone, Copy, Debug)]
 pub struct SpmmArrays {
     /// A row pointers.
@@ -45,39 +63,45 @@ pub struct SpmmArrays {
     pub out_sum: ArrayId,
 }
 
+impl SpmmArrays {
+    /// Looks every id up by name in [`arrays`]; no memory needed.
+    pub fn ids() -> SpmmArrays {
+        let decls = arrays();
+        let id = |name| frontier::array_id(&decls, name);
+        SpmmArrays {
+            arp: id("arp"),
+            aci: id("aci"),
+            avl: id("avl"),
+            btp: id("btp"),
+            btci: id("btci"),
+            btvl: id("btvl"),
+            out_cnt: id("out_cnt"),
+            out_sum: id("out_sum"),
+        }
+    }
+}
+
 /// Allocates SpMM memory for `C = A * B` (B passed as Bᵀ).
 pub fn build_mem(a: &SparseMatrix, bt: &SparseMatrix, threads: usize) -> (MemState, SpmmArrays) {
     let mut mem = MemState::new();
-    let arp = mem.alloc_i64(ArrayDecl::i32("arp"), a.row_ptr.iter().copied());
-    let aci = mem.alloc_i64(ArrayDecl::i32("aci"), a.col_idx.iter().copied());
-    let avl = mem.alloc_f64(ArrayDecl::f64("avl"), a.vals.iter().copied());
-    let btp = mem.alloc_i64(ArrayDecl::i32("btp"), bt.row_ptr.iter().copied());
-    let btci = mem.alloc_i64(ArrayDecl::i32("btci"), bt.col_idx.iter().copied());
-    let btvl = mem.alloc_f64(ArrayDecl::f64("btvl"), bt.vals.iter().copied());
-    let out_cnt = mem.alloc(ArrayDecl::i32("out_cnt"), threads.max(1));
-    let out_sum = mem.alloc(ArrayDecl::f64("out_sum"), threads.max(1));
-    (
-        mem,
-        SpmmArrays {
-            arp,
-            aci,
-            avl,
-            btp,
-            btci,
-            btvl,
-            out_cnt,
-            out_sum,
-        },
-    )
+    for decl in arrays() {
+        match decl.name.as_str() {
+            "arp" => mem.alloc_i64(decl, a.row_ptr.iter().copied()),
+            "aci" => mem.alloc_i64(decl, a.col_idx.iter().copied()),
+            "avl" => mem.alloc_f64(decl, a.vals.iter().copied()),
+            "btp" => mem.alloc_i64(decl, bt.row_ptr.iter().copied()),
+            "btci" => mem.alloc_i64(decl, bt.col_idx.iter().copied()),
+            "btvl" => mem.alloc_f64(decl, bt.vals.iter().copied()),
+            "out_cnt" | "out_sum" => mem.alloc(decl, threads.max(1)),
+            other => panic!("array `{other}` has no initial contents"),
+        };
+    }
+    (mem, SpmmArrays::ids())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn emit_merge_body(
     b: &mut FunctionBuilder,
-    aci: ArrayId,
-    avl: ArrayId,
-    btci: ArrayId,
-    btvl: ArrayId,
+    a: &SpmmArrays,
     ka: phloem_ir::VarId,
     kb: phloem_ir::VarId,
     rae: phloem_ir::VarId,
@@ -95,16 +119,16 @@ fn emit_merge_body(
         Expr::lt(Expr::var(kb), Expr::var(rbe)),
     );
     b.while_loop(cond, |f| {
-        let lca = f.load(aci, Expr::var(ka));
+        let lca = f.load(a.aci, Expr::var(ka));
         f.assign(ca, lca);
-        let lcb = f.load(btci, Expr::var(kb));
+        let lcb = f.load(a.btci, Expr::var(kb));
         f.assign(cb, lcb);
         f.if_else(
             Expr::eq(Expr::var(ca), Expr::var(cb)),
             |f| {
-                let lva = f.load(avl, Expr::var(ka));
+                let lva = f.load(a.avl, Expr::var(ka));
                 f.assign(va, lva);
-                let lvb = f.load(btvl, Expr::var(kb));
+                let lvb = f.load(a.btvl, Expr::var(kb));
                 f.assign(vb, lvb);
                 f.assign(
                     accf,
@@ -124,138 +148,63 @@ fn emit_merge_body(
     });
 }
 
+/// The inner-product kernel over all (i, j) pairs with `i` in the whole
+/// row range (`None`) or in thread `part`'s slice of it, which sums into
+/// that thread's output slot.
+fn kernel_over(part: Option<Part>) -> Function {
+    let a = SpmmArrays::ids();
+    let (name, slot) = match part {
+        None => ("spmm".into(), 0),
+        Some(p) => (format!("spmm-dp{}", p.index), p.index as i64),
+    };
+    let mut b = frontier::stage(name, &arrays());
+    let n = b.param_i64("n");
+    let (lo, hi) = frontier::slice(&mut b, n, part);
+    let i = b.var_i64("i");
+    let j = b.var_i64("j");
+    let ras = b.var_i64("ras");
+    let rae = b.var_i64("rae");
+    let rbs = b.var_i64("rbs");
+    let rbe = b.var_i64("rbe");
+    let ka = b.var_i64("ka");
+    let kb = b.var_i64("kb");
+    let accf = b.var_f64("accf");
+    let cnt = b.var_i64("cnt");
+    let sum = b.var_f64("sum");
+    b.for_loop(i, lo, hi, |f| {
+        let l1 = f.load(a.arp, Expr::var(i));
+        f.assign(ras, l1);
+        let l2 = f.load(a.arp, Expr::add(Expr::var(i), Expr::i64(1)));
+        f.assign(rae, l2);
+        f.for_loop(j, Expr::i64(0), Expr::var(n), |f| {
+            let l3 = f.load(a.btp, Expr::var(j));
+            f.assign(rbs, l3);
+            let l4 = f.load(a.btp, Expr::add(Expr::var(j), Expr::i64(1)));
+            f.assign(rbe, l4);
+            f.assign(ka, Expr::var(ras));
+            f.assign(kb, Expr::var(rbs));
+            emit_merge_body(f, &a, ka, kb, rae, rbe, accf);
+            f.if_then(Expr::ne(Expr::var(accf), Expr::f64(0.0)), |f| {
+                f.assign(cnt, Expr::add(Expr::var(cnt), Expr::i64(1)));
+                f.assign(sum, Expr::add(Expr::var(sum), Expr::var(accf)));
+            });
+        });
+    });
+    b.store(a.out_cnt, Expr::i64(slot), Expr::var(cnt));
+    b.store(a.out_sum, Expr::i64(slot), Expr::var(sum));
+    b.build()
+}
+
 /// Serial inner-product SpMM kernel over all (i, j) pairs.
 pub fn kernel() -> Function {
-    let mut b = FunctionBuilder::new("spmm");
-    let n = b.param_i64("n");
-    let arp = b.array_i32("arp");
-    let aci = b.array_i32("aci");
-    let avl = b.array_f64("avl");
-    let btp = b.array_i32("btp");
-    let btci = b.array_i32("btci");
-    let btvl = b.array_f64("btvl");
-    let out_cnt = b.array_i32("out_cnt");
-    let out_sum = b.array_f64("out_sum");
-    let i = b.var_i64("i");
-    let j = b.var_i64("j");
-    let ras = b.var_i64("ras");
-    let rae = b.var_i64("rae");
-    let rbs = b.var_i64("rbs");
-    let rbe = b.var_i64("rbe");
-    let ka = b.var_i64("ka");
-    let kb = b.var_i64("kb");
-    let accf = b.var_f64("accf");
-    let cnt = b.var_i64("cnt");
-    let sum = b.var_f64("sum");
-    b.for_loop(i, Expr::i64(0), Expr::var(n), |f| {
-        let l1 = f.load(arp, Expr::var(i));
-        f.assign(ras, l1);
-        let l2 = f.load(arp, Expr::add(Expr::var(i), Expr::i64(1)));
-        f.assign(rae, l2);
-        f.for_loop(j, Expr::i64(0), Expr::var(n), |f| {
-            let l3 = f.load(btp, Expr::var(j));
-            f.assign(rbs, l3);
-            let l4 = f.load(btp, Expr::add(Expr::var(j), Expr::i64(1)));
-            f.assign(rbe, l4);
-            f.assign(ka, Expr::var(ras));
-            f.assign(kb, Expr::var(rbs));
-            emit_merge_body(f, aci, avl, btci, btvl, ka, kb, rae, rbe, accf);
-            f.if_then(Expr::ne(Expr::var(accf), Expr::f64(0.0)), |f| {
-                f.assign(cnt, Expr::add(Expr::var(cnt), Expr::i64(1)));
-                f.assign(sum, Expr::add(Expr::var(sum), Expr::var(accf)));
-            });
-        });
-    });
-    b.store(out_cnt, Expr::i64(0), Expr::var(cnt));
-    b.store(out_sum, Expr::i64(0), Expr::var(sum));
-    b.build()
-}
-
-/// Data-parallel kernel: rows of A partitioned across threads.
-pub fn dp_kernel(tid: usize, threads: usize) -> Function {
-    let mut b = FunctionBuilder::new(format!("spmm-dp{tid}"));
-    let n = b.param_i64("n");
-    let arp = b.array_i32("arp");
-    let aci = b.array_i32("aci");
-    let avl = b.array_f64("avl");
-    let btp = b.array_i32("btp");
-    let btci = b.array_i32("btci");
-    let btvl = b.array_f64("btvl");
-    let out_cnt = b.array_i32("out_cnt");
-    let out_sum = b.array_f64("out_sum");
-    let lo = b.var_i64("lo");
-    let hi = b.var_i64("hi");
-    let i = b.var_i64("i");
-    let j = b.var_i64("j");
-    let ras = b.var_i64("ras");
-    let rae = b.var_i64("rae");
-    let rbs = b.var_i64("rbs");
-    let rbe = b.var_i64("rbe");
-    let ka = b.var_i64("ka");
-    let kb = b.var_i64("kb");
-    let accf = b.var_f64("accf");
-    let cnt = b.var_i64("cnt");
-    let sum = b.var_f64("sum");
-    let t = tid as i64;
-    let nt = threads as i64;
-    b.assign(
-        lo,
-        Expr::bin(
-            BinOp::Div,
-            Expr::mul(Expr::var(n), Expr::i64(t)),
-            Expr::i64(nt),
-        ),
-    );
-    b.assign(
-        hi,
-        Expr::bin(
-            BinOp::Div,
-            Expr::mul(Expr::var(n), Expr::i64(t + 1)),
-            Expr::i64(nt),
-        ),
-    );
-    b.for_loop(i, Expr::var(lo), Expr::var(hi), |f| {
-        let l1 = f.load(arp, Expr::var(i));
-        f.assign(ras, l1);
-        let l2 = f.load(arp, Expr::add(Expr::var(i), Expr::i64(1)));
-        f.assign(rae, l2);
-        f.for_loop(j, Expr::i64(0), Expr::var(n), |f| {
-            let l3 = f.load(btp, Expr::var(j));
-            f.assign(rbs, l3);
-            let l4 = f.load(btp, Expr::add(Expr::var(j), Expr::i64(1)));
-            f.assign(rbe, l4);
-            f.assign(ka, Expr::var(ras));
-            f.assign(kb, Expr::var(rbs));
-            emit_merge_body(f, aci, avl, btci, btvl, ka, kb, rae, rbe, accf);
-            f.if_then(Expr::ne(Expr::var(accf), Expr::f64(0.0)), |f| {
-                f.assign(cnt, Expr::add(Expr::var(cnt), Expr::i64(1)));
-                f.assign(sum, Expr::add(Expr::var(sum), Expr::var(accf)));
-            });
-        });
-    });
-    b.store(out_cnt, Expr::i64(t), Expr::var(cnt));
-    b.store(out_sum, Expr::i64(t), Expr::var(sum));
-    b.build()
-}
-
-fn arrays_decl() -> Vec<ArrayDecl> {
-    vec![
-        ArrayDecl::i32("arp"),
-        ArrayDecl::i32("aci"),
-        ArrayDecl::f64("avl"),
-        ArrayDecl::i32("btp"),
-        ArrayDecl::i32("btci"),
-        ArrayDecl::f64("btvl"),
-        ArrayDecl::i32("out_cnt"),
-        ArrayDecl::f64("out_sum"),
-    ]
+    kernel_over(None)
 }
 
 /// The hand-optimized merge-skip pipeline (see module docs): one fetch
 /// stage, four SCAN RAs (A/B index and value streams with per-range
 /// `NEXT`s), and a merge stage that skips the other stream on stream end.
 pub fn manual_pipeline() -> Pipeline {
-    let arrays = arrays_decl();
+    let (arrays, a) = (arrays(), SpmmArrays::ids());
     let q_ra = QueueId(0); // ranges -> aci scan
     let q_rav = QueueId(1); // ranges -> avl scan
     let q_rb = QueueId(2); // ranges -> btci scan
@@ -267,12 +216,9 @@ pub fn manual_pipeline() -> Pipeline {
     let mut p = Pipeline::new("spmm-manual");
 
     // Stage 0: generate (i, j) pairs and feed all four scanners.
-    let mut s0 = FunctionBuilder::new("pairs");
+    let mut s0 = frontier::stage("pairs", &arrays);
     let n = s0.param_i64("n");
-    for a in &arrays {
-        s0.array(a.clone());
-    }
-    let (arp, btp) = (ArrayId(0), ArrayId(3));
+    let (arp, btp) = (a.arp, a.btp);
     let i = s0.var_i64("i");
     let j = s0.var_i64("j");
     let ras = s0.var_i64("ras");
@@ -304,10 +250,10 @@ pub fn manual_pipeline() -> Pipeline {
     p.add_stage(StageProgram::plain(s0.build()), 0);
 
     for (name, base, qin, qout) in [
-        ("aci", ArrayId(1), q_ra, q_ca),
-        ("avl", ArrayId(2), q_rav, q_va),
-        ("btci", ArrayId(4), q_rb, q_cb),
-        ("btvl", ArrayId(5), q_rbv, q_vb),
+        ("aci", a.aci, q_ra, q_ca),
+        ("avl", a.avl, q_rav, q_va),
+        ("btci", a.btci, q_rb, q_cb),
+        ("btvl", a.btvl, q_rbv, q_vb),
     ] {
         p.add_ra(
             RaConfig {
@@ -325,12 +271,9 @@ pub fn manual_pipeline() -> Pipeline {
     }
 
     // Merge stage with explicit control-value checks and skip logic.
-    let mut s5 = FunctionBuilder::new("merge");
-    let _n5 = s5.param_i64("n");
-    for a in &arrays {
-        s5.array(a.clone());
-    }
-    let (out_cnt, out_sum) = (ArrayId(6), ArrayId(7));
+    let mut s5 = frontier::stage("merge", &arrays);
+    s5.param_i64("n");
+    let (out_cnt, out_sum) = (a.out_cnt, a.out_sum);
     let ca = s5.var_i64("ca");
     let cb = s5.var_i64("cb");
     let va = s5.var_f64("va");
@@ -452,6 +395,7 @@ pub fn pipeline_for(
     variant: &Variant,
     cfg: &MachineConfig,
 ) -> Result<Pipeline, phloem_compiler::CompileError> {
+    let dp_kernel = |index, of| kernel_over(Some(Part { index, of }));
     variant_pipeline(variant, cfg, kernel, dp_kernel, manual_pipeline)
 }
 

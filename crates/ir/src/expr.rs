@@ -116,13 +116,6 @@ impl Expr {
         Expr::un(UnOp::IsCtrl, a)
     }
 
-    /// True if this expression contains no loads (is pure w.r.t. memory).
-    pub fn is_pure(&self) -> bool {
-        let mut pure = true;
-        self.for_each_load(&mut |_, _| pure = false);
-        pure
-    }
-
     /// Visits every load site in this expression, innermost first.
     pub fn for_each_load(&self, f: &mut impl FnMut(LoadId, ArrayId)) {
         match self {

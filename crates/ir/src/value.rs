@@ -168,14 +168,6 @@ impl BinOp {
         BinOp::Min,
         BinOp::Max,
     ];
-
-    /// True for comparison operators (results are 0/1 integers).
-    pub fn is_compare(self) -> bool {
-        matches!(
-            self,
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne
-        )
-    }
 }
 
 impl fmt::Display for BinOp {

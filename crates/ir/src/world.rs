@@ -236,11 +236,6 @@ impl FunctionalWorld {
         t
     }
 
-    /// Current occupancy of a queue (tests / diagnostics).
-    pub fn queue_len(&self, q: QueueId) -> usize {
-        self.queues[q.0 as usize].len()
-    }
-
     fn counts_mut(&mut self, t: Tid) -> &mut OpCounts {
         let idx = t.0 as usize;
         if idx >= self.counts.len() {

@@ -31,33 +31,6 @@ pub fn next_tag(loop_tag: usize) -> u32 {
     1 + loop_tag as u32
 }
 
-/// Options for [`crate::decouple_with_cuts`].
-#[derive(Clone, Debug)]
-pub struct DecoupleOptions {
-    /// Pass ablation switches.
-    pub passes: PassConfig,
-    /// Pipeline name.
-    pub name: String,
-    /// SMT threads per core (stages spill to the next core beyond this).
-    pub smt_threads: usize,
-    /// Hardware queue budget.
-    pub max_queues: u16,
-    /// First core to place stages on.
-    pub start_core: usize,
-}
-
-impl Default for DecoupleOptions {
-    fn default() -> Self {
-        DecoupleOptions {
-            passes: PassConfig::all(),
-            name: "pipeline".into(),
-            smt_threads: 4,
-            max_queues: 16,
-            start_core: 0,
-        }
-    }
-}
-
 /// The decoupled program tree with stage annotations.
 #[derive(Debug)]
 pub(crate) enum Node {

@@ -41,7 +41,6 @@ pub mod replicate;
 pub mod search;
 
 pub use analysis::{analyze, AccessKind, Analysis, LoadInfo};
-pub use decouple::DecoupleOptions;
 pub use options::{CompileError, PassConfig};
 
 use decouple::{assign_stages, partition_comm, plan, TreeBuilder};

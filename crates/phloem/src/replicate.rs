@@ -102,8 +102,10 @@ fn distribute_stmts(stmts: &mut Vec<Stmt>, base: QueueId, all: &[QueueId]) {
 }
 
 /// Partitions the first top-level counted loop: `for i in 0..e` becomes
-/// `for i in e*r/R .. e*(r+1)/R`.
-pub(crate) fn partition_top_loop(func: &mut phloem_ir::Function, r: usize, reps: usize) {
+/// `for i in e*r/R .. e*(r+1)/R`, the bounds held in fresh `_rlo`/`_rhi`.
+/// (Also how the benchsuite derives a data-parallel thread's copy of a
+/// taco-generated phase.)
+pub fn partition_top_loop(func: &mut phloem_ir::Function, r: usize, reps: usize) {
     let lo = VarId(func.vars.len() as u32);
     func.vars.push(VarDecl {
         name: "_rlo".into(),

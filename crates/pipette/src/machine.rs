@@ -121,11 +121,6 @@ impl CompiledPipeline {
         })
     }
 
-    /// Number of lowered stage programs (service-layer cache accounting).
-    pub fn stage_count(&self) -> usize {
-        self.progs.len()
-    }
-
     /// True when a prior invocation already validated this artifact
     /// against `cfg`'s machine limits, i.e. the next
     /// [`Session::run_compiled`] under `cfg` will skip the O(pipeline)
@@ -213,23 +208,12 @@ impl Session {
         self.cancel = Some(token);
     }
 
-    /// Removes any installed cancellation token (including an inherited
-    /// ambient one).
-    pub fn clear_cancel(&mut self) {
-        self.cancel = None;
-    }
-
     /// Applies a fault plan to every subsequent invocation (fuzzing and
     /// robustness tests). Ordinal/cycle windows in the plan are relative
     /// to each invocation (queues are rebuilt per invocation and cycle
     /// windows are measured from the invocation's launch base).
     pub fn set_faults(&mut self, plan: FaultPlan) {
         self.faults = if plan.is_empty() { None } else { Some(plan) };
-    }
-
-    /// Removes any injected fault plan.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
     }
 
     /// Installs a trace sink observing every subsequent invocation. The

@@ -161,15 +161,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Total micro-ops across compute threads (excludes RAs).
-    pub fn compute_uops(&self) -> u64 {
-        self.threads
-            .iter()
-            .filter(|t| !t.is_ra)
-            .map(ThreadStats::ops)
-            .sum()
-    }
-
     /// Total instructions including RA operations.
     pub fn total_ops(&self) -> u64 {
         self.threads.iter().map(ThreadStats::ops).sum()

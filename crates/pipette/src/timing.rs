@@ -300,8 +300,6 @@ pub(crate) struct TimingWorld<'a> {
     /// ([`WAIT_EMPTY`] / [`WAIT_FULL`] bits). Purely a host-side
     /// fast-path filter for event logging; no effect on timing.
     pub(crate) wait_flags: Vec<u8>,
-    /// Cached `TRACE_DEQ` env toggle (checked once per invocation).
-    trace_deq: bool,
     /// Forward-progress limits (copied from the machine config).
     pub(crate) watchdog: WatchdogConfig,
     /// Fault plan for this invocation, if any.
@@ -343,19 +341,6 @@ pub(crate) const WAIT_EMPTY: u8 = 1;
 /// Bit in [`TimingWorld::wait_flags`]: a thread is parked on this queue
 /// being full (wake it on dequeue).
 pub(crate) const WAIT_FULL: u8 = 2;
-
-/// Cached `TRACE_DEQ` env toggle: the environment cannot change under a
-/// running process in any supported way, and an `environ` walk per
-/// invocation is measurable on invocation-per-round workloads.
-///
-/// Enabled only by `TRACE_DEQ=1` (the `PHLOEM_PIN`-style convention for
-/// every boolean flag in this workspace): a set-but-false value such as
-/// `TRACE_DEQ=0` keeps tracing off, where a bare `is_ok()` check would
-/// have turned it on.
-fn trace_deq_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("TRACE_DEQ").as_deref() == Ok("1"))
-}
 
 impl<'a> TimingWorld<'a> {
     /// Builds the timing world for one pipeline invocation starting at
@@ -422,7 +407,6 @@ impl<'a> TimingWorld<'a> {
             base,
             events: Vec::new(),
             wait_flags: vec![0; nq],
-            trace_deq: trace_deq_enabled(),
             watchdog: cfg.watchdog,
             faults,
             cancel,
@@ -990,12 +974,6 @@ impl World for TimingWorld<'_> {
         });
         if self.wait_flags[qi] & WAIT_FULL != 0 {
             self.events.push(QueueEvent::Deq(q, tc));
-        }
-        if self.trace_deq {
-            eprintln!(
-                "deq t{} q{} ti={} avail={} tc={} dep={}",
-                t.0, q.0, ti, avail, tc, dep
-            );
         }
         Ok(Some((entry.value, tc)))
     }

@@ -64,15 +64,6 @@ impl WatchdogConfig {
             livelock_window: u64::MAX,
         }
     }
-
-    /// Default livelock window plus an absolute cycle cap (profiling
-    /// budgets).
-    pub fn with_cycle_cap(cycle_cap: u64) -> Self {
-        WatchdogConfig {
-            cycle_cap,
-            ..Self::default()
-        }
-    }
 }
 
 /// Which watchdog limit fired.

@@ -17,7 +17,6 @@
 //! * **per-worker deques, seeded contiguously** — worker `w` starts
 //!   with the same contiguous index block static chunking gave it, so
 //!   the common case preserves the old cache locality;
-//! * **a global injector** — overflow/late work shared by everyone;
 //! * **steal-half** — a worker that runs dry takes half of the richest
 //!   neighbour's remaining block (from the back, preserving the
 //!   victim's locality at the front), amortizing steal traffic;
@@ -263,22 +262,6 @@ impl Pool {
         self.run_inner(n, Some(cancel), f)
     }
 
-    /// [`Pool::run_cancellable`] over a slice: task `i` receives
-    /// `(i, &items[i])`.
-    pub fn map_cancellable<T, R, F>(
-        &self,
-        items: &[T],
-        cancel: &CancelToken,
-        f: F,
-    ) -> (Vec<Option<Result<R, TaskPanic>>>, FleetStats)
-    where
-        T: Sync,
-        R: Send + Sync,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.run_inner(items.len(), Some(cancel), |i| f(i, &items[i]))
-    }
-
     /// Runs `n` indexed tasks that are all live at once, each on a
     /// thread of its own, and returns their results in index order with
     /// [`Pool::run`]'s panic isolation. For tasks that wait on one
@@ -426,9 +409,6 @@ struct Shared {
     /// Per-worker deques of task indices. Workers pop their own from
     /// the front; thieves take from the back.
     deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Global injector: overflow work shared by all workers (drained
-    /// after the local deque, before stealing).
-    injector: Mutex<VecDeque<usize>>,
     /// Tasks not yet *completed*. Workers may park while this is
     /// nonzero; the worker completing the last task wakes everyone.
     remaining: AtomicUsize,
@@ -450,7 +430,7 @@ struct Shared {
 
 impl Shared {
     /// Seeds worker `w` with the contiguous index block static chunking
-    /// would have given it (locality), leaving the injector empty.
+    /// would have given it (locality).
     fn new(workers: usize, n: usize, cancel: Option<CancelToken>) -> Shared {
         let chunk = n.div_ceil(workers);
         let deques = (0..workers)
@@ -462,7 +442,6 @@ impl Shared {
             .collect();
         Shared {
             deques,
-            injector: Mutex::new(VecDeque::new()),
             remaining: AtomicUsize::new(n),
             idle: Arc::new(CancelWaker::default()),
             cancel,
@@ -566,7 +545,7 @@ impl Drop for FleetScope {
 /// [`FleetStats::timeout_wakeups`]) instead of a hang.
 const PARK_BACKSTOP: Duration = Duration::from_millis(500);
 
-/// One worker's scheduling loop: own deque front → injector → steal-half
+/// One worker's scheduling loop: own deque front → steal-half
 /// → epoch-guarded park while tasks remain in flight. The park samples
 /// the waker epoch *before* the work scan, so any wake-worthy event
 /// after the sample (new stealable work, completion, cancel) bumps the
@@ -581,13 +560,7 @@ where
         // Sampled before the scan: the park below only sleeps while the
         // epoch is still this value.
         let seen = shared.idle.epoch();
-        let task = {
-            let own = self_pop(shared, w);
-            match own {
-                Some(i) => Some(i),
-                None => injector_pop(shared).or_else(|| shared.steal(w)),
-            }
-        };
+        let task = self_pop(shared, w).or_else(|| shared.steal(w));
         match task {
             Some(i) => {
                 // A fired token turns every still-queued task into a
@@ -626,14 +599,6 @@ where
 
 fn self_pop(shared: &Shared, w: usize) -> Option<usize> {
     shared.lock_deque(w).pop_front()
-}
-
-fn injector_pop(shared: &Shared) -> Option<usize> {
-    shared
-        .injector
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .pop_front()
 }
 
 // ---------------------------------------------------------------------

@@ -1,0 +1,166 @@
+//! Golden IR regression tests.
+//!
+//! `golden_cycles` pins what ten pipelines *cost*; this file pins what
+//! fifty pipelines *are*: one FNV-1a digest of the pipeline's `Debug`
+//! text — stage names and placement, variable and array declarations,
+//! load and branch ids, statements, handlers, queue ids — for every
+//! variant the suite hand-writes or compiles. Nothing is simulated, so
+//! the whole table costs milliseconds. A refactor of the builders in
+//! `crates/benchsuite` must leave every value as it is; a digest that
+//! moves means the generated IR moved, and `golden_cycles` (which covers
+//! a fifth of these) may or may not notice.
+//!
+//! To re-capture after an intentional IR change:
+//! `GOLDEN_PRINT=1 cargo test --test golden_ir -- --nocapture`
+
+use phloem_benchsuite::fig14::{self, RepVariant};
+use phloem_benchsuite::taco::{self, TacoApp};
+use phloem_benchsuite::{bfs, cc, prd, radii, spmm, Variant};
+use phloem_compiler::CompileError;
+use phloem_ir::Pipeline;
+use pipette_sim::MachineConfig;
+use std::fmt::Debug;
+
+/// `(label, FNV-1a of the pipeline's Debug text)`, recorded on the tree
+/// before `frontier.rs` existed (the four `taco-*/dp4` rows after it:
+/// their slice bounds are named `_rlo`/`_rhi` since taco shares the
+/// compiler's partition rewrite, and nothing else in them moved).
+const GOLDEN: &[(&str, u64)] = &[
+    ("bfs/serial", 0x66713d51fd98cddf),
+    ("bfs/dp4", 0x16f8e2acdd491d94),
+    ("bfs/dp16", 0xb05c349158fe7007),
+    ("bfs/phloem", 0xf3fa14eda1d09c49),
+    ("bfs/manual", 0x0fcffc813419e68b),
+    ("cc/serial", 0xf939489be9e0d296),
+    ("cc/dp4", 0xde480880b99b84a3),
+    ("cc/dp16", 0xd6673a6988f2fa6f),
+    ("cc/phloem", 0x898b7c26640e9f5e),
+    ("cc/manual", 0xf3d99c548bfcf80c),
+    ("radii/serial", 0x76cb296c7ddd5067),
+    ("radii/dp4", 0x2ae6b203a61ad3d3),
+    ("radii/dp16", 0x04f4c7e65828cc1d),
+    ("radii/phloem", 0xbe0d7e5079f8e4a0),
+    ("radii/manual", 0x6d32be4cdcf13347),
+    ("spmm/serial", 0x48f786cd66179b66),
+    ("spmm/dp4", 0x34c3e9dd7107bfaa),
+    ("spmm/dp16", 0x18fcbfd5b102ee97),
+    ("spmm/phloem", 0x1f3fbe6ba5c7ab7c),
+    ("spmm/manual", 0xb94a7177116902c3),
+    ("prd-scatter/serial", 0xf6db44eb476826cd),
+    ("prd-apply/serial", 0xf6d847bb23a6bb1a),
+    ("prd-scatter/dp4", 0x33ff11e0fd845fc2),
+    ("prd-apply/dp4", 0x03989e3890d9fe7d),
+    ("prd-scatter/dp16", 0xd74962cee868ecbf),
+    ("prd-apply/dp16", 0x71cea355b210fb6d),
+    ("prd-scatter/phloem", 0xc3d92ca14ee41ff0),
+    ("prd-apply/phloem", 0xcdeca19070f3960f),
+    ("prd-scatter/manual", 0x5a6b84e541f0be8c),
+    ("prd-apply/manual", 0xf6d847bb23a6bb1a),
+    ("bfs/replicated-phloem", 0x7be9bf3e3558ebf7),
+    ("cc/replicated-phloem", 0xa47631cf0b0c0710),
+    ("radii/replicated-phloem", 0x030cfc958008762b),
+    ("prd-scatter/replicated-phloem", 0x169cb31c96293b63),
+    ("bfs/replicated-manual", 0x7be9bf3e3558ebf7),
+    ("cc/replicated-manual", 0xf2aa6ec5db241389),
+    ("radii/replicated-manual", 0x89c5f8785e2192a9),
+    ("prd-scatter/replicated-manual", 0xdcbd97b79ccb8a51),
+    ("taco-mtmul/serial", 0xf2e94ef170e0b3ee),
+    ("taco-mtmul/dp4", 0xf420704adcc1a86f),
+    ("taco-mtmul/phloem", 0x54468bcfc5934b54),
+    ("taco-residual/serial", 0x62d20353c3341eb0),
+    ("taco-residual/dp4", 0x751be302a699991e),
+    ("taco-residual/phloem", 0xb876058e05154645),
+    ("taco-spmv/serial", 0x20a21adde9b172a9),
+    ("taco-spmv/dp4", 0x937bb47d11655ae6),
+    ("taco-spmv/phloem", 0xdb5cc7e89e5ed473),
+    ("taco-sddmm/serial", 0xf36ab4f366899f40),
+    ("taco-sddmm/dp4", 0xadb4296c6b5e5db6),
+    ("taco-sddmm/phloem", 0x2f558f36d0bff537),
+];
+
+/// Vertex count / segment size the size-dependent builders are given.
+const N: usize = 1000;
+
+fn fnv1a(text: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in text.bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn digest(ir: &impl Debug) -> u64 {
+    fnv1a(&format!("{ir:?}"))
+}
+
+fn digest_all() -> Vec<(String, u64)> {
+    let cfg = MachineConfig::paper_1core();
+    let variants = [
+        ("serial", Variant::Serial),
+        ("dp4", Variant::DataParallel(4)),
+        ("dp16", Variant::DataParallel(16)),
+        ("phloem", Variant::phloem()),
+        ("manual", Variant::Manual),
+    ];
+    type Build = fn(&Variant, &MachineConfig) -> Result<Pipeline, CompileError>;
+    let apps: [(&str, Build); 4] = [
+        ("bfs", |v, c| bfs::pipeline_for(v, N, c)),
+        ("cc", |v, c| cc::pipeline_for(v, 4 * N, c)),
+        ("radii", |v, c| radii::pipeline_for(v, 4 * N, c)),
+        ("spmm", spmm::pipeline_for),
+    ];
+    let mut out = Vec::new();
+    for (app, build) in apps {
+        for (tag, v) in &variants {
+            let p = build(v, &cfg).expect(app);
+            out.push((format!("{app}/{tag}"), digest(&p)));
+        }
+    }
+    for (tag, v) in &variants {
+        let (scatter, apply) = prd::pipelines_for(v, N, &cfg).expect("prd");
+        out.push((format!("prd-scatter/{tag}"), digest(&scatter)));
+        out.push((format!("prd-apply/{tag}"), digest(&apply)));
+    }
+    type Replicated = fn(usize, RepVariant) -> Pipeline;
+    let replicated: [(&str, Replicated); 4] = [
+        ("bfs", fig14::bfs_replicated),
+        ("cc", fig14::cc_replicated),
+        ("radii", fig14::radii_replicated),
+        ("prd-scatter", fig14::prd_scatter_replicated),
+    ];
+    for v in [RepVariant::Phloem, RepVariant::Manual] {
+        let tag = format!("{v:?}").to_lowercase();
+        for (app, build) in replicated {
+            let label = format!("{app}/replicated-{tag}");
+            out.push((label, digest(&build(4, v))));
+        }
+    }
+    for app in TacoApp::all() {
+        for (tag, v) in [&variants[0], &variants[1], &variants[3]] {
+            // One digest over all of the app's phase pipelines.
+            let phases = taco::pipelines_for(app, v, &cfg).expect("taco");
+            let name = app.name().to_lowercase();
+            out.push((format!("taco-{name}/{tag}"), digest(&phases)));
+        }
+    }
+    out
+}
+
+#[test]
+fn pipeline_ir_matches_the_recorded_digests() {
+    let got = digest_all();
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        for (label, d) in &got {
+            println!("    (\"{label}\", {d:#018x}),");
+        }
+        return;
+    }
+    assert_eq!(got.len(), GOLDEN.len());
+    for ((label, d), (glabel, golden)) in got.iter().zip(GOLDEN) {
+        assert_eq!(label, glabel);
+        assert_eq!(
+            d, golden,
+            "{label}: generated IR diverged from the recorded pipeline"
+        );
+    }
+}

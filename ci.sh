@@ -23,12 +23,14 @@ echo "==> cargo test --workspace --exclude phloem-suite -q"
 # `--workspace` alone would run them a second time.
 cargo test --workspace --exclude phloem-suite -q
 
-echo "==> simspeed --smoke (cycle/atom equality + engine-ratio floor + throughput regression gate)"
-# Besides the cycle/atom-equality asserts, the bytecode engine must stay
-# 1.2x the tree engine or better per atom, and smoke mode gates the
-# measured session throughput against the `session` row of the recorded
-# BENCH_simspeed.json and fails on a >15% regression (skips with a note
-# if the file is absent; fails if it is there without the row).
+echo "==> simspeed --smoke (cycle/atom equality + tracing-overhead budgets)"
+# Identical simulated cycles across the six session modes (watchdog
+# on/off, four tracing modes), identical atom counts between the bare
+# interpreter and the full timing world, and the two tracing budgets
+# (mask-0 sink <= 1%, digest sink <= 15%), all measured interleaved
+# inside the one process. It reads no recording and gates no absolute
+# throughput: that is the paired parent/change comparison of
+# `benchmark/run.sh --runs 10 --out ...` + `--compare` (DESIGN §4).
 cargo run --release -q -p phloem-bench --bin simspeed -- --smoke
 
 echo "==> trace-smoke (Perfetto schema + trace-vs-untraced cycle identity)"
@@ -65,8 +67,21 @@ echo "==> chaos --smoke (deterministic fault injection against a live phloemd)"
 cargo build --release -q -p phloem-service --bin phloemd
 cargo run --release -q -p phloem-bench --bin chaos -- --smoke
 
-echo "==> benchmark/run.sh --smoke (every BENCHMARK.json workload, short; metric names checked)"
+echo "==> benchmark/run.sh --smoke (every BENCHMARK.json workload, short; metric names checked; benchmark/ left as committed)"
 bash benchmark/run.sh --smoke
+# Only a benchmark-archetype PR may change benchmark/ or BENCHMARK.json,
+# and building the benchmark must not do it either: a [dependencies]
+# edit in a member crate silently rewrites benchmark/Cargo.lock.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    dirty="$(git status --porcelain -- benchmark BENCHMARK.json)"
+    if [ -n "$dirty" ]; then
+        echo "benchmark/ or BENCHMARK.json differs from HEAD:" >&2
+        echo "$dirty" >&2
+        exit 1
+    fi
+else
+    echo "    (not a git checkout: benchmark/ cleanliness check skipped)"
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings

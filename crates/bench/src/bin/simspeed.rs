@@ -8,44 +8,39 @@
 //! * **session** — the full sweep through `Session`, plus the same
 //!   sweep with the watchdog off and under the four tracing modes
 //!   (each must reproduce the baseline's simulated cycles exactly);
-//! * **engine-isolated** — the serial BFS kernel driven against a
-//!   unit-latency world on each interpreter, so host time is
-//!   interpreter dispatch and little else (`FlatInterp`, the engine of
-//!   the simulator and the native backend, against `StepInterp`, the
-//!   oracle's; both execute identical atom sequences and flat must stay
-//!   1.2x tree or better, both asserted);
+//! * **engine-isolated** — the serial BFS kernel on `FlatInterp` (the
+//!   engine of the simulator and the native backend) against
+//!   `phloem_ir::FunctionalWorld`, which models no time at all, so host
+//!   time is interpreter dispatch and little else;
 //! * **world-isolated** — the same serial kernel through the full
-//!   `Session`, so the gap to the engine-isolated flat row is the
-//!   per-atom host cost of the timing model.
+//!   `Session`, so the gap to the engine-isolated row is the per-atom
+//!   host cost of the timing model (both rows execute identical atom
+//!   sequences, asserted).
 //!
 //! Output: a summary on stdout and `BENCH_simspeed.json` in the current
 //! directory. Set `SCALE=tiny|small|full` as usual; `REPS=<n>` (default
 //! 3) controls how many timed repetitions each combination gets (the
 //! best repetition is reported, minimizing host noise). With `--smoke`
 //! (used by CI) the sweep is truncated to a handful of candidates, one
-//! repetition, and no JSON is written — the cycle-equality and
-//! atom-equality assertions still run.
+//! repetition, and no JSON is written.
 //!
-//! Noise policy: every timed section is best-of-reps, and the smoke
-//! regression gate additionally runs **pool-quiesced** — it takes the
-//! fleet-exclusion lock in `phloem-pool`, so no in-process
-//! work-stealing fleet can run concurrently and steal host cycles from
-//! the measurement. With `PHLOEM_PIN=1` the measuring thread is also
-//! pinned to core 0, taking CPU migration off the table on multi-core
-//! hosts. External load (shared-box neighbors, frequency scaling) is
-//! handled by the gate's re-measure-before-failing protocol.
+//! What it gates, in both modes: identical simulated cycles across the
+//! six session modes, identical atom counts between the two isolated
+//! rows, and the two tracing budgets — all compared inside this one
+//! process, interleaved. It gates no absolute throughput: whether a
+//! change slowed the simulator is judged by `benchmark/run.sh` on the
+//! parent and on the change, paired (DESIGN §4).
 
 use std::time::Instant;
 
-use phloem_bench::record::{self, num, Gate, Record};
+use phloem_bench::record::{self, num, Gate};
 use phloem_bench::{app, header, machine, phloem_with_cuts, scale};
 use phloem_benchsuite::apps::Input;
 use phloem_benchsuite::{bfs, Variant};
 use phloem_compiler::search::{enumerate_pipelines, SearchOptions};
-use phloem_ir::ExecEngine;
 use phloem_ir::{
-    bind_params, compile, ArrayId, BinOp, BlockReason, BranchId, FlatInterp, LoadId, MemState,
-    QueueId, StageExec, StageSpec, StepInterp, StepResult, Tid, Time, Trap, UopClass, Value, World,
+    bind_params, compile, BlockReason, FlatInterp, FunctionalWorld, LoadId, StepResult, Tid, Value,
+    World,
 };
 use phloem_service::Json;
 use phloem_workloads::{training_graphs, GraphInput};
@@ -158,88 +153,6 @@ fn time_modes(
     (out, rep_secs)
 }
 
-// ---------------------------------------------------------------------
-// Engine-isolated measurement: the same BFS kernel, serial, against a
-// unit-latency world. Host time here is interpreter dispatch (plus the
-// functional memory both engines share), so the flat/tree ratio
-// measures the engine swap itself rather than the cycle-level model.
-// ---------------------------------------------------------------------
-
-/// A `World` that charges one time unit per atom and models nothing
-/// else: functional memory, no cache hierarchy, no issue ports, no
-/// queues (the serial kernel uses none). `atoms` counts World calls —
-/// the same unit `ThreadStats` counts — so the engine-isolated and
-/// world-isolated rows share one atom definition.
-struct UnitWorld {
-    mem: MemState,
-    t: Time,
-    atoms: u64,
-}
-
-impl World for UnitWorld {
-    fn uop(&mut self, _tid: Tid, _c: UopClass, dep: Time) -> Time {
-        self.t += 1;
-        self.atoms += 1;
-        self.t.max(dep + 1)
-    }
-    fn branch(&mut self, _tid: Tid, _s: BranchId, _tk: bool, ready: Time) -> Time {
-        self.t += 1;
-        self.atoms += 1;
-        self.t.max(ready + 1)
-    }
-    fn load(&mut self, _tid: Tid, a: ArrayId, i: i64, _dep: Time) -> Result<(Value, Time), Trap> {
-        let v = self.mem.load(a, i)?;
-        self.t += 1;
-        self.atoms += 1;
-        Ok((v, self.t))
-    }
-    fn store(&mut self, _tid: Tid, a: ArrayId, i: i64, v: Value, _dep: Time) -> Result<Time, Trap> {
-        self.mem.store(a, i, v)?;
-        self.t += 1;
-        self.atoms += 1;
-        Ok(self.t)
-    }
-    fn atomic_rmw(
-        &mut self,
-        _tid: Tid,
-        op: BinOp,
-        a: ArrayId,
-        i: i64,
-        v: Value,
-        _dep: Time,
-    ) -> Result<(Value, Time), Trap> {
-        let old = self.mem.load(a, i)?;
-        let new = phloem_ir::eval_binop(op, old, v)?;
-        self.mem.store(a, i, new)?;
-        self.t += 1;
-        self.atoms += 1;
-        Ok((old, self.t))
-    }
-    fn try_enq(
-        &mut self,
-        _tid: Tid,
-        _q: QueueId,
-        _v: Value,
-        _dep: Time,
-    ) -> Result<Option<Time>, Trap> {
-        Err(Trap::Malformed("no queues in the serial kernel".into()))
-    }
-    fn try_deq(
-        &mut self,
-        _tid: Tid,
-        _q: QueueId,
-        _dep: Time,
-    ) -> Result<Option<(Value, Time)>, Trap> {
-        Err(Trap::Malformed("no queues in the serial kernel".into()))
-    }
-    fn mem(&self) -> &MemState {
-        &self.mem
-    }
-    fn mem_mut(&mut self) -> &mut MemState {
-        &mut self.mem
-    }
-}
-
 struct InterpTimed {
     best_secs: f64,
     atoms: u64,
@@ -251,53 +164,38 @@ impl InterpTimed {
     }
 }
 
-/// Runs full serial BFS (all rounds, host fringe swap between rounds)
-/// over every training graph, `passes` times, on one engine; returns
-/// total atoms executed (World calls, not interpreter steps — one step
-/// of a compound instruction can issue several atoms).
-fn interp_run(engine: ExecEngine, graphs: &[GraphInput], passes: usize) -> u64 {
+/// Engine-isolated: full serial BFS (all rounds, host fringe swap
+/// between rounds) over every training graph, `passes` times, on
+/// `FlatInterp` against a [`FunctionalWorld`] — functional memory, no
+/// timing, so host time is interpreter dispatch. Returns total atoms
+/// executed (World calls, not interpreter steps — one step of a compound
+/// instruction can issue several atoms), the unit `ThreadStats` counts
+/// in, so this row and the world-isolated one share one atom definition.
+fn interp_run(graphs: &[GraphInput], passes: usize) -> u64 {
     let f = bfs::kernel();
     let prog = compile(&f, &[]).expect("serial BFS kernel compiles");
     let mut atoms = 0u64;
     for _ in 0..passes {
         for gi in graphs {
             let (mem, arrays) = bfs::build_mem(&gi.graph, 0, 1);
-            let mut w = UnitWorld {
-                mem,
-                t: 0,
-                atoms: 0,
-            };
+            let mut w = FunctionalWorld::new(mem, 0, 0, 1);
             let mut len = 1i64;
             let mut cur_dist = 1i64;
             while len > 0 {
-                w.mem.store(arrays.fringe_len, 0, Value::I64(len)).unwrap();
+                let mem = w.mem_mut();
+                mem.store(arrays.fringe_len, 0, Value::I64(len)).unwrap();
                 let bound = bind_params(&f, &[("cur_dist", Value::I64(cur_dist))]);
-                match engine {
-                    ExecEngine::Tree => {
-                        let mut it = StepInterp::new(
-                            StageSpec {
-                                func: &f,
-                                handlers: &[],
-                            },
-                            Tid(0),
-                            &bound,
-                        );
-                        drive(|n| it.run_slice(&mut w, n));
-                    }
-                    ExecEngine::Flat => {
-                        let mut it = FlatInterp::new(&prog, Tid(0), &bound);
-                        drive(|n| StageExec::run_slice(&mut it, &mut w, n));
-                    }
-                };
-                let ol = w.mem.load(arrays.out_len, 0).unwrap().as_i64().unwrap();
+                drive(&mut FlatInterp::new(&prog, Tid(0), &bound), &mut w);
+                let mem = w.mem_mut();
+                let ol = mem.load(arrays.out_len, 0).unwrap().as_i64().unwrap();
                 for k in 0..ol {
-                    let v = w.mem.load(arrays.next_fringe, k).unwrap();
-                    w.mem.store(arrays.fringe, k, v).unwrap();
+                    let v = mem.load(arrays.next_fringe, k).unwrap();
+                    mem.store(arrays.fringe, k, v).unwrap();
                 }
                 len = ol;
                 cur_dist += 1;
             }
-            atoms += w.atoms;
+            atoms += w.total_counts().total();
         }
     }
     atoms
@@ -305,15 +203,11 @@ fn interp_run(engine: ExecEngine, graphs: &[GraphInput], passes: usize) -> u64 {
 
 /// Drives one invocation to completion in scheduler-sized slices,
 /// mirroring how the simulator's scheduler activates a stage.
-fn drive(mut run_slice: impl FnMut(u32) -> Result<(u32, StepResult), Trap>) -> u64 {
-    let mut steps = 0u64;
+fn drive(it: &mut FlatInterp<'_>, w: &mut FunctionalWorld) {
     loop {
-        match run_slice(1024).expect("serial kernel cannot trap") {
-            (n, StepResult::Blocked(BlockReason::Budget)) => steps += n as u64,
-            (n, StepResult::Finished) => {
-                steps += n as u64;
-                return steps;
-            }
+        match it.run_slice(w, 1024).expect("serial kernel cannot trap") {
+            (_, StepResult::Blocked(BlockReason::Budget)) => {}
+            (_, StepResult::Finished) => return,
             (_, r) => panic!("serial kernel cannot block: {r:?}"),
         }
     }
@@ -330,14 +224,9 @@ fn best_of(reps: usize, mut run: impl FnMut() -> u64) -> InterpTimed {
     InterpTimed { best_secs, atoms }
 }
 
-fn time_interp(
-    engine: ExecEngine,
-    graphs: &[GraphInput],
-    passes: usize,
-    reps: usize,
-) -> InterpTimed {
-    let _ = interp_run(engine, graphs, 1); // warm-up
-    best_of(reps, || interp_run(engine, graphs, passes))
+fn time_interp(graphs: &[GraphInput], passes: usize, reps: usize) -> InterpTimed {
+    let _ = interp_run(graphs, 1); // warm-up
+    best_of(reps, || interp_run(graphs, passes))
 }
 
 /// World-isolated: the *same* serial BFS kernel as the interp rows, but
@@ -368,66 +257,6 @@ fn time_world_isolated(graphs: &[GraphInput], passes: usize, reps: usize) -> Int
     best_of(reps, || run_all(passes))
 }
 
-/// CI regression gate (smoke mode only): compares the measured
-/// session throughput against the `session` row of the last recorded
-/// `BENCH_simspeed.json` and fails on a >15% regression. This host's
-/// throughput drifts ~±10% on minute timescales (frequency scaling,
-/// shared-box neighbors), so a dip below the floor triggers up to two
-/// fresh re-measurements (`remeasure`) before failing — a transient
-/// dip recovers, a real regression fails every time. No recording
-/// (`Ok(None)`) skips with a note, so a fresh checkout is not blocked
-/// on running the full bench first; a recording that is there but has
-/// lost the row fails, so a schema edit cannot switch the gate off.
-///
-/// The caller must invoke this inside [`phloem_pool::quiesced`]: the
-/// re-measurements are only trustworthy when no in-process fleet is
-/// competing for cores (quiescence makes self-inflicted load — e.g. a
-/// harness that runs the gate while a search fleet is live —
-/// structurally impossible; it cannot help against other processes,
-/// which the re-measure protocol covers).
-fn gate_against_recorded(
-    recording: Result<Option<Record>, String>,
-    measured_mcps: f64,
-    mut remeasure: impl FnMut() -> f64,
-) -> Result<(), String> {
-    const MAX_REGRESSION: f64 = 0.15;
-    let Some(recording) = recording? else {
-        println!(
-            "  regression gate: BENCH_simspeed.json not found; skipped \
-             (run the full bench to record)"
-        );
-        return Ok(());
-    };
-    let recorded = recording.value("session", "mcycles_per_s")?;
-    let floor = recorded * (1.0 - MAX_REGRESSION);
-    let mut measured = measured_mcps;
-    for _ in 0..2 {
-        if measured >= floor {
-            break;
-        }
-        println!(
-            "  regression gate: {measured:.1} Mcycles/s below floor {floor:.1}; \
-             re-measuring (host-noise guard)"
-        );
-        measured = measured.max(remeasure());
-    }
-    println!(
-        "  regression gate: measured {measured:.1} Mcycles/s, recorded {recorded:.1}, \
-         floor {floor:.1}"
-    );
-    if measured >= floor {
-        return Ok(());
-    }
-    Err(format!(
-        "simspeed regression: session measured {measured:.1} Mcycles/s, more than \
-         {:.0}% below the recorded {recorded:.1} in BENCH_simspeed.json",
-        MAX_REGRESSION * 100.0
-    ))
-}
-
-/// Floor on `interp_speedup_flat_over_tree`; see the gate.
-const MIN_FLAT_OVER_TREE: f64 = 1.2;
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let reps = if smoke { 1 } else { record::reps(3) };
@@ -449,19 +278,15 @@ fn main() {
         reps
     );
 
-    // Even in smoke mode the headline row gets three repetitions: it
-    // feeds the CI regression gate, and one-rep numbers on a noisy host
-    // would trip a 15% threshold spuriously.
-    let session_reps = if smoke { 3 } else { reps };
-    let time_one = |label, watchdog, reps| {
+    let time_one = |label, watchdog| {
         let modes = [(label, watchdog, TraceMode::None)];
         time_modes(&modes, &candidates, &graphs, reps).0.remove(0)
     };
-    let session = time_one("session", WatchdogConfig::default(), session_reps);
+    let session = time_one("session", WatchdogConfig::default());
     // Watchdog overhead: the same sweep with the watchdog fully
     // disabled. The checks run at round boundaries only, so the target
     // is well under 2% of host time.
-    let session_wd_off = time_one("session (watchdog off)", WatchdogConfig::off(), reps);
+    let session_wd_off = time_one("session (watchdog off)", WatchdogConfig::off());
     // Tracing overhead. The off-overhead comparison (no sink vs. a
     // disabled sink) is the CI-pinned number, so the four tracing
     // modes are timed *interleaved*, rep by rep, with at least five
@@ -548,7 +373,7 @@ fn main() {
     println!("  (identical simulated cycles in every row)");
     // Budgets, in percent. A `trace` request is its simulation plus the
     // digest sink; hashing the events as `Debug` text read >150% here.
-    let mut gates = vec![
+    let gates = [
         Gate::at_most(
             "tracing_off_overhead_pct",
             tracing_off_overhead_pct,
@@ -565,33 +390,16 @@ fn main() {
         .enforce(),
     ];
 
-    // Engine-isolated: serial kernel, unit-latency world. More passes
+    // Engine-isolated: serial kernel, functional world. More passes
     // than sweep reps so each timed run is long enough to be stable.
     let passes = if smoke { 1 } else { 20 };
-    let interp_tree = time_interp(ExecEngine::Tree, &graphs, passes, reps);
-    let interp_flat = time_interp(ExecEngine::Flat, &graphs, passes, reps);
-    assert_eq!(
-        interp_tree.atoms, interp_flat.atoms,
-        "engines disagreed on the atom count of the serial kernel"
-    );
-    let interp_ratio = interp_tree.ns_per_atom() / interp_flat.ns_per_atom();
-    header("Engine-isolated: serial BFS kernel, unit-latency world");
+    let interp_flat = time_interp(&graphs, passes, reps);
+    header("Engine-isolated: serial BFS kernel, functional world");
     println!(
-        "  tree: {:>5.1} ns/atom   flat: {:>5.1} ns/atom   ({} atoms)",
-        interp_tree.ns_per_atom(),
+        "  flat: {:>5.1} ns/atom   ({} atoms)",
         interp_flat.ns_per_atom(),
-        interp_tree.atoms
+        interp_flat.atoms
     );
-    println!("  flat engine over tree, interpreter dispatch only  : {interp_ratio:.2}x");
-    // The simulator and the native backend both run the flat engine on
-    // the strength of this ratio. It read 1.26x before the engine's
-    // integer fast path and reads 1.33-1.51x with it (six smoke runs on
-    // the 2-core host); a change that takes it under 1.2x has undone the
-    // fast path or tipped the dispatch loop's codegen, and says nothing
-    // about either in any test.
-    let floor = MIN_FLAT_OVER_TREE;
-    gates
-        .push(Gate::at_least("interp_speedup_flat_over_tree", interp_ratio, floor, true).enforce());
 
     // World-isolated: the same serial kernel and atom sequence through
     // the full timing model. ns/atom here minus interp_flat's is the
@@ -599,12 +407,12 @@ fn main() {
     let world_flat = time_world_isolated(&graphs, passes, reps);
     assert_eq!(
         world_flat.atoms, interp_flat.atoms,
-        "the full world disagreed with the unit world on the serial kernel's atom count"
+        "the full world disagreed with the functional world on the serial kernel's atom count"
     );
     let world_over_interp = world_flat.ns_per_atom() / interp_flat.ns_per_atom();
     header("World-isolated: same serial kernel, full timing model");
     println!(
-        "  full world: {:>5.1} ns/atom   unit world: {:>5.1} ns/atom   ({} atoms)",
+        "  full world: {:>5.1} ns/atom   functional world: {:>5.1} ns/atom   ({} atoms)",
         world_flat.ns_per_atom(),
         interp_flat.ns_per_atom(),
         world_flat.atoms
@@ -612,22 +420,7 @@ fn main() {
     println!("  timing-model cost over interpreter dispatch       : {world_over_interp:.2}x");
 
     if smoke {
-        println!("  smoke mode: cycle and atom equality held; OK");
-        // Quiesced: no in-process fleet may run while the gate (and its
-        // noise-guard re-measurements) time the simulator. Optional
-        // pinning (PHLOEM_PIN=1) removes CPU migration as a noise
-        // source on multi-core hosts.
-        phloem_pool::quiesced(|| {
-            if phloem_pool::pinning_requested() {
-                let pinned = phloem_pool::pin_to_core(0);
-                println!("  regression gate: pin to core 0: {pinned}");
-            }
-            let retry = || time_one("session (gate retry)", WatchdogConfig::default(), 3).mcps();
-            let gate = gate_against_recorded(Record::read("simspeed"), session.mcps(), retry);
-            if let Err(e) = gate {
-                panic!("{e}");
-            }
-        });
+        println!("  smoke mode: cycle and atom equality held, tracing budgets met; OK");
         return;
     }
 
@@ -659,7 +452,6 @@ fn main() {
         sweep("session_trace_disabled", trace_off),
         sweep("session_null_sink", trace_null),
         sweep("session_digest_sink", trace_digest),
-        interp("interp_tree", &interp_tree),
         interp("interp_flat", &interp_flat),
         interp("session_world_isolated", &world_flat),
         ratio("world_over_interp_ratio", world_over_interp),
@@ -670,55 +462,4 @@ fn main() {
         ),
     ];
     record::write("simspeed", scale(), reps, &rows, &gates);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn recorded(mcps: &str) -> Result<Option<Record>, String> {
-        let text = format!(r#"{{"rows":[{{"name":"session","mcycles_per_s":{mcps}}}]}}"#);
-        Record::parse(&text).map(Some)
-    }
-
-    #[test]
-    fn no_recording_skips_the_gate() {
-        let gate = gate_against_recorded(Ok(None), 1.0, || unreachable!("nothing to re-measure"));
-        assert_eq!(gate, Ok(()));
-    }
-
-    #[test]
-    fn a_recording_without_the_session_row_fails_the_gate() {
-        let renamed = Record::parse(r#"{"rows":[{"name":"sessions","mcycles_per_s":100}]}"#);
-        let e = gate_against_recorded(renamed.map(Some), 100.0, || 100.0).unwrap_err();
-        assert!(e.contains("no row named \"session\""), "{e}");
-        let e = gate_against_recorded(Err("BENCH_simspeed.json: bad".into()), 100.0, || 100.0);
-        assert_eq!(e, Err("BENCH_simspeed.json: bad".into()));
-    }
-
-    #[test]
-    fn a_non_numeric_recording_fails_the_gate() {
-        let e = gate_against_recorded(recorded("\"fast\""), 100.0, || 100.0).unwrap_err();
-        assert!(e.contains("not a number"), "{e}");
-    }
-
-    #[test]
-    fn recorded_100_measured_80_fails_after_two_remeasurements() {
-        let mut remeasured = 0;
-        let gate = gate_against_recorded(recorded("100"), 80.0, || {
-            remeasured += 1;
-            80.0
-        });
-        assert!(gate.unwrap_err().contains("simspeed regression"));
-        assert_eq!(remeasured, 2);
-        // Within 15%, or recovered on a re-measurement: passes.
-        assert_eq!(
-            gate_against_recorded(recorded("100"), 86.0, || unreachable!()),
-            Ok(())
-        );
-        assert_eq!(
-            gate_against_recorded(recorded("100"), 80.0, || 90.0),
-            Ok(())
-        );
-    }
 }

@@ -6,7 +6,7 @@
 //! | Binary     | What it is |
 //! |------------|------------|
 //! | `figures`  | Tables I, III-V and Figs. 6, 9-14 (`figures fig6 fig9`, `figures all`); each is a function in [`figures`] returning what it prints |
-//! | `simspeed` | gate: cycle/atom equality across tracing modes and engines, tracing-overhead budgets, session throughput against `BENCH_simspeed.json` |
+//! | `simspeed` | gate: cycle/atom equality across tracing modes, tracing-overhead budgets; records host throughput (`BENCH_simspeed.json`) |
 //! | `native`   | gate: every app oracle-verified on real threads, host-gated 0.25x overhead bound (`BENCH_native.json`) |
 //! | `chaos`    | gate: seeded fault injection against a live `phloemd` (`BENCH_chaos.json`) |
 //! | `fuzzdiff` | gate: differential fuzzing against the serial oracle ([`fuzz`]) |
@@ -34,7 +34,7 @@ use phloem_compiler::search::{
 use phloem_compiler::PassConfig;
 use phloem_ir::{LoadId, Trap};
 use phloem_workloads::{Graph, Scale};
-use pipette_sim::{MachineConfig, MetricsSink};
+use pipette_sim::{MachineConfig, MetricsSink, StageMetrics};
 
 /// Reads the experiment scale from `SCALE` (unset: small). Any other
 /// value than `tiny|small|full` ends the process with status 2 rather
@@ -125,24 +125,33 @@ pub fn graph_app_kernel(name: &str) -> phloem_ir::Function {
 }
 
 /// Reduces a metrics aggregate to the per-candidate profile the PGO
-/// search report carries: critical-stage attribution, per-stage
-/// utilization, and the critical stage's dominant stall kind.
+/// search report carries, to [`CandidateProfile`]'s contract: the
+/// critical *compute* stage, per-stage utilization, and the largest
+/// stall class summed across all stages (`"none"` when nothing
+/// stalled). `phloemd`'s `search` derives the same from `RunStats`; the
+/// test below holds the two equal.
 pub fn candidate_profile(m: &MetricsSink) -> CandidateProfile {
-    let stage_utilization = m
-        .stages
-        .iter()
-        .map(|s| (s.name.clone(), s.utilization()))
-        .collect();
-    match m.critical_stage() {
-        Some(i) => CandidateProfile {
-            critical_stage: m.stages[i].name.clone(),
-            stage_utilization,
-            dominant_stall: m.stages[i].dominant_stall().to_string(),
-        },
-        None => CandidateProfile {
-            stage_utilization,
-            ..Default::default()
-        },
+    let total = |class: fn(&StageMetrics) -> u64| m.stages.iter().map(class).sum::<u64>();
+    // First class on ties, as the daemon's derivation.
+    let classes = [
+        ("queue-full", total(|s| s.queue_full_stall_cycles)),
+        ("queue-empty", total(|s| s.queue_empty_stall_cycles)),
+        ("backend", total(|s| s.backend_stall_cycles)),
+        ("frontend", total(|s| s.frontend_stall_cycles)),
+    ];
+    let dominant = classes.iter().rev().max_by_key(|(_, c)| *c);
+    let critical = m.critical_stage().map(|i| m.stages[i].name.clone());
+    CandidateProfile {
+        critical_stage: critical.unwrap_or_default(),
+        stage_utilization: m
+            .stages
+            .iter()
+            .map(|s| (s.name.clone(), s.utilization()))
+            .collect(),
+        dominant_stall: dominant
+            .filter(|(_, c)| *c > 0)
+            .map_or("none", |(n, _)| n)
+            .to_string(),
     }
 }
 
@@ -368,5 +377,48 @@ mod tests {
         assert_eq!(parse_scale(Some("full")), Ok(Scale::Full));
         let e = parse_scale(Some("tniy")).unwrap_err();
         assert!(e.contains("SCALE") && e.contains("tiny|small|full"), "{e}");
+    }
+
+    /// `phloemd` answers `search` with a profile derived from the
+    /// winner's `RunStats`; the figures derive theirs from a
+    /// `MetricsSink`. One contract, two derivations: a traced BFS run
+    /// of the daemon's winner must give the daemon's answer.
+    #[test]
+    fn the_daemons_search_profile_equals_the_traced_one_on_bfs() {
+        use phloem_service::{proto::parse, Service, ServiceConfig};
+        let svc = Service::new(ServiceConfig {
+            machine: machine(),
+            scale: Scale::Tiny,
+            ..ServiceConfig::default()
+        });
+        let ask = r#"{"id":1,"op":"search","app":"bfs","input":"internet-s","max_stages":4}"#;
+        let answer = svc.handle_batch(&[ask.to_string()]).responses.remove(0);
+        let answer = parse(&answer).unwrap();
+        let Some(phloem_service::Json::Arr(cuts)) = answer.get("best_cuts") else {
+            panic!("no winner: {answer:?}");
+        };
+        let cuts: Vec<LoadId> = cuts
+            .iter()
+            .map(|c| LoadId(c.as_u64().unwrap() as u32))
+            .collect();
+        let served = answer.get("profile").expect("the winner's profile");
+        let field = |name| served.get(name).and_then(|j| j.as_str()).unwrap();
+
+        let graphs = phloem_workloads::training_graphs(Scale::Tiny);
+        let g = &graphs
+            .iter()
+            .find(|g| g.name == "internet-s")
+            .unwrap()
+            .graph;
+        let traced =
+            profile_graph_app("BFS", &phloem_with_cuts(&cuts), g, &machine(), "internet-s")
+                .expect("the winner runs traced");
+        assert_eq!(traced.critical_stage, field("critical_stage"));
+        assert_eq!(traced.dominant_stall, field("dominant_stall"));
+        let compute_stages = answer.get("compute_stages").and_then(|j| j.as_usize());
+        assert!(
+            compute_stages.unwrap() < traced.stage_utilization.len(),
+            "no RA to exclude"
+        );
     }
 }

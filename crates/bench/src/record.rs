@@ -1,4 +1,4 @@
-//! The one writer and reader of `BENCH_{simspeed,native,chaos}.json`.
+//! The one writer of `BENCH_{simspeed,native,chaos}.json`.
 //!
 //! All three files carry the same top-level keys, in this order:
 //!
@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use phloem_service::proto::{parse, Json};
+use phloem_service::proto::Json;
 use phloem_workloads::Scale;
 
 /// A bound a bench asserts, as recorded.
@@ -143,49 +143,10 @@ pub fn write(bench: &str, scale: Scale, reps: usize, rows: &[Json], gates: &[Gat
     println!("  wrote {path}");
 }
 
-/// A parsed recording.
-pub struct Record(Json);
-
-impl Record {
-    /// Parses a recording's text.
-    pub fn parse(text: &str) -> Result<Record, String> {
-        parse(text).map(Record)
-    }
-
-    /// Reads `BENCH_<bench>.json` from the current directory: `Ok(None)`
-    /// when there is no such file (a fresh checkout has nothing to
-    /// compare against), `Err` when it is there but cannot be read or
-    /// parsed.
-    pub fn read(bench: &str) -> Result<Option<Record>, String> {
-        let path = format!("BENCH_{bench}.json");
-        match std::fs::read_to_string(&path) {
-            Ok(text) => Record::parse(&text)
-                .map(Some)
-                .map_err(|e| format!("{path}: {e}")),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(format!("{path}: {e}")),
-        }
-    }
-
-    /// The number at `rows[name == row].field`; a missing row or a field
-    /// that is not a number is an error, never a default.
-    pub fn value(&self, row: &str, field: &str) -> Result<f64, String> {
-        let Some(Json::Arr(rows)) = self.0.get("rows") else {
-            return Err("recording has no \"rows\" array".into());
-        };
-        let named = |r: &&Json| r.get("name").and_then(Json::as_str) == Some(row);
-        let found = rows.iter().find(named);
-        match found.map(|r| r.get(field)) {
-            None => Err(format!("recording has no row named {row:?}")),
-            Some(Some(Json::Num(n))) => Ok(*n),
-            Some(other) => Err(format!("row {row:?}: {field:?} is {other:?}, not a number")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phloem_service::proto::parse;
 
     #[test]
     fn a_rendering_and_the_three_committed_recordings_share_their_top_level_keys() {
@@ -225,20 +186,6 @@ mod tests {
         );
         assert!(text
             .contains(r#""name":"ceiling","value":2,"bound":1.5,"enforced":false,"pass":false"#));
-        let record = Record::parse(&text).unwrap();
-        assert_eq!(record.value("session", "x"), Ok(1.235));
-        assert!(record
-            .value("sessions", "x")
-            .unwrap_err()
-            .contains("no row"));
-        assert!(record
-            .value("session", "name")
-            .unwrap_err()
-            .contains("not a number"));
-        assert!(record
-            .value("session", "y")
-            .unwrap_err()
-            .contains("not a number"));
     }
 
     #[test]

@@ -677,209 +677,3 @@ pub fn bind_params(func: &Function, named: &[(&str, Value)]) -> Vec<(VarId, Valu
     }
     out
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::builder::FunctionBuilder;
-    use crate::expr::Expr;
-    use crate::mem::MemState;
-    use crate::value::BinOp;
-    use crate::world::FunctionalWorld;
-
-    fn run_to_end(interp: &mut StepInterp<'_>, world: &mut FunctionalWorld) {
-        loop {
-            match interp.step(world).expect("no trap") {
-                StepResult::Finished => break,
-                StepResult::Progress => {}
-                StepResult::Blocked(b) => panic!("unexpected block: {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn sum_loop() {
-        // sum = 0; for i in 0..10 { sum += i }
-        let mut b = FunctionBuilder::new("sum");
-        let sum = b.var_i64("sum");
-        let i = b.var_i64("i");
-        b.assign(sum, Expr::i64(0));
-        b.for_loop(i, Expr::i64(0), Expr::i64(10), |b| {
-            b.assign(sum, Expr::bin(BinOp::Add, Expr::var(sum), Expr::var(i)));
-        });
-        let f = b.build();
-        f.validate().unwrap();
-        let mut world = FunctionalWorld::new(MemState::new(), 0, 0, 1);
-        let spec = StageSpec {
-            func: &f,
-            handlers: &[],
-        };
-        let mut interp = StepInterp::new(spec, Tid(0), &[]);
-        run_to_end(&mut interp, &mut world);
-        assert_eq!(interp.var(sum), Value::I64(45));
-    }
-
-    #[test]
-    fn nested_break() {
-        // found = -1; for i in 0..5 { for j in 0..5 { if i*5+j == 7 { found = j; break 2 } } }
-        let mut b = FunctionBuilder::new("find");
-        let found = b.var_i64("found");
-        let i = b.var_i64("i");
-        let j = b.var_i64("j");
-        b.assign(found, Expr::i64(-1));
-        b.for_loop(i, Expr::i64(0), Expr::i64(5), |b| {
-            b.for_loop(j, Expr::i64(0), Expr::i64(5), |b| {
-                let cond = Expr::eq(
-                    Expr::add(Expr::mul(Expr::var(i), Expr::i64(5)), Expr::var(j)),
-                    Expr::i64(7),
-                );
-                b.if_then(cond, |b| {
-                    b.assign(found, Expr::var(j));
-                    b.break_out(2);
-                });
-            });
-        });
-        let f = b.build();
-        f.validate().unwrap();
-        let mut world = FunctionalWorld::new(MemState::new(), 0, 0, 1);
-        let mut interp = StepInterp::new(
-            StageSpec {
-                func: &f,
-                handlers: &[],
-            },
-            Tid(0),
-            &[],
-        );
-        run_to_end(&mut interp, &mut world);
-        assert_eq!(interp.var(found), Value::I64(2));
-    }
-
-    #[test]
-    fn enq_blocks_on_full_queue_and_resumes() {
-        let mut b = FunctionBuilder::new("producer");
-        let i = b.var_i64("i");
-        let q = QueueId(0);
-        b.for_loop(i, Expr::i64(0), Expr::i64(4), |b| {
-            b.enq(q, Expr::var(i));
-        });
-        let f = b.build();
-        let mut world = FunctionalWorld::new(MemState::new(), 1, 2, 1);
-        let mut interp = StepInterp::new(
-            StageSpec {
-                func: &f,
-                handlers: &[],
-            },
-            Tid(0),
-            &[],
-        );
-        let mut blocked = false;
-        loop {
-            match interp.step(&mut world).unwrap() {
-                StepResult::Blocked(BlockReason::QueueFull(qq)) => {
-                    assert_eq!(qq, q);
-                    blocked = true;
-                    // Drain one element and retry.
-                    let (v, _) = world.try_deq(Tid(1), q, 0).unwrap().unwrap();
-                    assert!(matches!(v, Value::I64(_)));
-                }
-                StepResult::Blocked(other) => panic!("unexpected block: {other:?}"),
-                StepResult::Finished => break,
-                StepResult::Progress => {}
-            }
-        }
-        assert!(blocked, "capacity-2 queue must block a 4-element producer");
-    }
-
-    #[test]
-    fn budget_trap() {
-        let mut b = FunctionBuilder::new("spin");
-        let x = b.var_i64("x");
-        b.while_loop(Expr::i64(1), |b| {
-            b.assign(x, Expr::add(Expr::var(x), Expr::i64(1)));
-        });
-        let f = b.build();
-        let mut world = FunctionalWorld::new(MemState::new(), 0, 0, 1);
-        let mut interp = StepInterp::new(
-            StageSpec {
-                func: &f,
-                handlers: &[],
-            },
-            Tid(0),
-            &[],
-        )
-        .with_budget(100);
-        let err = loop {
-            match interp.step(&mut world) {
-                Ok(_) => {}
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(err, Trap::OpBudgetExceeded(100)));
-    }
-
-    #[test]
-    fn ctrl_handler_breaks_inner_loop() {
-        // Consumer: while(true) { deq x; sum += x }  with handler on CV 7 -> break 1
-        // enclosing... here the deq's enclosing loop is the while; handler breaks it.
-        let qin = QueueId(0);
-        let mut b = FunctionBuilder::new("consumer");
-        let x = b.var_i64("x");
-        let sum = b.var_i64("sum");
-        b.while_loop(Expr::i64(1), |b| {
-            b.deq(x, qin);
-            b.assign(sum, Expr::add(Expr::var(sum), Expr::var(x)));
-        });
-        let f = b.build();
-        let handlers = vec![CtrlHandler {
-            queue: qin,
-            ctrl: Some(7),
-            bind: None,
-            body: vec![],
-            end: HandlerEnd::BreakLoops(1),
-        }];
-        let mut world = FunctionalWorld::new(MemState::new(), 1, 8, 2);
-        for v in [1, 2, 3] {
-            world.try_enq(Tid(1), qin, Value::I64(v), 0).unwrap();
-        }
-        world.try_enq(Tid(1), qin, Value::Ctrl(7), 0).unwrap();
-        let mut interp = StepInterp::new(
-            StageSpec {
-                func: &f,
-                handlers: &handlers,
-            },
-            Tid(0),
-            &[],
-        );
-        loop {
-            match interp.step(&mut world).unwrap() {
-                StepResult::Finished => break,
-                StepResult::Progress => {}
-                StepResult::Blocked(_) => panic!("should not block"),
-            }
-        }
-        assert_eq!(interp.var(sum), Value::I64(6));
-    }
-
-    #[test]
-    fn deq_without_handler_delivers_ctrl_value() {
-        let qin = QueueId(0);
-        let mut b = FunctionBuilder::new("consumer");
-        let x = b.var_i64("x");
-        let saw = b.var_i64("saw_ctrl");
-        b.deq(x, qin);
-        b.assign(saw, Expr::is_ctrl(Expr::var(x)));
-        let f = b.build();
-        let mut world = FunctionalWorld::new(MemState::new(), 1, 8, 2);
-        world.try_enq(Tid(1), qin, Value::Ctrl(3), 0).unwrap();
-        let mut interp = StepInterp::new(
-            StageSpec {
-                func: &f,
-                handlers: &[],
-            },
-            Tid(0),
-            &[],
-        );
-        while !matches!(interp.step(&mut world).unwrap(), StepResult::Finished) {}
-        assert_eq!(interp.var(saw), Value::I64(1));
-    }
-}

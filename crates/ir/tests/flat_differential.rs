@@ -9,14 +9,18 @@
 //! mismatch. Both engines run the same program in lockstep; every
 //! [`StepResult`] (including `Blocked` reasons), the full call log, the
 //! final memory, and all variable values must agree exactly.
+//!
+//! Agreement alone would pass two engines that are wrong alike, so a
+//! table of small programs with absolute expectations ([`cases`]) runs
+//! on each engine through [`StageExec`].
 
 use std::collections::VecDeque;
 
 use phloem_ir::bytecode::compile;
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, BlockReason, BranchId, CtrlHandler, Expr, FlatInterp, Function,
-    FunctionBuilder, HandlerEnd, MemState, QueueId, StageSpec, StepInterp, StepResult, Stmt, Tid,
-    Time, Trap, UnOp, UopClass, Value, VarId, World,
+    FunctionBuilder, FunctionalWorld, HandlerEnd, MemState, QueueId, StageExec, StageSpec,
+    StepInterp, StepResult, Stmt, Tid, Time, Trap, UnOp, UopClass, Value, VarId, World,
 };
 use proptest::prelude::*;
 
@@ -460,6 +464,217 @@ fn memory_and_control_kernel() {
     });
     let f = b.build();
     assert_engines_agree(&f, &[], mem, 0, 0, Unblock::Data);
+}
+
+// ---------------------------------------------------------------------
+// Absolute expectations: one table, both engines.
+// ---------------------------------------------------------------------
+
+/// What a program must do, whichever engine runs it.
+enum Expect {
+    /// Runs to the end without blocking; the variable then holds the value.
+    Var(VarId, Value),
+    /// Blocks on the full queue at least once, and finishes once the
+    /// driver has drained a value per block.
+    BlocksOnFull(QueueId),
+    /// Traps with `OpBudgetExceeded` under this budget.
+    BudgetTrap(u64),
+}
+
+/// One row: a program, its handlers, the world it starts in (queue
+/// count, capacity, values already in queue 0) and the expectation.
+struct Case {
+    name: &'static str,
+    func: Function,
+    handlers: Vec<CtrlHandler>,
+    queues: (usize, usize),
+    preload: Vec<Value>,
+    expect: Expect,
+}
+
+fn cases() -> Vec<Case> {
+    let q = QueueId(0);
+    let mut cases = Vec::new();
+
+    // sum = 0; for i in 0..10 { sum += i }
+    let mut b = FunctionBuilder::new("sum");
+    let sum = b.var_i64("sum");
+    let i = b.var_i64("i");
+    b.assign(sum, Expr::i64(0));
+    b.for_loop(i, Expr::i64(0), Expr::i64(10), |b| {
+        b.assign(sum, Expr::bin(BinOp::Add, Expr::var(sum), Expr::var(i)));
+    });
+    cases.push(Case {
+        name: "sum_loop",
+        func: b.build(),
+        handlers: vec![],
+        queues: (0, 0),
+        preload: vec![],
+        expect: Expect::Var(sum, Value::I64(45)),
+    });
+
+    // found = -1; for i in 0..5 { for j in 0..5 { if i*5+j == 7 { found = j; break 2 } } }
+    let mut b = FunctionBuilder::new("find");
+    let found = b.var_i64("found");
+    let i = b.var_i64("i");
+    let j = b.var_i64("j");
+    b.assign(found, Expr::i64(-1));
+    b.for_loop(i, Expr::i64(0), Expr::i64(5), |b| {
+        b.for_loop(j, Expr::i64(0), Expr::i64(5), |b| {
+            let cond = Expr::eq(
+                Expr::add(Expr::mul(Expr::var(i), Expr::i64(5)), Expr::var(j)),
+                Expr::i64(7),
+            );
+            b.if_then(cond, |b| {
+                b.assign(found, Expr::var(j));
+                b.break_out(2);
+            });
+        });
+    });
+    cases.push(Case {
+        name: "nested_break",
+        func: b.build(),
+        handlers: vec![],
+        queues: (0, 0),
+        preload: vec![],
+        expect: Expect::Var(found, Value::I64(2)),
+    });
+
+    // A capacity-2 queue must block a 4-element producer.
+    let mut b = FunctionBuilder::new("producer");
+    let i = b.var_i64("i");
+    b.for_loop(i, Expr::i64(0), Expr::i64(4), |b| {
+        b.enq(q, Expr::var(i));
+    });
+    cases.push(Case {
+        name: "enq_blocks_on_full_queue_and_resumes",
+        func: b.build(),
+        handlers: vec![],
+        queues: (1, 2),
+        preload: vec![],
+        expect: Expect::BlocksOnFull(q),
+    });
+
+    let mut b = FunctionBuilder::new("spin");
+    let x = b.var_i64("x");
+    b.while_loop(Expr::i64(1), |b| {
+        b.assign(x, Expr::add(Expr::var(x), Expr::i64(1)));
+    });
+    cases.push(Case {
+        name: "budget_trap",
+        func: b.build(),
+        handlers: vec![],
+        queues: (0, 0),
+        preload: vec![],
+        expect: Expect::BudgetTrap(100),
+    });
+
+    // while(true) { deq x; sum += x }, with a handler on CV 7 that
+    // breaks the dequeue's enclosing loop.
+    let mut b = FunctionBuilder::new("consumer");
+    let x = b.var_i64("x");
+    let sum = b.var_i64("sum");
+    b.while_loop(Expr::i64(1), |b| {
+        b.deq(x, q);
+        b.assign(sum, Expr::add(Expr::var(sum), Expr::var(x)));
+    });
+    cases.push(Case {
+        name: "ctrl_handler_breaks_inner_loop",
+        func: b.build(),
+        handlers: vec![CtrlHandler {
+            queue: q,
+            ctrl: Some(7),
+            bind: None,
+            body: vec![],
+            end: HandlerEnd::BreakLoops(1),
+        }],
+        queues: (1, 8),
+        preload: vec![Value::I64(1), Value::I64(2), Value::I64(3), Value::Ctrl(7)],
+        expect: Expect::Var(sum, Value::I64(6)),
+    });
+
+    let mut b = FunctionBuilder::new("consumer");
+    let x = b.var_i64("x");
+    let saw = b.var_i64("saw_ctrl");
+    b.deq(x, q);
+    b.assign(saw, Expr::is_ctrl(Expr::var(x)));
+    cases.push(Case {
+        name: "deq_without_handler_delivers_ctrl_value",
+        func: b.build(),
+        handlers: vec![],
+        queues: (1, 8),
+        preload: vec![Value::Ctrl(3)],
+        expect: Expect::Var(saw, Value::I64(1)),
+    });
+    cases
+}
+
+impl Case {
+    fn world(&self) -> FunctionalWorld {
+        let (nqueues, capacity) = self.queues;
+        let mut world = FunctionalWorld::new(MemState::new(), nqueues, capacity, 2);
+        for v in &self.preload {
+            let enq = world.try_enq(Tid(1), QueueId(0), *v, 0);
+            enq.unwrap().expect("the preload fits its queue");
+        }
+        world
+    }
+
+    fn budget(&self) -> u64 {
+        match self.expect {
+            Expect::BudgetTrap(n) => n,
+            _ => BUDGET,
+        }
+    }
+
+    /// Steps `it` to its end in a fresh world, draining one value each
+    /// time it blocks on a full queue, and checks the expectation;
+    /// `var` reads a variable of `it` afterwards.
+    fn run<E: StageExec>(&self, engine: &str, it: &mut E, var: impl Fn(&E, VarId) -> Value) {
+        let at = format!("{} on the {engine} engine", self.name);
+        let mut world = self.world();
+        let mut full_blocks = Vec::new();
+        let end = loop {
+            match it.step(&mut world) {
+                Ok(StepResult::Progress) => {}
+                Ok(StepResult::Blocked(BlockReason::QueueFull(q))) => {
+                    full_blocks.push(q);
+                    let (v, _) = world.try_deq(Tid(1), q, 0).unwrap().unwrap();
+                    assert!(matches!(v, Value::I64(_)), "{at}: drained {v:?}");
+                }
+                other => break other,
+            }
+        };
+        match self.expect {
+            Expect::Var(v, want) => {
+                assert_eq!(end, Ok(StepResult::Finished), "{at}");
+                assert_eq!(full_blocks, [], "{at}");
+                assert_eq!(var(it, v), want, "{at}");
+            }
+            Expect::BlocksOnFull(q) => {
+                assert_eq!(end, Ok(StepResult::Finished), "{at}");
+                assert!(!full_blocks.is_empty(), "{at}: never blocked");
+                assert!(full_blocks.iter().all(|b| *b == q), "{at}: {full_blocks:?}");
+            }
+            Expect::BudgetTrap(n) => assert_eq!(end, Err(Trap::OpBudgetExceeded(n)), "{at}"),
+        }
+    }
+}
+
+#[test]
+fn absolute_expectations_hold_on_both_engines() {
+    for case in cases() {
+        case.func.validate().expect(case.name);
+        let prog = compile(&case.func, &case.handlers).expect(case.name);
+        let spec = StageSpec {
+            func: &case.func,
+            handlers: &case.handlers,
+        };
+        let mut tree = StepInterp::new(spec, Tid(0), &[]).with_budget(case.budget());
+        case.run("tree", &mut tree, |it, v| it.var(v));
+        let mut flat = FlatInterp::new(&prog, Tid(0), &[]).with_budget(case.budget());
+        case.run("flat", &mut flat, |it, v| it.var(v));
+    }
 }
 
 // ---------------------------------------------------------------------

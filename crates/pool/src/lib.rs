@@ -7,16 +7,16 @@
 //!
 //! ## Why not static chunking
 //!
-//! The previous scheme split the task list into `len.div_ceil(workers)`
-//! contiguous chunks, one scoped thread each. Candidate costs are
-//! wildly uneven (a 4-stage pipeline over the big training graph can
-//! cost 50x a 1-stage one over the small graph), so whichever chunk
-//! drew the expensive candidates head-of-line-blocked its worker while
-//! the rest of the host idled. This pool keeps every worker busy:
+//! Splitting the task list into `len.div_ceil(workers)` contiguous
+//! chunks, one thread each, loses to uneven task costs: a 4-stage
+//! pipeline over the big training graph can cost 50x a 1-stage one over
+//! the small graph, so whichever chunk draws the expensive candidates
+//! head-of-line-blocks its worker while the rest of the host idles.
+//! This pool keeps every worker busy:
 //!
 //! * **per-worker deques, seeded contiguously** — worker `w` starts
-//!   with the same contiguous index block static chunking gave it, so
-//!   the common case preserves the old cache locality;
+//!   with the contiguous index block static chunking would give it, so
+//!   the common case keeps that cache locality;
 //! * **steal-half** — a worker that runs dry takes half of the richest
 //!   neighbour's remaining block (from the back, preserving the
 //!   victim's locality at the front), amortizing steal traffic;
@@ -32,9 +32,7 @@
 //!   it and is asserted zero by the unit tests);
 //! * **panic isolation** — each task runs under `catch_unwind`; a
 //!   panicking task yields `Err(TaskPanic)` in its own result slot and
-//!   cannot take a worker (or the whole fleet) down;
-//! * **optional core pinning** — `PHLOEM_PIN=1` pins worker `w` to core
-//!   `w % cores` (Linux `sched_setaffinity`; a no-op elsewhere).
+//!   cannot take a worker (or the whole fleet) down.
 //!
 //! Tasks that wait on *each other* — the native backend's stage workers
 //! — are a different shape: they need a thread each, all at once, and
@@ -42,7 +40,7 @@
 //! of work.
 //! [`Pool::run_resident`] runs those on the caller plus threads that
 //! stay parked between runs (`resident.rs`), with the same panic
-//! isolation, pinning and quiesce-lock rules; nothing is stolen there.
+//! isolation; nothing is stolen there.
 //!
 //! ## Determinism contract
 //!
@@ -61,16 +59,14 @@
 //! the result partition itself is written without any lock.
 
 mod cancel;
-mod pin;
 mod resident;
 
 pub use cancel::{CancelToken, CancelWaker, WakerRegistration};
-pub use pin::pin_to_core;
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Shared worker-count default for every pool consumer: the
@@ -102,12 +98,6 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// True when `PHLOEM_PIN=1`: fleets pin worker `w` to core `w % cores`
-/// and timing-sensitive benches pin their measuring thread.
-pub fn pinning_requested() -> bool {
-    std::env::var("PHLOEM_PIN").as_deref() == Ok("1")
 }
 
 /// A task that panicked: the fleet records it in the task's own result
@@ -156,53 +146,39 @@ pub struct FleetStats {
     pub timeout_wakeups: u64,
 }
 
-/// Pool configuration. `Default` reads the shared env knobs.
-#[derive(Clone, Debug)]
-pub struct PoolConfig {
-    /// Worker threads per fleet (clamped to the task count at run time).
-    pub workers: usize,
-    /// Pin worker `w` to core `w % cores` (Linux only).
-    pub pin: bool,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            workers: default_workers(),
-            pin: pinning_requested(),
-        }
-    }
-}
-
 /// The work-stealing fleet executor. Construction is free: worker
 /// threads are scoped to each [`Pool::run`]/[`Pool::map`] call, so
 /// borrowed task closures need no `'static` bound and a dropped pool
 /// leaks nothing.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Pool {
-    cfg: PoolConfig,
+    /// Worker threads per fleet (clamped to the task count at run time).
+    workers: usize,
+}
+
+impl Default for Pool {
+    fn default() -> Self {
+        Pool::new(default_workers())
+    }
 }
 
 impl Pool {
     /// A pool with an explicit worker count.
     pub fn new(workers: usize) -> Pool {
         Pool {
-            cfg: PoolConfig {
-                workers: workers.max(1),
-                ..PoolConfig::default()
-            },
+            workers: workers.max(1),
         }
     }
 
-    /// A pool configured from the environment (`PHLOEM_WORKERS`,
-    /// `PHLOEM_PIN`), falling back to the host's available parallelism.
+    /// A pool configured from the environment (`PHLOEM_WORKERS`),
+    /// falling back to the host's available parallelism.
     pub fn from_env() -> Pool {
         Pool::default()
     }
 
     /// The configured worker count (before per-fleet clamping).
     pub fn workers(&self) -> usize {
-        self.cfg.workers.max(1)
+        self.workers
     }
 
     /// Runs `n` indexed tasks and returns their results in index order,
@@ -278,25 +254,10 @@ impl Pool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        // The quiesce lock, as in `run_inner`.
-        let nested = IN_FLEET.with(|flag| flag.get());
-        let _fleet = (!nested).then(|| quiesce_lock().read().unwrap_or_else(|e| e.into_inner()));
         if n == 0 {
             return Vec::new();
         }
-        // Task 0 runs on this thread, which is the caller's and not the
-        // fleet's to pin.
-        let _scope = FleetScope::enter();
-        let pin = self.cfg.pin;
-        resident::run(n, |w| {
-            if pin && w > 0 {
-                let cores = std::thread::available_parallelism()
-                    .map(|c| c.get())
-                    .unwrap_or(1);
-                pin_to_core(w % cores);
-            }
-            run_guarded(w, &f)
-        })
+        resident::run(n, |w| run_guarded(w, &f))
     }
 
     fn run_inner<R, F>(
@@ -318,27 +279,10 @@ impl Pool {
         if n == 0 {
             return (Vec::new(), stats);
         }
-        // Fleets take the shared quiesce lock non-exclusively, so a
-        // `quiesced` timing section can exclude every in-process fleet.
-        //
-        // A *nested* fleet — one launched from inside another fleet's
-        // task, e.g. the native backend spinning up its stage workers
-        // inside a service request — must NOT re-acquire the lock: the
-        // outer fleet already holds it for the whole scope of the task,
-        // and a second read acquisition on this thread can deadlock
-        // against a queued `quiesced` writer (reader → writer → reader
-        // cycle). The outer hold already keeps the process non-quiesced
-        // for exactly as long as the nested fleet can live (scoped
-        // threads), so skipping the lock loses nothing.
-        let nested = IN_FLEET.with(|flag| flag.get());
-        let _fleet = (!nested).then(|| quiesce_lock().read().unwrap_or_else(|e| e.into_inner()));
         let slots: Vec<OnceLock<Result<R, TaskPanic>>> = (0..n).map(|_| OnceLock::new()).collect();
         if workers == 1 {
             // Inline serial path: same panic isolation and skip
-            // semantics, no threads. Tasks run on the caller's thread,
-            // so mark it in-fleet for the duration (restoring the prior
-            // state) — a nested fleet inside a task must see the flag.
-            let _scope = FleetScope::enter();
+            // semantics, no threads.
             for (i, slot) in slots.iter().enumerate() {
                 if cancel.is_some_and(|t| t.poll_expired()) {
                     stats.skipped += (n - i) as u64;
@@ -354,25 +298,12 @@ impl Pool {
             // directly: parked workers observe a drain request the
             // moment it happens, not on the next timeout expiry.
             let _reg = cancel.map(|t| t.register_waker(Arc::clone(&shared.idle)));
-            let pin = self.cfg.pin;
             std::thread::scope(|scope| {
                 for w in 0..workers {
                     let shared = &shared;
                     let slots = &slots;
                     let f = &f;
-                    scope.spawn(move || {
-                        if pin {
-                            let cores = std::thread::available_parallelism()
-                                .map(|c| c.get())
-                                .unwrap_or(1);
-                            pin_to_core(w % cores);
-                        }
-                        // Worker threads are in-fleet for their whole
-                        // life: a task that launches a nested fleet must
-                        // not re-take the quiesce lock (see run_inner).
-                        let _scope = FleetScope::enter();
-                        worker_loop(w, shared, slots, f);
-                    });
+                    scope.spawn(move || worker_loop(w, shared, slots, f));
                 }
             });
             stats.steals = shared.steals.load(Ordering::Relaxed);
@@ -510,35 +441,6 @@ impl Shared {
     }
 }
 
-thread_local! {
-    /// True while the current thread is executing inside a fleet —
-    /// either as a scoped worker thread or as the caller running the
-    /// inline (workers == 1) path. Nested fleets consult this to skip
-    /// re-acquiring the quiesce lock (see [`Pool::run_inner`]).
-    static IN_FLEET: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// RAII marker setting [`IN_FLEET`] for the current thread, restoring
-/// the previous value on drop (inline fleets can themselves be nested).
-struct FleetScope {
-    prev: bool,
-}
-
-impl FleetScope {
-    fn enter() -> FleetScope {
-        FleetScope {
-            prev: IN_FLEET.with(|flag| flag.replace(true)),
-        }
-    }
-}
-
-impl Drop for FleetScope {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        IN_FLEET.with(|flag| flag.set(prev));
-    }
-}
-
 /// Coarse backstop for epoch-guarded parks: with every wake path
 /// explicit this should never expire; it exists so an unforeseen bug
 /// degrades to a half-second hiccup (and a nonzero
@@ -599,28 +501,4 @@ where
 
 fn self_pop(shared: &Shared, w: usize) -> Option<usize> {
     shared.lock_deque(w).pop_front()
-}
-
-// ---------------------------------------------------------------------
-// Quiescing: timing-sensitive measurements vs. in-process fleets.
-// ---------------------------------------------------------------------
-
-fn quiesce_lock() -> &'static RwLock<()> {
-    static LOCK: OnceLock<RwLock<()>> = OnceLock::new();
-    LOCK.get_or_init(|| RwLock::new(()))
-}
-
-/// Runs `f` with every in-process fleet excluded: fleets hold the
-/// shared lock non-exclusively for their whole run, and this takes it
-/// exclusively, so the section starts only after running fleets drain
-/// and no new fleet starts until it ends. Used by timing-sensitive
-/// measurements (the simspeed regression gate) so a concurrent fleet
-/// in the same process cannot masquerade as a throughput regression.
-///
-/// Launching a fleet *inside* the section deadlocks by construction —
-/// quiesced sections must stay fleet-free (they are measuring exactly
-/// the absence of fleet load).
-pub fn quiesced<R>(f: impl FnOnce() -> R) -> R {
-    let _guard = quiesce_lock().write().unwrap_or_else(|e| e.into_inner());
-    f()
 }

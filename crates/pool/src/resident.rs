@@ -37,9 +37,7 @@ fn spawn() -> mpsc::Sender<Job> {
     std::thread::Builder::new()
         .name("phloem-resident".to_string())
         .spawn(move || {
-            // In-fleet for life, like the scoped workers: this thread
-            // only ever runs fleet tasks. Exits when its sender drops.
-            let _scope = crate::FleetScope::enter();
+            // Exits when its sender drops.
             for job in rx {
                 job();
             }

@@ -117,8 +117,7 @@ fn parked_workers_wake_by_notification_not_timeout() {
 
 /// Nested fleets: a task running inside one fleet may spawn its own
 /// fleet (the native backend does exactly this when a service request
-/// executing on a pool worker runs pipeline stages on threads). The
-/// inner fleet must not re-acquire the quiesce lock and deadlock.
+/// executing on a pool worker runs pipeline stages on threads).
 #[test]
 fn nested_fleet_inside_a_task_completes() {
     let outer = Pool::new(2);
@@ -371,14 +370,4 @@ fn deadline_expiry_skips_the_tail() {
     assert!(out[0].is_some(), "the first task ran before the deadline");
     assert!(token.is_set());
     assert_eq!(token.reason(), "deadline exceeded");
-}
-
-/// A quiesced section excludes fleets but runs the closure.
-#[test]
-fn quiesced_runs_and_returns() {
-    let v = phloem_pool::quiesced(|| 41 + 1);
-    assert_eq!(v, 42);
-    // Fleets still work afterwards (the write lock was released).
-    let pool = Pool::new(2);
-    assert_eq!(pool.run(4, |i| i).len(), 4);
 }

@@ -4,7 +4,7 @@
 //! ## Format
 //!
 //! ```text
-//! phloem-cache v3
+//! phloem-cache v4
 //! C <key:16-hex> <check:16-hex> <payload-json>
 //! S <key:16-hex> <check:16-hex> <payload-json>
 //! ```
@@ -44,8 +44,10 @@ use std::sync::Arc;
 /// key digests changes, so rows no probe can reach are dropped at load
 /// instead of occupying LRU capacity. v3: the trace digest became a
 /// word-wise fold (DESIGN §trace); a v2 `"trace"` hex is a different
-/// function of the same stream and must not be served as a hit.
-const HEADER: &str = "phloem-cache v3";
+/// function of the same stream and must not be served as a hit. v4:
+/// a `search` row's `profile` names the critical *compute* stage and
+/// the stall class summed across stages; a v3 row may hold neither.
+const HEADER: &str = "phloem-cache v4";
 
 /// Which cache a snapshot row belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -315,11 +317,11 @@ mod tests {
         assert_eq!(loaded.corrupt_skipped, 1);
         // The previous version, every row's checksum intact: still one
         // corrupt unit — its keys may name values computed under an
-        // older definition (v2's trace digests).
+        // older definition (v3's search profiles).
         save(&path, &sample()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("phloem-cache v3\n"));
-        std::fs::write(&path, text.replacen("v3", "v2", 1)).unwrap();
+        assert!(text.starts_with("phloem-cache v4\n"));
+        std::fs::write(&path, text.replacen("v4", "v3", 1)).unwrap();
         let loaded = load(&path).unwrap();
         assert!(loaded.snapshot.is_empty());
         assert_eq!(loaded.corrupt_skipped, 1);

@@ -74,8 +74,8 @@ impl Service {
     /// constructs onto real threads; the per-request cancel token is
     /// already ambient (the caller's `CancelScope`), so deadlines and
     /// drains reach the native run's park loop. The native fleet is a
-    /// *nested* fleet inside this pool task — the pool's nested-fleet
-    /// path (`phloem-pool`) makes that legal.
+    /// *nested* fleet inside this pool task; `phloem-pool` fleets are
+    /// independent of one another, so that needs no special path.
     fn do_simulate_native(
         &self,
         sim: &SimRequest,
@@ -213,14 +213,19 @@ fn measurement_payload(m: &Measurement) -> Payload {
     ]
 }
 
-/// Builds a cycle-attribution profile from one run's statistics:
-/// the critical stage is the one bounding the makespan, utilization is
-/// non-stalled share of each stage's active window, and the dominant
-/// stall is the largest stall class summed across stages.
+/// Builds a cycle-attribution profile from one run's statistics, to
+/// [`CandidateProfile`]'s contract: the critical stage is the compute
+/// stage bounding the makespan (RA helpers drain after it and never
+/// count), utilization is the non-stalled share of each stage's active
+/// window, and the dominant stall is the largest stall class summed
+/// across all stages — `"none"` when nothing stalled.
+/// `phloem_bench::candidate_profile` derives the same from a
+/// `MetricsSink`; a test there holds the two equal.
 fn profile_from_stats(stats: &RunStats) -> CandidateProfile {
     let critical_stage = stats
         .threads
         .iter()
+        .filter(|t| !t.is_ra)
         .max_by_key(|t| t.finish_time)
         .map(|t| t.name.clone())
         .unwrap_or_default();
@@ -250,8 +255,9 @@ fn profile_from_stats(stats: &RunStats) -> CandidateProfile {
         .iter()
         .rev()
         .max_by_key(|(_, c)| *c)
-        .map(|(n, _)| n.to_string())
-        .unwrap_or_default();
+        .filter(|(_, c)| *c > 0)
+        .map_or("none", |(n, _)| n)
+        .to_string();
     CandidateProfile {
         critical_stage,
         stage_utilization,
@@ -294,13 +300,32 @@ mod tests {
                     backend_stall_cycles: 10,
                     ..Default::default()
                 },
+                // An RA helper drains last; it is never the critical
+                // stage, and its stalls still count toward the class.
+                ThreadStats {
+                    name: "ra".into(),
+                    is_ra: true,
+                    finish_time: 210,
+                    backend_stall_cycles: 25,
+                    ..Default::default()
+                },
             ],
             ..Default::default()
         };
         let p = profile_from_stats(&stats);
         assert_eq!(p.critical_stage, "s1");
-        assert_eq!(p.dominant_stall, "queue-full");
+        assert_eq!(p.dominant_stall, "backend");
         assert!((p.stage_utilization[0].1 - 0.7).abs() < 1e-12);
         assert!((p.stage_utilization[1].1 - 0.95).abs() < 1e-12);
+
+        let idle = RunStats {
+            threads: vec![ThreadStats {
+                name: "s0".into(),
+                finish_time: 10,
+                ..Default::default()
+            }],
+            ..Default::default()
+        };
+        assert_eq!(profile_from_stats(&idle).dominant_stall, "none");
     }
 }

@@ -227,7 +227,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(
             &path,
-            text.replacen("phloem-cache v3", "phloem-cache v2", 1),
+            text.replacen("phloem-cache v4", "phloem-cache v2", 1),
         )
         .unwrap();
         let second = Service::new(cfg);

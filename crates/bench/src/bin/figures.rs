@@ -3,16 +3,15 @@
 //! ```text
 //! figures fig6 fig9        # any of: tables fig6 fig9 fig10 fig11 fig12 fig13 fig14
 //! figures all              # all eight, in that order
-//! figures fig13 --jobs 4   # host workers for the PGO searches
 //! ```
 //!
 //! Each name is a function in [`phloem_bench::figures`]; this binary
-//! prints what it returns. `SCALE=tiny|small|full` and `PGO=0` as in the
-//! crate docs. Figs. 9, 10 and 11 read one measurement matrix, computed
-//! once per process — with the PGO column only when `fig9` is asked for.
+//! prints what it returns. `SCALE=tiny|small|full` and `PHLOEM_WORKERS`
+//! as in the crate docs. Figs. 9, 10 and 11 read one measurement matrix,
+//! computed once per process — with the PGO column only when `fig9` is
+//! asked for — and Figs. 9 and 13 read one PGO search per app.
 
 use phloem_bench::figures::{self, Fig9Matrix};
-use phloem_bench::pgo_enabled;
 
 const NAMES: [&str; 8] = [
     "tables", "fig6", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
@@ -20,17 +19,12 @@ const NAMES: [&str; 8] = [
 
 fn main() {
     let usage = |got: &str| -> ! {
-        eprintln!(
-            "usage: figures <{}|all>... [--jobs N]   (got {got})",
-            NAMES.join("|")
-        );
+        eprintln!("usage: figures <{}|all>...   (got {got})", NAMES.join("|"));
         std::process::exit(2)
     };
     let mut names: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--jobs" => drop(args.next()), // read by `phloem_bench::jobs`
             "all" => names.extend(NAMES.map(String::from)),
             name if NAMES.contains(&name) => names.push(a),
             other => usage(&format!("{other:?}")),
@@ -39,7 +33,7 @@ fn main() {
     if names.is_empty() {
         usage("no figure");
     }
-    let with_pgo = pgo_enabled() && names.iter().any(|n| n == "fig9");
+    let with_pgo = names.iter().any(|n| n == "fig9");
     let matrix = std::cell::OnceCell::new();
     let shared = || -> &Fig9Matrix { matrix.get_or_init(|| figures::fig9_matrix(with_pgo)) };
     for name in &names {
@@ -50,7 +44,7 @@ fn main() {
             "fig10" => figures::fig10(shared()),
             "fig11" => figures::fig11(shared()),
             "fig12" => figures::fig12(),
-            "fig13" => figures::fig13(),
+            "fig13" => figures::fig13(&["BFS", "CC", "Radii", "SpMM"]),
             "fig14" => figures::fig14(),
             other => unreachable!("{other} passed the NAMES check"),
         };

@@ -20,7 +20,7 @@
 //! Genome checks and fault plans fan out over the shared work-stealing
 //! fleet (`phloem-pool`); the sweep's totals, failure list, and
 //! per-plan outcomes are keyed by index, so the report is byte-identical
-//! at every `--jobs` count.
+//! at every worker count.
 //!
 //! Usage:
 //!
@@ -28,8 +28,6 @@
 //! fuzzdiff                      # full run: 1000 programs, seed 1
 //! fuzzdiff --smoke              # CI: 100 programs, fixed seed, <60 s
 //! fuzzdiff --seed S --count N   # custom sweep
-//! fuzzdiff --jobs N             # host workers (default: PHLOEM_WORKERS
-//!                               # or available parallelism)
 //! fuzzdiff --faults             # fault injection: 40 plans x 6 targets, each run twice
 //! fuzzdiff --faults --smoke     # CI: 6 plans per target
 //! fuzzdiff --native             # native backend vs oracle: 200 genomes,
@@ -42,7 +40,6 @@
 use phloem_bench::fuzz::{
     check_native, fuzz_sweep, fuzz_sweep_with, minimize, minimize_with, render_failure, NATIVE_GRID,
 };
-use phloem_bench::jobs;
 use phloem_benchsuite::fault_targets::targets as fault_targets;
 use phloem_ir::MemState;
 use phloem_pool::Pool;
@@ -202,7 +199,7 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .and_then(|v| v.parse::<u64>().ok())
     };
-    let pool = Pool::new(jobs());
+    let pool = Pool::new(phloem_pool::default_workers());
     if has("--faults") {
         let plans = if has("--smoke") {
             6

@@ -8,23 +8,23 @@
 //! Every speedup figure (6, 9, 12, 14) is built from `guarded_row`:
 //! the serial baseline, then each variant guarded, so one trapping
 //! pipeline costs its own cell (1.00x, reported in a footer) and not
-//! the figure. Figs. 9, 10 and 11 read one [`Fig9Matrix`].
+//! the figure. Figs. 9, 10 and 11 read one [`Fig9Matrix`]; Figs. 9 and
+//! 13 read one PGO search per app (`pgo_for_app`).
 
 use phloem_benchsuite::apps::{Input, APPS};
 use phloem_benchsuite::fig14::RepVariant;
 use phloem_benchsuite::taco::{self, TacoApp};
 use phloem_benchsuite::{bfs, gmean, run_guarded, Measurement, Variant};
+use phloem_compiler::search::{ProfileOutcome, SearchError, SearchReport};
 use phloem_compiler::PassConfig;
 use phloem_ir::Trap;
 use phloem_workloads::{
     graph, spmm_test_matrices, spmm_training_matrices, taco_test_matrices, test_graphs,
     training_graphs,
 };
-use pipette_sim::{MachineConfig, MetricsSink, RunStats};
+use pipette_sim::{MachineConfig, RunStats};
 
-use crate::{
-    app, machine, machine4, pgo_for_app, phloem_with_cuts, scale, traced_metrics, GRAPH_APPS,
-};
+use crate::{app, machine, machine4, pgo_for_app, phloem_with_cuts, scale, GRAPH_APPS};
 
 /// One `== title ==` block of a figure's output.
 #[derive(Default)]
@@ -380,15 +380,19 @@ pub fn fig9_matrix(with_pgo: bool) -> Fig9Matrix {
             Variant::Manual,
         ];
         if with_pgo {
-            let pgo = pgo_for_app(app, &cfg, true);
-            if let Some(p) = &pgo.best_profile {
+            let report = &pgo_for_app(app).report;
+            // A search with no viable candidate falls back to the static
+            // cost model, which empty cuts encode.
+            let best = report.as_ref().ok().map(|r| &r.candidates[r.best]);
+            if let Some(p) = best.and_then(|c| c.profile.as_ref()) {
                 eprintln!(
                     "[fig9]   {name} pgo best candidate: critical stage `{}`, dominant stall {}",
                     p.critical_stage, p.dominant_stall
                 );
             }
-            failures.extend(pgo.failures.iter().map(|f| format!("{name} pgo: {f}")));
-            variants.push(phloem_with_cuts(&pgo.best_cuts));
+            let failed = search_failures(report);
+            failures.extend(failed.iter().map(|f| format!("{name} pgo: {f}")));
+            variants.push(phloem_with_cuts(best.map_or(&[], |c| &c.cuts)));
         }
         let mut per_input = Vec::new();
         for i in app.test_inputs(scale()) {
@@ -411,21 +415,45 @@ pub fn fig9_matrix(with_pgo: bool) -> Fig9Matrix {
     Fig9Matrix { rows, failures }
 }
 
-/// One app's trace-derived stall attribution from a finished metrics
-/// aggregator.
-fn attribution(app: &str, input: &str, m: &MetricsSink) -> String {
-    let b = m.stall_breakdown();
-    let total = b.issue + b.backend + b.queue + b.other;
-    if total <= 0.0 {
-        return format!("  {app:<8} {input}: no compute-stage cycles traced");
-    }
-    let pct = |v: f64| 100.0 * v / total;
-    let critical = m.critical_stage().map(|i| &m.stages[i]);
-    let critical = critical.map_or("-".to_string(), |s| {
-        format!("`{}` ({})", s.name, s.dominant_stall())
+/// The candidates of a search that trapped or timed out (or the search
+/// itself, when it found nothing), rendered for a figure's failure list.
+fn search_failures(report: &Result<SearchReport, SearchError>) -> Vec<String> {
+    let candidates = match report {
+        Ok(r) => &r.candidates,
+        Err(e) => return vec![format!("search failed, using static cuts: {e}")],
+    };
+    let failed = candidates.iter().filter_map(|c| match &c.outcome {
+        ProfileOutcome::Ok(_) => None,
+        ProfileOutcome::Trapped(msg) => Some(format!("candidate {:?}: {msg}", c.cuts)),
+        ProfileOutcome::TimedOut => Some(format!("candidate {:?}: timed out", c.cuts)),
+    });
+    failed.collect()
+}
+
+/// Where one run's compute-stage cycles went, as shares of Fig. 10's
+/// breakdown of the same run, and the critical stage with its own
+/// largest stall class (the first on ties).
+fn attribution(app: &str, m: &Measurement) -> String {
+    let b = m.stats.cycle_breakdown(machine().issue_width);
+    let pct = |v: f64| 100.0 * v / b.total();
+    let critical = m.stats.critical_stage().map_or("-".to_string(), |t| {
+        let classes = [
+            ("queue-full", t.queue_full_stall_cycles),
+            ("queue-empty", t.queue_empty_stall_cycles),
+            ("backend", t.backend_stall_cycles),
+            ("frontend", t.frontend_stall_cycles),
+        ];
+        let largest = classes.iter().rev().max_by_key(|(_, cycles)| *cycles);
+        let largest = largest.filter(|(_, cycles)| *cycles > 0);
+        format!(
+            "`{}` ({})",
+            t.name,
+            largest.map_or("none", |(class, _)| class)
+        )
     });
     format!(
-        "  {app:<8} {input:<16} issue {:5.1}%  backend {:5.1}%  queue {:5.1}%  other {:5.1}%   critical: {critical}",
+        "  {app:<8} {:<16} issue {:5.1}%  backend {:5.1}%  queue {:5.1}%  other {:5.1}%   critical: {critical}",
+        m.input,
         pct(b.issue),
         pct(b.backend),
         pct(b.queue),
@@ -436,9 +464,9 @@ fn attribution(app: &str, input: &str, m: &MetricsSink) -> String {
 /// Fig. 9: per-benchmark speedup over the serial baseline for the
 /// data-parallel, Phloem (static and, with five matrix columns,
 /// profile-guided) and manually pipelined versions, gmean'd across the
-/// test inputs; then each app's Phloem pipeline re-run on its first
-/// test input under [`MetricsSink`] for where the compute stages'
-/// cycles went — the profile the PGO search reports per candidate.
+/// test inputs; then, for each app's static Phloem pipeline on its first
+/// test input, where the compute stages' cycles went — the matrix's own
+/// measurement, in Fig. 10's categories.
 ///
 /// Paper shape: Phloem ~1.7x gmean over serial and ~85% of manual;
 /// Phloem beats data-parallel almost everywhere; BFS and Radii *exceed*
@@ -449,17 +477,11 @@ pub fn fig9(matrix: &Fig9Matrix) -> Vec<Figure> {
     if matrix.rows[0].1[0].len() > 4 {
         cols.push("phloem-pgo");
     }
-    let (cfg, v) = (machine(), Variant::phloem());
-    let mut stalls = Vec::new();
-    for app in &APPS {
-        if let Some(i) = app.test_inputs(scale()).first() {
-            let text = match traced_metrics(app, &v, i.input(), &cfg, i.name()) {
-                Some(m) => attribution(app.name(), i.name(), &m),
-                None => format!("  {:<8} {}: traced run failed", app.name(), i.name()),
-            };
-            stalls.push(Row::from(text));
-        }
-    }
+    // Column 2 of the matrix is `Variant::phloem()`.
+    let stalls = matrix
+        .rows
+        .iter()
+        .map(|(app, per_input)| Row::from(attribution(app, &per_input[0][2])));
     vec![
         speedups(
             "Fig. 9: speedup over serial (gmean across test inputs)",
@@ -468,8 +490,8 @@ pub fn fig9(matrix: &Fig9Matrix) -> Vec<Figure> {
             matrix.failures.clone(),
         ),
         Figure {
-            title: "Phloem stall attribution (metrics aggregator, first test input)".into(),
-            rows: stalls,
+            title: "Phloem stall attribution (cycle breakdown, first test input)".into(),
+            rows: stalls.collect(),
             note: "paper: Phloem gmean 1.7x; 85% of manual; BFS/Radii beat manual;\n       \
                    SpMM ~1x (bespoke manual merge-skip unavailable to Phloem).",
             ..Figure::default()
@@ -629,21 +651,27 @@ fn buckets(name: &str, points: &[(usize, f64)]) -> Vec<String> {
 
 /// Fig. 13: distribution of gmean training-input speedups of all
 /// candidate pipelines, bucketed by pipeline length (stages *including*
-/// reference accelerators), for select benchmarks.
+/// reference accelerators), for the named benchmarks (the paper selects
+/// BFS, CC, Radii and SpMM).
 ///
 /// Paper shape: mid-length pipelines win (e.g. BFS's best 4-stage beats
 /// its 8-stage); forcing particular lengths can hit bad minima; SpMM
 /// degrades as stages are added.
-pub fn fig13() -> Vec<Figure> {
-    let cfg = machine();
+pub fn fig13(names: &[&str]) -> Vec<Figure> {
     let mut lines = Vec::new();
-    for name in ["BFS", "CC", "Radii", "SpMM"] {
-        eprintln!("[fig13] {name}...");
-        let pgo = pgo_for_app(app(name), &cfg, false);
-        let n = pgo.points.len();
-        lines.extend(buckets(name, &pgo.points));
+    for &name in names {
+        let search = pgo_for_app(app(name));
+        let candidates = search.report.as_ref().map_or(&[][..], |r| &r.candidates);
+        let speedup = |cycles: f64| search.serial_train_cycles / cycles;
+        let points: Vec<(usize, f64)> = candidates
+            .iter()
+            .filter_map(|c| Some((c.total_stages, speedup(c.train_cycles()?))))
+            .collect();
+        let n = points.len();
+        lines.extend(buckets(name, &points));
         lines.push(format!("  ({n} candidate pipelines profiled)"));
-        lines.extend(pgo.failures.iter().map(|f| format!("  FAILED {f}")));
+        let failed = search_failures(&search.report);
+        lines.extend(failed.iter().map(|f| format!("  FAILED {f}")));
     }
     vec![Figure {
         title: "Fig. 13: training speedup vs. pipeline length (PGO search)".into(),
@@ -779,6 +807,22 @@ mod tests {
         let text = render(&[figure]);
         assert!(text.starts_with(&want), "{text}");
         assert!(text.ends_with("\n\npaper: p\n"), "{text}");
+    }
+
+    /// The stall block is Fig. 10's breakdown of the same measurement, as
+    /// shares: its issue share is uops over the issue width, never a
+    /// clamped remainder.
+    #[test]
+    fn the_stall_block_is_fig10s_breakdown_of_the_same_run() {
+        let m = measured("phloem[all]", 600);
+        let b = m.stats.cycle_breakdown(machine().issue_width);
+        let share = |v: f64| format!("{:5.1}%", 100.0 * v / b.total());
+        let want = format!(
+            "  A        synthetic        issue {}  backend {}  queue {}  other {}   critical: `` (backend)",
+            share(b.issue), share(b.backend), share(b.queue), share(b.other)
+        );
+        assert_eq!(attribution("A", &m), want);
+        assert!(b.issue > 0.0 && !want.contains("issue   0.0%"), "{want}");
     }
 
     #[test]

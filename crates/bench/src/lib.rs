@@ -14,11 +14,12 @@
 //!
 //! The three `BENCH_*.json` files share one schema and one writer,
 //! [`record`]. Set `SCALE=tiny|small|full` to trade fidelity for runtime
-//! (default `small`; anything else is an error); set `PGO=0` to skip the
-//! profile-guided search in `fig9`. Absolute cycle counts come from our
-//! simulator, not the authors' testbed: compare *shapes* (who wins, by
-//! roughly what factor), which each figure prints alongside the paper's
-//! reported numbers.
+//! (default `small`; anything else is an error); fleet-shaped work (PGO
+//! searches, fuzz sweeps) runs on [`phloem_pool::default_workers`] host
+//! threads, which `PHLOEM_WORKERS` overrides. Absolute cycle counts come
+//! from our simulator, not the authors' testbed: compare *shapes* (who
+//! wins, by roughly what factor), which each figure prints alongside the
+//! paper's reported numbers.
 
 #![warn(missing_docs)]
 
@@ -27,14 +28,15 @@ pub mod fuzz;
 pub mod record;
 
 use phloem_benchsuite::apps::{self, App, Input};
-use phloem_benchsuite::{gmean, Measurement, Variant};
+use phloem_benchsuite::{candidate_outcome, Measurement, Variant};
 use phloem_compiler::search::{
-    search_profiled, CandidateProfile, ProfileBudget, ProfileOutcome, SearchOptions,
+    search_profiled, CandidateProfile, SearchError, SearchOptions, SearchReport,
 };
 use phloem_compiler::PassConfig;
-use phloem_ir::{LoadId, Trap};
+use phloem_ir::{Function, LoadId, Trap};
 use phloem_workloads::{Graph, Scale};
-use pipette_sim::{MachineConfig, MetricsSink, StageMetrics};
+use pipette_sim::MachineConfig;
+use std::sync::OnceLock;
 
 /// Reads the experiment scale from `SCALE` (unset: small). Any other
 /// value than `tiny|small|full` ends the process with status 2 rather
@@ -54,26 +56,6 @@ fn parse_scale(var: Option<&str>) -> Result<Scale, String> {
         Some("full") => Ok(Scale::Full),
         Some(other) => Err(format!("SCALE={other:?}: expected tiny|small|full")),
     }
-}
-
-/// Host worker count for fleet-shaped work (PGO searches, fuzz sweeps):
-/// a `--jobs N` argument when the harness got one, else the shared
-/// `PHLOEM_WORKERS` env override, else the host's available
-/// parallelism. This is the single `--jobs` path `results/run_all.sh`
-/// routes `figures` through.
-pub fn jobs() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(phloem_pool::default_workers)
-}
-
-/// True unless `PGO=0`.
-pub fn pgo_enabled() -> bool {
-    std::env::var("PGO").as_deref() != Ok("0")
 }
 
 /// The Table III single-core machine.
@@ -120,63 +102,13 @@ pub fn run_graph_app(
 }
 
 /// The serial kernel of a graph app (for PGO enumeration).
-pub fn graph_app_kernel(name: &str) -> phloem_ir::Function {
+pub fn graph_app_kernel(name: &str) -> Function {
     app(name).kernel()
 }
 
-/// Reduces a metrics aggregate to the per-candidate profile the PGO
-/// search report carries, to [`CandidateProfile`]'s contract: the
-/// critical *compute* stage, per-stage utilization, and the largest
-/// stall class summed across all stages (`"none"` when nothing
-/// stalled). `phloemd`'s `search` derives the same from `RunStats`; the
-/// test below holds the two equal.
-pub fn candidate_profile(m: &MetricsSink) -> CandidateProfile {
-    let total = |class: fn(&StageMetrics) -> u64| m.stages.iter().map(class).sum::<u64>();
-    // First class on ties, as the daemon's derivation.
-    let classes = [
-        ("queue-full", total(|s| s.queue_full_stall_cycles)),
-        ("queue-empty", total(|s| s.queue_empty_stall_cycles)),
-        ("backend", total(|s| s.backend_stall_cycles)),
-        ("frontend", total(|s| s.frontend_stall_cycles)),
-    ];
-    let dominant = classes.iter().rev().max_by_key(|(_, c)| *c);
-    let critical = m.critical_stage().map(|i| m.stages[i].name.clone());
-    CandidateProfile {
-        critical_stage: critical.unwrap_or_default(),
-        stage_utilization: m
-            .stages
-            .iter()
-            .map(|s| (s.name.clone(), s.utilization()))
-            .collect(),
-        dominant_stall: dominant
-            .filter(|(_, c)| *c > 0)
-            .map_or("none", |(n, _)| n)
-            .to_string(),
-    }
-}
-
-/// Runs one variant on one input under a metrics aggregator; `None` if
-/// the run traps.
-pub(crate) fn traced_metrics(
-    app: &App,
-    v: &Variant,
-    input: Input<'_>,
-    cfg: &MachineConfig,
-    input_name: &str,
-) -> Option<MetricsSink> {
-    let (r, sink) = app.run(
-        v,
-        input,
-        cfg,
-        input_name,
-        Some(Box::new(MetricsSink::new())),
-    );
-    r.ok()?;
-    sink?.downcast_mut::<MetricsSink>().map(std::mem::take)
-}
-
-/// Runs one graph-app variant on one input under a metrics aggregator
-/// and reduces it to a [`CandidateProfile`]; `None` if the run traps.
+/// The stall profile of one graph-app variant on one input: one run,
+/// read by the evaluation every PGO search applies to its candidates
+/// ([`candidate_outcome`]); `None` if the run traps.
 pub fn profile_graph_app(
     name: &str,
     v: &Variant,
@@ -184,74 +116,7 @@ pub fn profile_graph_app(
     cfg: &MachineConfig,
     input: &str,
 ) -> Option<CandidateProfile> {
-    traced_metrics(app(name), v, Input::Graph(g), cfg, input).map(|m| candidate_profile(&m))
-}
-
-/// Outcome of the profile-guided search for one benchmark.
-pub struct PgoOutcome {
-    /// Cuts of the best-profiling pipeline; empty when the search found
-    /// no viable candidate (the caller then falls back to the static
-    /// cost model, which empty cuts encode).
-    pub best_cuts: Vec<LoadId>,
-    /// Trace-derived profile of the best candidate (when the profiling
-    /// closure produced one).
-    pub best_profile: Option<CandidateProfile>,
-    /// `(total stages incl. RAs, gmean training speedup)` per candidate.
-    pub points: Vec<(usize, f64)>,
-    /// Candidates (or the whole search) that trapped or timed out,
-    /// rendered for the harness's failure summary.
-    pub failures: Vec<String>,
-}
-
-/// Enumerates candidate pipelines for `kernel` and profiles each with
-/// `profile` under the search's per-candidate watchdog budget; the
-/// closure may also return a trace-derived [`CandidateProfile`], and the
-/// best candidate's surfaces in [`PgoOutcome::best_profile`]. The serial
-/// training cycles normalize the Fig. 13 speedups. Explicit
-/// [`SearchOptions`] let the determinism suite run the same sweep at
-/// several worker counts without touching env/argv.
-///
-/// Built on [`phloem_compiler::search::search_profiled`]: candidates
-/// that trap or panic are recorded, timed-out ones get one retry at an
-/// enlarged budget, and a fully failed search degrades to empty
-/// `best_cuts` (static compilation) instead of aborting the harness.
-pub fn pgo_search_with(
-    opts: &SearchOptions,
-    kernel: &phloem_ir::Function,
-    serial_train_cycles: f64,
-    profile: impl Fn(&[LoadId], &ProfileBudget) -> (ProfileOutcome, Option<CandidateProfile>) + Sync,
-) -> PgoOutcome {
-    match search_profiled(kernel, opts, |cuts, _pipe, budget| profile(cuts, budget)) {
-        Ok(report) => {
-            let mut points = Vec::new();
-            let mut failures = Vec::new();
-            for c in &report.candidates {
-                match &c.outcome {
-                    ProfileOutcome::Ok(cycles) => {
-                        points.push((c.total_stages, serial_train_cycles / cycles));
-                    }
-                    ProfileOutcome::Trapped(msg) => {
-                        failures.push(format!("candidate {:?}: {msg}", c.cuts));
-                    }
-                    ProfileOutcome::TimedOut => {
-                        failures.push(format!("candidate {:?}: timed out", c.cuts));
-                    }
-                }
-            }
-            PgoOutcome {
-                best_cuts: report.candidates[report.best].cuts.clone(),
-                best_profile: report.candidates[report.best].profile.clone(),
-                points,
-                failures,
-            }
-        }
-        Err(e) => PgoOutcome {
-            best_cuts: Vec::new(),
-            best_profile: None,
-            points: Vec::new(),
-            failures: vec![format!("search failed, using static cuts: {e}")],
-        },
-    }
+    candidate_outcome([run_graph_app(name, v, g, cfg, input)]).1
 }
 
 /// The all-passes Phloem variant pinned to a candidate's `cuts` (none:
@@ -264,100 +129,74 @@ pub fn phloem_with_cuts(cuts: &[LoadId]) -> Variant {
     }
 }
 
-/// The Fig. 9/13 search for one app: every candidate of its kernel
-/// profiled over its training inputs on [`jobs`] workers, normalized to
-/// the serial variant's training cycles. `profiled` re-runs each viable
-/// candidate traced for its [`CandidateProfile`].
-pub(crate) fn pgo_for_app(app: &App, cfg: &MachineConfig, profiled: bool) -> PgoOutcome {
-    let whole = ProfileBudget {
-        cycle_cap: cfg.watchdog.cycle_cap,
-    };
-    let serial = train_outcome(app, &Variant::Serial, cfg, &whole)
-        .cycles()
-        .unwrap_or_else(|| panic!("{} serial training run", app.name()));
-    let opts = SearchOptions {
-        workers: jobs(),
-        ..SearchOptions::default()
-    };
-    pgo_search_with(&opts, &app.kernel(), serial, |cuts, budget| {
-        let v = phloem_with_cuts(cuts);
-        if profiled {
-            train_profiled(app, &v, cfg, budget)
-        } else {
-            (train_outcome(app, &v, cfg, budget), None)
-        }
+/// The profile-guided search as Figs. 9 and 13 run it: every candidate
+/// pipeline of `kernel` runs once on each training input (`run`, under
+/// `cfg` with the search's per-candidate budget as its watchdog cap),
+/// and [`candidate_outcome`] says what those runs mean. Candidates that
+/// trap or panic are recorded, timed-out ones get one retry at an
+/// enlarged budget ([`search_profiled`]), and the report is the same at
+/// any `opts.workers`.
+///
+/// # Errors
+/// [`SearchError`] when nothing enumerates or no candidate profiles; the
+/// figures then fall back to the static cost model's cuts.
+pub fn pgo_search<I: Sync>(
+    kernel: &Function,
+    opts: &SearchOptions,
+    cfg: &MachineConfig,
+    training: &[I],
+    run: impl Fn(&Variant, &I, &MachineConfig) -> Result<Measurement, Trap> + Sync,
+) -> Result<SearchReport, SearchError> {
+    search_profiled(kernel, opts, |cuts, _pipe, budget| {
+        let variant = phloem_with_cuts(cuts);
+        let mut cfg = cfg.clone();
+        cfg.watchdog.cycle_cap = budget.cycle_cap;
+        candidate_outcome(training.iter().map(|i| run(&variant, i, &cfg)))
     })
 }
 
-/// Classifies one guarded profiling invocation: `Ok` carries the
-/// measured cycles; watchdog expirations become `TimedOut` (retryable
-/// at a larger budget); any other trap or panic becomes `Trapped`.
-fn profiled_cycles(f: impl FnOnce() -> Result<Measurement, Trap>) -> Result<f64, ProfileOutcome> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(Ok(m)) => Ok(m.cycles as f64),
-        Ok(Err(Trap::CycleLimit { .. } | Trap::Livelock { .. })) => Err(ProfileOutcome::TimedOut),
-        Ok(Err(trap)) => Err(ProfileOutcome::Trapped(trap.to_string())),
-        Err(payload) => Err(ProfileOutcome::Trapped(format!(
-            "panicked: {}",
-            phloem_benchsuite::runner::panic_text(&*payload)
-        ))),
-    }
+/// One app's search over its catalog training inputs.
+pub(crate) struct AppSearch {
+    /// Gmean cycles of the serial variant over the training inputs: the
+    /// normalizer of Fig. 13's speedups.
+    pub serial_train_cycles: f64,
+    /// What the search found.
+    pub report: Result<SearchReport, SearchError>,
 }
 
-/// Applies a profiling budget to the simulator config: the budget's
-/// cycle cap becomes the watchdog's.
-fn budgeted(cfg: &MachineConfig, budget: &ProfileBudget) -> MachineConfig {
-    let mut cfg = cfg.clone();
-    cfg.watchdog.cycle_cap = budget.cycle_cap;
-    cfg
-}
-
-/// Profiles a variant over the app's training inputs under the given
-/// watchdog budget (gmean cycles on success).
-pub(crate) fn train_outcome(
-    app: &App,
-    v: &Variant,
-    cfg: &MachineConfig,
-    budget: &ProfileBudget,
-) -> ProfileOutcome {
-    let cfg = budgeted(cfg, budget);
-    let mut vals = Vec::new();
-    for i in app.training_inputs(scale()) {
-        match profiled_cycles(|| app.run(v, i.input(), &cfg, i.name(), None).0) {
-            Ok(c) => vals.push(c),
-            Err(outcome) => return outcome,
+/// The search for `app` on [`machine`] at [`scale`], run once per
+/// process: Fig. 9's PGO column and Fig. 13's distribution read the same
+/// report. The training inputs are generated once, beside the serial
+/// baseline run, and every candidate borrows them.
+pub(crate) fn pgo_for_app(app: &'static App) -> &'static AppSearch {
+    static SEARCHED: [OnceLock<AppSearch>; apps::APPS.len()] =
+        [const { OnceLock::new() }; apps::APPS.len()];
+    let row = apps::APPS.iter().position(|a| std::ptr::eq(a, app));
+    SEARCHED[row.expect("a row of the app table")].get_or_init(|| {
+        let (name, cfg) = (app.name(), machine());
+        let training = app.training_inputs(scale());
+        eprintln!(
+            "[pgo] {name}: searching on {} training inputs...",
+            training.len()
+        );
+        let run = |v: &Variant, i: &apps::CatalogInput, cfg: &MachineConfig| {
+            app.run(v, i.input(), cfg, i.name(), None).0
+        };
+        let (serial, _) =
+            candidate_outcome(training.iter().map(|i| run(&Variant::Serial, i, &cfg)));
+        AppSearch {
+            serial_train_cycles: serial
+                .cycles()
+                .unwrap_or_else(|| panic!("{name} serial training run: {serial:?}")),
+            report: pgo_search(
+                &app.kernel(),
+                &SearchOptions::default(),
+                &cfg,
+                &training,
+                run,
+            ),
         }
-    }
-    ProfileOutcome::Ok(gmean(vals))
-}
-
-/// [`train_outcome`] plus a [`CandidateProfile`] built by re-running the
-/// first training input under a metrics aggregator (the extra traced
-/// run only happens for viable candidates).
-pub(crate) fn train_profiled(
-    app: &App,
-    v: &Variant,
-    cfg: &MachineConfig,
-    budget: &ProfileBudget,
-) -> (ProfileOutcome, Option<CandidateProfile>) {
-    let outcome = train_outcome(app, v, cfg, budget);
-    if !matches!(outcome, ProfileOutcome::Ok(_)) {
-        return (outcome, None);
-    }
-    let cfg = budgeted(cfg, budget);
-    let first = app.training_inputs(scale()).into_iter().next();
-    let metrics = first.and_then(|i| traced_metrics(app, v, i.input(), &cfg, i.name()));
-    (outcome, metrics.map(|m| candidate_profile(&m)))
-}
-
-/// [`train_profiled`] for a graph app by name.
-pub fn train_graph_profiled(
-    name: &str,
-    v: &Variant,
-    cfg: &MachineConfig,
-    budget: &ProfileBudget,
-) -> (ProfileOutcome, Option<CandidateProfile>) {
-    train_profiled(app(name), v, cfg, budget)
+    })
 }
 
 #[cfg(test)]
@@ -377,48 +216,5 @@ mod tests {
         assert_eq!(parse_scale(Some("full")), Ok(Scale::Full));
         let e = parse_scale(Some("tniy")).unwrap_err();
         assert!(e.contains("SCALE") && e.contains("tiny|small|full"), "{e}");
-    }
-
-    /// `phloemd` answers `search` with a profile derived from the
-    /// winner's `RunStats`; the figures derive theirs from a
-    /// `MetricsSink`. One contract, two derivations: a traced BFS run
-    /// of the daemon's winner must give the daemon's answer.
-    #[test]
-    fn the_daemons_search_profile_equals_the_traced_one_on_bfs() {
-        use phloem_service::{proto::parse, Service, ServiceConfig};
-        let svc = Service::new(ServiceConfig {
-            machine: machine(),
-            scale: Scale::Tiny,
-            ..ServiceConfig::default()
-        });
-        let ask = r#"{"id":1,"op":"search","app":"bfs","input":"internet-s","max_stages":4}"#;
-        let answer = svc.handle_batch(&[ask.to_string()]).responses.remove(0);
-        let answer = parse(&answer).unwrap();
-        let Some(phloem_service::Json::Arr(cuts)) = answer.get("best_cuts") else {
-            panic!("no winner: {answer:?}");
-        };
-        let cuts: Vec<LoadId> = cuts
-            .iter()
-            .map(|c| LoadId(c.as_u64().unwrap() as u32))
-            .collect();
-        let served = answer.get("profile").expect("the winner's profile");
-        let field = |name| served.get(name).and_then(|j| j.as_str()).unwrap();
-
-        let graphs = phloem_workloads::training_graphs(Scale::Tiny);
-        let g = &graphs
-            .iter()
-            .find(|g| g.name == "internet-s")
-            .unwrap()
-            .graph;
-        let traced =
-            profile_graph_app("BFS", &phloem_with_cuts(&cuts), g, &machine(), "internet-s")
-                .expect("the winner runs traced");
-        assert_eq!(traced.critical_stage, field("critical_stage"));
-        assert_eq!(traced.dominant_stall, field("dominant_stall"));
-        let compute_stages = answer.get("compute_stages").and_then(|j| j.as_usize());
-        assert!(
-            compute_stages.unwrap() < traced.stage_utilization.len(),
-            "no RA to exclude"
-        );
     }
 }

@@ -1,13 +1,14 @@
-//! The figure harness, end to end, in `cargo test --workspace`: the two
-//! figures cheap enough to run here (80 ms in release) must render
-//! byte for byte what `SCALE=tiny figures tables fig6` last committed to
-//! `results/tiny/`. Between them they cross the catalog, the app table,
-//! the guarded-row builder and the one printer. A deliberate change to
-//! either re-records with
+//! The figure harness, end to end, in `cargo test --workspace`: the
+//! figures cheap enough to run here (`tables` and `fig6`, 80 ms in
+//! release; the BFS block of `fig13`, one PGO search) must render byte
+//! for byte what `SCALE=tiny figures tables fig6 fig13` last committed
+//! to `results/tiny/`. Between them they cross the catalog, the app
+//! table, the guarded-row builder, the PGO search and the one printer. A
+//! deliberate change to one re-records with
 //! `SCALE=tiny figures <name> > results/tiny/<name>.txt`. Fig. 6's rows
 //! are also held to the shape the paper reports (ROADMAP 3(b)).
 
-use phloem_bench::figures::{fig6, render, tables};
+use phloem_bench::figures::{fig13, fig6, render, tables};
 
 #[test]
 fn tables_and_fig6_render_as_committed_at_tiny_scale() {
@@ -18,6 +19,24 @@ fn tables_and_fig6_render_as_committed_at_tiny_scale() {
         let text = render(&blocks);
         assert_eq!(text, want, "{name} drifted from results/tiny/{name}.txt");
     }
+}
+
+/// `results/tiny/fig13.txt` was recorded by the commit before the PGO
+/// search's candidate evaluation became one function
+/// (`phloem_benchsuite::candidate_outcome`): the same candidates, bucket
+/// sizes and speedups, to the printed digit, is what "same search" means.
+#[test]
+fn fig13s_bfs_block_renders_as_committed_at_tiny_scale() {
+    std::env::set_var("SCALE", "tiny");
+    let committed = include_str!("../../../results/tiny/fig13.txt");
+    let bfs_block = |text: &str| {
+        let from_bfs = text.lines().skip_while(|l| *l != "BFS:");
+        let block = from_bfs.take_while(|l| *l != "CC:" && !l.is_empty());
+        block.map(String::from).collect::<Vec<_>>()
+    };
+    let want = bfs_block(committed);
+    assert_eq!(want.len(), 6, "BFS block of results/tiny/fig13.txt");
+    assert_eq!(bfs_block(&render(&fig13(&["BFS"]))), want);
 }
 
 /// Fig. 6's shape as the paper states it, over the same rows (their

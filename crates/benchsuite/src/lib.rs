@@ -30,4 +30,4 @@ pub mod runner;
 pub mod spmm;
 pub mod taco;
 
-pub use runner::{gmean, run_guarded, with_backend, Measurement, Variant};
+pub use runner::{candidate_outcome, gmean, run_guarded, with_backend, Measurement, Variant};

@@ -1,12 +1,12 @@
 //! Shared benchmark-runner infrastructure: variants, measurements, and
 //! helpers used by every application module and the figure harnesses.
 
+use phloem_compiler::search::{CandidateProfile, ProfileOutcome};
 use phloem_compiler::{
     compile_static, decouple_with_cuts, CompileError, CompileOptions, PassConfig,
 };
 use phloem_ir::{ArrayId, Function, MemState, Pipeline, StageProgram, Trap, Value};
-use pipette_sim::{MachineConfig, RunStats, Session, TraceSink};
-use serde::{Deserialize, Serialize};
+use pipette_sim::{MachineConfig, RunStats, Session, ThreadStats, TraceSink};
 
 /// Which program variant to run (the four bars of Fig. 9).
 #[derive(Clone, Debug, PartialEq)]
@@ -66,7 +66,7 @@ impl Variant {
 }
 
 /// One measured run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Measurement {
     /// Variant label.
     pub variant: String,
@@ -311,6 +311,85 @@ pub fn run_guarded(
     }
 }
 
+/// What a PGO candidate's training runs mean: the one evaluation every
+/// search uses (`phloem_bench::pgo_search` behind Figs. 9 and 13,
+/// `phloemd`'s `search` op). `runs` yields one result per training
+/// input, in order, and is consumed lazily: the first trap ends the
+/// evaluation, so a failed candidate never pays for its remaining
+/// inputs. A watchdog expiry (`CycleLimit`, `Livelock`) is `TimedOut`,
+/// which the search retries once at a larger budget; any other trap is
+/// `Trapped` with its message. Otherwise the outcome is the gmean of the
+/// runs' cycles, and the candidate's stall profile is read from the
+/// first run's own statistics: no run is repeated to learn it.
+pub fn candidate_outcome(
+    runs: impl IntoIterator<Item = Result<Measurement, Trap>>,
+) -> (ProfileOutcome, Option<CandidateProfile>) {
+    let mut cycles = Vec::new();
+    let mut profile = None;
+    for run in runs {
+        match run {
+            Ok(m) => {
+                profile.get_or_insert_with(|| profile_from_stats(&m.stats));
+                cycles.push(m.cycles as f64);
+            }
+            Err(Trap::CycleLimit { .. } | Trap::Livelock { .. }) => {
+                return (ProfileOutcome::TimedOut, None)
+            }
+            Err(trap) => return (ProfileOutcome::Trapped(trap.to_string()), None),
+        }
+    }
+    // One run is its own mean: `exp(ln c)` need not round-trip, and a
+    // `search` answer prints `train_cycles` in full.
+    let mean = match cycles[..] {
+        [only] => only,
+        _ => gmean(cycles),
+    };
+    (ProfileOutcome::Ok(mean), profile)
+}
+
+/// Builds a cycle-attribution profile from one run's statistics, to
+/// [`CandidateProfile`]'s contract: the critical stage is the compute
+/// stage bounding the makespan, utilization is the non-stalled share of
+/// each stage's active window, and the dominant stall is the largest
+/// stall class summed across all stages — `"none"` when nothing stalled.
+fn profile_from_stats(stats: &RunStats) -> CandidateProfile {
+    let critical = stats.critical_stage();
+    let stage_utilization = stats
+        .threads
+        .iter()
+        .map(|t| {
+            let stalls = t.queue_stall_cycles + t.backend_stall_cycles + t.frontend_stall_cycles;
+            let util = if t.finish_time == 0 {
+                0.0
+            } else {
+                1.0 - (stalls.min(t.finish_time) as f64 / t.finish_time as f64)
+            };
+            (t.name.clone(), util)
+        })
+        .collect();
+    let total = |class: fn(&ThreadStats) -> u64| stats.threads.iter().map(class).sum::<u64>();
+    let classes = [
+        ("queue-full", total(|t| t.queue_full_stall_cycles)),
+        ("queue-empty", total(|t| t.queue_empty_stall_cycles)),
+        ("backend", total(|t| t.backend_stall_cycles)),
+        ("frontend", total(|t| t.frontend_stall_cycles)),
+    ];
+    // max_by_key keeps the *last* maximum; iterate in fixed order and
+    // prefer the first on ties for a stable label.
+    let dominant_stall = classes
+        .iter()
+        .rev()
+        .max_by_key(|(_, c)| *c)
+        .filter(|(_, c)| *c > 0)
+        .map_or("none", |(n, _)| n)
+        .to_string();
+    CandidateProfile {
+        critical_stage: critical.map(|t| t.name.clone()).unwrap_or_default(),
+        stage_utilization,
+        dominant_stall,
+    }
+}
+
 /// The message of a caught panic payload.
 pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     payload
@@ -358,6 +437,101 @@ mod tests {
     fn gmean_basics() {
         assert!((gmean([2.0, 8.0]) - 4.0).abs() < 1e-9);
         assert_eq!(gmean(Vec::<f64>::new()), 1.0);
+    }
+
+    #[test]
+    fn profile_from_stats_picks_critical_and_dominant() {
+        let stats = RunStats {
+            threads: vec![
+                ThreadStats {
+                    name: "s0".into(),
+                    finish_time: 100,
+                    queue_full_stall_cycles: 30,
+                    queue_stall_cycles: 30,
+                    ..Default::default()
+                },
+                ThreadStats {
+                    name: "s1".into(),
+                    finish_time: 200,
+                    backend_stall_cycles: 10,
+                    ..Default::default()
+                },
+                // An RA helper drains last; it is never the critical
+                // stage, and its stalls still count toward the class.
+                ThreadStats {
+                    name: "ra".into(),
+                    is_ra: true,
+                    finish_time: 210,
+                    backend_stall_cycles: 25,
+                    ..Default::default()
+                },
+            ],
+            ..Default::default()
+        };
+        let p = profile_from_stats(&stats);
+        assert_eq!(p.critical_stage, "s1");
+        assert_eq!(p.dominant_stall, "backend");
+        assert!((p.stage_utilization[0].1 - 0.7).abs() < 1e-12);
+        assert!((p.stage_utilization[1].1 - 0.95).abs() < 1e-12);
+
+        let idle = RunStats {
+            threads: vec![ThreadStats {
+                name: "s0".into(),
+                finish_time: 10,
+                ..Default::default()
+            }],
+            ..Default::default()
+        };
+        assert_eq!(profile_from_stats(&idle).dominant_stall, "none");
+    }
+
+    /// The one trap -> outcome rule, and what a candidate's runs add up
+    /// to: gmean cycles, the *first* run's profile, nothing after a trap.
+    #[test]
+    fn a_candidates_outcome_is_its_training_runs() {
+        let ran = |cycles: u64, stage: &str| {
+            let stats = RunStats {
+                threads: vec![ThreadStats {
+                    name: stage.into(),
+                    finish_time: cycles,
+                    ..Default::default()
+                }],
+                ..Default::default()
+            };
+            Ok(Measurement {
+                variant: "v".into(),
+                input: "i".into(),
+                cycles,
+                stats,
+            })
+        };
+        let (outcome, profile) = candidate_outcome([ran(200, "first"), ran(800, "second")]);
+        assert_eq!(outcome, ProfileOutcome::Ok(gmean([200.0, 800.0])));
+        assert_eq!(profile.unwrap().critical_stage, "first");
+        // A single run's cycles come back exactly, not through exp(ln).
+        assert_eq!(
+            candidate_outcome([ran(12_345_677, "s")]).0.cycles(),
+            Some(12_345_677.0)
+        );
+
+        let expired = |trap| {
+            let mut later = 0;
+            let runs = [ran(100, "s"), Err(trap), ran(100, "s")];
+            let out = candidate_outcome(runs.into_iter().inspect(|_| later += 1));
+            assert_eq!(later, 2, "a run after the trap was evaluated");
+            out
+        };
+        let cap = Trap::CycleLimit {
+            cycle: 9,
+            detail: "cap 8".into(),
+        };
+        assert_eq!(expired(cap), (ProfileOutcome::TimedOut, None));
+        let (outcome, profile) = expired(Trap::DivByZero);
+        assert_eq!(
+            outcome,
+            ProfileOutcome::Trapped(Trap::DivByZero.to_string())
+        );
+        assert!(profile.is_none());
     }
 
     #[test]

@@ -18,12 +18,11 @@ use crate::lexer::{lex, Tok, Token};
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, LoadId, Ty, UnOp, VarId,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Pragma annotations attached to a function (Table II).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Pragmas {
     /// `#pragma phloem`: mark for automatic pipeline parallelization.
     pub phloem: bool,

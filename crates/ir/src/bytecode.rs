@@ -47,7 +47,6 @@ use crate::expr::{ArrayId, BranchId, Expr, QueueId, VarId};
 use crate::func::Function;
 use crate::stmt::{CtrlHandler, HandlerEnd, Stmt};
 use crate::value::{BinOp, Trap, UnOp, Value};
-use serde::{Deserialize, Serialize};
 
 /// Names the two stage-program interpreters, for harnesses that time
 /// or diff one against the other. Nothing selects an engine at run
@@ -57,7 +56,7 @@ use serde::{Deserialize, Serialize};
 /// make the same [`crate::World`] calls in the same order
 /// (`tests/flat_differential.rs` pins it), so they differ only in host
 /// throughput.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecEngine {
     /// Bytecode compilation + program-counter execution
     /// ([`crate::flat::FlatInterp`]); the engine of the simulator and

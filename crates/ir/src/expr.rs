@@ -5,31 +5,30 @@
 //! individual loads when choosing decoupling points (Sec. V of the paper).
 
 use crate::value::{BinOp, UnOp, Value};
-use serde::{Deserialize, Serialize};
 
 /// A scalar variable (virtual register) within one function/stage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub u32);
 
 /// A memory array (a `restrict`-qualified pointer in the source program).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArrayId(pub u32);
 
 /// A hardware queue number (Pipette supports 16 per core cluster).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueueId(pub u16);
 
 /// Unique identifier of a static load site.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LoadId(pub u32);
 
 /// Unique identifier of a static branch site (used by the branch predictor
 /// model and for diagnostics).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BranchId(pub u32);
 
 /// An expression tree.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Expr {
     /// A compile-time constant.
     Const(Value),

@@ -3,11 +3,10 @@
 use crate::expr::{ArrayId, BranchId, Expr, LoadId, QueueId, VarId};
 use crate::stmt::Stmt;
 use crate::value::Ty;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Declaration of a scalar variable.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VarDecl {
     /// Human-readable name (for diagnostics and pretty-printing).
     pub name: String,
@@ -20,7 +19,7 @@ pub struct VarDecl {
 /// Arrays model the `restrict`-qualified pointers of the paper's C
 /// interface: distinct arrays never alias. The element size in bytes
 /// affects cache behaviour (32-bit graph ids pack 16 per line).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ArrayDecl {
     /// Human-readable name.
     pub name: String,
@@ -63,7 +62,7 @@ impl ArrayDecl {
 ///
 /// A `Function` is also the program of one pipeline *stage* after
 /// compilation; stages of one pipeline share the same array id space.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Function {
     /// Function/stage name.
     pub name: String,

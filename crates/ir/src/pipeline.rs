@@ -6,10 +6,9 @@ use crate::expr::{ArrayId, QueueId};
 use crate::func::{ArrayDecl, Function};
 use crate::stmt::{CtrlHandler, HandlerEnd, Stmt};
 use crate::value::Trap;
-use serde::{Deserialize, Serialize};
 
 /// One stage's code: a function plus registered control-value handlers.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StageProgram {
     /// The stage's function body.
     pub func: Function,
@@ -28,7 +27,7 @@ impl StageProgram {
 }
 
 /// Access mode of a reference accelerator (Table I of the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RaMode {
     /// Each input word is an index into the base array.
     Indirect,
@@ -38,7 +37,7 @@ pub enum RaMode {
 }
 
 /// Configuration of one reference accelerator.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RaConfig {
     /// Display name.
     pub name: String,
@@ -58,7 +57,7 @@ pub struct RaConfig {
 }
 
 /// What kind of execution resource a stage occupies.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum StageKind {
     /// An SMT thread of an OOO core.
     Compute,
@@ -67,7 +66,7 @@ pub enum StageKind {
 }
 
 /// A placed stage.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Stage {
     /// Code.
     pub program: StageProgram,
@@ -78,7 +77,7 @@ pub struct Stage {
 }
 
 /// A complete pipeline.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct Pipeline {
     /// Display name.
     pub name: String,

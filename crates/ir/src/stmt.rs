@@ -7,10 +7,9 @@
 
 use crate::expr::{ArrayId, BranchId, Expr, QueueId, VarId};
 use crate::value::BinOp;
-use serde::{Deserialize, Serialize};
 
 /// A statement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Stmt {
     /// `var = expr`.
     Assign {
@@ -194,7 +193,7 @@ impl Stmt {
 }
 
 /// What a control-value handler does after its body runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HandlerEnd {
     /// Break out of `n` loops enclosing the interrupted `deq`.
     BreakLoops(u32),
@@ -221,7 +220,7 @@ pub enum HandlerEnd {
 /// `body` (statements without `break`), then applies `end`. A handler with
 /// an exact `ctrl` tag takes precedence over a wildcard (`ctrl: None`)
 /// handler on the same queue.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CtrlHandler {
     /// Queue whose dequeues are intercepted.
     pub queue: QueueId,

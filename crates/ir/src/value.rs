@@ -6,11 +6,10 @@
 //! small tag. Arithmetic on control values is a trap, matching the paper's
 //! statement that CVs "cannot be interpreted as data".
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Scalar type of a variable or array element.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// 64-bit signed integer (also used for booleans and indices).
     I64,
@@ -38,7 +37,7 @@ impl fmt::Display for Ty {
 }
 
 /// A 64-bit machine word: integer or float data, or an in-band control value.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Value {
     /// Integer data.
     I64(i64),
@@ -123,7 +122,7 @@ impl fmt::Display for Value {
 }
 
 /// Binary operators of the IR.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // operator names are self-describing
 pub enum BinOp {
     Add,
@@ -197,7 +196,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Unary operators of the IR.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,

@@ -9,7 +9,6 @@
 use crate::expr::{ArrayId, BranchId, QueueId};
 use crate::mem::MemState;
 use crate::value::{eval_binop, BinOp, Trap, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Simulated time in core cycles.
@@ -20,7 +19,7 @@ pub type Time = u64;
 pub struct Tid(pub u32);
 
 /// Micro-op classes, used by timing and energy models.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UopClass {
     /// Integer ALU op (add, compare, logic).
     IntAlu,
@@ -168,7 +167,7 @@ pub trait World {
 }
 
 /// Dynamic-operation counters gathered by [`FunctionalWorld`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Compute micro-ops.
     pub uops: u64,

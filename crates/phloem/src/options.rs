@@ -2,12 +2,11 @@
 //! compile-time errors.
 
 use phloem_ir::LoadId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which of Phloem's six passes run (Sec. IV-B). Pass 1 (add queues) is
 /// the decoupling itself and always runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PassConfig {
     /// Pass 2: rematerialize cheap values instead of queueing them.
     pub recompute: bool,
@@ -34,7 +33,6 @@ pub struct PassConfig {
     /// (emit, RA extraction, replication) instead of only on the final
     /// pipeline, so a miscompile bisects to the pass that introduced it
     /// (the returned error names that pass).
-    #[serde(default)]
     pub validate_between_passes: bool,
 }
 

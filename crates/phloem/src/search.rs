@@ -23,13 +23,13 @@
 //! profile run is caught *by the pool* and recorded as
 //! [`ProfileOutcome::Trapped`], and a candidate that times out gets
 //! exactly one retry at [`SearchOptions::retry_cap_factor`] times the
-//! budget. [`search`] itself never panics: it returns [`SearchError`]
-//! when nothing enumerates or nothing profiles successfully.
+//! budget. [`search_profiled`] itself never panics: it returns
+//! [`SearchError`] when nothing enumerates or nothing profiles
+//! successfully.
 
 use crate::{analyze, decouple_with_cuts, CompileOptions};
 use phloem_ir::{Function, LoadId, Pipeline};
 use phloem_pool::Pool;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Options for the profile-guided search.
@@ -74,7 +74,7 @@ pub struct ProfileBudget {
 }
 
 /// Outcome of profiling one candidate pipeline.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ProfileOutcome {
     /// Profiled successfully: gmean training cycles (lower is better).
     Ok(f64),
@@ -95,11 +95,12 @@ impl ProfileOutcome {
     }
 }
 
-/// Where a candidate's cycles went during profiling, as reported by a
-/// tracing profile closure (see [`search_profiled`]). Plain data so the
-/// search layer stays simulator-agnostic: the benchmark drivers build it
-/// from `pipette_sim`'s metrics aggregator.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// Where a candidate's cycles went during profiling, as reported by
+/// the profile closure (see [`search_profiled`]). Plain data so the
+/// search layer stays simulator-agnostic: every driver builds it with
+/// `phloem_benchsuite::candidate_outcome`, from the statistics of the
+/// candidate's first training run.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CandidateProfile {
     /// Name of the compute stage whose finish time bounds the makespan
     /// (the stage a tuner should attack first).
@@ -113,7 +114,7 @@ pub struct CandidateProfile {
 }
 
 /// One profiled candidate.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Candidate {
     /// The cut loads defining the pipeline.
     pub cuts: Vec<LoadId>,
@@ -124,9 +125,7 @@ pub struct Candidate {
     pub compute_stages: usize,
     /// How profiling ended for this candidate.
     pub outcome: ProfileOutcome,
-    /// Cycle-attribution report, when the profile closure produced one
-    /// (only [`search_profiled`] closures can; plain [`search`] leaves
-    /// it `None`).
+    /// Cycle-attribution report, when the profile closure produced one.
     pub profile: Option<CandidateProfile>,
 }
 
@@ -203,30 +202,17 @@ pub fn enumerate_pipelines(func: &Function, opts: &SearchOptions) -> Vec<(Vec<Lo
 
 /// Runs the profile-guided search. `profile` runs one candidate
 /// (identified by its cuts and compiled pipeline) on the training inputs
-/// under the given budget and reports how it went; candidates that time
-/// out at the base budget get one retry at an enlarged budget.
+/// under the given budget and reports how it went, with a per-candidate
+/// [`CandidateProfile`] when it has one; candidates that time out at the
+/// base budget get one retry at an enlarged budget. The report's
+/// candidates carry the profiles, so callers can explain *why* the
+/// winner won — which stage is critical and what the losers stalled on.
 ///
 /// # Errors
 /// [`SearchError::NoPipelines`] when nothing enumerates;
 /// [`SearchError::NoViableCandidate`] when every candidate traps or
 /// times out (the report-shaped outcomes are preserved inside the
 /// error). This function never panics on profiling failures.
-pub fn search(
-    func: &Function,
-    opts: &SearchOptions,
-    profile: impl Fn(&[LoadId], &Pipeline, &ProfileBudget) -> ProfileOutcome + Sync,
-) -> Result<SearchReport, SearchError> {
-    search_profiled(func, opts, |cuts, p, b| (profile(cuts, p, b), None))
-}
-
-/// Like [`search`], with a profile closure that also returns a
-/// per-candidate [`CandidateProfile`] (typically built from a tracing
-/// metrics aggregator run on one training input). The report's
-/// candidates carry the profiles, so callers can explain *why* the
-/// winner won — which stage is critical and what the losers stalled on.
-///
-/// # Errors
-/// See [`search`].
 pub fn search_profiled(
     func: &Function,
     opts: &SearchOptions,
@@ -330,17 +316,20 @@ mod tests {
         b.build()
     }
 
+    type Profiled = (ProfileOutcome, Option<CandidateProfile>);
+
     /// Functional op-count profile (a stand-in for cycles).
-    fn op_count_profile(_cuts: &[LoadId], p: &Pipeline, _b: &ProfileBudget) -> ProfileOutcome {
+    fn op_count_profile(_cuts: &[LoadId], p: &Pipeline, _b: &ProfileBudget) -> Profiled {
         let mut mem = MemState::new();
         mem.alloc_i64(ArrayDecl::i32("a"), (0..64).map(|i| (i * 7) % 64));
         mem.alloc_i64(ArrayDecl::i32("b"), 0..64);
         mem.alloc(ArrayDecl::i64("out"), 1);
         mem.alloc_i64(ArrayDecl::i32("len"), [64]);
-        match interp::run_pipeline(p, mem, &[], 24) {
+        let outcome = match interp::run_pipeline(p, mem, &[], 24) {
             Ok(run) => ProfileOutcome::Ok(run.total().total() as f64),
             Err(t) => ProfileOutcome::Trapped(t.to_string()),
-        }
+        };
+        (outcome, None)
     }
 
     #[test]
@@ -357,7 +346,7 @@ mod tests {
     #[test]
     fn search_picks_the_fastest_profile() {
         let f = kernel();
-        let report = search(&f, &SearchOptions::default(), op_count_profile).unwrap();
+        let report = search_profiled(&f, &SearchOptions::default(), op_count_profile).unwrap();
         assert!(report.candidates.len() >= 3);
         assert!(report.candidates[report.best].train_cycles().is_some());
         // The chosen pipeline must actually be one of the candidates.
@@ -371,8 +360,8 @@ mod tests {
             workers: 1,
             ..SearchOptions::default()
         };
-        let serial = search(&f, &serial_opts, op_count_profile).unwrap();
-        let parallel = search(&f, &SearchOptions::default(), op_count_profile).unwrap();
+        let serial = search_profiled(&f, &serial_opts, op_count_profile).unwrap();
+        let parallel = search_profiled(&f, &SearchOptions::default(), op_count_profile).unwrap();
         assert_eq!(serial.best, parallel.best);
         let serial_cycles: Vec<Option<f64>> =
             serial.candidates.iter().map(|c| c.train_cycles()).collect();
@@ -390,12 +379,12 @@ mod tests {
         // Every odd-numbered call path fails differently: panic for
         // 1-cut candidates, trap for 2-cut ones. The search must still
         // return Ok with the survivors recorded.
-        let report = search(&f, &SearchOptions::default(), |cuts, p, b| {
+        let report = search_profiled(&f, &SearchOptions::default(), |cuts, p, b| {
             if cuts.len() == 1 {
                 panic!("injected profiling panic");
             }
             if cuts.len() == 2 {
-                return ProfileOutcome::Trapped(Trap::DivByZero.to_string());
+                return (ProfileOutcome::Trapped(Trap::DivByZero.to_string()), None);
             }
             op_count_profile(cuts, p, b)
         });
@@ -418,8 +407,8 @@ mod tests {
     #[test]
     fn all_failures_yield_a_structured_error() {
         let f = kernel();
-        let err = search(&f, &SearchOptions::default(), |_, _, _| {
-            ProfileOutcome::TimedOut
+        let err = search_profiled(&f, &SearchOptions::default(), |_, _, _| {
+            (ProfileOutcome::TimedOut, None)
         })
         .unwrap_err();
         match err {
@@ -444,11 +433,11 @@ mod tests {
             ..SearchOptions::default()
         };
         let max_cap_seen = AtomicU64::new(0);
-        let report = search(&f, &opts, |cuts, p, b| {
+        let report = search_profiled(&f, &opts, |cuts, p, b| {
             max_cap_seen.fetch_max(b.cycle_cap, Ordering::Relaxed);
             if b.cycle_cap <= 1000 {
                 // Pretend every candidate is too slow at the base budget.
-                return ProfileOutcome::TimedOut;
+                return (ProfileOutcome::TimedOut, None);
             }
             op_count_profile(cuts, p, b)
         })

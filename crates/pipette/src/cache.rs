@@ -8,13 +8,12 @@
 
 use crate::config::MachineConfig;
 use phloem_ir::Time;
-use serde::{Deserialize, Serialize};
 
 const LINE_BYTES: u64 = 64;
 const LINE_SHIFT: u64 = 6;
 
 /// Which level serviced an access.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HitLevel {
     /// L1 data cache.
     L1,
@@ -27,7 +26,7 @@ pub enum HitLevel {
 }
 
 /// Access counters for the hierarchy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that hit in L1.
     pub l1_hits: u64,

@@ -2,10 +2,9 @@
 
 use crate::watchdog::WatchdogConfig;
 use phloem_ir::UopClass;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one cache level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheParams {
     /// Capacity in KiB.
     pub kb: usize,
@@ -20,7 +19,7 @@ pub struct CacheParams {
 /// [`MachineConfig::paper_1core`] reproduces the single-core evaluation
 /// configuration of Table III; [`MachineConfig::paper_multicore`] the
 /// 4-core replication experiments (Fig. 14).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MachineConfig {
     /// Number of cores.
     pub cores: usize,
@@ -75,7 +74,6 @@ pub struct MachineConfig {
     /// Forward-progress watchdog limits (livelock window on, cycle cap
     /// off by default). Never fires on a healthy run; when it does fire
     /// it raises a structured trap instead of hanging the host.
-    #[serde(default)]
     pub watchdog: WatchdogConfig,
 }
 

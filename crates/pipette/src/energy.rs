@@ -6,10 +6,8 @@
 //! program variants, which depends on event mixes and runtime — both of
 //! which this model captures.
 
-use serde::{Deserialize, Serialize};
-
 /// Energy constants in picojoules.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyModel {
     /// Per issued micro-op (rename/schedule/execute/retire).
     pub uop_pj: f64,
@@ -51,7 +49,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy totals in picojoules, by component.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Core dynamic energy (uops, branches, queue ops, RA ops).
     pub core_dynamic_pj: f64,

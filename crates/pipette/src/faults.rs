@@ -26,10 +26,9 @@
 //! that never turn a successful op into a blocked one.
 
 use phloem_ir::Time;
-use serde::{Deserialize, Serialize};
 
 /// One injected fault (see the module docs for determinism rules).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// Clamp a queue's effective capacity to `cap` entries while its
     /// successful-enqueue ordinal lies in `[from_enq, until_enq)`.
@@ -90,7 +89,7 @@ pub enum Fault {
 /// [`crate::Session`] (ordinal and cycle windows are relative to each
 /// invocation's own counters and launch base, so plans compose with
 /// multi-invocation hosts).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The injected faults; effects of overlapping faults stack
     /// (capacities take the minimum, latencies add).

@@ -10,11 +10,10 @@
 //! `QueueStats` sample, the aggregates reconcile *exactly* with
 //! [`crate::RunStats`]; `tests/trace_oracle.rs` pins that equality.
 //!
-//! `fig9.rs` builds its stall-attribution report from this aggregator,
-//! and the PGO search surfaces a per-candidate profile derived from it
-//! (see `phloem::search::CandidateProfile`).
+//! The `trace` bin prints [`MetricsSink::report`]. The figures and the
+//! PGO search's per-candidate profile read [`crate::RunStats`] instead,
+//! which every run already returns, so neither needs a traced re-run.
 
-use crate::stats::CycleBreakdown;
 use crate::trace::{StallKind, TraceEvent, TraceMeta, TraceSink};
 use phloem_ir::Time;
 use std::fmt::Write as _;
@@ -207,20 +206,6 @@ impl MetricsSink {
             .filter(|(_, s)| !s.is_ra)
             .max_by_key(|(_, s)| s.finish_time)
             .map(|(i, _)| i)
-    }
-
-    /// Fig. 9-style stall breakdown summed over compute stages: `issue`
-    /// holds the un-stalled (busy) cycles, the stall categories mirror
-    /// [`CycleBreakdown`] (`other` = frontend).
-    pub fn stall_breakdown(&self) -> CycleBreakdown {
-        let mut b = CycleBreakdown::default();
-        for s in self.stages.iter().filter(|s| !s.is_ra) {
-            b.issue += s.active_cycles.saturating_sub(s.stall_cycles()) as f64;
-            b.backend += s.backend_stall_cycles as f64;
-            b.queue += (s.queue_full_stall_cycles + s.queue_empty_stall_cycles) as f64;
-            b.other += s.frontend_stall_cycles as f64;
-        }
-        b
     }
 
     /// Human-readable profile: per-stage utilization and stall split,
@@ -501,9 +486,6 @@ mod tests {
         // Integral: 0 until 110, 1 entry for [110, 140), 0 after.
         assert_eq!(m.queues[0].occupancy_cycles, 30);
         assert_eq!(m.critical_stage(), Some(0));
-        let b = m.stall_breakdown();
-        assert_eq!(b.backend, 20.0);
-        assert_eq!(b.issue, 80.0);
         let report = m.report();
         assert!(report.contains("critical stage: `gen`"));
         assert!(report.contains("dominant stall: backend"));

@@ -32,7 +32,7 @@ use crate::queue::QueueEvent;
 use crate::timing::{AdvanceEvent, TimingWorld, WAIT_EMPTY, WAIT_FULL};
 use crate::trace::{TraceEvent, TraceVerdict, EV_FAULT, EV_SCHED, EV_WATCHDOG};
 use crate::watchdog::{self, ThreadCond};
-use phloem_ir::{BlockReason, Pipeline, QueueId, StageExec, StageProgram, StepResult, Stmt, Trap};
+use phloem_ir::{BlockReason, FlatInterp, Pipeline, QueueId, StageProgram, StepResult, Stmt, Trap};
 use std::collections::BTreeSet;
 
 /// Maximum atoms a thread executes before yielding to the next one
@@ -48,15 +48,12 @@ enum ThreadState {
 
 /// Runs all stage interpreters to completion of the compute stages.
 ///
-/// Generic over [`StageExec`]: the scheduler only needs stepping,
-/// finish state, and a name.
-///
 /// # Errors
 /// Propagates traps; reports deadlock (with the wait cycle) when a full
 /// round makes no progress while compute stages remain.
-pub(crate) fn run<E: StageExec>(
+pub(crate) fn run(
     world: &mut TimingWorld<'_>,
-    interps: &mut [E],
+    interps: &mut [FlatInterp<'_>],
     is_compute: &[bool],
     pipeline: &Pipeline,
 ) -> Result<(), Trap> {
@@ -312,9 +309,9 @@ fn queue_dirs(program: &StageProgram) -> (BTreeSet<QueueId>, BTreeSet<QueueId>) 
 /// Builds the deadlock trap: the wait cycle (stage -> blocked-on queue
 /// -> stage owning the other end) when one exists, plus the shared
 /// diagnostics snapshot (same format as the livelock/cycle-cap traps).
-fn deadlock_trap<E: StageExec>(
+fn deadlock_trap(
     world: &TimingWorld<'_>,
-    interps: &[E],
+    interps: &[FlatInterp<'_>],
     state: &[ThreadState],
     killed: &[bool],
     pipeline: &Pipeline,

@@ -4,10 +4,9 @@
 use crate::cache::CacheStats;
 use crate::energy::EnergyBreakdown;
 use phloem_ir::Time;
-use serde::{Deserialize, Serialize};
 
 /// Counters for one hardware thread (stage or RA).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ThreadStats {
     /// Stage name.
     pub name: String,
@@ -56,7 +55,7 @@ impl ThreadStats {
 }
 
 /// Occupancy and traffic counters for one hardware queue.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueueStats {
     /// Configured depth.
     pub capacity: usize,
@@ -122,7 +121,7 @@ impl QueueStats {
 
 /// The Fig. 10 cycle-breakdown categories, in core-cycle units summed
 /// over compute threads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CycleBreakdown {
     /// Cycles spent issuing micro-ops (uops / issue width).
     pub issue: f64,
@@ -142,7 +141,7 @@ impl CycleBreakdown {
 }
 
 /// Statistics from one run (or an accumulated session).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunStats {
     /// End-to-end cycles (makespan, including launch overheads).
     pub cycles: Time,
@@ -164,6 +163,14 @@ impl RunStats {
     /// Total instructions including RA operations.
     pub fn total_ops(&self) -> u64 {
         self.threads.iter().map(ThreadStats::ops).sum()
+    }
+
+    /// The critical stage: the latest-finishing compute stage, the one
+    /// the makespan hinges on (RA helpers drain after it and never
+    /// count). `None` for a run with no compute stage.
+    pub fn critical_stage(&self) -> Option<&ThreadStats> {
+        let compute = self.threads.iter().filter(|t| !t.is_ra);
+        compute.max_by_key(|t| t.finish_time)
     }
 
     /// Builds the Fig. 10 breakdown from per-thread counters.

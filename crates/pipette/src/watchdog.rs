@@ -29,14 +29,13 @@
 //! all stall-shaped traps share one format.
 
 use crate::timing::TimingWorld;
-use phloem_ir::{BlockReason, StageExec, Trap};
-use serde::{Deserialize, Serialize};
+use phloem_ir::{BlockReason, FlatInterp, Trap};
 
 /// Forward-progress watchdog limits (see the module docs). Part of
 /// [`crate::MachineConfig`]; the defaults are safe for every workload in
 /// the repo (the slowest golden pipeline finishes in ~115 k cycles,
 /// three orders of magnitude under the default window).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// Absolute simulated-cycle cap for the session; `u64::MAX`
     /// disables it (the default).
@@ -122,9 +121,9 @@ pub(crate) fn qdesc(world: &TimingWorld<'_>, q: phloem_ir::QueueId) -> String {
 /// Renders the shared diagnostics snapshot: per-thread state, atoms
 /// executed, cycles since that thread's last progress event, and every
 /// queue's occupancy. All quantities are simulated state.
-pub(crate) fn render_snapshot<E: StageExec>(
+pub(crate) fn render_snapshot(
     world: &TimingWorld<'_>,
-    interps: &[E],
+    interps: &[FlatInterp<'_>],
     conds: &[ThreadCond],
 ) -> String {
     let frontier = world.frontier();
@@ -167,10 +166,10 @@ pub(crate) fn render_snapshot<E: StageExec>(
 }
 
 /// Builds the trap for a fired watchdog verdict.
-pub(crate) fn fire<E: StageExec>(
+pub(crate) fn fire(
     v: Verdict,
     world: &TimingWorld<'_>,
-    interps: &[E],
+    interps: &[FlatInterp<'_>],
     conds: &[ThreadCond],
     pipeline_name: &str,
 ) -> Trap {
@@ -195,9 +194,9 @@ pub(crate) fn fire<E: StageExec>(
 /// Builds the trap for a run that ended with fault-killed threads: a
 /// kill can never produce a silent success, even if every surviving
 /// compute stage drained cleanly.
-pub(crate) fn killed_trap<E: StageExec>(
+pub(crate) fn killed_trap(
     world: &TimingWorld<'_>,
-    interps: &[E],
+    interps: &[FlatInterp<'_>],
     conds: &[ThreadCond],
     pipeline_name: &str,
 ) -> Trap {

@@ -11,12 +11,12 @@ use super::Service;
 use crate::batch::{run_one, run_one_traced, SimRequest};
 use crate::key;
 use crate::proto::Json;
-use phloem_benchsuite::{Measurement, Variant};
+use phloem_benchsuite::{candidate_outcome, Measurement, Variant};
 use phloem_compiler::compile_static;
 use phloem_compiler::search::{search_profiled, CandidateProfile, ProfileOutcome, SearchError};
 use phloem_ir::{StageKind, Trap};
 use phloem_pool::CancelToken;
-use pipette_sim::{CompiledPipeline, ExecBackend, NativeConfig, RunStats, ThreadStats};
+use pipette_sim::{CompiledPipeline, ExecBackend, NativeConfig};
 use std::sync::Arc;
 
 /// Response payload fields, in render order.
@@ -124,16 +124,7 @@ impl Service {
                 input: s.input.clone(),
                 cycle_cap: Some(budget.cycle_cap),
             };
-            match run_one(&self.inputs, &self.cfg.machine, &sim) {
-                Ok(m) => {
-                    let profile = profile_from_stats(&m.stats);
-                    (ProfileOutcome::Ok(m.cycles as f64), Some(profile))
-                }
-                Err(Trap::CycleLimit { .. }) | Err(Trap::Livelock { .. }) => {
-                    (ProfileOutcome::TimedOut, None)
-                }
-                Err(t) => (ProfileOutcome::Trapped(t.to_string()), None),
-            }
+            candidate_outcome([run_one(&self.inputs, &self.cfg.machine, &sim)])
         })
         .map_err(|e| match e {
             SearchError::NoPipelines => ErrResp {
@@ -213,58 +204,6 @@ fn measurement_payload(m: &Measurement) -> Payload {
     ]
 }
 
-/// Builds a cycle-attribution profile from one run's statistics, to
-/// [`CandidateProfile`]'s contract: the critical stage is the compute
-/// stage bounding the makespan (RA helpers drain after it and never
-/// count), utilization is the non-stalled share of each stage's active
-/// window, and the dominant stall is the largest stall class summed
-/// across all stages — `"none"` when nothing stalled.
-/// `phloem_bench::candidate_profile` derives the same from a
-/// `MetricsSink`; a test there holds the two equal.
-fn profile_from_stats(stats: &RunStats) -> CandidateProfile {
-    let critical_stage = stats
-        .threads
-        .iter()
-        .filter(|t| !t.is_ra)
-        .max_by_key(|t| t.finish_time)
-        .map(|t| t.name.clone())
-        .unwrap_or_default();
-    let stage_utilization = stats
-        .threads
-        .iter()
-        .map(|t| {
-            let stalls = t.queue_stall_cycles + t.backend_stall_cycles + t.frontend_stall_cycles;
-            let util = if t.finish_time == 0 {
-                0.0
-            } else {
-                1.0 - (stalls.min(t.finish_time) as f64 / t.finish_time as f64)
-            };
-            (t.name.clone(), util)
-        })
-        .collect();
-    let total = |class: fn(&ThreadStats) -> u64| stats.threads.iter().map(class).sum::<u64>();
-    let classes = [
-        ("queue-full", total(|t| t.queue_full_stall_cycles)),
-        ("queue-empty", total(|t| t.queue_empty_stall_cycles)),
-        ("backend", total(|t| t.backend_stall_cycles)),
-        ("frontend", total(|t| t.frontend_stall_cycles)),
-    ];
-    // max_by_key keeps the *last* maximum; iterate in fixed order and
-    // prefer the first on ties for a stable label.
-    let dominant_stall = classes
-        .iter()
-        .rev()
-        .max_by_key(|(_, c)| *c)
-        .filter(|(_, c)| *c > 0)
-        .map_or("none", |(n, _)| n)
-        .to_string();
-    CandidateProfile {
-        critical_stage,
-        stage_utilization,
-        dominant_stall,
-    }
-}
-
 fn profile_json(p: &CandidateProfile) -> Json {
     let utilization = p.stage_utilization.iter().map(|(name, u)| {
         Json::Arr(vec![
@@ -277,55 +216,4 @@ fn profile_json(p: &CandidateProfile) -> Json {
         ("dominant_stall", Json::str(p.dominant_stall.clone())),
         ("stage_utilization", Json::Arr(utilization.collect())),
     ])
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn profile_from_stats_picks_critical_and_dominant() {
-        let stats = RunStats {
-            threads: vec![
-                ThreadStats {
-                    name: "s0".into(),
-                    finish_time: 100,
-                    queue_full_stall_cycles: 30,
-                    queue_stall_cycles: 30,
-                    ..Default::default()
-                },
-                ThreadStats {
-                    name: "s1".into(),
-                    finish_time: 200,
-                    backend_stall_cycles: 10,
-                    ..Default::default()
-                },
-                // An RA helper drains last; it is never the critical
-                // stage, and its stalls still count toward the class.
-                ThreadStats {
-                    name: "ra".into(),
-                    is_ra: true,
-                    finish_time: 210,
-                    backend_stall_cycles: 25,
-                    ..Default::default()
-                },
-            ],
-            ..Default::default()
-        };
-        let p = profile_from_stats(&stats);
-        assert_eq!(p.critical_stage, "s1");
-        assert_eq!(p.dominant_stall, "backend");
-        assert!((p.stage_utilization[0].1 - 0.7).abs() < 1e-12);
-        assert!((p.stage_utilization[1].1 - 0.95).abs() < 1e-12);
-
-        let idle = RunStats {
-            threads: vec![ThreadStats {
-                name: "s0".into(),
-                finish_time: 10,
-                ..Default::default()
-            }],
-            ..Default::default()
-        };
-        assert_eq!(profile_from_stats(&idle).dominant_stall, "none");
-    }
 }

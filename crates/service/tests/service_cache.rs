@@ -8,10 +8,13 @@
 //! * **Bit-identity**: a cache hit returns exactly the bytes the cold
 //!   path produced.
 
+use phloem_benchsuite::{candidate_outcome, Variant};
 use phloem_compiler::PassConfig;
+use phloem_ir::LoadId;
+use phloem_service::batch::run_one;
 use phloem_service::key::{machine_config_digest, pass_config_digest};
-use phloem_service::proto::parse;
-use phloem_service::{Service, ServiceConfig};
+use phloem_service::proto::{parse, Json};
+use phloem_service::{PreparedInputs, Service, ServiceConfig, SimRequest};
 use phloem_workloads::catalog::Scale;
 use pipette_sim::MachineConfig;
 use proptest::prelude::*;
@@ -224,6 +227,57 @@ fn cache_hits_are_bit_identical_to_the_cold_path() {
     let (compile, search) = svc.counters();
     assert_eq!((compile.hits, compile.misses), (1, 1));
     assert_eq!((search.hits, search.misses), (1, 1));
+}
+
+/// One derivation, two callers: the `profile` (and `train_cycles`) a
+/// `search` answers with is `candidate_outcome` of its winner's one run,
+/// so a direct run of the winner on the same input, read by the same
+/// function, says the same — to the digits the frame prints.
+#[test]
+fn a_search_answers_with_the_shared_evaluation_of_its_winners_run() {
+    let svc = tiny_service();
+    let ask = r#"{"id":1,"op":"search","app":"bfs","input":"internet-s","max_stages":4}"#;
+    let answer = parse(&svc.handle_batch(&[ask.to_string()]).responses[0]).unwrap();
+    let cuts = match answer.get("best_cuts") {
+        Some(Json::Arr(cuts)) => cuts.iter().map(|c| LoadId(c.as_u64().unwrap() as u32)),
+        _ => panic!("no winner: {answer:?}"),
+    };
+    let winner = SimRequest {
+        app: "bfs".into(),
+        variant: Variant::Phloem {
+            passes: PassConfig::all(),
+            stages: 4,
+            cuts: cuts.collect(),
+        },
+        input: "internet-s".into(),
+        cycle_cap: None,
+    };
+    let inputs = PreparedInputs::new(Scale::Tiny);
+    let direct = run_one(&inputs, &MachineConfig::paper_1core(), &winner);
+    let (outcome, profile) = candidate_outcome([direct]);
+    let profile = profile.expect("the winner runs");
+
+    assert_eq!(
+        answer.get("train_cycles"),
+        outcome.cycles().map(Json::Num).as_ref()
+    );
+    let served = answer.get("profile").expect("the winner's profile");
+    let field = |name| served.get(name).and_then(|j| j.as_str()).unwrap();
+    assert_eq!(field("critical_stage"), profile.critical_stage);
+    assert_eq!(field("dominant_stall"), profile.dominant_stall);
+    let Some(Json::Arr(served)) = served.get("stage_utilization") else {
+        panic!("no utilization: {served:?}");
+    };
+    let compute_stages = answer.get("compute_stages").and_then(|j| j.as_usize());
+    assert!(compute_stages.unwrap() < served.len(), "no RA stage listed");
+    assert_eq!(served.len(), profile.stage_utilization.len());
+    for (s, (name, util)) in served.iter().zip(&profile.stage_utilization) {
+        let want = Json::Arr(vec![
+            Json::str(name.clone()),
+            Json::Num((util * 1e4).round() / 1e4),
+        ]);
+        assert_eq!(s, &want);
+    }
 }
 
 #[test]

@@ -11,12 +11,11 @@
 use crate::parser::{Access, Factor, TensorAssign, Term};
 use phloem_ir::Value;
 use phloem_ir::{ArrayDecl, ArrayId, Expr, Function, FunctionBuilder, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Storage format of one tensor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Format {
     /// Compressed sparse rows (row_ptr / col_idx / vals arrays).
     Csr,

@@ -1,11 +1,10 @@
 //! Parser for tensor-index expressions in Taco's concrete syntax,
 //! e.g. `y(i) = A(i,j) * x(j)` or `A(i,j) = B(i,j) * C(i,k) * D(k,j)`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One tensor access, e.g. `A(i,j)`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Access {
     /// Tensor name.
     pub tensor: String,
@@ -14,7 +13,7 @@ pub struct Access {
 }
 
 /// A multiplicative factor.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Factor {
     /// Tensor access.
     Access(Access),
@@ -25,7 +24,7 @@ pub enum Factor {
 }
 
 /// A product of factors with a sign.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Term {
     /// +1.0 or -1.0.
     pub sign: f64,
@@ -34,7 +33,7 @@ pub struct Term {
 }
 
 /// A parsed assignment `lhs = term ± term ± ...`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TensorAssign {
     /// Left-hand-side access.
     pub lhs: Access,

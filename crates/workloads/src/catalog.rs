@@ -7,10 +7,9 @@
 
 use crate::graph::{self, Graph};
 use crate::matrix::{self, SparseMatrix};
-use serde::{Deserialize, Serialize};
 
 /// Scale of the generated inputs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Tiny instances for unit tests (seconds).
     Tiny,

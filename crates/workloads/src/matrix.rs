@@ -3,10 +3,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in CSR form with `f64` values.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SparseMatrix {
     /// Rows.
     pub rows: usize,
@@ -175,7 +174,7 @@ pub fn power_law_matrix(n: usize, avg_nnz: f64, seed: u64) -> SparseMatrix {
 }
 
 /// A dense matrix stored row-major (for SDDMM's dense operands).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DenseMatrix {
     /// Rows.
     pub rows: usize,

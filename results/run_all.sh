@@ -3,14 +3,15 @@
 # that traps or crashes is recorded in the final `FAILED:` summary
 # instead of aborting the sweep; the ALL_HARNESSES_DONE sentinel always
 # prints when the loop itself completes). Writes results/<name>.txt
-# (tracked; EXPERIMENTS.md cites them) and results/<name>.log (stderr,
-# ignored).
+# (tracked; EXPERIMENTS.md cites them at the default SCALE=small) and
+# results/<name>.log (stderr, ignored).
 set -o pipefail
 cd "$(dirname "$0")/.."
-export SCALE=small
+export SCALE="${SCALE:-small}"
 # One host-parallelism knob for the whole sweep: every harness fans its
-# per-candidate simulations over the phloem-pool work-stealing fleet.
-# JOBS=<n> overrides; results are bit-identical at any worker count.
+# per-candidate simulations over the phloem-pool work-stealing fleet,
+# sized by PHLOEM_WORKERS. JOBS=<n> overrides; results are bit-identical
+# at any worker count.
 JOBS="${JOBS:-$(nproc)}"
 export PHLOEM_WORKERS="$JOBS"
 echo "=== host jobs: $JOBS ==="
@@ -32,17 +33,17 @@ run_harness() {
 cargo build -q --release -p phloem-bench || { echo "build failed"; exit 1; }
 
 echo "=== fault-injection smoke ==="
-if ! cargo run -q --release -p phloem-bench --bin fuzzdiff -- --faults --smoke --jobs "$JOBS"; then
+if ! cargo run -q --release -p phloem-bench --bin fuzzdiff -- --faults --smoke; then
   FAILED+=(fuzzdiff-faults)
 fi
 
 for f in tables fig6 fig12 fig13 fig9 fig14; do
-  run_harness "$f" cargo run -q --release -p phloem-bench --bin figures -- "$f" --jobs "$JOBS"
+  run_harness "$f" cargo run -q --release -p phloem-bench --bin figures -- "$f"
 done
 # Breakdown figures measure the whole Fig. 9 matrix again; tiny scale
 # keeps the total runtime sane and the shapes are scale-insensitive.
 for f in fig10 fig11; do
-  run_harness "$f" env SCALE=tiny cargo run -q --release -p phloem-bench --bin figures -- "$f" --jobs "$JOBS"
+  run_harness "$f" env SCALE=tiny cargo run -q --release -p phloem-bench --bin figures -- "$f"
 done
 
 if [ ${#FAILED[@]} -gt 0 ]; then

@@ -17,13 +17,14 @@
 use proptest::prelude::*;
 
 use phloem_bench::fuzz::{fuzz_sweep, render_failure};
-use phloem_bench::{machine, pgo_search_with, train_graph_profiled};
-use phloem_benchsuite::{bfs, Variant};
+use phloem_bench::{app, machine, pgo_search};
+use phloem_benchsuite::bfs;
 use phloem_compiler::search::{
     search_profiled, CandidateProfile, ProfileOutcome, SearchOptions, SearchReport,
 };
-use phloem_compiler::PassConfig;
 use phloem_pool::Pool;
+use phloem_workloads::Scale;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Worker counts under test: the ISSUE's {1, 2, 4} plus whatever this
 /// host actually has (deduplicated; on a 1-core host the last entry
@@ -125,41 +126,47 @@ proptest! {
     }
 }
 
-/// A fig-style sweep — `pgo_search_with` profiling real BFS simulations
-/// over the training graphs, exactly the Fig. 13 inner loop — produces
-/// a byte-identical outcome at every worker count. One deterministic
-/// workload (real simulation is too slow to proptest), asserted on the
-/// full rendered outcome including per-candidate speedup points.
+/// A fig-style sweep — `pgo_search` profiling real BFS simulations over
+/// the training graphs, exactly the search behind Figs. 9 and 13 —
+/// produces a byte-identical report at every worker count. One
+/// deterministic workload (real simulation is too slow to proptest),
+/// asserted on the full rendered report including every candidate's
+/// outcome and profile. The same sweep shows what a candidate costs: one
+/// simulation per training input, which is also where its profile comes
+/// from.
 #[test]
 fn fig_style_sweep_is_worker_count_independent() {
-    std::env::set_var("SCALE", "tiny");
-    let cfg = machine();
-    let kernel = bfs::kernel();
-    let render = |w: usize| {
+    let (bfs, cfg) = (app("BFS"), machine());
+    let training = bfs.training_inputs(Scale::Tiny);
+    let runs = AtomicUsize::new(0);
+    let sweep = |w: usize| {
         let opts = SearchOptions {
             workers: w,
             ..SearchOptions::default()
         };
-        let pgo = pgo_search_with(&opts, &kernel, 1_000_000.0, |cuts, budget| {
-            train_graph_profiled(
-                "BFS",
-                &Variant::Phloem {
-                    passes: PassConfig::all(),
-                    stages: 4,
-                    cuts: cuts.to_vec(),
-                },
-                &cfg,
-                budget,
-            )
-        });
-        format!(
-            "best={:?} profile={:?} points={:?} failures={:?}",
-            pgo.best_cuts, pgo.best_profile, pgo.points, pgo.failures
-        )
+        pgo_search(&bfs.kernel(), &opts, &cfg, &training, |v, i, cfg| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            bfs.run(v, i.input(), cfg, i.name(), None).0
+        })
     };
     let mut reference: Option<String> = None;
     for w in worker_counts() {
-        let rendered = render(w);
+        let before = runs.load(Ordering::Relaxed);
+        let report = sweep(w).expect("BFS has viable candidates");
+        assert_eq!(
+            runs.load(Ordering::Relaxed) - before,
+            report.candidates.len() * training.len(),
+            "a candidate is simulated once per training input, no more"
+        );
+        for c in &report.candidates {
+            assert_eq!(
+                c.profile.is_some(),
+                c.train_cycles().is_some(),
+                "{:?}: every candidate that ran, and only those, carries a profile",
+                c.cuts
+            );
+        }
+        let rendered = render_search(&Ok(report));
         match &reference {
             None => reference = Some(rendered),
             Some(r) => assert_eq!(r, &rendered, "fig-style sweep diverged at {w} workers"),
@@ -170,7 +177,7 @@ fn fig_style_sweep_is_worker_count_independent() {
     // of one worker's wall time (and still render the same outcome).
     let timed = |w: usize| {
         let start = std::time::Instant::now();
-        assert_eq!(reference.as_ref(), Some(&render(w)));
+        assert_eq!(reference, Some(render_search(&sweep(w))));
         start.elapsed().as_secs_f64()
     };
     let speedup = timed(1) / timed(8);

@@ -2,9 +2,12 @@
 //! diagnosable shape that does not depend on whether the run is traced,
 //! PGO degrades gracefully, and nothing false-positives on healthy runs.
 
+use phloem_bench::phloem_with_cuts;
 use phloem_benchsuite::fault_targets::targets;
-use phloem_benchsuite::{bfs, spmm, Variant};
-use phloem_compiler::search::{enumerate_pipelines, search, ProfileOutcome, SearchOptions};
+use phloem_benchsuite::{bfs, candidate_outcome, spmm, Variant};
+use phloem_compiler::search::{
+    enumerate_pipelines, search_profiled, ProfileOutcome, SearchOptions,
+};
 use phloem_ir::{
     ArrayDecl, BinOp, Expr, FunctionBuilder, MemState, Pipeline, QueueId, StageProgram, Trap, Value,
 };
@@ -168,7 +171,7 @@ fn forced_livelock_candidate_times_out_but_search_succeeds() {
         .0
         .clone();
     let base_cfg = MachineConfig::paper_1core();
-    let report = search(&kernel, &opts, |cuts, pipe, budget| {
+    let report = search_profiled(&kernel, &opts, |cuts, _pipe, budget| {
         let mut cfg = base_cfg.clone();
         // The poisoned candidate gets a cap it cannot possibly meet,
         // modelling a diverging pipeline; everyone else gets the
@@ -178,13 +181,13 @@ fn forced_livelock_candidate_times_out_but_search_succeeds() {
         } else {
             budget.cycle_cap
         };
-        let (mem, _arrays) = bfs::build_mem(&g, 0, 1);
-        let mut session = Session::new(cfg, mem);
-        match session.run(pipe, &[("cur_dist", Value::I64(1))]) {
-            Ok(_) => ProfileOutcome::Ok(session.elapsed() as f64),
-            Err(Trap::CycleLimit { .. }) | Err(Trap::Livelock { .. }) => ProfileOutcome::TimedOut,
-            Err(t) => ProfileOutcome::Trapped(t.to_string()),
-        }
+        candidate_outcome([bfs::run(
+            &phloem_with_cuts(cuts),
+            &g,
+            0,
+            &cfg,
+            "power_law_120",
+        )])
     })
     .expect("search must degrade gracefully, not fail");
     let poisoned_candidate = report

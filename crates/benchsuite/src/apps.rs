@@ -103,6 +103,11 @@ impl App {
         self.name
     }
 
+    /// The wire and command-line id ([`app_by_id`]'s key).
+    pub fn id(&self) -> &'static str {
+        self.id
+    }
+
     /// The serial kernel the compiler and the PGO search are given.
     pub fn kernel(&self) -> Function {
         (self.kernel)()

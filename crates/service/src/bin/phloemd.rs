@@ -4,8 +4,9 @@
 //! (or EOF) ends a batch**. Each batch is validated and cache-probed in
 //! line order, executed concurrently on the host pool, and answered
 //! with one JSON response per request line, in order, followed by a
-//! blank line. Caches persist across batches (and, in socket mode,
-//! across connections), so a replayed workload observes warm hits.
+//! blank line — the whole frame in one `write`. Caches persist across
+//! batches (and, in socket mode, across connections), so a replayed
+//! workload observes warm hits.
 //!
 //! ```text
 //! phloemd [--socket PATH] [--scale tiny|small|full] [--workers N]
@@ -26,7 +27,9 @@
 //! stdout (errors and lifecycle notes to stderr). With `--socket PATH`,
 //! the daemon serves connections **concurrently** (one thread each, up
 //! to `--max-conns`; excess connections are answered with a structured
-//! `overloaded` error frame and closed).
+//! `overloaded` error frame and closed). The acceptor blocks in
+//! `accept`, so a new connection is served as soon as it arrives; only
+//! connections still open count against the cap.
 //!
 //! ## Robustness (see `DESIGN.md` §10)
 //!
@@ -41,11 +44,14 @@
 //!   rewritten atomically after every batch that cached something
 //!   new (one write at a time, shared between connections), so even a
 //!   SIGKILL'd daemon restarts with the last batch's caches warm.
-//! * A `{"op":"shutdown"}` request answers its batch, then drains:
-//!   new work is rejected with a structured `draining` error while
-//!   in-flight batches finish under the `--drain-ms` grace window
-//!   (work that outlives it is cancelled and answered, not orphaned),
-//!   the cache is persisted, and the daemon exits.
+//! * A `{"op":"shutdown"}` request answers its batch, then drains —
+//!   even when the client hung up before reading the answer. The
+//!   connection that carried it wakes the blocked acceptor by
+//!   connecting to the socket itself; new work is then rejected with a
+//!   structured `draining` error while in-flight batches finish under
+//!   the `--drain-ms` grace window (work that outlives it is cancelled
+//!   and answered, not orphaned), the cache is persisted, and the
+//!   daemon exits.
 
 use phloem_service::proto::error_frame;
 use phloem_service::{Service, ServiceConfig};
@@ -53,7 +59,6 @@ use phloem_workloads::catalog::Scale;
 use std::io::{BufRead, BufReader, Write};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -203,12 +208,12 @@ fn serve_stdio(service: &Service, limits: Limits) {
 }
 
 /// Serves socket connections concurrently (thread per connection, up
-/// to `max_conns`). The accept loop polls a nonblocking listener so it
-/// observes the shutdown flag within ~25ms; shutdown then drains:
-/// reject-new is flipped first, in-flight batches get `drain_ms` of
-/// grace (work that outlives it is cancelled and answered), idle
-/// readers are unblocked, threads are joined, and the cache is
-/// persisted before exit.
+/// to `max_conns`). The accept loop blocks in `accept`. The connection
+/// that answers a `shutdown` starts the drain — new work is rejected,
+/// in-flight batches get `drain_ms` of grace (work that outlives it is
+/// cancelled and answered) — and wakes the acceptor by connecting to
+/// `path` itself; the acceptor then unblocks idle readers, joins the
+/// threads, and persists the cache before exit.
 fn serve_socket(
     service: &Arc<Service>,
     path: &str,
@@ -225,45 +230,42 @@ fn serve_socket(
             std::process::exit(1);
         }
     };
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("phloemd: cannot set nonblocking accept: {e}");
-        std::process::exit(1);
-    }
     eprintln!("phloemd: listening on {path:?}");
-    let shutdown = Arc::new(AtomicBool::new(false));
     // Read-half clones of live connections, so a drain can unblock
     // threads parked in `read` (they observe EOF and finish up).
     let live: Arc<Mutex<Vec<UnixStream>>> = Arc::new(Mutex::new(Vec::new()));
     let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        handles.retain(|h| !h.is_finished());
+    loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-                continue;
-            }
             Err(e) => {
                 eprintln!("phloemd: accept failed: {e}");
                 continue;
             }
         };
+        // The wake-up connection, or a client that raced the shutdown:
+        // closed unanswered, like any connection after the drain began.
+        if service.is_draining() {
+            break;
+        }
+        // After `accept`, not before: a connection that closed while
+        // the acceptor slept must not count against the cap.
+        handles.retain(|h| !h.is_finished());
         if handles.len() >= max_conns {
             refuse_connection(stream, max_conns);
             continue;
         }
-        let (service, shutdown, live) = (
-            Arc::clone(service),
-            Arc::clone(&shutdown),
-            Arc::clone(&live),
-        );
+        let (service, live, path) = (Arc::clone(service), Arc::clone(&live), path.to_string());
         handles.push(std::thread::spawn(move || {
-            serve_connection(&service, stream, limits, &shutdown, &live);
+            if serve_connection(&service, stream, limits, &live) {
+                service.begin_drain(Duration::from_millis(drain_ms));
+                // Wake the acceptor, which checks for a drain after
+                // every `accept`.
+                let _ = UnixStream::connect(&path);
+            }
         }));
     }
-    // Drain: reject new work, give in-flight batches a bounded grace
-    // window, and unblock idle readers so every thread can exit.
-    service.begin_drain(Duration::from_millis(drain_ms));
+    // Unblock idle readers so every thread can exit.
     for conn in live.lock().unwrap_or_else(|e| e.into_inner()).iter() {
         let _ = conn.shutdown(std::net::Shutdown::Read);
     }
@@ -302,13 +304,14 @@ impl Drop for LiveGuard<'_> {
     }
 }
 
+/// Serves one connection until it ends; true when it ended in an
+/// answered `shutdown`.
 fn serve_connection(
     service: &Service,
     stream: UnixStream,
     limits: Limits,
-    shutdown: &AtomicBool,
     live: &Mutex<Vec<UnixStream>>,
-) {
+) -> bool {
     if let Some(t) = limits.read_timeout {
         let _ = stream.set_read_timeout(Some(t));
     }
@@ -324,27 +327,26 @@ fn serve_connection(
         Ok(s) => s,
         Err(e) => {
             eprintln!("phloemd: cannot clone stream: {e}");
-            return;
+            return false;
         }
     });
     let mut writer = stream;
     loop {
         match serve_stream(service, &mut reader, &mut writer, limits) {
             StreamEnd::Continue => log_persist(service.persist_if_dirty()),
-            StreamEnd::Eof => break,
+            StreamEnd::Eof => return false,
             StreamEnd::Shutdown => {
-                shutdown.store(true, Ordering::SeqCst);
                 log_persist(service.persist_if_dirty());
-                break;
+                return true;
             }
             StreamEnd::Timeout => {
                 // The timed-out frame was already answered; a stalled
                 // client does not get to hold the connection slot.
-                break;
+                return false;
             }
             StreamEnd::Error(e) => {
                 eprintln!("phloemd: connection error: {e}");
-                break;
+                return false;
             }
         }
     }
@@ -363,10 +365,11 @@ enum StreamEnd {
     Error(std::io::Error),
 }
 
-/// One line of a frame: a request to hand to the service, or an
-/// oversized line that was discarded and is answered inline.
+/// One line of a frame: a request handed to the service (the next of
+/// its responses answers it), or an oversized line that was discarded
+/// and is answered inline.
 enum FrameLine {
-    Req(String),
+    Req,
     Oversized,
 }
 
@@ -449,8 +452,10 @@ fn error_line(kind: &str, message: &str) -> String {
 }
 
 /// Reads one batch (lines until a blank line or EOF), answers it, and
-/// reports how the stream should proceed. An empty batch at EOF is not
-/// answered (so trailing newlines don't produce empty frames).
+/// reports how the stream should proceed. The answer frame — one line
+/// per request line, then a blank line — goes out in one `write`. An
+/// empty batch at EOF is not answered (so trailing newlines don't
+/// produce empty frames).
 fn serve_stream<R: BufRead, W: Write>(
     service: &Service,
     input: &mut R,
@@ -458,11 +463,15 @@ fn serve_stream<R: BufRead, W: Write>(
     limits: Limits,
 ) -> StreamEnd {
     let mut frame: Vec<FrameLine> = Vec::new();
+    let mut lines: Vec<String> = Vec::new();
     let mut at_eof = false;
     let mut timed_out = false;
     loop {
         match read_limited_line(input, limits.max_line_bytes) {
-            LineRead::Line(l) => frame.push(FrameLine::Req(l)),
+            LineRead::Line(l) => {
+                frame.push(FrameLine::Req);
+                lines.push(l);
+            }
             LineRead::TooLong => frame.push(FrameLine::Oversized),
             LineRead::Blank => break,
             LineRead::Eof => {
@@ -483,10 +492,7 @@ fn serve_stream<R: BufRead, W: Write>(
             "timed_out",
             "read timed out mid-request; closing the connection",
         );
-        let _ = out
-            .write_all(line.as_bytes())
-            .and_then(|_| out.write_all(b"\n\n"))
-            .and_then(|_| out.flush());
+        let _ = write_frame(out, &format!("{line}\n\n"));
         return StreamEnd::Timeout;
     }
     if frame.is_empty() {
@@ -495,50 +501,49 @@ fn serve_stream<R: BufRead, W: Write>(
         } else {
             // A lone blank line: acknowledge with an empty frame so the
             // client's frame counting stays in sync.
-            match out.write_all(b"\n").and_then(|_| out.flush()) {
+            match write_frame(out, "\n") {
                 Ok(()) => StreamEnd::Continue,
                 Err(e) => StreamEnd::Error(e),
             }
         };
     }
-    let lines: Vec<String> = frame
-        .iter()
-        .filter_map(|l| match l {
-            FrameLine::Req(s) => Some(s.clone()),
-            FrameLine::Oversized => None,
-        })
-        .collect();
     let result = service.handle_batch(&lines);
     let mut answered = result.responses.iter();
+    let mut text = String::new();
     for line in &frame {
-        let resp = match line {
-            FrameLine::Req(_) => answered
-                .next()
-                .cloned()
-                .unwrap_or_else(|| error_line("trap", "response missing for request line")),
-            FrameLine::Oversized => error_line(
+        match line {
+            FrameLine::Req => match answered.next() {
+                Some(resp) => text.push_str(resp),
+                None => text.push_str(&error_line("trap", "response missing for request line")),
+            },
+            FrameLine::Oversized => text.push_str(&error_line(
                 "request_too_large",
                 &format!(
                     "request line exceeds {} bytes and was discarded",
                     limits.max_line_bytes
                 ),
-            ),
-        };
-        if let Err(e) = out
-            .write_all(resp.as_bytes())
-            .and_then(|_| out.write_all(b"\n"))
-        {
-            return StreamEnd::Error(e);
+            )),
         }
+        text.push('\n');
     }
-    if let Err(e) = out.write_all(b"\n").and_then(|_| out.flush()) {
-        return StreamEnd::Error(e);
-    }
+    text.push('\n');
+    let written = write_frame(out, &text);
+    // A batch that carried `shutdown` was acknowledged in the service's
+    // answer; the daemon exits whether or not the client stayed to
+    // read it.
     if result.shutdown {
         StreamEnd::Shutdown
+    } else if let Err(e) = written {
+        StreamEnd::Error(e)
     } else if at_eof {
         StreamEnd::Eof
     } else {
         StreamEnd::Continue
     }
+}
+
+/// Writes one whole answer frame and flushes it.
+fn write_frame<W: Write>(out: &mut W, text: &str) -> std::io::Result<()> {
+    out.write_all(text.as_bytes())?;
+    out.flush()
 }

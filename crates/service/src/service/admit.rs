@@ -98,7 +98,7 @@ impl Service {
                 None,
             );
         }
-        let Planned { work, key } = match plan(&self.cfg, req) {
+        let Planned { work, key } = match plan(&self.cfg, &self.keys, req) {
             Ok(p) => p,
             Err(message) => return refuse("bad_request", &message, None),
         };

@@ -115,7 +115,7 @@ impl Service {
     fn do_search(&self, s: &SearchWork, cancel: &CancelToken) -> Result<Payload, ErrResp> {
         let report = search_profiled(&s.kernel, &s.opts, |cuts, _pipe, budget| {
             let sim = SimRequest {
-                app: s.app.clone(),
+                app: s.app.to_string(),
                 variant: Variant::Phloem {
                     passes: s.passes,
                     stages: s.opts.max_stages,
@@ -184,8 +184,8 @@ fn do_compile(c: &CompileWork) -> Result<Payload, ErrResp> {
         .filter(|s| matches!(s.kind, StageKind::Compute))
         .count();
     Ok(vec![
-        ("program", hex(key::program_digest(&c.kernel))),
-        ("app", Json::str(c.app.as_str())),
+        ("program", hex(c.program)),
+        ("app", Json::str(c.app)),
         ("passes", Json::str(c.opts.passes.label())),
         ("stages", Json::u64(total as u64)),
         ("compute_stages", Json::u64(compute as u64)),

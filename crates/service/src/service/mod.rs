@@ -34,7 +34,9 @@
 //!    batch-level parallelism already keeps the host busy — while
 //!    `simulate_native` work *does* spawn a nested fleet (its stage
 //!    threads) inside the pool task, through the pool's explicit
-//!    nested-fleet path.
+//!    nested-fleet path. A batch with nothing to compute — every line
+//!    a hit, a `stats`/`shutdown` answer or an error — skips this phase
+//!    and never touches the pool or the drain token.
 //! 3. **Insert + assemble** (sequential): successful cacheable results
 //!    are inserted, and responses are rendered in request order.
 //!    A cached value is the payload fragment rendered at miss time
@@ -85,6 +87,7 @@ use exec::{nonempty, ErrResp};
 use phloem_pool::{CancelToken, FleetStats, Pool};
 use phloem_workloads::catalog::Scale;
 use pipette_sim::{CancelScope, MachineConfig};
+use plan::KeyTable;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -180,6 +183,8 @@ pub struct Service {
     cfg: ServiceConfig,
     pool: Pool,
     inputs: PreparedInputs,
+    /// Each app's kernel and program digest, and the machine digest.
+    keys: KeyTable,
     store: Store,
     /// Parent of every per-request token; firing it (drain budget
     /// expiry or a hard cancel) reaches all in-flight work at once.
@@ -204,6 +209,7 @@ impl Service {
         Service {
             pool: Pool::new(cfg.workers),
             inputs: PreparedInputs::new(cfg.scale),
+            keys: KeyTable::new(&cfg.machine),
             store,
             drain: CancelToken::new(),
             draining: AtomicBool::new(false),
@@ -337,38 +343,14 @@ impl Service {
             })
             .collect();
 
-        // Phase 2: compute misses and uncacheable work in parallel,
-        // each task under its own request token (ambient scope, so
-        // every Session the work creates inherits it) and the whole
-        // fleet under a drain child (so a drain skips queued tasks
-        // instead of starting them).
-        let batch_tok = self.drain.child();
-        let (slots, fstats) = self.pool.run_cancellable(st.slots.len(), &batch_tok, |i| {
-            let slot = &st.slots[i];
-            let _scope = CancelScope::enter(slot.token.clone());
-            self.execute(&slot.work, &slot.token)
-        });
-        self.release(st.admitted);
-        if !st.slots.is_empty() {
-            lock(&self.fleet).absorb(&fstats);
-        }
-        let computed: Vec<Result<Arc<str>, ErrResp>> = slots
-            .into_iter()
-            .map(|slot| match slot {
-                None => Err(ErrResp {
-                    kind: "cancelled",
-                    message: format!(
-                        "cancelled before execution: {}",
-                        nonempty(batch_tok.reason())
-                    ),
-                }),
-                Some(Ok(r)) => r,
-                Some(Err(panic)) => Err(ErrResp {
-                    kind: "trap",
-                    message: panic_message(&panic),
-                }),
-            })
-            .collect();
+        // Phase 2: compute misses and uncacheable work in parallel. A
+        // batch of hits, `stats`/`shutdown` answers and errors has
+        // nothing to run.
+        let computed = if st.slots.is_empty() {
+            Vec::new()
+        } else {
+            self.compute(&st)
+        };
 
         // Phase 3: insert successes, then render in request order.
         for (slot, result) in st.slots.iter().zip(&computed) {
@@ -395,6 +377,39 @@ impl Service {
             responses,
             shutdown,
         }
+    }
+
+    /// Runs a batch's admitted work, each task under its own request
+    /// token (ambient scope, so every Session the work creates inherits
+    /// it) and the whole fleet under a drain child (so a drain skips
+    /// queued tasks instead of starting them). Results are in slot
+    /// order; the batch's admission cost is released.
+    fn compute(&self, st: &BatchState) -> Vec<Result<Arc<str>, ErrResp>> {
+        let batch_tok = self.drain.child();
+        let (slots, fstats) = self.pool.run_cancellable(st.slots.len(), &batch_tok, |i| {
+            let slot = &st.slots[i];
+            let _scope = CancelScope::enter(slot.token.clone());
+            self.execute(&slot.work, &slot.token)
+        });
+        self.release(st.admitted);
+        lock(&self.fleet).absorb(&fstats);
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                None => Err(ErrResp {
+                    kind: "cancelled",
+                    message: format!(
+                        "cancelled before execution: {}",
+                        nonempty(batch_tok.reason())
+                    ),
+                }),
+                Some(Ok(r)) => r,
+                Some(Err(panic)) => Err(ErrResp {
+                    kind: "trap",
+                    message: panic_message(&panic),
+                }),
+            })
+            .collect()
     }
 }
 

@@ -4,19 +4,67 @@
 //! and, for cacheable ops, the content-addressed key it is stored
 //! under. It is the only place that knows which fields an op reads;
 //! everything downstream (admission, execution fan-out, caching,
-//! rendering) is op-agnostic.
+//! rendering) is op-agnostic. The digests a key folds in that do not
+//! depend on the request — each app's program, the machine — come from
+//! the [`KeyTable`] the service builds once.
 
 use super::ServiceConfig;
-use crate::batch::{app_kernel, SimRequest};
+use crate::batch::SimRequest;
 use crate::key::{self, KeyHasher};
 use crate::persist::Sel;
 use crate::proto::{Op, Request};
 use phloem_benchsuite::runner::compile_options;
-use phloem_benchsuite::Variant;
+use phloem_benchsuite::{apps, Variant};
 use phloem_compiler::search::SearchOptions;
 use phloem_compiler::{CompileOptions, PassConfig};
 use phloem_ir::Function;
-use pipette_sim::{ChannelKind, NativeConfig};
+use pipette_sim::{ChannelKind, MachineConfig, NativeConfig};
+use std::sync::Arc;
+
+/// Every app's kernel and program digest, and the machine digest,
+/// built once per service: a request's key costs a lookup here and a
+/// hash of the request's own fields.
+pub(crate) struct KeyTable {
+    apps: Vec<AppKey>,
+    machine: u64,
+}
+
+/// One row of the [`KeyTable`].
+pub(crate) struct AppKey {
+    id: &'static str,
+    kernel: Arc<Function>,
+    /// [`key::program_digest`] of `kernel`.
+    program: u64,
+}
+
+impl KeyTable {
+    pub(crate) fn new(machine: &MachineConfig) -> KeyTable {
+        let apps = apps::APPS
+            .iter()
+            .map(|a| {
+                let kernel = Arc::new(a.kernel());
+                AppKey {
+                    id: a.id(),
+                    program: key::program_digest(&kernel),
+                    kernel,
+                }
+            })
+            .collect();
+        KeyTable {
+            apps,
+            machine: key::machine_config_digest(machine),
+        }
+    }
+
+    /// The row of the app `req` names.
+    fn app(&self, req: &Request) -> Result<&AppKey, String> {
+        let id = required(&req.app, "app")?;
+        self.apps
+            .iter()
+            .find(|a| a.id == id)
+            .ok_or_else(|| format!("unknown app {id:?}"))
+    }
+}
 
 /// One unit of compute, ready for a pool task.
 pub(crate) enum Work {
@@ -28,15 +76,17 @@ pub(crate) enum Work {
 }
 
 pub(crate) struct CompileWork {
-    pub(crate) kernel: Function,
-    pub(crate) app: String,
+    pub(crate) kernel: Arc<Function>,
+    /// The key's program digest, echoed as the answer's `"program"`.
+    pub(crate) program: u64,
+    pub(crate) app: &'static str,
     pub(crate) opts: CompileOptions,
     pub(crate) stages: usize,
 }
 
 pub(crate) struct SearchWork {
-    pub(crate) kernel: Function,
-    pub(crate) app: String,
+    pub(crate) kernel: Arc<Function>,
+    pub(crate) app: &'static str,
     pub(crate) input: String,
     pub(crate) passes: PassConfig,
     pub(crate) opts: SearchOptions,
@@ -66,35 +116,35 @@ pub(crate) fn work_cost(w: &Work) -> u64 {
 
 /// Validates `req` and derives its work and cache key. The `Err` text
 /// is the message of a `bad_request` frame.
-pub(crate) fn plan(cfg: &ServiceConfig, req: &Request) -> Result<Planned, String> {
-    let machine_digest = || key::machine_config_digest(&cfg.machine);
+pub(crate) fn plan(cfg: &ServiceConfig, keys: &KeyTable, req: &Request) -> Result<Planned, String> {
     match req.op {
         Op::Compile => {
-            let (app, kernel) = named_kernel(req)?;
+            let app = keys.app(req)?;
             let opts = compile_options(&cfg.machine, parse_passes(req.passes.as_deref())?);
             let stages = req.stages.unwrap_or(4);
             let mut h = KeyHasher::new();
             h.u64(1) // op tag
-                .u64(key::program_digest(&kernel))
+                .u64(app.program)
                 .u64(key::compile_options_digest(&opts))
                 .usize(stages)
-                .u64(machine_digest());
+                .u64(keys.machine);
             Ok(Planned {
                 key: Some((Sel::Compile, h.finish())),
                 work: Work::Compile(CompileWork {
-                    kernel,
-                    app,
+                    kernel: Arc::clone(&app.kernel),
+                    program: app.program,
+                    app: app.id,
                     opts,
                     stages,
                 }),
             })
         }
         Op::Simulate => Ok(Planned {
-            work: Work::Simulate(plan_sim(cfg, req)?.0),
+            work: Work::Simulate(plan_sim(cfg, keys, req)?.0),
             key: None,
         }),
         Op::SimulateNative => {
-            let (sim, _) = plan_sim(cfg, req)?;
+            let (sim, _) = plan_sim(cfg, keys, req)?;
             let channel = match req.channel.as_deref() {
                 None => NativeConfig::default().channel,
                 Some(name) => ChannelKind::parse(name)
@@ -113,7 +163,7 @@ pub(crate) fn plan(cfg: &ServiceConfig, req: &Request) -> Result<Planned, String
             })
         }
         Op::Search => {
-            let (app, kernel) = named_kernel(req)?;
+            let app = keys.app(req)?;
             let input = required(&req.input, "input")?;
             let passes = parse_passes(req.passes.as_deref())?;
             let opts = SearchOptions {
@@ -130,30 +180,30 @@ pub(crate) fn plan(cfg: &ServiceConfig, req: &Request) -> Result<Planned, String
             };
             let mut h = KeyHasher::new();
             h.u64(2)
-                .u64(key::program_digest(&kernel))
-                .str(&input)
+                .u64(app.program)
+                .str(input)
                 .u64(key::search_options_digest(&opts))
-                .u64(machine_digest());
+                .u64(keys.machine);
             Ok(Planned {
                 key: Some((Sel::Search, h.finish())),
                 work: Work::Search(SearchWork {
-                    kernel,
-                    app,
-                    input,
+                    kernel: Arc::clone(&app.kernel),
+                    app: app.id,
+                    input: input.to_string(),
                     passes,
                     opts,
                 }),
             })
         }
         Op::Trace => {
-            let (sim, kernel) = plan_sim(cfg, req)?;
+            let (sim, program) = plan_sim(cfg, keys, req)?;
             let mut h = KeyHasher::new();
             h.u64(3)
-                .u64(key::program_digest(&kernel))
+                .u64(program)
                 .str(&sim.input)
                 .u64(key::variant_digest(&sim.variant))
                 .u64(sim.cycle_cap.unwrap_or(u64::MAX))
-                .u64(machine_digest());
+                .u64(keys.machine);
             Ok(Planned {
                 key: Some((Sel::Search, h.finish())),
                 work: Work::Trace(sim),
@@ -163,23 +213,20 @@ pub(crate) fn plan(cfg: &ServiceConfig, req: &Request) -> Result<Planned, String
     }
 }
 
-fn required(field: &Option<String>, name: &str) -> Result<String, String> {
+fn required<'r>(field: &'r Option<String>, name: &str) -> Result<&'r str, String> {
     field
-        .clone()
+        .as_deref()
         .ok_or_else(|| format!("missing required field {name:?}"))
 }
 
-/// The request's `app` and the kernel it names.
-fn named_kernel(req: &Request) -> Result<(String, Function), String> {
-    let app = required(&req.app, "app")?;
-    let kernel = app_kernel(&app).ok_or_else(|| format!("unknown app {app:?}"))?;
-    Ok((app, kernel))
-}
-
 /// What `simulate`, `simulate_native` and `trace` share: the run to
-/// perform, and the app's kernel (the program a trace key digests).
-fn plan_sim(cfg: &ServiceConfig, req: &Request) -> Result<(SimRequest, Function), String> {
-    let (app, kernel) = named_kernel(req)?;
+/// perform, and the app's program digest (what a trace key folds in).
+fn plan_sim(
+    cfg: &ServiceConfig,
+    keys: &KeyTable,
+    req: &Request,
+) -> Result<(SimRequest, u64), String> {
+    let app = keys.app(req)?;
     let input = required(&req.input, "input")?;
     let variant = match req.variant.as_deref().unwrap_or("phloem") {
         "serial" => Variant::Serial,
@@ -204,12 +251,12 @@ fn plan_sim(cfg: &ServiceConfig, req: &Request) -> Result<(SimRequest, Function)
         other => return Err(format!("unknown variant {other:?}")),
     };
     let sim = SimRequest {
-        app,
+        app: app.id.to_string(),
         variant,
-        input,
+        input: input.to_string(),
         cycle_cap: Some(req.cycle_cap.unwrap_or(cfg.default_cycle_cap)),
     };
-    Ok((sim, kernel))
+    Ok((sim, app.program))
 }
 
 /// Parses a pass-preset name; `None` means `all`.
@@ -229,6 +276,62 @@ fn parse_passes(name: Option<&str>) -> Result<PassConfig, String> {
 #[cfg(test)]
 mod tests {
     use super::super::tests::tiny_service;
+    use super::{apps, key, plan, Arc, Planned, Sel, Work};
+    use crate::batch::app_kernel;
+    use crate::proto::parse_request;
+
+    /// Plans one request line on the service's own config and table.
+    fn planned(svc: &super::super::Service, line: &str) -> Planned {
+        let req = parse_request(line).unwrap();
+        plan(&svc.cfg, &svc.keys, &req).unwrap()
+    }
+
+    #[test]
+    fn cache_keys_match_the_values_recorded_before_the_key_table() {
+        // Recorded when every plan rebuilt and printed its kernel: a
+        // drifted key would cold-start every persisted snapshot.
+        let svc = tiny_service();
+        for (line, want) in [
+            (
+                r#"{"id":1,"op":"compile","app":"bfs","passes":"with-cv","stages":3}"#,
+                (Sel::Compile, 0xb77d_6ee2_16c7_825d),
+            ),
+            (
+                r#"{"id":2,"op":"search","app":"cc","input":"internet-s","max_stages":2,"top_k":2}"#,
+                (Sel::Search, 0x4191_f32b_7bb8_c6d2),
+            ),
+            (
+                r#"{"id":3,"op":"trace","app":"radii","input":"internet-s","variant":"phloem","stages":2}"#,
+                (Sel::Search, 0x04a6_4b0b_3c01_76dd),
+            ),
+        ] {
+            assert_eq!(planned(&svc, line).key, Some(want), "{line}");
+        }
+    }
+
+    #[test]
+    fn the_key_table_holds_each_apps_digest_and_one_shared_kernel() {
+        let svc = tiny_service();
+        assert_eq!(svc.keys.apps.len(), apps::APPS.len());
+        for a in &apps::APPS {
+            let row = svc.keys.apps.iter().find(|r| r.id == a.id()).unwrap();
+            let kernel = app_kernel(a.id()).unwrap();
+            assert_eq!(row.program, key::program_digest(&kernel), "{}", a.id());
+        }
+        assert_eq!(
+            svc.keys.machine,
+            key::machine_config_digest(&svc.cfg.machine)
+        );
+        let kernel = |line| match planned(&svc, line).work {
+            Work::Compile(c) => c.kernel,
+            Work::Search(s) => s.kernel,
+            _ => unreachable!("{line} plans no kernel"),
+        };
+        assert!(Arc::ptr_eq(
+            &kernel(r#"{"id":1,"op":"compile","app":"bfs"}"#),
+            &kernel(r#"{"id":2,"op":"search","app":"bfs","input":"internet-s"}"#),
+        ));
+    }
 
     #[test]
     fn parse_and_validation_errors_are_structured() {

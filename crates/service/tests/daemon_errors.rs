@@ -4,7 +4,9 @@
 
 use phloem_service::proto::parse;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::os::unix::net::UnixStream;
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn spawn_phloemd(envs: &[(&str, &str)], extra: &[&str], stderr: Stdio) -> Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_phloemd"));
@@ -280,4 +282,119 @@ fn socket_read_timeout_answers_timed_out_and_frees_the_connection() {
     let status = child.wait().unwrap();
     assert!(status.success(), "phloemd exited with {status}");
     assert!(!path.exists());
+}
+
+/// A socket-mode daemon that a failing test does not leave running.
+struct SocketDaemon {
+    child: Child,
+    path: std::path::PathBuf,
+}
+
+impl SocketDaemon {
+    /// Spawns one on a fresh path and waits until it has bound it.
+    fn spawn(tag: &str, extra: &[&str]) -> SocketDaemon {
+        let path =
+            std::env::temp_dir().join(format!("phloemd-errors-{}-{tag}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut args = vec!["--socket", path.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let child = spawn_phloemd(&[], &args, Stdio::null());
+        let daemon = SocketDaemon { child, path };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !daemon.path.exists() {
+            assert!(Instant::now() < deadline, "no socket bound");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        daemon
+    }
+
+    /// Requires a clean exit within `limit` that removed the socket.
+    fn exits_within(&mut self, limit: Duration) {
+        let deadline = Instant::now() + limit;
+        while Instant::now() < deadline {
+            if let Some(status) = self.child.try_wait().unwrap() {
+                assert!(status.success(), "phloemd exited with {status}");
+                assert!(!self.path.exists(), "socket file left behind");
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("phloemd still running {limit:?} after its shutdown");
+    }
+}
+
+impl Drop for SocketDaemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// Sends one single-line frame on `stream` (a write error is ignored:
+/// a refused connection may already be closed), reads the answer frame
+/// through its blank line and returns its first line.
+fn first_answer(stream: &UnixStream, line: &str) -> String {
+    let _ = (&*stream).write_all(format!("{line}\n\n").as_bytes());
+    let mut reader = BufReader::new(stream);
+    let mut answer = String::new();
+    reader.read_line(&mut answer).unwrap();
+    let mut rest = String::new();
+    while reader.read_line(&mut rest).unwrap() > 0 && rest != "\n" {
+        rest.clear();
+    }
+    answer
+}
+
+#[test]
+fn a_shutdown_whose_client_hangs_up_still_stops_the_daemon() {
+    let mut daemon = SocketDaemon::spawn("hangup", &[]);
+    {
+        let mut stream = UnixStream::connect(&daemon.path).unwrap();
+        stream
+            .write_all(b"{\"id\":1,\"op\":\"shutdown\"}\n\n")
+            .unwrap();
+    } // closed at once: the answer's write may fail, the shutdown may not
+    daemon.exits_within(Duration::from_secs(2));
+}
+
+#[test]
+fn the_connection_cap_counts_only_open_connections() {
+    let mut daemon = SocketDaemon::spawn("cap", &["--max-conns", "2"]);
+    let path = daemon.path.clone();
+    let stats = |id: usize| format!("{{\"id\":{id},\"op\":\"stats\"}}");
+    // Time for the daemon's connection thread to see a client's close.
+    let settle = || std::thread::sleep(Duration::from_millis(50));
+    // Three times the cap, one after another: each closes before the
+    // next connects, so none is ever refused.
+    for i in 0..6 {
+        let answer = first_answer(&UnixStream::connect(&path).unwrap(), &stats(i));
+        assert!(answer.contains(r#""ok":true"#), "cycle {i}: {answer}");
+        settle();
+    }
+    // Three held open at once: exactly one is over the cap.
+    let mut open = Vec::new();
+    let mut overloaded = 0;
+    for i in 0..3 {
+        let stream = UnixStream::connect(&path).unwrap();
+        let answer = first_answer(&stream, &stats(10 + i));
+        if answer.contains(r#""ok":true"#) {
+            open.push(stream);
+        } else {
+            assert_eq!(error_kind(answer.trim_end()), "overloaded");
+            overloaded += 1;
+        }
+    }
+    assert_eq!(overloaded, 1);
+    // Both close while the acceptor waits in `accept`: the next
+    // connection finds the cap free.
+    drop(open);
+    settle();
+    let stream = UnixStream::connect(&path).unwrap();
+    let answer = first_answer(&stream, &stats(20));
+    assert!(answer.contains(r#""ok":true"#), "{answer}");
+    let bye = first_answer(&stream, r#"{"id":99,"op":"shutdown"}"#);
+    assert!(bye.contains(r#""ok":true"#), "{bye}");
+    drop(stream);
+    daemon.exits_within(Duration::from_secs(10));
 }

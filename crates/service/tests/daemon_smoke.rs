@@ -260,3 +260,59 @@ fn phloemd_rewrites_the_snapshot_only_for_frames_that_cached_something() {
     assert_eq!((loaded.snapshot.len(), loaded.corrupt_skipped), (2, 0));
     let _ = std::fs::remove_file(&cache);
 }
+
+/// A spawned daemon that a failing test does not leave running.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn phloemd_answers_fresh_connections_at_once_and_exits_promptly_on_shutdown() {
+    use std::time::{Duration, Instant};
+    let pid = std::process::id();
+    let path = std::env::temp_dir().join(format!("phloemd-test-{pid}-accept.sock"));
+    let _ = std::fs::remove_file(&path);
+    let mut child = KillOnDrop(spawn_phloemd(&["--socket", path.to_str().unwrap()]));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !path.exists() {
+        assert!(Instant::now() < deadline, "phloemd never bound {path:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    // Connect to first answer, each on a fresh connection: the acceptor
+    // is blocked in `accept`, not polling on a timer.
+    let stats = [r#"{"id":1,"op":"stats"}"#.to_string()];
+    let mut ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            let answer = socket_round_trip(&path, &stats);
+            assert!(answer[0].contains(r#""ok":true"#), "{}", answer[0]);
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = (ms[9] + ms[10]) / 2.0;
+    assert!(median < 5.0, "median first answer {median:.2} ms: {ms:?}");
+
+    // An idle daemon leaves soon after it answers a shutdown.
+    let bye = socket_round_trip(&path, &[r#"{"id":2,"op":"shutdown"}"#.to_string()]);
+    assert!(bye[0].contains(r#""ok":true"#), "{}", bye[0]);
+    let answered = Instant::now();
+    let status = loop {
+        if let Some(status) = child.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            answered.elapsed() < Duration::from_secs(2),
+            "phloemd still running 2 s after an answered shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "phloemd exited with {status}");
+    assert!(!path.exists(), "socket file should be removed on shutdown");
+}

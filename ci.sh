@@ -43,15 +43,15 @@ echo "==> fuzzdiff --faults --smoke (fault injection: bounded, uncorrupted, dete
 cargo run --release -q -p phloem-bench --bin fuzzdiff -- --faults --smoke
 
 echo "==> fuzzdiff --native --smoke (generated genomes on real threads vs the serial oracle)"
-# Every generated pipeline runs on all three channel backends at
-# 1/2/4 worker threads, on the bytecode engine, against the tree
-# engine's serial run; any divergence is delta-debugged to a minimal
-# reproducer before the run fails.
+# Every generated pipeline runs at 1/2/4 worker threads (every queue
+# an SPSC ring), on the bytecode engine, against the tree engine's
+# serial run; any divergence is delta-debugged to a minimal reproducer
+# before the run fails.
 cargo run --release -q -p phloem-bench --bin fuzzdiff -- --native --smoke
 
 echo "==> native --smoke (native-backend wall clock: oracle-verified runs, host-gated overhead bound)"
-# Every app runs as a pipeline on every channel at one thread per
-# stage, one worker and nproc workers, against the serial kernel on
+# Every app runs as a pipeline at one thread per stage, one worker
+# and nproc workers, against the serial kernel on
 # one native worker, and verifies against its host oracle. On a
 # multi-core host the best configuration that crosses threads (per
 # stage or nproc; one worker is recorded, not gated) must reach 0.25x

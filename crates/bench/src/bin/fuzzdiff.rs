@@ -31,7 +31,7 @@
 //! fuzzdiff --faults             # fault injection: 40 plans x 6 targets, each run twice
 //! fuzzdiff --faults --smoke     # CI: 6 plans per target
 //! fuzzdiff --native             # native backend vs oracle: 200 genomes,
-//!                               # channel x thread grid, real OS threads
+//!                               # 1/2/4 worker threads, real OS threads
 //! fuzzdiff --native --smoke     # CI: 25 genomes
 //! ```
 //!
@@ -211,7 +211,7 @@ fn main() {
     if has("--native") {
         // Native-backend differential sweep: the same genome stream the
         // simulator sweep draws, but every pipeline runs on real OS
-        // threads across the channel × thread-count grid and is diffed
+        // threads at every thread count of the grid and is diffed
         // against the serial oracle's memory (bytecode engine on the
         // threads, tree engine in the oracle).
         let (seed, count) = if has("--smoke") {

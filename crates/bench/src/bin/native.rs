@@ -1,12 +1,12 @@
 //! Native-backend wall clock (`BENCH_native.json`): real-thread
 //! execution of every benchsuite app versus the serial kernel on the
-//! same native interpreter, on the same host, per channel backend.
+//! same native interpreter, on the same host.
 //!
 //! For each app the phloem variant runs under
-//! [`phloem_benchsuite::with_backend`] once per channel backend
-//! (`mpsc`, `ring`, `hybrid`) and thread count: one OS thread per stage
-//! (`threads: 0`, the paper's model) and `nproc` workers with the
-//! stages folded onto them. The baseline is the serial variant under
+//! [`phloem_benchsuite::with_backend`] once per thread count: one OS
+//! thread per stage (`threads: 0`, the paper's model), one worker, and
+//! `nproc` workers with the stages folded onto them; every queue is an
+//! SPSC ring. The baseline is the serial variant under
 //! `Native { threads: 1 }` — a one-stage pipeline on one native worker,
 //! so both sides step through the same interpreter against the same
 //! shared memory and the ratio isolates what the pipeline adds (queue
@@ -34,10 +34,10 @@
 //! one worker has no cross-thread hop and is recorded only) must stay
 //! within 4x of serial wall time at every app (real speedup is
 //! input-size dependent; tiny CI inputs mostly measure thread hand-off
-//! and channel overhead).
+//! and queue overhead).
 //!
 //! `SCALE=tiny|small|full` sizes the inputs as usual; `--smoke` (CI)
-//! keeps the full app x channel x threads matrix but writes no JSON.
+//! keeps the full app x threads matrix but writes no JSON.
 
 use std::time::Instant;
 
@@ -47,7 +47,7 @@ use phloem_benchsuite::apps::APPS;
 use phloem_benchsuite::{taco, with_backend, Measurement, Variant};
 use phloem_service::Json;
 use pipette_sim::native::lifetime_counters;
-use pipette_sim::{ChannelKind, ExecBackend, NativeConfig};
+use pipette_sim::{ExecBackend, NativeConfig};
 
 /// One timed run: wall seconds, what the backend counted over it, and
 /// the ops each stage committed (summed over the app's invocations).
@@ -85,7 +85,6 @@ fn best_of(reps: usize, f: impl Fn() -> Measurement) -> Timed {
 
 /// One native pipeline configuration's best run.
 struct Cell {
-    channel: ChannelKind,
     /// `NativeConfig::threads`: 0 is one thread per stage.
     threads: usize,
     wall_s: f64,
@@ -105,14 +104,14 @@ struct Row {
     /// fewer (the run ends with its last compute stage, wherever the
     /// schedule has left the RAs).
     stage_ops: Vec<(String, u64)>,
-    /// Channel-major, `thread_counts` order within a channel.
+    /// In `thread_counts` order.
     cells: Vec<Cell>,
 }
 
 impl Row {
     /// Builds one row by timing `run(variant)` serially on one native
-    /// worker and once per channel backend and thread count as a
-    /// pipeline. `run` must verify its own output.
+    /// worker and once per thread count as a pipeline. `run` must
+    /// verify its own output.
     fn measure(
         app: &str,
         input: &str,
@@ -120,29 +119,23 @@ impl Row {
         thread_counts: &[usize],
         run: impl Fn(&Variant) -> Measurement,
     ) -> Row {
-        let serial = ExecBackend::Native(NativeConfig {
-            threads: 1,
-            ..NativeConfig::default()
-        });
+        let serial = ExecBackend::Native(NativeConfig { threads: 1 });
         let serial = best_of(reps, || with_backend(serial, || run(&Variant::Serial)));
         let mut stage_ops = Vec::new();
         let mut cells = Vec::new();
-        for channel in ChannelKind::ALL {
-            for &threads in thread_counts {
-                let backend = ExecBackend::Native(NativeConfig { channel, threads });
-                let t = best_of(reps, || with_backend(backend, || run(&Variant::phloem())));
-                if stage_ops.is_empty() {
-                    stage_ops = t.stage_ops;
-                }
-                cells.push(Cell {
-                    channel,
-                    threads,
-                    wall_s: t.wall_s,
-                    speedup: serial.wall_s / t.wall_s,
-                    parks: t.parks,
-                    epoch_bumps: t.epoch_bumps,
-                });
+        for &threads in thread_counts {
+            let backend = ExecBackend::Native(NativeConfig { threads });
+            let t = best_of(reps, || with_backend(backend, || run(&Variant::phloem())));
+            if stage_ops.is_empty() {
+                stage_ops = t.stage_ops;
             }
+            cells.push(Cell {
+                threads,
+                wall_s: t.wall_s,
+                speedup: serial.wall_s / t.wall_s,
+                parks: t.parks,
+                epoch_bumps: t.epoch_bumps,
+            });
         }
         Row {
             app: app.to_string(),
@@ -172,10 +165,8 @@ fn main() {
 
     header("Native backend: real-thread wall clock vs the serial kernel on one native worker");
     println!(
-        "  host cores: {host_cores}; scale {:?}; channels {:?}; threads {:?}; \
-         {reps} reps (best kept)",
+        "  host cores: {host_cores}; scale {:?}; threads {:?}; {reps} reps (best kept)",
         scale(),
-        ChannelKind::ALL.map(|c| c.label()),
         thread_counts
             .iter()
             .map(|&t| threads_label(t))
@@ -204,24 +195,17 @@ fn main() {
         }));
     }
 
-    print!("  {:<14} {:>10} {:<8}", "app", "serial_s", "channel");
+    print!("  {:<14} {:>10}", "app", "serial_s");
     for &t in &thread_counts {
         print!(" {:>10}", threads_label(t));
     }
     println!();
     for r in &rows {
-        for (i, cells) in r.cells.chunks(thread_counts.len()).enumerate() {
-            if i == 0 {
-                print!("  {:<14} {:>10.4}", r.app, r.serial_s);
-            } else {
-                print!("  {:<14} {:>10}", "", "");
-            }
-            print!(" {:<8}", cells[0].channel.label());
-            for c in cells {
-                print!(" {:>9.2}x", c.speedup);
-            }
-            println!();
+        print!("  {:<14} {:>10.4}", r.app, r.serial_s);
+        for c in &r.cells {
+            print!(" {:>9.2}x", c.speedup);
         }
+        println!();
         let split: Vec<String> = r.stage_ops.iter().map(|(_, n)| n.to_string()).collect();
         println!(
             "  {:<14} ops: serial {}, stages {}; parks {} (worst cell {})",
@@ -262,13 +246,12 @@ fn main() {
     }
 
     if smoke {
-        println!("  smoke mode: all apps ran natively on every channel and thread count; OK");
+        println!("  smoke mode: all apps ran natively at every thread count; OK");
         return;
     }
 
     let cell = |c: &Cell| {
         Json::obj([
-            ("channel", Json::str(c.channel.label())),
             ("threads", Json::u64(c.threads as u64)),
             ("wall_s", num(c.wall_s, 6)),
             ("speedup", num(c.speedup, 4)),

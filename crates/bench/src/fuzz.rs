@@ -14,7 +14,7 @@ use phloem_ir::{
     Pipeline, Value,
 };
 use phloem_pool::Pool;
-use pipette_sim::{ChannelKind, ExecBackend, MachineConfig, NativeConfig};
+use pipette_sim::{ExecBackend, MachineConfig, NativeConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------
@@ -462,22 +462,10 @@ fn diff_pipeline(
 // Native-backend differential check (`fuzzdiff --native`).
 // ---------------------------------------------------------------------
 
-/// Channel backend × worker-thread points every native run must agree
-/// on: the full cross of the three channel implementations with thread
-/// counts {1, 2, 4} (worker counts clamp to the stage count inside the
-/// backend, so over-provisioned points still exercise the assignment
-/// path).
-pub const NATIVE_GRID: [(ChannelKind, usize); 9] = [
-    (ChannelKind::Mpsc, 1),
-    (ChannelKind::Mpsc, 2),
-    (ChannelKind::Mpsc, 4),
-    (ChannelKind::Ring, 1),
-    (ChannelKind::Ring, 2),
-    (ChannelKind::Ring, 4),
-    (ChannelKind::Hybrid, 1),
-    (ChannelKind::Hybrid, 2),
-    (ChannelKind::Hybrid, 4),
-];
+/// Worker-thread counts every native run must agree on (worker counts
+/// clamp to the stage count inside the backend, so over-provisioned
+/// points still exercise the assignment path).
+pub const NATIVE_GRID: [usize; 3] = [1, 2, 4];
 
 /// Checks one genome through the *native* backend: every cut subset of
 /// the top-ranked candidates × pass preset that compiles runs on real
@@ -488,9 +476,9 @@ pub const NATIVE_GRID: [(ChannelKind, usize); 9] = [
 /// bytecode, the oracle the tree-walking `StepInterp`, so this sweep
 /// also diffs the interpreters on every generated program.
 ///
-/// Candidates are capped at 2 (vs the simulator sweep's 3): each
-/// pipeline here fans out over 9 real-thread runs instead of 6
-/// simulated ones, and the cut-subset exponent is the sweep's knob.
+/// Candidates are capped at 3, as in the simulator sweep: each pipeline
+/// here costs one real-thread run per [`NATIVE_GRID`] point where the
+/// simulator sweep makes one simulated run.
 pub fn check_native(g: &Genome, totals: &mut Totals) -> Option<String> {
     let func = build_func(g);
     let mem = build_mem(g);
@@ -501,7 +489,7 @@ pub fn check_native(g: &Genome, totals: &mut Totals) -> Option<String> {
         Err(t) => return Some(format!("oracle trapped on the serial program: {t}")),
     };
 
-    let cand: Vec<LoadId> = analyze(&func).candidates().into_iter().take(2).collect();
+    let cand: Vec<LoadId> = analyze(&func).candidates().into_iter().take(3).collect();
     let cfg = MachineConfig::paper_1core();
     for mask in 0u32..(1 << cand.len()) {
         let cuts: Vec<LoadId> = (0..cand.len())
@@ -519,13 +507,13 @@ pub fn check_native(g: &Genome, totals: &mut Totals) -> Option<String> {
                 Err(_) => continue,
             };
             totals.pipelines += 1;
-            for (channel, threads) in NATIVE_GRID {
+            for threads in NATIVE_GRID {
                 totals.runs += 1;
                 let mut session = pipette_sim::Session::new(cfg.clone(), mem.clone());
-                session.set_backend(ExecBackend::Native(NativeConfig { channel, threads }));
+                session.set_backend(ExecBackend::Native(NativeConfig { threads }));
                 if let Err(t) = session.run(&pipe, &params) {
                     return Some(format!(
-                        "cuts {:?}, passes [{}], native {channel}/t{threads} trapped: {t}",
+                        "cuts {:?}, passes [{}], native t{threads} trapped: {t}",
                         cuts.iter().map(|c| c.0).collect::<Vec<_>>(),
                         passes.label(),
                     ));
@@ -533,7 +521,7 @@ pub fn check_native(g: &Genome, totals: &mut Totals) -> Option<String> {
                 let (final_mem, _) = session.finish();
                 if !final_mem.same_contents(&oracle.mem) {
                     return Some(format!(
-                        "cuts {:?}, passes [{}], native {channel}/t{threads}: \
+                        "cuts {:?}, passes [{}], native t{threads}: \
                          final memory differs from the serial oracle",
                         cuts.iter().map(|c| c.0).collect::<Vec<_>>(),
                         passes.label(),

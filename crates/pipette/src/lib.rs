@@ -69,7 +69,9 @@ pub use energy::{EnergyBreakdown, EnergyModel};
 pub use faults::{Fault, FaultPlan};
 pub use machine::{CancelScope, CompiledPipeline, Machine, RunOutcome, Session};
 pub use metrics::{MetricsSink, QueueMetrics, StageMetrics};
-pub use native::{BackendScope, ChannelBackend, ChannelKind, ExecBackend, NativeConfig};
+// The channel kind only picks the buffer of a public `native::channel`,
+// which the benchmark's per-kind probe still builds (see that module).
+pub use native::{BackendScope, ChannelKind, ExecBackend, NativeConfig};
 pub use phloem_pool::CancelToken;
 pub use stats::{CycleBreakdown, QueueStats, RunStats, ThreadStats};
 pub use trace::{

@@ -1,88 +1,74 @@
 //! Bounded channels backing hardware queues in the native backend.
 //!
-//! Each hardware queue of a pipeline lowers to one bounded channel
+//! Each hardware queue of a pipeline lowers to one bounded SPSC ring
 //! carrying [`Value`] words — data and in-band control values travel the
-//! same channel, exactly as they share the hardware FIFO in the
-//! simulator. [`ChannelKind`] picks the buffer:
+//! same ring, exactly as they share the hardware FIFO in the simulator.
+//! The ring is FastFlow-style: `capacity` slots with monotonic head/tail
+//! counters on cache lines of their own (acquire/release pairs on the
+//! counters order the slot accesses).
 //!
-//! * [`ChannelKind::Ring`] — a FastFlow-style bounded SPSC ring of
-//!   `capacity` slots with monotonic head/tail counters on cache lines
-//!   of their own (acquire/release pairs on the counters order the slot
-//!   accesses). The native backend's default.
-//! * [`ChannelKind::Hybrid`] — the ring plus, on the public endpoints,
-//!   a short bounded re-read of the peer's counter before reporting
-//!   `Full`/`Empty`. The slab endpoints drive it as a plain ring.
-//! * [`ChannelKind::Mpsc`] — the std library's `sync_channel` (itself
-//!   bounded) behind two mutexes; the conservative reference.
+//! The native world drives a ring through the crate-internal
+//! `SlabSender`/`SlabReceiver` that `slab_channel` builds. With one
+//! producer they work on a private cursor and store the shared counter
+//! once per `SLAB` values, before reporting `Full`/`Empty`, on `flush`
+//! (the world calls it when a stage's slice ends) and on drop — so the
+//! cross-core traffic is per slab, not per value, and a blocked or
+//! descheduled stage never sits on anything unpublished. The FIFO is
+//! untouched: a control value is a word in a slot like any other, so it
+//! keeps its place by construction. While a fan-in queue has several
+//! producers they share the shared counter under `send_lock` and
+//! publish every value.
 //!
-//! There are two ways to drive a channel, over the same buffer:
+//! The public [`channel`], [`ChannelKind`] and [`Sender`]/[`Receiver`]
+//! are a constructor the native world does not use. They stay for
+//! `tests/channel_unit.rs` and for the benchmark's
+//! `native.chan_ns_per_op.{mpsc,ring,hybrid}` probe, whose smoke check
+//! fails if one of those metric names goes missing; ROADMAP item 1
+//! ("One channel") deletes the `Mpsc` and `Hybrid` buffers together with
+//! the two probe rows. Every `try_send` there is visible to the next
+//! `try_recv`, and every `try_recv` frees its slot at once.
 //!
-//! * The public [`Sender`]/[`Receiver`]: every `try_send` is visible to
-//!   the next `try_recv` and every `try_recv` frees its slot at once.
-//!   `tests/channel_unit.rs` pins this, and the benchmark's per-kind
-//!   ping-pong probe depends on it.
-//! * The crate-internal `SlabSender`/`SlabReceiver`, which the
-//!   native world wraps its endpoints in. On a ring with one producer
-//!   they work on a private cursor and store the shared counter once per
-//!   `SLAB` values, before reporting `Full`/`Empty`, on `flush` (the
-//!   world calls it when a stage's slice ends) and on drop — so the
-//!   cross-core traffic is per slab, not per value, and a blocked or
-//!   descheduled stage never sits on anything unpublished. The FIFO is
-//!   untouched: a control value is a word in a slot like any other, so
-//!   it keeps its place by construction. On `mpsc`, and while a fan-in
-//!   queue has several producers, they fall through to the public path
-//!   (fan-in serialises under `send_lock` and publishes every value).
-//!
-//! The endpoints own the lifecycle bookkeeping the buffers don't:
-//! sender counting (so a drained channel whose producers are all gone
-//! reports `Disconnected`, not `Empty`) and receiver liveness (so
+//! Both kinds of endpoint own the lifecycle bookkeeping the buffers
+//! don't: sender counting (so a drained channel whose producers are all
+//! gone reports `Disconnected`, not `Empty`) and receiver liveness (so
 //! producers feeding a dead consumer learn about it instead of filling a
 //! buffer nobody drains). The validator guarantees every queue has
-//! exactly one consumer, so `Receiver` is unique per channel; fan-in
-//! queues (`EnqSel`/control broadcast) clone the `Sender`, and a send
-//! automatically serializes through a mutex whenever more than one
-//! `Sender` is live.
+//! exactly one consumer, so the receiver is unique per channel; fan-in
+//! queues (`EnqSel`/control broadcast) have several senders, and a send
+//! serializes through a mutex whenever more than one is live.
 
 use phloem_ir::Value;
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
-/// Which bounded-buffer implementation a channel uses.
+/// Which buffer a public [`channel`] uses. Only the constructor reads
+/// it: the native world always runs the ring, and this stays for
+/// `tests/channel_unit.rs` and the benchmark's per-kind ping-pong probe
+/// until ROADMAP item 1 deletes `Mpsc` and `Hybrid` with the probe rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ChannelKind {
     /// `std::sync::mpsc::sync_channel`, wrapped.
     Mpsc,
-    /// Custom SPSC ring buffer (FastFlow-style).
+    /// The SPSC ring every native queue runs on.
     Ring,
     /// The ring with a bounded spin before reporting full/empty.
     Hybrid,
 }
 
 impl ChannelKind {
-    /// All backends, for differential sweeps.
+    /// All kinds, for the probe and the unit tests.
     pub const ALL: [ChannelKind; 3] = [ChannelKind::Mpsc, ChannelKind::Ring, ChannelKind::Hybrid];
 
-    /// Stable lowercase label (CLI flags, JSON annotations).
+    /// Stable lowercase label (the probe's metric names).
     pub fn label(self) -> &'static str {
         match self {
             ChannelKind::Mpsc => "mpsc",
             ChannelKind::Ring => "ring",
             ChannelKind::Hybrid => "hybrid",
         }
-    }
-
-    /// Parses a [`Self::label`] back into a kind.
-    pub fn parse(s: &str) -> Option<ChannelKind> {
-        ChannelKind::ALL.into_iter().find(|k| k.label() == s)
-    }
-}
-
-impl fmt::Display for ChannelKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
     }
 }
 
@@ -125,50 +111,6 @@ pub enum TryRecvError {
     Disconnected,
 }
 
-/// A pluggable bounded FIFO buffer of [`Value`] words.
-///
-/// Implementations provide only the buffer: internally synchronized for
-/// the single-producer/single-consumer case, with *no* lifecycle
-/// tracking (the [`Sender`]/[`Receiver`] endpoints layer that on top).
-/// Multi-producer use is serialized by the endpoints, never by the
-/// backend.
-pub trait ChannelBackend: Send + Sync {
-    /// Attempts to push; hands `v` back when the buffer is full.
-    ///
-    /// # Errors
-    /// Returns `Err(v)` when the buffer is full.
-    fn try_push(&self, v: Value) -> Result<(), Value>;
-
-    /// Attempts to pop; `None` when the buffer is empty.
-    fn try_pop(&self) -> Option<Value>;
-}
-
-/// [`ChannelKind::Mpsc`]: the std sync channel behind mutexed endpoints
-/// (the backend trait is `&self`-shared, `mpsc::Receiver` is not
-/// `Sync`). Contention on these mutexes is bounded by the channel's own
-/// SPSC-at-steady-state usage.
-struct MpscBackend {
-    tx: Mutex<mpsc::SyncSender<Value>>,
-    rx: Mutex<mpsc::Receiver<Value>>,
-}
-
-impl ChannelBackend for MpscBackend {
-    fn try_push(&self, v: Value) -> Result<(), Value> {
-        let tx = self.tx.lock().unwrap_or_else(|e| e.into_inner());
-        match tx.try_send(v) {
-            Ok(()) => Ok(()),
-            // Disconnection cannot happen: the backend owns both ends for
-            // its whole life. Treat it like Full defensively.
-            Err(mpsc::TrySendError::Full(v) | mpsc::TrySendError::Disconnected(v)) => Err(v),
-        }
-    }
-
-    fn try_pop(&self) -> Option<Value> {
-        let rx = self.rx.lock().unwrap_or_else(|e| e.into_inner());
-        rx.try_recv().ok()
-    }
-}
-
 /// Keeps a shared index on cache lines of its own, so the producer's
 /// stores to `tail` never invalidate the line the consumer's `head`
 /// lives on (128 bytes: adjacent-line prefetchers pair 64-byte lines).
@@ -179,9 +121,9 @@ impl ChannelBackend for MpscBackend {
 #[repr(align(128))]
 struct CachePadded<T>(T);
 
-/// [`ChannelKind::Ring`]: a bounded SPSC ring with monotonically
-/// increasing head/tail counters (never wrapped, so full/empty are
-/// `tail - head == cap` / `tail == head` with no lap ambiguity).
+/// A bounded SPSC ring with monotonically increasing head/tail counters
+/// (never wrapped, so full/empty are `tail - head == cap` / `tail ==
+/// head` with no lap ambiguity).
 ///
 /// The release-store on `tail` after writing a slot pairs with the
 /// consumer's acquire-load of `tail` before reading it; symmetrically
@@ -190,11 +132,11 @@ struct CachePadded<T>(T);
 /// popper — which the endpoints enforce.
 ///
 /// The shared counters are what the *peer* may rely on, not where an
-/// endpoint has got to: [`ChannelBackend::try_push`]/`try_pop` use them
-/// as their cursor and so publish every value at once, while the slab
-/// endpoints ([`SlabSender`], [`SlabReceiver`]) run ahead of them on a
-/// private cursor and store the shared one once per slab.
-struct RingBackend {
+/// endpoint has got to: [`Ring::try_push`]/[`Ring::try_pop`] use them as
+/// their cursor and so publish every value at once, while the slab
+/// endpoints run ahead of them on a private cursor and store the shared
+/// one once per slab.
+struct Ring {
     /// `capacity` rounded up to a power of two, so an index finds its
     /// slot with a mask (`index % 24` was a hardware divide per value
     /// moved). Any `capacity` consecutive indices still land on distinct
@@ -214,12 +156,12 @@ struct RingBackend {
 // the consumer's release of `head` past it and its own release of
 // `tail`, the consumer between that and its next release of `head`).
 // `Value` is `Copy + Send`.
-unsafe impl Send for RingBackend {}
-unsafe impl Sync for RingBackend {}
+unsafe impl Send for Ring {}
+unsafe impl Sync for Ring {}
 
-impl RingBackend {
-    fn new(capacity: usize) -> RingBackend {
-        RingBackend {
+impl Ring {
+    fn new(capacity: usize) -> Ring {
+        Ring {
             slots: (0..capacity.next_power_of_two())
                 .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
                 .collect(),
@@ -227,10 +169,6 @@ impl RingBackend {
             head: CachePadded(AtomicU64::new(0)),
             tail: CachePadded(AtomicU64::new(0)),
         }
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
     }
 
     fn slot(&self, index: u64) -> *mut MaybeUninit<Value> {
@@ -260,13 +198,12 @@ impl RingBackend {
         // so no drop obligations remain in the slot.
         unsafe { (*self.slot(h)).assume_init_read() }
     }
-}
 
-impl ChannelBackend for RingBackend {
+    /// Pushes and publishes one value; hands `v` back when full.
     fn try_push(&self, v: Value) -> Result<(), Value> {
         let t = self.tail.0.load(Ordering::Relaxed);
         let h = self.head.0.load(Ordering::Acquire);
-        if t - h == self.capacity() {
+        if t - h == self.capacity {
             return Err(v);
         }
         // SAFETY: the endpoints admit one pusher at a time, whose cursor
@@ -276,6 +213,7 @@ impl ChannelBackend for RingBackend {
         Ok(())
     }
 
+    /// Pops and vacates one value; `None` when empty.
     fn try_pop(&self) -> Option<Value> {
         let h = self.head.0.load(Ordering::Relaxed);
         let t = self.tail.0.load(Ordering::Acquire);
@@ -296,90 +234,105 @@ impl ChannelBackend for RingBackend {
 /// multicore one.
 const HYBRID_SPINS: usize = 64;
 
-/// [`ChannelKind::Hybrid`]: the ring plus a bounded spin before giving
-/// up, so transient full/empty blips never reach the park path.
-struct HybridBackend {
-    ring: RingBackend,
-}
-
-impl ChannelBackend for HybridBackend {
-    fn try_push(&self, mut v: Value) -> Result<(), Value> {
-        for _ in 0..HYBRID_SPINS {
-            match self.ring.try_push(v) {
-                Ok(()) => return Ok(()),
-                Err(back) => {
-                    v = back;
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        self.ring.try_push(v)
-    }
-
-    fn try_pop(&self) -> Option<Value> {
-        for _ in 0..HYBRID_SPINS {
-            if let Some(v) = self.ring.try_pop() {
-                return Some(v);
-            }
-            std::hint::spin_loop();
-        }
-        self.ring.try_pop()
-    }
-}
-
-/// The three buffers behind one channel type. The public endpoints only
-/// need [`ChannelBackend`]; the slab endpoints also need to know whether
-/// there is a ring underneath whose indices they can run ahead of.
+/// The buffer behind a public channel, one arm per [`ChannelKind`].
+/// Multi-producer use is serialized by the endpoints, never here.
 enum Buffer {
-    Mpsc(MpscBackend),
-    Ring(RingBackend),
-    Hybrid(HybridBackend),
+    /// The std sync channel; its ends sit behind mutexes because the
+    /// buffer is shared by `&self` and `mpsc::Receiver` is not `Sync`.
+    Mpsc {
+        tx: Mutex<mpsc::SyncSender<Value>>,
+        rx: Mutex<mpsc::Receiver<Value>>,
+    },
+    Ring(Ring),
+    /// The ring, re-tried up to [`HYBRID_SPINS`] times before it reports
+    /// full or empty.
+    Hybrid(Ring),
 }
 
 impl Buffer {
-    fn backend(&self) -> &dyn ChannelBackend {
+    fn try_push(&self, v: Value) -> Result<(), Value> {
         match self {
-            Buffer::Mpsc(b) => b,
-            Buffer::Ring(b) => b,
-            Buffer::Hybrid(b) => b,
+            Buffer::Mpsc { tx, .. } => {
+                let tx = tx.lock().unwrap_or_else(|e| e.into_inner());
+                // Disconnection cannot happen: the buffer owns both ends
+                // for its whole life. Treat it like Full defensively.
+                tx.try_send(v).map_err(|_| v)
+            }
+            Buffer::Ring(r) => r.try_push(v),
+            Buffer::Hybrid(r) => {
+                for _ in 0..HYBRID_SPINS {
+                    if r.try_push(v).is_ok() {
+                        return Ok(());
+                    }
+                    std::hint::spin_loop();
+                }
+                r.try_push(v)
+            }
         }
     }
 
-    /// The ring under this buffer, if there is one. The slab endpoints
-    /// drive `hybrid`'s ring like any other: the worker's idle rounds
-    /// already retry a blocked stage, so a second spin inside the
-    /// channel buys nothing there.
-    fn ring(&self) -> Option<&RingBackend> {
+    fn try_pop(&self) -> Option<Value> {
         match self {
-            Buffer::Mpsc(_) => None,
-            Buffer::Ring(r) => Some(r),
-            Buffer::Hybrid(h) => Some(&h.ring),
+            Buffer::Mpsc { rx, .. } => {
+                let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
+                rx.try_recv().ok()
+            }
+            Buffer::Ring(r) => r.try_pop(),
+            Buffer::Hybrid(r) => {
+                for _ in 0..HYBRID_SPINS {
+                    if let Some(v) = r.try_pop() {
+                        return Some(v);
+                    }
+                    std::hint::spin_loop();
+                }
+                r.try_pop()
+            }
         }
     }
 }
 
-/// Shared channel state: the buffer plus lifecycle bookkeeping.
-struct Core {
-    buffer: Buffer,
-    /// Live `Sender` clones. When it hits zero the channel can never
-    /// gain another value: `Empty` hardens into `Disconnected`.
+/// Shared channel state: the buffer plus lifecycle bookkeeping. The
+/// public endpoints share a [`Buffer`], the slab endpoints a [`Ring`].
+struct Core<B> {
+    buffer: B,
+    /// Live senders. When it hits zero the channel can never gain
+    /// another value: `Empty` hardens into `Disconnected`.
     senders: AtomicUsize,
-    /// Cleared when the `Receiver` drops; producers then get
+    /// Cleared when the receiver drops; producers then get
     /// `Disconnected` instead of filling a buffer nobody drains.
     receiver_alive: AtomicBool,
-    /// Serializes sends while more than one `Sender` is live (fan-in
+    /// Serializes sends while more than one sender is live (fan-in
     /// queues). Single-producer channels never touch it.
     send_lock: Mutex<()>,
 }
 
-/// The producing endpoint. Clone it once per producer stage; sends
+impl<B> Core<B> {
+    fn new(buffer: B, senders: usize) -> Arc<Core<B>> {
+        Arc::new(Core {
+            buffer,
+            senders: AtomicUsize::new(senders),
+            receiver_alive: AtomicBool::new(true),
+            send_lock: Mutex::new(()),
+        })
+    }
+
+    /// Holds `send_lock` while more than one sender is live (fan-in);
+    /// `None` on a single-producer channel.
+    fn fan_in_guard(&self) -> Option<MutexGuard<'_, ()>> {
+        (self.senders.load(Ordering::Acquire) > 1)
+            .then(|| self.send_lock.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
+/// The producing endpoint of a public [`channel`] (not used by the
+/// native world; see the module doc). Clone it once per producer; sends
 /// serialize automatically while clones coexist and go lock-free again
 /// once the channel is back to a single producer.
 ///
 /// `Sender` is `Send` but intentionally not `Sync`: the lock-free path
 /// is only sound when each live clone is driven by one thread.
 pub struct Sender {
-    core: Arc<Core>,
+    core: Arc<Core<Buffer>>,
     _not_sync: std::marker::PhantomData<std::cell::Cell<()>>,
 }
 
@@ -394,17 +347,8 @@ impl Sender {
         if !self.core.receiver_alive.load(Ordering::Acquire) {
             return Err(TrySendError::Disconnected(v));
         }
-        let res = if self.core.senders.load(Ordering::Acquire) > 1 {
-            let _g = self
-                .core
-                .send_lock
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            self.core.buffer.backend().try_push(v)
-        } else {
-            self.core.buffer.backend().try_push(v)
-        };
-        res.map_err(TrySendError::Full)
+        let _fan_in = self.core.fan_in_guard();
+        self.core.buffer.try_push(v).map_err(TrySendError::Full)
     }
 }
 
@@ -424,11 +368,11 @@ impl Drop for Sender {
     }
 }
 
-/// The consuming endpoint — unique per channel, matching the
-/// validator's one-consumer-per-queue discipline. `Send` but not
-/// `Sync`, like [`Sender`].
+/// The consuming endpoint of a public [`channel`] — unique per channel,
+/// matching the validator's one-consumer-per-queue discipline. `Send`
+/// but not `Sync`, like [`Sender`].
 pub struct Receiver {
-    core: Arc<Core>,
+    core: Arc<Core<Buffer>>,
     _not_sync: std::marker::PhantomData<std::cell::Cell<()>>,
 }
 
@@ -440,16 +384,13 @@ impl Receiver {
     /// [`TryRecvError::Disconnected`] once the channel is drained and
     /// the last sender dropped.
     pub fn try_recv(&self) -> Result<Value, TryRecvError> {
-        if let Some(v) = self.core.buffer.backend().try_pop() {
+        if let Some(v) = self.core.buffer.try_pop() {
             return Ok(v);
         }
         if self.core.senders.load(Ordering::Acquire) == 0 {
             // A value pushed just before the last sender dropped must
             // still drain: re-check the buffer *after* observing zero.
-            return match self.core.buffer.backend().try_pop() {
-                Some(v) => Ok(v),
-                None => Err(TryRecvError::Disconnected),
-            };
+            return self.core.buffer.try_pop().ok_or(TryRecvError::Disconnected);
         }
         Err(TryRecvError::Empty)
     }
@@ -459,6 +400,42 @@ impl Drop for Receiver {
     fn drop(&mut self) {
         self.core.receiver_alive.store(false, Ordering::Release);
     }
+}
+
+/// Creates a public bounded channel of the given kind and capacity.
+/// The native world never calls this; it stays for
+/// `tests/channel_unit.rs` and the benchmark's per-kind probe until
+/// ROADMAP item 1 deletes the `Mpsc` and `Hybrid` buffers with the probe
+/// rows (see the module doc).
+///
+/// # Errors
+/// [`ChannelError::ZeroCapacity`] when `capacity == 0`.
+pub fn channel(kind: ChannelKind, capacity: usize) -> Result<(Sender, Receiver), ChannelError> {
+    if capacity == 0 {
+        return Err(ChannelError::ZeroCapacity);
+    }
+    let buffer = match kind {
+        ChannelKind::Mpsc => {
+            let (tx, rx) = mpsc::sync_channel(capacity);
+            Buffer::Mpsc {
+                tx: Mutex::new(tx),
+                rx: Mutex::new(rx),
+            }
+        }
+        ChannelKind::Ring => Buffer::Ring(Ring::new(capacity)),
+        ChannelKind::Hybrid => Buffer::Hybrid(Ring::new(capacity)),
+    };
+    let core = Core::new(buffer, 1);
+    Ok((
+        Sender {
+            core: Arc::clone(&core),
+            _not_sync: std::marker::PhantomData,
+        },
+        Receiver {
+            core,
+            _not_sync: std::marker::PhantomData,
+        },
+    ))
 }
 
 /// Values an endpoint moves on its private cursor before it stores the
@@ -485,13 +462,11 @@ struct Cursor {
 }
 
 impl Cursor {
-    fn at(index: u64) -> Cursor {
-        Cursor {
-            next: index,
-            published: index,
-            peer: index,
-        }
-    }
+    const START: Cursor = Cursor {
+        next: 0,
+        published: 0,
+        peer: 0,
+    };
 
     /// Hands `[published, next)` to the peer. The release-store pairs
     /// with the peer's acquire-load in [`Self::refresh`].
@@ -516,10 +491,30 @@ impl Cursor {
     }
 }
 
-/// The producing endpoint as [`super::NativeWorld`] drives it: a
-/// [`Sender`] that, while it is the channel's only producer and the
-/// buffer is a ring, writes slots on a private cursor and publishes
-/// them a slab at a time.
+/// Creates the ring of one hardware queue as [`super::NativeWorld`]
+/// wires it: `producers` slab senders (one per producing stage; more
+/// than one is a fan-in queue) and the consumer's slab receiver.
+/// `capacity` must be at least 1.
+pub(crate) fn slab_channel(capacity: usize, producers: usize) -> (Vec<SlabSender>, SlabReceiver) {
+    assert!(capacity > 0, "a ring needs at least one slot");
+    let core = Core::new(Ring::new(capacity), producers);
+    let senders = (0..producers)
+        .map(|_| SlabSender {
+            core: Arc::clone(&core),
+            cursor: Cursor::START,
+            sole: false,
+        })
+        .collect();
+    let receiver = SlabReceiver {
+        core,
+        cursor: Cursor::START,
+    };
+    (senders, receiver)
+}
+
+/// A producing stage's endpoint of a ring. While it is the channel's
+/// only producer it writes slots on a private cursor and publishes them
+/// a slab at a time.
 ///
 /// What the consumer may rely on: everything sent is published by the
 /// time `try_send` reports `Full`, by the time [`Self::flush`] returns,
@@ -527,7 +522,7 @@ impl Cursor {
 /// between. Control values are ordinary words in that FIFO, so they keep
 /// their position whatever the slab boundaries are.
 pub(crate) struct SlabSender {
-    tx: Sender,
+    core: Arc<Core<Ring>>,
     cursor: Cursor,
     /// This endpoint has seen itself to be the channel's only producer
     /// and taken `cursor` from the shared `tail`.
@@ -535,34 +530,24 @@ pub(crate) struct SlabSender {
 }
 
 impl SlabSender {
-    pub(crate) fn new(tx: Sender) -> SlabSender {
-        SlabSender {
-            tx,
-            cursor: Cursor::at(0),
-            sole: false,
-        }
-    }
-
-    /// [`Sender::try_send`], publishing by the slab.
+    /// Attempts to enqueue `v`, publishing by the slab.
     ///
     /// # Errors
     /// As [`Sender::try_send`].
     pub(crate) fn try_send(&mut self, v: Value) -> Result<(), TrySendError> {
-        let core = &*self.tx.core;
-        let Some(ring) = core.buffer.ring() else {
-            return self.tx.try_send(v);
-        };
-        let cur = &mut self.cursor;
-        if core.senders.load(Ordering::Acquire) > 1 {
-            // Fan-in: the producers share one cursor, the shared `tail`,
-            // under `send_lock`, so every value is published at once.
-            // `tx` cannot be cloned once wrapped, so the count only
-            // falls: fan-in comes before the private cursor, never after.
-            return self.tx.try_send(v);
-        }
+        let core = &*self.core;
         if !core.receiver_alive.load(Ordering::Acquire) {
             return Err(TrySendError::Disconnected(v));
         }
+        if let Some(_fan_in) = core.fan_in_guard() {
+            // Fan-in: the producers share one cursor, the shared `tail`,
+            // under `send_lock`, so every value is published at once.
+            // Slab senders are never cloned, so the count only falls:
+            // fan-in comes before the private cursor, never after.
+            return core.buffer.try_push(v).map_err(TrySendError::Full);
+        }
+        let ring = &core.buffer;
+        let cur = &mut self.cursor;
         if !self.sole {
             // Acquire: the other producers' slot writes, published by
             // their release-stores of `tail`, must happen before the
@@ -572,7 +557,7 @@ impl SlabSender {
             self.sole = true;
         }
         // `>=`: after fan-in the cached `head` trails `next` by laps.
-        let full = |c: &Cursor| c.next - c.peer >= ring.capacity();
+        let full = |c: &Cursor| c.next - c.peer >= ring.capacity;
         if full(cur) {
             cur.refresh(&ring.head.0);
             if full(cur) {
@@ -581,10 +566,11 @@ impl SlabSender {
                 return Err(TrySendError::Full(v));
             }
         }
-        // SAFETY: `senders == 1` and `Sender` is not `Sync`, so this is
-        // the sole producer; `next` is its cursor (taken from the shared
-        // index when it became sole, advanced only here); `peer` is an
-        // acquire-loaded `head` and `next - peer < capacity`.
+        // SAFETY: `senders == 1` and every slab endpoint is owned by one
+        // stage, so this is the sole producer; `next` is its cursor
+        // (taken from the shared index when it became sole, advanced
+        // only here); `peer` is an acquire-loaded `head` and
+        // `next - peer < capacity`.
         unsafe { ring.write(cur.next, v) };
         cur.advance(&ring.tail.0);
         Ok(())
@@ -592,57 +578,39 @@ impl SlabSender {
 
     /// Publishes every value sent so far.
     pub(crate) fn flush(&mut self) {
-        if let Some(ring) = self.tx.core.buffer.ring() {
-            self.cursor.publish(&ring.tail.0);
-        }
+        self.cursor.publish(&self.core.buffer.tail.0);
     }
 }
 
 impl Drop for SlabSender {
-    /// Publishes before `tx` drops and the sender count falls, so the
-    /// receiver's drain-then-`Disconnected` check cannot miss a value.
+    /// Publishes before the sender count falls, so the receiver's
+    /// drain-then-`Disconnected` check cannot miss a value.
     fn drop(&mut self) {
         self.flush();
+        self.core.senders.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// The consuming endpoint as [`super::NativeWorld`] drives it: a
-/// [`Receiver`] that, on a ring, reads slots on a private cursor and
-/// hands them back to the producer a slab at a time.
+/// The consuming stage's endpoint of a ring: reads slots on a private
+/// cursor and hands them back to the producer a slab at a time.
 ///
 /// What the producer may rely on: every slot read is vacated by the
 /// time `try_recv` reports `Empty` or `Disconnected`, by the time
 /// [`Self::flush`] returns, and when the endpoint drops; and at least
 /// every [`SLAB`] values in between.
 pub(crate) struct SlabReceiver {
-    rx: Receiver,
+    core: Arc<Core<Ring>>,
     cursor: Cursor,
 }
 
 impl SlabReceiver {
-    pub(crate) fn new(rx: Receiver) -> SlabReceiver {
-        // Relaxed: only the receiver ever stores `head`, and handing the
-        // receiver to this thread ordered those stores before this load.
-        let head = rx
-            .core
-            .buffer
-            .ring()
-            .map_or(0, |ring| ring.head.0.load(Ordering::Relaxed));
-        SlabReceiver {
-            rx,
-            cursor: Cursor::at(head),
-        }
-    }
-
-    /// [`Receiver::try_recv`], vacating by the slab.
+    /// Attempts to dequeue, vacating by the slab.
     ///
     /// # Errors
     /// As [`Receiver::try_recv`].
     pub(crate) fn try_recv(&mut self) -> Result<Value, TryRecvError> {
-        let core = &*self.rx.core;
-        let Some(ring) = core.buffer.ring() else {
-            return self.rx.try_recv();
-        };
+        let core = &*self.core;
+        let ring = &core.buffer;
         let cur = &mut self.cursor;
         let empty = |c: &Cursor| c.next == c.peer;
         if empty(cur) {
@@ -661,10 +629,10 @@ impl SlabReceiver {
                 }
             }
         }
-        // SAFETY: the receiver is unique and not `Sync`, so this is the
-        // sole consumer; `next` is its cursor (taken from the shared
-        // index, which nobody else stores, and advanced only here);
-        // `peer` is an acquire-loaded `tail` and `next < peer`.
+        // SAFETY: the receiver is unique and owned by one stage, so this
+        // is the sole consumer; `next` is its cursor (only it stores the
+        // shared index, and it advances only here); `peer` is an
+        // acquire-loaded `tail` and `next < peer`.
         let v = unsafe { ring.read(cur.next) };
         cur.advance(&ring.head.0);
         Ok(v)
@@ -672,55 +640,15 @@ impl SlabReceiver {
 
     /// Vacates every slot read so far.
     pub(crate) fn flush(&mut self) {
-        if let Some(ring) = self.rx.core.buffer.ring() {
-            self.cursor.publish(&ring.head.0);
-        }
+        self.cursor.publish(&self.core.buffer.head.0);
     }
 }
 
 impl Drop for SlabReceiver {
     fn drop(&mut self) {
         self.flush();
+        self.core.receiver_alive.store(false, Ordering::Release);
     }
-}
-
-/// Creates a bounded channel of the given kind and capacity.
-///
-/// # Errors
-/// [`ChannelError::ZeroCapacity`] when `capacity == 0`.
-pub fn channel(kind: ChannelKind, capacity: usize) -> Result<(Sender, Receiver), ChannelError> {
-    if capacity == 0 {
-        return Err(ChannelError::ZeroCapacity);
-    }
-    let buffer = match kind {
-        ChannelKind::Mpsc => {
-            let (tx, rx) = mpsc::sync_channel(capacity);
-            Buffer::Mpsc(MpscBackend {
-                tx: Mutex::new(tx),
-                rx: Mutex::new(rx),
-            })
-        }
-        ChannelKind::Ring => Buffer::Ring(RingBackend::new(capacity)),
-        ChannelKind::Hybrid => Buffer::Hybrid(HybridBackend {
-            ring: RingBackend::new(capacity),
-        }),
-    };
-    let core = Arc::new(Core {
-        buffer,
-        senders: AtomicUsize::new(1),
-        receiver_alive: AtomicBool::new(true),
-        send_lock: Mutex::new(()),
-    });
-    Ok((
-        Sender {
-            core: Arc::clone(&core),
-            _not_sync: std::marker::PhantomData,
-        },
-        Receiver {
-            core,
-            _not_sync: std::marker::PhantomData,
-        },
-    ))
 }
 
 #[cfg(test)]
@@ -748,9 +676,10 @@ mod tests {
         }
     }
 
-    fn slab_channel(kind: ChannelKind, capacity: usize) -> (SlabSender, SlabReceiver) {
-        let (tx, rx) = channel(kind, capacity).unwrap();
-        (SlabSender::new(tx), SlabReceiver::new(rx))
+    /// A single-producer ring.
+    fn spsc(capacity: usize) -> (SlabSender, SlabReceiver) {
+        let (mut senders, rx) = slab_channel(capacity, 1);
+        (senders.pop().expect("one sender"), rx)
     }
 
     /// Message `i` of the stress stream: a control value on the last
@@ -773,106 +702,94 @@ mod tests {
     #[test]
     fn slab_framing_keeps_the_fifo_at_every_depth() {
         const N: u64 = 20_000;
-        for kind in [ChannelKind::Ring, ChannelKind::Hybrid, ChannelKind::Mpsc] {
-            for capacity in [1, 3, 7, 8, 9, 24, 100] {
-                let mut rng = Rng(0x51AB ^ (capacity as u64) << 8 ^ kind.label().len() as u64);
-                let (mut tx, mut rx) = slab_channel(kind, capacity);
-                let (producer_seed, consumer_seed) = (rng.next() | 1, rng.next() | 1);
-                let producer = std::thread::spawn(move || {
-                    let mut rng = Rng(producer_seed);
-                    let mut i = 0;
-                    while i < N {
-                        match tx.try_send(message(i)) {
-                            Ok(()) => i += 1,
-                            Err(TrySendError::Full(v)) => {
-                                assert_eq!(v, message(i), "Full hands the value back");
-                                std::thread::yield_now();
-                            }
-                            Err(TrySendError::Disconnected(_)) => panic!("receiver died"),
+        for capacity in [1, 3, 7, 8, 9, 24, 100] {
+            let mut rng = Rng(0x51AB ^ (capacity as u64) << 8);
+            let (mut tx, mut rx) = spsc(capacity);
+            let (producer_seed, consumer_seed) = (rng.next() | 1, rng.next() | 1);
+            let producer = std::thread::spawn(move || {
+                let mut rng = Rng(producer_seed);
+                let mut i = 0;
+                while i < N {
+                    match tx.try_send(message(i)) {
+                        Ok(()) => i += 1,
+                        Err(TrySendError::Full(v)) => {
+                            assert_eq!(v, message(i), "Full hands the value back");
+                            std::thread::yield_now();
                         }
-                        if rng.below(37) == 0 {
-                            tx.flush();
-                        }
+                        Err(TrySendError::Disconnected(_)) => panic!("receiver died"),
                     }
-                });
-                let mut rng = Rng(consumer_seed);
-                let mut got = 0;
-                loop {
-                    match rx.try_recv() {
-                        Ok(v) => {
-                            assert_eq!(v, message(got), "{kind} depth {capacity}: message {got}");
-                            got += 1;
-                        }
-                        Err(TryRecvError::Empty) => std::thread::yield_now(),
-                        Err(TryRecvError::Disconnected) => break,
-                    }
-                    if rng.below(41) == 0 {
-                        rx.flush();
+                    if rng.below(37) == 0 {
+                        tx.flush();
                     }
                 }
-                producer.join().unwrap();
-                assert_eq!(got, N, "{kind} depth {capacity}");
+            });
+            let mut rng = Rng(consumer_seed);
+            let mut got = 0;
+            loop {
+                match rx.try_recv() {
+                    Ok(v) => {
+                        assert_eq!(v, message(got), "depth {capacity}: message {got}");
+                        got += 1;
+                    }
+                    Err(TryRecvError::Empty) => std::thread::yield_now(),
+                    Err(TryRecvError::Disconnected) => break,
+                }
+                if rng.below(41) == 0 {
+                    rx.flush();
+                }
             }
+            producer.join().unwrap();
+            assert_eq!(got, N, "depth {capacity}");
         }
     }
 
-    /// On a ring, a partial slab is the producer's own until one of the
-    /// three publication points: a `Full` report, `flush`, `Drop`.
+    /// A partial slab is the producer's own until one of the three
+    /// publication points: a `Full` report, `flush`, `Drop`.
     #[test]
     fn a_partial_slab_is_visible_after_block_flush_and_drop() {
-        for kind in [ChannelKind::Ring, ChannelKind::Hybrid] {
-            // Block: depth below the slab, so only `Full` can publish.
-            let (mut tx, mut rx) = slab_channel(kind, 4);
-            for i in 0..4 {
-                tx.try_send(Value::I64(i)).unwrap();
-            }
-            assert_eq!(
-                rx.try_recv(),
-                Err(TryRecvError::Empty),
-                "{kind}: unpublished"
-            );
-            assert_eq!(
-                tx.try_send(Value::I64(4)),
-                Err(TrySendError::Full(Value::I64(4)))
-            );
-            for i in 0..4 {
-                assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "{kind}: after Full");
-            }
-            // The consumer's side of the same rule: four slots read, none
-            // vacated until it reports `Empty`.
-            assert!(matches!(
-                tx.try_send(Value::I64(4)),
-                Err(TrySendError::Full(_))
-            ));
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-            tx.try_send(Value::I64(4)).unwrap();
-
-            // Flush (a slice end), then a slab boundary, then drop.
-            let (mut tx, mut rx) = slab_channel(kind, 24);
-            for i in 0..3 {
-                tx.try_send(Value::I64(i)).unwrap();
-            }
-            assert_eq!(
-                rx.try_recv(),
-                Err(TryRecvError::Empty),
-                "{kind}: unpublished"
-            );
-            tx.flush();
-            for i in 0..3 {
-                assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "{kind}: after flush");
-            }
-            for i in 3..3 + SLAB as i64 {
-                assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "{kind}: value {i}");
-                tx.try_send(Value::I64(i)).unwrap();
-            }
-            for i in 3..3 + SLAB as i64 {
-                assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "{kind}: after a slab");
-            }
-            tx.try_send(Value::Ctrl(9)).unwrap();
-            drop(tx);
-            assert_eq!(rx.try_recv(), Ok(Value::Ctrl(9)), "{kind}: after drop");
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{kind}");
+        // Block: depth below the slab, so only `Full` can publish.
+        let (mut tx, mut rx) = spsc(4);
+        for i in 0..4 {
+            tx.try_send(Value::I64(i)).unwrap();
         }
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "unpublished");
+        assert_eq!(
+            tx.try_send(Value::I64(4)),
+            Err(TrySendError::Full(Value::I64(4)))
+        );
+        for i in 0..4 {
+            assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "after Full");
+        }
+        // The consumer's side of the same rule: four slots read, none
+        // vacated until it reports `Empty`.
+        assert!(matches!(
+            tx.try_send(Value::I64(4)),
+            Err(TrySendError::Full(_))
+        ));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        tx.try_send(Value::I64(4)).unwrap();
+
+        // Flush (a slice end), then a slab boundary, then drop.
+        let (mut tx, mut rx) = spsc(24);
+        for i in 0..3 {
+            tx.try_send(Value::I64(i)).unwrap();
+        }
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "unpublished");
+        tx.flush();
+        for i in 0..3 {
+            assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "after flush");
+        }
+        for i in 3..3 + SLAB as i64 {
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "value {i}");
+            tx.try_send(Value::I64(i)).unwrap();
+        }
+        for i in 3..3 + SLAB as i64 {
+            assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "after a slab");
+        }
+        tx.try_send(Value::Ctrl(9)).unwrap();
+        drop(tx);
+        assert_eq!(rx.try_recv(), Ok(Value::Ctrl(9)), "after drop");
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     /// Fan-in over slab endpoints: while both producers live every value
@@ -883,42 +800,38 @@ mod tests {
     fn fan_in_slab_senders_keep_per_producer_order() {
         const EACH: i64 = 3_000;
         const LANE: i64 = 1_000_000;
-        for kind in ChannelKind::ALL {
-            for capacity in [2, 8, 24] {
-                let (tx, rx) = channel(kind, capacity).unwrap();
-                let clone = tx.clone();
-                let mut rx = SlabReceiver::new(rx);
-                let producers: Vec<_> = [(0, tx, EACH), (1, clone, 3 * EACH)]
-                    .into_iter()
-                    .map(|(lane, tx, n)| {
-                        let mut tx = SlabSender::new(tx);
-                        std::thread::spawn(move || {
-                            for i in 0..n {
-                                while tx.try_send(Value::I64(lane * LANE + i)).is_err() {
-                                    std::thread::yield_now();
-                                }
+        for capacity in [2, 8, 24] {
+            let (senders, mut rx) = slab_channel(capacity, 2);
+            let producers: Vec<_> = senders
+                .into_iter()
+                .zip([(0, EACH), (1, 3 * EACH)])
+                .map(|(mut tx, (lane, n))| {
+                    std::thread::spawn(move || {
+                        for i in 0..n {
+                            while tx.try_send(Value::I64(lane * LANE + i)).is_err() {
+                                std::thread::yield_now();
                             }
-                        })
-                    })
-                    .collect();
-                let mut next = [0i64, 0];
-                loop {
-                    match rx.try_recv() {
-                        Ok(Value::I64(v)) => {
-                            let lane = (v / LANE) as usize;
-                            assert_eq!(v % LANE, next[lane], "{kind} depth {capacity} lane {lane}");
-                            next[lane] += 1;
                         }
-                        Ok(other) => panic!("unexpected {other:?}"),
-                        Err(TryRecvError::Empty) => std::thread::yield_now(),
-                        Err(TryRecvError::Disconnected) => break,
+                    })
+                })
+                .collect();
+            let mut next = [0i64, 0];
+            loop {
+                match rx.try_recv() {
+                    Ok(Value::I64(v)) => {
+                        let lane = (v / LANE) as usize;
+                        assert_eq!(v % LANE, next[lane], "depth {capacity} lane {lane}");
+                        next[lane] += 1;
                     }
+                    Ok(other) => panic!("unexpected {other:?}"),
+                    Err(TryRecvError::Empty) => std::thread::yield_now(),
+                    Err(TryRecvError::Disconnected) => break,
                 }
-                for p in producers {
-                    p.join().unwrap();
-                }
-                assert_eq!(next, [EACH, 3 * EACH], "{kind} depth {capacity}");
             }
+            for p in producers {
+                p.join().unwrap();
+            }
+            assert_eq!(next, [EACH, 3 * EACH], "depth {capacity}");
         }
     }
 }

@@ -10,11 +10,10 @@
 //!   Worker 0 is the calling thread and the others are the pool's
 //!   resident threads, woken for the invocation rather than spawned and
 //!   joined by it (a graph app invokes a pipeline per round),
-//! * each **hardware queue** to a bounded channel of
-//!   `MachineConfig::queue_capacity` slots (three buffers behind
-//!   [`ChannelKind`]; the default is the SPSC ring), wired from the IR's
+//! * each **hardware queue** to a bounded SPSC ring of
+//!   `MachineConfig::queue_capacity` slots, wired from the IR's
 //!   [`phloem_ir::queue_topology`] so single-producer queues take the
-//!   lock-free path,
+//!   lock-free path and fan-in queues a locked one,
 //! * **RA** stages to prefetch-hinted stage threads (their base-array
 //!   loads issue a hardware prefetch a few elements ahead),
 //! * **control values** to in-band messages on the same channels — a
@@ -66,10 +65,9 @@ pub mod channel;
 pub mod shared_mem;
 
 pub use channel::{
-    channel, ChannelBackend, ChannelError, ChannelKind, Receiver, Sender, TryRecvError,
-    TrySendError,
+    channel, ChannelError, ChannelKind, Receiver, Sender, TryRecvError, TrySendError,
 };
-use channel::{SlabReceiver, SlabSender};
+use channel::{slab_channel, SlabReceiver, SlabSender};
 pub use shared_mem::SharedMem;
 
 use crate::timing::compile_pipeline;
@@ -94,23 +92,14 @@ pub enum ExecBackend {
     Native(NativeConfig),
 }
 
-/// Configuration of the native backend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Configuration of the native backend. Every hardware queue is an
+/// SPSC ring, so the worker count is all there is to choose.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct NativeConfig {
-    /// Channel implementation backing the hardware queues.
-    pub channel: ChannelKind,
     /// Worker threads. Stages are assigned round-robin (`stage %
-    /// threads`); `0` means one thread per stage, the paper's model.
+    /// threads`); `0` (the default) means one thread per stage, the
+    /// paper's model.
     pub threads: usize,
-}
-
-impl Default for NativeConfig {
-    fn default() -> NativeConfig {
-        NativeConfig {
-            channel: ChannelKind::Ring,
-            threads: 0,
-        }
-    }
 }
 
 thread_local! {
@@ -544,13 +533,9 @@ impl World for NativeWorld<'_> {
     }
 }
 
-/// Builds one channel per referenced queue and distributes the
-/// endpoints to the stages the topology names.
-fn build_channels(
-    pipeline: &Pipeline,
-    kind: ChannelKind,
-    capacity: usize,
-) -> Result<Vec<StageEndpoints>, Trap> {
+/// Builds one ring per referenced queue and distributes the endpoints
+/// to the stages the topology names.
+fn build_channels(pipeline: &Pipeline, capacity: usize) -> Result<Vec<StageEndpoints>, Trap> {
     let nstages = pipeline.stages.len();
     let nq = pipeline.num_queues as usize;
     let mut eps: Vec<StageEndpoints> = (0..nstages)
@@ -564,25 +549,17 @@ fn build_channels(
         if qi >= nq {
             return Err(Trap::BadId(format!("queue {}", q.queue.0)));
         }
-        let (tx, rx) = channel(kind, capacity.max(1))
-            .map_err(|e| Trap::Malformed(format!("queue {}: {e}", q.queue.0)))?;
+        let (senders, rx) = slab_channel(capacity.max(1), q.producers.len());
         if let Some(c) = q.consumer {
-            eps[c].receivers[qi] = Some(SlabReceiver::new(rx));
+            eps[c].receivers[qi] = Some(rx);
         }
-        let mut tx = Some(tx);
-        for (i, &p) in q.producers.iter().enumerate() {
-            let s = if i + 1 == q.producers.len() {
-                tx.take().expect("sender handed out once")
-            } else {
-                tx.as_ref().expect("sender still held").clone()
-            };
-            eps[p].senders[qi] = Some(SlabSender::new(s));
+        for (&p, tx) in q.producers.iter().zip(senders) {
+            eps[p].senders[qi] = Some(tx);
         }
-        // A queue with no producers keeps `tx` alive here only until
-        // this iteration ends; its receiver then reports Disconnected,
-        // which the runtime treats as blocked-forever (deadlock parity
-        // with the interpreter). Validation rejects such pipelines
-        // before we ever get here.
+        // A queue with no producers has no live sender: its receiver
+        // reports Disconnected, which the runtime treats as
+        // blocked-forever (deadlock parity with the interpreter).
+        // Validation rejects such pipelines before we ever get here.
     }
     Ok(eps)
 }
@@ -653,7 +630,7 @@ pub(crate) fn run_compiled(
         .collect();
     let ncompute = is_compute.iter().filter(|&&c| c).count();
 
-    let endpoints = match build_channels(pipeline, cfg.channel, queue_capacity) {
+    let endpoints = match build_channels(pipeline, queue_capacity) {
         Ok(e) => e,
         Err(t) => return (run, Some(t)),
     };
@@ -893,24 +870,19 @@ mod tests {
     }
 
     #[test]
-    fn producer_consumer_runs_on_every_channel_kind() {
-        for kind in ChannelKind::ALL {
-            for threads in [1, 2] {
-                let (p, mut mem) = pc_pipeline();
-                let cfg = NativeConfig {
-                    channel: kind,
-                    threads,
-                };
-                let run = run_native(&p, &mut mem, &[], &cfg, 4, None).unwrap();
-                assert_eq!(
-                    mem.i64_vec(ArrayId(1)),
-                    vec![(0..64).sum::<i64>()],
-                    "kind={kind} threads={threads}"
-                );
-                assert!(run.wall_nanos >= 1);
-                assert_eq!(run.counts[0].enqs, 65, "64 data + DONE");
-                assert_eq!(run.counts[1].deqs, 65);
-            }
+    fn producer_consumer_runs_on_one_and_two_workers() {
+        for threads in [1, 2] {
+            let (p, mut mem) = pc_pipeline();
+            let cfg = NativeConfig { threads };
+            let run = run_native(&p, &mut mem, &[], &cfg, 4, None).unwrap();
+            assert_eq!(
+                mem.i64_vec(ArrayId(1)),
+                vec![(0..64).sum::<i64>()],
+                "threads={threads}"
+            );
+            assert!(run.wall_nanos >= 1);
+            assert_eq!(run.counts[0].enqs, 65, "64 data + DONE");
+            assert_eq!(run.counts[1].deqs, 65);
         }
     }
 
@@ -1004,16 +976,12 @@ mod tests {
                 seed ^= seed >> 7;
                 seed ^= seed << 17;
                 let capacity = 1 + (seed % 3) as usize;
-                let channel = ChannelKind::ALL[(seed >> 8) as usize % ChannelKind::ALL.len()];
                 let (p, mut mem) = pc_pipeline();
-                let cfg = NativeConfig {
-                    channel,
-                    threads: 0,
-                };
+                let cfg = NativeConfig::default();
                 let sum = run_native(&p, &mut mem, &[], &cfg, capacity, None)
                     .map(|_| mem.i64_vec(ArrayId(1)));
                 if sum != Ok(vec![(0..64).sum::<i64>()]) {
-                    failures.push(format!("run {run} ({channel}, depth {capacity}): {sum:?}"));
+                    failures.push(format!("run {run} (depth {capacity}): {sum:?}"));
                 }
             }
             // Stop the neighbours before asserting: the scope joins them.
@@ -1033,22 +1001,17 @@ mod tests {
     #[test]
     fn epoch_bumps_scale_with_slices_not_values() {
         const N: i64 = 4096;
-        for kind in ChannelKind::ALL {
-            let (p, mut mem) = pc_pipeline_of(N);
-            let cfg = NativeConfig {
-                channel: kind,
-                threads: 1,
-            };
-            let run = run_native(&p, &mut mem, &[], &cfg, 24, None).unwrap();
-            assert_eq!(mem.i64_vec(ArrayId(1)), vec![(0..N).sum::<i64>()], "{kind}");
-            assert_eq!(run.counts[0].enqs + run.counts[1].deqs, 2 * (N as u64 + 1));
-            assert!(
-                run.epoch_bumps <= N as u64 / 8,
-                "{kind}: {} bumps for {N} values",
-                run.epoch_bumps
-            );
-            assert_eq!(run.parks, 0, "{kind}: a lone worker with work never sleeps");
-        }
+        let (p, mut mem) = pc_pipeline_of(N);
+        let cfg = NativeConfig { threads: 1 };
+        let run = run_native(&p, &mut mem, &[], &cfg, 24, None).unwrap();
+        assert_eq!(mem.i64_vec(ArrayId(1)), vec![(0..N).sum::<i64>()]);
+        assert_eq!(run.counts[0].enqs + run.counts[1].deqs, 2 * (N as u64 + 1));
+        assert!(
+            run.epoch_bumps <= N as u64 / 8,
+            "{} bumps for {N} values",
+            run.epoch_bumps
+        );
+        assert_eq!(run.parks, 0, "a lone worker with work never sleeps");
     }
 
     /// Two workers, each stuck on the other's queue. Neither may trap
@@ -1103,7 +1066,6 @@ mod tests {
             rng ^= rng << 17;
             let depth = 1 + (rng % 24) as i64;
             let taken = 1 + (rng >> 8) as i64 % depth.min(channel::SLAB as i64 - 1);
-            let kind = ChannelKind::ALL[(rng >> 16) as usize % ChannelKind::ALL.len()];
             let threads = 1 + (rng >> 24) as usize % 2;
 
             let mut p = Pipeline::new("two-queues");
@@ -1131,14 +1093,11 @@ mod tests {
 
             let mut mem = MemState::new();
             mem.alloc(ArrayDecl::i64("out"), 1);
-            let cfg = NativeConfig {
-                channel: kind,
-                threads,
-            };
+            let cfg = NativeConfig { threads };
             let res = run_native(&p, &mut mem, &[], &cfg, depth as usize, None);
             assert!(
                 res.is_ok(),
-                "case {case} ({kind}, depth {depth}, taken {taken}, {threads} workers): {res:?}"
+                "case {case} (depth {depth}, taken {taken}, {threads} workers): {res:?}"
             );
             assert_eq!(
                 mem.i64_vec(ArrayId(0)),
@@ -1182,10 +1141,7 @@ mod tests {
             p.name
         );
         for threads in [1, 2, 0] {
-            let cfg = NativeConfig {
-                threads,
-                ..NativeConfig::default()
-            };
+            let cfg = NativeConfig { threads };
             let mut got = mem.clone();
             let run = run_native(p, &mut got, &[], &cfg, capacity, None).unwrap();
             let at = format!("{} at depth {capacity}, threads {threads}", p.name);

@@ -1,7 +1,13 @@
-//! Channel-backend unit and stress tests for the native backend's
-//! bounded channels: capacity edges, drop-termination protocols, CV
-//! in-band ordering, a seeded interleaving stress loop per backend, and
+//! Unit and stress tests for the public bounded channels of the native
+//! backend: capacity edges, drop-termination protocols, CV in-band
+//! ordering, a seeded interleaving stress loop per buffer kind, and
 //! panic containment through the pool's `catch_unwind` path.
+//!
+//! The native world runs every queue on the ring through its slab
+//! endpoints (pinned by `native::channel`'s own unit tests); these sweep
+//! `ChannelKind::ALL` because the public constructor still offers three
+//! buffers for the benchmark's per-kind probe. ROADMAP item 1 deletes
+//! the `Mpsc` and `Hybrid` buffers together with the probe rows.
 
 use phloem_ir::Value;
 use phloem_pool::Pool;
@@ -18,7 +24,7 @@ fn zero_capacity_is_an_error() {
         assert_eq!(
             channel(kind, 0).err(),
             Some(ChannelError::ZeroCapacity),
-            "{kind}"
+            "{kind:?}"
         );
     }
 }
@@ -32,12 +38,12 @@ fn capacity_one_edge() {
         tx.try_send(Value::I64(1)).unwrap();
         match tx.try_send(Value::I64(2)) {
             Err(TrySendError::Full(Value::I64(2))) => {}
-            other => panic!("{kind}: expected Full(2), got {other:?}"),
+            other => panic!("{kind:?}: expected Full(2), got {other:?}"),
         }
         assert_eq!(rx.try_recv().unwrap(), Value::I64(1));
         tx.try_send(Value::I64(2)).unwrap();
         assert_eq!(rx.try_recv().unwrap(), Value::I64(2));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "{kind}");
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "{kind:?}");
     }
 }
 
@@ -53,10 +59,10 @@ fn power_of_two_capacity_fills_exactly() {
         }
         assert!(
             matches!(tx.try_send(Value::I64(99)), Err(TrySendError::Full(_))),
-            "{kind}: slot {cap} must not exist"
+            "{kind:?}: slot {cap} must not exist"
         );
         for i in 0..cap as i64 {
-            assert_eq!(rx.try_recv().unwrap(), Value::I64(i), "{kind}");
+            assert_eq!(rx.try_recv().unwrap(), Value::I64(i), "{kind:?}");
         }
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
     }
@@ -75,12 +81,16 @@ fn producer_drop_terminates_the_receiver() {
         assert_eq!(
             rx.try_recv(),
             Err(TryRecvError::Empty),
-            "{kind}: one sender clone is still live"
+            "{kind:?}: one sender clone is still live"
         );
         tx2.try_send(Value::I64(2)).unwrap();
         drop(tx2);
-        assert_eq!(rx.try_recv().unwrap(), Value::I64(2), "{kind}: drain first");
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{kind}");
+        assert_eq!(
+            rx.try_recv().unwrap(),
+            Value::I64(2),
+            "{kind:?}: drain first"
+        );
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{kind:?}");
     }
 }
 
@@ -94,7 +104,7 @@ fn consumer_drop_terminates_the_senders() {
         drop(rx);
         match tx.try_send(Value::I64(2)) {
             Err(TrySendError::Disconnected(Value::I64(2))) => {}
-            other => panic!("{kind}: expected Disconnected(2), got {other:?}"),
+            other => panic!("{kind:?}: expected Disconnected(2), got {other:?}"),
         }
     }
 }
@@ -117,7 +127,7 @@ fn ctrl_values_keep_their_in_band_position() {
             tx.try_send(v).unwrap();
         }
         for want in seq {
-            assert_eq!(rx.try_recv().unwrap(), want, "{kind}");
+            assert_eq!(rx.try_recv().unwrap(), want, "{kind:?}");
         }
     }
 }
@@ -186,17 +196,17 @@ fn seeded_interleaving_stress_10k_messages() {
                         1 => Value::F64(got as f64 + 0.5),
                         _ => Value::Ctrl((got % 7) as u32),
                     };
-                    assert_eq!(v, want, "{kind}: message {got} (cap {cap})");
+                    assert_eq!(v, want, "{kind:?}: message {got} (cap {cap})");
                     got += 1;
                 }
                 Err(TryRecvError::Empty) => std::thread::yield_now(),
                 Err(TryRecvError::Disconnected) => {
-                    panic!("{kind}: disconnected after {got} of {N}")
+                    panic!("{kind:?}: disconnected after {got} of {N}")
                 }
             }
         }
         producer.join().unwrap();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{kind}");
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{kind:?}");
     }
 }
 
@@ -230,7 +240,7 @@ fn fan_in_senders_preserve_per_producer_order() {
             match rx.try_recv() {
                 Ok(Value::I64(v)) => {
                     let lane = usize::from(v >= 10_000);
-                    assert!(v > last[lane], "{kind}: lane {lane} reordered");
+                    assert!(v > last[lane], "{kind:?}: lane {lane} reordered");
                     last[lane] = v;
                     count += 1;
                 }
@@ -277,11 +287,11 @@ fn panic_in_a_channel_task_is_contained_by_the_pool() {
             }
         });
         let e = out[0].as_ref().unwrap_err();
-        assert!(e.message.contains("injected stage panic"), "{kind}: {e}");
+        assert!(e.message.contains("injected stage panic"), "{kind:?}: {e}");
         assert_eq!(
             out[1].as_ref().unwrap(),
             &41,
-            "{kind}: consumer must see the pre-panic value, then terminate"
+            "{kind:?}: consumer must see the pre-panic value, then terminate"
         );
     }
 }

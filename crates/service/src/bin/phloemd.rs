@@ -17,9 +17,9 @@
 //!
 //! Ops: `compile`, `simulate`, `simulate_native`, `search`, `trace`,
 //! `stats`, `shutdown`. `simulate_native` runs the variant on the
-//! native thread backend (real OS threads; optional `"channel":
-//! "mpsc"|"ring"|"hybrid"` and `"threads": N` fields, `0` = one thread
-//! per stage) and reports wall-clock nanoseconds in the `cycles` slot,
+//! native thread backend (real OS threads, every queue an SPSC ring;
+//! optional `"threads": N` field, `0` = one thread per stage) and
+//! reports wall-clock nanoseconds in the `cycles` slot,
 //! uncached; it honours `deadline_ms` like any compute op — the native
 //! park loop observes the request's cancel token.
 //!

@@ -76,8 +76,6 @@ pub struct Request {
     /// `simulate_native`, the native worker count (`0`/absent = one
     /// thread per stage).
     pub threads: Option<usize>,
-    /// Channel backend for `simulate_native`: `mpsc`, `ring`, `hybrid`.
-    pub channel: Option<String>,
     /// Per-request watchdog budget in simulated cycles.
     pub cycle_cap: Option<u64>,
     /// Search: candidate decoupling points drawn from the ranking top.
@@ -167,7 +165,6 @@ pub fn parse_request(line: &str) -> Result<Request, Rejected> {
         passes: s("passes")?,
         stages: n("stages")?,
         threads: n("threads")?,
-        channel: s("channel")?,
         cycle_cap: n64("cycle_cap")?,
         top_k: n("top_k")?,
         max_stages: n("max_stages")?,

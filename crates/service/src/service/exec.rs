@@ -91,7 +91,6 @@ impl Service {
         // native results across timing configs.
         payload.extend([
             ("backend", Json::str("native")),
-            ("channel", Json::str(native.channel.label())),
             ("threads", Json::u64(native.threads as u64)),
             ("host_cores", Json::u64(host_cores as u64)),
             (

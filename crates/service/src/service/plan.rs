@@ -18,7 +18,7 @@ use phloem_benchsuite::{apps, Variant};
 use phloem_compiler::search::SearchOptions;
 use phloem_compiler::{CompileOptions, PassConfig};
 use phloem_ir::Function;
-use pipette_sim::{ChannelKind, MachineConfig, NativeConfig};
+use pipette_sim::{MachineConfig, NativeConfig};
 use std::sync::Arc;
 
 /// Every app's kernel and program digest, and the machine digest,
@@ -145,16 +145,10 @@ pub(crate) fn plan(cfg: &ServiceConfig, keys: &KeyTable, req: &Request) -> Resul
         }),
         Op::SimulateNative => {
             let (sim, _) = plan_sim(cfg, keys, req)?;
-            let channel = match req.channel.as_deref() {
-                None => NativeConfig::default().channel,
-                Some(name) => ChannelKind::parse(name)
-                    .ok_or_else(|| format!("unknown channel backend {name:?}"))?,
-            };
             // `threads` doubles as the data-parallel width in the
             // variant; for the native op it is also the worker count
             // (0 = one thread per stage).
             let native = NativeConfig {
-                channel,
                 threads: req.threads.unwrap_or(0),
             };
             Ok(Planned {

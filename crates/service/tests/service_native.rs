@@ -10,10 +10,12 @@
 //!   *can* observe. Both directions are swept field by field.
 //! * **Op behaviour**: `simulate_native` answers `bypass` (wall-clock
 //!   is not content-addressable), annotates the payload with its
-//!   backend/channel/threads/host_cores, validates the channel name,
-//!   and honours zero deadlines like every other compute op.
+//!   backend/threads/host_cores, ignores a `"channel"` field like any
+//!   other unknown key, and honours zero deadlines like every other
+//!   compute op.
 
 use phloem_service::key::{machine_config_digest, native_machine_config_digest};
+use phloem_service::proto::{parse, Json};
 use phloem_service::{Service, ServiceConfig};
 use phloem_workloads::catalog::Scale;
 use pipette_sim::MachineConfig;
@@ -100,7 +102,7 @@ fn simulate_native_answers_bypass_with_backend_annotations() {
     let out = svc.handle_batch(&[
         r#"{"id":1,"op":"simulate_native","app":"bfs","input":"internet-s","variant":"serial"}"#
             .to_string(),
-        r#"{"id":2,"op":"simulate_native","app":"cc","input":"internet-s","variant":"phloem","channel":"ring","threads":2}"#
+        r#"{"id":2,"op":"simulate_native","app":"cc","input":"internet-s","variant":"phloem","threads":2}"#
             .to_string(),
     ]);
     for resp in &out.responses {
@@ -110,39 +112,62 @@ fn simulate_native_answers_bypass_with_backend_annotations() {
         assert!(resp.contains(r#""host_cores":"#), "{resp}");
         assert!(resp.contains(r#""machine":""#), "{resp}");
     }
-    assert!(out.responses[0].contains(r#""channel":"ring""#));
     assert!(out.responses[0].contains(r#""threads":0"#));
-    assert!(out.responses[1].contains(r#""channel":"ring""#));
     assert!(out.responses[1].contains(r#""threads":2"#));
     // Native measurements are never cached.
     let (c, s) = svc.counters();
     assert_eq!(c.misses + c.hits + s.misses + s.hits, 0);
 }
 
+/// Every queue is an SPSC ring, so a `"channel"` field chooses nothing:
+/// it is ignored like any other unknown key. The two answers may differ
+/// only in what the wall clock fills in (`cycles`, and the `stats`
+/// digest that folds it in).
 #[test]
-fn simulate_native_validates_channel_and_app() {
+fn simulate_native_ignores_a_channel_field() {
+    let svc = tiny_service();
+    let line = |extra: &str| {
+        format!(
+            r#"{{"id":1,"op":"simulate_native","app":"bfs","input":"internet-s","variant":"serial"{extra}}}"#
+        )
+    };
+    let out = svc.handle_batch(&[line(""), line(r#","channel":"mpsc""#)]);
+    let untimed = |resp: &str| match parse(resp) {
+        Ok(Json::Obj(pairs)) => pairs
+            .into_iter()
+            .filter(|(k, _)| k != "cycles" && k != "stats")
+            .collect::<Vec<_>>(),
+        other => panic!("not an object: {other:?}"),
+    };
+    assert!(
+        out.responses[0].contains(r#""ok":true"#),
+        "{}",
+        out.responses[0]
+    );
+    assert_eq!(untimed(&out.responses[0]), untimed(&out.responses[1]));
+    assert!(
+        !out.responses[1].contains("channel"),
+        "{}",
+        out.responses[1]
+    );
+}
+
+#[test]
+fn simulate_native_validates_app_and_input() {
     let svc = tiny_service();
     let out = svc.handle_batch(&[
-        r#"{"id":1,"op":"simulate_native","app":"bfs","input":"internet-s","channel":"carrier-pigeon"}"#
-            .to_string(),
         r#"{"id":2,"op":"simulate_native","app":"nosuch","input":"internet-s"}"#.to_string(),
         r#"{"id":3,"op":"simulate_native","app":"bfs"}"#.to_string(),
     ]);
     assert!(
-        out.responses[0].contains(r#""kind":"bad_request""#)
-            && out.responses[0].contains("unknown channel backend"),
+        out.responses[0].contains("unknown app"),
         "{}",
         out.responses[0]
     );
     assert!(
-        out.responses[1].contains("unknown app"),
+        out.responses[1].contains("missing required field"),
         "{}",
         out.responses[1]
-    );
-    assert!(
-        out.responses[2].contains("missing required field"),
-        "{}",
-        out.responses[2]
     );
 }
 

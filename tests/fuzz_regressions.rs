@@ -6,7 +6,7 @@ use phloem_compiler::{decouple_with_cuts, CompileOptions, PassConfig};
 use phloem_ir::{
     interp, ArrayDecl, BinOp, Expr, Function, FunctionBuilder, LoadId, MemState, Value,
 };
-use pipette_sim::{ChannelKind, ExecBackend, Machine, MachineConfig, NativeConfig, Session};
+use pipette_sim::{ExecBackend, Machine, MachineConfig, NativeConfig, Session};
 
 /// fuzzdiff seed 0xf00d (13/100 programs): a `while(1)` CSR walk whose
 /// exit test `if (i >= n) break` sits in the loop body. With control
@@ -81,8 +81,8 @@ fn while_exit_break_is_replicated_into_every_bounds_stage() {
 /// the identical miscompile would park the fleet and surface as a
 /// `Deadlock` trap, so this pin keeps the skeleton-replication fix
 /// honest on real threads too (`fuzzdiff --native` at 200 genomes ×
-/// the full channel × thread grid flushed no additional divergences to
-/// pin as of the backend's introduction).
+/// its thread grid flushed no additional divergences to pin as of the
+/// backend's introduction).
 #[test]
 fn while_exit_break_pin_holds_on_the_native_backend() {
     let func = while_csr_walk();
@@ -95,19 +95,16 @@ fn while_exit_break_pin_holds_on_the_native_backend() {
     for cut in [1, 2] {
         let pipe = decouple_with_cuts(&func, &[LoadId(cut)], &opts)
             .unwrap_or_else(|e| panic!("cut {cut} must compile: {e}"));
-        for channel in ChannelKind::ALL {
-            for threads in [1, 2, 4] {
-                let mut s = Session::new(MachineConfig::paper_1core(), mem());
-                s.set_backend(ExecBackend::Native(NativeConfig { channel, threads }));
-                s.run(&pipe, &params).unwrap_or_else(|e| {
-                    panic!("cut {cut} {channel}/t{threads} trapped natively: {e}")
-                });
-                let (nmem, _) = s.finish();
-                assert!(
-                    nmem.same_contents(&oracle.mem),
-                    "cut {cut} {channel}/t{threads}: native memory diverged"
-                );
-            }
+        for threads in [1, 2, 4] {
+            let mut s = Session::new(MachineConfig::paper_1core(), mem());
+            s.set_backend(ExecBackend::Native(NativeConfig { threads }));
+            s.run(&pipe, &params)
+                .unwrap_or_else(|e| panic!("cut {cut} t{threads} trapped natively: {e}"));
+            let (nmem, _) = s.finish();
+            assert!(
+                nmem.same_contents(&oracle.mem),
+                "cut {cut} t{threads}: native memory diverged"
+            );
         }
     }
 }

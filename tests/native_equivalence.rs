@@ -3,8 +3,11 @@
 //!
 //! * the serial interpreter (the functional oracle, original kernel),
 //! * the cycle-level simulator, and
-//! * the native thread backend — across channel backends, thread
-//!   counts {1, 2, 4}, and repeated runs (determinism).
+//! * the native thread backend — across thread counts {1, 2, 4} and
+//!   repeated runs (determinism).
+//!
+//! The reference is the serial oracle at every point; every native
+//! queue is an SPSC ring, so there is no channel axis to sweep.
 //!
 //! App-level coverage drives the whole benchsuite (BFS, CC, Radii, PRD,
 //! SpMM, and the four taco kernels) through their public `run()` entry
@@ -15,16 +18,16 @@
 use phloem_benchsuite::{bfs, cc, prd, radii, spmm, taco, with_backend, Variant};
 use phloem_ir::{interp, Value};
 use phloem_workloads::{graph, matrix};
-use pipette_sim::{ChannelKind, ExecBackend, MachineConfig, NativeConfig, Session};
+use pipette_sim::{ExecBackend, MachineConfig, NativeConfig, Session};
 
-fn native(channel: ChannelKind, threads: usize) -> ExecBackend {
-    ExecBackend::Native(NativeConfig { channel, threads })
+fn native(threads: usize) -> ExecBackend {
+    ExecBackend::Native(NativeConfig { threads })
 }
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
 /// One BFS fringe round, pinned across all three substrates at two
-/// input scales × all channel backends × thread counts {1,2,4}, with
+/// input scales × thread counts {1,2,4}, with
 /// three repeated native runs per point (run-to-run determinism).
 #[test]
 fn bfs_round_memory_equality_full_matrix() {
@@ -52,28 +55,26 @@ fn bfs_round_memory_equality_full_matrix() {
             "{scale}: simulator diverged from the serial interpreter"
         );
 
-        // Native: channels × threads × 3 repeats.
-        for kind in ChannelKind::ALL {
-            for threads in THREADS {
-                let mut first: Option<phloem_ir::MemState> = None;
-                for rep in 0..3 {
-                    let mut s = Session::new(cfg.clone(), mem.clone());
-                    s.set_backend(native(kind, threads));
-                    s.run(&pipeline, &params)
-                        .unwrap_or_else(|e| panic!("{scale} {kind} t{threads} rep{rep}: {e}"));
-                    let (nmem, stats) = s.finish();
-                    assert!(
-                        nmem.same_contents(&oracle),
-                        "{scale} {kind} t{threads} rep{rep}: native diverged from oracle"
-                    );
-                    assert_eq!(stats.invocations, 1);
-                    match &first {
-                        None => first = Some(nmem),
-                        Some(f) => assert!(
-                            nmem.same_contents(f),
-                            "{scale} {kind} t{threads} rep{rep}: nondeterministic native run"
-                        ),
-                    }
+        // Native: threads × 3 repeats.
+        for threads in THREADS {
+            let mut first: Option<phloem_ir::MemState> = None;
+            for rep in 0..3 {
+                let mut s = Session::new(cfg.clone(), mem.clone());
+                s.set_backend(native(threads));
+                s.run(&pipeline, &params)
+                    .unwrap_or_else(|e| panic!("{scale} t{threads} rep{rep}: {e}"));
+                let (nmem, stats) = s.finish();
+                assert!(
+                    nmem.same_contents(&oracle),
+                    "{scale} t{threads} rep{rep}: native diverged from oracle"
+                );
+                assert_eq!(stats.invocations, 1);
+                match &first {
+                    None => first = Some(nmem),
+                    Some(f) => assert!(
+                        nmem.same_contents(f),
+                        "{scale} t{threads} rep{rep}: nondeterministic native run"
+                    ),
                 }
             }
         }
@@ -81,50 +82,45 @@ fn bfs_round_memory_equality_full_matrix() {
 }
 
 /// Graph apps (BFS, CC, Radii, PRD) end-to-end — host-driven rounds to
-/// convergence — natively, across the full channel × thread matrix.
+/// convergence — natively, at every thread count.
 /// Every `run()` asserts its host oracle internally, so reaching the
 /// end *is* the equality check against serial semantics.
 #[test]
 fn graph_apps_converge_natively_across_the_matrix() {
     let cfg = MachineConfig::paper_1core();
     let g = graph::collaboration(40, 2);
-    for kind in ChannelKind::ALL {
-        for threads in THREADS {
-            with_backend(native(kind, threads), || {
-                for v in [Variant::Serial, Variant::phloem(), Variant::Manual] {
-                    let label = format!("{kind} t{threads} {}", v.label());
-                    bfs::run(&v, &g, 0, &cfg, "collab")
-                        .unwrap_or_else(|e| panic!("bfs {label}: {e}"));
-                    cc::run(&v, &g, &cfg, "collab").unwrap_or_else(|e| panic!("cc {label}: {e}"));
-                }
-                let v = Variant::phloem();
-                radii::run(&v, &g, &cfg, "collab").unwrap_or_else(|e| panic!("radii: {e}"));
-                prd::run(&v, &g, &cfg, "collab").unwrap_or_else(|e| panic!("prd: {e}"));
-            });
-        }
+    for threads in THREADS {
+        with_backend(native(threads), || {
+            for v in [Variant::Serial, Variant::phloem(), Variant::Manual] {
+                let label = format!("t{threads} {}", v.label());
+                bfs::run(&v, &g, 0, &cfg, "collab").unwrap_or_else(|e| panic!("bfs {label}: {e}"));
+                cc::run(&v, &g, &cfg, "collab").unwrap_or_else(|e| panic!("cc {label}: {e}"));
+            }
+            let v = Variant::phloem();
+            radii::run(&v, &g, &cfg, "collab").unwrap_or_else(|e| panic!("radii: {e}"));
+            prd::run(&v, &g, &cfg, "collab").unwrap_or_else(|e| panic!("prd: {e}"));
+        });
     }
 }
 
-/// Sparse kernels (SpMM and the four taco apps) natively on every
-/// channel backend (threads pinned to 2 to bound runtime; the thread
-/// dimension is covered by the graph apps above).
+/// Sparse kernels (SpMM and the four taco apps) natively on two
+/// workers (threads pinned to bound runtime; the thread dimension is
+/// covered by the graph apps above).
 #[test]
-fn sparse_kernels_run_natively_on_every_channel() {
+fn sparse_kernels_run_natively_on_two_workers() {
     let cfg = MachineConfig::paper_1core();
     let a = matrix::random_square(24, 3.0, 5);
     let bt = a.transpose();
-    for kind in ChannelKind::ALL {
-        with_backend(native(kind, 2), || {
-            for v in [Variant::Serial, Variant::phloem(), Variant::Manual] {
-                spmm::run(&v, &a, &bt, &cfg, "rand")
-                    .unwrap_or_else(|e| panic!("spmm {kind} {}: {e}", v.label()));
-            }
-            for app in taco::TacoApp::all() {
-                taco::run(app, &Variant::phloem(), &a, &cfg, "rand")
-                    .unwrap_or_else(|e| panic!("taco {app:?} {kind}: {e}"));
-            }
-        });
-    }
+    with_backend(native(2), || {
+        for v in [Variant::Serial, Variant::phloem(), Variant::Manual] {
+            spmm::run(&v, &a, &bt, &cfg, "rand")
+                .unwrap_or_else(|e| panic!("spmm {}: {e}", v.label()));
+        }
+        for app in taco::TacoApp::all() {
+            taco::run(app, &Variant::phloem(), &a, &cfg, "rand")
+                .unwrap_or_else(|e| panic!("taco {app:?}: {e}"));
+        }
+    });
 }
 
 /// The ambient scope routes *sessions created inside it*; a session
@@ -141,13 +137,13 @@ fn backend_scope_inheritance_and_override() {
     // Inherited: native sessions report wall-clock (tiny), not simulated
     // cycles (hundreds+ for this pipeline would also pass — so instead
     // pin the backend getter).
-    with_backend(native(ChannelKind::Ring, 2), || {
+    with_backend(native(2), || {
         let s = Session::new(cfg.clone(), mem.clone());
         assert!(matches!(s.backend(), ExecBackend::Native(_)));
     });
     let mut outside = Session::new(cfg.clone(), mem.clone());
     assert!(matches!(outside.backend(), ExecBackend::Sim));
-    outside.set_backend(native(ChannelKind::Mpsc, 1));
+    outside.set_backend(native(1));
     outside.run(&pipeline, &params).expect("override run");
     let (m1, _) = outside.finish();
 

@@ -131,21 +131,18 @@ impl Expr {
         }
     }
 
-    /// Collects the set of variables read by this expression into `out`.
-    pub fn collect_vars(&self, out: &mut Vec<VarId>) {
+    /// Visits every variable read by this expression, left to right,
+    /// once per occurrence. Allocates nothing.
+    pub fn for_each_var(&self, f: &mut impl FnMut(VarId)) {
         match self {
             Expr::Const(_) => {}
-            Expr::Var(v) => {
-                if !out.contains(v) {
-                    out.push(*v);
-                }
-            }
-            Expr::Unary(_, a) => a.collect_vars(out),
+            Expr::Var(v) => f(*v),
+            Expr::Unary(_, a) => a.for_each_var(f),
             Expr::Binary(_, a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.for_each_var(f);
+                b.for_each_var(f);
             }
-            Expr::Load { index, .. } => index.collect_vars(out),
+            Expr::Load { index, .. } => index.for_each_var(f),
         }
     }
 
@@ -236,15 +233,15 @@ mod tests {
         e.for_each_load(&mut |id, _| loads.push(id));
         assert_eq!(loads, vec![LoadId(1)]);
         let mut vars = Vec::new();
-        e.collect_vars(&mut vars);
+        e.for_each_var(&mut |v| vars.push(v));
         assert!(vars.contains(&VarId(9)));
     }
 
     #[test]
-    fn collect_vars_dedups() {
+    fn for_each_var_visits_every_occurrence() {
         let e = Expr::add(Expr::var(VarId(3)), Expr::var(VarId(3)));
         let mut vars = Vec::new();
-        e.collect_vars(&mut vars);
-        assert_eq!(vars, vec![VarId(3)]);
+        e.for_each_var(&mut |v| vars.push(v));
+        assert_eq!(vars, vec![VarId(3), VarId(3)]);
     }
 }

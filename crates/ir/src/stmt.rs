@@ -152,33 +152,36 @@ impl Stmt {
         }
     }
 
-    /// Variables read by this statement (not including nested statements'
-    /// reads for compound statements — only the header expressions).
-    pub fn header_reads(&self) -> Vec<VarId> {
-        let mut out = Vec::new();
+    /// Visits every variable read by this statement's own expressions
+    /// (for compound statements only the header: condition or bounds),
+    /// once per occurrence. Allocates nothing.
+    pub fn for_each_header_read(&self, f: &mut impl FnMut(VarId)) {
         match self {
-            Stmt::Assign { expr, .. } => expr.collect_vars(&mut out),
-            Stmt::Store { index, value, .. } => {
-                index.collect_vars(&mut out);
-                value.collect_vars(&mut out);
+            Stmt::Assign { expr, .. } => expr.for_each_var(f),
+            Stmt::Store { index, value, .. } | Stmt::AtomicRmw { index, value, .. } => {
+                index.for_each_var(f);
+                value.for_each_var(f);
             }
-            Stmt::AtomicRmw { index, value, .. } => {
-                index.collect_vars(&mut out);
-                value.collect_vars(&mut out);
-            }
-            Stmt::If { cond, .. } | Stmt::While { cond, .. } => cond.collect_vars(&mut out),
+            Stmt::If { cond, .. } | Stmt::While { cond, .. } => cond.for_each_var(f),
             Stmt::For { start, end, .. } => {
-                start.collect_vars(&mut out);
-                end.collect_vars(&mut out);
+                start.for_each_var(f);
+                end.for_each_var(f);
             }
-            Stmt::Enq { value, .. } => value.collect_vars(&mut out),
+            Stmt::Enq { value, .. } => value.for_each_var(f),
             Stmt::EnqSel { select, value, .. } => {
-                select.collect_vars(&mut out);
-                value.collect_vars(&mut out);
+                select.for_each_var(f);
+                value.for_each_var(f);
             }
             Stmt::EnqCtrl { .. } | Stmt::Break { .. } | Stmt::Deq { .. } => {}
         }
-        out
+    }
+
+    /// Whether this statement's own expressions read `v` (see
+    /// [`Stmt::for_each_header_read`]).
+    pub fn header_reads_var(&self, v: VarId) -> bool {
+        let mut hit = false;
+        self.for_each_header_read(&mut |r| hit |= r == v);
+        hit
     }
 
     /// The variable this statement writes, if any.
@@ -268,7 +271,10 @@ mod tests {
                 index: Box::new(Expr::var(VarId(1))),
             },
         };
-        assert_eq!(s.header_reads(), vec![VarId(1)]);
+        let mut reads = Vec::new();
+        s.for_each_header_read(&mut |v| reads.push(v));
+        assert_eq!(reads, vec![VarId(1)]);
+        assert!(s.header_reads_var(VarId(1)) && !s.header_reads_var(VarId(2)));
         assert_eq!(s.write(), Some(VarId(2)));
     }
 }

@@ -33,7 +33,7 @@ use crate::expr::{Expr, QueueId, VarId};
 use crate::pipeline::{Pipeline, RaMode, Stage, StageKind};
 use crate::stmt::{HandlerEnd, Stmt};
 use crate::value::{Ty, UnOp, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Hardware limits the validator checks placement against.
@@ -225,26 +225,59 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// Per-stage queue usage summary.
+/// How one stage uses one queue.
+#[derive(Clone, Copy, Default)]
+struct QueueIo {
+    /// Enqueues plain data into it (`Enq`).
+    enq_plain: bool,
+    /// Enqueues into it via any op (`Enq`/`EnqSel`/`EnqCtrl`).
+    enq_any: bool,
+    /// Data kind enqueued, where statically known (first site wins).
+    enq_ty: Option<Ty>,
+    /// Dequeues from it (body `Deq` or a registered handler).
+    deq: bool,
+    /// Data kind dequeued into (from the first `Deq` target's decl).
+    deq_ty: Option<Ty>,
+}
+
+/// Per-stage queue and register usage summary, in dense tables indexed
+/// by queue id and variable id (grown to the largest id seen: the
+/// validator also sees ids out of range).
 #[derive(Default)]
 struct StageIo {
-    /// Queues this stage enqueues plain data into (`Enq`).
-    enq_plain: BTreeSet<QueueId>,
-    /// Queues this stage enqueues into via any op (`Enq`/`EnqSel`/`EnqCtrl`).
-    enq_any: BTreeSet<QueueId>,
-    /// Data kind enqueued per queue, where statically known.
-    enq_ty: BTreeMap<QueueId, Ty>,
-    /// Queues dequeued (body `Deq` or a registered handler).
-    deq: BTreeSet<QueueId>,
-    /// Data kind dequeued into per queue (from the `Deq` target's decl).
-    deq_ty: BTreeMap<QueueId, Ty>,
-    /// Control tags enqueued per queue (`EnqCtrl`).
-    ctrl_out: BTreeMap<QueueId, BTreeSet<u32>>,
+    queues: Vec<QueueIo>,
+    /// `EnqCtrl` sites: (queue, tag).
+    ctrl_out: Vec<(QueueId, u32)>,
     /// Whether the stage tests `is_control` inline anywhere.
     inline_ctrl_check: bool,
-    /// Registers read / written (body + handlers).
-    reads: BTreeSet<VarId>,
-    writes: BTreeSet<VarId>,
+    /// Per variable: [`READ`] / [`WRITTEN`] bits (body + handlers).
+    vars: Vec<u8>,
+}
+
+const READ: u8 = 1;
+const WRITTEN: u8 = 2;
+
+impl StageIo {
+    fn queue(&mut self, q: QueueId) -> &mut QueueIo {
+        let i = q.0 as usize;
+        if i >= self.queues.len() {
+            self.queues.resize(i + 1, QueueIo::default());
+        }
+        &mut self.queues[i]
+    }
+
+    /// How this stage uses queue `q` (all `false` if it never names it).
+    fn on(&self, q: usize) -> QueueIo {
+        self.queues.get(q).copied().unwrap_or_default()
+    }
+
+    fn mark(&mut self, v: VarId, bit: u8) {
+        let i = v.0 as usize;
+        if i >= self.vars.len() {
+            self.vars.resize(i + 1, 0);
+        }
+        self.vars[i] |= bit;
+    }
 }
 
 fn expr_ty(stage: &Stage, e: &Expr) -> Option<Ty> {
@@ -274,41 +307,24 @@ fn expr_ty(stage: &Stage, e: &Expr) -> Option<Ty> {
     }
 }
 
-fn expr_reads(e: &Expr, out: &mut BTreeSet<VarId>, inline_ctrl: &mut bool) {
+/// Whether `e` tests `is_control` anywhere.
+fn tests_ctrl(e: &Expr) -> bool {
     match e {
-        Expr::Const(_) => {}
-        Expr::Var(v) => {
-            out.insert(*v);
-        }
-        Expr::Unary(op, a) => {
-            if *op == UnOp::IsCtrl {
-                *inline_ctrl = true;
-            }
-            expr_reads(a, out, inline_ctrl);
-        }
-        Expr::Binary(_, a, b) => {
-            expr_reads(a, out, inline_ctrl);
-            expr_reads(b, out, inline_ctrl);
-        }
-        Expr::Load { index, .. } => expr_reads(index, out, inline_ctrl),
+        Expr::Const(_) | Expr::Var(_) => false,
+        Expr::Unary(op, a) => *op == UnOp::IsCtrl || tests_ctrl(a),
+        Expr::Binary(_, a, b) => tests_ctrl(a) || tests_ctrl(b),
+        Expr::Load { index, .. } => tests_ctrl(index),
     }
 }
 
 fn scan_stmts(stage: &Stage, stmts: &[Stmt], io: &mut StageIo) {
     for s in stmts {
         s.for_each(&mut |s| {
-            for r in s.header_reads() {
-                io.reads.insert(r);
-            }
+            s.for_each_header_read(&mut |r| io.mark(r, READ));
             if let Some(w) = s.write() {
-                io.writes.insert(w);
+                io.mark(w, WRITTEN);
             }
-            // `header_reads` already covers every expression position;
-            // re-walk the same expressions only for the `is_control` scan.
-            let mut scan_expr = |e: &Expr| {
-                let mut sink = BTreeSet::new();
-                expr_reads(e, &mut sink, &mut io.inline_ctrl_check);
-            };
+            let mut scan_expr = |e: &Expr| io.inline_ctrl_check |= tests_ctrl(e);
             match s {
                 Stmt::Assign { expr, .. } => scan_expr(expr),
                 Stmt::Store { index, value, .. } | Stmt::AtomicRmw { index, value, .. } => {
@@ -321,36 +337,36 @@ fn scan_stmts(stage: &Stage, stmts: &[Stmt], io: &mut StageIo) {
                     scan_expr(end);
                 }
                 Stmt::Enq { queue, value } => {
-                    io.enq_plain.insert(*queue);
-                    io.enq_any.insert(*queue);
-                    if let Some(ty) = expr_ty(stage, value) {
-                        io.enq_ty.entry(*queue).or_insert(ty);
-                    }
                     scan_expr(value);
+                    let ty = expr_ty(stage, value);
+                    let q = io.queue(*queue);
+                    q.enq_plain = true;
+                    q.enq_any = true;
+                    q.enq_ty = q.enq_ty.or(ty);
                 }
                 Stmt::EnqSel {
                     queues,
                     select,
                     value,
                 } => {
-                    for q in queues {
-                        io.enq_any.insert(*q);
-                        if let Some(ty) = expr_ty(stage, value) {
-                            io.enq_ty.entry(*q).or_insert(ty);
-                        }
-                    }
                     scan_expr(select);
                     scan_expr(value);
+                    let ty = expr_ty(stage, value);
+                    for q in queues {
+                        let q = io.queue(*q);
+                        q.enq_any = true;
+                        q.enq_ty = q.enq_ty.or(ty);
+                    }
                 }
                 Stmt::EnqCtrl { queue, ctrl } => {
-                    io.enq_any.insert(*queue);
-                    io.ctrl_out.entry(*queue).or_default().insert(*ctrl);
+                    io.queue(*queue).enq_any = true;
+                    io.ctrl_out.push((*queue, *ctrl));
                 }
                 Stmt::Deq { var, queue } => {
-                    io.deq.insert(*queue);
-                    if let Some(d) = stage.program.func.vars.get(var.0 as usize) {
-                        io.deq_ty.entry(*queue).or_insert(d.ty);
-                    }
+                    let ty = stage.program.func.vars.get(var.0 as usize).map(|d| d.ty);
+                    let q = io.queue(*queue);
+                    q.deq = true;
+                    q.deq_ty = q.deq_ty.or(ty);
                 }
                 Stmt::Break { .. } => {}
             }
@@ -359,22 +375,34 @@ fn scan_stmts(stage: &Stage, stmts: &[Stmt], io: &mut StageIo) {
 }
 
 fn stage_io(stage: &Stage) -> StageIo {
-    let mut io = StageIo::default();
+    let mut io = StageIo {
+        vars: Vec::with_capacity(stage.program.func.vars.len()),
+        ..StageIo::default()
+    };
     scan_stmts(stage, &stage.program.func.body, &mut io);
     for h in &stage.program.handlers {
-        io.deq.insert(h.queue);
+        io.queue(h.queue).deq = true;
         if let Some(b) = h.bind {
-            io.writes.insert(b);
+            io.mark(b, WRITTEN);
         }
         scan_stmts(stage, &h.body, &mut io);
         match h.end {
             HandlerEnd::FinishWhen(v, _) | HandlerEnd::BreakWhen(v, _, _) => {
-                io.reads.insert(v);
+                io.mark(v, READ);
             }
             _ => {}
         }
     }
     io
+}
+
+/// The stages whose use of queue `q` satisfies `role`, in stage order.
+fn stages_where<'a>(
+    ios: &'a [StageIo],
+    q: usize,
+    role: impl Fn(QueueIo) -> bool + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    (0..ios.len()).filter(move |&i| role(ios[i].on(q)))
 }
 
 /// Static endpoints of one hardware queue: the stages that enqueue into
@@ -409,23 +437,14 @@ impl QueueEndpoints {
 /// the one stage allowed to hold the receiving endpoint.
 #[must_use]
 pub fn queue_topology(pipeline: &Pipeline) -> Vec<QueueEndpoints> {
-    let mut producers: BTreeMap<QueueId, Vec<usize>> = BTreeMap::new();
-    let mut consumers: BTreeMap<QueueId, Vec<usize>> = BTreeMap::new();
-    for (i, stage) in pipeline.stages.iter().enumerate() {
-        let io = stage_io(stage);
-        for &q in &io.enq_any {
-            producers.entry(q).or_default().push(i);
-        }
-        for &q in &io.deq {
-            consumers.entry(q).or_default().push(i);
-        }
-    }
-    let ids: BTreeSet<QueueId> = producers.keys().chain(consumers.keys()).copied().collect();
-    ids.into_iter()
+    let ios: Vec<StageIo> = pipeline.stages.iter().map(stage_io).collect();
+    let nq = ios.iter().map(|io| io.queues.len()).max().unwrap_or(0);
+    (0..nq)
+        .filter(|&q| ios.iter().any(|io| io.on(q).enq_any || io.on(q).deq))
         .map(|q| QueueEndpoints {
-            queue: q,
-            producers: producers.remove(&q).unwrap_or_default(),
-            consumer: consumers.get(&q).and_then(|cs| cs.first().copied()),
+            queue: QueueId(q as u16),
+            producers: stages_where(&ios, q, |u| u.enq_any).collect(),
+            consumer: stages_where(&ios, q, |u| u.deq).next(),
         })
         .collect()
 }
@@ -447,76 +466,79 @@ pub fn validate_pipeline(
     };
     let name = |i: usize| pipeline.stages[i].program.func.name.clone();
     let ios: Vec<StageIo> = pipeline.stages.iter().map(stage_io).collect();
+    let nq = ios.iter().map(|io| io.queues.len()).max().unwrap_or(0);
+    let producers = |q: usize| stages_where(&ios, q, |u| u.enq_any);
+    let consumers = |q: usize| stages_where(&ios, q, |u| u.deq);
 
     // -- Queue discipline: range, one consumer, fan-in rules. ---------
-    let mut producers: BTreeMap<QueueId, Vec<usize>> = BTreeMap::new();
-    let mut plain_producers: BTreeMap<QueueId, Vec<usize>> = BTreeMap::new();
-    let mut consumers: BTreeMap<QueueId, Vec<usize>> = BTreeMap::new();
-    for (i, io) in ios.iter().enumerate() {
-        for &q in io.enq_any.iter().chain(&io.deq) {
-            if q.0 >= pipeline.num_queues {
-                return Err(err(Violation::QueueOutOfRange {
-                    queue: q,
-                    num_queues: pipeline.num_queues,
-                }));
-            }
-        }
-        for &q in &io.enq_any {
-            producers.entry(q).or_default().push(i);
-        }
-        for &q in &io.enq_plain {
-            plain_producers.entry(q).or_default().push(i);
-        }
-        for &q in &io.deq {
-            consumers.entry(q).or_default().push(i);
+    for io in &ios {
+        let out_of_range = |q: &usize| *q >= pipeline.num_queues as usize;
+        let first_bad = (0..io.queues.len())
+            .filter(|&q| io.on(q).enq_any)
+            .find(out_of_range)
+            .or_else(|| {
+                (0..io.queues.len())
+                    .filter(|&q| io.on(q).deq)
+                    .find(out_of_range)
+            });
+        if let Some(q) = first_bad {
+            return Err(err(Violation::QueueOutOfRange {
+                queue: QueueId(q as u16),
+                num_queues: pipeline.num_queues,
+            }));
         }
     }
-    for (&q, ps) in &producers {
-        match consumers.get(&q).map(Vec::as_slice) {
-            None | Some([]) => {
+    for q in 0..nq {
+        let Some(p) = producers(q).next() else {
+            continue;
+        };
+        match consumers(q).count() {
+            0 => {
                 return Err(err(Violation::NoConsumer {
-                    queue: q,
-                    producer: name(ps[0]),
+                    queue: QueueId(q as u16),
+                    producer: name(p),
                 }));
             }
-            Some([_]) => {}
-            Some(cs) => {
+            1 => {}
+            _ => {
                 return Err(err(Violation::MultipleConsumers {
-                    queue: q,
-                    stages: cs.iter().map(|&i| name(i)).collect(),
+                    queue: QueueId(q as u16),
+                    stages: consumers(q).map(name).collect(),
                 }));
             }
         }
     }
-    for (&q, cs) in &consumers {
-        if !producers.contains_key(&q) {
-            return Err(err(Violation::NoProducer {
-                queue: q,
-                consumer: name(cs[0]),
-            }));
+    for q in 0..nq {
+        if let Some(c) = consumers(q).next() {
+            if producers(q).next().is_none() {
+                return Err(err(Violation::NoProducer {
+                    queue: QueueId(q as u16),
+                    consumer: name(c),
+                }));
+            }
         }
     }
-    for (&q, ps) in &plain_producers {
-        if ps.len() > 1 {
+    for q in 0..nq {
+        // A plain enqueuer combined with other (EnqSel/ctrl) producers
+        // is fine — that is exactly the distribute-boundary shape.
+        if stages_where(&ios, q, |u| u.enq_plain).nth(1).is_some() {
             return Err(err(Violation::MultipleProducers {
-                queue: q,
-                stages: ps.iter().map(|&i| name(i)).collect(),
+                queue: QueueId(q as u16),
+                stages: stages_where(&ios, q, |u| u.enq_plain).map(name).collect(),
             }));
         }
-        // A plain enqueuer combined with other (EnqSel/ctrl) producers is
-        // fine — that is exactly the distribute-boundary shape.
     }
 
     // -- Value-kind agreement per queue. ------------------------------
-    for (&q, ps) in &producers {
+    for q in 0..nq {
         let mut enq_ty: Option<Ty> = None;
-        for &p in ps {
-            if let Some(&t) = ios[p].enq_ty.get(&q) {
+        for p in producers(q) {
+            if let Some(t) = ios[p].on(q).enq_ty {
                 match enq_ty {
                     None => enq_ty = Some(t),
                     Some(prev) if prev != t => {
                         return Err(err(Violation::KindMismatch {
-                            queue: q,
+                            queue: QueueId(q as u16),
                             enq: prev,
                             deq: t,
                         }));
@@ -525,12 +547,12 @@ pub fn validate_pipeline(
                 }
             }
         }
-        if let (Some(et), Some(cs)) = (enq_ty, consumers.get(&q)) {
-            for &c in cs {
-                if let Some(&dt) = ios[c].deq_ty.get(&q) {
+        if let Some(et) = enq_ty {
+            for c in consumers(q) {
+                if let Some(dt) = ios[c].on(q).deq_ty {
                     if dt != et {
                         return Err(err(Violation::KindMismatch {
-                            queue: q,
+                            queue: QueueId(q as u16),
                             enq: et,
                             deq: dt,
                         }));
@@ -542,15 +564,22 @@ pub fn validate_pipeline(
 
     // -- Control-value tag propagation and handler coverage. ----------
     // Seed: explicit EnqCtrl sites, plus Scan RAs' end-of-range tag.
-    let mut tags: BTreeMap<QueueId, BTreeSet<u32>> = BTreeMap::new();
+    let mut tags: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); nq];
+    let add = |tags: &mut Vec<BTreeSet<u32>>, q: QueueId, t: u32| {
+        let q = q.0 as usize;
+        if q >= tags.len() {
+            tags.resize(q + 1, BTreeSet::new());
+        }
+        tags[q].insert(t)
+    };
     for (i, io) in ios.iter().enumerate() {
-        for (&q, ts) in &io.ctrl_out {
-            tags.entry(q).or_default().extend(ts);
+        for &(q, t) in &io.ctrl_out {
+            add(&mut tags, q, t);
         }
         if let StageKind::Ra(cfg) = &pipeline.stages[i].kind {
             if cfg.mode == RaMode::Scan {
                 if let Some(t) = cfg.scan_end_ctrl {
-                    tags.entry(cfg.out_queue).or_default().insert(t);
+                    add(&mut tags, cfg.out_queue, t);
                 }
             }
         }
@@ -559,59 +588,50 @@ pub fn validate_pipeline(
     // handlers whose body re-enqueues the bound CV forward the tags they
     // match (exact handlers their own tag, wildcards everything no exact
     // handler on the same stage+queue claims).
+    let mut arriving: Vec<u32> = Vec::new();
+    let arrivals = |tags: &[BTreeSet<u32>], q: QueueId, out: &mut Vec<u32>| {
+        out.clear();
+        if let Some(ts) = tags.get(q.0 as usize) {
+            out.extend(ts);
+        }
+    };
     loop {
         let mut changed = false;
-        let mut add = |tags: &mut BTreeMap<QueueId, BTreeSet<u32>>, q: QueueId, t: u32| {
-            if tags.entry(q).or_default().insert(t) {
-                changed = true;
-            }
-        };
         for stage in &pipeline.stages {
             if let StageKind::Ra(cfg) = &stage.kind {
                 if cfg.forward_ctrl {
-                    let arriving: Vec<u32> = tags
-                        .get(&cfg.in_queue)
-                        .map(|s| s.iter().copied().collect())
-                        .unwrap_or_default();
-                    for t in arriving {
-                        add(&mut tags, cfg.out_queue, t);
+                    arrivals(&tags, cfg.in_queue, &mut arriving);
+                    for &t in &arriving {
+                        changed |= add(&mut tags, cfg.out_queue, t);
                     }
                 }
             }
-            let exact: BTreeSet<(QueueId, u32)> = stage
-                .program
-                .handlers
-                .iter()
-                .filter_map(|h| h.ctrl.map(|t| (h.queue, t)))
-                .collect();
-            for h in &stage.program.handlers {
+            let handlers = &stage.program.handlers;
+            let exact =
+                |q: QueueId, t: u32| handlers.iter().any(|h| h.queue == q && h.ctrl == Some(t));
+            for h in handlers {
                 let Some(bind) = h.bind else { continue };
-                let forwards: Vec<QueueId> = h
-                    .body
-                    .iter()
-                    .filter_map(|s| match s {
+                let forwards = || {
+                    h.body.iter().filter_map(move |s| match s {
                         Stmt::Enq {
                             queue,
                             value: Expr::Var(v),
                         } if *v == bind => Some(*queue),
                         _ => None,
                     })
-                    .collect();
-                if forwards.is_empty() {
+                };
+                if forwards().next().is_none() {
                     continue;
                 }
-                let arriving: Vec<u32> = tags
-                    .get(&h.queue)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default();
-                for t in arriving {
+                arrivals(&tags, h.queue, &mut arriving);
+                for &t in &arriving {
                     let matched = match h.ctrl {
                         Some(ht) => ht == t,
-                        None => !exact.contains(&(h.queue, t)),
+                        None => !exact(h.queue, t),
                     };
                     if matched {
-                        for &q in &forwards {
-                            add(&mut tags, q, t);
+                        for q in forwards() {
+                            changed |= add(&mut tags, q, t);
                         }
                     }
                 }
@@ -621,11 +641,9 @@ pub fn validate_pipeline(
             break;
         }
     }
-    for (&q, ts) in &tags {
-        let Some(cs) = consumers.get(&q) else {
-            continue; // already reported as NoConsumer if enqueued
-        };
-        for &c in cs {
+    for (q, ts) in tags.iter().enumerate() {
+        let Some(&tag) = ts.first() else { continue };
+        for c in consumers(q) {
             let stage = &pipeline.stages[c];
             if ios[c].inline_ctrl_check {
                 continue; // handler-ablated codegen checks is_control inline
@@ -638,12 +656,16 @@ pub fn validate_pipeline(
             // unconsumed when a stage terminates via another queue's
             // carrier, and whether an unmatched tag is ever dequeued is
             // a dynamic property (the differential harness covers it).
-            let has_handler = stage.program.handlers.iter().any(|h| h.queue == q);
+            let has_handler = stage
+                .program
+                .handlers
+                .iter()
+                .any(|h| h.queue.0 as usize == q);
             if !has_handler {
                 return Err(err(Violation::UnhandledCtrl {
                     stage: name(c),
-                    queue: q,
-                    tag: *ts.iter().next().expect("nonempty tag set"),
+                    queue: QueueId(q as u16),
+                    tag,
                 }));
             }
         }
@@ -652,19 +674,13 @@ pub fn validate_pipeline(
     // -- RA chains reference live queues. ------------------------------
     for (i, stage) in pipeline.stages.iter().enumerate() {
         if let StageKind::Ra(cfg) = &stage.kind {
-            if !producers
-                .get(&cfg.in_queue)
-                .is_some_and(|ps| ps.iter().any(|&p| p != i))
-            {
+            if !producers(cfg.in_queue.0 as usize).any(|p| p != i) {
                 return Err(err(Violation::RaDeadInput {
                     stage: name(i),
                     queue: cfg.in_queue,
                 }));
             }
-            if !consumers
-                .get(&cfg.out_queue)
-                .is_some_and(|cs| cs.iter().any(|&c| c != i))
-            {
+            if !consumers(cfg.out_queue.0 as usize).any(|c| c != i) {
                 return Err(err(Violation::RaDeadOutput {
                     stage: name(i),
                     queue: cfg.out_queue,
@@ -674,20 +690,18 @@ pub fn validate_pipeline(
     }
 
     // -- Per-core queue budget (queues reside with their consumer). ----
-    let mut resident: BTreeMap<usize, BTreeSet<QueueId>> = BTreeMap::new();
-    for (&q, cs) in &consumers {
-        for &c in cs {
-            resident
-                .entry(pipeline.stages[c].core)
-                .or_default()
-                .insert(q);
+    // Every consumed queue has exactly one consumer by now.
+    let mut resident = vec![0usize; pipeline.cores_used()];
+    for q in 0..nq {
+        for c in consumers(q) {
+            resident[pipeline.stages[c].core] += 1;
         }
     }
-    for (&core, qs) in &resident {
-        if qs.len() > limits.queues_per_core as usize {
+    for (core, &used) in resident.iter().enumerate() {
+        if used > limits.queues_per_core as usize {
             return Err(err(Violation::QueueBudget {
                 core,
-                used: qs.len(),
+                used,
                 budget: limits.queues_per_core,
             }));
         }
@@ -696,9 +710,9 @@ pub fn validate_pipeline(
     // -- Backward-slice closure. ---------------------------------------
     for (i, io) in ios.iter().enumerate() {
         let func = &pipeline.stages[i].program.func;
-        let params: BTreeSet<VarId> = func.params.iter().copied().collect();
-        for &r in &io.reads {
-            if !io.writes.contains(&r) && !params.contains(&r) {
+        for (r, &bits) in io.vars.iter().enumerate() {
+            let r = VarId(r as u32);
+            if bits == READ && !func.params.contains(&r) {
                 return Err(err(Violation::UnboundRead {
                     stage: name(i),
                     var: func

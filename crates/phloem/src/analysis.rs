@@ -8,7 +8,7 @@
 
 use crate::normalize::normalize;
 use phloem_ir::{ArrayId, Expr, Function, LoadId, Stmt, VarId};
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// How a load's address behaves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,7 +57,7 @@ pub struct Analysis {
     /// All load sites in preorder.
     pub loads: Vec<LoadInfo>,
     /// Arrays written by stores or atomics.
-    pub written_arrays: HashSet<ArrayId>,
+    pub written_arrays: BTreeSet<ArrayId>,
 }
 
 impl Analysis {
@@ -90,24 +90,37 @@ struct Sym {
 }
 
 struct Walker {
-    syms: HashMap<VarId, Sym>,
+    /// Symbolic value per variable, indexed by `VarId` (grown on demand:
+    /// `analyze` also sees functions that never passed validation).
+    syms: Vec<Option<Sym>>,
     /// Active loops: (induction var, irregular trip count?).
     loop_vars: Vec<(VarId, bool)>,
     pos: usize,
     loads: Vec<LoadInfo>,
-    written: HashSet<ArrayId>,
-    /// (array, root, off, load) of previously seen loads, for adjacency.
+    written: BTreeSet<ArrayId>,
+    /// (array, root, off, group primary) of previously seen loads, for
+    /// adjacency; a load that starts its group is its own primary.
     seen: Vec<(ArrayId, VarId, i64, LoadId)>,
-    /// Secondary -> group primary.
-    primaries: HashMap<LoadId, LoadId>,
 }
 
 const FREQ_WEIGHT: f64 = 10.0;
 
 impl Walker {
+    fn sym(&self, v: VarId) -> Option<Sym> {
+        self.syms.get(v.0 as usize).copied().flatten()
+    }
+
+    fn set_sym(&mut self, v: VarId, sym: Sym) {
+        let i = v.0 as usize;
+        if i >= self.syms.len() {
+            self.syms.resize(i + 1, None);
+        }
+        self.syms[i] = Some(sym);
+    }
+
     fn sym_of_leaf(&self, e: &Expr) -> Option<Sym> {
         match e {
-            Expr::Var(v) => Some(self.syms.get(v).copied().unwrap_or(Sym {
+            Expr::Var(v) => Some(self.sym(*v).unwrap_or(Sym {
                 root: *v,
                 off: 0,
                 tainted: false,
@@ -145,14 +158,12 @@ impl Walker {
             self.seen
                 .iter()
                 .find(|&&(a, r, o, _)| a == array && r == s.root && (o - s.off).abs() <= 2)
-                .map(|&(_, _, _, l)| self.primaries.get(&l).copied().unwrap_or(l))
+                .map(|&(_, _, _, primary)| primary)
         });
         let adjacent_secondary = adjacent_primary.is_some();
-        if let Some(p) = adjacent_primary {
-            self.primaries.insert(id, p);
-        }
         if let Some(s) = sym {
-            self.seen.push((array, s.root, s.off, id));
+            self.seen
+                .push((array, s.root, s.off, adjacent_primary.unwrap_or(id)));
         }
         let base = match kind {
             AccessKind::Indirect => 8.0,
@@ -183,7 +194,7 @@ impl Walker {
                     match expr {
                         Expr::Load { id, array, index } => {
                             self.record_load(*id, *array, index, depth);
-                            self.syms.insert(
+                            self.set_sym(
                                 *var,
                                 Sym {
                                     root: *var,
@@ -194,13 +205,13 @@ impl Walker {
                             );
                         }
                         Expr::Var(src) => {
-                            let s = self.syms.get(src).copied().unwrap_or(Sym {
+                            let s = self.sym(*src).unwrap_or(Sym {
                                 root: *src,
                                 off: 0,
                                 tainted: false,
                                 lin: None,
                             });
-                            self.syms.insert(*var, s);
+                            self.set_sym(*var, s);
                         }
                         Expr::Binary(phloem_ir::BinOp::Add, a, b) => {
                             // var = v + c or c + v keeps the symbolic base;
@@ -234,7 +245,7 @@ impl Walker {
                                     s.lin.or_else(|| is_active(s.root).then_some(s.root))
                                 })
                             });
-                            self.syms.insert(
+                            self.set_sym(
                                 *var,
                                 sym.map(|s| Sym { lin, ..s }).unwrap_or(Sym {
                                     root: *var,
@@ -265,7 +276,7 @@ impl Walker {
                             } else {
                                 None
                             };
-                            self.syms.insert(
+                            self.set_sym(
                                 *var,
                                 Sym {
                                     root: *var,
@@ -276,12 +287,11 @@ impl Walker {
                             );
                         }
                         _ => {
-                            let mut vars = Vec::new();
-                            expr.collect_vars(&mut vars);
-                            let tainted = vars
-                                .iter()
-                                .any(|v| self.syms.get(v).map(|s| s.tainted).unwrap_or(false));
-                            self.syms.insert(
+                            let mut tainted = false;
+                            expr.for_each_var(&mut |v| {
+                                tainted |= self.sym(v).is_some_and(|s| s.tainted);
+                            });
+                            self.set_sym(
                                 *var,
                                 Sym {
                                     root: *var,
@@ -314,7 +324,7 @@ impl Walker {
                     // A loop is *irregular* when its trip count is
                     // data-dependent (bounds derived from loads).
                     let irregular = self.leaf_tainted(start) || self.leaf_tainted(end);
-                    self.syms.insert(
+                    self.set_sym(
                         *var,
                         Sym {
                             root: *var,
@@ -331,7 +341,7 @@ impl Walker {
                     self.walk(body, depth + 1);
                 }
                 Stmt::Deq { var, .. } => {
-                    self.syms.insert(
+                    self.set_sym(
                         *var,
                         Sym {
                             root: *var,
@@ -349,15 +359,18 @@ impl Walker {
 
 /// Analyzes a function (normalizing it first).
 pub fn analyze(func: &Function) -> Analysis {
-    let nf = normalize(func);
+    analyze_normalized(&normalize(func))
+}
+
+/// [`analyze`] of a function that is already in normal form.
+pub(crate) fn analyze_normalized(nf: &Function) -> Analysis {
     let mut w = Walker {
-        syms: HashMap::new(),
+        syms: vec![None; nf.vars.len()],
         loop_vars: Vec::new(),
         pos: 0,
         loads: Vec::new(),
-        written: HashSet::new(),
+        written: BTreeSet::new(),
         seen: Vec::new(),
-        primaries: HashMap::new(),
     };
     w.walk(&nf.body, 0);
     let written = w.written;

@@ -18,10 +18,16 @@
 //!
 //! Reference-accelerator extraction (pass 3) runs afterwards in
 //! [`crate::ra`].
+//!
+//! The program tree ([`Node`]) and its [`Shape`] depend only on the
+//! kernel, so one tree serves every cut set tried on it; what a cut set
+//! decides — each atom's stage and the [`Plan`] — lives in tables
+//! indexed by atom position, loop tag, variable or array, which are all
+//! small dense integers.
 
 use crate::options::{CompileError, PassConfig};
-use phloem_ir::{ArrayId, BranchId, Expr, LoadId, QueueId, Stmt, VarId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use phloem_ir::{ArrayId, BranchId, Expr, Function, LoadId, QueueId, Stmt, VarId};
+use std::ops::{Index, IndexMut};
 
 /// Control value tag signalling end-of-pipeline.
 pub const DONE: u32 = 0;
@@ -31,12 +37,12 @@ pub fn next_tag(loop_tag: usize) -> u32 {
     1 + loop_tag as u32
 }
 
-/// The decoupled program tree with stage annotations.
+/// The decoupled program tree. Atoms are numbered by preorder position,
+/// structures (ifs and loops) by tag.
 #[derive(Debug)]
 pub(crate) enum Node {
     Atom {
         stmt: Stmt,
-        stage: u32,
         def: Option<VarId>,
         pos: usize,
     },
@@ -78,12 +84,15 @@ impl Node {
 
 #[derive(Default)]
 pub(crate) struct TreeBuilder {
-    next_tag: usize,
-    next_pos: usize,
+    /// Structure tags handed out so far.
+    pub next_tag: usize,
+    /// Atom positions handed out so far.
+    pub next_pos: usize,
 }
 
 impl TreeBuilder {
-    pub(crate) fn build(&mut self, stmts: &[Stmt]) -> Result<Vec<Node>, CompileError> {
+    /// Builds the tree of a normalised body, taking its statements.
+    pub(crate) fn build(&mut self, stmts: Vec<Stmt>) -> Result<Vec<Node>, CompileError> {
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
             match s {
@@ -95,14 +104,14 @@ impl TreeBuilder {
                 } => {
                     let exit = then_body
                         .iter()
-                        .chain(else_body)
+                        .chain(&else_body)
                         .any(|s| matches!(s, Stmt::Break { .. }));
                     let tag = self.next_tag;
                     self.next_tag += 1;
                     out.push(Node::If {
                         tag,
-                        id: *id,
-                        cond: cond.clone(),
+                        id,
+                        cond,
                         then: self.build(then_body)?,
                         els: self.build(else_body)?,
                         exit,
@@ -119,10 +128,10 @@ impl TreeBuilder {
                     self.next_tag += 1;
                     out.push(Node::For {
                         tag,
-                        id: *id,
-                        var: *var,
-                        lo: start.clone(),
-                        hi: end.clone(),
+                        id,
+                        var,
+                        lo: start,
+                        hi: end,
                         body: self.build(body)?,
                     });
                 }
@@ -131,7 +140,7 @@ impl TreeBuilder {
                     self.next_tag += 1;
                     out.push(Node::While {
                         tag,
-                        id: *id,
+                        id,
                         body: self.build(body)?,
                     });
                 }
@@ -152,9 +161,8 @@ impl TreeBuilder {
                     let pos = self.next_pos;
                     self.next_pos += 1;
                     out.push(Node::Atom {
-                        stmt: other.clone(),
-                        stage: 0,
                         def: other.write(),
+                        stmt: other,
                         pos,
                     });
                 }
@@ -164,59 +172,225 @@ impl TreeBuilder {
     }
 }
 
+fn for_each_atom<'a>(nodes: &'a [Node], f: &mut impl FnMut(&'a Stmt, Option<VarId>, usize)) {
+    for n in nodes {
+        match n {
+            Node::Atom { stmt, def, pos } => f(stmt, *def, *pos),
+            Node::If { then, els, .. } => {
+                for_each_atom(then, f);
+                for_each_atom(els, f);
+            }
+            Node::For { body, .. } | Node::While { body, .. } => for_each_atom(body, f),
+        }
+    }
+}
+
+fn load_of(stmt: &Stmt) -> Option<(LoadId, ArrayId)> {
+    if let Stmt::Assign {
+        expr: Expr::Load { id, array, .. },
+        ..
+    } = stmt
+    {
+        Some((*id, *array))
+    } else {
+        None
+    }
+}
+
+/// A dense table over `(row, stage)` pairs; rows are atom positions,
+/// loop tags or variables.
+pub(crate) struct Grid<T> {
+    stages: usize,
+    cells: Vec<T>,
+}
+
+impl<T: Clone + Default> Grid<T> {
+    pub(crate) fn new(rows: usize, stages: u32) -> Grid<T> {
+        Grid {
+            stages: stages as usize,
+            cells: vec![T::default(); rows * stages as usize],
+        }
+    }
+}
+
+impl<T> Index<(usize, u32)> for Grid<T> {
+    type Output = T;
+    fn index(&self, (row, s): (usize, u32)) -> &T {
+        &self.cells[row * self.stages + s as usize]
+    }
+}
+
+impl<T> IndexMut<(usize, u32)> for Grid<T> {
+    fn index_mut(&mut self, (row, s): (usize, u32)) -> &mut T {
+        &mut self.cells[row * self.stages + s as usize]
+    }
+}
+
+/// What the tree says independent of any cut set, indexed densely.
+pub(crate) struct Shape {
+    /// Atom positions in the tree.
+    pub natoms: usize,
+    /// Structure tags in the tree.
+    pub ntags: usize,
+    /// Whether each variable is a parameter.
+    param: Vec<bool>,
+    /// Loop tag owning each induction variable.
+    pub loop_of_var: Vec<Option<usize>>,
+    /// Variable each atom defines, by position.
+    pub def_var: Vec<Option<VarId>>,
+    /// Def positions of variable `v`: `def_pos[def_start[v]..def_start[v + 1]]`.
+    def_start: Vec<usize>,
+    def_pos: Vec<usize>,
+    /// Straight-line group per def position (see [`Shape::new`]); any
+    /// other position holds a value no group shares.
+    pub group: Vec<usize>,
+    /// Arrays some atom stores to.
+    written: Vec<bool>,
+    /// Every load atom in program order: (load site, position, array).
+    pub loads: Vec<(LoadId, usize, ArrayId)>,
+}
+
+impl Shape {
+    /// Collects the facts of `tree`, built by `tb` from the body of `nf`.
+    ///
+    /// Groups: consecutive def atoms in the same body (with no
+    /// intervening control structure) share a group. Values defined in
+    /// one group and consumed by the same stage can share a queue — the
+    /// hardware sees them in producer program order either way, and
+    /// this is what lets adjacent loads (`nodes[v]`, `nodes[v+1]`) feed a
+    /// single reference accelerator.
+    pub(crate) fn new(tree: &[Node], tb: &TreeBuilder, nf: &Function) -> Shape {
+        let nvars = nf.vars.len();
+        let mut shape = Shape {
+            natoms: tb.next_pos,
+            ntags: tb.next_tag,
+            param: vec![false; nvars],
+            loop_of_var: vec![None; nvars],
+            def_var: vec![None; tb.next_pos],
+            def_start: vec![0; nvars + 1],
+            def_pos: Vec::new(),
+            group: (0..tb.next_pos).map(|pos| usize::MAX - pos).collect(),
+            written: vec![false; nf.arrays.len()],
+            loads: Vec::new(),
+        };
+        for p in &nf.params {
+            shape.param[p.0 as usize] = true;
+        }
+        fn walk(nodes: &[Node], shape: &mut Shape, next_group: &mut usize) {
+            let mut current: Option<usize> = None;
+            for n in nodes {
+                match n {
+                    Node::Atom { stmt, def, pos } => {
+                        if let Some(v) = def {
+                            shape.def_var[*pos] = Some(*v);
+                            shape.def_start[v.0 as usize + 1] += 1;
+                            shape.group[*pos] = *current.get_or_insert_with(|| {
+                                *next_group += 1;
+                                *next_group - 1
+                            });
+                        }
+                        if let Stmt::Store { array, .. } = stmt {
+                            shape.written[array.0 as usize] = true;
+                        }
+                        if let Some((id, array)) = load_of(stmt) {
+                            shape.loads.push((id, *pos, array));
+                        }
+                    }
+                    Node::If { then, els, .. } => {
+                        current = None;
+                        walk(then, shape, next_group);
+                        walk(els, shape, next_group);
+                    }
+                    Node::For { var, tag, body, .. } => {
+                        current = None;
+                        shape.loop_of_var[var.0 as usize] = Some(*tag);
+                        walk(body, shape, next_group);
+                    }
+                    Node::While { body, .. } => {
+                        current = None;
+                        walk(body, shape, next_group);
+                    }
+                }
+            }
+        }
+        walk(tree, &mut shape, &mut 0);
+        for v in 0..nvars {
+            shape.def_start[v + 1] += shape.def_start[v];
+        }
+        let mut fill = shape.def_start.clone();
+        shape.def_pos = vec![0; shape.def_start[nvars]];
+        for (pos, def) in shape.def_var.iter().enumerate() {
+            if let Some(v) = def {
+                shape.def_pos[fill[v.0 as usize]] = pos;
+                fill[v.0 as usize] += 1;
+            }
+        }
+        shape
+    }
+
+    /// Def positions of `v`, in program order (empty: never defined).
+    pub(crate) fn defs_of(&self, v: VarId) -> &[usize] {
+        let v = v.0 as usize;
+        &self.def_pos[self.def_start[v]..self.def_start[v + 1]]
+    }
+
+    /// Is `v` free in every stage (a parameter or a loop variable)?
+    pub(crate) fn is_free(&self, v: VarId) -> bool {
+        self.param[v.0 as usize] || self.loop_of_var[v.0 as usize].is_some()
+    }
+}
+
 // ---------------------------------------------------------------------
 // Stage assignment
 // ---------------------------------------------------------------------
 
 struct Stager {
-    var_stage: HashMap<VarId, u32>,
-    free: HashSet<VarId>,
-    overrides: HashMap<LoadId, u32>,
+    /// Stage of each atom, by position.
+    stage: Vec<u32>,
+    /// Stage of each variable's latest def.
+    var_stage: Vec<u32>,
+    /// Variables free at the current point (parameters and the
+    /// induction variables of enclosing loops).
+    free: Vec<bool>,
+    /// Forced stage per load atom, by position.
+    overrides: Vec<Option<u32>>,
     /// Minimum stage for *any* access (loads and stores) to a written
     /// array: all of its accesses must share one stage (Fig. 4).
-    array_floor: HashMap<ArrayId, u32>,
-    is_cut: HashSet<LoadId>,
+    array_floor: Vec<u32>,
+    /// Whether each load atom is a cut point, by position.
+    is_cut: Vec<bool>,
     changed: bool,
     error: Option<CompileError>,
 }
 
 impl Stager {
+    fn var_stage(&self, v: VarId) -> u32 {
+        if self.free[v.0 as usize] {
+            0
+        } else {
+            self.var_stage[v.0 as usize]
+        }
+    }
+
     fn leaf_stage(&self, e: &Expr) -> u32 {
         match e {
-            Expr::Var(v) if !self.free.contains(v) => self.var_stage.get(v).copied().unwrap_or(0),
+            Expr::Var(v) => self.var_stage(*v),
             _ => 0,
         }
     }
 
     fn expr_stage(&self, e: &Expr) -> u32 {
-        let mut vars = Vec::new();
-        e.collect_vars(&mut vars);
-        vars.iter()
-            .filter(|v| !self.free.contains(v))
-            .map(|v| self.var_stage.get(v).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0)
+        let mut m = 0;
+        e.for_each_var(&mut |v| m = m.max(self.var_stage(v)));
+        m
     }
 
-    fn load_of(stmt: &Stmt) -> Option<LoadId> {
-        if let Stmt::Assign {
-            expr: Expr::Load { id, .. },
-            ..
-        } = stmt
-        {
-            Some(*id)
-        } else {
-            None
-        }
-    }
-
-    fn assign(&mut self, nodes: &mut [Node], ctrl: u32) {
+    fn assign(&mut self, nodes: &[Node], ctrl: u32) {
         let mut ctrl_run = ctrl;
         for n in nodes {
             match n {
-                Node::Atom {
-                    stmt, stage, def, ..
-                } => {
+                Node::Atom { stmt, def, pos } => {
+                    let pos = *pos;
                     let dep = match stmt {
                         Stmt::Assign { expr, .. } => self.expr_stage(expr),
                         Stmt::Store { index, value, .. } => {
@@ -226,40 +400,33 @@ impl Stager {
                     };
                     let mut s = dep.max(ctrl_run);
                     if let Stmt::Store { array, .. } = stmt {
-                        if let Some(&f) = self.array_floor.get(array) {
-                            s = s.max(f);
-                        }
+                        s = s.max(self.array_floor[array.0 as usize]);
                     }
-                    if let Some(lid) = Self::load_of(stmt) {
-                        if let Some(&o) = self.overrides.get(&lid) {
-                            if dep > o || ctrl_run > o {
-                                let what = if self.is_cut.contains(&lid) {
-                                    "cut point depends on a later stage"
-                                } else {
-                                    "a read of a written array cannot run \
-                                     before the stage that writes it"
-                                };
-                                self.error
-                                    .get_or_insert(CompileError::RaceViolation(format!(
-                                        "{what} (load {lid:?}: dep stage {dep}, \
-                                         ctrl {ctrl_run}, forced {o})"
-                                    )));
-                            }
-                            s = s.max(o);
+                    if let (Some((lid, _)), Some(o)) = (load_of(stmt), self.overrides[pos]) {
+                        if dep > o || ctrl_run > o {
+                            let what = if self.is_cut[pos] {
+                                "cut point depends on a later stage"
+                            } else {
+                                "a read of a written array cannot run \
+                                 before the stage that writes it"
+                            };
+                            self.error
+                                .get_or_insert(CompileError::RaceViolation(format!(
+                                    "{what} (load {lid:?}: dep stage {dep}, \
+                                     ctrl {ctrl_run}, forced {o})"
+                                )));
                         }
+                        s = s.max(o);
                     }
-                    if s > *stage {
-                        *stage = s;
+                    if s > self.stage[pos] {
+                        self.stage[pos] = s;
                         self.changed = true;
                     }
                     if let Some(d) = def {
-                        let prev = self.var_stage.get(d).copied().unwrap_or(0);
-                        let newv = prev.max(*stage);
-                        if prev != newv || !self.var_stage.contains_key(d) {
-                            self.var_stage.insert(*d, newv);
-                            if prev != newv {
-                                self.changed = true;
-                            }
+                        let slot = &mut self.var_stage[d.0 as usize];
+                        if self.stage[pos] > *slot {
+                            *slot = self.stage[pos];
+                            self.changed = true;
                         }
                     }
                 }
@@ -284,10 +451,12 @@ impl Stager {
                     var, lo, hi, body, ..
                 } => {
                     let bs = self.leaf_stage(lo).max(self.leaf_stage(hi));
-                    let added = self.free.insert(*var);
+                    let v = var.0 as usize;
+                    let added = !self.free[v];
+                    self.free[v] = true;
                     self.assign(body, ctrl_run.max(bs));
                     if added {
-                        self.free.remove(var);
+                        self.free[v] = false;
                     }
                 }
                 Node::While { body, .. } => {
@@ -298,69 +467,33 @@ impl Stager {
     }
 }
 
-fn for_each_atom<'a>(nodes: &'a [Node], f: &mut impl FnMut(&'a Node)) {
-    for n in nodes {
-        match n {
-            Node::Atom { .. } => f(n),
-            Node::If { then, els, .. } => {
-                for_each_atom(then, f);
-                for_each_atom(els, f);
-            }
-            Node::For { body, .. } | Node::While { body, .. } => for_each_atom(body, f),
-        }
-    }
-}
-
-pub(crate) fn max_stage(nodes: &[Node]) -> u32 {
-    let mut m = 0;
-    for_each_atom(nodes, &mut |n| {
-        if let Node::Atom { stage, .. } = n {
-            m = m.max(*stage);
-        }
-    });
-    m
-}
-
-/// Assigns stages in place; returns the stage count (before compaction).
+/// Assigns a stage to every atom of `tree` for the given cut loads
+/// (`(load, forced stage)`, adjacency-grouped loads included). Returns
+/// the stage of each atom by position and the stage count (before
+/// compaction).
 pub(crate) fn assign_stages(
-    tree: &mut [Node],
-    params: &[VarId],
+    tree: &[Node],
+    shape: &Shape,
     cuts: &[(LoadId, u32)],
-) -> Result<u32, CompileError> {
-    let mut written = HashSet::new();
-    for_each_atom(tree, &mut |n| {
-        if let Node::Atom {
-            stmt: Stmt::Store { array, .. },
-            ..
-        } = n
-        {
-            written.insert(*array);
-        }
-    });
-    let mut all_loads: Vec<(LoadId, ArrayId)> = Vec::new();
-    for_each_atom(tree, &mut |n| {
-        if let Node::Atom {
-            stmt:
-                Stmt::Assign {
-                    expr: Expr::Load { id, array, .. },
-                    ..
-                },
-            ..
-        } = n
-        {
-            all_loads.push((*id, *array));
-        }
-    });
-
+) -> Result<(Vec<u32>, u32), CompileError> {
     let mut stager = Stager {
-        var_stage: HashMap::new(),
-        free: params.iter().copied().collect(),
-        overrides: cuts.iter().copied().collect(),
-        array_floor: HashMap::new(),
-        is_cut: cuts.iter().map(|(l, _)| *l).collect(),
+        stage: vec![0; shape.natoms],
+        var_stage: vec![0; shape.param.len()],
+        free: shape.param.clone(),
+        overrides: vec![None; shape.natoms],
+        array_floor: vec![0; shape.written.len()],
+        is_cut: vec![false; shape.natoms],
         changed: true,
         error: None,
     };
+    for &(lid, stage) in cuts {
+        if let Some(&(_, pos, _)) = shape.loads.iter().find(|(l, _, _)| *l == lid) {
+            stager.overrides[pos] = Some(stage);
+            stager.is_cut[pos] = true;
+        }
+    }
+    // Latest stage of any access to each written array.
+    let mut acc: Vec<Option<u32>> = vec![None; shape.written.len()];
     for _round in 0..24 {
         let mut inner = 0;
         while stager.changed {
@@ -376,46 +509,41 @@ pub(crate) fn assign_stages(
         }
         // Written-array grouping (the Fig. 4 race rule): all accesses to
         // a written array land in the stage of its latest access.
-        let mut acc: HashMap<ArrayId, u32> = HashMap::new();
-        for_each_atom(tree, &mut |n| {
-            if let Node::Atom { stmt, stage, .. } = n {
-                let arr = match stmt {
-                    Stmt::Store { array, .. } => Some(*array),
-                    Stmt::Assign {
-                        expr: Expr::Load { array, .. },
-                        ..
-                    } => Some(*array),
-                    _ => None,
-                };
-                if let Some(a) = arr {
-                    if written.contains(&a) {
-                        let e = acc.entry(a).or_insert(0);
-                        *e = (*e).max(*stage);
-                    }
+        acc.fill(None);
+        for_each_atom(tree, &mut |stmt, _, pos| {
+            let arr = match stmt {
+                Stmt::Store { array, .. } => Some(*array),
+                _ => load_of(stmt).map(|(_, array)| array),
+            };
+            if let Some(a) = arr {
+                if shape.written[a.0 as usize] {
+                    let e = acc[a.0 as usize].get_or_insert(0);
+                    *e = (*e).max(stager.stage[pos]);
                 }
             }
         });
         let mut changed = false;
-        for &(lid, arr) in &all_loads {
-            if let Some(&s) = acc.get(&arr) {
-                let cur = stager.overrides.get(&lid).copied().unwrap_or(0);
-                if cur < s {
-                    stager.overrides.insert(lid, s);
+        for &(_, pos, arr) in &shape.loads {
+            if let Some(s) = acc[arr.0 as usize] {
+                if stager.overrides[pos].unwrap_or(0) < s {
+                    stager.overrides[pos] = Some(s);
                     changed = true;
                 }
             }
         }
         // Stores must also move up to the group's stage (a cut can pull
         // a load past a store of the same array).
-        for (&arr, &s) in &acc {
-            let cur = stager.array_floor.get(&arr).copied().unwrap_or(0);
-            if cur < s {
-                stager.array_floor.insert(arr, s);
-                changed = true;
+        for (floor, s) in stager.array_floor.iter_mut().zip(&acc) {
+            if let Some(s) = *s {
+                if *floor < s {
+                    *floor = s;
+                    changed = true;
+                }
             }
         }
         if !changed {
-            return Ok(max_stage(tree) + 1);
+            let nstages = stager.stage.iter().copied().max().unwrap_or(0) + 1;
+            return Ok((stager.stage, nstages));
         }
         stager.changed = true;
     }
@@ -428,14 +556,6 @@ pub(crate) fn assign_stages(
 // Planning
 // ---------------------------------------------------------------------
 
-/// Per-def-atom information.
-#[derive(Clone, Debug)]
-pub(crate) struct DefInfo {
-    pub var: VarId,
-    pub stage: u32,
-    pub expr: Option<Expr>,
-}
-
 /// How a loop is realized in one stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LoopMode {
@@ -447,60 +567,64 @@ pub(crate) enum LoopMode {
     Transparent,
 }
 
-/// The full communication/control plan shared by all stages.
-#[derive(Debug, Default)]
-pub(crate) struct Plan {
+/// The full communication/control plan shared by all stages of one cut
+/// set. `(pos, s)` rows are atom positions, `(tag, s)` rows loop tags.
+pub(crate) struct Plan<'t> {
+    pub shape: &'t Shape,
+    /// Stage of each atom, by position.
+    pub stage: Vec<u32>,
+    /// Right-hand side of each `Assign` def atom, by position.
+    pub def_expr: Vec<Option<&'t Expr>>,
     /// Communicated pairs `(def pos, consumer stage) -> queue`.
-    pub comm: BTreeMap<(usize, u32), QueueId>,
+    pub comm: Grid<Option<QueueId>>,
     /// Recomputed pairs `(def pos, consumer stage)`.
-    pub recomp: BTreeSet<(usize, u32)>,
-    /// Def atoms by position.
-    pub defs: BTreeMap<usize, DefInfo>,
-    /// Def positions of each var.
-    pub defs_of_var: BTreeMap<VarId, Vec<usize>>,
-    /// Stages using each var (data + structural uses).
-    pub uses: BTreeMap<VarId, BTreeSet<u32>>,
+    pub recomp: Grid<bool>,
+    /// Stages using each var (data + structural uses): `(var, stage)`.
+    pub uses: Grid<bool>,
     /// Loop mode per (loop tag, stage); present loops only.
-    pub modes: HashMap<(usize, u32), LoopMode>,
+    pub modes: Grid<Option<LoopMode>>,
     /// Consumers that need the end-of-loop CV: (loop tag, stage).
-    pub need_next: BTreeSet<(usize, u32)>,
+    pub need_next: Grid<bool>,
     /// Dropped filter-ifs: (if tag, stage).
-    pub dropped: BTreeSet<(usize, u32)>,
+    pub dropped: Grid<bool>,
     /// Carrier def position per (CV loop tag, consumer stage).
-    pub carrier_pos: HashMap<(usize, u32), usize>,
+    pub carrier_pos: Grid<Option<usize>>,
     /// The def position whose queue delivers DONE, per consumer stage.
-    pub done_carrier: HashMap<u32, usize>,
-    /// Stages whose outermost emitted loop is CV (they end on DONE).
-    pub done_need: BTreeSet<u32>,
+    pub done_carrier: Vec<Option<usize>>,
     /// NEXT duties: (loop tag, producer stage) -> [(carrier def pos, consumer)].
-    pub next_duties: BTreeMap<(usize, u32), Vec<(usize, u32)>>,
+    pub next_duties: Grid<Vec<(usize, u32)>>,
     /// DONE duties: producer stage -> [(carrier def pos, consumer)].
-    pub done_duties: BTreeMap<u32, Vec<(usize, u32)>>,
-    /// Free variables (params; loop vars are handled structurally).
-    pub free: HashSet<VarId>,
-    /// Loop variables (local to every participant of their loop).
-    pub loop_vars: HashSet<VarId>,
-    /// Loop tag owning each induction variable.
-    pub loop_of_var: HashMap<VarId, usize>,
-    /// Number of stages (before compaction; used by diagnostics).
-    #[allow(dead_code)]
+    pub done_duties: Vec<Vec<(usize, u32)>>,
+    /// Number of stages (before compaction).
     pub nstages: u32,
     /// Pass switches.
     pub passes: PassConfig,
 }
 
-impl Plan {
+impl Plan<'_> {
     pub fn is_comm(&self, pos: usize, s: u32) -> bool {
-        self.comm.contains_key(&(pos, s))
+        self.comm[(pos, s)].is_some()
     }
 
     pub fn queue(&self, pos: usize, s: u32) -> QueueId {
-        self.comm[&(pos, s)]
+        self.comm[(pos, s)].expect("a planned queue")
     }
 
-    /// Is var `v` free (param or loop variable)?
-    pub fn is_free(&self, v: VarId) -> bool {
-        self.free.contains(&v) || self.loop_vars.contains(&v)
+    pub fn uses(&self, v: VarId, s: u32) -> bool {
+        self.uses[(v.0 as usize, s)]
+    }
+
+    fn add_use(&mut self, v: VarId, s: u32) {
+        self.uses[(v.0 as usize, s)] = true;
+    }
+
+    pub fn mode(&self, tag: usize, s: u32) -> Option<LoopMode> {
+        self.modes[(tag, s)]
+    }
+
+    /// Does `pos`'s queue carry loop `tag`'s end-of-loop CV to stage `s`?
+    pub fn carries(&self, tag: usize, s: u32, pos: usize) -> bool {
+        self.carrier_pos[(tag, s)] == Some(pos)
     }
 }
 
@@ -513,25 +637,17 @@ fn leaf_var(e: &Expr) -> Option<VarId> {
 }
 
 /// Is this atom emitted for stage `s` (given current uses)?
-fn atom_present(plan: &Plan, stage: u32, def: Option<VarId>, s: u32) -> bool {
-    if stage == s {
-        return true;
-    }
-    if let Some(v) = def {
-        return plan.uses.get(&v).map(|u| u.contains(&s)).unwrap_or(false);
-    }
-    false
+fn atom_present(plan: &Plan, pos: usize, def: Option<VarId>, s: u32) -> bool {
+    plan.stage[pos] == s || def.is_some_and(|v| plan.uses(v, s))
 }
 
 pub(crate) fn node_present(plan: &Plan, n: &Node, s: u32) -> bool {
     match n {
-        Node::Atom {
-            stage, def, stmt, ..
-        } => {
+        Node::Atom { stmt, def, pos } => {
             if matches!(stmt, Stmt::Break { .. }) {
                 return false; // skeleton; emitted with its exit-if
             }
-            atom_present(plan, *stage, *def, s)
+            atom_present(plan, *pos, *def, s)
         }
         Node::If {
             then, els, exit, ..
@@ -553,44 +669,60 @@ pub(crate) fn node_present(plan: &Plan, n: &Node, s: u32) -> bool {
 /// that is already planned (preliminary version used during planning:
 /// a def is local only if its stage is `s`).
 fn var_local(plan: &Plan, v: VarId, s: u32) -> bool {
-    if plan.is_free(v) {
-        return true;
-    }
-    match plan.defs_of_var.get(&v) {
-        None => true, // never defined: implicit zero everywhere
-        Some(ds) => ds.iter().all(|p| plan.defs[p].stage == s),
-    }
+    // A variable never defined is an implicit zero everywhere.
+    plan.shape.is_free(v) || plan.shape.defs_of(v).iter().all(|&p| plan.stage[p] == s)
 }
 
 /// First def position inside a subtree whose value stage `s` consumes.
 fn first_use_inside(plan: &Plan, nodes: &[Node], s: u32) -> Option<usize> {
     let mut best: Option<usize> = None;
-    for_each_atom(nodes, &mut |n| {
-        if let Node::Atom {
-            def: Some(v),
-            pos,
-            stage,
-            ..
-        } = n
-        {
-            if *stage != s
-                && plan.uses.get(v).map(|u| u.contains(&s)).unwrap_or(false)
-                && best.map(|b| *pos < b).unwrap_or(true)
-            {
-                best = Some(*pos);
+    for_each_atom(nodes, &mut |_, def, pos| {
+        if let Some(v) = def {
+            if plan.stage[pos] != s && plan.uses(v, s) && best.map(|b| pos < b).unwrap_or(true) {
+                best = Some(pos);
             }
         }
     });
     best
 }
 
+/// The only direct child of `body` present in stage `s`, if exactly one is.
+fn sole_present<'n>(plan: &Plan, body: &'n [Node], s: u32) -> Option<&'n Node> {
+    let mut present = body.iter().filter(|c| node_present(plan, c, s));
+    let first = present.next();
+    first.filter(|_| present.next().is_none())
+}
+
+/// Visits a loop's bound variables: a `for`'s leaf bounds, or the
+/// conditions of a `while`'s exit tests.
+fn for_each_bound_var(node: &Node, f: &mut impl FnMut(VarId)) {
+    match node {
+        Node::For { lo, hi, .. } => {
+            leaf_var(lo).into_iter().chain(leaf_var(hi)).for_each(f);
+        }
+        Node::While { body, .. } => {
+            for n in body {
+                if let Node::If {
+                    cond, exit: true, ..
+                } = n
+                {
+                    leaf_var(cond).into_iter().for_each(&mut *f);
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
 pub(crate) struct Planner<'t> {
     pub tree: &'t [Node],
-    pub plan: Plan,
-    /// Forced queue pairs (carriers must never be recomputed).
-    pub forced_comm: BTreeSet<(usize, u32)>,
-    /// Loops that must stay emitted for a stage (producer duties).
-    pub force_emit: BTreeSet<(usize, u32)>,
+    pub plan: Plan<'t>,
+    /// Forced queue pairs `(def pos, stage)` (carriers must never be
+    /// recomputed).
+    pub forced_comm: Grid<bool>,
+    /// Loops that must stay emitted for a stage (producer duties):
+    /// `(tag, stage)`.
+    pub force_emit: Grid<bool>,
     pub error: Option<CompileError>,
 }
 
@@ -599,7 +731,7 @@ impl<'t> Planner<'t> {
     /// transparent chains).
     fn streamy(&self, n: &Node, s: u32) -> bool {
         let Some(tag) = n.tag() else { return false };
-        match self.plan.modes.get(&(tag, s)) {
+        match self.plan.mode(tag, s) {
             Some(LoopMode::Cv) => true,
             Some(LoopMode::Transparent) => {
                 let body = match n {
@@ -615,18 +747,13 @@ impl<'t> Planner<'t> {
     }
 
     /// Plans structures in `nodes` for stage `s`, innermost-first.
-    /// `direct_loop: true` when `nodes` is a loop body whose direct
-    /// children are eligible for drop-if.
     fn plan_body(&mut self, nodes: &'t [Node], s: u32) {
         for n in nodes {
             match n {
                 Node::Atom { .. } => {}
-                Node::If {
-                    then, els, exit, ..
-                } => {
+                Node::If { then, els, .. } => {
                     self.plan_body(then, s);
                     self.plan_body(els, s);
-                    let _ = exit;
                 }
                 Node::For { body, .. } | Node::While { body, .. } => {
                     if node_present(&self.plan, n, s) {
@@ -635,17 +762,6 @@ impl<'t> Planner<'t> {
                 }
             }
         }
-    }
-
-    fn exit_cond_vars(body: &[Node]) -> Vec<VarId> {
-        body.iter()
-            .filter_map(|n| match n {
-                Node::If {
-                    cond, exit: true, ..
-                } => leaf_var(cond),
-                _ => None,
-            })
-            .collect()
     }
 
     fn register_if_conds(&mut self, nodes: &'t [Node], s: u32) {
@@ -661,13 +777,10 @@ impl<'t> Planner<'t> {
                 ..
             } = n
             {
-                if !exit
-                    && !self.plan.dropped.contains(&(*tag, s))
-                    && node_present(&self.plan, n, s)
-                {
+                if !exit && !self.plan.dropped[(*tag, s)] && node_present(&self.plan, n, s) {
                     if let Some(v) = leaf_var(cond) {
                         if !var_local(&self.plan, v, s) {
-                            self.plan.uses.entry(v).or_default().insert(s);
+                            self.plan.add_use(v, s);
                         }
                     }
                 }
@@ -692,75 +805,52 @@ impl<'t> Planner<'t> {
         // Does stage `s` read this loop's induction variable (directly,
         // or via a def it may recompute locally)? CV mode loses the
         // induction variable, so such loops must keep `for` structure.
+        // Only atoms the stage *owns* need the variable; values it
+        // consumes arrive via queues (loop-var-reading defs are never
+        // recomputed cross-stage, see `partition_comm`).
         let needs_var = match node {
             Node::For { var, .. } => {
                 let mut found = false;
-                fn scan(nodes: &[Node], var: VarId, s: u32, found: &mut bool) {
-                    for n in nodes {
-                        match n {
-                            Node::Atom { stmt, stage, .. } => {
-                                // Only atoms the stage *owns* need the
-                                // variable; values it consumes arrive via
-                                // queues (loop-var-reading defs are never
-                                // recomputed cross-stage, see
-                                // `partition_comm`).
-                                if *stage == s && stmt.header_reads().contains(&var) {
-                                    *found = true;
-                                }
-                            }
-                            Node::If { then, els, .. } => {
-                                scan(then, var, s, found);
-                                scan(els, var, s, found);
-                            }
-                            Node::For { body, .. } | Node::While { body, .. } => {
-                                scan(body, var, s, found)
-                            }
-                        }
-                    }
-                }
-                scan(body, *var, s, &mut found);
+                for_each_atom(body, &mut |stmt, _, pos| {
+                    found |= self.plan.stage[pos] == s && stmt.header_reads_var(*var);
+                });
                 found
             }
             _ => false,
         };
 
-        // Present direct children.
-        let present: Vec<&Node> = body
-            .iter()
-            .filter(|c| node_present(&self.plan, c, s))
-            .collect();
+        // The sole present direct child, if there is exactly one.
+        let sole = sole_present(&self.plan, body, s);
 
         // Transparency (pass 6): the loop's only content for `s` is a
         // single nested stream.
         if passes.isdce
             && !needs_var
-            && !self.force_emit.contains(&(tag, s))
-            && present.len() == 1
-            && present[0].is_loop()
-            && self.streamy(present[0], s)
+            && !self.force_emit[(tag, s)]
+            && sole.is_some_and(|c| c.is_loop() && self.streamy(c, s))
         {
-            self.plan.modes.insert((tag, s), LoopMode::Transparent);
+            self.plan.modes[(tag, s)] = Some(LoopMode::Transparent);
             return;
         }
 
         // Drop-if (filter pattern): sole present child is an if whose
         // condition lives upstream.
         let mut force_cv = false;
-        if passes.use_cv && present.len() == 1 {
-            if let Node::If {
+        if passes.use_cv {
+            if let Some(Node::If {
                 tag: if_tag,
                 cond,
                 els,
                 exit: false,
                 ..
-            } = present[0]
+            }) = sole
             {
                 let cond_nonlocal = leaf_var(cond)
                     .map(|v| !var_local(&self.plan, v, s))
                     .unwrap_or(false);
                 let els_present = els.iter().any(|c| node_present(&self.plan, c, s));
                 if cond_nonlocal && !els_present {
-                    self.plan.dropped.insert((*if_tag, s));
+                    self.plan.dropped[(*if_tag, s)] = true;
                     force_cv = true;
                 }
             }
@@ -774,14 +864,8 @@ impl<'t> Planner<'t> {
         self.register_if_conds(body, s);
 
         // Loop bound (or while-exit condition) variables.
-        let bound_vars: Vec<VarId> = match node {
-            Node::For { lo, hi, .. } => {
-                [leaf_var(lo), leaf_var(hi)].into_iter().flatten().collect()
-            }
-            Node::While { .. } => Self::exit_cond_vars(body),
-            _ => unreachable!(),
-        };
-        let bounds_local = bound_vars.iter().all(|v| var_local(&self.plan, *v, s));
+        let mut bounds_local = true;
+        for_each_bound_var(node, &mut |v| bounds_local &= var_local(&self.plan, v, s));
 
         // Stream-consumer mode: a stage that consumes values prefers CV
         // termination even with a locally known trip count (needed
@@ -791,16 +875,16 @@ impl<'t> Planner<'t> {
             && !needs_var
             && first_use_inside(&self.plan, body, s).is_some();
         if bounds_local && !force_cv && !force_stream {
-            self.plan.modes.insert((tag, s), LoopMode::Bounds);
+            self.plan.modes[(tag, s)] = Some(LoopMode::Bounds);
             return;
         }
 
         // CV mode if allowed and a carrier stream exists.
         if passes.use_cv && !needs_var {
             if let Some(carrier) = first_use_inside(&self.plan, body, s) {
-                self.plan.modes.insert((tag, s), LoopMode::Cv);
-                self.forced_comm.insert((carrier, s));
-                self.plan.carrier_pos.insert((tag, s), carrier);
+                self.plan.modes[(tag, s)] = Some(LoopMode::Cv);
+                self.forced_comm[(carrier, s)] = true;
+                self.plan.carrier_pos[(tag, s)] = Some(carrier);
                 return;
             }
         }
@@ -811,12 +895,13 @@ impl<'t> Planner<'t> {
         }
 
         // Fall back to communicated bounds.
-        for v in &bound_vars {
-            if !var_local(&self.plan, *v, s) {
-                self.plan.uses.entry(*v).or_default().insert(s);
+        let plan = &mut self.plan;
+        for_each_bound_var(node, &mut |v| {
+            if !var_local(plan, v, s) {
+                plan.add_use(v, s);
             }
-        }
-        self.plan.modes.insert((tag, s), LoopMode::Bounds);
+        });
+        self.plan.modes[(tag, s)] = Some(LoopMode::Bounds);
     }
 
     /// Phase B for stage `s`: NEXT/DONE needs and producer duties.
@@ -832,13 +917,13 @@ impl<'t> Planner<'t> {
                     if !node_present(&self.plan, n, s) {
                         continue;
                     }
-                    match self.plan.modes.get(&(*tag, s)) {
+                    match self.plan.mode(*tag, s) {
                         Some(LoopMode::Transparent) => {
                             self.plan_ctrl(body, s, enclosing_emitted);
                         }
                         Some(LoopMode::Cv) => {
                             if enclosing_emitted {
-                                self.plan.need_next.insert((*tag, s));
+                                self.plan.need_next[(*tag, s)] = true;
                             }
                             self.plan_ctrl(body, s, true);
                         }
@@ -868,7 +953,7 @@ impl<'t> Planner<'t> {
                 ));
                 return;
             };
-            match self.plan.modes.get(&(tag, s)) {
+            match self.plan.mode(tag, s) {
                 Some(LoopMode::Transparent) => {
                     cur = match first {
                         Node::For { body, .. } | Node::While { body, .. } => body,
@@ -876,14 +961,13 @@ impl<'t> Planner<'t> {
                     };
                 }
                 Some(LoopMode::Cv) => {
-                    self.plan.done_need.insert(s);
-                    let Some(&pos) = self.plan.carrier_pos.get(&(tag, s)) else {
+                    let Some(pos) = self.plan.carrier_pos[(tag, s)] else {
                         self.error.get_or_insert(CompileError::Internal(
                             "CV-mode loop without a carrier stream".into(),
                         ));
                         return;
                     };
-                    self.plan.done_carrier.insert(s, pos);
+                    self.plan.done_carrier[s as usize] = Some(pos);
                     break;
                 }
                 _ => break,
@@ -891,147 +975,86 @@ impl<'t> Planner<'t> {
         }
 
         // Register duties on producers.
-        if let Some(&pos) = self.plan.done_carrier.get(&s) {
-            let Some(def) = self.plan.defs.get(&pos) else {
+        if let Some(pos) = self.plan.done_carrier[s as usize] {
+            if self.plan.shape.def_var[pos].is_none() {
                 self.error.get_or_insert(CompileError::Internal(
                     "carrier position has no defining atom".into(),
                 ));
                 return;
-            };
-            let producer = def.stage;
-            self.plan
-                .done_duties
-                .entry(producer)
-                .or_default()
-                .push((pos, s));
+            }
+            let producer = self.plan.stage[pos];
+            self.plan.done_duties[producer as usize].push((pos, s));
         }
-        let needs: Vec<usize> = self
-            .plan
-            .need_next
-            .iter()
-            .filter(|(_, u)| *u == s)
-            .map(|(t, _)| *t)
-            .collect();
-        for tag in needs {
-            let Some(&pos) = self.plan.carrier_pos.get(&(tag, s)) else {
+        for tag in 0..self.plan.shape.ntags {
+            if !self.plan.need_next[(tag, s)] {
+                continue;
+            }
+            let Some(pos) = self.plan.carrier_pos[(tag, s)] else {
                 self.error.get_or_insert(CompileError::Internal(
                     "NEXT-needing loop without a carrier stream".into(),
                 ));
                 return;
             };
-            let Some(def) = self.plan.defs.get(&pos) else {
+            if self.plan.shape.def_var[pos].is_none() {
                 self.error.get_or_insert(CompileError::Internal(
                     "carrier position has no defining atom".into(),
                 ));
                 return;
-            };
-            let producer = def.stage;
-            self.plan
-                .next_duties
-                .entry((tag, producer))
-                .or_default()
-                .push((pos, s));
-            self.force_emit.insert((tag, producer));
+            }
+            let producer = self.plan.stage[pos];
+            self.plan.next_duties[(tag, producer)].push((pos, s));
+            self.force_emit[(tag, producer)] = true;
         }
     }
 }
 
 /// Runs planning over all stages; fills everything in [`Plan`] except
 /// the final comm/recompute partition and queue ids (see
-/// [`partition_comm`]).
-pub(crate) fn plan(
-    tree: &[Node],
-    params: &[VarId],
+/// [`partition_comm`]). Returns the plan and the forced queue pairs.
+pub(crate) fn plan<'t>(
+    tree: &'t [Node],
+    shape: &'t Shape,
+    stage: Vec<u32>,
     nstages: u32,
     passes: PassConfig,
-) -> Result<(Plan, BTreeSet<(usize, u32)>), CompileError> {
+) -> Result<(Plan<'t>, Grid<bool>), CompileError> {
+    let (natoms, ntags) = (shape.natoms, shape.ntags);
     let mut plan = Plan {
-        free: params.iter().copied().collect(),
+        shape,
+        stage,
+        def_expr: vec![None; natoms],
+        comm: Grid::new(natoms, nstages),
+        recomp: Grid::new(natoms, nstages),
+        uses: Grid::new(shape.param.len(), nstages),
+        modes: Grid::new(ntags, nstages),
+        need_next: Grid::new(ntags, nstages),
+        dropped: Grid::new(ntags, nstages),
+        carrier_pos: Grid::new(ntags, nstages),
+        done_carrier: vec![None; nstages as usize],
+        next_duties: Grid::new(ntags, nstages),
+        done_duties: vec![Vec::new(); nstages as usize],
         nstages,
         passes,
-        ..Default::default()
     };
-    // Collect defs, loop vars, and data uses.
-    fn collect(plan: &mut Plan, nodes: &[Node]) {
-        for n in nodes {
-            match n {
-                Node::Atom {
-                    stmt,
-                    stage,
-                    def,
-                    pos,
-                } => {
-                    if let Some(v) = def {
-                        let expr = match stmt {
-                            Stmt::Assign { expr, .. } => Some(expr.clone()),
-                            _ => None,
-                        };
-                        plan.defs.insert(
-                            *pos,
-                            DefInfo {
-                                var: *v,
-                                stage: *stage,
-                                expr,
-                            },
-                        );
-                        plan.defs_of_var.entry(*v).or_default().push(*pos);
-                    }
-                }
-                Node::If { then, els, .. } => {
-                    collect(plan, then);
-                    collect(plan, els);
-                }
-                Node::For { var, tag, body, .. } => {
-                    plan.loop_vars.insert(*var);
-                    plan.loop_of_var.insert(*var, *tag);
-                    collect(plan, body);
-                }
-                Node::While { body, .. } => collect(plan, body),
-            }
+    // Def expressions and data uses: a stage reads a variable that has
+    // a def in another stage.
+    for_each_atom(tree, &mut |stmt, def, pos| {
+        if let (Some(_), Stmt::Assign { expr, .. }) = (def, stmt) {
+            plan.def_expr[pos] = Some(expr);
         }
-    }
-    collect(&mut plan, tree);
-
-    fn data_uses(plan: &mut Plan, nodes: &[Node]) {
-        let mut pending: Vec<(VarId, u32)> = Vec::new();
-        for_each_atom_local(nodes, &mut |stmt: &Stmt, stage: u32| {
-            for r in stmt.header_reads() {
-                pending.push((r, stage));
+        let s = plan.stage[pos];
+        stmt.for_each_header_read(&mut |r| {
+            if !shape.is_free(r) && shape.defs_of(r).iter().any(|&p| plan.stage[p] != s) {
+                plan.add_use(r, s);
             }
         });
-        for (r, s) in pending {
-            if plan.is_free(r) {
-                continue;
-            }
-            let has_nonlocal_def = plan
-                .defs_of_var
-                .get(&r)
-                .map(|ds| ds.iter().any(|p| plan.defs[p].stage != s))
-                .unwrap_or(false);
-            if has_nonlocal_def {
-                plan.uses.entry(r).or_default().insert(s);
-            }
-        }
-    }
-    fn for_each_atom_local(nodes: &[Node], f: &mut impl FnMut(&Stmt, u32)) {
-        for n in nodes {
-            match n {
-                Node::Atom { stmt, stage, .. } => f(stmt, *stage),
-                Node::If { then, els, .. } => {
-                    for_each_atom_local(then, f);
-                    for_each_atom_local(els, f);
-                }
-                Node::For { body, .. } | Node::While { body, .. } => for_each_atom_local(body, f),
-            }
-        }
-    }
-    data_uses(&mut plan, tree);
+    });
 
     let mut planner = Planner {
         tree,
         plan,
-        forced_comm: BTreeSet::new(),
-        force_emit: BTreeSet::new(),
+        forced_comm: Grid::new(natoms, nstages),
+        force_emit: Grid::new(ntags, nstages),
         error: None,
     };
     for s in (0..nstages).rev() {
@@ -1045,143 +1068,97 @@ pub(crate) fn plan(
     Ok((planner.plan, planner.forced_comm))
 }
 
-/// Computes a straight-line group id per def position: consecutive atoms
-/// in the same body (with no intervening control structure) share a
-/// group. Values defined in one group and consumed by the same stage can
-/// share a queue — the hardware sees them in producer program order
-/// either way, and this is what lets adjacent loads (`nodes[v]`,
-/// `nodes[v+1]`) feed a single reference accelerator.
-pub(crate) fn def_groups(tree: &[Node]) -> HashMap<usize, usize> {
-    let mut groups = HashMap::new();
-    let mut next_group = 0usize;
-    fn walk(nodes: &[Node], groups: &mut HashMap<usize, usize>, next_group: &mut usize) {
-        let mut current: Option<usize> = None;
-        for n in nodes {
-            match n {
-                Node::Atom { pos, def, .. } => {
-                    if def.is_some() {
-                        let g = *current.get_or_insert_with(|| {
-                            let g = *next_group;
-                            *next_group += 1;
-                            g
-                        });
-                        groups.insert(*pos, g);
-                    }
-                }
-                Node::If { then, els, .. } => {
-                    current = None;
-                    walk(then, groups, next_group);
-                    walk(els, groups, next_group);
-                }
-                Node::For { body, .. } | Node::While { body, .. } => {
-                    current = None;
-                    walk(body, groups, next_group);
-                }
-            }
-        }
-    }
-    walk(tree, &mut groups, &mut next_group);
-    groups
-}
-
 /// Partitions uses into queues vs. recomputation (pass 2) and assigns
 /// queue ids, merging same-group same-stage defs bound for the same
 /// consumer into one queue.
 pub(crate) fn partition_comm(
     plan: &mut Plan,
-    forced: &BTreeSet<(usize, u32)>,
-    groups: &HashMap<usize, usize>,
+    forced: &Grid<bool>,
     max_queues: u16,
 ) -> Result<(), CompileError> {
+    let shape = plan.shape;
     let recompute_on = plan.passes.recompute;
-    let mut decided_comm: BTreeSet<(usize, u32)> = BTreeSet::new();
-    let mut decided_recomp: BTreeSet<(usize, u32)> = BTreeSet::new();
+    let mut decided_comm: Grid<bool> = Grid::new(shape.natoms, plan.nstages);
+    let mut decided_recomp: Grid<bool> = Grid::new(shape.natoms, plan.nstages);
 
-    let defs: Vec<(usize, DefInfo)> = plan.defs.iter().map(|(p, d)| (*p, d.clone())).collect();
-    for (pos, d) in &defs {
-        let consumers: Vec<u32> = plan
-            .uses
-            .get(&d.var)
-            .map(|set| set.iter().copied().filter(|s| *s != d.stage).collect())
-            .unwrap_or_default();
-        for s in consumers {
-            let pair = (*pos, s);
+    for pos in 0..shape.natoms {
+        let Some(var) = shape.def_var[pos] else {
+            continue;
+        };
+        let expr = plan.def_expr[pos];
+        let producer = plan.stage[pos];
+        for s in 0..plan.nstages {
+            if s == producer || !plan.uses(var, s) {
+                continue;
+            }
             let can_recompute = recompute_on
-                && !forced.contains(&pair)
-                && match &d.expr {
+                && !forced[(pos, s)]
+                && match expr {
                     Some(e) if !matches!(e, Expr::Load { .. }) => {
-                        let mut vars = Vec::new();
-                        e.collect_vars(&mut vars);
-                        // Loop-variable-derived values may only be
-                        // rematerialized where the consumer emits that
-                        // loop with counted (`for`) structure — CV
-                        // streams lose induction variables.
-                        vars.iter().all(|v| match plan.loop_of_var.get(v) {
-                            Some(tag) => plan.modes.get(&(*tag, s)) == Some(&LoopMode::Bounds),
-                            None => !plan.loop_vars.contains(v),
-                        }) && vars.iter().all(|v| {
-                            plan.is_free(*v)
-                                || plan
-                                    .defs_of_var
-                                    .get(v)
-                                    .map(|ds| {
-                                        ds.iter().all(|p2| {
-                                            plan.defs[p2].stage == s
-                                                || decided_comm.contains(&(*p2, s))
-                                                || decided_recomp.contains(&(*p2, s))
-                                        })
-                                    })
-                                    .unwrap_or(true)
-                        })
+                        let mut ok = true;
+                        e.for_each_var(&mut |v| {
+                            // Loop-variable-derived values may only be
+                            // rematerialized where the consumer emits
+                            // that loop with counted (`for`) structure
+                            // — CV streams lose induction variables.
+                            ok &= shape.loop_of_var[v.0 as usize]
+                                .is_none_or(|tag| plan.mode(tag, s) == Some(LoopMode::Bounds));
+                            ok &= shape.is_free(v)
+                                || shape.defs_of(v).iter().all(|&p2| {
+                                    plan.stage[p2] == s
+                                        || decided_comm[(p2, s)]
+                                        || decided_recomp[(p2, s)]
+                                });
+                        });
+                        ok
                     }
                     _ => false,
                 };
             if can_recompute {
-                decided_recomp.insert(pair);
+                decided_recomp[(pos, s)] = true;
             } else {
                 // Loop-carried values (accumulators: the def reads its
                 // own variable) cannot be streamed — communicating one
                 // per iteration serializes the stages on the reduction
                 // chain and doubles traffic (e.g. SDDMM's dense dot
                 // product). Reject the cut set; the search falls back.
-                let self_carried = d
-                    .expr
-                    .as_ref()
-                    .map(|e| {
-                        let mut vars = Vec::new();
-                        e.collect_vars(&mut vars);
-                        vars.contains(&d.var)
-                    })
-                    .unwrap_or(false);
+                let mut self_carried = false;
+                if let Some(e) = expr {
+                    e.for_each_var(&mut |v| self_carried |= v == var);
+                }
                 if self_carried {
                     return Err(CompileError::Unsupported(format!(
                         "cut would stream the loop-carried value `{}`                          across stages",
-                        plan.defs[pos].var.0
+                        var.0
                     )));
                 }
-                decided_comm.insert(pair);
+                decided_comm[(pos, s)] = true;
             }
         }
     }
     // Assign queue ids, sharing one queue among a straight-line group's
     // defs (same producer stage) bound for the same consumer.
-    let mut queue_of: BTreeMap<(usize, u32, u32), QueueId> = BTreeMap::new();
-    let mut next_q = 0u16;
-    for pair in &decided_comm {
-        let (pos, consumer) = *pair;
-        let group = groups.get(&pos).copied().unwrap_or(usize::MAX - pos);
-        let producer = plan.defs[&pos].stage;
-        let key = (group, producer, consumer);
-        let q = *queue_of.entry(key).or_insert_with(|| {
-            let q = QueueId(next_q);
-            next_q += 1;
-            q
-        });
-        plan.comm.insert(*pair, q);
+    let mut queue_of: Vec<((usize, u32, u32), QueueId)> = Vec::new();
+    for pos in 0..shape.natoms {
+        for consumer in 0..plan.nstages {
+            if !decided_comm[(pos, consumer)] {
+                continue;
+            }
+            let key = (shape.group[pos], plan.stage[pos], consumer);
+            let q = match queue_of.iter().find(|(k, _)| *k == key) {
+                Some(&(_, q)) => q,
+                None => {
+                    let q = QueueId(queue_of.len() as u16);
+                    queue_of.push((key, q));
+                    q
+                }
+            };
+            plan.comm[(pos, consumer)] = Some(q);
+        }
     }
-    if next_q as usize > max_queues as usize {
+    if queue_of.len() > max_queues as usize {
         return Err(CompileError::TooManyQueues(
-            next_q as usize,
+            queue_of.len(),
             max_queues as usize,
         ));
     }

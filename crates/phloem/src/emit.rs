@@ -18,14 +18,14 @@ use phloem_ir::{
 };
 
 pub(crate) struct Emitter<'p> {
-    plan: &'p Plan,
+    plan: &'p Plan<'p>,
     s: u32,
     /// Emitted-loop stack: (source loop tag, mode).
     loop_stack: Vec<(usize, LoopMode)>,
     /// Source-loop stack: (tag, emitted?).
     src_stack: Vec<(usize, bool)>,
-    /// Loop-stack snapshot at each carrier dequeue site, keyed by def pos.
-    carrier_sites: Vec<(usize, Vec<(usize, LoopMode)>)>,
+    /// Control-value handlers (pass 5) registered at carrier dequeues.
+    handlers: Vec<CtrlHandler>,
     /// Nonzero while emitting the branches of a loop-exit test: its
     /// `break`s are loop skeleton and every stage that emits the loop
     /// must replicate them, owner or not.
@@ -58,49 +58,38 @@ impl<'p> Emitter<'p> {
         v
     }
 
-    /// Loops whose carrier is the def at `pos` (for this stage).
-    fn carried_loops(&self, pos: usize) -> Vec<usize> {
-        self.plan
-            .carrier_pos
-            .iter()
-            .filter(|((_, u), p)| *u == self.s && **p == pos)
-            .map(|((t, _), _)| *t)
-            .collect()
-    }
-
     fn is_carrier(&self, pos: usize) -> bool {
-        self.plan.done_carrier.get(&self.s) == Some(&pos) || !self.carried_loops(pos).is_empty()
+        self.plan.done_carrier[self.s as usize] == Some(pos)
+            || (0..self.plan.shape.ntags).any(|tag| self.plan.carries(tag, self.s, pos))
     }
 
-    /// The CV dispatch targets at a carrier dequeue of `pos`: the loops
-    /// this queue carries that expect a NEXT, innermost first.
-    fn ctrl_targets(&self, pos: usize) -> Vec<(usize, u32)> {
-        let carried = self.carried_loops(pos);
-        let mut out = Vec::new();
-        let depth = self.loop_stack.len();
-        for (i, (tag, mode)) in self.loop_stack.iter().enumerate().rev() {
-            if *mode == LoopMode::Cv
-                && carried.contains(tag)
-                && self.plan.need_next.contains(&(*tag, self.s))
-            {
-                out.push((*tag, (depth - i) as u32));
-            }
-        }
-        out
+    /// Is the dequeue of `pos` at emitted loop level `i` a CV dispatch
+    /// target: a CV loop this queue carries that expects a NEXT?
+    fn ctrl_target(&self, i: usize, pos: usize) -> Option<usize> {
+        let (tag, mode) = self.loop_stack[i];
+        (mode == LoopMode::Cv
+            && self.plan.carries(tag, self.s, pos)
+            && self.plan.need_next[(tag, self.s)])
+            .then_some(tag)
     }
 
     fn emit_ctrl_check(&mut self, x: VarId, pos: usize, out: &mut Vec<Stmt>) {
         // if (is_control(x)) { t = ctrl_tag(x); nested tag dispatch }
-        let targets = self.ctrl_targets(pos);
         let all = self.loop_stack.len() as u32;
         let t = self.ctrl_tmp();
         let mut inner: Vec<Stmt> = vec![Stmt::Break { levels: all }];
-        for (tag, levels) in targets.into_iter().rev() {
+        // Outermost target first, so the innermost test ends up outside.
+        for i in 0..self.loop_stack.len() {
+            let Some(tag) = self.ctrl_target(i, pos) else {
+                continue;
+            };
             let id = self.fresh_branch();
             inner = vec![Stmt::If {
                 id,
                 cond: Expr::bin(BinOp::Eq, Expr::var(t), Expr::i64(next_tag(tag) as i64)),
-                then_body: vec![Stmt::Break { levels }],
+                then_body: vec![Stmt::Break {
+                    levels: all - i as u32,
+                }],
                 else_body: inner,
             }];
         }
@@ -118,6 +107,27 @@ impl<'p> Emitter<'p> {
         });
     }
 
+    /// Registers the handlers (pass 5) of a carrier dequeue of `pos`
+    /// from queue `q`: one per carried NEXT, outermost first, then DONE.
+    fn add_handlers(&mut self, q: QueueId, pos: usize) {
+        let depth = self.loop_stack.len() as u32;
+        let handler = |ctrl: u32, levels: u32| CtrlHandler {
+            queue: q,
+            ctrl: Some(ctrl),
+            bind: None,
+            body: vec![],
+            end: HandlerEnd::BreakLoops(levels),
+        };
+        for i in 0..self.loop_stack.len() {
+            if let Some(tag) = self.ctrl_target(i, pos) {
+                self.handlers.push(handler(next_tag(tag), depth - i as u32));
+            }
+        }
+        if self.plan.done_carrier[self.s as usize] == Some(pos) {
+            self.handlers.push(handler(DONE, depth));
+        }
+    }
+
     fn innermost_emitted_is_bounds(&self) -> bool {
         self.loop_stack
             .last()
@@ -128,12 +138,9 @@ impl<'p> Emitter<'p> {
     fn emit_seq(&mut self, nodes: &[Node], out: &mut Vec<Stmt>) {
         for n in nodes {
             match n {
-                Node::Atom {
-                    stmt,
-                    stage,
-                    def,
-                    pos,
-                } => self.emit_atom(stmt, *stage, *def, *pos, out),
+                Node::Atom { stmt, def, pos } => {
+                    self.emit_atom(stmt, self.plan.stage[*pos], *def, *pos, out)
+                }
                 Node::If {
                     tag,
                     id,
@@ -169,7 +176,7 @@ impl<'p> Emitter<'p> {
                     if !crate::decouple::node_present(self.plan, n, self.s) {
                         continue;
                     }
-                    if self.plan.dropped.contains(&(*tag, self.s)) {
+                    if self.plan.dropped[(*tag, self.s)] {
                         self.emit_seq(then, out);
                         continue;
                     }
@@ -217,12 +224,7 @@ impl<'p> Emitter<'p> {
         if !crate::decouple::node_present(self.plan, node, self.s) {
             return;
         }
-        let mode = self
-            .plan
-            .modes
-            .get(&(tag, self.s))
-            .copied()
-            .unwrap_or(LoopMode::Bounds);
+        let mode = self.plan.mode(tag, self.s).unwrap_or(LoopMode::Bounds);
         match mode {
             LoopMode::Transparent => {
                 self.src_stack.push((tag, false));
@@ -267,13 +269,11 @@ impl<'p> Emitter<'p> {
         }
         // Producer duties: signal this loop's end to consumers that need
         // its boundary.
-        if let Some(duties) = self.plan.next_duties.get(&(tag, self.s)) {
-            for (pos, consumer) in duties {
-                out.push(Stmt::EnqCtrl {
-                    queue: self.plan.queue(*pos, *consumer),
-                    ctrl: next_tag(tag),
-                });
-            }
+        for &(pos, consumer) in &self.plan.next_duties[(tag, self.s)] {
+            out.push(Stmt::EnqCtrl {
+                queue: self.plan.queue(pos, consumer),
+                ctrl: next_tag(tag),
+            });
         }
     }
 
@@ -315,13 +315,13 @@ impl<'p> Emitter<'p> {
         if stage == self.s {
             out.push(stmt.clone());
             if let Some(v) = def {
-                for ((p, consumer), q) in self.plan.comm.range((pos, 0)..(pos + 1, 0)) {
-                    debug_assert_eq!(*p, pos);
-                    out.push(Stmt::Enq {
-                        queue: *q,
-                        value: Expr::var(v),
-                    });
-                    let _ = consumer;
+                for consumer in 0..self.plan.nstages {
+                    if let Some(queue) = self.plan.comm[(pos, consumer)] {
+                        out.push(Stmt::Enq {
+                            queue,
+                            value: Expr::var(v),
+                        });
+                    }
                 }
             }
             return;
@@ -332,14 +332,13 @@ impl<'p> Emitter<'p> {
             out.push(Stmt::Deq { var: v, queue: q });
             if self.is_carrier(pos) {
                 if self.plan.passes.use_handlers {
-                    self.carrier_sites.push((pos, self.loop_stack.clone()));
+                    self.add_handlers(q, pos);
                 } else {
                     self.emit_ctrl_check(v, pos, out);
                 }
             }
-        } else if self.plan.recomp.contains(&(pos, self.s)) {
-            let d = &self.plan.defs[&pos];
-            if let Some(e) = &d.expr {
+        } else if self.plan.recomp[(pos, self.s)] {
+            if let Some(e) = self.plan.def_expr[pos] {
                 out.push(Stmt::Assign {
                     var: v,
                     expr: e.clone(),
@@ -349,26 +348,28 @@ impl<'p> Emitter<'p> {
     }
 }
 
-/// Emits the stage program for stage `s`. Returns `None` if the stage has
-/// no content (it will be compacted away).
+/// Emits the stage program for stage `s` of the function whose
+/// declarations are `base` and whose branch ids end below
+/// `next_branch`. Returns `None` if the stage has no content (it will
+/// be compacted away).
 pub(crate) fn emit_stage(
     plan: &Plan,
     tree: &[Node],
     base: &Function,
+    next_branch: u32,
     s: u32,
-    name: &str,
 ) -> Result<Option<StageProgram>, CompileError> {
     let mut em = Emitter {
         plan,
         s,
         loop_stack: Vec::new(),
         src_stack: Vec::new(),
-        carrier_sites: Vec::new(),
+        handlers: Vec::new(),
         exit_depth: 0,
         ctrl_tmp: None,
         extra_vars: Vec::new(),
         base_vars: base.vars.len(),
-        next_branch: base.next_branch_id().0 + 1,
+        next_branch,
         error: None,
     };
     let mut body = Vec::new();
@@ -378,64 +379,28 @@ pub(crate) fn emit_stage(
     }
 
     // Trailing DONE duties.
-    if let Some(duties) = plan.done_duties.get(&s) {
-        for (pos, consumer) in duties {
-            body.push(Stmt::EnqCtrl {
-                queue: plan.queue(*pos, *consumer),
-                ctrl: DONE,
-            });
-        }
+    for &(pos, consumer) in &plan.done_duties[s as usize] {
+        body.push(Stmt::EnqCtrl {
+            queue: plan.queue(pos, consumer),
+            ctrl: DONE,
+        });
     }
     if body.is_empty() {
         return Ok(None);
     }
 
-    // Handlers (pass 5): one per (carrier queue, control value).
-    let mut handlers = Vec::new();
-    if plan.passes.use_handlers {
-        for (pos, site) in &em.carrier_sites {
-            let q: QueueId = plan.queue(*pos, s);
-            let depth = site.len() as u32;
-            let carried: Vec<usize> = plan
-                .carrier_pos
-                .iter()
-                .filter(|((_, u), p)| *u == s && *p == pos)
-                .map(|((t, _), _)| *t)
-                .collect();
-            for (i, (tag, mode)) in site.iter().enumerate() {
-                if *mode == LoopMode::Cv
-                    && carried.contains(tag)
-                    && plan.need_next.contains(&(*tag, s))
-                {
-                    handlers.push(CtrlHandler {
-                        queue: q,
-                        ctrl: Some(next_tag(*tag)),
-                        bind: None,
-                        body: vec![],
-                        end: HandlerEnd::BreakLoops(depth - i as u32),
-                    });
-                }
-            }
-            if plan.done_carrier.get(&s) == Some(pos) {
-                handlers.push(CtrlHandler {
-                    queue: q,
-                    ctrl: Some(DONE),
-                    bind: None,
-                    body: vec![],
-                    end: HandlerEnd::BreakLoops(depth),
-                });
-            }
-        }
-    }
-
-    let mut vars = base.vars.clone();
+    let mut vars = Vec::with_capacity(base.vars.len() + em.extra_vars.len());
+    vars.extend_from_slice(&base.vars);
     vars.extend(em.extra_vars);
     let func = Function {
-        name: format!("{name}:s{s}"),
+        name: format!("{}:s{s}", base.name),
         vars,
         arrays: base.arrays.clone(),
         params: base.params.clone(),
         body,
     };
-    Ok(Some(StageProgram { func, handlers }))
+    Ok(Some(StageProgram {
+        func,
+        handlers: em.handlers,
+    }))
 }

@@ -22,6 +22,14 @@
 //! 5. [`replicate`] — `#pragma replicate` / `#pragma distribute`
 //!    data-parallel pipeline replication (Sec. IV-C).
 //!
+//! Everything before the cut set matters — validation, [`normalize`],
+//! [`analyze`] and the decoupling tree — is built once per kernel and
+//! shared by every cut set tried on it: [`compile_static`]'s fallback
+//! from an illegal cut set to fewer cuts, and the subsets
+//! [`search::enumerate_pipelines`] compiles. The passes key their
+//! tables by dense ids (atom position, loop tag, variable, array,
+//! stage) as `Vec`s; `clippy.toml` keeps std's SipHash maps out.
+//!
 //! ```no_run
 //! use phloem_compiler::{compile_static, CompileOptions};
 //! # let func = phloem_ir::Function::new("empty");
@@ -36,6 +44,7 @@ pub mod decouple;
 mod emit;
 pub mod normalize;
 pub mod options;
+mod prepared;
 pub mod ra;
 pub mod replicate;
 pub mod search;
@@ -43,9 +52,8 @@ pub mod search;
 pub use analysis::{analyze, AccessKind, Analysis, LoadInfo};
 pub use options::{CompileError, PassConfig};
 
-use decouple::{assign_stages, partition_comm, plan, TreeBuilder};
-use emit::emit_stage;
-use phloem_ir::{Expr, Function, LoadId, Pipeline, Stmt};
+use phloem_ir::{Function, LoadId, Pipeline};
+use prepared::Prepared;
 
 /// Top-level compilation options.
 #[derive(Clone, Debug)]
@@ -85,79 +93,7 @@ pub fn decouple_with_cuts(
     cuts: &[LoadId],
     opts: &CompileOptions,
 ) -> Result<Pipeline, CompileError> {
-    func.validate()
-        .map_err(|e| CompileError::Unsupported(e.to_string()))?;
-    let nf = normalize::normalize(func);
-    let mut tb = TreeBuilder::default();
-    let mut tree = tb.build(&nf.body)?;
-
-    // Order cuts by their position in the program.
-    let positions = load_positions(&nf.body);
-    let mut sorted: Vec<(usize, LoadId)> = Vec::with_capacity(cuts.len());
-    for c in cuts {
-        let p = positions
-            .iter()
-            .find(|(l, _)| l == c)
-            .ok_or(CompileError::UnknownCut(*c))?
-            .1;
-        if sorted.iter().any(|(_, l)| l == c) {
-            return Err(CompileError::Unsupported(format!("duplicate cut {c:?}")));
-        }
-        sorted.push((p, *c));
-    }
-    sorted.sort();
-    let mut cut_pairs: Vec<(LoadId, u32)> = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, (_, l))| (*l, i as u32 + 1))
-        .collect();
-    // Adjacency grouping (Sec. V): loads adjacent to a cut load (e.g.
-    // nodes[v+1] next to nodes[v]) are almost surely cache hits and are
-    // kept in the cut's stage rather than being separated from it.
-    let a = analyze(func);
-    for info in &a.loads {
-        if let Some(primary) = info.adjacent_primary {
-            if let Some(&(_, stage)) = cut_pairs.iter().find(|(l, _)| *l == primary) {
-                cut_pairs.push((info.id, stage));
-            }
-        }
-    }
-
-    let nstages = assign_stages(&mut tree, &nf.params, &cut_pairs)?;
-    let (mut the_plan, forced) = plan(&tree, &nf.params, nstages, opts.passes)?;
-    let groups = decouple::def_groups(&tree);
-    partition_comm(&mut the_plan, &forced, &groups, opts.max_queues)?;
-
-    let mut pipe = Pipeline::new(func.name.clone());
-    let mut placed = 0usize;
-    for s in 0..nstages {
-        if let Some(p) = emit_stage(&the_plan, &tree, &nf, s, &func.name)? {
-            let core = opts.start_core + placed / opts.smt_threads;
-            pipe.add_stage(p, core);
-            placed += 1;
-        }
-    }
-    let limits = phloem_ir::ValidateLimits {
-        queues_per_core: opts.max_queues,
-    };
-    if opts.passes.validate_between_passes {
-        phloem_ir::validate_pipeline(&pipe, &limits, "emit")
-            .map_err(CompileError::InvalidPipeline)?;
-    }
-    let mut last_pass = "emit";
-    if opts.passes.use_ra {
-        ra::extract(&mut pipe, &nf.arrays, opts.max_ras);
-        last_pass = "ra-extract";
-        if opts.passes.validate_between_passes {
-            phloem_ir::validate_pipeline(&pipe, &limits, last_pass)
-                .map_err(CompileError::InvalidPipeline)?;
-        }
-    }
-    pipe.check(opts.max_queues, opts.smt_threads, opts.max_ras)
-        .map_err(|e| CompileError::Unsupported(e.to_string()))?;
-    phloem_ir::validate_pipeline(&pipe, &limits, last_pass)
-        .map_err(CompileError::InvalidPipeline)?;
-    Ok(pipe)
+    Prepared::new(func)?.cut(cuts, opts)
 }
 
 /// Static compilation mode (Sec. V): ranks decoupling points with the
@@ -165,18 +101,18 @@ pub fn decouple_with_cuts(
 ///
 /// # Errors
 /// See [`decouple_with_cuts`]; additionally falls back to fewer stages
-/// if a cut combination is illegal.
+/// if a cut combination is illegal. A kernel that fails validation
+/// fails once, with the error `decouple_with_cuts` returns for it.
 pub fn compile_static(
     func: &Function,
     n_stages: usize,
     opts: &CompileOptions,
 ) -> Result<Pipeline, CompileError> {
-    let a = analyze(func);
-    let cand = a.candidates();
-    let take = (n_stages.saturating_sub(1)).min(cand.len());
-    let mut cuts: Vec<LoadId> = cand.into_iter().take(take).collect();
+    let prepared = Prepared::new(func)?;
+    let mut cuts = prepared.analysis.candidates();
+    cuts.truncate(n_stages.saturating_sub(1));
     loop {
-        match decouple_with_cuts(func, &cuts, opts) {
+        match prepared.cut(&cuts, opts) {
             Ok(p) => return Ok(p),
             Err(e) if cuts.is_empty() => return Err(e),
             Err(_) => {
@@ -184,37 +120,4 @@ pub fn compile_static(
             }
         }
     }
-}
-
-fn load_positions(body: &[Stmt]) -> Vec<(LoadId, usize)> {
-    // Position = preorder atom index, matching TreeBuilder.
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    fn walk(body: &[Stmt], pos: &mut usize, out: &mut Vec<(LoadId, usize)>) {
-        for s in body {
-            match s {
-                Stmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    walk(then_body, pos, out);
-                    walk(else_body, pos, out);
-                }
-                Stmt::For { body, .. } | Stmt::While { body, .. } => walk(body, pos, out),
-                atom => {
-                    if let Stmt::Assign {
-                        expr: Expr::Load { id, .. },
-                        ..
-                    } = atom
-                    {
-                        out.push((*id, *pos));
-                    }
-                    *pos += 1;
-                }
-            }
-        }
-    }
-    walk(body, &mut pos, &mut out);
-    out
 }

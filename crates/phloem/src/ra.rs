@@ -79,7 +79,7 @@ fn loop_body(stage: &Stage) -> Option<&[Stmt]> {
             let mut uses_var = false;
             for s in inner {
                 s.for_each(&mut |s| {
-                    if s.header_reads().contains(var) {
+                    if s.header_reads_var(*var) {
                         uses_var = true;
                     }
                 });

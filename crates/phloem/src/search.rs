@@ -27,7 +27,8 @@
 //! [`SearchError`] when nothing enumerates or nothing profiles
 //! successfully.
 
-use crate::{analyze, decouple_with_cuts, CompileOptions};
+use crate::prepared::Prepared;
+use crate::CompileOptions;
 use phloem_ir::{Function, LoadId, Pipeline};
 use phloem_pool::Pool;
 use std::fmt;
@@ -178,26 +179,40 @@ impl std::error::Error for SearchError {}
 
 /// Enumerates all legal pipelines from combinations of the top-k
 /// candidate points (sizes 1 ..= max_stages-1). Returns `(cuts,
-/// pipeline)` pairs for the combinations that compile.
+/// pipeline)` pairs for the combinations that compile, in ascending
+/// order of the combination's bit mask (bit `i` = the `i`-th ranked
+/// candidate). The kernel's front half is prepared once for all of them.
 pub fn enumerate_pipelines(func: &Function, opts: &SearchOptions) -> Vec<(Vec<LoadId>, Pipeline)> {
-    let a = analyze(func);
-    let cand: Vec<LoadId> = a.candidates().into_iter().take(opts.top_k).collect();
+    let Ok(prepared) = Prepared::new(func) else {
+        return Vec::new();
+    };
+    let mut cand = prepared.analysis.candidates();
+    cand.truncate(opts.top_k);
     let mut out = Vec::new();
-    let n = cand.len();
-    // All non-empty subsets of the candidate pool, capped by stage budget.
-    for mask in 1u32..(1 << n) {
-        let cuts: Vec<LoadId> = (0..n)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| cand[i])
-            .collect();
-        if cuts.len() > opts.max_stages.saturating_sub(1) {
-            continue;
-        }
-        if let Ok(p) = decouple_with_cuts(func, &cuts, &opts.compile) {
+    let max_cuts = opts.max_stages.saturating_sub(1);
+    for_each_subset(cand.len(), max_cuts, &mut Vec::new(), &mut |chosen| {
+        let cuts: Vec<LoadId> = chosen.iter().rev().map(|&i| cand[i]).collect();
+        if let Ok(p) = prepared.cut(&cuts, &opts.compile) {
             out.push((cuts, p));
         }
-    }
+    });
     out
+}
+
+/// Visits every non-empty subset of `0..n` with at most `k` members, in
+/// ascending order of its bit mask, as the members above `chosen`
+/// (highest first): the subsets whose highest member is `top` come
+/// after all those below it, `{top}` alone first.
+fn for_each_subset(n: usize, k: usize, chosen: &mut Vec<usize>, f: &mut impl FnMut(&[usize])) {
+    if k == 0 {
+        return;
+    }
+    for top in 0..n {
+        chosen.push(top);
+        f(chosen);
+        for_each_subset(top, k - 1, chosen, f);
+        chosen.pop();
+    }
 }
 
 /// Runs the profile-guided search. `profile` runs one candidate
@@ -341,6 +356,72 @@ mod tests {
         assert!(pipes.len() >= 3, "got {}", pipes.len());
         let lens: Vec<usize> = pipes.iter().map(|(c, _)| c.len()).collect();
         assert!(lens.contains(&1) && lens.contains(&2));
+    }
+
+    #[test]
+    fn subsets_come_in_ascending_mask_order() {
+        let mut masks = Vec::new();
+        for_each_subset(5, 5, &mut Vec::new(), &mut |chosen| {
+            masks.push(chosen.iter().map(|&i| 1u32 << i).sum::<u32>());
+        });
+        assert_eq!(masks, (1..32).collect::<Vec<_>>());
+        let mut capped = Vec::new();
+        for_each_subset(5, 2, &mut Vec::new(), &mut |chosen| {
+            capped.push(chosen.iter().map(|&i| 1u32 << i).sum::<u32>());
+        });
+        let want: Vec<u32> = (1..32).filter(|m: &u32| m.count_ones() <= 2).collect();
+        assert_eq!(capped, want);
+    }
+
+    #[test]
+    fn wide_candidate_pools_enumerate_past_32_cuts() {
+        // 33 independent gathers: 33 indirect and 33 sequential loads,
+        // more candidates than a 32-bit subset mask has bits.
+        let mut b = FunctionBuilder::new("wide");
+        let lenq = b.array_i32("len");
+        let n = b.var_i64("n");
+        let i = b.var_i64("i");
+        let ln = b.load(lenq, Expr::i64(0));
+        b.assign(n, ln);
+        let lanes: Vec<_> = (0..33)
+            .map(|k| {
+                (
+                    b.array_i32(format!("a{k}")),
+                    b.array_i32(format!("b{k}")),
+                    b.array_i32(format!("out{k}")),
+                    b.var_i64(format!("x{k}")),
+                    b.var_i64(format!("y{k}")),
+                )
+            })
+            .collect();
+        b.for_loop(i, Expr::i64(0), Expr::var(n), |f| {
+            for &(a, bb, out, x, y) in &lanes {
+                let la = f.load(a, Expr::var(i));
+                f.assign(x, la);
+                let lb = f.load(bb, Expr::var(x));
+                f.assign(y, lb);
+                f.store(out, Expr::var(i), Expr::var(y));
+            }
+        });
+        let f = b.build();
+        let opts = SearchOptions {
+            top_k: 40,
+            max_stages: 2,
+            ..SearchOptions::default()
+        };
+        let cand = crate::analyze(&f).candidates();
+        assert!(cand.len() >= 40, "got {} candidates", cand.len());
+        let want: Vec<Vec<LoadId>> = cand[..40]
+            .iter()
+            .filter(|c| crate::decouple_with_cuts(&f, &[**c], &opts.compile).is_ok())
+            .map(|c| vec![*c])
+            .collect();
+        assert!(want.len() > 32, "only {} single cuts are legal", want.len());
+        let got: Vec<Vec<LoadId>> = enumerate_pipelines(&f, &opts)
+            .into_iter()
+            .map(|(cuts, _)| cuts)
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! drove `phloem::decouple` into `unwrap`/`expect`/map-indexing panics
 //! (loop-tag and carrier-stream lookups in `plan_loop`/`finish_stage`).
 
-use phloem_compiler::{decouple_with_cuts, CompileOptions, PassConfig};
+use phloem_compiler::{analyze, compile_static, decouple_with_cuts, CompileOptions, PassConfig};
 use phloem_frontend::compile_c;
-use phloem_ir::LoadId;
+use phloem_ir::{Expr, LoadId, Stmt, VarId};
 
 fn presets() -> Vec<PassConfig> {
     vec![
@@ -127,4 +127,42 @@ fn nested_loops_with_early_exit_never_panic_the_decoupler() {
     "#,
     );
     assert!(ok > 0);
+}
+
+#[test]
+fn a_malformed_kernel_fails_once_with_the_validation_error() {
+    // A legal irregular kernel with several cut candidates, then one
+    // statement writing an undeclared variable: `Function::validate`
+    // rejects it, so no cut set can help. `compile_static` must return
+    // the very error `decouple_with_cuts` does.
+    let mut f = compile_c(
+        r#"
+        void k(int* restrict len, int* restrict a, int* restrict b,
+               int* restrict out) {
+            long n = len[0];
+            long acc = 0;
+            for (long i = 0; i < n; i++) {
+                long x = a[i];
+                long y = b[x];
+                acc += y;
+            }
+            out[0] = acc;
+        }
+    "#,
+    )
+    .expect("frontend accepts the program")
+    .remove(0)
+    .func;
+    let ghost = VarId(f.vars.len() as u32);
+    f.body.push(Stmt::Assign {
+        var: ghost,
+        expr: Expr::i64(1),
+    });
+    assert!(f.validate().is_err());
+    let cuts = analyze(&f).candidates();
+    assert!(cuts.len() >= 2, "the kernel offers cut candidates");
+    let opts = CompileOptions::default();
+    let direct = decouple_with_cuts(&f, &cuts[..1], &opts).unwrap_err();
+    assert_eq!(compile_static(&f, 4, &opts).unwrap_err(), direct);
+    assert_eq!(decouple_with_cuts(&f, &[], &opts).unwrap_err(), direct);
 }

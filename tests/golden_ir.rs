@@ -10,14 +10,25 @@
 //! moves means the generated IR moved, and `golden_cycles` (which covers
 //! a fifth of these) may or may not notice.
 //!
+//! More tables pin what the compiler emits where the builders never
+//! reach: every candidate `enumerate_pipelines` returns for each app's
+//! serial kernel (cuts, order and IR, one digest per kernel and search
+//! setting); `compile_static` over every pass preset and 2-4 stages
+//! (one digest per kernel); and a `compile_static` call whose
+//! top-ranked cut set is illegal, so its cut-dropping fallback runs.
+//!
 //! To re-capture after an intentional IR change:
 //! `GOLDEN_PRINT=1 cargo test --test golden_ir -- --nocapture`
 
+use phloem_benchsuite::apps::APPS;
 use phloem_benchsuite::fig14::{self, RepVariant};
 use phloem_benchsuite::taco::{self, TacoApp};
 use phloem_benchsuite::{bfs, cc, prd, radii, spmm, Variant};
-use phloem_compiler::CompileError;
-use phloem_ir::Pipeline;
+use phloem_compiler::search::{enumerate_pipelines, SearchOptions};
+use phloem_compiler::{
+    analyze, compile_static, decouple_with_cuts, CompileError, CompileOptions, PassConfig,
+};
+use phloem_ir::{LoadId, Pipeline};
 use pipette_sim::MachineConfig;
 use std::fmt::Debug;
 
@@ -163,4 +174,142 @@ fn pipeline_ir_matches_the_recorded_digests() {
             "{label}: generated IR diverged from the recorded pipeline"
         );
     }
+}
+
+/// `(label, candidates, FNV-1a of the Debug text of the whole
+/// `enumerate_pipelines` result)`: cuts and pipeline of every candidate,
+/// in enumeration order.
+const GOLDEN_ENUMERATION: &[(&str, usize, u64)] = &[
+    ("bfs/default", 25, 0x88c7ed1cbeee5e95),
+    ("bfs/top4-stages4", 14, 0x395a49c025c505c9),
+    ("cc/default", 37, 0xf1c60c523846a217),
+    ("cc/top4-stages4", 12, 0x07948021eb3ca46a),
+    ("prd/default", 32, 0xaffc7ba852ddea54),
+    ("prd/top4-stages4", 11, 0x8ebfd5bf93af4950),
+    ("radii/default", 37, 0x24f97e309e6b1a8c),
+    ("radii/top4-stages4", 14, 0xc50e18af393ae64e),
+    ("spmm/default", 2, 0xe4eedb1533e5ea30),
+    ("spmm/top4-stages4", 2, 0xe4eedb1533e5ea30),
+];
+
+/// The searches pinned above: `SearchOptions::default()` (top 6 cuts,
+/// up to 4 stages) and the benchmark's `pgo_search` setting.
+fn search_settings() -> [(&'static str, SearchOptions); 2] {
+    [
+        ("default", SearchOptions::default()),
+        (
+            "top4-stages4",
+            SearchOptions {
+                top_k: 4,
+                max_stages: 4,
+                ..SearchOptions::default()
+            },
+        ),
+    ]
+}
+
+#[test]
+fn enumerated_candidates_match_the_recorded_digests() {
+    let mut got = Vec::new();
+    for app in &APPS {
+        let kernel = app.kernel();
+        for (tag, opts) in search_settings() {
+            let cands = enumerate_pipelines(&kernel, &opts);
+            let label = format!("{}/{tag}", app.id());
+            got.push((label, cands.len(), digest(&cands)));
+        }
+    }
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        for (label, n, d) in &got {
+            println!("    (\"{label}\", {n}, {d:#018x}),");
+        }
+        return;
+    }
+    assert_eq!(got.len(), GOLDEN_ENUMERATION.len());
+    for ((label, n, d), (glabel, gn, golden)) in got.iter().zip(GOLDEN_ENUMERATION) {
+        assert_eq!(label, glabel);
+        assert_eq!(n, gn, "{label}: candidate count moved");
+        assert_eq!(
+            d, golden,
+            "{label}: an enumerated candidate diverged from the recorded pipeline"
+        );
+    }
+}
+
+/// `(label, FNV-1a of the Debug text of the kernel's 21 pipelines)`:
+/// `compile_static` at 2, 3 and 4 stages under each of the seven pass
+/// presets, presets outermost.
+const GOLDEN_PRESETS: &[(&str, u64)] = &[
+    ("bfs/presets", 0x42e2822cd4e86e78),
+    ("cc/presets", 0xa757a0509287a3e9),
+    ("prd/presets", 0xa171a3b816229c78),
+    ("radii/presets", 0xde0e5032f2a3eb31),
+    ("spmm/presets", 0x70f81a21efcd909f),
+];
+
+#[test]
+fn every_pass_preset_matches_the_recorded_digests() {
+    let presets = [
+        PassConfig::all(),
+        PassConfig::queues_only(),
+        PassConfig::with_recompute(),
+        PassConfig::with_cv(),
+        PassConfig::with_dce(),
+        PassConfig::with_handlers(),
+        PassConfig::all_streaming(),
+    ];
+    let mut got = Vec::new();
+    for app in &APPS {
+        let kernel = app.kernel();
+        let mut pipes = Vec::new();
+        for passes in presets {
+            let opts = CompileOptions {
+                passes,
+                ..CompileOptions::default()
+            };
+            for stages in 2..=4 {
+                let p = compile_static(&kernel, stages, &opts);
+                pipes.push(p.unwrap_or_else(|e| panic!("{}: {e}", app.id())));
+            }
+        }
+        got.push((format!("{}/presets", app.id()), digest(&pipes)));
+    }
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        for (label, d) in &got {
+            println!("    (\"{label}\", {d:#018x}),");
+        }
+        return;
+    }
+    assert_eq!(got.len(), GOLDEN_PRESETS.len());
+    for ((label, d), (glabel, golden)) in got.iter().zip(GOLDEN_PRESETS) {
+        assert_eq!(label, glabel);
+        assert_eq!(d, golden, "{label}: a compiled pipeline diverged");
+    }
+}
+
+/// SpMM at four stages: its three top-ranked cuts (and the top two)
+/// are a race violation, so `compile_static` drops cuts until one is
+/// left. Pins the pipeline the fallback settles on.
+const GOLDEN_FALLBACK: u64 = 0x1f3fbe6ba5c7ab7c;
+
+#[test]
+fn compile_static_fallback_matches_the_recorded_digest() {
+    let kernel = spmm::kernel();
+    let opts = CompileOptions::default();
+    let top: Vec<LoadId> = analyze(&kernel).candidates().into_iter().take(3).collect();
+    assert!(
+        matches!(
+            decouple_with_cuts(&kernel, &top, &opts),
+            Err(CompileError::RaceViolation(_))
+        ),
+        "the pin needs an illegal top cut set"
+    );
+    let p = compile_static(&kernel, 4, &opts).expect("the fallback finds a legal cut set");
+    assert_eq!(p.compute_stages(), 2, "the fallback keeps one cut");
+    let d = digest(&p);
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        println!("const GOLDEN_FALLBACK: u64 = {d:#018x};");
+        return;
+    }
+    assert_eq!(d, GOLDEN_FALLBACK, "the fallback's pipeline diverged");
 }

@@ -81,19 +81,12 @@ impl Drop for CancelScope {
 /// rounds, PageRank-Delta phases): compile once with
 /// [`CompiledPipeline::new`] and invoke via [`Session::run_compiled`].
 ///
-/// ## Sharing (the service-layer compile-cache hook)
-///
 /// A `CompiledPipeline` is immutable after construction apart from the
 /// monotonic validation cache below, so one artifact can be shared
-/// across sessions and host threads behind an `Arc` — the
-/// `phloem-service` content-addressed compile cache stores exactly
-/// that, keyed by `(program digest, PassConfig, MachineConfig)`. The
-/// validation cache composes with sharing: the *first* invocation under
-/// a given machine's limits pays the O(pipeline) pre-sim checks, and
-/// every later `run_compiled` against the same limits — from any
-/// session holding the same `Arc` — skips them
-/// ([`CompiledPipeline::prevalidated_for`] reports this, which the
-/// service layer surfaces as cache-hit provenance).
+/// across sessions and host threads behind an `Arc`: the *first*
+/// invocation under a given machine's limits pays the O(pipeline)
+/// pre-sim checks, and every later `run_compiled` against the same
+/// limits skips them.
 pub struct CompiledPipeline {
     progs: Vec<phloem_ir::BytecodeProgram>,
     /// Machine limits the pipeline has already passed the pre-sim checks
@@ -119,16 +112,6 @@ impl CompiledPipeline {
             progs: compile_pipeline(pipeline)?,
             validated: std::sync::OnceLock::new(),
         })
-    }
-
-    /// True when a prior invocation already validated this artifact
-    /// against `cfg`'s machine limits, i.e. the next
-    /// [`Session::run_compiled`] under `cfg` will skip the O(pipeline)
-    /// pre-sim checks. The service layer reports this as provenance on
-    /// cached responses ("validated: cached").
-    pub fn prevalidated_for(&self, cfg: &MachineConfig) -> bool {
-        let limits: ValidationKey = (cfg.max_queues, cfg.cores, cfg.smt_threads, cfg.ras_per_core);
-        self.validated.get() == Some(&limits)
     }
 }
 
@@ -514,31 +497,29 @@ mod tests {
     use super::*;
     use phloem_ir::{ArrayDecl, Expr, FunctionBuilder, Pipeline, StageProgram};
 
-    /// The service-layer compile cache shares one artifact across
-    /// sessions and host threads behind an `Arc`; that contract is a
-    /// compile-time property, pinned here so a future field (say, an
-    /// `Rc`-backed constant pool) cannot silently revoke it.
+    /// One artifact can be shared across sessions and host threads
+    /// behind an `Arc`; that contract is a compile-time property, pinned
+    /// here so a future field (say, an `Rc`-backed constant pool) cannot
+    /// silently revoke it.
     #[test]
     fn compiled_pipelines_are_shareable_across_threads() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<std::sync::Arc<CompiledPipeline>>();
     }
 
-    /// The validation cache is keyed by machine limits: the first run
-    /// under a config validates, later runs (and any session sharing
-    /// the artifact) skip the walk, and a config with different limits
-    /// misses the key and re-validates.
+    /// The validation cache is keyed by machine limits: an artifact that
+    /// passed the pre-sim checks under a roomy machine is checked again,
+    /// and refused, under a machine it does not fit.
     #[test]
-    fn validation_cache_tracks_machine_limits() {
-        let (p, mem) = spread_pipeline(1);
-        let cfg = MachineConfig::paper_1core();
+    fn a_pipeline_validated_on_a_roomy_machine_still_traps_on_a_tight_one() {
+        let (p, mem) = spread_pipeline(4);
         let compiled = CompiledPipeline::new(&p).unwrap();
-        assert!(!compiled.prevalidated_for(&cfg));
-        let mut session = Session::new(cfg.clone(), mem);
+        let roomy = MachineConfig::paper_multicore(4);
+        let mut session = Session::new(roomy, mem.clone());
         session.run_compiled(&p, &compiled, &[]).unwrap();
-        assert!(compiled.prevalidated_for(&cfg));
-        let other = MachineConfig::paper_multicore(4);
-        assert!(!compiled.prevalidated_for(&other));
+        let mut tight = Session::new(MachineConfig::paper_1core(), mem);
+        let err = tight.run_compiled(&p, &compiled, &[]).unwrap_err();
+        assert!(matches!(err, Trap::Malformed(_)), "{err:?}");
     }
 
     /// `stages` independent one-stage summing programs, one per core.

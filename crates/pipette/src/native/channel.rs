@@ -700,6 +700,7 @@ mod tests {
     /// blocked endpoint has published everything, so the stream always
     /// drains; the last partial slab arrives through `Drop`.
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn slab_framing_keeps_the_fifo_at_every_depth() {
         const N: u64 = 20_000;
         for capacity in [1, 3, 7, 8, 9, 24, 100] {
@@ -797,6 +798,7 @@ mod tests {
     /// the survivor picks the cursor up where the two left it. Per-
     /// producer order holds throughout and nothing is lost or repeated.
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn fan_in_slab_senders_keep_per_producer_order() {
         const EACH: i64 = 3_000;
         const LANE: i64 = 1_000_000;

@@ -4,10 +4,10 @@
 //! backend actually runs the compiled pipeline on the host, mapping
 //!
 //! * each pipeline **stage** (compute and RA alike — RAs are stage
-//!   programs too) to a worker of a [`phloem_pool::Pool`] fleet: one
-//!   worker per stage (`threads: 0`), or stage `i` folded onto worker
-//!   `i % threads`, which round-robins its stages a slice at a time.
-//!   Worker 0 is the calling thread and the others are the pool's
+//!   programs too) to a worker of a [`phloem_pool::run_resident`] set:
+//!   one worker per stage (`threads: 0`), or stage `i` folded onto
+//!   worker `i % threads`, which round-robins its stages a slice at a
+//!   time. Worker 0 is the calling thread and the others are the pool's
 //!   resident threads, woken for the invocation rather than spawned and
 //!   joined by it (a graph app invokes a pipeline per round),
 //! * each **hardware queue** to a bounded SPSC ring of
@@ -46,15 +46,15 @@
 //! endpoint reports full or empty, and when a slice ends — on *every*
 //! queue of the stage, so a stage blocked on one queue never withholds
 //! slots or values on another. After a slice that moved a value the
-//! worker bumps the [`Hub`] epoch once, indices first, so whoever sees
-//! the bump sees what it announces.
+//! worker notifies the run's [`Parker`] once, indices first, so whoever
+//! sees the epoch bump sees what it announces.
 //!
 //! A worker none of whose stages advanced retries them for
 //! `IDLE_ROUNDS` rounds (spinning when every worker has a core,
-//! yielding when they do not) and only then parks on the epoch, the
-//! same Dekker protocol as the pool's idle workers: it read the epoch
+//! yielding when they do not) and only then parks — on the same
+//! [`Parker`] the pool's idle workers sleep on: it read the epoch
 //! before its last attempts, and sleeps only while the epoch still has
-//! that value. A full park timeout with every live worker registered at
+//! that value. A full park timeout with every live worker parked at
 //! the same unchanged epoch is a deadlock, reported as
 //! [`Trap::Deadlock`] just like the interpreter's scheduler loop. The
 //! predicate needs no more than it did when every value bumped: each
@@ -77,10 +77,10 @@ use phloem_ir::{
     Value, World,
 };
 use phloem_ir::{OpCounts, RaMode};
-use phloem_pool::{CancelToken, Pool};
+use phloem_pool::{run_resident, CancelToken, Parker};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which execution substrate a [`crate::Session`] drives.
@@ -219,16 +219,13 @@ impl Default for NativeRun {
     }
 }
 
-/// Rendezvous point for the stage workers: progress epoch, park/wake,
-/// first-trap capture, and liveness counters.
+/// Rendezvous point for the stage workers: the pool's [`Parker`] for
+/// progress and sleep, first-trap capture, liveness counters, and the
+/// deadlock rule.
 struct Hub {
-    /// Bumped after every stage slice that moved a value (its queue
-    /// indices published first) and on stage completion. SeqCst pairs
-    /// with `parked` (Dekker-style) so a worker that sees no parked peer
-    /// is guaranteed the would-be parker sees its bump.
-    epoch: AtomicU64,
-    /// Workers currently inside [`Hub::park`].
-    parked: AtomicUsize,
+    /// Notified after every stage slice that moved a value (its queue
+    /// indices published first) and on stage completion.
+    parker: Parker,
     /// Workers that have not yet exited.
     live: AtomicUsize,
     /// Unfinished compute stages; the run is done when it reaches zero
@@ -238,50 +235,23 @@ struct Hub {
     /// Calls to [`Hub::park`] (a statistic; publishes nothing).
     parks: AtomicU64,
     trap: Mutex<Option<Trap>>,
-    lock: Mutex<Registered>,
-    cv: Condvar,
-}
-
-/// The deadlock predicate's view of [`Hub::park`]: how many workers are
-/// parked having seen `epoch`. Keyed by epoch because `parked` alone
-/// over-counts: a worker woken by a bump stays in `parked` until the
-/// host schedules it again, which under load can outlast a peer's whole
-/// [`PARK_TIMEOUT`]. A bump voids every older registration at once.
-#[derive(Default)]
-struct Registered {
-    epoch: u64,
-    count: usize,
 }
 
 impl Hub {
     fn new(workers: usize, compute: usize) -> Hub {
         Hub {
-            epoch: AtomicU64::new(0),
-            parked: AtomicUsize::new(0),
+            parker: Parker::default(),
             live: AtomicUsize::new(workers),
             compute_remaining: AtomicUsize::new(compute),
             abort: AtomicBool::new(false),
             parks: AtomicU64::new(0),
             trap: Mutex::new(None),
-            lock: Mutex::new(Registered::default()),
-            cv: Condvar::new(),
         }
     }
 
-    fn epoch_now(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Records progress and wakes parked workers. The wake is skipped
-    /// when nobody is parked; the SeqCst epoch bump before the `parked`
-    /// read keeps that skip free of lost wakeups (a concurrent parker
-    /// re-reads the epoch under the lock and sees the bump).
+    /// Records progress and wakes parked workers.
     fn progress(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-            self.cv.notify_all();
-        }
+        self.parker.notify();
     }
 
     fn done(&self) -> bool {
@@ -294,45 +264,18 @@ impl Hub {
 
     /// Parks until the epoch moves past `seen`, an abort, or the
     /// timeout. Returns the deadlock predicate: the park timed out, the
-    /// epoch still equals `seen`, and every live worker is registered
-    /// at that same epoch — so nobody has anything left to react to.
+    /// epoch still equals `seen`, and every live worker is parked at
+    /// that same epoch — so nobody has anything left to react to.
     fn park(&self, seen: u64) -> bool {
         self.parks.fetch_add(1, Ordering::Relaxed);
-        self.parked.fetch_add(1, Ordering::SeqCst);
-        let deadline = Instant::now() + PARK_TIMEOUT;
-        let mut timed_out = false;
-        let mut g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        if g.epoch < seen {
-            *g = Registered {
-                epoch: seen,
-                count: 0,
-            };
+        // An abort raised after `seen` was read has bumped the epoch;
+        // one raised before it is visible here.
+        if self.aborted() {
+            return false;
         }
-        if g.epoch == seen {
-            g.count += 1;
-        }
-        while self.epoch.load(Ordering::SeqCst) == seen && !self.aborted() {
-            let now = Instant::now();
-            if now >= deadline {
-                timed_out = true;
-                break;
-            }
-            let (ng, _) = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            g = ng;
-        }
-        let deadlocked = timed_out
-            && g.epoch == seen
-            && g.count == self.live.load(Ordering::SeqCst)
-            && self.epoch.load(Ordering::SeqCst) == seen;
-        if g.epoch == seen {
-            g.count -= 1;
-        }
-        drop(g);
-        self.parked.fetch_sub(1, Ordering::SeqCst);
-        deadlocked
+        self.parker
+            .park(seen, PARK_TIMEOUT)
+            .is_some_and(|n| n == self.live.load(Ordering::SeqCst) && self.parker.epoch() == seen)
     }
 
     /// Records the first trap and aborts everyone.
@@ -647,8 +590,7 @@ pub(crate) fn run_compiled(
     let oversubscribed = nworkers > host_cores();
 
     let start = Instant::now();
-    let pool = Pool::new(nworkers);
-    let results = pool.run_resident(nworkers, |widx| {
+    let results = run_resident(nworkers, |widx| {
         // Stage i runs on worker i % nworkers.
         let mine: Vec<usize> = (0..nstages).filter(|i| i % nworkers == widx).collect();
         let _guard = PanicGuard {
@@ -689,23 +631,22 @@ pub(crate) fn run_compiled(
         let mut finished = vec![false; mine.len()];
         // Consecutive rounds in which no stage of this worker advanced.
         let mut idle_rounds = 0u32;
+        let mut cancel_rounds = 0u32;
         'run: loop {
             if hub.aborted() || hub.done() {
                 break;
             }
-            if let Some(tok) = cancel {
-                if tok.is_set() || tok.poll_expired() {
-                    hub.fail(Trap::Cancelled {
-                        cycle: 0,
-                        detail: format!("native backend: {}", tok.reason()),
-                    });
-                    break;
-                }
+            if let Some(tok) = cancel.filter(|t| t.poll_throttled(&mut cancel_rounds)) {
+                hub.fail(Trap::Cancelled {
+                    cycle: 0,
+                    detail: format!("native backend: {}", tok.reason()),
+                });
+                break;
             }
             // Read before the attempts below, every round: a bump before
             // this read published indices the attempts will see, and one
             // after it keeps `park(seen)` from sleeping.
-            let seen = hub.epoch_now();
+            let seen = hub.parker.epoch();
             let mut progressed = false;
             let mut all_done = true;
             for k in 0..mine.len() {
@@ -771,6 +712,11 @@ pub(crate) fn run_compiled(
                 )));
                 break;
             }
+            // A park may have slept a whole `PARK_TIMEOUT`: latch an
+            // expired deadline now for the next round's flag check.
+            if let Some(tok) = cancel {
+                tok.poll_expired();
+            }
         }
         hub.worker_exit();
         let counts: Vec<(usize, OpCounts)> = mine
@@ -781,7 +727,7 @@ pub(crate) fn run_compiled(
         counts
     });
     run.wall_nanos = (start.elapsed().as_nanos() as u64).max(1);
-    run.epoch_bumps = hub.epoch_now();
+    run.epoch_bumps = hub.parker.epoch();
     run.parks = hub.parks.load(Ordering::Relaxed);
     EPOCH_BUMPS.fetch_add(run.epoch_bumps, Ordering::Relaxed);
     PARKS.fetch_add(run.parks, Ordering::Relaxed);
@@ -933,22 +879,22 @@ mod tests {
         );
     }
 
-    /// The interleaving behind the false deadlocks, forced: a peer parks,
-    /// a bump wakes it, and the host does not schedule it again before
-    /// this worker's own park times out. The peer is still in `parked`,
-    /// but it has progress to react to, so this is not a deadlock; once
-    /// the peer has re-run and parked at the new epoch too, it is.
+    /// The interleaving behind the false deadlocks: a peer parks, a bump
+    /// wakes it, and the host may not schedule it again before this
+    /// worker's own park times out. The peer has progress to react to,
+    /// so this is not a deadlock whether or not it has left its park
+    /// (`phloem_pool::Parker`'s unit test forces the case where it has
+    /// not). Both parked at one epoch is the stuck-pipeline test below.
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn a_woken_but_unscheduled_peer_is_not_a_deadlock() {
         let hub = Hub::new(2, 1);
-        // The peer, inside `park(0)`.
-        hub.parked.fetch_add(1, Ordering::SeqCst);
-        hub.lock.lock().unwrap().count = 1;
-        hub.progress();
-        assert!(!hub.park(1), "the peer has epoch 1 to react to");
-        // The peer re-ran, found nothing to do, and parked at epoch 1.
-        hub.lock.lock().unwrap().count = 1;
-        assert!(hub.park(1), "both workers are stuck at epoch 1");
+        std::thread::scope(|s| {
+            let peer = s.spawn(|| hub.park(0));
+            hub.progress();
+            assert!(!hub.park(1), "the peer has epoch 1 to react to");
+            assert!(!peer.join().unwrap(), "the peer was woken");
+        });
     }
 
     /// Seeded stress for the deadlock predicate: a healthy
@@ -957,6 +903,7 @@ mod tests {
     /// busy-spinning neighbours (so a woken peer is often pre-empted
     /// before it leaves `park`). No run may ever report a deadlock.
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn busy_neighbours_never_cause_a_false_deadlock() {
         use std::sync::atomic::AtomicBool;
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

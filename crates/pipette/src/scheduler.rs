@@ -32,7 +32,7 @@ use crate::queue::QueueEvent;
 use crate::timing::{AdvanceEvent, TimingWorld, WAIT_EMPTY, WAIT_FULL};
 use crate::trace::{TraceEvent, TraceVerdict, EV_FAULT, EV_SCHED, EV_WATCHDOG};
 use crate::watchdog::{self, ThreadCond};
-use phloem_ir::{BlockReason, FlatInterp, Pipeline, QueueId, StageProgram, StepResult, Stmt, Trap};
+use phloem_ir::{queue_topology, BlockReason, FlatInterp, Pipeline, QueueId, StepResult, Trap};
 use std::collections::BTreeSet;
 
 /// Maximum atoms a thread executes before yielding to the next one
@@ -272,40 +272,6 @@ fn conds(state: &[ThreadState], killed: &[bool]) -> Vec<ThreadCond> {
 // Deadlock diagnostics
 // ---------------------------------------------------------------------
 
-/// The queues a stage enqueues into / dequeues from (program body plus
-/// control-value handlers; RA stages are covered because their FSM is
-/// expressed as a stage program too).
-fn queue_dirs(program: &StageProgram) -> (BTreeSet<QueueId>, BTreeSet<QueueId>) {
-    let mut enq = BTreeSet::new();
-    let mut deq = BTreeSet::new();
-    {
-        let mut visit = |s: &Stmt| match s {
-            Stmt::Enq { queue, .. } | Stmt::EnqCtrl { queue, .. } => {
-                enq.insert(*queue);
-            }
-            Stmt::EnqSel { queues, .. } => {
-                enq.extend(queues.iter().copied());
-            }
-            Stmt::Deq { queue, .. } => {
-                deq.insert(*queue);
-            }
-            _ => {}
-        };
-        for s in &program.func.body {
-            s.for_each(&mut visit);
-        }
-        for h in &program.handlers {
-            for s in &h.body {
-                s.for_each(&mut visit);
-            }
-        }
-    }
-    for h in &program.handlers {
-        deq.insert(h.queue);
-    }
-    (enq, deq)
-}
-
 /// Builds the deadlock trap: the wait cycle (stage -> blocked-on queue
 /// -> stage owning the other end) when one exists, plus the shared
 /// diagnostics snapshot (same format as the livelock/cycle-cap traps).
@@ -317,11 +283,9 @@ fn deadlock_trap(
     pipeline: &Pipeline,
 ) -> Trap {
     let qdesc = |q: QueueId| watchdog::qdesc(world, q);
-    let dirs: Vec<_> = pipeline
-        .stages
-        .iter()
-        .map(|s| queue_dirs(&s.program))
-        .collect();
+    // Each queue's producers and consumer, handlers included (RA stages
+    // too: their FSM is a stage program like any other).
+    let topology = queue_topology(pipeline);
     let blocked: Vec<(usize, BlockReason)> = state
         .iter()
         .enumerate()
@@ -334,16 +298,17 @@ fn deadlock_trap(
     // Edges: a blocked stage waits on the *live* stages that could
     // relieve it — the other end of the queue it is blocked on.
     let relievers = |reason: BlockReason| -> Vec<usize> {
-        let Some(q) = reason.queue() else {
+        let Some(ends) = topology.iter().find(|e| Some(e.queue) == reason.queue()) else {
             return Vec::new();
         };
-        (0..interps.len())
+        let other_end = match reason {
+            BlockReason::QueueEmpty(_) => &ends.producers[..],
+            _ => ends.consumer.as_slice(),
+        };
+        other_end
+            .iter()
+            .copied()
             .filter(|&j| state[j] != ThreadState::Finished)
-            .filter(|&j| match reason {
-                BlockReason::QueueEmpty(_) => dirs[j].0.contains(&q),
-                BlockReason::QueueFull(_) => dirs[j].1.contains(&q),
-                BlockReason::Budget => false,
-            })
             .collect()
     };
 

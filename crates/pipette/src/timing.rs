@@ -309,9 +309,7 @@ pub(crate) struct TimingWorld<'a> {
     /// reads host state only, and never mutates anything simulated —
     /// a token that does not fire is observationally free.
     cancel: Option<CancelToken>,
-    /// Round counter throttling the clock-reading deadline poll (the
-    /// cheap latched-flag check runs every round; `Instant::now` only
-    /// every [`CANCEL_POLL_PERIOD`] rounds).
+    /// Round counter for [`CancelToken::poll_throttled`].
     cancel_rounds: u32,
     /// Completion time of the most recent progress event across all
     /// threads (successful queue op or finish).
@@ -327,13 +325,6 @@ pub(crate) struct TimingWorld<'a> {
     /// which is what makes tracing free when off.
     trace_mask: u32,
 }
-
-/// Rounds between clock-reading deadline polls (see
-/// [`TimingWorld::cancel_fired`]). A scheduler round is microseconds of
-/// host time at worst, so the deadline resolution this buys (< ~10 ms
-/// of drift) is far below any deadline a service would arm, while the
-/// steady-state cost stays one atomic load per round.
-const CANCEL_POLL_PERIOD: u32 = 256;
 
 /// Bit in [`TimingWorld::wait_flags`]: a thread is parked on this queue
 /// being empty (wake it on enqueue).
@@ -482,31 +473,17 @@ impl<'a> TimingWorld<'a> {
                 // a deadline or drain request can stop the run, so a
                 // cancelled run's simulated state is exactly an
                 // uncancelled run's state at that round.
-                if self.cancel_fired() {
+                if self
+                    .cancel
+                    .as_ref()
+                    .is_some_and(|t| t.poll_throttled(&mut self.cancel_rounds))
+                {
                     return Some(Verdict::Cancelled);
                 }
                 watchdog::verdict(self)
             }
             AdvanceEvent::InvocationEnd => None,
         }
-    }
-
-    /// True once this invocation's cancel token has fired. Reads only
-    /// host-side state: a latched-flag load every round, plus a real
-    /// clock read every [`CANCEL_POLL_PERIOD`] rounds to latch expired
-    /// deadlines.
-    fn cancel_fired(&mut self) -> bool {
-        let Some(tok) = &self.cancel else {
-            return false;
-        };
-        if tok.is_set() {
-            return true;
-        }
-        self.cancel_rounds = self.cancel_rounds.wrapping_add(1);
-        if self.cancel_rounds.is_multiple_of(CANCEL_POLL_PERIOD) {
-            return tok.poll_expired();
-        }
-        false
     }
 
     /// Why the cancel token fired (watchdog trap detail).

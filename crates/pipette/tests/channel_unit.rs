@@ -153,6 +153,7 @@ impl Rng {
 /// order, with the right discriminant (`I64` vs `F64` vs `Ctrl` must
 /// survive the trip). Runs per backend.
 #[test]
+#[allow(clippy::disallowed_methods)]
 fn seeded_interleaving_stress_10k_messages() {
     const N: i64 = 10_000;
     for kind in ChannelKind::ALL {
@@ -215,6 +216,7 @@ fn seeded_interleaving_stress_10k_messages() {
 /// (cross-producer order is unspecified — only control tokens whose
 /// handlers commute travel fan-in queues).
 #[test]
+#[allow(clippy::disallowed_methods)]
 fn fan_in_senders_preserve_per_producer_order() {
     for kind in ChannelKind::ALL {
         let (tx, rx) = channel(kind, 8).unwrap();

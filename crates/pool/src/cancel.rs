@@ -10,8 +10,8 @@
 //!   authoritative check one `Instant::now()`). Deadlines can be armed
 //!   after creation — a draining service arms a bounded grace window on
 //!   tokens that started with no deadline at all;
-//! * a **waker registry**: condvars that must be notified the moment
-//!   the token cancels, so parked pool workers observe a drain request
+//! * a **waker registry**: [`Parker`]s to notify the moment the token
+//!   cancels, so a fleet's parked workers observe a drain request
 //!   immediately instead of sleeping out a timeout.
 //!
 //! Tokens form optional **parent chains** ([`CancelToken::child`]): a
@@ -27,8 +27,9 @@
 //! observationally free (`tests/cancel_neutral.rs` in the workspace
 //! pins bit-identical runs with and without an armed token).
 
+use crate::Parker;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Milliseconds since the process-wide monotonic epoch. The epoch is
@@ -41,67 +42,12 @@ fn now_ms() -> u64 {
 /// Sentinel for "no deadline armed".
 const NO_DEADLINE: u64 = u64::MAX;
 
-/// A condvar a cancelled token must notify (see the module docs). The
-/// pool parks idle workers on one of these per fleet, and blocking-aware
-/// consumers (the native backend's channel runtime) use the same shape
-/// as an explicit unpark hook.
-///
-/// The waker carries a monotonic **notification epoch**: every
-/// [`CancelWaker::notify`] bumps it under the lock, and
-/// [`CancelWaker::wait_if_unchanged`] parks only while the epoch still
-/// matches the value the caller sampled *before* scanning for work.
-/// That read-scan-park protocol makes lost wakeups structurally
-/// impossible — an event between the scan and the park bumps the epoch
-/// and the park returns immediately — so waiters need only a coarse
-/// timeout backstop instead of a busy 1 ms treadmill.
-#[derive(Default)]
-pub struct CancelWaker {
-    /// Guard for the condvar (the pool holds no data under it).
-    pub lock: Mutex<()>,
-    /// Notified on cancel and by the pool's own wake paths.
-    pub cv: Condvar,
-    /// Monotonic notification count; bumped under `lock` by `notify`.
-    epoch: AtomicU64,
-}
-
-impl CancelWaker {
-    /// Current notification epoch. Sample this *before* scanning for
-    /// work, then pass it to [`CancelWaker::wait_if_unchanged`].
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Bumps the epoch and wakes every parked waiter. This is the
-    /// explicit unpark hook: completion, new stealable work, channel
-    /// activity, and token cancellation all route through it.
-    pub fn notify(&self) {
-        let _g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.epoch.fetch_add(1, Ordering::Release);
-        self.cv.notify_all();
-    }
-
-    /// Parks until the epoch moves past `seen` or `timeout` elapses.
-    /// Returns `true` when woken by a notification (the epoch changed),
-    /// `false` when the timeout backstop expired with the epoch still
-    /// at `seen`. Returns immediately (true) if the epoch already moved
-    /// — the caller's pre-scan sample closes the lost-wakeup window.
-    pub fn wait_if_unchanged(&self, seen: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        while self.epoch.load(Ordering::Acquire) == seen {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (ng, _res) = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            g = ng;
-        }
-        true
-    }
-}
+/// Calls of [`CancelToken::poll_throttled`] per clock read. A round of
+/// the loops that call it is microseconds of host time at worst, so the
+/// deadline resolution this buys (< ~10 ms of drift) is far below any
+/// deadline a service would arm, while the steady-state cost stays one
+/// atomic load per round.
+const POLL_PERIOD: u32 = 256;
 
 struct Inner {
     cancelled: AtomicBool,
@@ -110,7 +56,7 @@ struct Inner {
     /// Deadline in [`now_ms`] units; [`NO_DEADLINE`] when unarmed.
     deadline_ms: AtomicU64,
     parent: Option<Arc<Inner>>,
-    wakers: Mutex<Vec<Arc<CancelWaker>>>,
+    wakers: Mutex<Vec<Arc<Parker>>>,
 }
 
 impl Inner {
@@ -207,8 +153,8 @@ impl CancelToken {
     }
 
     /// Cheap check: latched flags only (self and ancestors), no clock
-    /// read. This is the per-round hot-path form; pair it with a
-    /// throttled [`CancelToken::poll_expired`] for deadline coverage.
+    /// read. A loop that checks every round wants
+    /// [`CancelToken::poll_throttled`], which adds deadline coverage.
     pub fn is_set(&self) -> bool {
         let mut node = Some(&self.inner);
         while let Some(n) = node {
@@ -239,6 +185,19 @@ impl CancelToken {
         false
     }
 
+    /// The per-round check of a loop whose rounds take microseconds (the
+    /// simulator's scheduler, a native stage worker): the latched flags
+    /// on every call, and the clock — latching an expired deadline — on
+    /// every 256th, counted in the caller's `*rounds` (start it at 0).
+    #[inline]
+    pub fn poll_throttled(&self, rounds: &mut u32) -> bool {
+        if self.is_set() {
+            return true;
+        }
+        *rounds = rounds.wrapping_add(1);
+        rounds.is_multiple_of(POLL_PERIOD) && self.poll_expired()
+    }
+
     /// Why the token cancelled (empty if it has not). Walks to the
     /// first latched node so a child cancelled by its parent reports
     /// the parent's reason.
@@ -256,8 +215,8 @@ impl CancelToken {
     /// Registers a waker on this token *and every ancestor*, so a
     /// cancel anywhere in the chain notifies it. Returns a guard that
     /// deregisters on drop (fleet lifetimes are scoped; a dangling
-    /// waker would pin the condvar allocation for the token's life).
-    pub fn register_waker(&self, waker: Arc<CancelWaker>) -> WakerRegistration {
+    /// waker would pin the parker's allocation for the token's life).
+    pub fn register_waker(&self, waker: Arc<Parker>) -> WakerRegistration {
         let mut nodes = Vec::new();
         let mut node = Some(&self.inner);
         while let Some(n) = node {
@@ -275,7 +234,7 @@ impl CancelToken {
 /// Deregistration guard returned by [`CancelToken::register_waker`].
 pub struct WakerRegistration {
     nodes: Vec<Arc<Inner>>,
-    waker: Arc<CancelWaker>,
+    waker: Arc<Parker>,
 }
 
 impl Drop for WakerRegistration {
@@ -334,50 +293,44 @@ mod tests {
     }
 
     #[test]
+    fn throttled_polls_read_the_clock_once_a_period() {
+        let t = CancelToken::with_deadline(Duration::from_millis(0));
+        let mut rounds = 0;
+        let fired = (1..=POLL_PERIOD).find(|_| t.poll_throttled(&mut rounds));
+        assert_eq!(
+            fired,
+            Some(POLL_PERIOD),
+            "the deadline latches on a clock read"
+        );
+        let t = CancelToken::new();
+        t.cancel("drain");
+        assert!(t.poll_throttled(&mut 0), "a latched flag fires at once");
+    }
+
+    #[test]
     fn cancel_notifies_registered_wakers_through_the_chain() {
         let parent = CancelToken::new();
         let child = parent.child();
-        let waker = Arc::new(CancelWaker::default());
+        let waker = Arc::new(Parker::default());
         let _reg = child.register_waker(Arc::clone(&waker));
-        let flag = Arc::new(AtomicBool::new(false));
-        let (w2, f2, c2) = (Arc::clone(&waker), Arc::clone(&flag), child.clone());
-        let h = std::thread::spawn(move || {
-            let mut g = w2.lock.lock().unwrap();
-            while !c2.is_set() {
-                g = w2.cv.wait(g).unwrap();
+        let (w2, c2) = (Arc::clone(&waker), child.clone());
+        let h = std::thread::spawn(move || loop {
+            let seen = w2.epoch();
+            if c2.is_set() {
+                return;
             }
-            f2.store(true, Ordering::SeqCst);
+            // Only the cancel can wake it before the test times out.
+            assert_eq!(w2.park(seen, Duration::from_secs(60)), None);
         });
         std::thread::sleep(Duration::from_millis(20));
         parent.cancel("drain"); // cancel on the PARENT must wake it
         h.join().unwrap();
-        assert!(flag.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn waker_epoch_wait_protocol_has_no_lost_wakeup() {
-        let w = CancelWaker::default();
-        // Notification between the epoch sample and the wait: the wait
-        // must return immediately (true) instead of sleeping out the
-        // timeout — this is exactly the lost-wakeup window the epoch
-        // protocol closes.
-        let seen = w.epoch();
-        w.notify();
-        let t0 = Instant::now();
-        assert!(w.wait_if_unchanged(seen, Duration::from_secs(5)));
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "woke via epoch, not timeout"
-        );
-        // No notification at all: the backstop expires and reports it.
-        let seen = w.epoch();
-        assert!(!w.wait_if_unchanged(seen, Duration::from_millis(10)));
     }
 
     #[test]
     fn cancel_notification_bumps_the_waker_epoch() {
         let t = CancelToken::new();
-        let waker = Arc::new(CancelWaker::default());
+        let waker = Arc::new(Parker::default());
         let _reg = t.register_waker(Arc::clone(&waker));
         let seen = waker.epoch();
         t.cancel("drain");
@@ -387,7 +340,7 @@ mod tests {
     #[test]
     fn waker_registration_is_scoped() {
         let t = CancelToken::new();
-        let waker = Arc::new(CancelWaker::default());
+        let waker = Arc::new(Parker::default());
         {
             let _reg = t.register_waker(Arc::clone(&waker));
             assert_eq!(Arc::strong_count(&waker), 3); // local + guard + registry

@@ -21,26 +21,26 @@
 //!   neighbour's remaining block (from the back, preserving the
 //!   victim's locality at the front), amortizing steal traffic;
 //! * **park/unpark** — a worker that finds nothing while tasks are
-//!   still running parks on the fleet's [`CancelWaker`] instead of
-//!   spinning. Parking is epoch-guarded: the worker samples the waker's
-//!   notification epoch *before* its work scan and parks only while the
+//!   still running sleeps on the fleet's [`Parker`] instead of
+//!   spinning. Parking is epoch-guarded: the worker samples the
+//!   parker's epoch *before* its work scan and parks only while the
 //!   epoch is unchanged, so an unpark between scan and park can never be
-//!   lost; new stealable work, fleet completion, cancellation, and
-//!   external unpark hooks (the native backend's channels) all notify
-//!   explicitly, and a coarse timeout backstop exists purely as a
+//!   lost; new stealable work, fleet completion and cancellation all
+//!   notify explicitly, and a coarse timeout backstop exists purely as a
 //!   diagnostic of last resort ([`FleetStats::timeout_wakeups`] counts
 //!   it and is asserted zero by the unit tests);
 //! * **panic isolation** — each task runs under `catch_unwind`; a
 //!   panicking task yields `Err(TaskPanic)` in its own result slot and
 //!   cannot take a worker (or the whole fleet) down.
 //!
-//! Tasks that wait on *each other* — the native backend's stage workers
-//! — are a different shape: they need a thread each, all at once, and
-//! a graph app launches them once per round, for as little as 200 µs
-//! of work.
-//! [`Pool::run_resident`] runs those on the caller plus threads that
-//! stay parked between runs (`resident.rs`), with the same panic
-//! isolation; nothing is stolen there.
+//! This crate is where the workspace gets its threads and parks them.
+//! A fleet's worker 0 is the caller; the others are **resident**
+//! threads, parked between runs rather than spawned and joined by each
+//! (`resident.rs`). Tasks that wait on *each other* — the native
+//! backend's stage workers — need a thread each, all at once, and a
+//! graph app launches them once per round: [`run_resident`] gives them
+//! exactly that, with the same panic isolation and nothing stolen, and
+//! they sleep on a [`Parker`] of their own.
 //!
 //! ## Determinism contract
 //!
@@ -59,9 +59,11 @@
 //! the result partition itself is written without any lock.
 
 mod cancel;
+mod park;
 mod resident;
 
-pub use cancel::{CancelToken, CancelWaker, WakerRegistration};
+pub use cancel::{CancelToken, WakerRegistration};
+pub use park::Parker;
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -142,14 +144,14 @@ pub struct FleetStats {
     /// an explicit notification. The epoch-guarded park protocol makes
     /// every legitimate wake explicit (work, completion, cancel), so
     /// this is structurally zero; a nonzero value means some wake path
-    /// forgot to call [`CancelWaker::notify`].
+    /// forgot to call [`Parker::notify`].
     pub timeout_wakeups: u64,
 }
 
-/// The work-stealing fleet executor. Construction is free: worker
-/// threads are scoped to each [`Pool::run`]/[`Pool::map`] call, so
-/// borrowed task closures need no `'static` bound and a dropped pool
-/// leaks nothing.
+/// The work-stealing fleet executor: a worker count. Each
+/// [`Pool::run`]/[`Pool::map`] call borrows its workers' threads for the
+/// call alone (see the crate docs), so borrowed task closures need no
+/// `'static` bound.
 #[derive(Clone, Debug)]
 pub struct Pool {
     /// Worker threads per fleet (clamped to the task count at run time).
@@ -238,26 +240,13 @@ impl Pool {
         self.run_inner(n, Some(cancel), f)
     }
 
-    /// Runs `n` indexed tasks that are all live at once, each on a
-    /// thread of its own, and returns their results in index order with
-    /// [`Pool::run`]'s panic isolation. For tasks that wait on one
-    /// another — the native backend's stage workers — which
-    /// [`Pool::run`] does not promise to overlap (an early worker may
-    /// steal a late one's task). The pool's worker count plays no part:
-    /// `n` tasks take the calling thread and `n - 1` others.
-    ///
-    /// The threads are resident: parked between runs rather than
-    /// spawned and joined by each, which a short pipeline invoked once
-    /// per graph round cannot afford. Concurrent runs never share one.
+    /// [`run_resident`]; the pool's worker count plays no part.
     pub fn run_resident<R, F>(&self, n: usize, f: F) -> Vec<Result<R, TaskPanic>>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
-        resident::run(n, |w| run_guarded(w, &f))
+        run_resident(n, f)
     }
 
     fn run_inner<R, F>(
@@ -271,53 +260,44 @@ impl Pool {
         F: Fn(usize) -> R + Sync,
     {
         let workers = self.workers().min(n.max(1));
-        let mut stats = FleetStats {
-            workers,
-            per_worker_tasks: vec![0; workers],
-            ..FleetStats::default()
-        };
-        if n == 0 {
-            return (Vec::new(), stats);
-        }
         let slots: Vec<OnceLock<Result<R, TaskPanic>>> = (0..n).map(|_| OnceLock::new()).collect();
-        if workers == 1 {
-            // Inline serial path: same panic isolation and skip
-            // semantics, no threads.
-            for (i, slot) in slots.iter().enumerate() {
-                if cancel.is_some_and(|t| t.poll_expired()) {
-                    stats.skipped += (n - i) as u64;
-                    break;
-                }
-                let r = run_guarded(i, &f);
-                let _ = slot.set(r);
-                stats.per_worker_tasks[0] += 1;
-            }
-        } else {
-            let shared = Shared::new(workers, n, cancel.cloned());
-            // Cancelling the token must notify the fleet's park condvar
-            // directly: parked workers observe a drain request the
-            // moment it happens, not on the next timeout expiry.
-            let _reg = cancel.map(|t| t.register_waker(Arc::clone(&shared.idle)));
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let shared = &shared;
-                    let slots = &slots;
-                    let f = &f;
-                    scope.spawn(move || worker_loop(w, shared, slots, f));
-                }
-            });
-            stats.steals = shared.steals.load(Ordering::Relaxed);
-            stats.stolen_tasks = shared.stolen_tasks.load(Ordering::Relaxed);
-            stats.parks = shared.parks.load(Ordering::Relaxed);
-            stats.skipped = shared.skipped.load(Ordering::Relaxed);
-            stats.timeout_wakeups = shared.timeout_wakeups.load(Ordering::Relaxed);
-            for (w, c) in shared.per_worker_tasks.iter().enumerate() {
-                stats.per_worker_tasks[w] = c.load(Ordering::Relaxed);
-            }
-        }
+        let shared = Shared::new(workers, n, cancel.cloned());
+        // Cancelling the token must notify the fleet's parker directly:
+        // parked workers observe a drain request the moment it happens,
+        // not on the next timeout expiry.
+        let _reg = cancel.map(|t| t.register_waker(Arc::clone(&shared.idle)));
+        resident::run(workers, |w| worker_loop(w, &shared, &slots, &f));
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let stats = FleetStats {
+            workers,
+            steals: load(&shared.steals),
+            stolen_tasks: load(&shared.stolen_tasks),
+            parks: load(&shared.parks),
+            per_worker_tasks: shared.per_worker_tasks.iter().map(load).collect(),
+            skipped: load(&shared.skipped),
+            timeout_wakeups: load(&shared.timeout_wakeups),
+        };
         let results = slots.into_iter().map(|s| s.into_inner()).collect();
         (results, stats)
     }
+}
+
+/// Runs `n` indexed tasks that are all live at once, each on a thread of
+/// its own, and returns their results in index order with
+/// [`Pool::run`]'s panic isolation. For tasks that wait on one another —
+/// the native backend's stage workers — which [`Pool::run`] does not
+/// promise to overlap (an early worker may steal a late one's task): `n`
+/// tasks take the calling thread and `n - 1` resident ones, and
+/// concurrent runs never share one.
+pub fn run_resident<R, F>(n: usize, f: F) -> Vec<Result<R, TaskPanic>>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    if n == 0 {
+        return Vec::new();
+    }
+    resident::run(n, |w| run_guarded(w, &f))
 }
 
 /// Runs `f(i)` under panic isolation.
@@ -345,9 +325,9 @@ struct Shared {
     remaining: AtomicUsize,
     /// Park/unpark: idle workers wait here; notified on new stealable
     /// work, on fleet completion, and — when the fleet runs under a
-    /// [`CancelToken`] — by the cancel itself (the waker is registered
+    /// [`CancelToken`] — by the cancel itself (the parker is registered
     /// with the token for the fleet's lifetime).
-    idle: Arc<CancelWaker>,
+    idle: Arc<Parker>,
     /// The fleet's cancellation token, if any. Checked before each
     /// dequeued task runs; a fired token turns the task into a skip.
     cancel: Option<CancelToken>,
@@ -374,7 +354,7 @@ impl Shared {
         Shared {
             deques,
             remaining: AtomicUsize::new(n),
-            idle: Arc::new(CancelWaker::default()),
+            idle: Arc::new(Parker::default()),
             cancel,
             steals: AtomicU64::new(0),
             stolen_tasks: AtomicU64::new(0),
@@ -491,7 +471,7 @@ where
                 // coarse backstop should never fire; count it when it
                 // does so the unit tests can assert it stays zero.
                 shared.parks.fetch_add(1, Ordering::Relaxed);
-                if !shared.idle.wait_if_unchanged(seen, PARK_BACKSTOP) {
+                if shared.idle.park(seen, PARK_BACKSTOP).is_some() {
                     shared.timeout_wakeups.fetch_add(1, Ordering::Relaxed);
                 }
             }

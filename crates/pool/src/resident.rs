@@ -1,5 +1,6 @@
-//! Resident threads behind [`crate::Pool::run_resident`]: a free list of
-//! parked OS threads that a fleet borrows for one run and hands back.
+//! Resident threads, the only threads this crate makes: a free list of
+//! parked OS threads that a run — a [`crate::Pool::run`] fleet or a
+//! [`crate::run_resident`] set — borrows for its duration and hands back.
 //!
 //! `std::thread::scope` pays a spawn and a join per thread per run —
 //! about 250 µs for a four-stage native pipeline on a two-core VM,
@@ -79,7 +80,7 @@ impl<T> Drop for Outstanding<T> {
 /// Runs `task(0..n)` all at once — task 0 on the calling thread, the
 /// others on a resident thread each — and returns what they returned in
 /// index order. `n` is at least 1; `task` must not unwind (the caller
-/// wraps it in `catch_unwind`).
+/// wraps each task body in `catch_unwind`).
 pub(crate) fn run<R, F>(n: usize, task: F) -> Vec<R>
 where
     R: Send,

@@ -210,36 +210,67 @@ fn resident_tasks_overlap_and_land_in_index_order() {
 
 /// Resident threads are borrowed, not spawned, by the second run, and
 /// two concurrent runs never share one (each run's tasks block on each
-/// other, so a shared thread would hang one of them).
+/// other, so a shared thread would hang one of them). `Pool::run` fleets
+/// run their non-caller workers on the same threads, under the same
+/// rules.
 #[test]
 fn resident_threads_are_reused_and_never_shared() {
+    use std::sync::Barrier;
     let _turn = RESIDENT.lock().unwrap_or_else(|e| e.into_inner());
-    // The off-caller threads of one run whose tasks all meet at `barrier`.
-    let ids = |n: usize, barrier: &std::sync::Barrier| {
-        Pool::new(n)
-            .run_resident(n, |_| {
-                barrier.wait();
-                std::thread::current().id()
-            })
-            .into_iter()
+    // The off-caller threads of one run — a `run_resident` set or a
+    // `Pool::run` fleet — whose `n` tasks all meet at `barrier`, so each
+    // fleet worker runs exactly one of them.
+    let ids = |fleet: bool, n: usize, barrier: &Barrier| {
+        let task = |_| {
+            barrier.wait();
+            let me = std::thread::current();
+            (me.id(), me.name().map(str::to_owned))
+        };
+        let pool = Pool::new(n);
+        let out = if fleet {
+            pool.run(n, task)
+        } else {
+            pool.run_resident(n, task)
+        };
+        out.into_iter()
             .skip(1)
-            .map(|r| r.unwrap())
+            .map(|r| {
+                let (id, name) = r.unwrap();
+                assert_eq!(name.as_deref(), Some("phloem-resident"), "fleet={fleet}");
+                id
+            })
             .collect::<Vec<_>>()
     };
     // One barrier across both runs: neither finishes before both started.
-    let both = std::sync::Barrier::new(8);
-    let (a, b) = std::thread::scope(|s| {
-        let a = s.spawn(|| ids(4, &both));
-        let b = s.spawn(|| ids(4, &both));
-        (a.join().unwrap(), b.join().unwrap())
-    });
+    let concurrent = |fleet: bool| {
+        let both = Barrier::new(8);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| ids(fleet, 4, &both));
+            let b = s.spawn(|| ids(fleet, 4, &both));
+            (a.join().unwrap(), b.join().unwrap())
+        })
+    };
+    let (a, b) = concurrent(false);
     assert!(a.iter().all(|t| !b.contains(t)), "{a:?} vs {b:?}");
-    // Six are parked now: the next run spawns nothing.
-    let again = ids(3, &std::sync::Barrier::new(3));
+    let (c, d) = concurrent(true);
     assert!(
-        again.iter().all(|t| a.contains(t) || b.contains(t)),
-        "{again:?} has a new thread"
+        c.iter().all(|t| !d.contains(t)),
+        "fleets share: {c:?} vs {d:?}"
     );
+    // Their threads are parked now: the next run, of either kind, spawns
+    // nothing. The other tests' fleets borrow from the same list and may
+    // take them first, so a run may retry; a kind of run that never
+    // reuses a thread never passes.
+    let mut known: Vec<_> = [a, b, c, d].concat();
+    for fleet in [false, true] {
+        let reused = (0..20).any(|_| {
+            let again = ids(fleet, 3, &Barrier::new(3));
+            let all_known = again.iter().all(|t| known.contains(t));
+            known.extend(again);
+            all_known
+        });
+        assert!(reused, "fleet={fleet}: every run had a new thread");
+    }
 }
 
 /// A panicking resident task fills its own slot, on the caller's thread

@@ -648,6 +648,7 @@ fn main() {
             "chaos",
             phloem_workloads::Scale::Tiny,
             seeds as usize,
+            &[],
             &rows,
             &gates,
         );

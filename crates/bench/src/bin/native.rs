@@ -6,7 +6,9 @@
 //! [`phloem_benchsuite::with_backend`] once per thread count: one OS
 //! thread per stage (`threads: 0`, the paper's model), one worker, and
 //! `nproc` workers with the stages folded onto them; every queue is an
-//! SPSC ring. The baseline is the serial variant under
+//! SPSC ring of `native::ring_depth` slots publishing a slab (an eighth
+//! of the ring) at a time, both written into the recording's header.
+//! The baseline is the serial variant under
 //! `Native { threads: 1 }` — a one-stage pipeline on one native worker,
 //! so both sides step through the same interpreter against the same
 //! shared memory and the ratio isolates what the pipeline adds (queue
@@ -46,7 +48,7 @@ use phloem_bench::{header, machine, scale};
 use phloem_benchsuite::apps::APPS;
 use phloem_benchsuite::{taco, with_backend, Measurement, Variant};
 use phloem_service::Json;
-use pipette_sim::native::lifetime_counters;
+use pipette_sim::native::{channel::slab_len, lifetime_counters, ring_depth};
 use pipette_sim::{ExecBackend, NativeConfig};
 
 /// One timed run: wall seconds, what the backend counted over it, and
@@ -153,6 +155,7 @@ fn main() {
     let reps = record::reps(2);
     let host_cores = host_cores();
     let cfg = machine();
+    let depth = ring_depth(cfg.queue_capacity);
 
     // One thread per stage, one worker (overhead parity: the hops with
     // no overlap to pay for them), and one worker per core.
@@ -165,12 +168,14 @@ fn main() {
 
     header("Native backend: real-thread wall clock vs the serial kernel on one native worker");
     println!(
-        "  host cores: {host_cores}; scale {:?}; threads {:?}; {reps} reps (best kept)",
+        "  host cores: {host_cores}; scale {:?}; threads {:?}; rings of {depth}, slab {}; \
+         {reps} reps (best kept)",
         scale(),
         thread_counts
             .iter()
             .map(|&t| threads_label(t))
             .collect::<Vec<_>>(),
+        slab_len(depth),
     );
 
     let mut rows = Vec::new();
@@ -276,5 +281,9 @@ fn main() {
         ])
     };
     let rows: Vec<Json> = rows.iter().map(row).collect();
-    record::write("native", scale(), reps, &rows, &gates);
+    let config = [
+        ("ring_depth", Json::u64(depth as u64)),
+        ("slab", Json::u64(slab_len(depth) as u64)),
+    ];
+    record::write("native", scale(), reps, &config, &rows, &gates);
 }

@@ -461,5 +461,5 @@ fn main() {
             tracing_null_sink_overhead_pct,
         ),
     ];
-    record::write("simspeed", scale(), reps, &rows, &gates);
+    record::write("simspeed", scale(), reps, &[], &rows, &gates);
 }

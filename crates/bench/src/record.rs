@@ -8,6 +8,8 @@
 //! git_rev     `git describe --always --dirty` at recording time
 //! scale       tiny | small | full
 //! reps        repetitions each measurement is the best of
+//! ...         what the bench ran with, if it says (`native`: ring_depth,
+//!             slab)
 //! rows        measurements: objects keyed by "name", bench-specific fields
 //! gates       bounds the bench asserts: name, value, bound, enforced
 //!             (on this host), pass
@@ -100,9 +102,16 @@ fn git_rev() -> String {
         .map_or_else(|| "unknown".into(), |s| s.trim().to_string())
 }
 
-/// Renders one recording: the shared header, then one row and one gate
-/// per line.
-fn render(bench: &str, scale: Scale, reps: usize, rows: &[Json], gates: &[Gate]) -> String {
+/// Renders one recording: the shared header and the bench's own
+/// `config` keys, then one row and one gate per line.
+fn render(
+    bench: &str,
+    scale: Scale,
+    reps: usize,
+    config: &[(&str, Json)],
+    rows: &[Json],
+    gates: &[Gate],
+) -> String {
     let header = [
         ("bench", Json::str(bench)),
         ("host_cores", Json::u64(host_cores() as u64)),
@@ -121,7 +130,7 @@ fn render(bench: &str, scale: Scale, reps: usize, rows: &[Json], gates: &[Gate])
     };
     let gates: Vec<Json> = gates.iter().map(gate).collect();
     let mut out = String::from("{\n");
-    for (key, value) in header {
+    for (key, value) in header.iter().chain(config) {
         let _ = writeln!(out, "  \"{key}\": {},", value.render());
     }
     for (key, items, comma) in [("rows", rows, ","), ("gates", &gates[..], "")] {
@@ -135,10 +144,18 @@ fn render(bench: &str, scale: Scale, reps: usize, rows: &[Json], gates: &[Gate])
     out
 }
 
-/// Writes `BENCH_<bench>.json` into the current directory.
-pub fn write(bench: &str, scale: Scale, reps: usize, rows: &[Json], gates: &[Gate]) {
+/// Writes `BENCH_<bench>.json` into the current directory; `config`
+/// names what the bench ran with, after `reps`.
+pub fn write(
+    bench: &str,
+    scale: Scale,
+    reps: usize,
+    config: &[(&str, Json)],
+    rows: &[Json],
+    gates: &[Gate],
+) {
     let path = format!("BENCH_{bench}.json");
-    std::fs::write(&path, render(bench, scale, reps, rows, gates))
+    std::fs::write(&path, render(bench, scale, reps, config, rows, gates))
         .unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("  wrote {path}");
 }
@@ -158,7 +175,8 @@ mod tests {
             Gate::at_least("floor", 2.0, 1.5, true),
             Gate::at_most("ceiling", 2.0, 1.5, false),
         ];
-        let text = render("simspeed", Scale::Tiny, 3, &rows, &gates);
+        let config = [("depth", Json::u64(7))];
+        let text = render("simspeed", Scale::Tiny, 3, &config, &rows, &gates);
         let committed = [
             include_str!("../../../BENCH_simspeed.json"),
             include_str!("../../../BENCH_native.json"),
@@ -169,17 +187,11 @@ mod tests {
                 panic!("not a JSON object: {recording}");
             };
             let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-            let want = [
-                "bench",
-                "host_cores",
-                "git_rev",
-                "scale",
-                "reps",
-                "rows",
-                "gates",
-            ];
-            assert_eq!(keys, want, "{recording}");
+            let shared = ["bench", "host_cores", "git_rev", "scale", "reps"];
+            assert_eq!(keys[..5], shared, "{recording}");
+            assert_eq!(keys[keys.len() - 2..], ["rows", "gates"], "{recording}");
         }
+        assert!(text.contains("\"reps\": 3,\n  \"depth\": 7,\n"), "{text}");
         assert!(text.contains("\"scale\": \"tiny\""), "{text}");
         assert!(
             text.contains(r#"{"name":"floor","value":2,"bound":1.5,"enforced":true,"pass":true}"#)

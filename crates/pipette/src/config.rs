@@ -34,7 +34,10 @@ pub struct MachineConfig {
     pub mshrs: usize,
     /// Branch misprediction penalty in cycles.
     pub mispredict_penalty: u64,
-    /// Hardware queue capacity in elements ("queues up to 24 elements deep").
+    /// Hardware queue capacity in elements ("queues up to 24 elements
+    /// deep"): the simulator's queue depth. A native session's rings
+    /// hold at least this many values, floored at
+    /// [`crate::native::HOST_RING_DEPTH`] ([`crate::native::ring_depth`]).
     pub queue_capacity: usize,
     /// Maximum number of architectural queues ("16 queues max").
     pub max_queues: u16,

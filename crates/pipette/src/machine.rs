@@ -315,15 +315,15 @@ impl Session {
             // Native runs share the validation path and the bytecode
             // above (malformed pipelines fail identically on both
             // backends) and then bypass the timing world entirely:
-            // stages execute on real threads and "cycles" are wall-clock
-            // nanoseconds.
+            // stages execute on real threads, over rings sized for the
+            // host, and "cycles" are wall-clock nanoseconds.
             let (run, trap) = crate::native::run_compiled(
                 pipeline,
                 progs,
                 &mut self.mem,
                 params,
                 &ncfg,
-                self.cfg.queue_capacity,
+                crate::native::ring_depth(self.cfg.queue_capacity),
                 self.cancel.as_ref(),
             );
             if let Some(t) = trap {

@@ -10,10 +10,11 @@
 //! The native world drives a ring through the crate-internal
 //! `SlabSender`/`SlabReceiver` that `slab_channel` builds. With one
 //! producer they work on a private cursor and store the shared counter
-//! once per `SLAB` values, before reporting `Full`/`Empty`, on `flush`
-//! (the world calls it when a stage's slice ends) and on drop — so the
-//! cross-core traffic is per slab, not per value, and a blocked or
-//! descheduled stage never sits on anything unpublished. The FIFO is
+//! once per slab — an eighth of the ring, [`slab_len`] — before
+//! reporting `Full`/`Empty`, on `flush` (the world calls it when a
+//! stage's slice ends) and on drop — so the cross-core traffic is per
+//! slab, not per value, and a blocked or descheduled stage never sits on
+//! anything unpublished. The FIFO is
 //! untouched: a control value is a word in a slot like any other, so it
 //! keeps its place by construction. While a fan-in queue has several
 //! producers they share the shared counter under `send_lock` and
@@ -438,14 +439,15 @@ pub fn channel(kind: ChannelKind, capacity: usize) -> Result<(Sender, Receiver),
     ))
 }
 
-/// Values an endpoint moves on its private cursor before it stores the
-/// shared index. One cache-line transfer of the index (and one of each
-/// slot line) then serves a slab of values instead of one. The size is
-/// not tuned: `native_apps` read 0.60x / 0.62x / 0.60x serial at 4 / 8 /
-/// 16, five interleaved runs each, inside the 0.07x spread of one
-/// setting — blocked endpoints and slice ends publish before a slab
-/// fills at any of them.
-pub(crate) const SLAB: u64 = 8;
+/// Values a slab endpoint of a `capacity`-deep ring moves on its
+/// private cursor before it stores the shared index: an eighth of the
+/// ring, at least one (128 at the native depth of 1024). One cache-line
+/// transfer of the index then serves a slab of values instead of one,
+/// and the peer still has seven eighths of the ring to work in. Slab
+/// size matters once the ring is deep; DESIGN §11 has the table.
+pub fn slab_len(capacity: usize) -> usize {
+    (capacity / 8).max(1)
+}
 
 /// One slab endpoint's private view of a ring: where it has got to,
 /// what it has told the peer, and what the peer last told it.
@@ -459,14 +461,19 @@ struct Cursor {
     /// only when the ring looks full (producer) or empty (consumer)
     /// against it.
     peer: u64,
+    /// The ring's [`slab_len`].
+    slab: u64,
 }
 
 impl Cursor {
-    const START: Cursor = Cursor {
-        next: 0,
-        published: 0,
-        peer: 0,
-    };
+    fn start(slab: u64) -> Cursor {
+        Cursor {
+            next: 0,
+            published: 0,
+            peer: 0,
+            slab,
+        }
+    }
 
     /// Hands `[published, next)` to the peer. The release-store pairs
     /// with the peer's acquire-load in [`Self::refresh`].
@@ -485,7 +492,7 @@ impl Cursor {
     /// boundary.
     fn advance(&mut self, shared: &AtomicU64) {
         self.next += 1;
-        if self.next - self.published >= SLAB {
+        if self.next - self.published >= self.slab {
             self.publish(shared);
         }
     }
@@ -497,17 +504,18 @@ impl Cursor {
 /// `capacity` must be at least 1.
 pub(crate) fn slab_channel(capacity: usize, producers: usize) -> (Vec<SlabSender>, SlabReceiver) {
     assert!(capacity > 0, "a ring needs at least one slot");
+    let slab = slab_len(capacity) as u64;
     let core = Core::new(Ring::new(capacity), producers);
     let senders = (0..producers)
         .map(|_| SlabSender {
             core: Arc::clone(&core),
-            cursor: Cursor::START,
+            cursor: Cursor::start(slab),
             sole: false,
         })
         .collect();
     let receiver = SlabReceiver {
         core,
-        cursor: Cursor::START,
+        cursor: Cursor::start(slab),
     };
     (senders, receiver)
 }
@@ -518,8 +526,8 @@ pub(crate) fn slab_channel(capacity: usize, producers: usize) -> (Vec<SlabSender
 ///
 /// What the consumer may rely on: everything sent is published by the
 /// time `try_send` reports `Full`, by the time [`Self::flush`] returns,
-/// and when the endpoint drops; and at least every [`SLAB`] values in
-/// between. Control values are ordinary words in that FIFO, so they keep
+/// and when the endpoint drops; and at least every [`slab_len`] values
+/// in between. Control values are ordinary words in that FIFO, so they keep
 /// their position whatever the slab boundaries are.
 pub(crate) struct SlabSender {
     core: Arc<Core<Ring>>,
@@ -597,7 +605,7 @@ impl Drop for SlabSender {
 /// What the producer may rely on: every slot read is vacated by the
 /// time `try_recv` reports `Empty` or `Disconnected`, by the time
 /// [`Self::flush`] returns, and when the endpoint drops; and at least
-/// every [`SLAB`] values in between.
+/// every [`slab_len`] values in between.
 pub(crate) struct SlabReceiver {
     core: Arc<Core<Ring>>,
     cursor: Cursor,
@@ -682,28 +690,46 @@ mod tests {
         (senders.pop().expect("one sender"), rx)
     }
 
+    /// The shared `(head, tail)` of the ring behind `rx`: what each
+    /// endpoint has published.
+    fn shared(rx: &SlabReceiver) -> (u64, u64) {
+        let ring = &rx.core.buffer;
+        (
+            ring.head.0.load(Ordering::SeqCst),
+            ring.tail.0.load(Ordering::SeqCst),
+        )
+    }
+
     /// Message `i` of the stress stream: a control value on the last
-    /// slot of every slab and on the first of every third (so they sit
-    /// on and straddle the boundaries), floats and integers between.
-    fn message(i: u64) -> Value {
-        match i % SLAB {
-            r if r == SLAB - 1 => Value::Ctrl((i / SLAB % 5) as u32),
-            0 if (i / SLAB).is_multiple_of(3) => Value::Ctrl(7),
+    /// of every `period` slots and on the first of every third period,
+    /// floats and integers between. With the ring's slab as the period
+    /// the control values sit on and straddle the slab boundaries; a
+    /// period of 8 over a slab shorter than 4 walks them across every
+    /// slot of it instead.
+    fn message(i: u64, period: u64) -> Value {
+        match i % period {
+            r if r == period - 1 => Value::Ctrl((i / period % 5) as u32),
+            0 if (i / period).is_multiple_of(3) => Value::Ctrl(7),
             r if r % 2 == 0 => Value::F64(i as f64 + 0.5),
             _ => Value::I64(i as i64),
         }
     }
 
     /// Real producer and consumer threads over the slab path, for ring
-    /// depths below, at and above the slab, with seeded flushes standing
-    /// in for slice ends. Neither side ever flushes because it must: a
-    /// blocked endpoint has published everything, so the stream always
-    /// drains; the last partial slab arrives through `Drop`.
+    /// depths whose slab is one value up to the native depth of 1024,
+    /// with seeded flushes standing in for slice ends. Neither side ever
+    /// flushes because it must: a blocked endpoint has published
+    /// everything, so the stream always drains; the last partial slab
+    /// arrives through `Drop`.
     #[test]
     #[allow(clippy::disallowed_methods)]
     fn slab_framing_keeps_the_fifo_at_every_depth() {
         const N: u64 = 20_000;
-        for capacity in [1, 3, 7, 8, 9, 24, 100] {
+        for capacity in [1, 3, 7, 8, 9, 24, 100, 1024] {
+            let period = match slab_len(capacity) as u64 {
+                slab if slab < 4 => 8,
+                slab => slab,
+            };
             let mut rng = Rng(0x51AB ^ (capacity as u64) << 8);
             let (mut tx, mut rx) = spsc(capacity);
             let (producer_seed, consumer_seed) = (rng.next() | 1, rng.next() | 1);
@@ -711,10 +737,10 @@ mod tests {
                 let mut rng = Rng(producer_seed);
                 let mut i = 0;
                 while i < N {
-                    match tx.try_send(message(i)) {
+                    match tx.try_send(message(i, period)) {
                         Ok(()) => i += 1,
                         Err(TrySendError::Full(v)) => {
-                            assert_eq!(v, message(i), "Full hands the value back");
+                            assert_eq!(v, message(i, period), "Full hands the value back");
                             std::thread::yield_now();
                         }
                         Err(TrySendError::Disconnected(_)) => panic!("receiver died"),
@@ -729,7 +755,7 @@ mod tests {
             loop {
                 match rx.try_recv() {
                     Ok(v) => {
-                        assert_eq!(v, message(got), "depth {capacity}: message {got}");
+                        assert_eq!(v, message(got, period), "depth {capacity}: message {got}");
                         got += 1;
                     }
                     Err(TryRecvError::Empty) => std::thread::yield_now(),
@@ -748,30 +774,32 @@ mod tests {
     /// publication points: a `Full` report, `flush`, `Drop`.
     #[test]
     fn a_partial_slab_is_visible_after_block_flush_and_drop() {
-        // Block: depth below the slab, so only `Full` can publish.
-        let (mut tx, mut rx) = spsc(4);
-        for i in 0..4 {
+        // Block: 35 slots in slabs of 4, so a full ring holds 3 values
+        // past the last boundary and only `Full` can publish them.
+        let (mut tx, mut rx) = spsc(35);
+        assert_eq!(slab_len(35), 4);
+        for i in 0..35 {
             tx.try_send(Value::I64(i)).unwrap();
         }
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "unpublished");
+        assert_eq!(shared(&rx), (0, 32), "published by the slab");
         assert_eq!(
-            tx.try_send(Value::I64(4)),
-            Err(TrySendError::Full(Value::I64(4)))
+            tx.try_send(Value::I64(35)),
+            Err(TrySendError::Full(Value::I64(35)))
         );
-        for i in 0..4 {
+        assert_eq!(shared(&rx), (0, 35), "published by Full");
+        for i in 0..35 {
             assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "after Full");
         }
-        // The consumer's side of the same rule: four slots read, none
-        // vacated until it reports `Empty`.
-        assert!(matches!(
-            tx.try_send(Value::I64(4)),
-            Err(TrySendError::Full(_))
-        ));
+        // The consumer's side of the same rule: 35 slots read, 32
+        // vacated by the slab and the rest when it reports `Empty`.
+        assert_eq!(shared(&rx), (32, 35));
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        tx.try_send(Value::I64(4)).unwrap();
+        assert_eq!(shared(&rx), (35, 35));
 
-        // Flush (a slice end), then a slab boundary, then drop.
-        let (mut tx, mut rx) = spsc(24);
+        // Flush (a slice end), then a slab boundary, then drop, at the
+        // native depth.
+        let (mut tx, mut rx) = spsc(1024);
+        let slab = slab_len(1024) as i64;
         for i in 0..3 {
             tx.try_send(Value::I64(i)).unwrap();
         }
@@ -780,11 +808,11 @@ mod tests {
         for i in 0..3 {
             assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "after flush");
         }
-        for i in 3..3 + SLAB as i64 {
+        for i in 3..3 + slab {
             assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "value {i}");
             tx.try_send(Value::I64(i)).unwrap();
         }
-        for i in 3..3 + SLAB as i64 {
+        for i in 3..3 + slab {
             assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "after a slab");
         }
         tx.try_send(Value::Ctrl(9)).unwrap();

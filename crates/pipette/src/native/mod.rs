@@ -10,10 +10,11 @@
 //!   time. Worker 0 is the calling thread and the others are the pool's
 //!   resident threads, woken for the invocation rather than spawned and
 //!   joined by it (a graph app invokes a pipeline per round),
-//! * each **hardware queue** to a bounded SPSC ring of
-//!   `MachineConfig::queue_capacity` slots, wired from the IR's
-//!   [`phloem_ir::queue_topology`] so single-producer queues take the
-//!   lock-free path and fan-in queues a locked one,
+//! * each **hardware queue** to a bounded SPSC ring of [`ring_depth`]
+//!   slots — sized for the host, not for Pipette's 24-entry queues —
+//!   wired from the IR's [`phloem_ir::queue_topology`] so
+//!   single-producer queues take the lock-free path and fan-in queues a
+//!   locked one,
 //! * **RA** stages to prefetch-hinted stage threads (their base-array
 //!   loads issue a hardware prefetch a few elements ahead),
 //! * **control values** to in-band messages on the same channels — a
@@ -42,8 +43,9 @@
 //! Threads synchronise per stage slice and per blocked episode, never
 //! per value. An enqueue or dequeue touches only the stage's own
 //! cursor and a slot ([`mod@channel`]'s slab endpoints); the shared ring
-//! indices move once per slab of `channel::SLAB` values, before an
-//! endpoint reports full or empty, and when a slice ends — on *every*
+//! indices move once per slab, an eighth of the ring
+//! ([`channel::slab_len`]), before an endpoint reports full or empty,
+//! and when a slice ends — on *every*
 //! queue of the stage, so a stage blocked on one queue never withholds
 //! slots or values on another. After a slice that moved a value the
 //! worker notifies the run's [`Parker`] once, indices first, so whoever
@@ -60,6 +62,22 @@
 //! predicate needs no more than it did when every value bumped: each
 //! bump still follows real progress and still voids older
 //! registrations, and a worker that is spinning is not registered.
+//!
+//! # Ring depth
+//!
+//! On Pipette a hop is register-cheap and 24 entries keep a pipeline
+//! flowing; on a host a hop costs a cache-line transfer, and 24 slots
+//! hold producer and consumer within a few slabs of each other, so they
+//! block and flush in lockstep. A [`crate::Session`] therefore gives
+//! every ring [`ring_depth`] slots, at least [`HOST_RING_DEPTH`].
+//! Deeper rings cannot change final memory — stages are deterministic
+//! and queues FIFO, so a pipeline that completes at the architectural
+//! depth completes with the same queue histories at any greater one —
+//! but they can complete a pipeline whose only deadlock in the
+//! simulator comes from queue capacity. That deadlock is the
+//! simulator's verdict about Pipette, not a property of the host.
+//! [`run_native`] takes a literal depth and builds rings of exactly that
+//! many slots.
 
 pub mod channel;
 pub mod shared_mem;
@@ -78,7 +96,7 @@ use phloem_ir::{
 };
 use phloem_ir::{OpCounts, RaMode};
 use phloem_pool::{run_resident, CancelToken, Parker};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -169,6 +187,17 @@ fn host_cores() -> usize {
 /// How many elements ahead an RA's base-array loads prefetch.
 const RA_PREFETCH_DIST: i64 = 8;
 
+/// The fewest slots a [`crate::Session`]'s native ring holds: 16 KB of
+/// 16-byte [`Value`] slots, published a slab of 128 at a time.
+pub const HOST_RING_DEPTH: usize = 1024;
+
+/// Slots per ring of a [`crate::Session`]'s native run on a machine
+/// whose queues hold `queue_capacity` entries: the architectural
+/// capacity, floored at [`HOST_RING_DEPTH`] (see the module doc).
+pub fn ring_depth(queue_capacity: usize) -> usize {
+    queue_capacity.max(HOST_RING_DEPTH)
+}
+
 /// Result of one native pipeline invocation.
 #[derive(Debug)]
 pub struct NativeRun {
@@ -183,7 +212,7 @@ pub struct NativeRun {
     pub parks: u64,
 }
 
-/// Totals over every native invocation this process has finished.
+/// Totals over every native invocation this thread has finished.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NativeCounters {
     /// Sum of [`NativeRun::epoch_bumps`].
@@ -192,19 +221,19 @@ pub struct NativeCounters {
     pub parks: u64,
 }
 
-static EPOCH_BUMPS: AtomicU64 = AtomicU64::new(0);
-static PARKS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static COUNTERS: Cell<NativeCounters> =
+        const { Cell::new(NativeCounters { epoch_bumps: 0, parks: 0 }) };
+}
 
-/// What the backend has counted since the process started. A
-/// [`crate::Session`] reports a native run as [`crate::RunStats`], which
-/// has no slot for these; a harness that reaches the backend through one
-/// (the `native` bench bin) reads this before and after instead.
+/// What the backend has counted over the invocations this thread made
+/// since it started. A [`crate::Session`] reports a native run as
+/// [`crate::RunStats`], which has no slot for these; a harness that
+/// reaches the backend through one (the `native` bench bin) reads this
+/// before and after instead. Per thread, so invocations made
+/// concurrently elsewhere in the process do not leak into the count.
 pub fn lifetime_counters() -> NativeCounters {
-    // Relaxed: statistics, publishing nothing.
-    NativeCounters {
-        epoch_bumps: EPOCH_BUMPS.load(Ordering::Relaxed),
-        parks: PARKS.load(Ordering::Relaxed),
-    }
+    COUNTERS.get()
 }
 
 impl Default for NativeRun {
@@ -478,7 +507,7 @@ impl World for NativeWorld<'_> {
 
 /// Builds one ring per referenced queue and distributes the endpoints
 /// to the stages the topology names.
-fn build_channels(pipeline: &Pipeline, capacity: usize) -> Result<Vec<StageEndpoints>, Trap> {
+fn build_channels(pipeline: &Pipeline, depth: usize) -> Result<Vec<StageEndpoints>, Trap> {
     let nstages = pipeline.stages.len();
     let nq = pipeline.num_queues as usize;
     let mut eps: Vec<StageEndpoints> = (0..nstages)
@@ -492,7 +521,7 @@ fn build_channels(pipeline: &Pipeline, capacity: usize) -> Result<Vec<StageEndpo
         if qi >= nq {
             return Err(Trap::BadId(format!("queue {}", q.queue.0)));
         }
-        let (senders, rx) = slab_channel(capacity.max(1), q.producers.len());
+        let (senders, rx) = slab_channel(depth.max(1), q.producers.len());
         if let Some(c) = q.consumer {
             eps[c].receivers[qi] = Some(rx);
         }
@@ -513,6 +542,12 @@ fn build_channels(pipeline: &Pipeline, capacity: usize) -> Result<Vec<StageEndpo
 /// lowered to bytecode on the way in, as [`crate::Session::run`] does
 /// for the simulator.
 ///
+/// `depth` is the literal number of slots every ring holds (at least
+/// one), publishing a [`channel::slab_len`] at a time. A
+/// [`crate::Session`] passes [`ring_depth`] of its machine's queue
+/// capacity instead; a caller that wants the simulator's blocking,
+/// capacity deadlocks included, passes `queue_capacity` itself.
+///
 /// # Errors
 /// Traps on runtime errors, deadlock, or cancellation — the same
 /// failure surface as the simulator.
@@ -521,10 +556,10 @@ pub fn run_native(
     mem: &mut MemState,
     params: &[(&str, Value)],
     cfg: &NativeConfig,
-    queue_capacity: usize,
+    depth: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<NativeRun, Trap> {
-    let (run, trap) = run_fleet(pipeline, mem, params, cfg, queue_capacity, cancel);
+    let (run, trap) = run_fleet(pipeline, mem, params, cfg, depth, cancel);
     trap.map_or(Ok(run), Err)
 }
 
@@ -535,11 +570,11 @@ fn run_fleet(
     mem: &mut MemState,
     params: &[(&str, Value)],
     cfg: &NativeConfig,
-    queue_capacity: usize,
+    depth: usize,
     cancel: Option<&CancelToken>,
 ) -> (NativeRun, Option<Trap>) {
     match compile_pipeline(pipeline) {
-        Ok(progs) => run_compiled(pipeline, &progs, mem, params, cfg, queue_capacity, cancel),
+        Ok(progs) => run_compiled(pipeline, &progs, mem, params, cfg, depth, cancel),
         Err(t) => (NativeRun::default(), Some(t)),
     }
 }
@@ -552,7 +587,7 @@ pub(crate) fn run_compiled(
     mem: &mut MemState,
     params: &[(&str, Value)],
     cfg: &NativeConfig,
-    queue_capacity: usize,
+    depth: usize,
     cancel: Option<&CancelToken>,
 ) -> (NativeRun, Option<Trap>) {
     let nstages = pipeline.stages.len();
@@ -573,13 +608,16 @@ pub(crate) fn run_compiled(
         .collect();
     let ncompute = is_compute.iter().filter(|&&c| c).count();
 
-    let endpoints = match build_channels(pipeline, queue_capacity) {
+    let shared = SharedMem::from_mem(mem);
+    // The rings after the mirror, not before: allocated first, the
+    // 16 KB rings fragmented the heap around each invocation's mirror,
+    // and `native_apps` peaked at 6.4 MB resident instead of 6.0.
+    let endpoints = match build_channels(pipeline, depth) {
         Ok(e) => e,
         Err(t) => return (run, Some(t)),
     };
     let slots: Vec<Mutex<Option<StageEndpoints>>> =
         endpoints.into_iter().map(|e| Mutex::new(Some(e))).collect();
-    let shared = SharedMem::from_mem(mem);
     let hub = Hub::new(nworkers, ncompute);
     // How an idle worker waits out its `IDLE_ROUNDS`. With a core per
     // worker the peer it waits for is running, so it spins: a yield
@@ -729,8 +767,11 @@ pub(crate) fn run_compiled(
     run.wall_nanos = (start.elapsed().as_nanos() as u64).max(1);
     run.epoch_bumps = hub.parker.epoch();
     run.parks = hub.parks.load(Ordering::Relaxed);
-    EPOCH_BUMPS.fetch_add(run.epoch_bumps, Ordering::Relaxed);
-    PARKS.fetch_add(run.parks, Ordering::Relaxed);
+    let before = lifetime_counters();
+    COUNTERS.set(NativeCounters {
+        epoch_bumps: before.epoch_bumps + run.epoch_bumps,
+        parks: before.parks + run.parks,
+    });
 
     shared.write_back(mem);
     let mut trap = hub.trap.lock().unwrap_or_else(|e| e.into_inner()).take();
@@ -961,6 +1002,99 @@ mod tests {
         assert_eq!(run.parks, 0, "a lone worker with work never sleeps");
     }
 
+    /// `pipeline` on a native [`crate::Session`] over `mem` with
+    /// `threads` workers, the way every app reaches the backend.
+    fn session_run(
+        pipeline: &Pipeline,
+        mem: MemState,
+        threads: usize,
+    ) -> (Result<Time, Trap>, MemState) {
+        let mut s = crate::Session::new(crate::MachineConfig::paper_1core(), mem);
+        s.set_backend(ExecBackend::Native(NativeConfig { threads }));
+        (s.run(pipeline, &[]), s.mem().clone())
+    }
+
+    /// The same count through a `Session`, which sizes its rings for the
+    /// host: a 24-slot ring cuts every slice after 24 values (343 bumps
+    /// for this run), a 1024-slot one only where the slice budget ends
+    /// (88).
+    #[test]
+    fn a_session_bumps_once_per_slice_budget_not_per_architectural_queue() {
+        const N: i64 = 4096;
+        let (p, mem) = pc_pipeline_of(N);
+        let before = lifetime_counters();
+        let (res, mem) = session_run(&p, mem, 1);
+        res.unwrap();
+        let bumps = lifetime_counters().epoch_bumps - before.epoch_bumps;
+        assert_eq!(mem.i64_vec(ArrayId(1)), vec![(0..N).sum::<i64>()]);
+        assert!(bumps <= N as u64 / 32, "{bumps} bumps for {N} values");
+    }
+
+    /// A deadlock that comes only from queue capacity: `fill` pushes 40
+    /// values through q0 before the one on q1 that `drain` waits for
+    /// first. Pipette's 24-entry queue cannot hold them, so the
+    /// simulator and a native run at the literal depth 24 both trap; a
+    /// native session's host rings can, so it completes with the serial
+    /// kernel's memory. Native completes everything the simulator
+    /// completes, and may complete more.
+    #[test]
+    fn a_capacity_only_deadlock_traps_at_depth_24_and_completes_on_host_rings() {
+        const N: i64 = 40;
+        let (q0, q1) = (QueueId(0), QueueId(1));
+        let mut p = Pipeline::new("overfill");
+        let mut s0 = FunctionBuilder::new("fill");
+        let _out = s0.array_i64("out");
+        let i = s0.var_i64("i");
+        s0.for_loop(i, Expr::i64(0), Expr::i64(N), |f| f.enq(q0, Expr::var(i)));
+        s0.enq(q1, Expr::i64(1000));
+        p.add_stage(StageProgram::plain(s0.build()), 0);
+        let mut s1 = FunctionBuilder::new("drain");
+        let out = s1.array_i64("out");
+        let (i, v, acc) = (s1.var_i64("i"), s1.var_i64("v"), s1.var_i64("acc"));
+        s1.deq(acc, q1);
+        s1.for_loop(i, Expr::i64(0), Expr::i64(N), |f| {
+            f.deq(v, q0);
+            f.assign(acc, Expr::add(Expr::var(acc), Expr::var(v)));
+        });
+        s1.store(out, Expr::i64(0), Expr::var(acc));
+        p.add_stage(StageProgram::plain(s1.build()), 0);
+
+        let mut k = FunctionBuilder::new("serial");
+        let out = k.array_i64("out");
+        let (i, acc) = (k.var_i64("i"), k.var_i64("acc"));
+        k.assign(acc, Expr::i64(1000));
+        k.for_loop(i, Expr::i64(0), Expr::i64(N), |f| {
+            f.assign(acc, Expr::add(Expr::var(acc), Expr::var(i)));
+        });
+        k.store(out, Expr::i64(0), Expr::var(acc));
+
+        let mut mem = MemState::new();
+        mem.alloc(ArrayDecl::i64("out"), 1);
+        let want = phloem_ir::interp::run_serial(&k.build(), mem.clone(), &[]).unwrap();
+
+        let cfg = crate::MachineConfig::paper_1core();
+        assert_eq!(cfg.queue_capacity, 24);
+        let sim = crate::Session::new(cfg, mem.clone()).run(&p, &[]);
+        assert!(matches!(sim, Err(Trap::Deadlock(_))), "simulator: {sim:?}");
+        let literal = run_native(
+            &p,
+            &mut mem.clone(),
+            &[],
+            &NativeConfig::default(),
+            24,
+            None,
+        );
+        assert!(
+            matches!(literal, Err(Trap::Deadlock(_))),
+            "depth 24: {literal:?}"
+        );
+        for threads in [1, 2, 0] {
+            let (res, got) = session_run(&p, mem.clone(), threads);
+            assert!(res.is_ok(), "session, threads {threads}: {res:?}");
+            assert!(got.same_contents(&want.mem), "session, threads {threads}");
+        }
+    }
+
     /// Two workers, each stuck on the other's queue. Neither may trap
     /// while the other is still in its spin phase (it is not registered
     /// yet), and once both have parked at the same epoch the next timeout
@@ -997,12 +1131,14 @@ mod tests {
         assert!(run.parks <= 2 * 3, "{} parks to call a deadlock", run.parks);
     }
 
-    /// The consumer reads `taken` values of queue A — fewer than a slab,
-    /// so its endpoint has not vacated them — and then blocks on queue
-    /// B, which the producer only feeds after pushing `depth + taken`
-    /// values through A. The machine has room for those; the native
-    /// backend has it only if a stage that blocks on one queue publishes
-    /// what it did on all of them.
+    /// The consumer reads `taken` values of queue A — fewer than a slab
+    /// of its ring wherever the slab is longer than one value, so its
+    /// endpoint has not vacated them — and then blocks on queue B, which
+    /// the producer only feeds after pushing `depth + taken` values
+    /// through A. The machine has room for those; the native backend
+    /// has it only if a stage that blocks on one queue publishes what it
+    /// did on all of them. Even cases draw depths up to Pipette's 24,
+    /// odd ones up to the native 1024.
     #[test]
     fn blocking_on_one_queue_publishes_pops_held_on_another() {
         let (a, b) = (QueueId(0), QueueId(1));
@@ -1011,8 +1147,10 @@ mod tests {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            let depth = 1 + (rng % 24) as i64;
-            let taken = 1 + (rng >> 8) as i64 % depth.min(channel::SLAB as i64 - 1);
+            let top = if case % 2 == 0 { 24 } else { HOST_RING_DEPTH };
+            let depth = 1 + (rng % top as u64) as i64;
+            let slab = channel::slab_len(depth as usize) as i64;
+            let taken = 1 + (rng >> 12) as i64 % (slab - 1).max(1);
             let threads = 1 + (rng >> 24) as usize % 2;
 
             let mut p = Pipeline::new("two-queues");
@@ -1169,70 +1307,73 @@ mod tests {
         assert_matches_the_oracle(&p, &k.build(), &mem, 2);
     }
 
-    /// Rows of 7, 8 and 9 values, each closed by `NEXT`, so the control
-    /// value falls on every position of a slab in turn — the slot whose
-    /// dequeue publishes the cursor, the first slot of the next slab, a
-    /// ring wrap — and `DONE` arrives with both loops open. `NEXT` breaks
-    /// one loop out of the dequeue, `DONE` two.
+    /// Rows of one value fewer than a slab, a slab and one more, each
+    /// closed by `NEXT`, so the control value falls on every position of
+    /// a slab in turn — the slot whose dequeue publishes the cursor, the
+    /// first slot of the next slab, a ring wrap — and `DONE` arrives with
+    /// both loops open. `NEXT` breaks one loop out of the dequeue, `DONE`
+    /// two. Slabs of 3, 8 and 128 (depths 24, 64 and the native 1024).
     #[test]
     fn a_handler_break_dispatched_at_a_slab_boundary_leaves_the_right_loops() {
         const ROWS: i64 = 48;
         let q = QueueId(0);
-        let width = |r: VarId| {
-            Expr::add(
-                Expr::i64(channel::SLAB as i64 - 1),
-                Expr::bin(BinOp::Rem, Expr::var(r), Expr::i64(3)),
-            )
-        };
-        let cell =
-            |r: VarId, k: VarId| Expr::add(Expr::mul(Expr::var(r), Expr::i64(16)), Expr::var(k));
-        let mut p = Pipeline::new("rows");
+        for depth in [24, 64, HOST_RING_DEPTH] {
+            let slab = channel::slab_len(depth) as i64;
+            let width = |r: VarId| {
+                Expr::add(
+                    Expr::i64(slab - 1),
+                    Expr::bin(BinOp::Rem, Expr::var(r), Expr::i64(3)),
+                )
+            };
+            let cell = |r: VarId, k: VarId| {
+                Expr::add(Expr::mul(Expr::var(r), Expr::i64(16)), Expr::var(k))
+            };
+            let mut p = Pipeline::new("rows");
 
-        let mut s0 = FunctionBuilder::new("rows");
-        let _out = s0.array_i64("out");
-        let (r, k) = (s0.var_i64("r"), s0.var_i64("k"));
-        s0.for_loop(r, Expr::i64(0), Expr::i64(ROWS), |f| {
-            f.for_loop(k, Expr::i64(0), width(r), |f| f.enq(q, cell(r, k)));
-            f.enq_ctrl(q, NEXT);
-        });
-        s0.enq_ctrl(q, DONE);
-        p.add_stage(StageProgram::plain(s0.build()), 0);
-
-        let mut s1 = FunctionBuilder::new("sums");
-        let out = s1.array_i64("out");
-        let (r, v, acc) = (s1.var_i64("r"), s1.var_i64("v"), s1.var_i64("acc"));
-        // More trips than rows: only `DONE` ends this loop.
-        s1.for_loop(r, Expr::i64(0), Expr::i64(ROWS + 8), |f| {
-            f.assign(acc, Expr::i64(0));
-            f.while_true(|f| {
-                f.deq(v, q);
-                f.assign(acc, Expr::add(Expr::var(acc), Expr::var(v)));
+            let mut s0 = FunctionBuilder::new("rows");
+            let _out = s0.array_i64("out");
+            let (r, k) = (s0.var_i64("r"), s0.var_i64("k"));
+            s0.for_loop(r, Expr::i64(0), Expr::i64(ROWS), |f| {
+                f.for_loop(k, Expr::i64(0), width(r), |f| f.enq(q, cell(r, k)));
+                f.enq_ctrl(q, NEXT);
             });
-            f.store(out, Expr::var(r), Expr::var(acc));
-        });
-        p.add_stage(
-            StageProgram {
-                func: s1.build(),
-                handlers: vec![break_on(q, NEXT, 1), break_on(q, DONE, 2)],
-            },
-            0,
-        );
+            s0.enq_ctrl(q, DONE);
+            p.add_stage(StageProgram::plain(s0.build()), 0);
 
-        let mut sk = FunctionBuilder::new("serial");
-        let out = sk.array_i64("out");
-        let (r, k, acc) = (sk.var_i64("r"), sk.var_i64("k"), sk.var_i64("acc"));
-        sk.for_loop(r, Expr::i64(0), Expr::i64(ROWS), |f| {
-            f.assign(acc, Expr::i64(0));
-            f.for_loop(k, Expr::i64(0), width(r), |f| {
-                f.assign(acc, Expr::add(Expr::var(acc), cell(r, k)));
+            let mut s1 = FunctionBuilder::new("sums");
+            let out = s1.array_i64("out");
+            let (r, v, acc) = (s1.var_i64("r"), s1.var_i64("v"), s1.var_i64("acc"));
+            // More trips than rows: only `DONE` ends this loop.
+            s1.for_loop(r, Expr::i64(0), Expr::i64(ROWS + 8), |f| {
+                f.assign(acc, Expr::i64(0));
+                f.while_true(|f| {
+                    f.deq(v, q);
+                    f.assign(acc, Expr::add(Expr::var(acc), Expr::var(v)));
+                });
+                f.store(out, Expr::var(r), Expr::var(acc));
             });
-            f.store(out, Expr::var(r), Expr::var(acc));
-        });
-        let serial = sk.build();
+            p.add_stage(
+                StageProgram {
+                    func: s1.build(),
+                    handlers: vec![break_on(q, NEXT, 1), break_on(q, DONE, 2)],
+                },
+                0,
+            );
 
-        let mut mem = MemState::new();
-        mem.alloc(ArrayDecl::i64("out"), ROWS as usize);
-        for depth in [channel::SLAB as usize, 24] {
+            let mut sk = FunctionBuilder::new("serial");
+            let out = sk.array_i64("out");
+            let (r, k, acc) = (sk.var_i64("r"), sk.var_i64("k"), sk.var_i64("acc"));
+            sk.for_loop(r, Expr::i64(0), Expr::i64(ROWS), |f| {
+                f.assign(acc, Expr::i64(0));
+                f.for_loop(k, Expr::i64(0), width(r), |f| {
+                    f.assign(acc, Expr::add(Expr::var(acc), cell(r, k)));
+                });
+                f.store(out, Expr::var(r), Expr::var(acc));
+            });
+            let serial = sk.build();
+
+            let mut mem = MemState::new();
+            mem.alloc(ArrayDecl::i64("out"), ROWS as usize);
             assert_matches_the_oracle(&p, &serial, &mem, depth);
         }
     }

@@ -158,56 +158,58 @@ fn seeded_interleaving_stress_10k_messages() {
     const N: i64 = 10_000;
     for kind in ChannelKind::ALL {
         let mut rng = Rng(0x5EED ^ kind.label().len() as u64);
-        let cap = 1 + rng.below(32) as usize;
-        let (tx, rx) = channel(kind, cap).unwrap();
-        let producer_seed = rng.next() | 1;
-        let producer = std::thread::spawn(move || {
-            let mut rng = Rng(producer_seed);
-            let mut i = 0i64;
-            while i < N {
-                // Seeded burst, then briefly yield so interleavings vary.
-                let burst = 1 + rng.below(17) as i64;
-                let mut sent = 0;
-                while sent < burst && i < N {
-                    let v = match i % 3 {
-                        0 => Value::I64(i),
-                        1 => Value::F64(i as f64 + 0.5),
-                        _ => Value::Ctrl((i % 7) as u32),
-                    };
-                    match tx.try_send(v) {
-                        Ok(()) => {
-                            i += 1;
-                            sent += 1;
+        // A seeded small depth, and the native depth.
+        for cap in [1 + rng.below(32) as usize, 1024] {
+            let (tx, rx) = channel(kind, cap).unwrap();
+            let producer_seed = rng.next() | 1;
+            let producer = std::thread::spawn(move || {
+                let mut rng = Rng(producer_seed);
+                let mut i = 0i64;
+                while i < N {
+                    // Seeded burst, then briefly yield so interleavings vary.
+                    let burst = 1 + rng.below(17) as i64;
+                    let mut sent = 0;
+                    while sent < burst && i < N {
+                        let v = match i % 3 {
+                            0 => Value::I64(i),
+                            1 => Value::F64(i as f64 + 0.5),
+                            _ => Value::Ctrl((i % 7) as u32),
+                        };
+                        match tx.try_send(v) {
+                            Ok(()) => {
+                                i += 1;
+                                sent += 1;
+                            }
+                            Err(TrySendError::Full(_)) => std::thread::yield_now(),
+                            Err(TrySendError::Disconnected(_)) => panic!("receiver died"),
                         }
-                        Err(TrySendError::Full(_)) => std::thread::yield_now(),
-                        Err(TrySendError::Disconnected(_)) => panic!("receiver died"),
+                    }
+                    if rng.below(4) == 0 {
+                        std::thread::yield_now();
                     }
                 }
-                if rng.below(4) == 0 {
-                    std::thread::yield_now();
+            });
+            let mut got = 0i64;
+            while got < N {
+                match rx.try_recv() {
+                    Ok(v) => {
+                        let want = match got % 3 {
+                            0 => Value::I64(got),
+                            1 => Value::F64(got as f64 + 0.5),
+                            _ => Value::Ctrl((got % 7) as u32),
+                        };
+                        assert_eq!(v, want, "{kind:?}: message {got} (cap {cap})");
+                        got += 1;
+                    }
+                    Err(TryRecvError::Empty) => std::thread::yield_now(),
+                    Err(TryRecvError::Disconnected) => {
+                        panic!("{kind:?}: disconnected after {got} of {N} (cap {cap})")
+                    }
                 }
             }
-        });
-        let mut got = 0i64;
-        while got < N {
-            match rx.try_recv() {
-                Ok(v) => {
-                    let want = match got % 3 {
-                        0 => Value::I64(got),
-                        1 => Value::F64(got as f64 + 0.5),
-                        _ => Value::Ctrl((got % 7) as u32),
-                    };
-                    assert_eq!(v, want, "{kind:?}: message {got} (cap {cap})");
-                    got += 1;
-                }
-                Err(TryRecvError::Empty) => std::thread::yield_now(),
-                Err(TryRecvError::Disconnected) => {
-                    panic!("{kind:?}: disconnected after {got} of {N}")
-                }
-            }
+            producer.join().unwrap();
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{kind:?}");
         }
-        producer.join().unwrap();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{kind:?}");
     }
 }
 

@@ -204,16 +204,15 @@ pub fn machine_config_digest(m: &MachineConfig) -> u64 {
 /// and queue latencies, issue width, ROB, prefetcher, watchdog)
 /// provably cannot change its results.
 /// Only the fields that shape the *program* — validation limits and
-/// channel depth — are keyed:
+/// the capacity that floors the ring depth — are keyed:
 ///
 /// * `cores`, `smt_threads`, `max_queues`, `ras_per_core` — pipeline
 ///   validation limits (`Pipeline::check`), which gate whether a run is
 ///   admitted at all;
-/// * `queue_capacity` — the native channels' bounded depth, one slot
-///   per simulated queue entry (slab publication changes when an index
-///   is shared, not how many values fit), which changes blocking
-///   behaviour (never results, but deadlock-vs-run for malformed
-///   pipelines).
+/// * `queue_capacity` — the capacity that floors the ring depth: a
+///   native ring holds `native::ring_depth(queue_capacity)` values, at
+///   least 1024, so only a capacity above that changes how many values
+///   fit, and with it blocking behaviour (never results).
 ///
 /// Keying native work on the full [`machine_config_digest`] would split
 /// provenance between configs that are indistinguishable to the

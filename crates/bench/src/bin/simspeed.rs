@@ -40,7 +40,6 @@ use phloem_benchsuite::{bfs, Variant};
 use phloem_compiler::search::{enumerate_pipelines, SearchOptions};
 use phloem_ir::{
     bind_params, compile, BlockReason, FlatInterp, FunctionalWorld, LoadId, StepResult, Tid, Value,
-    World,
 };
 use phloem_service::Json;
 use phloem_workloads::{training_graphs, GraphInput};

@@ -338,8 +338,8 @@ pub(crate) fn fringe(arrays: &RadiiArrays, threads: usize, g: &Graph) -> Fringe 
 /// Double-buffer swap after a round: visited <- nvisited (host work,
 /// free).
 pub(crate) fn swap_visited(session: &mut Session, arrays: &RadiiArrays) {
-    let nv = session.mem().values(arrays.nvisited).to_vec();
-    session.mem_mut().set_values(arrays.visited, nv);
+    let nv = session.mem().values(arrays.nvisited);
+    session.mem_mut().set_values(arrays.visited, &nv);
 }
 
 /// The single run entry [`run`] and [`run_traced`] wrap (and the app

@@ -8,7 +8,7 @@
 
 use crate::expr::{ArrayId, BranchId, QueueId};
 use crate::mem::MemState;
-use crate::value::{eval_binop, BinOp, Trap, Value};
+use crate::value::{BinOp, Trap, Value};
 use std::collections::VecDeque;
 
 /// Simulated time in core cycles.
@@ -158,12 +158,6 @@ pub trait World {
     /// dispatch jump). Purely informational — the default is a no-op and
     /// timing worlds must not let it affect simulated time.
     fn note_ctrl_handler(&mut self, _t: Tid, _q: QueueId, _tag: u32, _at: Time) {}
-
-    /// Access to functional memory.
-    fn mem(&self) -> &MemState;
-
-    /// Mutable access to functional memory.
-    fn mem_mut(&mut self) -> &mut MemState;
 }
 
 /// Dynamic-operation counters gathered by [`FunctionalWorld`].
@@ -218,6 +212,16 @@ impl FunctionalWorld {
     /// Consumes the world, returning the final memory.
     pub fn into_mem(self) -> MemState {
         self.mem
+    }
+
+    /// The world's memory.
+    pub fn mem(&self) -> &MemState {
+        &self.mem
+    }
+
+    /// Mutable access to the world's memory.
+    pub fn mem_mut(&mut self) -> &mut MemState {
+        &mut self.mem
     }
 
     /// Total op counts summed across threads.
@@ -289,10 +293,7 @@ impl World for FunctionalWorld {
         _dep: Time,
     ) -> Result<(Value, Time), Trap> {
         self.counts_mut(t).atomics += 1;
-        let old = self.mem.load(array, index)?;
-        let new = eval_binop(op, old, value)?;
-        self.mem.store(array, index, new)?;
-        Ok((old, 0))
+        Ok((self.mem.rmw(op, array, index, value)?.0, 0))
     }
 
     fn try_enq(&mut self, t: Tid, q: QueueId, w: Value, _dep: Time) -> Result<Option<Time>, Trap> {
@@ -321,14 +322,6 @@ impl World for FunctionalWorld {
             }
             None => Ok(None),
         }
-    }
-
-    fn mem(&self) -> &MemState {
-        &self.mem
-    }
-
-    fn mem_mut(&mut self) -> &mut MemState {
-        &mut self.mem
     }
 }
 

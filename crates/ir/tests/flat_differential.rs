@@ -114,9 +114,7 @@ impl World for RecordingWorld {
         value: Value,
         dep: Time,
     ) -> Result<(Value, Time), Trap> {
-        let old = self.mem.load(array, index)?;
-        let new = phloem_ir::eval_binop(op, old, value)?;
-        self.mem.store(array, index, new)?;
+        let (old, _) = self.mem.rmw(op, array, index, value)?;
         let done = self.tick().max(dep + 3);
         self.log
             .push(Call::Rmw(t, op, array, index, value, dep, old, done));
@@ -154,14 +152,6 @@ impl World for RecordingWorld {
         };
         self.log.push(Call::Deq(t, q, dep, res));
         Ok(res)
-    }
-
-    fn mem(&self) -> &MemState {
-        &self.mem
-    }
-
-    fn mem_mut(&mut self) -> &mut MemState {
-        &mut self.mem
     }
 }
 

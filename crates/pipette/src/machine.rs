@@ -320,7 +320,7 @@ impl Session {
             let (run, trap) = crate::native::run_compiled(
                 pipeline,
                 progs,
-                &mut self.mem,
+                &self.mem,
                 params,
                 &ncfg,
                 crate::native::ring_depth(self.cfg.queue_capacity),
@@ -343,7 +343,9 @@ impl Session {
                     is_ra: matches!(s.kind, StageKind::Ra(_)),
                     uops: c.uops,
                     branches: c.branches,
-                    loads: c.loads,
+                    // An atomic RMW is one load and one store, as the
+                    // timing world counts it.
+                    loads: c.loads + c.atomics,
                     stores: c.stores + c.atomics,
                     enqs: c.enqs,
                     deqs: c.deqs,
@@ -379,7 +381,7 @@ impl Session {
         let mut world = TimingWorld::new(
             &self.cfg,
             &mut self.hier,
-            &mut self.mem,
+            &self.mem,
             pipeline,
             base,
             self.faults.as_ref(),

@@ -25,11 +25,14 @@
 //! Stages run the simulator's engine, [`FlatInterp`] over the stage
 //! bytecode (lowered once per pipeline when the caller holds a
 //! [`crate::CompiledPipeline`], per invocation otherwise), against a
-//! [`NativeWorld`] that backs loads/stores with [`SharedMem`] and queue
-//! ops with the channels. A stage's interpreter state — a pending
-//! select-enqueue, the handler dispatch stack — lives in the interpreter
-//! across blocked retries, slice ends and the worker's round-robin; the
-//! world carries none of it. Determinism needs no
+//! [`NativeWorld`] that loads and stores the caller's [`MemState`] in
+//! place — its elements are atomics, so the stages share one memory as
+//! Pipette's SMT threads share one address space, and nothing is copied
+//! in or out — and backs queue ops with the channels. A stage's
+//! interpreter state — a pending select-enqueue, the handler dispatch
+//! stack — lives in the interpreter across blocked retries, slice ends
+//! and the worker's round-robin; the world carries none of it.
+//! Determinism needs no
 //! cycle pins: every queue has one consumer, data queues have one
 //! producer (FIFO order is program order), and stages are deterministic
 //! state machines — so the value *sequence* each stage observes is
@@ -80,13 +83,11 @@
 //! many slots.
 
 pub mod channel;
-pub mod shared_mem;
 
 pub use channel::{
     channel, ChannelError, ChannelKind, Receiver, Sender, TryRecvError, TrySendError,
 };
 use channel::{slab_channel, SlabReceiver, SlabSender};
-pub use shared_mem::SharedMem;
 
 use crate::timing::compile_pipeline;
 use phloem_ir::{
@@ -356,20 +357,26 @@ struct StageEndpoints {
     receivers: Vec<Option<SlabReceiver>>,
 }
 
-/// The native [`World`]: shared memory + channels, no timing. All
-/// completion times are 0 — wall-clock is measured around the whole
-/// invocation, never per operation.
+/// Stripe count of [`RMW_LOCKS`]: comfortably above any realistic stage
+/// count, so concurrent RMWs to different locations rarely collide.
+const STRIPES: usize = 64;
+
+/// Serialize native [`MemState::rmw`]s per element (by array/index
+/// hash), so concurrent RMWs to one location are linearizable.
+static RMW_LOCKS: [Mutex<()>; STRIPES] = [const { Mutex::new(()) }; STRIPES];
+
+/// The native [`World`]: the invocation's one [`MemState`], shared in
+/// place, plus channels, no timing. All completion times are 0 —
+/// wall-clock is measured around the whole invocation, never per
+/// operation.
 struct NativeWorld<'a> {
-    mem: &'a SharedMem,
+    mem: &'a MemState,
     endpoints: StageEndpoints,
     counts: OpCounts,
     /// A value was enqueued or dequeued since the last [`Self::end_slice`].
     moved: bool,
     /// RA base array: loads from it prefetch ahead.
     ra_base: Option<ArrayId>,
-    /// Dummy for the `World::mem` accessors, which the shared stepping
-    /// interpreter never calls (memory flows through `load`/`store`).
-    scratch: MemState,
 }
 
 impl NativeWorld<'_> {
@@ -467,7 +474,12 @@ impl World for NativeWorld<'_> {
         _dep: Time,
     ) -> Result<(Value, Time), Trap> {
         self.counts.atomics += 1;
-        Ok((self.mem.rmw(op, array, index, value)?, 0))
+        let stripe = (array.0 as usize)
+            .wrapping_mul(31)
+            .wrapping_add(index as usize)
+            % STRIPES;
+        let _g = RMW_LOCKS[stripe].lock().unwrap_or_else(|e| e.into_inner());
+        Ok((self.mem.rmw(op, array, index, value)?.0, 0))
     }
 
     fn try_enq(&mut self, _t: Tid, q: QueueId, w: Value, _dep: Time) -> Result<Option<Time>, Trap> {
@@ -494,14 +506,6 @@ impl World for NativeWorld<'_> {
             }
             Err(TryRecvError::Empty | TryRecvError::Disconnected) => Ok(None),
         }
-    }
-
-    fn mem(&self) -> &MemState {
-        &self.scratch
-    }
-
-    fn mem_mut(&mut self) -> &mut MemState {
-        &mut self.scratch
     }
 }
 
@@ -536,9 +540,9 @@ fn build_channels(pipeline: &Pipeline, depth: usize) -> Result<Vec<StageEndpoint
     Ok(eps)
 }
 
-/// Runs one pipeline invocation natively. `mem` is mirrored into shared
-/// storage, the stages run to completion on a thread fleet, and the
-/// results (partial on a trap) are written back. The stage programs are
+/// Runs one pipeline invocation natively. The stages run to completion
+/// on a thread fleet that loads and stores `mem` in place, so it holds
+/// the results, partial on a trap. The stage programs are
 /// lowered to bytecode on the way in, as [`crate::Session::run`] does
 /// for the simulator.
 ///
@@ -559,32 +563,18 @@ pub fn run_native(
     depth: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<NativeRun, Trap> {
-    let (run, trap) = run_fleet(pipeline, mem, params, cfg, depth, cancel);
+    let progs = compile_pipeline(pipeline)?;
+    let (run, trap) = run_compiled(pipeline, &progs, mem, params, cfg, depth, cancel);
     trap.map_or(Ok(run), Err)
 }
 
-/// [`run_native`], keeping the run's statistics when it trapped (the op
-/// counters are then partial).
-fn run_fleet(
-    pipeline: &Pipeline,
-    mem: &mut MemState,
-    params: &[(&str, Value)],
-    cfg: &NativeConfig,
-    depth: usize,
-    cancel: Option<&CancelToken>,
-) -> (NativeRun, Option<Trap>) {
-    match compile_pipeline(pipeline) {
-        Ok(progs) => run_compiled(pipeline, &progs, mem, params, cfg, depth, cancel),
-        Err(t) => (NativeRun::default(), Some(t)),
-    }
-}
-
-/// [`run_fleet`] over bytecode the caller already holds: `progs[i]` is
-/// stage `i` of `pipeline`, lowered.
+/// [`run_native`] over bytecode the caller already holds (`progs[i]` is
+/// stage `i` of `pipeline`, lowered), keeping the run's statistics when
+/// it trapped (the op counters are then partial).
 pub(crate) fn run_compiled(
     pipeline: &Pipeline,
     progs: &[BytecodeProgram],
-    mem: &mut MemState,
+    mem: &MemState,
     params: &[(&str, Value)],
     cfg: &NativeConfig,
     depth: usize,
@@ -608,10 +598,6 @@ pub(crate) fn run_compiled(
         .collect();
     let ncompute = is_compute.iter().filter(|&&c| c).count();
 
-    let shared = SharedMem::from_mem(mem);
-    // The rings after the mirror, not before: allocated first, the
-    // 16 KB rings fragmented the heap around each invocation's mirror,
-    // and `native_apps` peaked at 6.4 MB resident instead of 6.0.
     let endpoints = match build_channels(pipeline, depth) {
         Ok(e) => e,
         Err(t) => return (run, Some(t)),
@@ -654,7 +640,7 @@ pub(crate) fn run_compiled(
                 _ => None,
             };
             worlds.push(NativeWorld {
-                mem: &shared,
+                mem,
                 endpoints: slots[i]
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -663,7 +649,6 @@ pub(crate) fn run_compiled(
                 counts: OpCounts::default(),
                 moved: false,
                 ra_base,
-                scratch: MemState::new(),
             });
         }
         let mut finished = vec![false; mine.len()];
@@ -773,7 +758,6 @@ pub(crate) fn run_compiled(
         parks: before.parks + run.parks,
     });
 
-    shared.write_back(mem);
     let mut trap = hub.trap.lock().unwrap_or_else(|e| e.into_inner()).take();
     run.counts = vec![OpCounts::default(); nstages];
     for r in results {
@@ -1114,9 +1098,17 @@ mod tests {
             s.enq(to, Expr::var(v));
             p.add_stage(StageProgram::plain(s.build()), 0);
         }
-        let mut mem = MemState::new();
+        let progs = compile_pipeline(&p).unwrap();
         let t0 = Instant::now();
-        let (run, trap) = run_fleet(&p, &mut mem, &[], &NativeConfig::default(), 4, None);
+        let (run, trap) = run_compiled(
+            &p,
+            &progs,
+            &MemState::new(),
+            &[],
+            &NativeConfig::default(),
+            4,
+            None,
+        );
         assert!(matches!(trap, Some(Trap::Deadlock(_))), "{trap:?}");
         assert!(
             t0.elapsed() >= PARK_TIMEOUT,

@@ -283,7 +283,7 @@ pub(crate) enum AdvanceEvent {
 pub(crate) struct TimingWorld<'a> {
     cfg: &'a MachineConfig,
     hier: &'a mut MemHierarchy,
-    mem: &'a mut MemState,
+    mem: &'a MemState,
     pub(crate) queues: Vec<HwQueue>,
     pub(crate) threads: Vec<ThreadTiming>,
     /// Shared slot arena backing every thread's window and MSHR ring
@@ -342,7 +342,7 @@ impl<'a> TimingWorld<'a> {
     pub(crate) fn new(
         cfg: &'a MachineConfig,
         hier: &'a mut MemHierarchy,
-        mem: &'a mut MemState,
+        mem: &'a MemState,
         pipeline: &phloem_ir::Pipeline,
         base: Time,
         faults: Option<&'a FaultPlan>,
@@ -803,9 +803,7 @@ impl World for TimingWorld<'_> {
         value: Value,
         dep: Time,
     ) -> Result<(Value, Time), Trap> {
-        let (old, addr) = self.mem.load_with_addr(array, index)?;
-        let new = phloem_ir::eval_binop(op, old, value)?;
-        self.mem.store(array, index, new)?;
+        let (old, addr) = self.mem.rmw(op, array, index, value)?;
         let (lat, ti) = self.mem_access(t, addr, dep);
         // Atomics pay the access round trip plus locked-RMW overhead
         // (~Skylake `lock xadd` cost).
@@ -953,14 +951,6 @@ impl World for TimingWorld<'_> {
             self.events.push(QueueEvent::Deq(q, tc));
         }
         Ok(Some((entry.value, tc)))
-    }
-
-    fn mem(&self) -> &MemState {
-        self.mem
-    }
-
-    fn mem_mut(&mut self) -> &mut MemState {
-        self.mem
     }
 }
 

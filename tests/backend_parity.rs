@@ -1,0 +1,127 @@
+//! The simulator and the native backend run one `MemState` through one
+//! set of accessors, so a single-stage kernel must count the same
+//! operations and stop on the same trap on both `Session` backends —
+//! and, for traps, on the serial oracle too — with the stores made
+//! before the trap left in the session's memory.
+
+use phloem_ir::{
+    interp, ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline,
+    StageProgram, Trap, Value,
+};
+use pipette_sim::{ExecBackend, MachineConfig, NativeConfig, Session};
+
+fn serial(f: &Function) -> Pipeline {
+    let mut p = Pipeline::new(format!("{}-serial", f.name));
+    p.add_stage(StageProgram::plain(f.clone()), 0);
+    p
+}
+
+/// A simulated session, or a native one on one worker.
+fn session(native: bool, mem: MemState) -> Session {
+    let mut s = Session::new(MachineConfig::paper_1core(), mem);
+    if native {
+        s.set_backend(ExecBackend::Native(NativeConfig { threads: 1 }));
+    }
+    s
+}
+
+/// An atomic RMW counts as one load and one store on both backends.
+#[test]
+fn atomic_rmw_counts_match_across_backends() {
+    let mut b = FunctionBuilder::new("sum");
+    let a = b.array_i64("a");
+    let out = b.array_i64("out");
+    let i = b.var_i64("i");
+    b.for_loop(i, Expr::i64(0), Expr::i64(8), |f| {
+        let x = f.load(a, Expr::var(i));
+        f.atomic_rmw(BinOp::Add, out, Expr::i64(0), x, None);
+    });
+    let func = b.build();
+    let mut mem = MemState::new();
+    mem.alloc_i64(ArrayDecl::i64("a"), 1..=8);
+    mem.alloc(ArrayDecl::i64("out"), 1);
+
+    let counts = |native: bool| {
+        let mut s = session(native, mem.clone());
+        s.run(&serial(&func), &[]).expect("kernel runs");
+        assert_eq!(s.mem().i64_vec(out), vec![36], "native: {native}");
+        let t = &s.stats().threads[0];
+        (t.uops, t.branches, t.loads, t.stores, t.enqs, t.deqs)
+    };
+    let sim = counts(false);
+    assert_eq!(counts(true), sim);
+    // Eight plain loads plus eight RMWs, each a load and a store.
+    assert_eq!((sim.2, sim.3), (16, 8));
+}
+
+/// A kernel that stores `out[0] = 7` and then runs `then`.
+fn store_then(then: impl FnOnce(&mut FunctionBuilder, ArrayId, ArrayId)) -> Function {
+    let mut b = FunctionBuilder::new("trap");
+    let a = b.array_i64("a");
+    let out = b.array_i64("out");
+    b.store(out, Expr::i64(0), Expr::i64(7));
+    then(&mut b, a, out);
+    b.build()
+}
+
+#[test]
+fn traps_match_across_backends_and_the_oracle() {
+    let cases: Vec<(&str, Function, Trap)> = vec![
+        (
+            "out-of-bounds load",
+            store_then(|b, a, out| {
+                let x = b.load(a, Expr::i64(4));
+                b.store(out, Expr::i64(1), x);
+            }),
+            Trap::OutOfBounds("a".into(), 4, 4),
+        ),
+        (
+            "out-of-bounds store",
+            store_then(|b, a, _| b.store(a, Expr::i64(-1), Expr::i64(1))),
+            Trap::OutOfBounds("a".into(), -1, 4),
+        ),
+        (
+            // Out of bounds too: the control value traps first.
+            "control value stored",
+            store_then(|b, a, _| b.store(a, Expr::i64(9), Expr::Const(Value::Ctrl(3)))),
+            Trap::CtrlAsData(3),
+        ),
+        (
+            // Declared by the kernel, never allocated in memory.
+            "bad array id",
+            store_then(|b, _, _| {
+                let ghost = b.array_i64("ghost");
+                b.store(ghost, Expr::i64(0), Expr::i64(1));
+            }),
+            Trap::BadId("array 2".into()),
+        ),
+        (
+            "rmw operator trap",
+            store_then(|b, a, _| b.atomic_rmw(BinOp::Div, a, Expr::i64(0), Expr::i64(0), None)),
+            Trap::DivByZero,
+        ),
+    ];
+    let mut mem = MemState::new();
+    let a = mem.alloc_i64(ArrayDecl::i64("a"), [1, 2, 3, 4]);
+    let out = mem.alloc(ArrayDecl::i64("out"), 2);
+
+    for (what, func, want) in cases {
+        let oracle = interp::run_serial(&func, mem.clone(), &[]).map(|_| ());
+        assert_eq!(oracle, Err(want.clone()), "{what}: serial oracle");
+        for native in [false, true] {
+            let mut s = session(native, mem.clone());
+            let got = s.run(&serial(&func), &[]).map(|_| ());
+            assert_eq!(got, Err(want.clone()), "{what}: native {native}");
+            assert_eq!(
+                s.mem().i64_vec(out),
+                vec![7, 0],
+                "{what}: native {native}: the store before the trap"
+            );
+            assert_eq!(
+                s.mem().i64_vec(a),
+                vec![1, 2, 3, 4],
+                "{what}: native {native}"
+            );
+        }
+    }
+}

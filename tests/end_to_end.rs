@@ -60,7 +60,6 @@ fn c_compiled_bfs_runs_correctly_on_the_machine() {
     let g = graph::power_law(500, 3, 3);
     let (mem, arrays) = bfs::build_mem(&g, 0, 1);
     // One round through the timed machine.
-    let mut mem = mem;
     mem.store(arrays.fringe_len, 0, Value::I64(1)).unwrap();
     let run = Machine::run_once(
         &MachineConfig::paper_1core(),
@@ -70,7 +69,7 @@ fn c_compiled_bfs_runs_correctly_on_the_machine() {
     )
     .expect("run");
     // Compare with a functional serial round.
-    let (mut mem2, arrays2) = bfs::build_mem(&g, 0, 1);
+    let (mem2, arrays2) = bfs::build_mem(&g, 0, 1);
     mem2.store(arrays2.fringe_len, 0, Value::I64(1)).unwrap();
     let serial =
         interp::run_serial(&funcs[0].func, mem2, &[("cur_dist", Value::I64(1))]).expect("serial");
@@ -140,14 +139,14 @@ fn explicit_cut_combinations_stay_functionally_correct() {
     );
     let g = graph::power_law(300, 3, 1);
     // Serial reference for one round.
-    let (mut mem, arrays) = bfs::build_mem(&g, 0, 1);
+    let (mem, arrays) = bfs::build_mem(&g, 0, 1);
     mem.store(arrays.fringe_len, 0, Value::I64(1)).unwrap();
     let want = interp::run_serial(&kernel, mem, &[("cur_dist", Value::I64(1))])
         .unwrap()
         .mem
         .i64_vec(arrays.dist);
     for (cuts, pipe) in pipes {
-        let (mut mem, arrays) = bfs::build_mem(&g, 0, 1);
+        let (mem, arrays) = bfs::build_mem(&g, 0, 1);
         mem.store(arrays.fringe_len, 0, Value::I64(1)).unwrap();
         let run = interp::run_pipeline(&pipe, mem, &[("cur_dist", Value::I64(1))], 24)
             .unwrap_or_else(|e| panic!("cuts {cuts:?}: {e}"));

@@ -56,7 +56,9 @@ echo "==> native --smoke (native-backend wall clock: oracle-verified runs, host-
 # multi-core host the best configuration that crosses threads (per
 # stage or nproc; one worker is recorded, not gated) must reach 0.25x
 # serial at every app; on a single-core host that gate is skipped
-# (stage threads time-slice; flat-or-worse is physics).
+# (stage threads time-slice; flat-or-worse is physics). On every host
+# each app's nproc cell must have run at most nproc stages: a static
+# Phloem pipeline is fitted to its workers, never folded.
 SCALE=tiny cargo run --release -q -p phloem-bench --bin native -- --smoke
 
 echo "==> chaos --smoke (deterministic fault injection against a live phloemd)"

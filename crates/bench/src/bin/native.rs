@@ -4,8 +4,13 @@
 //!
 //! For each app the phloem variant runs under
 //! [`phloem_benchsuite::with_backend`] once per thread count: one OS
-//! thread per stage (`threads: 0`, the paper's model), one worker, and
-//! `nproc` workers with the stages folded onto them; every queue is an
+//! thread per stage (`threads: 0`, the paper's model: the full 4-stage
+//! static pipeline), one worker, and `nproc` workers. Under a worker
+//! count the app compiles to at most that many stages, the cost model's
+//! best cuts (`phloem_benchsuite::runner::compile_fitted`), so the
+//! one-worker column runs a one-stage pipeline with no queues and no
+//! cell folds two stages onto one worker; `i % threads` folding is left
+//! to pipelines pinned by cuts or built by hand. Every queue is an
 //! SPSC ring of `native::ring_depth` slots publishing a slab (an eighth
 //! of the ring) at a time, both written into the recording's header.
 //! The baseline is the serial variant under
@@ -20,11 +25,13 @@
 //! rather than skewing a number.
 //!
 //! Beside each wall time the row says why it is what it is: the ops
-//! each stage committed against the serial kernel's (a lopsided cut
-//! bounds the pipeline at its heaviest stage, whatever the thread
-//! count), and per configuration the parks and epoch bumps of the
-//! repetition that was kept (a worker that sleeps through a 10 ms park
-//! timeout shows here before it shows in the ratio).
+//! each stage of the per-stage pipeline committed against the serial
+//! kernel's (a lopsided cut bounds the pipeline at its heaviest stage,
+//! whatever the thread count), and per configuration the stages it ran
+//! and the parks and epoch bumps of the repetition that was kept (a
+//! worker that sleeps through a 10 ms park timeout shows here before it
+//! shows in the ratio). `--smoke` asserts that every `nproc` cell ran
+//! at most `nproc` stages.
 //!
 //! Speedup expectations are gated on the host: a stage-per-thread
 //! pipeline cannot beat a serial interpreter on one core (the threads
@@ -52,7 +59,8 @@ use pipette_sim::native::{channel::slab_len, lifetime_counters, ring_depth};
 use pipette_sim::{ExecBackend, NativeConfig};
 
 /// One timed run: wall seconds, what the backend counted over it, and
-/// the ops each stage committed (summed over the app's invocations).
+/// the ops each stage committed (summed over the app's invocations;
+/// one entry per stage of its widest pipeline).
 struct Timed {
     wall_s: f64,
     parks: u64,
@@ -89,6 +97,8 @@ fn best_of(reps: usize, f: impl Fn() -> Measurement) -> Timed {
 struct Cell {
     /// `NativeConfig::threads`: 0 is one thread per stage.
     threads: usize,
+    /// Stages of the widest pipeline the run invoked.
+    stages: usize,
     wall_s: f64,
     speedup: f64,
     parks: u64,
@@ -101,10 +111,8 @@ struct Row {
     serial_s: f64,
     /// Ops the serial kernel committed.
     serial_ops: u64,
-    /// Ops each pipeline stage committed, read off the first cell:
-    /// compute stages commit the same in every cell, an RA a few more or
-    /// fewer (the run ends with its last compute stage, wherever the
-    /// schedule has left the RAs).
+    /// Ops each stage of the first cell's pipeline committed: the
+    /// per-stage cell, which runs the full static pipeline.
     stage_ops: Vec<(String, u64)>,
     /// In `thread_counts` order.
     cells: Vec<Cell>,
@@ -128,11 +136,13 @@ impl Row {
         for &threads in thread_counts {
             let backend = ExecBackend::Native(NativeConfig { threads });
             let t = best_of(reps, || with_backend(backend, || run(&Variant::phloem())));
+            let stages = t.stage_ops.len();
             if stage_ops.is_empty() {
                 stage_ops = t.stage_ops;
             }
             cells.push(Cell {
                 threads,
+                stages,
                 wall_s: t.wall_s,
                 speedup: serial.wall_s / t.wall_s,
                 parks: t.parks,
@@ -212,11 +222,13 @@ fn main() {
         }
         println!();
         let split: Vec<String> = r.stage_ops.iter().map(|(_, n)| n.to_string()).collect();
+        let stages: Vec<String> = r.cells.iter().map(|c| c.stages.to_string()).collect();
         println!(
-            "  {:<14} ops: serial {}, stages {}; parks {} (worst cell {})",
+            "  {:<14} ops: serial {}, stages {}; stages per cell {}; parks {} (worst cell {})",
             "",
             r.serial_ops,
             split.join(" / "),
+            stages.join(" / "),
             r.cells.iter().map(|c| c.parks).sum::<u64>(),
             r.cells.iter().map(|c| c.parks).max().unwrap_or(0),
         );
@@ -242,7 +254,15 @@ fn main() {
         )
         .enforce()
     };
-    let gates: Vec<Gate> = rows.iter().map(gate).collect();
+    let mut gates: Vec<Gate> = rows.iter().map(gate).collect();
+    // On every host: a static pipeline fits its workers, so the `nproc`
+    // cell never folds two stages onto one worker.
+    for r in &rows {
+        let nproc = r.cells.iter().find(|c| c.threads == host_cores);
+        let stages = nproc.expect("an nproc cell").stages;
+        let name = format!("{}.nproc_cell_stages", r.app);
+        gates.push(Gate::at_most(name, stages as f64, host_cores as f64, true).enforce());
+    }
     if !enforced {
         println!(
             "  note: speedup gates skipped, host has only {host_cores} core(s); \
@@ -258,6 +278,7 @@ fn main() {
     let cell = |c: &Cell| {
         Json::obj([
             ("threads", Json::u64(c.threads as u64)),
+            ("stages", Json::u64(c.stages as u64)),
             ("wall_s", num(c.wall_s, 6)),
             ("speedup", num(c.speedup, 4)),
             ("parks", Json::u64(c.parks)),

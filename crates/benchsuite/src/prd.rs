@@ -19,10 +19,9 @@
 
 use crate::frontier::{self, Part, RowWalk, Segment};
 use crate::runner::{
-    compile_options, data_parallel_pipeline, measure, run_rounds, serial_pipeline,
-    variant_pipeline, with_sink, Fringe, Measurement, Variant,
+    compile_fitted, data_parallel_pipeline, measure, run_rounds, serial_pipeline, variant_pipeline,
+    with_sink, Fringe, Measurement, Variant,
 };
-use phloem_compiler::compile_static;
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId,
     StageProgram, Trap, UnOp, Value, VarId,
@@ -265,9 +264,7 @@ pub fn pipelines_for(
     let scatter = variant_pipeline(variant, cfg, scatter_kernel, dp_scatter, manual_scatter)?;
     let apply = match variant {
         Variant::DataParallel(t) => dp_apply_pipeline(*t, n, cfg),
-        Variant::Phloem { passes, .. } => {
-            compile_static(&apply_kernel(), 2, &compile_options(cfg, *passes))?
-        }
+        Variant::Phloem { passes, .. } => compile_fitted(&apply_kernel(), 2, cfg, *passes)?,
         // The apply phase is regular; serial and manual share it.
         _ => serial_pipeline(apply_kernel()),
     };

@@ -16,11 +16,15 @@ pub enum Variant {
     /// A competitive data-parallel implementation on `usize` threads.
     DataParallel(usize),
     /// Phloem-generated pipeline with the given passes; `stages` caps the
-    /// compute-stage count (cost-model cuts) unless `cuts` pins them.
+    /// total stage count, compute and RA stages alike (the cost model's
+    /// top `stages - 1` cuts), unless `cuts` pins them.
     Phloem {
         /// Pass ablation switches.
         passes: PassConfig,
-        /// Requested stage count for the static cost model.
+        /// Requested stage count for the static cost model, RA stages
+        /// included: BFS at 4 is 2 compute + 2 RA stages. Under a native
+        /// backend with fewer workers the run compiles to fewer (see
+        /// [`compile_fitted`]).
         stages: usize,
         /// Explicit cut loads (PGO mode); empty = static mode.
         cuts: Vec<phloem_ir::LoadId>,
@@ -96,6 +100,29 @@ pub fn compile_options(cfg: &MachineConfig, passes: PassConfig) -> CompileOption
     }
 }
 
+/// Static Phloem compilation of `kernel` into at most `stages` stages,
+/// fitted to the ambient backend: where [`pipette_sim::BackendScope`]
+/// names a backend with a [`stage_budget`] of `w` workers, at most `w`
+/// stages, so no worker folds two. The cost model ranks its cuts best
+/// first and [`compile_static`] keeps the top `stages - 1`, so fitting is
+/// truncation: the dropped boundaries stay local variables, not queues.
+/// Every static compile in the suite comes through here.
+///
+/// # Errors
+/// Propagates [`compile_static`]'s errors.
+///
+/// [`stage_budget`]: pipette_sim::ExecBackend::stage_budget
+pub fn compile_fitted(
+    kernel: &Function,
+    stages: usize,
+    cfg: &MachineConfig,
+    passes: PassConfig,
+) -> Result<Pipeline, CompileError> {
+    let budget = pipette_sim::BackendScope::current().and_then(|b| b.stage_budget());
+    let stages = budget.map_or(stages, |w| stages.min(w));
+    compile_static(kernel, stages, &compile_options(cfg, passes))
+}
+
 /// Builds the pipeline of one Fig. 9 variant from an app's three code
 /// sources: its serial `kernel` (run as is, or compiled by Phloem), its
 /// `dp_kernel(tid, threads)` partition, and its `manual` pipeline.
@@ -120,11 +147,10 @@ pub fn variant_pipeline(
             stages,
             cuts,
         } => {
-            let opts = compile_options(cfg, *passes);
             if cuts.is_empty() {
-                compile_static(&kernel(), *stages, &opts)
+                compile_fitted(&kernel(), *stages, cfg, *passes)
             } else {
-                decouple_with_cuts(&kernel(), cuts, &opts)
+                decouple_with_cuts(&kernel(), cuts, &compile_options(cfg, *passes))
             }
         }
         Variant::Manual => Ok(manual()),

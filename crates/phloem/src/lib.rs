@@ -97,7 +97,9 @@ pub fn decouple_with_cuts(
 }
 
 /// Static compilation mode (Sec. V): ranks decoupling points with the
-/// cost model and cuts at the top `n_stages - 1`.
+/// cost model and cuts at the top `n_stages - 1`. `n_stages` counts
+/// every stage the cuts make, RA stages included: BFS at 4 is 2 compute
+/// + 2 RA stages.
 ///
 /// # Errors
 /// See [`decouple_with_cuts`]; additionally falls back to fewer stages

@@ -7,7 +7,10 @@
 //!   programs too) to a worker of a [`phloem_pool::run_resident`] set:
 //!   one worker per stage (`threads: 0`), or stage `i` folded onto
 //!   worker `i % threads`, which round-robins its stages a slice at a
-//!   time. Worker 0 is the calling thread and the others are the pool's
+//!   time. Folding is for pipelines handed over as built: a benchsuite
+//!   app compiled under a native [`BackendScope`] asks
+//!   [`ExecBackend::stage_budget`] first and gets at most one stage per
+//!   worker. Worker 0 is the calling thread and the others are the pool's
 //!   resident threads, woken for the invocation rather than spawned and
 //!   joined by it (a graph app invokes a pipeline per round),
 //! * each **hardware queue** to a bounded SPSC ring of [`ring_depth`]
@@ -111,13 +114,27 @@ pub enum ExecBackend {
     Native(NativeConfig),
 }
 
+impl ExecBackend {
+    /// How many stages this backend places without folding two onto
+    /// one worker: `Some(threads)` for a native backend with a fixed
+    /// worker count, `None` where every stage gets its own thread (the
+    /// simulator's SMT contexts, native `threads: 0`).
+    pub fn stage_budget(&self) -> Option<usize> {
+        match self {
+            ExecBackend::Native(NativeConfig { threads }) if *threads > 0 => Some(*threads),
+            _ => None,
+        }
+    }
+}
+
 /// Configuration of the native backend. Every hardware queue is an
 /// SPSC ring, so the worker count is all there is to choose.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct NativeConfig {
     /// Worker threads. Stages are assigned round-robin (`stage %
     /// threads`); `0` (the default) means one thread per stage, the
-    /// paper's model.
+    /// paper's model. A nonzero count is also the
+    /// [`ExecBackend::stage_budget`] static compiles fit to.
     pub threads: usize,
 }
 
@@ -838,6 +855,15 @@ mod tests {
         mem.alloc_i64(ArrayDecl::i64("a"), 0..n);
         mem.alloc(ArrayDecl::i64("out"), 1);
         (p, mem)
+    }
+
+    #[test]
+    fn only_a_fixed_worker_count_budgets_stages() {
+        let native = |threads| ExecBackend::Native(NativeConfig { threads });
+        assert_eq!(ExecBackend::Sim.stage_budget(), None);
+        assert_eq!(native(0).stage_budget(), None);
+        assert_eq!(native(1).stage_budget(), Some(1));
+        assert_eq!(native(2).stage_budget(), Some(2));
     }
 
     #[test]

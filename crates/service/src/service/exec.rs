@@ -88,10 +88,12 @@ impl Service {
         // nanoseconds; label the payload honestly and stamp the
         // native-relevant machine digest (timing-model fields excluded —
         // see `key::native_machine_config_digest`) so provenance groups
-        // native results across timing configs.
+        // native results across timing configs. `stages` is what the run
+        // used: a static Phloem variant compiles to at most `threads`.
         payload.extend([
             ("backend", Json::str("native")),
             ("threads", Json::u64(native.threads as u64)),
+            ("stages", Json::u64(m.stats.threads.len() as u64)),
             ("host_cores", Json::u64(host_cores as u64)),
             (
                 "machine",

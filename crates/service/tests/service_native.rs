@@ -10,7 +10,7 @@
 //!   *can* observe. Both directions are swept field by field.
 //! * **Op behaviour**: `simulate_native` answers `bypass` (wall-clock
 //!   is not content-addressable), annotates the payload with its
-//!   backend/threads/host_cores, ignores a `"channel"` field like any
+//!   backend/threads/stages/host_cores, ignores a `"channel"` field like any
 //!   other unknown key, and honours zero deadlines like every other
 //!   compute op.
 
@@ -104,6 +104,8 @@ fn simulate_native_answers_bypass_with_backend_annotations() {
             .to_string(),
         r#"{"id":2,"op":"simulate_native","app":"cc","input":"internet-s","variant":"phloem","threads":2}"#
             .to_string(),
+        r#"{"id":3,"op":"simulate_native","app":"cc","input":"internet-s","variant":"phloem"}"#
+            .to_string(),
     ]);
     for resp in &out.responses {
         assert!(resp.contains(r#""ok":true"#), "{resp}");
@@ -114,6 +116,12 @@ fn simulate_native_answers_bypass_with_backend_annotations() {
     }
     assert!(out.responses[0].contains(r#""threads":0"#));
     assert!(out.responses[1].contains(r#""threads":2"#));
+    // The stages each run used: the serial kernel is one; a static
+    // Phloem pipeline fits two workers, and gets all four of its stages
+    // with a thread each.
+    assert!(out.responses[0].contains(r#""stages":1,"#));
+    assert!(out.responses[1].contains(r#""stages":2,"#));
+    assert!(out.responses[2].contains(r#""stages":4,"#));
     // Native measurements are never cached.
     let (c, s) = svc.counters();
     assert_eq!(c.misses + c.hits + s.misses + s.hits, 0);

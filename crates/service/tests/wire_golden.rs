@@ -125,7 +125,9 @@ fn payload_fields(op: &str) -> Vec<&'static str> {
         ],
         "shutdown" => vec![],
         "simulate" => measurement(&[]),
-        "simulate_native" => measurement(&["backend", "threads", "host_cores", "machine"]),
+        "simulate_native" => {
+            measurement(&["backend", "threads", "stages", "host_cores", "machine"])
+        }
         "trace" => measurement(&["events", "trace"]),
         other => panic!("no field list for op {other:?}"),
     }

@@ -14,10 +14,17 @@
 //! points under an ambient native [`BackendScope`]; each app asserts
 //! its own host oracle internally, so a native-vs-serial divergence
 //! panics inside the run.
+//!
+//! Under a native scope with a fixed worker count the apps compile to
+//! at most one stage per worker; `static_pipelines_fit_their_workers`
+//! pins that fitting and runs every app's unfitted pipeline folded onto
+//! fewer workers against the same oracles.
 
+use phloem_benchsuite::apps::{Input, APPS};
 use phloem_benchsuite::{bfs, cc, prd, radii, spmm, taco, with_backend, Variant};
-use phloem_ir::{interp, Value};
-use phloem_workloads::{graph, matrix};
+use phloem_compiler::{analyze, decouple_with_cuts, PassConfig};
+use phloem_ir::{interp, Pipeline, Value};
+use phloem_workloads::{graph, matrix, Graph};
 use pipette_sim::{ExecBackend, MachineConfig, NativeConfig, Session};
 
 fn native(threads: usize) -> ExecBackend {
@@ -151,4 +158,81 @@ fn backend_scope_inheritance_and_override() {
         .expect("oracle")
         .mem;
     assert!(m1.same_contents(&oracle));
+}
+
+/// Each C-path app's static Phloem pipeline (PRD: its scatter phase),
+/// built with whatever backend is ambient.
+fn static_pipelines(g: &Graph, cfg: &MachineConfig) -> [Pipeline; 5] {
+    let v = Variant::phloem();
+    [
+        bfs::pipeline_for(&v, g.num_vertices, cfg).expect("bfs"),
+        cc::pipeline_for(&v, cc::segment(g), cfg).expect("cc"),
+        prd::pipelines_for(&v, g.num_vertices, cfg).expect("prd").0,
+        radii::pipeline_for(&v, radii::segment(g), cfg).expect("radii"),
+        spmm::pipeline_for(&v, cfg).expect("spmm"),
+    ]
+}
+
+/// Fused vs unfused. Under `Native { threads: w }` every app compiles
+/// to at most `w` stages — the cost model's best `w - 1` cuts, the
+/// fused boundaries left as locals — and to its full static pipeline
+/// under `threads: 0` or no scope. The unfitted pipelines, pinned by
+/// their cuts, still run folded onto one and two workers to the serial
+/// oracle's memory (each `run` checks it), so `i % threads` folding
+/// stays covered at app level.
+#[test]
+fn static_pipelines_fit_their_workers() {
+    let cfg = MachineConfig::paper_1core();
+    let g = graph::collaboration(40, 2);
+    let a = matrix::random_square(24, 3.0, 5);
+    let bt = a.transpose();
+    let shape = |ps: &[Pipeline]| -> Vec<(usize, u16)> {
+        ps.iter().map(|p| (p.stages.len(), p.num_queues)).collect()
+    };
+    // (stages, queues) in APPS order: BFS, CC, PRD, Radii, SpMM.
+    let full = [(4, 3), (4, 4), (4, 4), (4, 5), (2, 2)];
+    let unfitted = static_pipelines(&g, &cfg);
+    assert_eq!(shape(&unfitted), full);
+    let per_stage = with_backend(native(0), || static_pipelines(&g, &cfg));
+    assert_eq!(shape(&per_stage), full);
+    for w in THREADS {
+        let fitted = shape(&with_backend(native(w), || static_pipelines(&g, &cfg)));
+        let stages: Vec<usize> = fitted.iter().map(|&(s, _)| s).collect();
+        let want: Vec<usize> = full.iter().map(|&(s, _)| s.min(w)).collect();
+        assert_eq!(stages, want, "{w} workers");
+        match w {
+            1 => assert_eq!(fitted, [(1, 0); 5]),
+            2 => assert_eq!(fitted, [(2, 1), (2, 2), (2, 2), (2, 2), (2, 2)]),
+            _ => {}
+        }
+    }
+
+    for (app, pipeline) in APPS.iter().zip(&unfitted) {
+        let kernel = app.kernel();
+        let mut cuts = analyze(&kernel).candidates();
+        cuts.truncate(pipeline.stages.len() - 1);
+        let opts = phloem_benchsuite::runner::compile_options(&cfg, PassConfig::all());
+        let pinned_ir = decouple_with_cuts(&kernel, &cuts, &opts).expect("pinned cuts");
+        assert_eq!(format!("{pinned_ir:?}"), format!("{pipeline:?}"));
+        let pinned = Variant::Phloem {
+            passes: PassConfig::all(),
+            stages: 4,
+            cuts,
+        };
+        let input = if app.runs_on_graphs() {
+            Input::Graph(&g)
+        } else {
+            Input::Matrix(&a, &bt)
+        };
+        for w in [1, 2] {
+            let (ran, _) = with_backend(native(w), || app.run(&pinned, input, &cfg, "fold", None));
+            let m = ran.unwrap_or_else(|e| panic!("{} folded onto {w}: {e}", app.name()));
+            assert_eq!(
+                m.stats.threads.len(),
+                pipeline.stages.len(),
+                "{}",
+                app.name()
+            );
+        }
+    }
 }

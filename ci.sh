@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate. Run from the repo root; fails fast on the first error.
 #
-#   ./ci.sh            # build + test + lint + format check
+#   ./ci.sh            # build + test + lint + doc links + format check
 #
 # Tier-1 (must always pass): release build + default-package tests.
 # The remaining steps hold the whole workspace to the same bar.
@@ -87,6 +87,9 @@ fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
+
+echo "==> cargo doc (every intra-doc link resolves and none points at a private item)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -32,7 +32,6 @@
 
 use phloem_bench::{header, machine, scale};
 use phloem_benchsuite::apps::app_by_id;
-use phloem_benchsuite::runner::with_sink;
 use phloem_benchsuite::taco::{self, TacoApp};
 use phloem_benchsuite::{Measurement, Variant};
 use phloem_ir::Trap;
@@ -121,7 +120,8 @@ fn run(
     if let Some(app) = app_by_id(&args.app) {
         let i = pick(app.test_inputs(scale()), |i| i.name(), &args.input);
         let plain = app.run(v, i.input(), &cfg, i.name(), None).0;
-        let (traced, sink) = with_sink(app.run(v, i.input(), &cfg, i.name(), Some(sink)));
+        let (traced, sink) = app.run(v, i.input(), &cfg, i.name(), Some(sink));
+        let sink = sink.expect("the sink is handed back");
         return (i.name().to_string(), plain, traced, sink);
     }
     let app = TacoApp::all()
@@ -130,7 +130,8 @@ fn run(
         .unwrap_or_else(|| panic!("unknown app {} (bfs|cc|prd|radii|spmm|taco-*)", args.app));
     let mi = pick(taco_test_matrices(scale()), |m| m.name, &args.input);
     let plain = taco::run(app, v, &mi.matrix, &cfg, mi.name);
-    let (traced, sink) = taco::run_traced(app, v, &mi.matrix, &cfg, mi.name, sink);
+    let (traced, sink) = taco::run_opt_traced(app, v, &mi.matrix, &cfg, mi.name, Some(sink));
+    let sink = sink.expect("the sink is handed back");
     (mi.name.to_string(), plain, traced, sink)
 }
 

@@ -9,21 +9,19 @@
 //!   partitioned across threads, distance updates use atomic-min, and
 //!   each thread appends to a private next-fringe segment;
 //! * **phloem** — compiled from the serial kernel;
-//! * **manual** — the hand-optimized Pipette pipeline [34]: fetch fringe
+//! * **manual** — the hand-optimized Pipette pipeline \[34\]: fetch fringe
 //!   (enqueuing `v` and `v+1`), chained INDIRECT/SCAN RAs over
 //!   `nodes`/`edges`, and an update stage. The hand version keeps a
 //!   per-vertex `NEXT` control value that Phloem's inter-stage DCE
 //!   removes — which is how Phloem ends up slightly ahead (Fig. 9).
 //!
 //! BFS's own: its arrays ([`arrays`]), the `cur_dist` parameter, its
-//! update rule ([`update`]: write-min of `cur_dist` into `dist`) and its
+//! update rule (`update`: write-min of `cur_dist` into `dist`) and its
 //! oracle (`Graph::bfs_distances`). The traversal around them is
-//! [`crate::frontier`]'s.
+//! `crate::frontier`'s.
 
 use crate::frontier::{self, Part, RowWalk, Segment, DONE, NEXT};
-use crate::runner::{
-    measure, run_to_fixpoint, variant_pipeline, with_sink, Fringe, Measurement, Variant,
-};
+use crate::runner::{measure, run_to_fixpoint, variant_pipeline, Fringe, Measurement, Variant};
 use phloem_ir::{
     ArrayDecl, ArrayId, Function, FunctionBuilder, MemState, Pipeline, QueueId, StageProgram, Trap,
     Value, VarId,
@@ -224,20 +222,6 @@ pub fn run(
     run_opt_traced(variant, g, root, cfg, input, None).0
 }
 
-/// Like [`run`], with a [`TraceSink`] observing every pipeline
-/// invocation. The sink is returned even when the run traps, so callers
-/// can inspect the partial trace of a failed run.
-pub fn run_traced(
-    variant: &Variant,
-    g: &Graph,
-    root: usize,
-    cfg: &MachineConfig,
-    input: &str,
-    sink: Box<dyn TraceSink>,
-) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    with_sink(run_opt_traced(variant, g, root, cfg, input, Some(sink)))
-}
-
 /// The round loop's view of [`BfsArrays`]: `threads` next-fringe
 /// segments of `segment` entries each.
 pub(crate) fn fringe(arrays: &BfsArrays, threads: usize, segment: usize) -> Fringe {
@@ -251,9 +235,10 @@ pub(crate) fn fringe(arrays: &BfsArrays, threads: usize, segment: usize) -> Frin
     )
 }
 
-/// The single run entry [`run`] and [`run_traced`] wrap (and the app
-/// table in [`crate::apps`] calls): `sink`, when given, observes every
-/// pipeline invocation and is handed back even when the run traps.
+/// The single run entry: [`run`] wraps it, and the app table in
+/// [`crate::apps`] and every traced caller call it. `sink`, when given,
+/// observes every pipeline invocation and is handed back even when the
+/// run traps.
 pub fn run_opt_traced(
     variant: &Variant,
     g: &Graph,

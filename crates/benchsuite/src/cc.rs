@@ -12,14 +12,12 @@
 //! ahead of Phloem's.
 //!
 //! CC's own: its arrays ([`arrays`]), the per-vertex payload `labels[v]`
-//! (and where each variant loads it), its update rule ([`update`]:
+//! (and where each variant loads it), its update rule (`update`:
 //! write-min of that label into `labels`) and its oracle. The traversal
-//! around them is [`crate::frontier`]'s.
+//! around them is `crate::frontier`'s.
 
 use crate::frontier::{self, Part, RowWalk, Segment};
-use crate::runner::{
-    measure, run_to_fixpoint, variant_pipeline, with_sink, Fringe, Measurement, Variant,
-};
+use crate::runner::{measure, run_to_fixpoint, variant_pipeline, Fringe, Measurement, Variant};
 use phloem_ir::{
     ArrayDecl, ArrayId, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId, StageProgram,
     Trap, VarId,
@@ -247,18 +245,6 @@ pub fn run(
     run_opt_traced(variant, g, cfg, input, None).0
 }
 
-/// Like [`run`], with a [`TraceSink`] observing every pipeline
-/// invocation; the sink is returned even when the run traps.
-pub fn run_traced(
-    variant: &Variant,
-    g: &Graph,
-    cfg: &MachineConfig,
-    input: &str,
-    sink: Box<dyn TraceSink>,
-) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    with_sink(run_opt_traced(variant, g, cfg, input, Some(sink)))
-}
-
 /// The round loop's view of [`CcArrays`], for `threads` producers.
 pub(crate) fn fringe(arrays: &CcArrays, threads: usize, g: &Graph) -> Fringe {
     Fringe::strided(
@@ -271,9 +257,10 @@ pub(crate) fn fringe(arrays: &CcArrays, threads: usize, g: &Graph) -> Fringe {
     )
 }
 
-/// The single run entry [`run`] and [`run_traced`] wrap (and the app
-/// table in [`crate::apps`] calls): `sink`, when given, observes every
-/// pipeline invocation and is handed back even when the run traps.
+/// The single run entry: [`run`] wraps it, and the app table in
+/// [`crate::apps`] and every traced caller call it. `sink`, when given,
+/// observes every pipeline invocation and is handed back even when the
+/// run traps.
 pub fn run_opt_traced(
     variant: &Variant,
     g: &Graph,

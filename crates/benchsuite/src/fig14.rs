@@ -22,7 +22,7 @@
 //! is not called here — ROADMAP's parked compiler work records what it
 //! lacks. Every builder is the same composition per replica — fetch a
 //! slice → (RAs | visit) → distribute → update — of
-//! [`crate::frontier`]'s fragments around the app's own arrays, payload
+//! `crate::frontier`'s fragments around the app's own arrays, payload
 //! and update rule; what is written out below is only what differs per
 //! app and per variant.
 

@@ -13,14 +13,14 @@
 //! tolerance.
 //!
 //! PRD's own: its arrays ([`arrays`]), the per-vertex payload
-//! ([`contribution`]: `delta[v] * invdeg[v]`), its update rule
-//! ([`accumulate`]), the apply phase and its oracle. The scatter
-//! traversal around them is [`crate::frontier`]'s.
+//! (`contribution`: `delta[v] * invdeg[v]`), its update rule
+//! (`accumulate`), the apply phase and its oracle. The scatter
+//! traversal around them is `crate::frontier`'s.
 
 use crate::frontier::{self, Part, RowWalk, Segment};
 use crate::runner::{
     compile_fitted, data_parallel_pipeline, measure, run_rounds, serial_pipeline, variant_pipeline,
-    with_sink, Fringe, Measurement, Variant,
+    Fringe, Measurement, Variant,
 };
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId,
@@ -294,19 +294,6 @@ pub fn run(
     run_opt_traced(variant, g, cfg, input, None).0
 }
 
-/// Like [`run`], with a [`TraceSink`] observing every pipeline
-/// invocation (both the scatter and apply phases); the sink is returned
-/// even when the run traps.
-pub fn run_traced(
-    variant: &Variant,
-    g: &Graph,
-    cfg: &MachineConfig,
-    input: &str,
-    sink: Box<dyn TraceSink>,
-) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    with_sink(run_opt_traced(variant, g, cfg, input, Some(sink)))
-}
-
 /// The round loop's view of [`PrdArrays`]: the active list is
 /// compacted in place, thread `t`'s survivors starting at its slice of
 /// the `n` vertices.
@@ -343,9 +330,10 @@ pub(crate) fn iterate(
     Ok(())
 }
 
-/// The single run entry [`run`] and [`run_traced`] wrap (and the app
-/// table in [`crate::apps`] calls): `sink`, when given, observes every
-/// pipeline invocation and is handed back even when the run traps.
+/// The single run entry: [`run`] wraps it, and the app table in
+/// [`crate::apps`] and every traced caller call it. `sink`, when given,
+/// observes every pipeline invocation and is handed back even when the
+/// run traps.
 pub fn run_opt_traced(
     variant: &Variant,
     g: &Graph,

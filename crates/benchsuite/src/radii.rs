@@ -8,14 +8,12 @@
 //! co-stage (Fig. 4), while `visited[v]` is prefetchable upstream.
 //!
 //! Radii's own: its arrays ([`arrays`]), the per-vertex payload
-//! `visited[v]`, the `round` parameter, its update rule ([`update`]: or
+//! `visited[v]`, the `round` parameter, its update rule (`update`: or
 //! the mask into `nvisited[ngh]`, stamp `radii[ngh]` once per round) and
-//! its oracle. The traversal around them is [`crate::frontier`]'s.
+//! its oracle. The traversal around them is `crate::frontier`'s.
 
 use crate::frontier::{self, Part, RowWalk, Segment};
-use crate::runner::{
-    measure, run_to_fixpoint, variant_pipeline, with_sink, Fringe, Measurement, Variant,
-};
+use crate::runner::{measure, run_to_fixpoint, variant_pipeline, Fringe, Measurement, Variant};
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId,
     StageProgram, Trap, Value, VarId,
@@ -311,18 +309,6 @@ pub fn run(
     run_opt_traced(variant, g, cfg, input, None).0
 }
 
-/// Like [`run`], with a [`TraceSink`] observing every pipeline
-/// invocation; the sink is returned even when the run traps.
-pub fn run_traced(
-    variant: &Variant,
-    g: &Graph,
-    cfg: &MachineConfig,
-    input: &str,
-    sink: Box<dyn TraceSink>,
-) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    with_sink(run_opt_traced(variant, g, cfg, input, Some(sink)))
-}
-
 /// The round loop's view of [`RadiiArrays`], for `threads` producers.
 pub(crate) fn fringe(arrays: &RadiiArrays, threads: usize, g: &Graph) -> Fringe {
     Fringe::strided(
@@ -342,9 +328,10 @@ pub(crate) fn swap_visited(session: &mut Session, arrays: &RadiiArrays) {
     session.mem_mut().set_values(arrays.visited, &nv);
 }
 
-/// The single run entry [`run`] and [`run_traced`] wrap (and the app
-/// table in [`crate::apps`] calls): `sink`, when given, observes every
-/// pipeline invocation and is handed back even when the run traps.
+/// The single run entry: [`run`] wraps it, and the app table in
+/// [`crate::apps`] and every traced caller call it. `sink`, when given,
+/// observes every pipeline invocation and is handed back even when the
+/// run traps.
 pub fn run_opt_traced(
     variant: &Variant,
     g: &Graph,

@@ -195,11 +195,6 @@ pub fn measure(
     (Ok((m, mem)), sink)
 }
 
-/// Unwraps the sink half of a traced run.
-pub fn with_sink<T>((r, sink): (T, Option<Box<dyn TraceSink>>)) -> (T, Box<dyn TraceSink>) {
-    (r, sink.expect("sink was installed"))
-}
-
 /// Where a frontier app keeps its work list: a dense `fringe` the
 /// kernels read `fringe_len[0]` entries of, and per-thread segments of
 /// `next` (thread `t` writes `out_len[t]` entries from `starts[t]`) that

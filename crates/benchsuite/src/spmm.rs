@@ -14,12 +14,12 @@
 //! value".
 //!
 //! SpMM shares no traversal with the frontier apps; from
-//! [`crate::frontier`] it takes the slice bounds of its data-parallel
+//! `crate::frontier` it takes the slice bounds of its data-parallel
 //! kernel, the stage builder over its one array declaration ([`arrays`])
 //! and the control-value tags.
 
 use crate::frontier::{self, Part, DONE, NEXT};
-use crate::runner::{measure, variant_pipeline, with_sink, Measurement, Variant};
+use crate::runner::{measure, variant_pipeline, Measurement, Variant};
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId,
     RaConfig, RaMode, StageProgram, Trap, UnOp, Value,
@@ -414,22 +414,10 @@ pub fn run(
     run_opt_traced(variant, a, bt, cfg, input, None).0
 }
 
-/// Like [`run`], with a [`TraceSink`] observing the pipeline
-/// invocation; the sink is returned even when the run traps.
-pub fn run_traced(
-    variant: &Variant,
-    a: &SparseMatrix,
-    bt: &SparseMatrix,
-    cfg: &MachineConfig,
-    input: &str,
-    sink: Box<dyn TraceSink>,
-) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    with_sink(run_opt_traced(variant, a, bt, cfg, input, Some(sink)))
-}
-
-/// The single run entry [`run`] and [`run_traced`] wrap (and the app
-/// table in [`crate::apps`] calls): `sink`, when given, observes every
-/// pipeline invocation and is handed back even when the run traps.
+/// The single run entry: [`run`] wraps it, and the app table in
+/// [`crate::apps`] and every traced caller call it. `sink`, when given,
+/// observes every pipeline invocation and is handed back even when the
+/// run traps.
 pub fn run_opt_traced(
     variant: &Variant,
     a: &SparseMatrix,

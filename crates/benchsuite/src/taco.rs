@@ -10,8 +10,7 @@
 //! kernels.
 
 use crate::runner::{
-    compile_fitted, data_parallel_pipeline, measure, serial_pipeline, with_sink, Measurement,
-    Variant,
+    compile_fitted, data_parallel_pipeline, measure, serial_pipeline, Measurement, Variant,
 };
 use phloem_compiler::replicate::partition_top_loop;
 use phloem_ir::{BinOp, Expr, MemState, Pipeline, Stmt, Trap, Value};
@@ -253,22 +252,9 @@ pub fn run(
     run_opt_traced(app, variant, a, cfg, input, None).0
 }
 
-/// Like [`run`], with a [`TraceSink`] observing every phase pipeline
-/// invocation; the sink is returned even when the run traps.
-pub fn run_traced(
-    app: TacoApp,
-    variant: &Variant,
-    a: &SparseMatrix,
-    cfg: &MachineConfig,
-    input: &str,
-    sink: Box<dyn TraceSink>,
-) -> (Result<Measurement, Trap>, Box<dyn TraceSink>) {
-    with_sink(run_opt_traced(app, variant, a, cfg, input, Some(sink)))
-}
-
-/// The single run entry [`run`] and [`run_traced`] wrap: `sink`, when
-/// given, observes every phase pipeline invocation and is handed back
-/// even when the run traps.
+/// The single run entry: [`run`] wraps it and every traced caller
+/// calls it. `sink`, when given, observes every phase pipeline
+/// invocation and is handed back even when the run traps.
 pub fn run_opt_traced(
     app: TacoApp,
     variant: &Variant,

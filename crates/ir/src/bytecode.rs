@@ -16,11 +16,11 @@
 //! up to it folded into the same step. The bytecode mirrors this by
 //! splitting instructions into two classes:
 //!
-//! * **free** instructions ([`Instr::Un`], [`Instr::Bin`],
-//!   [`Instr::Load`], [`Instr::Jump`], [`Instr::ForEnter`]) execute and
+//! * **free** instructions (`Instr::Un`, `Instr::Bin`,
+//!   `Instr::Load`, `Instr::Jump`, `Instr::ForEnter`) execute and
 //!   fall through within the current step;
 //! * **atom-ending** instructions (assignments, memory writes, queue
-//!   ops, branches, loop tests, handler returns, [`Instr::Halt`]) end
+//!   ops, branches, loop tests, handler returns, `Instr::Halt`) end
 //!   the step exactly where the tree interpreter would.
 //!
 //! ## Operand timing rules
@@ -39,7 +39,7 @@
 //! without the expression micro-ops ever re-executing (their results
 //! are still in the operand registers). A dequeued control value with a
 //! matching handler jumps into the handler's code region; the handler's
-//! terminating [`Instr::HandlerRet`] consults the *dispatching* dequeue
+//! terminating `Instr::HandlerRet` consults the *dispatching* dequeue
 //! site for its pre-resolved break targets, because `break N` out of a
 //! handler is defined relative to the loops enclosing the dequeue.
 
@@ -248,7 +248,7 @@ impl BytecodeProgram {
     }
 
     /// True when the instruction array is empty (never, in practice:
-    /// compilation always emits at least [`Instr::Halt`]).
+    /// compilation always emits at least `Instr::Halt`).
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
     }
@@ -275,7 +275,7 @@ impl BytecodeProgram {
 /// interpreter would trap or panic on first use at runtime; compilation
 /// surfaces them eagerly). Run [`Function::validate`] first to rule
 /// them out. Break statements that would cross a handler or function
-/// boundary compile to [`Instr::Fault`] and trap only when executed,
+/// boundary compile to `Instr::Fault` and trap only when executed,
 /// matching tree semantics.
 pub fn compile(func: &Function, handlers: &[CtrlHandler]) -> Result<BytecodeProgram, Trap> {
     let nvars = func.vars.len() as u32;
@@ -325,7 +325,7 @@ pub fn compile(func: &Function, handlers: &[CtrlHandler]) -> Result<BytecodeProg
 enum Patch {
     /// Instruction whose exit/target field points past the loop.
     Exit(usize),
-    /// `breaks[k]` of the [`Instr::Deq`] at the given index.
+    /// `breaks[k]` of the `Instr::Deq` at the given index.
     DeqBreak(usize, usize),
 }
 
@@ -364,7 +364,7 @@ impl Compiler {
 
     /// If `cond` is the temporary produced by the immediately preceding
     /// compare micro-op, pops that micro-op and returns its fields for
-    /// fusion into the consuming branch (see [`Instr::BinIf`]).
+    /// fusion into the consuming branch (see `Instr::BinIf`).
     fn take_cmp_tail(&mut self, cond: Opd) -> Option<(BinOp, Opd, Opd)> {
         if let Opd::Tmp(t) = cond {
             if let Some(Instr::Bin { op, a, b, dst }) = self.code.last() {

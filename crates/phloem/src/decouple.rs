@@ -19,9 +19,9 @@
 //! Reference-accelerator extraction (pass 3) runs afterwards in
 //! [`crate::ra`].
 //!
-//! The program tree ([`Node`]) and its [`Shape`] depend only on the
+//! The program tree (`Node`) and its `Shape` depend only on the
 //! kernel, so one tree serves every cut set tried on it; what a cut set
-//! decides — each atom's stage and the [`Plan`] — lives in tables
+//! decides — each atom's stage and the `Plan` — lives in tables
 //! indexed by atom position, loop tag, variable or array, which are all
 //! small dense integers.
 

@@ -3,10 +3,10 @@
 //!
 //! The machine is split across three modules:
 //!
-//! * [`crate::timing`] — the cycle-level [`phloem_ir::World`]
+//! * `crate::timing` — the cycle-level [`phloem_ir::World`]
 //!   implementation (cores, caches, branch prediction, timed queues);
-//! * [`crate::queue`] — hardware FIFO state and occupancy accounting;
-//! * [`crate::scheduler`] — the event-driven SMT scheduler that drives
+//! * `crate::queue` — hardware FIFO state and occupancy accounting;
+//! * `crate::scheduler` — the event-driven SMT scheduler that drives
 //!   the stage interpreters.
 //!
 //! This module owns the user-facing [`Session`]/[`Machine`] API.

@@ -8,17 +8,24 @@
 //! counters order the slot accesses).
 //!
 //! The native world drives a ring through the crate-internal
-//! `SlabSender`/`SlabReceiver` that `slab_channel` builds. With one
-//! producer they work on a private cursor and store the shared counter
-//! once per slab — an eighth of the ring, [`slab_len`] — before
-//! reporting `Full`/`Empty`, on `flush` (the world calls it when a
-//! stage's slice ends) and on drop — so the cross-core traffic is per
-//! slab, not per value, and a blocked or descheduled stage never sits on
-//! anything unpublished. The FIFO is
+//! `SlabSender`/`SlabReceiver` that `slab_channel` builds: a shared
+//! `Ring` (head and tail) plus one private `Cursor` per endpoint, and
+//! nothing else. A queue's producers and consumer are fixed when the
+//! pipeline is compiled, so the endpoints carry no lifecycle: no sender
+//! count, no receiver flag, no disconnection. A stage whose peer has
+//! finished blocks on empty or full, and the deadlock rule judges it.
+//! With one producer each endpoint works on its private cursor and
+//! stores the shared counter once per slab — an eighth of the ring,
+//! [`slab_len`] — before reporting full or empty and on `flush` (the
+//! world calls it when a stage's slice ends, so by the time a worker
+//! exits and drops its endpoints everything is published). The
+//! cross-core traffic is per slab, not per value, and a blocked or
+//! descheduled stage never sits on anything unpublished. The FIFO is
 //! untouched: a control value is a word in a slot like any other, so it
-//! keeps its place by construction. While a fan-in queue has several
-//! producers they share the shared counter under `send_lock` and
-//! publish every value.
+//! keeps its place by construction. A fan-in queue (more than one
+//! producing stage, fixed at construction) gives its producers one shared
+//! lock for the whole run; they push through the shared counter under
+//! it and publish every value.
 //!
 //! The public [`channel`], [`ChannelKind`] and [`Sender`]/[`Receiver`]
 //! are a constructor the native world does not use. They stay for
@@ -27,23 +34,19 @@
 //! fails if one of those metric names goes missing; ROADMAP item 1
 //! ("One channel") deletes the `Mpsc` and `Hybrid` buffers together with
 //! the two probe rows. Every `try_send` there is visible to the next
-//! `try_recv`, and every `try_recv` frees its slot at once.
-//!
-//! Both kinds of endpoint own the lifecycle bookkeeping the buffers
-//! don't: sender counting (so a drained channel whose producers are all
-//! gone reports `Disconnected`, not `Empty`) and receiver liveness (so
-//! producers feeding a dead consumer learn about it instead of filling a
-//! buffer nobody drains). The validator guarantees every queue has
-//! exactly one consumer, so the receiver is unique per channel; fan-in
-//! queues (`EnqSel`/control broadcast) have several senders, and a send
-//! serializes through a mutex whenever more than one is live.
+//! `try_recv`, and every `try_recv` frees its slot at once. Only these
+//! endpoints keep lifecycle bookkeeping: sender counting (so a drained
+//! channel whose producers are all gone reports `Disconnected`, not
+//! `Empty`), receiver liveness (so producers feeding a dead consumer
+//! learn about it), and a send lock taken while more than one clone of
+//! the sender is live.
 
 use phloem_ir::Value;
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Which buffer a public [`channel`] uses. Only the constructor reads
 /// it: the native world always runs the ring, and this stays for
@@ -134,9 +137,9 @@ struct CachePadded<T>(T);
 ///
 /// The shared counters are what the *peer* may rely on, not where an
 /// endpoint has got to: [`Ring::try_push`]/[`Ring::try_pop`] use them as
-/// their cursor and so publish every value at once, while the slab
-/// endpoints run ahead of them on a private cursor and store the shared
-/// one once per slab.
+/// their cursor and so publish every value at once, while a sole
+/// producer's slab sender and every slab receiver run ahead of them on a
+/// private cursor and store the shared one once per slab.
 struct Ring {
     /// `capacity` rounded up to a power of two, so an index finds its
     /// slot with a mask (`index % 24` was a hardware divide per value
@@ -292,37 +295,19 @@ impl Buffer {
     }
 }
 
-/// Shared channel state: the buffer plus lifecycle bookkeeping. The
-/// public endpoints share a [`Buffer`], the slab endpoints a [`Ring`].
-struct Core<B> {
-    buffer: B,
+/// A public channel's shared state: the buffer plus the lifecycle
+/// bookkeeping the slab endpoints do without.
+struct Core {
+    buffer: Buffer,
     /// Live senders. When it hits zero the channel can never gain
     /// another value: `Empty` hardens into `Disconnected`.
     senders: AtomicUsize,
     /// Cleared when the receiver drops; producers then get
     /// `Disconnected` instead of filling a buffer nobody drains.
     receiver_alive: AtomicBool,
-    /// Serializes sends while more than one sender is live (fan-in
-    /// queues). Single-producer channels never touch it.
+    /// Serializes sends while more than one sender is live (fan-in).
+    /// Single-producer channels never touch it.
     send_lock: Mutex<()>,
-}
-
-impl<B> Core<B> {
-    fn new(buffer: B, senders: usize) -> Arc<Core<B>> {
-        Arc::new(Core {
-            buffer,
-            senders: AtomicUsize::new(senders),
-            receiver_alive: AtomicBool::new(true),
-            send_lock: Mutex::new(()),
-        })
-    }
-
-    /// Holds `send_lock` while more than one sender is live (fan-in);
-    /// `None` on a single-producer channel.
-    fn fan_in_guard(&self) -> Option<MutexGuard<'_, ()>> {
-        (self.senders.load(Ordering::Acquire) > 1)
-            .then(|| self.send_lock.lock().unwrap_or_else(|e| e.into_inner()))
-    }
 }
 
 /// The producing endpoint of a public [`channel`] (not used by the
@@ -333,7 +318,7 @@ impl<B> Core<B> {
 /// `Sender` is `Send` but intentionally not `Sync`: the lock-free path
 /// is only sound when each live clone is driven by one thread.
 pub struct Sender {
-    core: Arc<Core<Buffer>>,
+    core: Arc<Core>,
     _not_sync: std::marker::PhantomData<std::cell::Cell<()>>,
 }
 
@@ -345,11 +330,13 @@ impl Sender {
     /// [`TrySendError::Disconnected`] when the receiver is gone; both
     /// hand the value back.
     pub fn try_send(&self, v: Value) -> Result<(), TrySendError> {
-        if !self.core.receiver_alive.load(Ordering::Acquire) {
+        let core = &*self.core;
+        if !core.receiver_alive.load(Ordering::Acquire) {
             return Err(TrySendError::Disconnected(v));
         }
-        let _fan_in = self.core.fan_in_guard();
-        self.core.buffer.try_push(v).map_err(TrySendError::Full)
+        let _fan_in = (core.senders.load(Ordering::Acquire) > 1)
+            .then(|| core.send_lock.lock().unwrap_or_else(|e| e.into_inner()));
+        core.buffer.try_push(v).map_err(TrySendError::Full)
     }
 }
 
@@ -373,7 +360,7 @@ impl Drop for Sender {
 /// matching the validator's one-consumer-per-queue discipline. `Send`
 /// but not `Sync`, like [`Sender`].
 pub struct Receiver {
-    core: Arc<Core<Buffer>>,
+    core: Arc<Core>,
     _not_sync: std::marker::PhantomData<std::cell::Cell<()>>,
 }
 
@@ -426,7 +413,12 @@ pub fn channel(kind: ChannelKind, capacity: usize) -> Result<(Sender, Receiver),
         ChannelKind::Ring => Buffer::Ring(Ring::new(capacity)),
         ChannelKind::Hybrid => Buffer::Hybrid(Ring::new(capacity)),
     };
-    let core = Core::new(buffer, 1);
+    let core = Arc::new(Core {
+        buffer,
+        senders: AtomicUsize::new(1),
+        receiver_alive: AtomicBool::new(true),
+        send_lock: Mutex::new(()),
+    });
     Ok((
         Sender {
             core: Arc::clone(&core),
@@ -499,85 +491,67 @@ impl Cursor {
 }
 
 /// Creates the ring of one hardware queue as [`super::NativeWorld`]
-/// wires it: `producers` slab senders (one per producing stage; more
-/// than one is a fan-in queue) and the consumer's slab receiver.
-/// `capacity` must be at least 1.
+/// wires it: `producers` slab senders (one per producing stage) and the
+/// consumer's slab receiver. `capacity` must be at least 1. More than
+/// one producer makes a fan-in queue: its producers share one lock for the
+/// whole run and publish every value.
 pub(crate) fn slab_channel(capacity: usize, producers: usize) -> (Vec<SlabSender>, SlabReceiver) {
     assert!(capacity > 0, "a ring needs at least one slot");
     let slab = slab_len(capacity) as u64;
-    let core = Core::new(Ring::new(capacity), producers);
-    let senders = (0..producers)
+    let ring = Arc::new(Ring::new(capacity));
+    let fan_in = (producers > 1).then(|| Arc::new(Mutex::new(())));
+    let txs = (0..producers)
         .map(|_| SlabSender {
-            core: Arc::clone(&core),
+            ring: Arc::clone(&ring),
             cursor: Cursor::start(slab),
-            sole: false,
+            fan_in: fan_in.clone(),
         })
         .collect();
     let receiver = SlabReceiver {
-        core,
+        ring,
         cursor: Cursor::start(slab),
     };
-    (senders, receiver)
+    (txs, receiver)
 }
 
-/// A producing stage's endpoint of a ring. While it is the channel's
-/// only producer it writes slots on a private cursor and publishes them
-/// a slab at a time.
+/// A producing stage's endpoint of a ring. A queue's only producer
+/// writes slots on a private cursor and publishes them a slab at a time.
 ///
 /// What the consumer may rely on: everything sent is published by the
-/// time `try_send` reports `Full`, by the time [`Self::flush`] returns,
-/// and when the endpoint drops; and at least every [`slab_len`] values
-/// in between. Control values are ordinary words in that FIFO, so they keep
-/// their position whatever the slab boundaries are.
+/// time `try_send` reports full and by the time [`Self::flush`] returns,
+/// and at least every [`slab_len`] values in between. Control values
+/// are ordinary words in that FIFO, so they keep their position
+/// whatever the slab boundaries are.
 pub(crate) struct SlabSender {
-    core: Arc<Core<Ring>>,
+    ring: Arc<Ring>,
     cursor: Cursor,
-    /// This endpoint has seen itself to be the channel's only producer
-    /// and taken `cursor` from the shared `tail`.
-    sole: bool,
+    /// Present on a fan-in queue, shared by all its producers: they push
+    /// through the shared `tail` under it, and `cursor` stays unused.
+    fan_in: Option<Arc<Mutex<()>>>,
 }
 
 impl SlabSender {
-    /// Attempts to enqueue `v`, publishing by the slab.
-    ///
-    /// # Errors
-    /// As [`Sender::try_send`].
-    pub(crate) fn try_send(&mut self, v: Value) -> Result<(), TrySendError> {
-        let core = &*self.core;
-        if !core.receiver_alive.load(Ordering::Acquire) {
-            return Err(TrySendError::Disconnected(v));
+    /// Attempts to enqueue `v`, publishing by the slab; hands `v` back
+    /// when the ring is full.
+    pub(crate) fn try_send(&mut self, v: Value) -> Result<(), Value> {
+        let ring = &*self.ring;
+        if let Some(lock) = &self.fan_in {
+            let _fan_in = lock.lock().unwrap_or_else(|e| e.into_inner());
+            return ring.try_push(v);
         }
-        if let Some(_fan_in) = core.fan_in_guard() {
-            // Fan-in: the producers share one cursor, the shared `tail`,
-            // under `send_lock`, so every value is published at once.
-            // Slab senders are never cloned, so the count only falls:
-            // fan-in comes before the private cursor, never after.
-            return core.buffer.try_push(v).map_err(TrySendError::Full);
-        }
-        let ring = &core.buffer;
         let cur = &mut self.cursor;
-        if !self.sole {
-            // Acquire: the other producers' slot writes, published by
-            // their release-stores of `tail`, must happen before the
-            // release-store that publishes ours on top of them.
-            let tail = ring.tail.0.load(Ordering::Acquire);
-            (cur.next, cur.published) = (tail, tail);
-            self.sole = true;
-        }
-        // `>=`: after fan-in the cached `head` trails `next` by laps.
-        let full = |c: &Cursor| c.next - c.peer >= ring.capacity;
+        let full = |c: &Cursor| c.next - c.peer == ring.capacity;
         if full(cur) {
             cur.refresh(&ring.head.0);
             if full(cur) {
                 // The consumer must see a full ring before we say so.
                 cur.publish(&ring.tail.0);
-                return Err(TrySendError::Full(v));
+                return Err(v);
             }
         }
-        // SAFETY: `senders == 1` and every slab endpoint is owned by one
-        // stage, so this is the sole producer; `next` is its cursor
-        // (taken from the shared index when it became sole, advanced
-        // only here); `peer` is an acquire-loaded `head` and
+        // SAFETY: a sender without `fan_in` is its queue's only producer
+        // and is owned by one stage; `next` is its cursor (advanced only
+        // here); `peer` is an acquire-loaded `head` and
         // `next - peer < capacity`.
         unsafe { ring.write(cur.next, v) };
         cur.advance(&ring.tail.0);
@@ -586,16 +560,7 @@ impl SlabSender {
 
     /// Publishes every value sent so far.
     pub(crate) fn flush(&mut self) {
-        self.cursor.publish(&self.core.buffer.tail.0);
-    }
-}
-
-impl Drop for SlabSender {
-    /// Publishes before the sender count falls, so the receiver's
-    /// drain-then-`Disconnected` check cannot miss a value.
-    fn drop(&mut self) {
-        self.flush();
-        self.core.senders.fetch_sub(1, Ordering::AcqRel);
+        self.cursor.publish(&self.ring.tail.0);
     }
 }
 
@@ -603,22 +568,18 @@ impl Drop for SlabSender {
 /// cursor and hands them back to the producer a slab at a time.
 ///
 /// What the producer may rely on: every slot read is vacated by the
-/// time `try_recv` reports `Empty` or `Disconnected`, by the time
-/// [`Self::flush`] returns, and when the endpoint drops; and at least
-/// every [`slab_len`] values in between.
+/// time `try_recv` reports empty and by the time [`Self::flush`]
+/// returns, and at least every [`slab_len`] values in between.
 pub(crate) struct SlabReceiver {
-    core: Arc<Core<Ring>>,
+    ring: Arc<Ring>,
     cursor: Cursor,
 }
 
 impl SlabReceiver {
-    /// Attempts to dequeue, vacating by the slab.
-    ///
-    /// # Errors
-    /// As [`Receiver::try_recv`].
-    pub(crate) fn try_recv(&mut self) -> Result<Value, TryRecvError> {
-        let core = &*self.core;
-        let ring = &core.buffer;
+    /// Attempts to dequeue, vacating by the slab; `None` when the ring
+    /// is empty.
+    pub(crate) fn try_recv(&mut self) -> Option<Value> {
+        let ring = &*self.ring;
         let cur = &mut self.cursor;
         let empty = |c: &Cursor| c.next == c.peer;
         if empty(cur) {
@@ -626,15 +587,7 @@ impl SlabReceiver {
             if empty(cur) {
                 // The producer must see an empty ring before we say so.
                 cur.publish(&ring.head.0);
-                if core.senders.load(Ordering::Acquire) > 0 {
-                    return Err(TryRecvError::Empty);
-                }
-                // A value published just before the last sender dropped
-                // must still drain: re-read `tail` *after* observing zero.
-                cur.refresh(&ring.tail.0);
-                if empty(cur) {
-                    return Err(TryRecvError::Disconnected);
-                }
+                return None;
             }
         }
         // SAFETY: the receiver is unique and owned by one stage, so this
@@ -643,19 +596,12 @@ impl SlabReceiver {
         // acquire-loaded `tail` and `next < peer`.
         let v = unsafe { ring.read(cur.next) };
         cur.advance(&ring.head.0);
-        Ok(v)
+        Some(v)
     }
 
     /// Vacates every slot read so far.
     pub(crate) fn flush(&mut self) {
-        self.cursor.publish(&self.core.buffer.head.0);
-    }
-}
-
-impl Drop for SlabReceiver {
-    fn drop(&mut self) {
-        self.flush();
-        self.core.receiver_alive.store(false, Ordering::Release);
+        self.cursor.publish(&self.ring.head.0);
     }
 }
 
@@ -686,14 +632,14 @@ mod tests {
 
     /// A single-producer ring.
     fn spsc(capacity: usize) -> (SlabSender, SlabReceiver) {
-        let (mut senders, rx) = slab_channel(capacity, 1);
-        (senders.pop().expect("one sender"), rx)
+        let (mut txs, rx) = slab_channel(capacity, 1);
+        (txs.pop().expect("one sender"), rx)
     }
 
     /// The shared `(head, tail)` of the ring behind `rx`: what each
     /// endpoint has published.
     fn shared(rx: &SlabReceiver) -> (u64, u64) {
-        let ring = &rx.core.buffer;
+        let ring = &rx.ring;
         (
             ring.head.0.load(Ordering::SeqCst),
             ring.tail.0.load(Ordering::SeqCst),
@@ -720,7 +666,8 @@ mod tests {
     /// with seeded flushes standing in for slice ends. Neither side ever
     /// flushes because it must: a blocked endpoint has published
     /// everything, so the stream always drains; the last partial slab
-    /// arrives through `Drop`.
+    /// arrives through the producer's final flush, as a stage's does
+    /// through the slice end it finishes in.
     #[test]
     #[allow(clippy::disallowed_methods)]
     fn slab_framing_keeps_the_fifo_at_every_depth() {
@@ -739,100 +686,104 @@ mod tests {
                 while i < N {
                     match tx.try_send(message(i, period)) {
                         Ok(()) => i += 1,
-                        Err(TrySendError::Full(v)) => {
-                            assert_eq!(v, message(i, period), "Full hands the value back");
+                        Err(v) => {
+                            assert_eq!(v, message(i, period), "full hands the value back");
                             std::thread::yield_now();
                         }
-                        Err(TrySendError::Disconnected(_)) => panic!("receiver died"),
                     }
                     if rng.below(37) == 0 {
                         tx.flush();
                     }
                 }
+                tx.flush();
             });
             let mut rng = Rng(consumer_seed);
             let mut got = 0;
-            loop {
+            while got < N {
                 match rx.try_recv() {
-                    Ok(v) => {
+                    Some(v) => {
                         assert_eq!(v, message(got, period), "depth {capacity}: message {got}");
                         got += 1;
                     }
-                    Err(TryRecvError::Empty) => std::thread::yield_now(),
-                    Err(TryRecvError::Disconnected) => break,
+                    None => std::thread::yield_now(),
                 }
                 if rng.below(41) == 0 {
                     rx.flush();
                 }
             }
             producer.join().unwrap();
-            assert_eq!(got, N, "depth {capacity}");
+            assert_eq!(
+                rx.try_recv(),
+                None,
+                "depth {capacity}: nothing past the stream"
+            );
         }
     }
 
-    /// A partial slab is the producer's own until one of the three
-    /// publication points: a `Full` report, `flush`, `Drop`.
+    /// A partial slab is the producer's own until one of the two
+    /// publication points: a full report and `flush`.
     #[test]
-    fn a_partial_slab_is_visible_after_block_flush_and_drop() {
+    fn a_partial_slab_is_visible_after_block_and_flush() {
         // Block: 35 slots in slabs of 4, so a full ring holds 3 values
-        // past the last boundary and only `Full` can publish them.
+        // past the last boundary and only the full report can publish
+        // them.
         let (mut tx, mut rx) = spsc(35);
         assert_eq!(slab_len(35), 4);
         for i in 0..35 {
             tx.try_send(Value::I64(i)).unwrap();
         }
         assert_eq!(shared(&rx), (0, 32), "published by the slab");
-        assert_eq!(
-            tx.try_send(Value::I64(35)),
-            Err(TrySendError::Full(Value::I64(35)))
-        );
-        assert_eq!(shared(&rx), (0, 35), "published by Full");
+        assert_eq!(tx.try_send(Value::I64(35)), Err(Value::I64(35)));
+        assert_eq!(shared(&rx), (0, 35), "published by full");
         for i in 0..35 {
-            assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "after Full");
+            assert_eq!(rx.try_recv(), Some(Value::I64(i)), "after full");
         }
         // The consumer's side of the same rule: 35 slots read, 32
-        // vacated by the slab and the rest when it reports `Empty`.
+        // vacated by the slab and the rest when it reports empty.
         assert_eq!(shared(&rx), (32, 35));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(rx.try_recv(), None);
         assert_eq!(shared(&rx), (35, 35));
 
-        // Flush (a slice end), then a slab boundary, then drop, at the
-        // native depth.
+        // Flush (a slice end), then a slab boundary, at the native depth.
         let (mut tx, mut rx) = spsc(1024);
         let slab = slab_len(1024) as i64;
         for i in 0..3 {
             tx.try_send(Value::I64(i)).unwrap();
         }
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "unpublished");
+        assert_eq!(rx.try_recv(), None, "unpublished");
         tx.flush();
         for i in 0..3 {
-            assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "after flush");
+            assert_eq!(rx.try_recv(), Some(Value::I64(i)), "after flush");
         }
         for i in 3..3 + slab {
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "value {i}");
+            assert_eq!(rx.try_recv(), None, "value {i}");
             tx.try_send(Value::I64(i)).unwrap();
         }
         for i in 3..3 + slab {
-            assert_eq!(rx.try_recv(), Ok(Value::I64(i)), "after a slab");
+            assert_eq!(rx.try_recv(), Some(Value::I64(i)), "after a slab");
         }
         tx.try_send(Value::Ctrl(9)).unwrap();
-        drop(tx);
-        assert_eq!(rx.try_recv(), Ok(Value::Ctrl(9)), "after drop");
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        tx.flush();
+        assert_eq!(
+            rx.try_recv(),
+            Some(Value::Ctrl(9)),
+            "a control value, flushed"
+        );
+        assert_eq!(rx.try_recv(), None);
     }
 
-    /// Fan-in over slab endpoints: while both producers live every value
-    /// goes through the shared cursor under `send_lock`; when one leaves,
-    /// the survivor picks the cursor up where the two left it. Per-
-    /// producer order holds throughout and nothing is lost or repeated.
+    /// Fan-in over slab endpoints: every value of every producer goes
+    /// through the shared `tail` under the queue's one lock, published
+    /// at once. Per-producer order holds, including after the shorter
+    /// producer is done, and nothing is lost or repeated.
     #[test]
     #[allow(clippy::disallowed_methods)]
     fn fan_in_slab_senders_keep_per_producer_order() {
         const EACH: i64 = 3_000;
         const LANE: i64 = 1_000_000;
         for capacity in [2, 8, 24] {
-            let (senders, mut rx) = slab_channel(capacity, 2);
-            let producers: Vec<_> = senders
+            let (txs, mut rx) = slab_channel(capacity, 2);
+            let producers: Vec<_> = txs
                 .into_iter()
                 .zip([(0, EACH), (1, 3 * EACH)])
                 .map(|(mut tx, (lane, n))| {
@@ -846,22 +797,21 @@ mod tests {
                 })
                 .collect();
             let mut next = [0i64, 0];
-            loop {
+            while next != [EACH, 3 * EACH] {
                 match rx.try_recv() {
-                    Ok(Value::I64(v)) => {
+                    Some(Value::I64(v)) => {
                         let lane = (v / LANE) as usize;
                         assert_eq!(v % LANE, next[lane], "depth {capacity} lane {lane}");
                         next[lane] += 1;
                     }
-                    Ok(other) => panic!("unexpected {other:?}"),
-                    Err(TryRecvError::Empty) => std::thread::yield_now(),
-                    Err(TryRecvError::Disconnected) => break,
+                    Some(other) => panic!("unexpected {other:?}"),
+                    None => std::thread::yield_now(),
                 }
             }
             for p in producers {
                 p.join().unwrap();
             }
-            assert_eq!(next, [EACH, 3 * EACH], "depth {capacity}");
+            assert_eq!(rx.try_recv(), None, "depth {capacity}: nothing repeated");
         }
     }
 }

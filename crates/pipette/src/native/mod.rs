@@ -28,7 +28,7 @@
 //! Stages run the simulator's engine, [`FlatInterp`] over the stage
 //! bytecode (lowered once per pipeline when the caller holds a
 //! [`crate::CompiledPipeline`], per invocation otherwise), against a
-//! [`NativeWorld`] that loads and stores the caller's [`MemState`] in
+//! `NativeWorld` that loads and stores the caller's [`MemState`] in
 //! place — its elements are atomics, so the stages share one memory as
 //! Pipette's SMT threads share one address space, and nothing is copied
 //! in or out — and backs queue ops with the channels. A stage's
@@ -48,14 +48,20 @@
 //!
 //! Threads synchronise per stage slice and per blocked episode, never
 //! per value. An enqueue or dequeue touches only the stage's own
-//! cursor and a slot ([`mod@channel`]'s slab endpoints); the shared ring
-//! indices move once per slab, an eighth of the ring
-//! ([`channel::slab_len`]), before an endpoint reports full or empty,
-//! and when a slice ends — on *every*
-//! queue of the stage, so a stage blocked on one queue never withholds
-//! slots or values on another. After a slice that moved a value the
+//! cursor and a slot ([`mod@channel`]'s slab endpoints: a ring's head
+//! and tail plus one private cursor per endpoint, and no other shared
+//! state); the shared ring indices move once per slab, an eighth of the
+//! ring ([`channel::slab_len`]), before an endpoint reports full or
+//! empty, and when a slice ends — on *every* queue of the stage, so a
+//! stage blocked on one queue never withholds slots or values on
+//! another. Nothing is published when an endpoint drops: a worker drops
+//! its stages' endpoints only on exit, after the slice end that
+//! published everything. A fan-in queue's producers take one lock per
+//! value and publish it at once. After a slice that moved a value the
 //! worker notifies the run's [`Parker`] once, indices first, so whoever
-//! sees the epoch bump sees what it announces.
+//! sees the epoch bump sees what it announces. Endpoints carry no
+//! lifecycle: a stage whose peer has finished sees empty or full, never
+//! a disconnection, and blocks like any other.
 //!
 //! A worker none of whose stages advanced retries them for
 //! `IDLE_ROUNDS` rounds (spinning when every worker has a core,
@@ -500,29 +506,21 @@ impl World for NativeWorld<'_> {
     }
 
     fn try_enq(&mut self, _t: Tid, q: QueueId, w: Value, _dep: Time) -> Result<Option<Time>, Trap> {
-        match self.sender(q)?.try_send(w) {
-            Ok(()) => {
-                self.counts.enqs += 1;
-                self.moved = true;
-                Ok(Some(0))
-            }
-            // A dead consumer means this enqueue can never complete; the
-            // producer blocks forever and the deadlock detector reports
-            // it, matching the interpreter's behaviour for the same
-            // pipeline shape.
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => Ok(None),
+        if self.sender(q)?.try_send(w).is_err() {
+            return Ok(None);
         }
+        self.counts.enqs += 1;
+        self.moved = true;
+        Ok(Some(0))
     }
 
     fn try_deq(&mut self, _t: Tid, q: QueueId, _dep: Time) -> Result<Option<(Value, Time)>, Trap> {
-        match self.receiver(q)?.try_recv() {
-            Ok(v) => {
-                self.counts.deqs += 1;
-                self.moved = true;
-                Ok(Some((v, 0)))
-            }
-            Err(TryRecvError::Empty | TryRecvError::Disconnected) => Ok(None),
-        }
+        let Some(v) = self.receiver(q)?.try_recv() else {
+            return Ok(None);
+        };
+        self.counts.deqs += 1;
+        self.moved = true;
+        Ok(Some((v, 0)))
     }
 }
 
@@ -549,10 +547,9 @@ fn build_channels(pipeline: &Pipeline, depth: usize) -> Result<Vec<StageEndpoint
         for (&p, tx) in q.producers.iter().zip(senders) {
             eps[p].senders[qi] = Some(tx);
         }
-        // A queue with no producers has no live sender: its receiver
-        // reports Disconnected, which the runtime treats as
-        // blocked-forever (deadlock parity with the interpreter).
-        // Validation rejects such pipelines before we ever get here.
+        // A queue with no producers stays empty: its consumer blocks
+        // forever and the deadlock rule reports it, as the interpreter
+        // does. Validation rejects such pipelines before we get here.
     }
     Ok(eps)
 }

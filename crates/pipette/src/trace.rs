@@ -376,7 +376,7 @@ impl dyn TraceSink {
         (self as &dyn Any).downcast_ref()
     }
 
-    /// Mutable variant of [`Self::downcast_ref`].
+    /// Mutable variant of `downcast_ref`.
     pub fn downcast_mut<T: TraceSink>(&mut self) -> Option<&mut T> {
         (self as &mut dyn Any).downcast_mut()
     }
@@ -608,7 +608,7 @@ impl TeeSink {
     }
 
     /// Borrows the child sinks (in construction order), e.g. to
-    /// [`downcast`](dyn TraceSink::downcast_ref) them after a run.
+    /// `downcast_ref` them after a run.
     pub fn sinks(&self) -> &[Box<dyn TraceSink>] {
         &self.sinks
     }

@@ -8,12 +8,12 @@
 //!
 //! | step | module | what it does |
 //! |------|--------|--------------|
-//! | plan | [`plan`] | validate the request's fields, build its `Work`, derive its cache key (if cacheable) |
-//! | admit | [`admit`] | drain gate, zero-deadline gate, cache probe, in-batch dedup, admission budget |
-//! | execute | [`exec`] | run the work in a pool task and render its payload fragment once |
+//! | plan | `plan` | validate the request's fields, build its `Work`, derive its cache key (if cacheable) |
+//! | admit | `admit` | drain gate, zero-deadline gate, cache probe, in-batch dedup, admission budget |
+//! | execute | `exec` | run the work in a pool task and render its payload fragment once |
 //! | render | [`crate::proto`] | envelope + fragment ([`crate::proto::ok_frame`]) or the one error frame |
 //!
-//! [`store`] holds the two caches and their snapshot. Adding an op
+//! `store` holds the two caches and their snapshot. Adding an op
 //! touches its `Op` variant and wire name, one `plan` arm (and its
 //! `work_cost`), and one `execute` arm — nothing in
 //! [`Service::handle_batch`]. `stats` and `shutdown` are the only

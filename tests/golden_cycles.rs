@@ -226,24 +226,25 @@ fn trace_digests() -> Vec<(&'static str, u64, u64)> {
 
     let g = graph::power_law(500, 3, 3);
     let (text, words) = both_digests(|sink| {
-        let (m, sink) = bfs::run_traced(&Variant::phloem(), &g, 0, &cfg, "power_law_500", sink);
+        let (m, sink) =
+            bfs::run_opt_traced(&Variant::phloem(), &g, 0, &cfg, "power_law_500", Some(sink));
         m.expect("golden run");
-        sink
+        sink.expect("the sink is handed back")
     });
     out.push(("bfs/phloem/power_law_500", text, words));
 
     let a = matrix::random_square(48, 4.0, 7);
     let (text, words) = both_digests(|sink| {
-        let (m, sink) = taco::run_traced(
+        let (m, sink) = taco::run_opt_traced(
             taco::TacoApp::Spmv,
             &Variant::phloem(),
             &a,
             &cfg,
             "rnd_48",
-            sink,
+            Some(sink),
         );
         m.expect("golden run");
-        sink
+        sink.expect("the sink is handed back")
     });
     out.push(("taco-spmv/phloem/rnd_48", text, words));
     out

@@ -13,7 +13,9 @@
 //! SpMM, and the four taco kernels) through their public `run()` entry
 //! points under an ambient native [`BackendScope`]; each app asserts
 //! its own host oracle internally, so a native-vs-serial divergence
-//! panics inside the run.
+//! panics inside the run. The graph apps' Fig. 14 replicated
+//! pipelines are the fan-in coverage: their queues with several
+//! producers are the only ones that take the native send lock.
 //!
 //! Under a native scope with a fixed worker count the apps compile to
 //! at most one stage per worker; `static_pipelines_fit_their_workers`
@@ -21,9 +23,10 @@
 //! fewer workers against the same oracles.
 
 use phloem_benchsuite::apps::{Input, APPS};
+use phloem_benchsuite::fig14::{self, RepVariant};
 use phloem_benchsuite::{bfs, cc, prd, radii, spmm, taco, with_backend, Variant};
 use phloem_compiler::{analyze, decouple_with_cuts, PassConfig};
-use phloem_ir::{interp, Pipeline, Value};
+use phloem_ir::{interp, queue_topology, Pipeline, Value};
 use phloem_workloads::{graph, matrix, Graph};
 use pipette_sim::{ExecBackend, MachineConfig, NativeConfig, Session};
 
@@ -128,6 +131,42 @@ fn sparse_kernels_run_natively_on_two_workers() {
                 .unwrap_or_else(|e| panic!("taco {app:?}: {e}"));
         }
     });
+}
+
+/// Fan-in queues end to end: every graph app's Fig. 14 replicated
+/// pipeline (both variants, four replicas) on the native backend at one
+/// worker, two workers and one thread per stage. Each run checks its
+/// host oracle. Each of these pipelines has a queue with several
+/// producing stages, whose native senders share one lock instead of
+/// keeping private cursors.
+#[test]
+fn replicated_fan_in_pipelines_run_natively() {
+    let cfg = MachineConfig::paper_multicore(4);
+    let g = graph::power_law(300, 3, 3);
+    for v in [RepVariant::Phloem, RepVariant::Manual] {
+        for p in [
+            fig14::bfs_replicated(4, v),
+            fig14::cc_replicated(4, v),
+            fig14::radii_replicated(4, v),
+            fig14::prd_scatter_replicated(4, v),
+        ] {
+            let fan_in = queue_topology(&p).iter().any(|q| q.producers.len() > 1);
+            assert!(
+                fan_in,
+                "{v:?}: a replicated pipeline without a fan-in queue"
+            );
+        }
+    }
+    for threads in [1, 2, 0] {
+        with_backend(native(threads), || {
+            for app in APPS.iter().filter(|a| a.runs_on_graphs()) {
+                for v in [RepVariant::Phloem, RepVariant::Manual] {
+                    app.run_replicated(v, Input::Graph(&g), &cfg, "pl300")
+                        .unwrap_or_else(|e| panic!("{} {v:?} t{threads}: {e}", app.name()));
+                }
+            }
+        });
+    }
 }
 
 /// The ambient scope routes *sessions created inside it*; a session

@@ -38,16 +38,8 @@ fn run_bfs(
     sink: Option<Box<dyn TraceSink>>,
 ) -> (Measurement, Option<Box<dyn TraceSink>>) {
     let g = graph::power_law(300, 3, 3);
-    match sink {
-        None => (
-            bfs::run(&Variant::phloem(), &g, 0, cfg, "pl300").expect("bfs runs"),
-            None,
-        ),
-        Some(s) => {
-            let (m, s) = bfs::run_traced(&Variant::phloem(), &g, 0, cfg, "pl300", s);
-            (m.expect("bfs runs"), Some(s))
-        }
-    }
+    let (m, sink) = bfs::run_opt_traced(&Variant::phloem(), &g, 0, cfg, "pl300", sink);
+    (m.expect("bfs runs"), sink)
 }
 
 fn run_spmv(
@@ -55,18 +47,15 @@ fn run_spmv(
     sink: Option<Box<dyn TraceSink>>,
 ) -> (Measurement, Option<Box<dyn TraceSink>>) {
     let m = matrix::random_square(48, 4.0, 7);
-    match sink {
-        None => (
-            taco::run(taco::TacoApp::Spmv, &Variant::phloem(), &m, cfg, "rnd48")
-                .expect("spmv runs"),
-            None,
-        ),
-        Some(s) => {
-            let (r, s) =
-                taco::run_traced(taco::TacoApp::Spmv, &Variant::phloem(), &m, cfg, "rnd48", s);
-            (r.expect("spmv runs"), Some(s))
-        }
-    }
+    let (r, sink) = taco::run_opt_traced(
+        taco::TacoApp::Spmv,
+        &Variant::phloem(),
+        &m,
+        cfg,
+        "rnd48",
+        sink,
+    );
+    (r.expect("spmv runs"), sink)
 }
 
 // ---------------------------------------------------------------------

@@ -26,6 +26,7 @@ use crate::expr::{ArrayId, BranchId, Expr, LoadId, QueueId, VarId};
 use crate::func::{ArrayDecl, Function, VarDecl};
 use crate::stmt::Stmt;
 use crate::value::{BinOp, Ty};
+use std::sync::Arc;
 
 /// Builder for [`Function`]s; see the module docs for an example.
 #[derive(Debug)]
@@ -51,7 +52,7 @@ impl FunctionBuilder {
     pub fn var(&mut self, name: impl Into<String>, ty: Ty) -> VarId {
         let id = VarId(self.func.vars.len() as u32);
         self.func.vars.push(VarDecl {
-            name: name.into(),
+            name: Arc::from(name.into()),
             ty,
         });
         id

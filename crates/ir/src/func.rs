@@ -2,14 +2,18 @@
 
 use crate::expr::{ArrayId, BranchId, Expr, LoadId, QueueId, VarId};
 use crate::stmt::Stmt;
-use crate::value::Ty;
+use crate::value::{BinOp, Ty, UnOp, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Declaration of a scalar variable.
 #[derive(Clone, Debug, PartialEq)]
 pub struct VarDecl {
-    /// Human-readable name (for diagnostics and pretty-printing).
-    pub name: String,
+    /// Human-readable name (for diagnostics and pretty-printing). Shared:
+    /// every stage of a compiled pipeline declares the kernel's variables
+    /// and temporaries again, and a clone is a reference-count bump, not
+    /// a copy.
+    pub name: Arc<str>,
     /// Scalar type.
     pub ty: Ty,
 }
@@ -55,6 +59,38 @@ impl ArrayDecl {
             ty: Ty::F64,
             elem_bytes: 8,
         }
+    }
+}
+
+/// The type of the value `e` evaluates to, read from the declarations
+/// of the variables and arrays it names; `None` for a control value or
+/// an operand whose type is unknown. Arithmetic with an `F64` operand
+/// is `F64`; comparisons, `!`, `~`, the control tests and `(i64)` are
+/// `I64`. The validator's queue-type rule and the normaliser's
+/// temporaries both use it.
+pub fn expr_ty(vars: &[VarDecl], arrays: &[ArrayDecl], e: &Expr) -> Option<Ty> {
+    match e {
+        Expr::Const(Value::I64(_)) => Some(Ty::I64),
+        Expr::Const(Value::F64(_)) => Some(Ty::F64),
+        Expr::Const(Value::Ctrl(_)) => None,
+        Expr::Var(v) => vars.get(v.0 as usize).map(|d| d.ty),
+        Expr::Unary(op, a) => match op {
+            UnOp::Neg => expr_ty(vars, arrays, a),
+            UnOp::Not | UnOp::BitNot | UnOp::IsCtrl | UnOp::CtrlTag | UnOp::F2I => Some(Ty::I64),
+            UnOp::I2F => Some(Ty::F64),
+        },
+        Expr::Binary(op, a, b) => {
+            use BinOp::*;
+            match op {
+                Lt | Le | Gt | Ge | Eq | Ne => Some(Ty::I64),
+                _ => match (expr_ty(vars, arrays, a), expr_ty(vars, arrays, b)) {
+                    (Some(Ty::F64), _) | (_, Some(Ty::F64)) => Some(Ty::F64),
+                    (Some(Ty::I64), Some(Ty::I64)) => Some(Ty::I64),
+                    _ => None,
+                },
+            }
+        }
+        Expr::Load { array, .. } => arrays.get(array.0 as usize).map(|d| d.ty),
     }
 }
 

@@ -67,7 +67,7 @@ pub use builder::FunctionBuilder;
 pub use bytecode::{compile, BytecodeProgram, ExecEngine};
 pub use expr::{ArrayId, BranchId, Expr, LoadId, QueueId, VarId};
 pub use flat::FlatInterp;
-pub use func::{ArrayDecl, Function, ValidateError, VarDecl};
+pub use func::{expr_ty, ArrayDecl, Function, ValidateError, VarDecl};
 pub use mem::MemState;
 pub use pipeline::{Pipeline, RaConfig, RaMode, Stage, StageKind, StageProgram};
 pub use step::{bind_params, StageExec, StageSpec, StepInterp};

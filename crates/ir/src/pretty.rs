@@ -14,7 +14,7 @@ pub fn expr_to_string(f: &Function, e: &Expr) -> String {
         Expr::Var(v) => f
             .vars
             .get(v.0 as usize)
-            .map(|d| d.name.clone())
+            .map(|d| d.name.to_string())
             .unwrap_or_else(|| format!("v{}", v.0)),
         Expr::Unary(op, a) => format!("{op}({})", expr_to_string(f, a)),
         Expr::Binary(op, a, b) => {
@@ -153,7 +153,7 @@ pub fn function_to_string(f: &Function) -> String {
     let params: Vec<&str> = f
         .params
         .iter()
-        .map(|p| f.vars[p.0 as usize].name.as_str())
+        .map(|p| f.vars[p.0 as usize].name.as_ref())
         .collect();
     let _ = writeln!(out, "void {}({}) {{", f.name, params.join(", "));
     for s in &f.body {

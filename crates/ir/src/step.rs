@@ -671,7 +671,7 @@ pub fn bind_params(func: &Function, named: &[(&str, Value)]) -> Vec<(VarId, Valu
     let mut out = Vec::new();
     for p in &func.params {
         let name = &func.vars[p.0 as usize].name;
-        if let Some((_, v)) = named.iter().find(|(n, _)| n == name) {
+        if let Some((_, v)) = named.iter().find(|(n, _)| *n == &**name) {
             out.push((*p, *v));
         }
     }

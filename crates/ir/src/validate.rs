@@ -30,9 +30,10 @@
 //! miscompile bisects to a pass automatically.
 
 use crate::expr::{Expr, QueueId, VarId};
+use crate::func::expr_ty;
 use crate::pipeline::{Pipeline, RaMode, Stage, StageKind};
 use crate::stmt::{HandlerEnd, Stmt};
-use crate::value::{Ty, UnOp, Value};
+use crate::value::{Ty, UnOp};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -280,33 +281,6 @@ impl StageIo {
     }
 }
 
-fn expr_ty(stage: &Stage, e: &Expr) -> Option<Ty> {
-    let func = &stage.program.func;
-    match e {
-        Expr::Const(Value::I64(_)) => Some(Ty::I64),
-        Expr::Const(Value::F64(_)) => Some(Ty::F64),
-        Expr::Const(Value::Ctrl(_)) => None,
-        Expr::Var(v) => func.vars.get(v.0 as usize).map(|d| d.ty),
-        Expr::Unary(op, a) => match op {
-            UnOp::Neg => expr_ty(stage, a),
-            UnOp::Not | UnOp::BitNot | UnOp::IsCtrl | UnOp::CtrlTag | UnOp::F2I => Some(Ty::I64),
-            UnOp::I2F => Some(Ty::F64),
-        },
-        Expr::Binary(op, a, b) => {
-            use crate::value::BinOp::*;
-            match op {
-                Lt | Le | Gt | Ge | Eq | Ne => Some(Ty::I64),
-                _ => match (expr_ty(stage, a), expr_ty(stage, b)) {
-                    (Some(Ty::F64), _) | (_, Some(Ty::F64)) => Some(Ty::F64),
-                    (Some(Ty::I64), Some(Ty::I64)) => Some(Ty::I64),
-                    _ => None,
-                },
-            }
-        }
-        Expr::Load { array, .. } => func.arrays.get(array.0 as usize).map(|d| d.ty),
-    }
-}
-
 /// Whether `e` tests `is_control` anywhere.
 fn tests_ctrl(e: &Expr) -> bool {
     match e {
@@ -318,6 +292,7 @@ fn tests_ctrl(e: &Expr) -> bool {
 }
 
 fn scan_stmts(stage: &Stage, stmts: &[Stmt], io: &mut StageIo) {
+    let func = &stage.program.func;
     for s in stmts {
         s.for_each(&mut |s| {
             s.for_each_header_read(&mut |r| io.mark(r, READ));
@@ -338,7 +313,7 @@ fn scan_stmts(stage: &Stage, stmts: &[Stmt], io: &mut StageIo) {
                 }
                 Stmt::Enq { queue, value } => {
                     scan_expr(value);
-                    let ty = expr_ty(stage, value);
+                    let ty = expr_ty(&func.vars, &func.arrays, value);
                     let q = io.queue(*queue);
                     q.enq_plain = true;
                     q.enq_any = true;
@@ -351,7 +326,7 @@ fn scan_stmts(stage: &Stage, stmts: &[Stmt], io: &mut StageIo) {
                 } => {
                     scan_expr(select);
                     scan_expr(value);
-                    let ty = expr_ty(stage, value);
+                    let ty = expr_ty(&func.vars, &func.arrays, value);
                     for q in queues {
                         let q = io.queue(*q);
                         q.enq_any = true;
@@ -363,7 +338,7 @@ fn scan_stmts(stage: &Stage, stmts: &[Stmt], io: &mut StageIo) {
                     io.ctrl_out.push((*queue, *ctrl));
                 }
                 Stmt::Deq { var, queue } => {
-                    let ty = stage.program.func.vars.get(var.0 as usize).map(|d| d.ty);
+                    let ty = func.vars.get(var.0 as usize).map(|d| d.ty);
                     let q = io.queue(*queue);
                     q.deq = true;
                     q.deq_ty = q.deq_ty.or(ty);
@@ -718,7 +693,7 @@ pub fn validate_pipeline(
                     var: func
                         .vars
                         .get(r.0 as usize)
-                        .map(|d| d.name.clone())
+                        .map(|d| d.name.to_string())
                         .unwrap_or_else(|| format!("{r:?}")),
                 }));
             }

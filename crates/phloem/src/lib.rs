@@ -42,6 +42,7 @@
 pub mod analysis;
 pub mod decouple;
 mod emit;
+mod fold;
 pub mod normalize;
 pub mod options;
 mod prepared;

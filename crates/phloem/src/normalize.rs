@@ -14,20 +14,23 @@
 //! Load-site ids are preserved, so cost-model rankings computed before
 //! or after normalization agree.
 
-use phloem_ir::{BranchId, Expr, Function, Stmt, Ty, UnOp, VarDecl, VarId};
+use phloem_ir::{expr_ty, ArrayDecl, BranchId, Expr, Function, Stmt, Ty, UnOp, VarDecl, VarId};
 
-struct Normalizer {
+struct Normalizer<'f> {
     vars: Vec<VarDecl>,
+    arrays: &'f [ArrayDecl],
     next_branch: u32,
     next_temp: u32,
 }
 
-impl Normalizer {
-    fn temp(&mut self) -> VarId {
+impl Normalizer<'_> {
+    /// A fresh temporary to hold `e`, declared with the type of `e`.
+    fn temp(&mut self, e: &Expr) -> VarId {
         let id = VarId(self.vars.len() as u32);
+        let ty = expr_ty(&self.vars, self.arrays, e).unwrap_or(Ty::I64);
         self.vars.push(VarDecl {
-            name: format!("_t{}", self.next_temp),
-            ty: Ty::I64,
+            name: format!("_t{}", self.next_temp).into(),
+            ty,
         });
         self.next_temp += 1;
         id
@@ -45,7 +48,7 @@ impl Normalizer {
             Expr::Const(_) | Expr::Var(_) => e.clone(),
             _ => {
                 let shallow = self.shallow(e, out);
-                let t = self.temp();
+                let t = self.temp(&shallow);
                 out.push(Stmt::Assign {
                     var: t,
                     expr: shallow,
@@ -166,11 +169,9 @@ impl Normalizer {
                         //                    if (cn) break; B }
                         let mut inner = Vec::new();
                         let lc = self.leaf(cond, &mut inner);
-                        let cn = self.temp();
-                        inner.push(Stmt::Assign {
-                            var: cn,
-                            expr: Expr::Unary(UnOp::Not, Box::new(lc)),
-                        });
+                        let not = Expr::Unary(UnOp::Not, Box::new(lc));
+                        let cn = self.temp(&not);
+                        inner.push(Stmt::Assign { var: cn, expr: not });
                         let exit_id = self.branch();
                         inner.push(Stmt::if_then(
                             exit_id,
@@ -224,6 +225,7 @@ impl Normalizer {
 pub fn normalize(func: &Function) -> Function {
     let mut n = Normalizer {
         vars: func.vars.clone(),
+        arrays: &func.arrays,
         next_branch: func.next_branch_id().0,
         next_temp: 0,
     };
@@ -355,6 +357,23 @@ mod tests {
         before.sort();
         after.sort();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn temporaries_are_typed_by_what_they_hold() {
+        // out[0] = x[i + 1] * 2.0
+        let mut b = FunctionBuilder::new("t");
+        let x = b.array_f64("x");
+        let out = b.array_f64("out");
+        let i = b.var_i64("i");
+        let l = b.load(x, Expr::add(Expr::var(i), Expr::i64(1)));
+        b.store(out, Expr::i64(0), Expr::mul(l, Expr::f64(2.0)));
+        let nf = normalize(&b.build());
+        let ty = |name: &str| nf.vars.iter().find(|d| &*d.name == name).map(|d| d.ty);
+        // _t0 = i + 1; _t1 = x[_t0]; _t2 = _t1 * 2.0
+        assert_eq!(ty("_t0"), Some(Ty::I64));
+        assert_eq!(ty("_t1"), Some(Ty::F64));
+        assert_eq!(ty("_t2"), Some(Ty::F64));
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub struct PassConfig {
     /// Debug mode: run the pipeline validator after every pass boundary
     /// (emit, RA extraction, replication) instead of only on the final
     /// pipeline, so a miscompile bisects to the pass that introduced it
-    /// (the returned error names that pass).
+    /// (the returned error names that pass). The final check, after the
+    /// always-on stage clean-up, names `fold`.
     pub validate_between_passes: bool,
 }
 

@@ -11,13 +11,16 @@ use crate::analysis::{analyze_normalized, Analysis};
 use crate::decouple::{assign_stages, partition_comm, plan, Node, Shape, TreeBuilder};
 use crate::emit::emit_stage;
 use crate::options::CompileError;
-use crate::{normalize, ra, CompileOptions};
+use crate::{fold, normalize, ra, CompileOptions};
 use phloem_ir::{Function, LoadId, Pipeline};
 
 /// A validated, normalised, analysed kernel with its decoupling tree.
 pub(crate) struct Prepared {
     /// The normalised function; its body lives on in `tree`.
     nf: Function,
+    /// The kernel's own variable count: ids at or above it are the
+    /// temporaries normalisation and emission declared.
+    first_temp: usize,
     /// One past the largest branch id of the normalised body.
     next_branch: u32,
     tree: Vec<Node>,
@@ -43,6 +46,7 @@ impl Prepared {
         let tree = tb.build(std::mem::take(&mut nf.body))?;
         let shape = Shape::new(&tree, &tb, &nf);
         Ok(Prepared {
+            first_temp: func.vars.len(),
             nf,
             next_branch,
             tree,
@@ -113,18 +117,19 @@ impl Prepared {
             phloem_ir::validate_pipeline(&pipe, &limits, "emit")
                 .map_err(CompileError::InvalidPipeline)?;
         }
-        let mut last_pass = "emit";
         if opts.passes.use_ra {
             ra::extract(&mut pipe, &self.nf.arrays, opts.max_ras);
-            last_pass = "ra-extract";
             if opts.passes.validate_between_passes {
-                phloem_ir::validate_pipeline(&pipe, &limits, last_pass)
+                phloem_ir::validate_pipeline(&pipe, &limits, "ra-extract")
                     .map_err(CompileError::InvalidPipeline)?;
             }
         }
+        // Always on, after RA extraction has matched the stages it
+        // offloads in their normalised shape.
+        fold::fold_stages(&mut pipe, self.first_temp);
         pipe.check(opts.max_queues, opts.smt_threads, opts.max_ras)
             .map_err(|e| CompileError::Unsupported(e.to_string()))?;
-        phloem_ir::validate_pipeline(&pipe, &limits, last_pass)
+        phloem_ir::validate_pipeline(&pipe, &limits, "fold")
             .map_err(CompileError::InvalidPipeline)?;
         Ok(pipe)
     }

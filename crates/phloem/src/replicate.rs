@@ -15,7 +15,8 @@
 
 use crate::options::CompileError;
 use phloem_ir::{
-    BinOp, Expr, HandlerEnd, Pipeline, QueueId, Stage, StageKind, Stmt, Ty, VarDecl, VarId,
+    expr_ty, ArrayDecl, BinOp, Expr, HandlerEnd, Pipeline, QueueId, Stage, StageKind, Stmt, Ty,
+    VarDecl, VarId,
 };
 
 /// Replication parameters.
@@ -60,13 +61,37 @@ fn remap_stmts(stmts: &mut [Stmt], r: usize, stride: u16) {
 }
 
 /// Rewrites enqueues to distributed queues into replica-selecting
-/// enqueues (data values) or broadcasts (control values).
-fn distribute_stmts(stmts: &mut Vec<Stmt>, base: QueueId, all: &[QueueId]) {
+/// enqueues (data values) or broadcasts (control values). A value that
+/// is not a leaf is first held in a fresh variable declared in `vars`,
+/// so selecting and enqueuing evaluate it once.
+fn distribute_stmts(
+    stmts: &mut Vec<Stmt>,
+    base: QueueId,
+    all: &[QueueId],
+    vars: &mut Vec<VarDecl>,
+    arrays: &[ArrayDecl],
+) {
     let mut i = 0;
     while i < stmts.len() {
         match &mut stmts[i] {
             Stmt::Enq { queue, value } if *queue == base => {
-                let value = value.clone();
+                let mut value = std::mem::replace(value, Expr::i64(0));
+                if !matches!(value, Expr::Var(_) | Expr::Const(_)) {
+                    let t = VarId(vars.len() as u32);
+                    vars.push(VarDecl {
+                        name: format!("_d{}", t.0).into(),
+                        ty: expr_ty(vars, arrays, &value).unwrap_or(Ty::I64),
+                    });
+                    stmts.insert(
+                        i,
+                        Stmt::Assign {
+                            var: t,
+                            expr: value,
+                        },
+                    );
+                    i += 1;
+                    value = Expr::var(t);
+                }
                 stmts[i] = Stmt::EnqSel {
                     queues: all.to_vec(),
                     select: value.clone(),
@@ -89,11 +114,11 @@ fn distribute_stmts(stmts: &mut Vec<Stmt>, base: QueueId, all: &[QueueId]) {
                 else_body,
                 ..
             } => {
-                distribute_stmts(then_body, base, all);
-                distribute_stmts(else_body, base, all);
+                distribute_stmts(then_body, base, all, vars, arrays);
+                distribute_stmts(else_body, base, all, vars, arrays);
             }
             Stmt::For { body, .. } | Stmt::While { body, .. } => {
-                distribute_stmts(body, base, all);
+                distribute_stmts(body, base, all, vars, arrays);
             }
             _ => {}
         }
@@ -238,9 +263,10 @@ pub fn replicate(template: &Pipeline, spec: &ReplicateSpec) -> Result<Pipeline, 
                     }
                     continue;
                 }
-                distribute_stmts(&mut stage.program.func.body, local, &all);
-                for h in &mut stage.program.handlers {
-                    distribute_stmts(&mut h.body, local, &all);
+                let (func, handlers) = (&mut stage.program.func, &mut stage.program.handlers);
+                distribute_stmts(&mut func.body, local, &all, &mut func.vars, &func.arrays);
+                for h in handlers {
+                    distribute_stmts(&mut h.body, local, &all, &mut func.vars, &func.arrays);
                 }
             }
             // Consumers of distributed queues count one DONE per replica.
@@ -385,6 +411,9 @@ mod tests {
         let sums = run.mem.i64_vec(out);
         // Evens (0+2+4+6+8) to replica 0, odds (1+3+5+7+9) to replica 1.
         assert_eq!(sums, vec![20, 25]);
+        // The producers' `enq(q, src[i])` selects and enqueues one load.
+        let loads: u64 = run.counts.iter().map(|c| c.loads).sum();
+        assert_eq!(loads, 10);
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn allocs() -> u64 {
 }
 
 /// Mean allocations per `compile_static` may not exceed this.
-const COMPILE_STATIC_BUDGET: f64 = 500.0;
+const COMPILE_STATIC_BUDGET: f64 = 215.0;
 /// Mean allocations per `CompiledPipeline::new` may not exceed this.
 const COMPILED_NEW_BUDGET: f64 = 38.0;
 

@@ -40,22 +40,22 @@ const GOLDEN: &[(&str, u64)] = &[
     ("bfs/serial", 0x66713d51fd98cddf),
     ("bfs/dp4", 0x16f8e2acdd491d94),
     ("bfs/dp16", 0xb05c349158fe7007),
-    ("bfs/phloem", 0xf3fa14eda1d09c49),
+    ("bfs/phloem", 0x641763be6acfd610),
     ("bfs/manual", 0x0fcffc813419e68b),
     ("cc/serial", 0xf939489be9e0d296),
     ("cc/dp4", 0xde480880b99b84a3),
     ("cc/dp16", 0xd6673a6988f2fa6f),
-    ("cc/phloem", 0x898b7c26640e9f5e),
+    ("cc/phloem", 0xa49a61df3d62e637),
     ("cc/manual", 0xf3d99c548bfcf80c),
     ("radii/serial", 0x76cb296c7ddd5067),
     ("radii/dp4", 0x2ae6b203a61ad3d3),
     ("radii/dp16", 0x04f4c7e65828cc1d),
-    ("radii/phloem", 0xbe0d7e5079f8e4a0),
+    ("radii/phloem", 0x1d2e1e51a65a0590),
     ("radii/manual", 0x6d32be4cdcf13347),
     ("spmm/serial", 0x48f786cd66179b66),
     ("spmm/dp4", 0x34c3e9dd7107bfaa),
     ("spmm/dp16", 0x18fcbfd5b102ee97),
-    ("spmm/phloem", 0x1f3fbe6ba5c7ab7c),
+    ("spmm/phloem", 0x104c3e47517dc613),
     ("spmm/manual", 0xb94a7177116902c3),
     ("prd-scatter/serial", 0xf6db44eb476826cd),
     ("prd-apply/serial", 0xf6d847bb23a6bb1a),
@@ -63,8 +63,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("prd-apply/dp4", 0x03989e3890d9fe7d),
     ("prd-scatter/dp16", 0xd74962cee868ecbf),
     ("prd-apply/dp16", 0x71cea355b210fb6d),
-    ("prd-scatter/phloem", 0xc3d92ca14ee41ff0),
-    ("prd-apply/phloem", 0xcdeca19070f3960f),
+    ("prd-scatter/phloem", 0xe236168037d73b39),
+    ("prd-apply/phloem", 0xe52539ae1fe4df78),
     ("prd-scatter/manual", 0x5a6b84e541f0be8c),
     ("prd-apply/manual", 0xf6d847bb23a6bb1a),
     ("bfs/replicated-phloem", 0x7be9bf3e3558ebf7),
@@ -77,16 +77,16 @@ const GOLDEN: &[(&str, u64)] = &[
     ("prd-scatter/replicated-manual", 0xdcbd97b79ccb8a51),
     ("taco-mtmul/serial", 0xf2e94ef170e0b3ee),
     ("taco-mtmul/dp4", 0xf420704adcc1a86f),
-    ("taco-mtmul/phloem", 0x54468bcfc5934b54),
+    ("taco-mtmul/phloem", 0x9eacb7faa11ac2c5),
     ("taco-residual/serial", 0x62d20353c3341eb0),
     ("taco-residual/dp4", 0x751be302a699991e),
-    ("taco-residual/phloem", 0xb876058e05154645),
+    ("taco-residual/phloem", 0x2533b217fb565650),
     ("taco-spmv/serial", 0x20a21adde9b172a9),
     ("taco-spmv/dp4", 0x937bb47d11655ae6),
-    ("taco-spmv/phloem", 0xdb5cc7e89e5ed473),
+    ("taco-spmv/phloem", 0x76d12976a8ac03fd),
     ("taco-sddmm/serial", 0xf36ab4f366899f40),
     ("taco-sddmm/dp4", 0xadb4296c6b5e5db6),
-    ("taco-sddmm/phloem", 0x2f558f36d0bff537),
+    ("taco-sddmm/phloem", 0x39b7bb874c122749),
 ];
 
 /// Vertex count / segment size the size-dependent builders are given.
@@ -180,16 +180,16 @@ fn pipeline_ir_matches_the_recorded_digests() {
 /// `enumerate_pipelines` result)`: cuts and pipeline of every candidate,
 /// in enumeration order.
 const GOLDEN_ENUMERATION: &[(&str, usize, u64)] = &[
-    ("bfs/default", 25, 0x88c7ed1cbeee5e95),
-    ("bfs/top4-stages4", 14, 0x395a49c025c505c9),
-    ("cc/default", 37, 0xf1c60c523846a217),
-    ("cc/top4-stages4", 12, 0x07948021eb3ca46a),
-    ("prd/default", 32, 0xaffc7ba852ddea54),
-    ("prd/top4-stages4", 11, 0x8ebfd5bf93af4950),
-    ("radii/default", 37, 0x24f97e309e6b1a8c),
-    ("radii/top4-stages4", 14, 0xc50e18af393ae64e),
-    ("spmm/default", 2, 0xe4eedb1533e5ea30),
-    ("spmm/top4-stages4", 2, 0xe4eedb1533e5ea30),
+    ("bfs/default", 25, 0x1584ee2dd4a128a3),
+    ("bfs/top4-stages4", 14, 0xf668b5c290a28cb0),
+    ("cc/default", 37, 0x12f40674c3fd6122),
+    ("cc/top4-stages4", 12, 0x3707c4fca1d418af),
+    ("prd/default", 32, 0x59fd1890a3fec546),
+    ("prd/top4-stages4", 11, 0x35d1bc61a32141ca),
+    ("radii/default", 37, 0x2c033a02550b9162),
+    ("radii/top4-stages4", 14, 0x033b797b26fa3f26),
+    ("spmm/default", 2, 0x6b5666ccc771fc50),
+    ("spmm/top4-stages4", 2, 0x6b5666ccc771fc50),
 ];
 
 /// The searches pinned above: `SearchOptions::default()` (top 6 cuts,
@@ -240,11 +240,11 @@ fn enumerated_candidates_match_the_recorded_digests() {
 /// `compile_static` at 2, 3 and 4 stages under each of the seven pass
 /// presets, presets outermost.
 const GOLDEN_PRESETS: &[(&str, u64)] = &[
-    ("bfs/presets", 0x42e2822cd4e86e78),
-    ("cc/presets", 0xa757a0509287a3e9),
-    ("prd/presets", 0xa171a3b816229c78),
-    ("radii/presets", 0xde0e5032f2a3eb31),
-    ("spmm/presets", 0x70f81a21efcd909f),
+    ("bfs/presets", 0x3b8744890a0ab6d9),
+    ("cc/presets", 0xaa4743a0b0120aff),
+    ("prd/presets", 0x0e6cd41fdecfc2a3),
+    ("radii/presets", 0xef5c2b8508a388b2),
+    ("spmm/presets", 0xeab436fea0fb1d90),
 ];
 
 #[test]
@@ -290,7 +290,7 @@ fn every_pass_preset_matches_the_recorded_digests() {
 /// SpMM at four stages: its three top-ranked cuts (and the top two)
 /// are a race violation, so `compile_static` drops cuts until one is
 /// left. Pins the pipeline the fallback settles on.
-const GOLDEN_FALLBACK: u64 = 0x1f3fbe6ba5c7ab7c;
+const GOLDEN_FALLBACK: u64 = 0x104c3e47517dc613;
 
 #[test]
 fn compile_static_fallback_matches_the_recorded_digest() {

@@ -20,14 +20,16 @@
 //! Under a native scope with a fixed worker count the apps compile to
 //! at most one stage per worker; `static_pipelines_fit_their_workers`
 //! pins that fitting and runs every app's unfitted pipeline folded onto
-//! fewer workers against the same oracles.
+//! fewer workers against the same oracles, and
+//! `fitted_stages_commit_no_more_than_the_kernel` holds each fitted
+//! stage to the ops of the serial kernel it came from.
 
 use phloem_benchsuite::apps::{Input, APPS};
 use phloem_benchsuite::fig14::{self, RepVariant};
 use phloem_benchsuite::{bfs, cc, prd, radii, spmm, taco, with_backend, Variant};
 use phloem_compiler::{analyze, decouple_with_cuts, PassConfig};
 use phloem_ir::{interp, queue_topology, Pipeline, Value};
-use phloem_workloads::{graph, matrix, Graph};
+use phloem_workloads::{catalog, graph, matrix, Graph, Scale};
 use pipette_sim::{ExecBackend, MachineConfig, NativeConfig, Session};
 
 fn native(threads: usize) -> ExecBackend {
@@ -273,5 +275,63 @@ fn static_pipelines_fit_their_workers() {
                 app.name()
             );
         }
+    }
+}
+
+/// No stage does more than the kernel. On the first invocation of each
+/// app over its first tiny test input, the one-stage pipeline a single
+/// worker runs commits exactly the serial kernel's ops (the compiler's
+/// clean-up folds the normaliser's temporaries and loop rotation back
+/// out), and each stage of the two-worker pipeline commits at most that
+/// many.
+#[test]
+fn fitted_stages_commit_no_more_than_the_kernel() {
+    let cfg = MachineConfig::paper_1core();
+    let g = catalog::test_graphs(Scale::Tiny).remove(0).graph;
+    let a = catalog::spmm_test_matrices(Scale::Tiny).remove(0).matrix;
+    let bt = a.transpose();
+    let one = Value::I64(1);
+    let n = Value::I64(a.rows as i64);
+    // (kernel, memory, parameters) of each app's first invocation, in
+    // APPS order: BFS, CC, PRD's scatter phase, Radii, SpMM.
+    let invocations = [
+        (
+            bfs::kernel(),
+            bfs::build_mem(&g, 0, 1).0,
+            vec![("cur_dist", one)],
+        ),
+        (cc::kernel(), cc::build_mem(&g, 1).0, vec![]),
+        (prd::scatter_kernel(), prd::build_mem(&g, 1).0, vec![]),
+        (
+            radii::kernel(),
+            radii::build_mem(&g, 1).0,
+            vec![("round", one)],
+        ),
+        (
+            spmm::kernel(),
+            spmm::build_mem(&a, &bt, 1).0,
+            vec![("n", n)],
+        ),
+    ];
+    let fitted = |w| with_backend(native(w), || static_pipelines(&g, &cfg));
+    let (one_stage, two_stage) = (fitted(1), fitted(2));
+    for (i, (kernel, mem, params)) in invocations.iter().enumerate() {
+        let name = APPS[i].name();
+        let serial = interp::run_serial(kernel, mem.clone(), params)
+            .unwrap_or_else(|e| panic!("{name} serial: {e}"))
+            .total()
+            .total();
+        let stage_ops = |p: &Pipeline| -> Vec<u64> {
+            let run = interp::run_pipeline(p, mem.clone(), params, cfg.queue_capacity)
+                .unwrap_or_else(|e| panic!("{name} pipeline: {e}"));
+            run.counts.iter().map(|c| c.total()).collect()
+        };
+        assert_eq!(stage_ops(&one_stage[i]), [serial], "{name}: one stage");
+        let two = stage_ops(&two_stage[i]);
+        assert_eq!(two.len(), 2, "{name}: two stages");
+        assert!(
+            two.iter().all(|&ops| ops <= serial),
+            "{name}: a stage of {two:?} commits more than the kernel's {serial}"
+        );
     }
 }

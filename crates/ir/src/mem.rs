@@ -3,83 +3,51 @@
 //! Each array receives a 64-byte-aligned base address from a bump
 //! allocator, so the cache model in `pipette-sim` sees realistic line and
 //! set behaviour. Element sizes of 4 bytes (graph ids, CSR offsets) and
-//! 8 bytes (doubles) are supported; values are held as [`Value`]s
+//! 8 bytes (doubles) are supported; values are held as 64-bit words
 //! regardless of element width.
 //!
-//! Every element is a one-byte type tag plus the value's 64 bits, two
-//! atomics read and written `Relaxed`, so one `MemState` is shared in
-//! place by the stage threads of a native run: every access is defined
-//! behaviour even if a miscompiled pipeline races (the differential
-//! harness exists to *find* such pipelines, so a race must show as a
-//! wrong answer, never as UB). A correctly decoupled pipeline orders
-//! its conflicting accesses through queue dataflow, which the channels'
-//! acquire/release pairs turn into happens-before; the tag and bits of
-//! one element tear only under races that are already program bugs.
-//! On one thread a `Relaxed` access is a plain move.
+//! Memory is typed by its declaration, as the paper's C kernels are
+//! (`int* restrict`, `double*`): every element is one `AtomicU64` read
+//! as its array's [`Ty`], and a store converts its value to that type
+//! as a C assignment does (`I64` → `F64` is `as f64`; `F64` → `I64`
+//! truncates toward zero and saturates). Loads and stores are
+//! `Relaxed`, so one `MemState` is shared in place by the stage threads
+//! of a native run: every access is defined behaviour even if a
+//! miscompiled pipeline races (the differential harness exists to
+//! *find* such pipelines, so a race must show as a wrong answer, never
+//! as UB). A correctly decoupled pipeline orders its conflicting
+//! accesses through queue dataflow, which the channels'
+//! acquire/release pairs turn into happens-before. An RMW is one
+//! compare-and-swap loop, linearizable without any caller's lock. On
+//! one thread a `Relaxed` access is a plain move.
 
 use crate::expr::ArrayId;
 use crate::func::ArrayDecl;
 use crate::value::{eval_binop, BinOp, Trap, Ty, Value};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicU64,
+    Ordering::{AcqRel, Acquire, Relaxed},
+};
 
 const BASE_ADDR: u64 = 0x1_0000;
 const LINE: u64 = 64;
 
-/// Type tag per element, so `I64(1)` and `F64(1.0)` round-trip as
-/// themselves.
-const TAG_I64: u8 = 0;
-const TAG_F64: u8 = 1;
-
-/// A data value as a (tag, bits) pair; memory holds no control values.
-/// Shaped so the tag compiles to a flag, not a branch: the one store
-/// site of an interpreter sees both types.
+/// A data value as a word of type `ty`, converted as a C assignment
+/// converts it; memory holds no control values.
 #[inline]
-fn encode(v: Value) -> Result<(u8, u64), Trap> {
-    if let Value::Ctrl(c) = v {
-        return Err(Trap::CtrlAsData(c));
-    }
-    // `TAG_F64` is 1 and `TAG_I64` 0.
-    let tag = u8::from(matches!(v, Value::F64(_)));
-    let bits = match v {
-        Value::I64(x) => x as u64,
-        Value::F64(x) => x.to_bits(),
-        Value::Ctrl(_) => 0,
-    };
-    Ok((tag, bits))
+fn encode(ty: Ty, v: Value) -> Result<u64, Trap> {
+    Ok(match ty {
+        Ty::I64 => v.as_i64()? as u64,
+        Ty::F64 => v.as_f64()?.to_bits(),
+    })
 }
 
 #[inline]
-fn read(tag: &AtomicU8, bits: &AtomicU64) -> Value {
-    let bits = bits.load(Relaxed);
-    if tag.load(Relaxed) == TAG_I64 {
-        Value::I64(bits as i64)
-    } else {
-        Value::F64(f64::from_bits(bits))
+fn decode(ty: Ty, w: u64) -> Value {
+    match ty {
+        Ty::I64 => Value::I64(w as i64),
+        Ty::F64 => Value::F64(f64::from_bits(w)),
     }
-}
-
-/// One element: its index and its two halves.
-struct Elem<'a> {
-    k: usize,
-    tag: &'a AtomicU8,
-    bits: &'a AtomicU64,
-}
-
-impl Elem<'_> {
-    #[inline]
-    fn get(&self) -> Value {
-        read(self.tag, self.bits)
-    }
-
-    #[inline]
-    fn set(&self, (tag, bits): (u8, u64)) {
-        self.tag.store(tag, Relaxed);
-        self.bits.store(bits, Relaxed);
-    }
-}
-
-fn fill<T>(len: usize, f: impl Fn() -> T) -> Box<[T]> {
-    (0..len).map(|_| f()).collect()
 }
 
 /// One allocated array.
@@ -89,8 +57,7 @@ pub struct ArrayStore {
     pub decl: ArrayDecl,
     /// Base address in the simulated flat address space.
     pub base: u64,
-    tags: Box<[AtomicU8]>,
-    bits: Box<[AtomicU64]>,
+    words: Box<[AtomicU64]>,
 }
 
 impl Clone for ArrayStore {
@@ -99,15 +66,10 @@ impl Clone for ArrayStore {
         ArrayStore {
             decl: self.decl.clone(),
             base: self.base,
-            tags: self
-                .tags
+            words: self
+                .words
                 .iter()
-                .map(|t| AtomicU8::new(t.load(Relaxed)))
-                .collect(),
-            bits: self
-                .bits
-                .iter()
-                .map(|b| AtomicU64::new(b.load(Relaxed)))
+                .map(|w| AtomicU64::new(w.load(Relaxed)))
                 .collect(),
         }
     }
@@ -116,34 +78,28 @@ impl Clone for ArrayStore {
 impl ArrayStore {
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.words.len()
     }
 
     /// True if the array has no elements.
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.words.is_empty()
     }
 
+    /// Element `idx` and its byte address.
     #[inline]
-    fn cell(&self, idx: i64) -> Result<Elem<'_>, Trap> {
+    fn cell(&self, idx: i64) -> Result<(&AtomicU64, u64), Trap> {
         // A negative `idx` wraps past every length.
         let k = idx as usize;
-        match (self.tags.get(k), self.bits.get(k)) {
-            (Some(tag), Some(bits)) => Ok(Elem { k, tag, bits }),
-            _ => Err(Trap::OutOfBounds(self.decl.name.clone(), idx, self.len())),
+        match self.words.get(k) {
+            Some(w) => Ok((w, self.base + k as u64 * self.decl.elem_bytes as u64)),
+            None => Err(Trap::OutOfBounds(self.decl.name.clone(), idx, self.len())),
         }
     }
 
-    #[inline]
-    fn addr(&self, c: &Elem) -> u64 {
-        self.base + c.k as u64 * self.decl.elem_bytes as u64
-    }
-
     fn values(&self) -> impl Iterator<Item = Value> + '_ {
-        self.tags
-            .iter()
-            .zip(&self.bits[..])
-            .map(|(t, b)| read(t, b))
+        let ty = self.decl.ty;
+        self.words.iter().map(move |w| decode(ty, w.load(Relaxed)))
     }
 }
 
@@ -164,53 +120,45 @@ impl MemState {
         }
     }
 
-    fn push(&mut self, decl: ArrayDecl, tags: Box<[AtomicU8]>, bits: Box<[AtomicU64]>) -> ArrayId {
+    fn push(&mut self, decl: ArrayDecl, words: Box<[AtomicU64]>) -> ArrayId {
         let id = ArrayId(self.arrays.len() as u32);
-        let bytes = bits.len() as u64 * decl.elem_bytes as u64;
+        let bytes = words.len() as u64 * decl.elem_bytes as u64;
         let base = self.next_base;
         // Leave a one-line gap between arrays so unrelated arrays never
         // share a cache line.
         self.next_base = (base + bytes + LINE).next_multiple_of(LINE);
-        self.arrays.push(ArrayStore {
-            decl,
-            base,
-            tags,
-            bits,
-        });
+        self.arrays.push(ArrayStore { decl, base, words });
         id
     }
 
     /// Allocates a zero-initialized array. Arrays must be allocated in
     /// [`ArrayId`] order matching the function's declarations.
     pub fn alloc(&mut self, decl: ArrayDecl, len: usize) -> ArrayId {
-        let (tag, bits) = encode(decl.ty.zero()).expect("zero is data");
-        self.push(
-            decl,
-            fill(len, || AtomicU8::new(tag)),
-            fill(len, || AtomicU64::new(bits)),
-        )
+        // The all-zero word is both `0` and `0.0`.
+        self.push(decl, (0..len).map(|_| AtomicU64::new(0)).collect())
     }
 
     /// Allocates an integer array from an iterator of `i64`.
+    ///
+    /// # Panics
+    /// Panics if `decl` is not an integer array.
     pub fn alloc_i64(&mut self, decl: ArrayDecl, data: impl IntoIterator<Item = i64>) -> ArrayId {
-        debug_assert_eq!(decl.ty, Ty::I64);
-        let bits: Box<[AtomicU64]> = data.into_iter().map(|x| AtomicU64::new(x as u64)).collect();
-        self.push(decl, fill(bits.len(), || AtomicU8::new(TAG_I64)), bits)
+        assert_eq!(decl.ty, Ty::I64, "alloc_i64 of a non-integer array");
+        let words = data.into_iter().map(|x| AtomicU64::new(x as u64)).collect();
+        self.push(decl, words)
     }
 
     /// Allocates a float array from an iterator of `f64`.
+    ///
+    /// # Panics
+    /// Panics if `decl` is not a float array.
     pub fn alloc_f64(&mut self, decl: ArrayDecl, data: impl IntoIterator<Item = f64>) -> ArrayId {
-        debug_assert_eq!(decl.ty, Ty::F64);
-        let bits: Box<[AtomicU64]> = data
+        assert_eq!(decl.ty, Ty::F64, "alloc_f64 of a non-float array");
+        let words = data
             .into_iter()
             .map(|x| AtomicU64::new(x.to_bits()))
             .collect();
-        self.push(decl, fill(bits.len(), || AtomicU8::new(TAG_F64)), bits)
-    }
-
-    /// Number of arrays allocated.
-    pub fn array_count(&self) -> usize {
-        self.arrays.len()
+        self.push(decl, words)
     }
 
     /// Metadata of one array.
@@ -228,16 +176,16 @@ impl MemState {
             .ok_or_else(|| Trap::BadId(format!("array {}", a.0)))
     }
 
-    /// Reads `a[idx]`.
+    /// Reads `a[idx]` as the array's declared type.
     ///
     /// # Errors
     /// Traps on a bad array id or out-of-bounds index.
     #[inline]
     pub fn load(&self, a: ArrayId, idx: i64) -> Result<Value, Trap> {
-        Ok(self.store_ref(a)?.cell(idx)?.get())
+        self.load_with_addr(a, idx).map(|(v, _)| v)
     }
 
-    /// Writes `a[idx] = v`.
+    /// Writes `a[idx] = v`, converted to the array's declared type.
     ///
     /// # Errors
     /// Traps on storing a control value, then on a bad array id, then on
@@ -252,8 +200,7 @@ impl MemState {
     /// # Errors
     /// Traps on a bad array id or out-of-bounds index.
     pub fn addr(&self, a: ArrayId, idx: i64) -> Result<u64, Trap> {
-        let s = self.store_ref(a)?;
-        Ok(s.addr(&s.cell(idx)?))
+        Ok(self.store_ref(a)?.cell(idx)?.1)
     }
 
     /// Reads `a[idx]` and returns its byte address in one array lookup —
@@ -266,8 +213,8 @@ impl MemState {
     #[inline]
     pub fn load_with_addr(&self, a: ArrayId, idx: i64) -> Result<(Value, u64), Trap> {
         let s = self.store_ref(a)?;
-        let c = s.cell(idx)?;
-        Ok((c.get(), s.addr(&c)))
+        let (w, addr) = s.cell(idx)?;
+        Ok((decode(s.decl.ty, w.load(Relaxed)), addr))
     }
 
     /// Writes `a[idx] = v` and returns the byte address in one array
@@ -277,25 +224,36 @@ impl MemState {
     /// Traps like [`Self::store`].
     #[inline]
     pub fn store_with_addr(&self, a: ArrayId, idx: i64, v: Value) -> Result<u64, Trap> {
-        let v = encode(v)?;
+        if let Value::Ctrl(c) = v {
+            return Err(Trap::CtrlAsData(c));
+        }
         let s = self.store_ref(a)?;
-        let c = s.cell(idx)?;
-        c.set(v);
-        Ok(s.addr(&c))
+        let (w, addr) = s.cell(idx)?;
+        w.store(encode(s.decl.ty, v)?, Relaxed);
+        Ok(addr)
     }
 
-    /// Applies `a[idx] = a[idx] op v`, returning the old value and the
-    /// element's byte address. Not atomic by itself: a caller that
-    /// shares the memory across threads serializes RMWs to one element.
+    /// Atomically applies `a[idx] = a[idx] op v` (the result converted
+    /// like a store), returning the old value and the element's byte
+    /// address. One compare-and-swap loop: linearizable with every other
+    /// access to the element, on any number of threads.
     ///
     /// # Errors
-    /// Traps like [`Self::load`], then on whatever `op` traps on.
+    /// Traps like [`Self::load`], then on whatever `op` traps on, which
+    /// leaves the element untouched.
     pub fn rmw(&self, op: BinOp, a: ArrayId, idx: i64, v: Value) -> Result<(Value, u64), Trap> {
         let s = self.store_ref(a)?;
-        let c = s.cell(idx)?;
-        let old = c.get();
-        c.set(encode(eval_binop(op, old, v)?)?);
-        Ok((old, s.addr(&c)))
+        let (w, addr) = s.cell(idx)?;
+        let ty = s.decl.ty;
+        let mut trap = None;
+        w.fetch_update(AcqRel, Acquire, |old| {
+            eval_binop(op, decode(ty, old), v)
+                .and_then(|new| encode(ty, new))
+                .map_err(|t| trap = Some(t))
+                .ok()
+        })
+        .map(|old| (decode(ty, old), addr))
+        .map_err(|_| trap.expect("a refused update trapped"))
     }
 
     /// Hints the hardware prefetcher at `a[idx]` (native RA stages call
@@ -304,36 +262,35 @@ impl MemState {
     #[inline]
     pub fn prefetch(&self, a: ArrayId, idx: i64) {
         #[cfg(target_arch = "x86_64")]
-        if let Some(b) = self
+        if let Some(w) = self
             .arrays
             .get(a.0 as usize)
-            .and_then(|s| s.bits.get(idx as usize))
+            .and_then(|s| s.words.get(idx as usize))
         {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
             // SAFETY: SSE is baseline on x86_64, and a prefetch has no
             // observable effect on memory.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(b.as_ptr() as *const i8) };
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(w.as_ptr() as *const i8) };
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = (a, idx);
     }
 
-    /// Contents of an integer array as `i64`s (for result checking).
-    ///
-    /// # Panics
-    /// Panics if the array holds non-integer values.
+    /// Contents of an integer array as `i64`s (for result checking); a
+    /// float array reads converted.
     pub fn i64_vec(&self, a: ArrayId) -> Vec<i64> {
         self.array(a)
             .values()
-            .map(|v| v.as_i64().expect("i64 array"))
+            .map(|v| v.as_i64().expect("data value"))
             .collect()
     }
 
-    /// Contents of a float array as `f64`s.
+    /// Contents of a float array as `f64`s; an integer array reads
+    /// converted.
     pub fn f64_vec(&self, a: ArrayId) -> Vec<f64> {
         self.array(a)
             .values()
-            .map(|v| v.as_f64().expect("f64 array"))
+            .map(|v| v.as_f64().expect("data value"))
             .collect()
     }
 
@@ -342,16 +299,16 @@ impl MemState {
         self.array(a).values().collect()
     }
 
-    /// Overwrites the full contents of an array (length must match).
+    /// Overwrites the full contents of an array (length must match),
+    /// each value converted like a store.
     ///
     /// # Panics
     /// Panics on length mismatch or a control value.
     pub fn set_values(&mut self, a: ArrayId, vals: &[Value]) {
         let s = &self.arrays[a.0 as usize];
         assert_eq!(s.len(), vals.len(), "array length mismatch");
-        for (k, &v) in vals.iter().enumerate() {
-            let c = s.cell(k as i64).expect("in bounds");
-            c.set(encode(v).expect("data value"));
+        for (w, &v) in s.words.iter().zip(vals) {
+            w.store(encode(s.decl.ty, v).expect("data value"), Relaxed);
         }
     }
 
@@ -447,14 +404,112 @@ mod tests {
     }
 
     #[test]
-    fn ints_and_floats_round_trip_as_themselves() {
+    fn a_store_converts_to_the_element_type() {
         let mut m = MemState::new();
-        let a = m.alloc(ArrayDecl::i64("a"), 2);
+        let a = m.alloc(ArrayDecl::i64("a"), 4);
+        let x = m.alloc(ArrayDecl::f64("x"), 2);
+        // F64 -> I64 truncates toward zero and saturates, like `as`.
         m.store(a, 0, Value::I64(1)).unwrap();
-        m.store(a, 1, Value::F64(1.0)).unwrap();
-        assert!(matches!(m.load(a, 0), Ok(Value::I64(1))));
-        assert!(matches!(m.load(a, 1), Ok(Value::F64(x)) if x == 1.0));
-        assert_eq!(m.values(a), vec![Value::I64(1), Value::F64(1.0)]);
+        m.store(a, 1, Value::F64(-2.75)).unwrap();
+        m.store(a, 2, Value::F64(1e300)).unwrap();
+        m.store(a, 3, Value::F64(f64::NAN)).unwrap();
+        assert_eq!(
+            m.values(a),
+            vec![
+                Value::I64(1),
+                Value::I64(-2),
+                Value::I64(i64::MAX),
+                Value::I64(0)
+            ]
+        );
+        // I64 -> F64 is `as f64`.
+        m.store(x, 0, Value::I64(3)).unwrap();
+        m.store(x, 1, Value::F64(0.5)).unwrap();
+        assert_eq!(m.values(x), vec![Value::F64(3.0), Value::F64(0.5)]);
+        // An RMW result converts too.
+        assert_eq!(
+            m.rmw(BinOp::Add, a, 0, Value::F64(0.5)),
+            Ok((Value::I64(1), m.addr(a, 0).unwrap()))
+        );
+        assert_eq!(m.load(a, 0), Ok(Value::I64(1)));
+        assert_eq!(
+            m.rmw(BinOp::Add, x, 1, Value::I64(2)).unwrap().0,
+            Value::F64(0.5)
+        );
+        assert_eq!(m.load(x, 1), Ok(Value::F64(2.5)));
+        // `set_values` converts like a store.
+        m.set_values(
+            a,
+            &[Value::F64(7.9), Value::I64(1), Value::I64(2), Value::I64(3)],
+        );
+        assert_eq!(m.i64_vec(a), vec![7, 1, 2, 3]);
+    }
+
+    const N: i64 = 1 << 20;
+
+    /// `threads` threads meet at a barrier, then thread `t` applies
+    /// `rmw(op, a, i, x)` with `(i, x) = arg(t, k)` for each `k` in
+    /// `0..N`, asserting `sees_own(t, k, old)`: each RMW returns an old
+    /// value that holds the thread's own earlier updates. Returns the
+    /// array's final contents.
+    fn race(
+        init: i64,
+        len: usize,
+        threads: i64,
+        op: BinOp,
+        arg: fn(i64, i64) -> (i64, i64),
+        sees_own: fn(i64, i64, i64) -> bool,
+    ) -> Vec<i64> {
+        let mut m = MemState::new();
+        let a = m.alloc_i64(ArrayDecl::i64("a"), vec![init; len]);
+        let go = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (m, go) = (&m, &go);
+                s.spawn(move || {
+                    go.wait();
+                    for k in 0..N {
+                        let (i, x) = arg(t, k);
+                        let (old, _) = m.rmw(op, a, i, Value::I64(x)).unwrap();
+                        let old = old.as_i64().unwrap();
+                        assert!(
+                            sees_own(t, k, old),
+                            "{op} lost an update: thread {t} step {k} read {old}"
+                        );
+                    }
+                });
+            }
+        });
+        m.i64_vec(a)
+    }
+
+    #[test]
+    fn rmw_is_linearizable_without_a_callers_lock() {
+        // No increment is lost.
+        let add = race(0, 1, 2, BinOp::Add, |_, _| (0, 1), |_, k, old| old >= k);
+        assert_eq!(add, vec![2 * N]);
+        // Both threads lower one element in step: a stale larger value
+        // never overwrites a smaller one.
+        let min = race(
+            i64::MAX,
+            1,
+            2,
+            BinOp::Min,
+            |_, k| (0, N - k),
+            |_, k, old| k == 0 || old <= N - k + 1,
+        );
+        assert_eq!(min, vec![1]);
+        // Four threads set 16 bits each of one element per 16 steps;
+        // every bit is set exactly once, so a lost update loses a bit.
+        let or = race(
+            0,
+            (N / 16) as usize,
+            4,
+            BinOp::Or,
+            |t, k| (k / 16, 1 << (4 * (k % 16) + t)),
+            |t, k, old| (0..k % 16).all(|j| old & (1i64 << (4 * j + t)) != 0),
+        );
+        assert!(or.iter().all(|&w| w == -1));
     }
 
     #[test]

@@ -380,14 +380,6 @@ struct StageEndpoints {
     receivers: Vec<Option<SlabReceiver>>,
 }
 
-/// Stripe count of [`RMW_LOCKS`]: comfortably above any realistic stage
-/// count, so concurrent RMWs to different locations rarely collide.
-const STRIPES: usize = 64;
-
-/// Serialize native [`MemState::rmw`]s per element (by array/index
-/// hash), so concurrent RMWs to one location are linearizable.
-static RMW_LOCKS: [Mutex<()>; STRIPES] = [const { Mutex::new(()) }; STRIPES];
-
 /// The native [`World`]: the invocation's one [`MemState`], shared in
 /// place, plus channels, no timing. All completion times are 0 —
 /// wall-clock is measured around the whole invocation, never per
@@ -497,11 +489,6 @@ impl World for NativeWorld<'_> {
         _dep: Time,
     ) -> Result<(Value, Time), Trap> {
         self.counts.atomics += 1;
-        let stripe = (array.0 as usize)
-            .wrapping_mul(31)
-            .wrapping_add(index as usize)
-            % STRIPES;
-        let _g = RMW_LOCKS[stripe].lock().unwrap_or_else(|e| e.into_inner());
         Ok((self.mem.rmw(op, array, index, value)?.0, 0))
     }
 

@@ -652,8 +652,9 @@ impl TraceSink for TeeSink {
 /// the stalled thread's track; queue occupancies become `"C"` (counter)
 /// tracks; handler fires, finishes, faults, and verdicts become `"I"`
 /// (instant) events. Timestamps are simulated cycles. RA FSM transitions
-/// are excluded by default (they dominate file size on RA-heavy
-/// pipelines); [`PerfettoSink::with_ra_transitions`] re-enables them.
+/// are included by default; they dominate file size on RA-heavy
+/// pipelines, and [`PerfettoSink::with_ra_transitions`]`(false)` drops
+/// them (the `trace` bin's `--no-ra`).
 pub struct PerfettoSink {
     /// Serialized JSON objects, one per Chrome trace event.
     records: Vec<String>,
@@ -676,7 +677,7 @@ impl PerfettoSink {
         }
     }
 
-    /// Whether to include per-transition RA FSM instants.
+    /// Whether to include per-transition RA FSM instants (default: yes).
     pub fn with_ra_transitions(mut self, yes: bool) -> PerfettoSink {
         self.include_ra = yes;
         self

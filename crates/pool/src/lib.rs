@@ -172,12 +172,6 @@ impl Pool {
         }
     }
 
-    /// A pool configured from the environment (`PHLOEM_WORKERS`),
-    /// falling back to the host's available parallelism.
-    pub fn from_env() -> Pool {
-        Pool::default()
-    }
-
     /// The configured worker count (before per-fleet clamping).
     pub fn workers(&self) -> usize {
         self.workers
@@ -238,15 +232,6 @@ impl Pool {
         F: Fn(usize) -> R + Sync,
     {
         self.run_inner(n, Some(cancel), f)
-    }
-
-    /// [`run_resident`]; the pool's worker count plays no part.
-    pub fn run_resident<R, F>(&self, n: usize, f: F) -> Vec<Result<R, TaskPanic>>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        run_resident(n, f)
     }
 
     fn run_inner<R, F>(

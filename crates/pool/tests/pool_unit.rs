@@ -3,7 +3,7 @@
 //! edges, and the resident-thread runs. Timing-shaped scenarios use sleeps, which work on any host
 //! (including a single-core one: sleeping threads release the CPU).
 
-use phloem_pool::{CancelToken, Pool, TaskPanic};
+use phloem_pool::{run_resident, CancelToken, Pool, TaskPanic};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -184,8 +184,8 @@ fn one_task_runs_inline() {
 /// The resident tests take turns, so each knows which threads are parked.
 static RESIDENT: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// `run_resident` tasks are all live at once, whatever the pool's worker
-/// count: every task waits at a barrier only the whole set can pass.
+/// `run_resident` tasks are all live at once: every task waits at a
+/// barrier only the whole set can pass.
 /// Task 0 is the caller; results land by index; borrows are fine.
 #[test]
 fn resident_tasks_overlap_and_land_in_index_order() {
@@ -193,7 +193,7 @@ fn resident_tasks_overlap_and_land_in_index_order() {
     let caller = std::thread::current().id();
     for n in [0, 1, 2, 5] {
         let barrier = std::sync::Barrier::new(n);
-        let out = Pool::new(1).run_resident(n, |i| {
+        let out = run_resident(n, |i| {
             barrier.wait();
             (i * i, std::thread::current().id())
         });
@@ -226,11 +226,10 @@ fn resident_threads_are_reused_and_never_shared() {
             let me = std::thread::current();
             (me.id(), me.name().map(str::to_owned))
         };
-        let pool = Pool::new(n);
         let out = if fleet {
-            pool.run(n, task)
+            Pool::new(n).run(n, task)
         } else {
-            pool.run_resident(n, task)
+            run_resident(n, task)
         };
         out.into_iter()
             .skip(1)
@@ -279,7 +278,7 @@ fn resident_threads_are_reused_and_never_shared() {
 fn resident_panics_are_contained_to_their_slot() {
     let _turn = RESIDENT.lock().unwrap_or_else(|e| e.into_inner());
     for bad in [0, 2] {
-        let out = Pool::new(3).run_resident(3, |i| {
+        let out = run_resident(3, |i| {
             if i == bad {
                 panic!("injected resident panic {i}");
             }

@@ -2,7 +2,8 @@
 //! set of accessors, so a single-stage kernel must count the same
 //! operations and stop on the same trap on both `Session` backends —
 //! and, for traps, on the serial oracle too — with the stores made
-//! before the trap left in the session's memory.
+//! before the trap left in the session's memory. A store converts to
+//! its array's declared type identically everywhere.
 
 use phloem_ir::{
     interp, ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline,
@@ -123,5 +124,41 @@ fn traps_match_across_backends_and_the_oracle() {
                 "{what}: native {native}"
             );
         }
+    }
+}
+
+/// A store converts its value to the array's declared type, as a C
+/// assignment does, and a load reads the declared type back: the same
+/// on both backends and the serial oracle.
+#[test]
+fn stores_convert_to_the_element_type_across_backends_and_the_oracle() {
+    let mut b = FunctionBuilder::new("convert");
+    let ints = b.array_i64("ints");
+    let floats = b.array_f64("floats");
+    // ints[0] = 2.75 (truncates to 2); floats[0] = 3 (becomes 3.0).
+    b.store(ints, Expr::i64(0), Expr::f64(2.75));
+    b.store(floats, Expr::i64(0), Expr::i64(3));
+    // Each reads back as its array's type: 2 * 2 and 3.0 / 2.
+    let i = b.load(ints, Expr::i64(0));
+    b.store(ints, Expr::i64(1), Expr::mul(i, Expr::i64(2)));
+    let x = b.load(floats, Expr::i64(0));
+    b.store(floats, Expr::i64(1), Expr::bin(BinOp::Div, x, Expr::i64(2)));
+    // F64 -> I64 saturates.
+    b.store(ints, Expr::i64(2), Expr::f64(-1e300));
+    let func = b.build();
+    let mut mem = MemState::new();
+    mem.alloc(ArrayDecl::i64("ints"), 3);
+    mem.alloc(ArrayDecl::f64("floats"), 2);
+    let want_ints = vec![Value::I64(2), Value::I64(4), Value::I64(i64::MIN)];
+    let want_floats = vec![Value::F64(3.0), Value::F64(1.5)];
+
+    let oracle = interp::run_serial(&func, mem.clone(), &[]).expect("oracle runs");
+    assert_eq!(oracle.mem.values(ints), want_ints, "serial oracle");
+    assert_eq!(oracle.mem.values(floats), want_floats, "serial oracle");
+    for native in [false, true] {
+        let mut s = session(native, mem.clone());
+        s.run(&serial(&func), &[]).expect("kernel runs");
+        assert_eq!(s.mem().values(ints), want_ints, "native: {native}");
+        assert_eq!(s.mem().values(floats), want_floats, "native: {native}");
     }
 }

@@ -96,21 +96,31 @@ fn bfs_round_memory_equality_full_matrix() {
 /// Graph apps (BFS, CC, Radii, PRD) end-to-end — host-driven rounds to
 /// convergence — natively, at every thread count.
 /// Every `run()` asserts its host oracle internally, so reaching the
-/// end *is* the equality check against serial semantics.
+/// end *is* the equality check against serial semantics. The
+/// data-parallel variant's four stages RMW shared elements from
+/// several threads at once (atomic min, `Or`, f64 `Add`), with no lock
+/// around them.
 #[test]
 fn graph_apps_converge_natively_across_the_matrix() {
     let cfg = MachineConfig::paper_1core();
     let g = graph::collaboration(40, 2);
     for threads in THREADS {
         with_backend(native(threads), || {
-            for v in [Variant::Serial, Variant::phloem(), Variant::Manual] {
+            for v in [
+                Variant::Serial,
+                Variant::phloem(),
+                Variant::Manual,
+                Variant::DataParallel(4),
+            ] {
                 let label = format!("t{threads} {}", v.label());
                 bfs::run(&v, &g, 0, &cfg, "collab").unwrap_or_else(|e| panic!("bfs {label}: {e}"));
                 cc::run(&v, &g, &cfg, "collab").unwrap_or_else(|e| panic!("cc {label}: {e}"));
             }
-            let v = Variant::phloem();
-            radii::run(&v, &g, &cfg, "collab").unwrap_or_else(|e| panic!("radii: {e}"));
-            prd::run(&v, &g, &cfg, "collab").unwrap_or_else(|e| panic!("prd: {e}"));
+            for v in [Variant::phloem(), Variant::DataParallel(4)] {
+                let label = format!("t{threads} {}", v.label());
+                radii::run(&v, &g, &cfg, "collab").unwrap_or_else(|e| panic!("radii {label}: {e}"));
+                prd::run(&v, &g, &cfg, "collab").unwrap_or_else(|e| panic!("prd {label}: {e}"));
+            }
         });
     }
 }

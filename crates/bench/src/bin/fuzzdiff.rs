@@ -17,7 +17,7 @@
 //! (segments dropped, trip counts halved, loop shape simplified) and
 //! printed as a ready-to-paste regression test body.
 //!
-//! Genome checks and fault plans fan out over the shared work-stealing
+//! Genome checks and fault plans fan out over the shared host
 //! fleet (`phloem-pool`); the sweep's totals, failure list, and
 //! per-plan outcomes are keyed by index, so the report is byte-identical
 //! at every worker count.

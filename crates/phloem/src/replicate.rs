@@ -216,7 +216,9 @@ pub fn replicate(template: &Pipeline, spec: &ReplicateSpec) -> Result<Pipeline, 
                     .any(|h| h.queue == *q && h.ctrl == Some(0))
             {
                 return Err(CompileError::Unsupported(format!(
-                    "stage `{}` consumes distributed queue {} without DONE                      termination; compile with PassConfig::all_streaming()                      (stream_consumers) so consumers are CV-terminated",
+                    "stage `{}` consumes distributed queue {} without DONE \
+                     termination; compile with PassConfig::all_streaming() \
+                     (stream_consumers) so consumers are CV-terminated",
                     st.program.func.name, q.0
                 )));
             }
@@ -414,6 +416,34 @@ mod tests {
         // The producers' `enq(q, src[i])` selects and enqueues one load.
         let loads: u64 = run.counts.iter().map(|c| c.loads).sum();
         assert_eq!(loads, 10);
+    }
+
+    #[test]
+    fn counted_consumers_of_a_distributed_queue_are_rejected_in_one_sentence() {
+        let q = QueueId(0);
+        let mut p = template();
+        // The consumer takes exactly `n` values instead of stopping at
+        // the DONE control value.
+        let mut b = FunctionBuilder::new("consume");
+        let n = b.param_i64("n");
+        let x = b.var_i64("x");
+        let i = b.var_i64("i");
+        b.for_loop(i, Expr::i64(0), Expr::var(n), |f| f.deq(x, q));
+        p.stages[1].program = StageProgram::plain(b.build());
+        let spec = ReplicateSpec {
+            replicas: 2,
+            distribute: vec![q],
+            partition_input: false,
+        };
+        match replicate(&p, &spec) {
+            Err(CompileError::Unsupported(msg)) => assert_eq!(
+                msg,
+                "stage `consume` consumes distributed queue 0 without DONE termination; \
+                 compile with PassConfig::all_streaming() (stream_consumers) so consumers \
+                 are CV-terminated"
+            ),
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Profiling is delegated to a caller-supplied closure (each benchmark
 //! has its own host driver); candidates are profiled in parallel on the
-//! shared work-stealing fleet ([`phloem_pool`]), which keeps every host
+//! shared host fleet ([`phloem_pool`]), which keeps every host
 //! core busy when candidate costs are uneven and lands results in a
 //! pre-sized index-keyed partition, so the report is bit-identical at
 //! every worker count.

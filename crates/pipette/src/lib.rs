@@ -75,8 +75,8 @@ pub use native::{BackendScope, ChannelKind, ExecBackend, NativeConfig};
 pub use phloem_pool::CancelToken;
 pub use stats::{CycleBreakdown, QueueStats, RunStats, ThreadStats};
 pub use trace::{
-    digest_events, DigestSink, NoopSink, PerfettoSink, RingSink, StageMeta, StallKind, TeeSink,
-    TraceEvent, TraceMeta, TraceSink, TraceVerdict, EV_ALL, EV_CTRL, EV_FAULT, EV_QUEUE, EV_RA,
-    EV_SCHED, EV_STALL, EV_WATCHDOG,
+    DigestSink, NoopSink, PerfettoSink, RingSink, StageMeta, StallKind, TeeSink, TraceEvent,
+    TraceMeta, TraceSink, TraceVerdict, EV_ALL, EV_CTRL, EV_FAULT, EV_QUEUE, EV_RA, EV_SCHED,
+    EV_STALL, EV_WATCHDOG,
 };
 pub use watchdog::WatchdogConfig;

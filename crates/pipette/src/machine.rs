@@ -194,7 +194,9 @@ impl Session {
     /// Applies a fault plan to every subsequent invocation (fuzzing and
     /// robustness tests). Ordinal/cycle windows in the plan are relative
     /// to each invocation (queues are rebuilt per invocation and cycle
-    /// windows are measured from the invocation's launch base).
+    /// windows are measured from the invocation's launch base). Faults
+    /// act on the timing world only: under a native backend a non-empty
+    /// plan makes every invocation fail with [`Trap::Malformed`].
     pub fn set_faults(&mut self, plan: FaultPlan) {
         self.faults = if plan.is_empty() { None } else { Some(plan) };
     }
@@ -316,7 +318,15 @@ impl Session {
             // above (malformed pipelines fail identically on both
             // backends) and then bypass the timing world entirely:
             // stages execute on real threads, over rings sized for the
-            // host, and "cycles" are wall-clock nanoseconds.
+            // host, and "cycles" are wall-clock nanoseconds. Faults are
+            // injected into the timing world, so a native run with a
+            // plan would silently run fault-free.
+            if self.faults.is_some() {
+                return Err(Trap::Malformed(
+                    "fault injection is simulator-only: a native run cannot apply a fault plan"
+                        .into(),
+                ));
+            }
             let (run, trap) = crate::native::run_compiled(
                 pipeline,
                 progs,

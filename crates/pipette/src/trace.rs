@@ -530,17 +530,6 @@ impl TraceSink for DigestSink {
     }
 }
 
-/// Digest of an event sequence (same canonicalization as [`DigestSink`]
-/// minus the begin/end records; handy for hashing a [`RingSink`]'s
-/// retained events in tests).
-pub fn digest_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> u64 {
-    let mut sink = DigestSink::new();
-    for ev in events {
-        sink.event(ev);
-    }
-    sink.digest()
-}
-
 // ---------------------------------------------------------------------
 // Noop sink (overhead measurement)
 // ---------------------------------------------------------------------
@@ -925,6 +914,16 @@ impl TraceSink for PerfettoSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`DigestSink`]'s digest of an event sequence, without begin/end
+    /// records.
+    fn digest_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> u64 {
+        let mut sink = DigestSink::new();
+        for ev in events {
+            sink.event(ev);
+        }
+        sink.digest()
+    }
 
     #[test]
     fn ring_drops_oldest_beyond_capacity() {

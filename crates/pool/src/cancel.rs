@@ -2,23 +2,19 @@
 //! shared between host fleets and long-running simulations.
 //!
 //! A [`CancelToken`] is a cheap clonable handle (`Arc` inside) carrying
-//! three pieces of state:
+//! two pieces of state:
 //!
 //! * a **latched cancel flag** plus the reason it was set;
 //! * an optional **deadline**, stored as milliseconds on a process-wide
 //!   monotonic epoch so the hot-path check is one atomic load (and the
 //!   authoritative check one `Instant::now()`). Deadlines can be armed
 //!   after creation — a draining service arms a bounded grace window on
-//!   tokens that started with no deadline at all;
-//! * a **waker registry**: [`Parker`]s to notify the moment the token
-//!   cancels, so a fleet's parked workers observe a drain request
-//!   immediately instead of sleeping out a timeout.
+//!   tokens that started with no deadline at all.
 //!
 //! Tokens form optional **parent chains** ([`CancelToken::child`]): a
 //! per-request token linked to a service-wide drain token is cancelled
 //! by its own deadline *or* by the parent's cancel, whichever comes
-//! first. Waker registration walks the chain, so a parent's cancel
-//! wakes everything parked under any descendant.
+//! first.
 //!
 //! Cancellation is strictly **cooperative and host-side**: nothing here
 //! ever touches simulated state. The simulator polls the token at its
@@ -27,7 +23,6 @@
 //! observationally free (`tests/cancel_neutral.rs` in the workspace
 //! pins bit-identical runs with and without an armed token).
 
-use crate::Parker;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -56,22 +51,16 @@ struct Inner {
     /// Deadline in [`now_ms`] units; [`NO_DEADLINE`] when unarmed.
     deadline_ms: AtomicU64,
     parent: Option<Arc<Inner>>,
-    wakers: Mutex<Vec<Arc<Parker>>>,
 }
 
 impl Inner {
-    /// Latches the cancel flag (first writer wins the reason) and
-    /// notifies every registered waker.
+    /// Latches the cancel flag; the first writer wins the reason.
     fn latch(&self, reason: &str) {
         if !self.cancelled.swap(true, Ordering::AcqRel) {
             let mut r = self.reason.lock().unwrap_or_else(|e| e.into_inner());
             if r.is_empty() {
                 *r = reason.to_string();
             }
-        }
-        let wakers = self.wakers.lock().unwrap_or_else(|e| e.into_inner());
-        for w in wakers.iter() {
-            w.notify();
         }
     }
 }
@@ -110,7 +99,6 @@ impl CancelToken {
                 reason: Mutex::new(String::new()),
                 deadline_ms: AtomicU64::new(NO_DEADLINE),
                 parent: None,
-                wakers: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -133,7 +121,6 @@ impl CancelToken {
                 reason: Mutex::new(String::new()),
                 deadline_ms: AtomicU64::new(NO_DEADLINE),
                 parent: Some(Arc::clone(&self.inner)),
-                wakers: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -146,8 +133,8 @@ impl CancelToken {
         self.inner.deadline_ms.fetch_min(at, Ordering::AcqRel);
     }
 
-    /// Explicitly cancels the token with a reason, waking every parked
-    /// worker registered below it. Idempotent; the first reason wins.
+    /// Explicitly cancels the token with a reason. Idempotent; the first
+    /// reason wins.
     pub fn cancel(&self, reason: &str) {
         self.inner.latch(reason);
     }
@@ -211,41 +198,6 @@ impl CancelToken {
         }
         String::new()
     }
-
-    /// Registers a waker on this token *and every ancestor*, so a
-    /// cancel anywhere in the chain notifies it. Returns a guard that
-    /// deregisters on drop (fleet lifetimes are scoped; a dangling
-    /// waker would pin the parker's allocation for the token's life).
-    pub fn register_waker(&self, waker: Arc<Parker>) -> WakerRegistration {
-        let mut nodes = Vec::new();
-        let mut node = Some(&self.inner);
-        while let Some(n) = node {
-            n.wakers
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(Arc::clone(&waker));
-            nodes.push(Arc::clone(n));
-            node = n.parent.as_ref();
-        }
-        WakerRegistration { nodes, waker }
-    }
-}
-
-/// Deregistration guard returned by [`CancelToken::register_waker`].
-pub struct WakerRegistration {
-    nodes: Vec<Arc<Inner>>,
-    waker: Arc<Parker>,
-}
-
-impl Drop for WakerRegistration {
-    fn drop(&mut self) {
-        for n in &self.nodes {
-            let mut ws = n.wakers.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(i) = ws.iter().position(|w| Arc::ptr_eq(w, &self.waker)) {
-                ws.swap_remove(i);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -305,46 +257,5 @@ mod tests {
         let t = CancelToken::new();
         t.cancel("drain");
         assert!(t.poll_throttled(&mut 0), "a latched flag fires at once");
-    }
-
-    #[test]
-    fn cancel_notifies_registered_wakers_through_the_chain() {
-        let parent = CancelToken::new();
-        let child = parent.child();
-        let waker = Arc::new(Parker::default());
-        let _reg = child.register_waker(Arc::clone(&waker));
-        let (w2, c2) = (Arc::clone(&waker), child.clone());
-        let h = std::thread::spawn(move || loop {
-            let seen = w2.epoch();
-            if c2.is_set() {
-                return;
-            }
-            // Only the cancel can wake it before the test times out.
-            assert_eq!(w2.park(seen, Duration::from_secs(60)), None);
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        parent.cancel("drain"); // cancel on the PARENT must wake it
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn cancel_notification_bumps_the_waker_epoch() {
-        let t = CancelToken::new();
-        let waker = Arc::new(Parker::default());
-        let _reg = t.register_waker(Arc::clone(&waker));
-        let seen = waker.epoch();
-        t.cancel("drain");
-        assert!(waker.epoch() > seen, "latch must route through notify()");
-    }
-
-    #[test]
-    fn waker_registration_is_scoped() {
-        let t = CancelToken::new();
-        let waker = Arc::new(Parker::default());
-        {
-            let _reg = t.register_waker(Arc::clone(&waker));
-            assert_eq!(Arc::strong_count(&waker), 3); // local + guard + registry
-        }
-        assert_eq!(Arc::strong_count(&waker), 1, "deregistered on drop");
     }
 }

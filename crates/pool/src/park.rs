@@ -1,6 +1,7 @@
-//! The one parker: where every thread in the workspace that waits for
-//! another sleeps — a fleet's idle workers, the wakers a cancel token
-//! notifies, and the native backend's blocked stage workers.
+//! The one parker: where the native backend's blocked stage workers
+//! sleep, the only threads in the workspace that wait for another. A
+//! fleet never parks: its tasks never create tasks, so a worker with
+//! nothing left to take returns.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};

@@ -1,7 +1,8 @@
-//! Unit tests for the work-stealing fleet: result determinism, steal
-//! fairness, park/unpark, panic containment, the empty/singleton
-//! edges, and the resident-thread runs. Timing-shaped scenarios use sleeps, which work on any host
-//! (including a single-core one: sleeping threads release the CPU).
+//! Unit tests for the fleet: result determinism, head-of-line
+//! blocking, panic containment, cancellation, the empty/singleton
+//! edges, and the resident-thread runs. Timing-shaped scenarios use
+//! sleeps, which work on any host (including a single-core one:
+//! sleeping threads release the CPU).
 
 use phloem_pool::{run_resident, CancelToken, Pool, TaskPanic};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +22,7 @@ fn results_land_in_index_order() {
     }
 }
 
-/// Each task runs exactly once even under heavy stealing pressure.
+/// Each task runs exactly once with many workers on the cursor.
 #[test]
 fn each_task_runs_exactly_once() {
     let counts: Vec<AtomicU64> = (0..200).map(|_| AtomicU64::new(0)).collect();
@@ -35,84 +36,27 @@ fn each_task_runs_exactly_once() {
     }
 }
 
-/// Steal fairness: when worker 0's seeded block head-of-line-blocks on
-/// an expensive task, the rest of its block must be executed by other
-/// workers (this is exactly the static-chunking pathology the pool
-/// exists to fix).
+/// Head-of-line blocking: while one worker sleeps in task 0, the other
+/// workers run every other task (the static-chunking pathology the
+/// pool exists to avoid: a chunk behind an expensive task waits for it).
 #[test]
-fn idle_workers_steal_a_blocked_workers_backlog() {
+fn idle_workers_run_a_blocked_workers_backlog() {
     let pool = Pool::new(4);
-    // 40 tasks, 4 workers -> worker 0 is seeded indices 0..10. Task 0
-    // sleeps long enough for the other workers to drain everything else
-    // and come stealing.
+    // Task 0 sleeps long enough for the other workers to drain
+    // everything else.
     let (out, stats) = pool.run_stats(40, |i| {
         if i == 0 {
             std::thread::sleep(Duration::from_millis(120));
         }
-        i
+        std::thread::current().id()
     });
-    assert!(out.iter().all(|r| r.is_ok()));
+    let threads: Vec<_> = out.into_iter().map(|r| r.unwrap()).collect();
     assert!(
-        stats.steals >= 1,
-        "no steal happened despite a blocked worker: {stats:?}"
-    );
-    // Worker 0 cannot have run its whole seeded block: it was asleep.
-    assert!(
-        stats.per_worker_tasks[0] < 10,
-        "worker 0 ran its whole block while blocked: {stats:?}"
+        threads[1..].iter().all(|t| *t != threads[0]),
+        "the worker blocked in task 0 ran another task: {stats:?}"
     );
     // Everything still ran exactly once (sum over workers == tasks).
     assert_eq!(stats.per_worker_tasks.iter().sum::<u64>(), 40);
-}
-
-/// Park/unpark: a worker that runs dry while another worker's task is
-/// still in flight parks instead of spinning, and wakes when the fleet
-/// completes.
-#[test]
-fn dry_workers_park_until_completion() {
-    let pool = Pool::new(2);
-    // Two tasks, two workers: worker 1's single task sleeps, worker 0
-    // finishes instantly, finds nothing to steal, and must park.
-    let (out, stats) = pool.run_stats(2, |i| {
-        if i == 1 {
-            std::thread::sleep(Duration::from_millis(60));
-        }
-        i
-    });
-    assert!(out.iter().all(|r| r.is_ok()));
-    assert!(
-        stats.parks >= 1,
-        "the dry worker never parked: {stats:?} (spinning would burn a host core)"
-    );
-}
-
-/// Park-wakeup regression: with the epoch-guarded park protocol, a dry
-/// worker waiting out a ~120ms straggler parks a small number of times
-/// and is woken by the completion notification, never by the timeout
-/// backstop. (The old fixed-1ms condvar bound re-woke the dry worker
-/// ~120 times here, busy-burning the host while native-channel stages
-/// block.)
-#[test]
-fn parked_workers_wake_by_notification_not_timeout() {
-    let pool = Pool::new(2);
-    let (out, stats) = pool.run_stats(2, |i| {
-        if i == 1 {
-            std::thread::sleep(Duration::from_millis(120));
-        }
-        i
-    });
-    assert!(out.iter().all(|r| r.is_ok()));
-    assert!(
-        stats.parks <= 4,
-        "dry worker re-parked {} times over a 120ms straggler; \
-         the park loop is still polling instead of blocking: {stats:?}",
-        stats.parks
-    );
-    assert_eq!(
-        stats.timeout_wakeups, 0,
-        "a park wakeup came from the timeout backstop, not a \
-         notification: {stats:?}"
-    );
 }
 
 /// Nested fleets: a task running inside one fleet may spawn its own
@@ -342,9 +286,8 @@ fn unfired_token_changes_nothing() {
 /// Drain latency is bounded by the drain budget, not by queue depth:
 /// cancelling a fleet with a deep backlog of sleepy tasks must return
 /// in roughly (cancel delay + one task), never queue_depth × task cost.
-/// This is the park-behavior satellite: queued tasks are skipped, and
-/// parked workers are woken by the cancel itself rather than sleeping
-/// out timeout loops.
+/// Tasks not yet started are skipped: every worker checks the token
+/// before each task it takes.
 #[test]
 fn drain_latency_bounded_by_budget_not_queue_depth() {
     const TASKS: usize = 400; // serial cost: 400 × 5 ms = 2 s
@@ -400,4 +343,25 @@ fn deadline_expiry_skips_the_tail() {
     assert!(out[0].is_some(), "the first task ran before the deadline");
     assert!(token.is_set());
     assert_eq!(token.reason(), "deadline exceeded");
+}
+
+/// A cancelled fleet accounts for every task: each one either ran on
+/// some worker or was skipped, and exactly the ones that ran have a
+/// result.
+#[test]
+fn cancelled_fleets_run_or_skip_every_task() {
+    const TASKS: usize = 64;
+    let pool = Pool::new(4);
+    let token = CancelToken::new();
+    let (out, stats) = pool.run_cancellable(TASKS, &token, |i| {
+        if i == 0 {
+            token.cancel("mid-fleet");
+        }
+        std::thread::sleep(Duration::from_millis(2));
+        i
+    });
+    let ran = stats.per_worker_tasks.iter().sum::<u64>();
+    assert!(stats.skipped > 0, "nothing was skipped: {stats:?}");
+    assert_eq!(ran + stats.skipped, TASKS as u64, "{stats:?}");
+    assert_eq!(out.iter().filter(|s| s.is_some()).count() as u64, ran);
 }

@@ -163,10 +163,6 @@ impl FleetAccum {
     fn absorb(&mut self, s: &FleetStats) {
         let t = &mut self.total;
         self.batches += 1;
-        t.steals += s.steals;
-        t.stolen_tasks += s.stolen_tasks;
-        t.parks += s.parks;
-        t.timeout_wakeups += s.timeout_wakeups;
         t.skipped += s.skipped;
         if t.per_worker_tasks.len() < s.per_worker_tasks.len() {
             t.per_worker_tasks.resize(s.per_worker_tasks.len(), 0);
@@ -289,10 +285,6 @@ impl Service {
         let per_worker = f.total.per_worker_tasks.iter().map(|&n| Json::u64(n));
         let fleet = Json::obj([
             ("batches", Json::u64(f.batches)),
-            ("steals", Json::u64(f.total.steals)),
-            ("stolen_tasks", Json::u64(f.total.stolen_tasks)),
-            ("parks", Json::u64(f.total.parks)),
-            ("timeout_wakeups", Json::u64(f.total.timeout_wakeups)),
             ("skipped", Json::u64(f.total.skipped)),
             ("per_worker_tasks", Json::Arr(per_worker.collect())),
         ]);

@@ -194,16 +194,16 @@ fn simulate_native_honours_zero_deadlines() {
 }
 
 #[test]
-fn stats_surface_timeout_wakeups() {
+fn stats_count_the_fleet_tasks_of_a_native_batch() {
     let svc = tiny_service();
     svc.handle_batch(&[
         r#"{"id":1,"op":"simulate_native","app":"bfs","input":"internet-s","variant":"serial"}"#
             .to_string(),
     ]);
     let out = svc.handle_batch(&[r#"{"id":2,"op":"stats"}"#.to_string()]);
+    let resp = &out.responses[0];
     assert!(
-        out.responses[0].contains(r#""timeout_wakeups":"#),
-        "{}",
-        out.responses[0]
+        resp.contains(r#""fleet":{"batches":1,"skipped":0,"per_worker_tasks":[1]}"#),
+        "{resp}"
     );
 }

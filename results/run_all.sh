@@ -9,7 +9,7 @@ set -o pipefail
 cd "$(dirname "$0")/.."
 export SCALE="${SCALE:-small}"
 # One host-parallelism knob for the whole sweep: every harness fans its
-# per-candidate simulations over the phloem-pool work-stealing fleet,
+# per-candidate simulations over the phloem-pool fleet,
 # sized by PHLOEM_WORKERS. JOBS=<n> overrides; results are bit-identical
 # at any worker count.
 JOBS="${JOBS:-$(nproc)}"

@@ -9,7 +9,7 @@ use phloem_ir::{
     interp, ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline,
     StageProgram, Trap, Value,
 };
-use pipette_sim::{ExecBackend, MachineConfig, NativeConfig, Session};
+use pipette_sim::{ExecBackend, Fault, FaultPlan, MachineConfig, NativeConfig, Session};
 
 fn serial(f: &Function) -> Pipeline {
     let mut p = Pipeline::new(format!("{}-serial", f.name));
@@ -161,4 +161,33 @@ fn stores_convert_to_the_element_type_across_backends_and_the_oracle() {
         assert_eq!(s.mem().values(ints), want_ints, "native: {native}");
         assert_eq!(s.mem().values(floats), want_floats, "native: {native}");
     }
+}
+
+/// A fault plan acts on the timing world, which a native run bypasses:
+/// the native `Session` refuses the run rather than report a fault-free
+/// success, and leaves memory untouched. An empty plan is no plan.
+#[test]
+fn native_sessions_refuse_fault_plans() {
+    let func = store_then(|_, _, _| {});
+    let mut mem = MemState::new();
+    mem.alloc(ArrayDecl::i64("a"), 4);
+    let out = mem.alloc(ArrayDecl::i64("out"), 2);
+    let kill = FaultPlan::new(vec![Fault::ThreadKill {
+        thread: 0,
+        after_atoms: 1,
+    }]);
+
+    let mut s = session(true, mem.clone());
+    s.set_faults(kill);
+    match s.run(&serial(&func), &[]) {
+        Err(Trap::Malformed(msg)) => assert!(msg.contains("simulator-only"), "{msg}"),
+        other => panic!("a native run applied no fault plan and returned {other:?}"),
+    }
+    assert_eq!(s.mem().i64_vec(out), vec![0, 0]);
+
+    let mut s = session(true, mem);
+    s.set_faults(FaultPlan::new(Vec::new()));
+    s.run(&serial(&func), &[])
+        .expect("an empty plan runs natively");
+    assert_eq!(s.mem().i64_vec(out), vec![7, 0]);
 }

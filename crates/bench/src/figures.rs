@@ -22,7 +22,7 @@ use phloem_workloads::{
     graph, spmm_test_matrices, spmm_training_matrices, taco_test_matrices, test_graphs,
     training_graphs,
 };
-use pipette_sim::{MachineConfig, RunStats};
+use pipette_sim::{MachineConfig, RunStats, StallKind};
 
 use crate::{app, machine, machine4, pgo_for_app, phloem_with_cuts, scale, GRAPH_APPS};
 
@@ -437,19 +437,7 @@ fn attribution(app: &str, m: &Measurement) -> String {
     let b = m.stats.cycle_breakdown(machine().issue_width);
     let pct = |v: f64| 100.0 * v / b.total();
     let critical = m.stats.critical_stage().map_or("-".to_string(), |t| {
-        let classes = [
-            ("queue-full", t.queue_full_stall_cycles),
-            ("queue-empty", t.queue_empty_stall_cycles),
-            ("backend", t.backend_stall_cycles),
-            ("frontend", t.frontend_stall_cycles),
-        ];
-        let largest = classes.iter().rev().max_by_key(|(_, cycles)| *cycles);
-        let largest = largest.filter(|(_, cycles)| *cycles > 0);
-        format!(
-            "`{}` ({})",
-            t.name,
-            largest.map_or("none", |(class, _)| class)
-        )
+        format!("`{}` ({})", t.name, StallKind::dominant(|k| t.stall(k)))
     });
     format!(
         "  {app:<8} {:<16} issue {:5.1}%  backend {:5.1}%  queue {:5.1}%  other {:5.1}%   critical: {critical}",

@@ -6,16 +6,11 @@
 
 use crate::fig14::{self, RepVariant};
 use crate::runner::{Measurement, Variant};
+pub use crate::runner::{Ran, Sink};
 use crate::{bfs, cc, prd, radii, spmm};
 use phloem_ir::{Function, Trap};
 use phloem_workloads::{catalog, Graph, Scale, SparseMatrix};
-use pipette_sim::{MachineConfig, TraceSink};
-
-/// A trace sink handed to, and back from, a run.
-pub type Sink = Box<dyn TraceSink>;
-/// What a run hands back: the oracle-checked measurement or the trap,
-/// and the sink if one was given (even when the run traps).
-pub type Ran = (Result<Measurement, Trap>, Option<Sink>);
+use pipette_sim::MachineConfig;
 
 /// What an app runs on, borrowed for one run.
 #[derive(Clone, Copy)]

@@ -21,13 +21,15 @@
 //! `crate::frontier`'s.
 
 use crate::frontier::{self, Part, RowWalk, Segment, DONE, NEXT};
-use crate::runner::{measure, run_to_fixpoint, variant_pipeline, Fringe, Measurement, Variant};
+use crate::runner::{
+    measure, run_to_fixpoint, variant_pipeline, Fringe, Measurement, Ran, Sink, Variant,
+};
 use phloem_ir::{
     ArrayDecl, ArrayId, Function, FunctionBuilder, MemState, Pipeline, QueueId, StageProgram, Trap,
     Value, VarId,
 };
 use phloem_workloads::Graph;
-use pipette_sim::{CompiledPipeline, MachineConfig, TraceSink};
+use pipette_sim::{CompiledPipeline, MachineConfig, Session};
 
 const INF: i64 = i64::MAX;
 
@@ -225,14 +227,8 @@ pub fn run(
 /// The round loop's view of [`BfsArrays`]: `threads` next-fringe
 /// segments of `segment` entries each.
 pub(crate) fn fringe(arrays: &BfsArrays, threads: usize, segment: usize) -> Fringe {
-    Fringe::strided(
-        arrays.fringe,
-        arrays.fringe_len,
-        arrays.next_fringe,
-        arrays.out_len,
-        threads,
-        segment,
-    )
+    let next = (arrays.next_fringe, arrays.out_len);
+    Fringe::strided((arrays.fringe, arrays.fringe_len), next, threads, segment)
 }
 
 /// The single run entry: [`run`] wraps it, and the app table in
@@ -245,33 +241,46 @@ pub fn run_opt_traced(
     root: usize,
     cfg: &MachineConfig,
     input: &str,
-    sink: Option<Box<dyn TraceSink>>,
-) -> (Result<Measurement, Trap>, Option<Box<dyn TraceSink>>) {
-    let threads = variant.threads();
+    sink: Option<Sink>,
+) -> Ran {
     let pipeline = pipeline_for(variant, g.num_vertices, cfg).expect("BFS pipeline construction");
-    let (mem, arrays) = build_mem(g, root, threads);
-    let fringe = fringe(&arrays, threads, g.num_vertices);
-    let what = format!("BFS {}", variant.label());
-    let (r, sink) = measure(variant.label(), input, cfg, mem, sink, |session| {
+    let (threads, label) = (variant.threads(), variant.label());
+    run_pipeline(&pipeline, threads, label, g, root, cfg, input, sink)
+}
+
+/// BFS's round loop, Fig. 9's and Fig. 14's: runs `pipeline` from
+/// `root` over `producers` next-fringe segments of `n` entries until the
+/// fringe drains, passing `cur_dist` and the segment stride `seg` (only
+/// replicated stages declare it), then checks distances.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_pipeline(
+    pipeline: &Pipeline,
+    producers: usize,
+    label: String,
+    g: &Graph,
+    root: usize,
+    cfg: &MachineConfig,
+    input: &str,
+    sink: Option<Sink>,
+) -> Ran {
+    let n = g.num_vertices;
+    let (mem, arrays) = build_mem(g, root, producers);
+    let fringe = fringe(&arrays, producers, n);
+    let what = format!("BFS {label}");
+    let body = |session: &mut Session| {
         // Lower stage programs once, not once per round.
-        let compiled = CompiledPipeline::new(&pipeline)?;
+        let compiled = CompiledPipeline::new(pipeline)?;
         run_to_fixpoint(session, &fringe, 1, 100_000, &what, |session, round| {
             let cur_dist = Value::I64(round as i64 + 1);
-            session.run_compiled(&pipeline, &compiled, &[("cur_dist", cur_dist)])?;
+            let params = [("cur_dist", cur_dist), ("seg", Value::I64(n as i64))];
+            session.run_compiled(pipeline, &compiled, &params)?;
             Ok(())
         })
-    });
-    let checked = r.map(|(m, mem)| {
-        let want = g.bfs_distances(root);
-        assert_eq!(
-            mem.i64_vec(arrays.dist),
-            want,
-            "BFS distances wrong for {}",
-            m.variant
-        );
-        m
-    });
-    (checked, sink)
+    };
+    measure(label, input, cfg, mem, sink, body, |mem, label| {
+        let (got, want) = (mem.i64_vec(arrays.dist), g.bfs_distances(root));
+        assert_eq!(got, want, "BFS distances wrong for {label}");
+    })
 }
 
 /// Returns the kernel's load ids in program order (for explicit cuts):

@@ -17,13 +17,15 @@
 //! around them is `crate::frontier`'s.
 
 use crate::frontier::{self, Part, RowWalk, Segment};
-use crate::runner::{measure, run_to_fixpoint, variant_pipeline, Fringe, Measurement, Variant};
+use crate::runner::{
+    measure, run_to_fixpoint, variant_pipeline, Fringe, Measurement, Ran, Sink, Variant,
+};
 use phloem_ir::{
     ArrayDecl, ArrayId, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId, StageProgram,
-    Trap, VarId,
+    Trap, Value, VarId,
 };
 use phloem_workloads::Graph;
-use pipette_sim::{CompiledPipeline, MachineConfig, TraceSink};
+use pipette_sim::{CompiledPipeline, MachineConfig, Session};
 
 /// CC's arrays, in allocation order: the one declaration every variant
 /// and [`build_mem`] share.
@@ -245,18 +247,6 @@ pub fn run(
     run_opt_traced(variant, g, cfg, input, None).0
 }
 
-/// The round loop's view of [`CcArrays`], for `threads` producers.
-pub(crate) fn fringe(arrays: &CcArrays, threads: usize, g: &Graph) -> Fringe {
-    Fringe::strided(
-        arrays.fringe,
-        arrays.fringe_len,
-        arrays.next_fringe,
-        arrays.out_len,
-        threads,
-        segment(g),
-    )
-}
-
 /// The single run entry: [`run`] wraps it, and the app table in
 /// [`crate::apps`] and every traced caller call it. `sink`, when given,
 /// observes every pipeline invocation and is handed back even when the
@@ -266,27 +256,43 @@ pub fn run_opt_traced(
     g: &Graph,
     cfg: &MachineConfig,
     input: &str,
-    sink: Option<Box<dyn TraceSink>>,
-) -> (Result<Measurement, Trap>, Option<Box<dyn TraceSink>>) {
-    let threads = variant.threads();
+    sink: Option<Sink>,
+) -> Ran {
     let pipeline = pipeline_for(variant, segment(g), cfg).expect("CC pipeline");
-    let (mem, arrays) = build_mem(g, threads);
-    let fringe = fringe(&arrays, threads, g);
-    let what = format!("CC {}", variant.label());
-    let len = g.num_vertices as i64;
-    let (r, sink) = measure(variant.label(), input, cfg, mem, sink, |session| {
-        let compiled = CompiledPipeline::new(&pipeline)?;
+    let (threads, label) = (variant.threads(), variant.label());
+    run_pipeline(&pipeline, threads, label, g, cfg, input, sink)
+}
+
+/// CC's round loop, Fig. 9's and Fig. 14's: runs `pipeline` over
+/// `producers` next-fringe segments until the fringe drains, passing the
+/// segment stride `seg` (only replicated stages declare it), then checks
+/// labels.
+pub(crate) fn run_pipeline(
+    pipeline: &Pipeline,
+    producers: usize,
+    label: String,
+    g: &Graph,
+    cfg: &MachineConfig,
+    input: &str,
+    sink: Option<Sink>,
+) -> Ran {
+    let (mem, a) = build_mem(g, producers);
+    let stride = segment(g);
+    let (cur, next) = ((a.fringe, a.fringe_len), (a.next_fringe, a.out_len));
+    let fringe = Fringe::strided(cur, next, producers, stride);
+    let what = format!("CC {label}");
+    let (len, seg) = (g.num_vertices as i64, Value::I64(stride as i64));
+    let body = |session: &mut Session| {
+        let compiled = CompiledPipeline::new(pipeline)?;
         run_to_fixpoint(session, &fringe, len, 1_000_000, &what, |session, _| {
-            session.run_compiled(&pipeline, &compiled, &[])?;
+            session.run_compiled(pipeline, &compiled, &[("seg", seg)])?;
             Ok(())
         })
-    });
-    let checked = r.map(|(m, mem)| {
-        let got = mem.i64_vec(arrays.labels);
-        assert_eq!(got, oracle(g), "CC labels wrong for {}", m.variant);
-        m
-    });
-    (checked, sink)
+    };
+    measure(label, input, cfg, mem, sink, body, |mem, label| {
+        let got = mem.i64_vec(a.labels);
+        assert_eq!(got, oracle(g), "CC labels wrong for {label}");
+    })
 }
 
 #[cfg(test)]

@@ -18,22 +18,20 @@
 //!
 //! Both columns are hand-built, in the shape `phloem_compiler::replicate`
 //! emits (private queues per replica, `enq_sel` on the distributed queue,
-//! `DONE` broadcast, a `_dones` count on each consumer); the pass itself
-//! is not called here — ROADMAP's parked compiler work records what it
-//! lacks. Every builder is the same composition per replica — fetch a
-//! slice → (RAs | visit) → distribute → update — of
+//! `DONE` broadcast, a `_dones` count on each consumer), from
 //! `crate::frontier`'s fragments around the app's own arrays, payload
-//! and update rule; what is written out below is only what differs per
-//! app and per variant.
+//! and update rule; the pass itself is not called here (ROADMAP says
+//! what it lacks). Each `run_*_replicated` hands its pipeline and
+//! replica count to the app's own round loop, the one Fig. 9 runs, so
+//! memory layout, fringe, round parameters and oracle are the app's: a
+//! runtime trap comes back as `Err`, a wrong result panics (miscompile).
 
 use crate::frontier::{self, Part, RowWalk, Segment, DONE};
-use crate::runner::{measure, run_to_fixpoint, Measurement};
+use crate::runner::Measurement;
 use crate::{bfs, cc, prd, radii};
-use phloem_ir::{
-    ArrayId, Expr, FunctionBuilder, Pipeline, QueueId, StageProgram, Trap, Value, VarId,
-};
+use phloem_ir::{ArrayId, Expr, FunctionBuilder, Pipeline, QueueId, StageProgram, Trap, VarId};
 use phloem_workloads::Graph;
-use pipette_sim::{CompiledPipeline, MachineConfig};
+use pipette_sim::MachineConfig;
 
 /// Replicated-system variants for Fig. 14.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,10 +83,6 @@ fn vertex_is_payload(_: &mut FunctionBuilder, v: VarId) -> (VarId, Expr) {
     (v, Expr::var(v))
 }
 
-// ---------------------------------------------------------------------
-// BFS
-// ---------------------------------------------------------------------
-
 /// Replicated BFS: per core `r`: fetch(slice) -> RA(nodes) -> RA(edges)
 /// -> router -> ... every router distributes neighbors to the update
 /// stage owning `ngh % R`. The manual version is structurally identical
@@ -104,8 +98,7 @@ pub fn bfs_replicated(replicas: usize, _variant: RepVariant) -> Pipeline {
     for r in 0..replicas {
         let mut s0 = frontier::stage(format!("fetch@r{r}"), &arrays);
         s0.param_i64("cur_dist");
-        let fringe = (a.fringe, a.fringe_len);
-        let part = replica(r, replicas);
+        let (fringe, part) = ((a.fringe, a.fringe_len), replica(r, replicas));
         let fetch = frontier::fetch_stage(s0, fringe, part, &[q(0, r)], |f, v| {
             frontier::request_row(f, q(0, r), v)
         });
@@ -142,10 +135,7 @@ pub fn bfs_replicated(replicas: usize, _variant: RepVariant) -> Pipeline {
     p
 }
 
-/// Runs replicated BFS on `cores` cores; verifies distances.
-///
-/// Runtime failures surface as `Err(Trap)`; wrong distances still
-/// panic (miscompile).
+/// Runs replicated BFS, one replica per core.
 pub fn run_bfs_replicated(
     variant: RepVariant,
     g: &Graph,
@@ -153,35 +143,9 @@ pub fn run_bfs_replicated(
     cfg: &MachineConfig,
     input: &str,
 ) -> Result<Measurement, Trap> {
-    let replicas = cfg.cores;
-    let pipeline = bfs_replicated(replicas, variant);
-    let (mem, arrays) = bfs::build_mem(g, root, replicas);
-    let n = g.num_vertices;
-    let fringe = bfs::fringe(&arrays, replicas, n);
-    let what = "replicated BFS";
-    let (m, mem) = measure(rep_label(variant), input, cfg, mem, None, |session| {
-        let compiled = CompiledPipeline::new(&pipeline)?;
-        run_to_fixpoint(session, &fringe, 1, 100_000, what, |session, k| {
-            let params = [
-                ("cur_dist", Value::I64(k as i64 + 1)),
-                ("seg", Value::I64(n as i64)),
-            ];
-            session.run_compiled(&pipeline, &compiled, &params)?;
-            Ok(())
-        })
-    })
-    .0?;
-    assert_eq!(
-        mem.i64_vec(arrays.dist),
-        g.bfs_distances(root),
-        "replicated BFS distances wrong"
-    );
-    Ok(m)
+    let (p, label) = (bfs_replicated(cfg.cores, variant), rep_label(variant));
+    bfs::run_pipeline(&p, cfg.cores, label, g, root, cfg, input, None).0
 }
-
-// ---------------------------------------------------------------------
-// CC
-// ---------------------------------------------------------------------
 
 /// Replicated CC, 3 stages x R. Phloem's update re-reads `labels[v]` per
 /// edge (packed `v`); the manual version reads the label once in the
@@ -199,8 +163,7 @@ pub fn cc_replicated(replicas: usize, variant: RepVariant) -> Pipeline {
         // Fetch: the vertex, or for manual `(lv << 32) | v`.
         let mut s0 = frontier::stage(format!("fetch@r{r}"), &arrays);
         s0.param_i64("seg");
-        let fringe = (a.fringe, a.fringe_len);
-        let part = replica(r, replicas);
+        let (fringe, part) = ((a.fringe, a.fringe_len), replica(r, replicas));
         let fetch = frontier::fetch_stage(s0, fringe, part, &[q(0, r)], |f, v| {
             let lv = f.var_i64("lv");
             if manual {
@@ -247,42 +210,16 @@ pub fn cc_replicated(replicas: usize, variant: RepVariant) -> Pipeline {
     p
 }
 
-/// Runs replicated CC; verifies labels.
-///
-/// Runtime failures surface as `Err(Trap)`; wrong labels still panic
-/// (miscompile).
+/// Runs replicated CC, one replica per core.
 pub fn run_cc_replicated(
     variant: RepVariant,
     g: &Graph,
     cfg: &MachineConfig,
     input: &str,
 ) -> Result<Measurement, Trap> {
-    let replicas = cfg.cores;
-    let pipeline = cc_replicated(replicas, variant);
-    let (mem, arrays) = cc::build_mem(g, replicas);
-    let seg = Value::I64(cc::segment(g) as i64);
-    let fringe = cc::fringe(&arrays, replicas, g);
-    let len = g.num_vertices as i64;
-    let what = "replicated CC";
-    let (m, mem) = measure(rep_label(variant), input, cfg, mem, None, |session| {
-        let compiled = CompiledPipeline::new(&pipeline)?;
-        run_to_fixpoint(session, &fringe, len, 1_000_000, what, |session, _| {
-            session.run_compiled(&pipeline, &compiled, &[("seg", seg)])?;
-            Ok(())
-        })
-    })
-    .0?;
-    assert_eq!(
-        mem.i64_vec(arrays.labels),
-        cc::oracle(g),
-        "replicated CC labels wrong ({variant:?})"
-    );
-    Ok(m)
+    let (p, label) = (cc_replicated(cfg.cores, variant), rep_label(variant));
+    cc::run_pipeline(&p, cfg.cores, label, g, cfg, input, None).0
 }
-
-// ---------------------------------------------------------------------
-// Radii: 2 stages x 2R replicas (Phloem) vs 3 stages x R (manual)
-// ---------------------------------------------------------------------
 
 /// Replicas of the Radii pipeline on `cores` cores.
 fn radii_replicas(cores: usize, variant: RepVariant) -> usize {
@@ -349,44 +286,17 @@ pub fn radii_replicated(cores: usize, variant: RepVariant) -> Pipeline {
     p
 }
 
-/// Runs replicated Radii; verifies radii against the oracle.
-///
-/// Runtime failures surface as `Err(Trap)`; radii mismatches still
-/// panic (miscompile).
+/// Runs replicated Radii, `radii_replicas` of them.
 pub fn run_radii_replicated(
     variant: RepVariant,
     g: &Graph,
     cfg: &MachineConfig,
     input: &str,
 ) -> Result<Measurement, Trap> {
-    let pipeline = radii_replicated(cfg.cores, variant);
+    let (p, label) = (radii_replicated(cfg.cores, variant), rep_label(variant));
     let replicas = radii_replicas(cfg.cores, variant);
-    let (mem, arrays) = radii::build_mem(g, replicas);
-    let seg = Value::I64(radii::segment(g) as i64);
-    let fringe = radii::fringe(&arrays, replicas, g);
-    let len = radii::sources(g).len() as i64;
-    let what = "replicated radii";
-    let (m, mem) = measure(rep_label(variant), input, cfg, mem, None, |session| {
-        let compiled = CompiledPipeline::new(&pipeline)?;
-        run_to_fixpoint(session, &fringe, len, 1_000_000, what, |session, k| {
-            let params = [("round", Value::I64(k as i64 + 1)), ("seg", seg)];
-            session.run_compiled(&pipeline, &compiled, &params)?;
-            radii::swap_visited(session, &arrays);
-            Ok(())
-        })
-    })
-    .0?;
-    assert_eq!(
-        mem.i64_vec(arrays.radii),
-        radii::oracle(g),
-        "replicated radii wrong ({variant:?})"
-    );
-    Ok(m)
+    radii::run_pipeline(&p, replicas, label, g, cfg, input, None).0
 }
-
-// ---------------------------------------------------------------------
-// PageRank-Delta
-// ---------------------------------------------------------------------
 
 /// Replicated PRD scatter phase. The Phloem version replicates 3 stages
 /// per core (fetch, visit, update); the manual version merges the middle
@@ -394,10 +304,7 @@ pub fn run_radii_replicated(
 /// replication (two update threads per core, selected by `ngh % 2R`).
 pub fn prd_scatter_replicated(cores: usize, variant: RepVariant) -> Pipeline {
     let (arrays, a) = (prd::arrays(), prd::PrdArrays::ids());
-    let per_core = match variant {
-        RepVariant::Phloem => 1,
-        RepVariant::Manual => 2,
-    };
+    let per_core = if variant == RepVariant::Manual { 2 } else { 1 };
     let updates = cores * per_core;
     let q = |k: u16, r: usize| QueueId(k + 3 * r as u16);
     let upd: Vec<QueueId> = (0..updates).map(|u| q(2, u)).collect();
@@ -435,12 +342,8 @@ pub fn prd_scatter_replicated(cores: usize, variant: RepVariant) -> Pipeline {
     p
 }
 
-/// Runs replicated PRD (scatter replicated; apply data-parallel across
-/// all threads); verifies ranks with a tolerance (cross-replica float
-/// accumulation order differs).
-///
-/// Runtime failures surface as `Err(Trap)`; rank divergence still
-/// panics (miscompile).
+/// Runs replicated PRD: the scatter phase replicated per core, the
+/// apply phase data-parallel across every hardware thread.
 pub fn run_prd_replicated(
     variant: RepVariant,
     g: &Graph,
@@ -448,24 +351,9 @@ pub fn run_prd_replicated(
     input: &str,
 ) -> Result<Measurement, Trap> {
     let threads = cfg.cores * cfg.smt_threads;
-    let n = g.num_vertices;
-    let scatter = prd_scatter_replicated(cfg.cores, variant);
-    let apply = prd::dp_apply_pipeline(threads, n, cfg);
-    let (mem, arrays) = prd::build_mem(g, threads);
-    let fringe = prd::fringe(&arrays, threads, n);
-    let (m, mem) = measure(rep_label(variant), input, cfg, mem, None, |session| {
-        prd::iterate(session, &fringe, n, &scatter, &apply)
-    })
-    .0?;
-    let ranks = mem.f64_vec(arrays.rank);
-    let want = prd::oracle(g);
-    for (i, (a, b)) in ranks.iter().zip(&want).enumerate() {
-        assert!(
-            (a - b).abs() <= 1e-9 + 1e-6 * b.abs(),
-            "prd-rep {variant:?}: rank[{i}] {a} vs {b}"
-        );
-    }
-    Ok(m)
+    let apply = prd::dp_apply_pipeline(threads, g.num_vertices, cfg);
+    let pipelines = (prd_scatter_replicated(cfg.cores, variant), apply);
+    prd::run_pipelines(&pipelines, threads, rep_label(variant), g, cfg, input, None).0
 }
 
 #[cfg(test)]

@@ -11,10 +11,11 @@
 //! as fragments each builder composes in its own order. An app file
 //! keeps what is its own: one array declaration (`arrays()`, with the
 //! ids derived from it by name), its per-vertex payload, its per-edge
-//! update rule (plain and atomic), its oracle and its round body.
-//! [`runner`] holds the driver they all share and [`apps`] the one table
-//! from an app's name to its code. `tests/golden_ir.rs` pins the IR of
-//! every pipeline built here.
+//! update rule (plain and atomic), its oracle and its one round loop,
+//! which runs its Fig. 9 pipelines and [`fig14`]'s replicated ones
+//! alike. [`runner`] holds the harness they all share and [`apps`] the
+//! one table from an app's name to its code. `tests/golden_ir.rs` pins
+//! the IR of every pipeline built here.
 
 #![warn(missing_docs)]
 

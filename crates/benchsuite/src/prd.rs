@@ -20,14 +20,14 @@
 use crate::frontier::{self, Part, RowWalk, Segment};
 use crate::runner::{
     compile_fitted, data_parallel_pipeline, measure, run_rounds, serial_pipeline, variant_pipeline,
-    Fringe, Measurement, Variant,
+    Fringe, Measurement, Ran, Sink, Variant,
 };
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId,
     StageProgram, Trap, UnOp, Value, VarId,
 };
 use phloem_workloads::Graph;
-use pipette_sim::{CompiledPipeline, MachineConfig, Session, TraceSink};
+use pipette_sim::{CompiledPipeline, MachineConfig, Session};
 
 const DAMPING: f64 = 0.85;
 const EPS: f64 = 1e-4;
@@ -294,42 +294,6 @@ pub fn run(
     run_opt_traced(variant, g, cfg, input, None).0
 }
 
-/// The round loop's view of [`PrdArrays`]: the active list is
-/// compacted in place, thread `t`'s survivors starting at its slice of
-/// the `n` vertices.
-pub(crate) fn fringe(arrays: &PrdArrays, threads: usize, n: usize) -> Fringe {
-    Fringe {
-        fringe: arrays.active,
-        fringe_len: arrays.fringe_len,
-        next: arrays.active,
-        out_len: arrays.out_len,
-        starts: (0..threads)
-            .map(|t| (n as i64) * t as i64 / threads as i64)
-            .collect(),
-    }
-}
-
-/// Runs up to [`ITERATIONS`] scatter + apply iterations, stopping early
-/// once no vertex is active.
-pub(crate) fn iterate(
-    session: &mut Session,
-    fringe: &Fringe,
-    n: usize,
-    scatter: &Pipeline,
-    apply: &Pipeline,
-) -> Result<(), Trap> {
-    // Lower both phases once, not once per iteration.
-    let scatter_code = CompiledPipeline::new(scatter)?;
-    let apply_code = CompiledPipeline::new(apply)?;
-    let rounds = ITERATIONS as u64;
-    run_rounds(session, fringe, n as i64, rounds, |session, _| {
-        session.run_compiled(scatter, &scatter_code, &[])?;
-        session.run_compiled(apply, &apply_code, &[("n", Value::I64(n as i64))])?;
-        Ok(())
-    })?;
-    Ok(())
-}
-
 /// The single run entry: [`run`] wraps it, and the app table in
 /// [`crate::apps`] and every traced caller call it. `sink`, when given,
 /// observes every pipeline invocation and is handed back even when the
@@ -339,28 +303,58 @@ pub fn run_opt_traced(
     g: &Graph,
     cfg: &MachineConfig,
     input: &str,
-    sink: Option<Box<dyn TraceSink>>,
-) -> (Result<Measurement, Trap>, Option<Box<dyn TraceSink>>) {
-    let threads = variant.threads();
+    sink: Option<Sink>,
+) -> Ran {
+    let pipelines = pipelines_for(variant, g.num_vertices, cfg).expect("PRD pipelines");
+    let (threads, label) = (variant.threads(), variant.label());
+    run_pipelines(&pipelines, threads, label, g, cfg, input, sink)
+}
+
+/// PRD's iteration loop, Fig. 9's and Fig. 14's: runs `scatter` then
+/// `apply` over `producers` active-list slices for up to [`ITERATIONS`]
+/// iterations, stopping early once no vertex is active, then checks
+/// ranks (within a tolerance for reordered float accumulation).
+pub(crate) fn run_pipelines(
+    (scatter, apply): &(Pipeline, Pipeline),
+    producers: usize,
+    label: String,
+    g: &Graph,
+    cfg: &MachineConfig,
+    input: &str,
+    sink: Option<Sink>,
+) -> Ran {
     let n = g.num_vertices;
-    let (scatter, apply) = pipelines_for(variant, n, cfg).expect("PRD pipelines");
-    let (mem, arrays) = build_mem(g, threads);
-    let fringe = fringe(&arrays, threads, n);
-    let (r, sink) = measure(variant.label(), input, cfg, mem, sink, |session| {
-        iterate(session, &fringe, n, &scatter, &apply)
-    });
-    let checked = r.map(|(m, mem)| {
-        let reference = oracle(g);
-        for (i, (a, b)) in mem.f64_vec(arrays.rank).iter().zip(&reference).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-9 + 1e-6 * b.abs(),
-                "{}: rank[{i}] = {a} vs {b}",
-                m.variant
-            );
+    let (mem, arrays) = build_mem(g, producers);
+    // The active list is compacted in place: producer `t`'s survivors
+    // start at its slice of the `n` vertices.
+    let fringe = Fringe {
+        fringe: arrays.active,
+        fringe_len: arrays.fringe_len,
+        next: arrays.active,
+        out_len: arrays.out_len,
+        starts: (0..producers)
+            .map(|t| (n as i64) * t as i64 / producers as i64)
+            .collect(),
+    };
+    let body = |session: &mut Session| {
+        // Lower both phases once, not once per iteration.
+        let scatter_code = CompiledPipeline::new(scatter)?;
+        let apply_code = CompiledPipeline::new(apply)?;
+        let rounds = ITERATIONS as u64;
+        run_rounds(session, &fringe, n as i64, rounds, |session, _| {
+            session.run_compiled(scatter, &scatter_code, &[])?;
+            session.run_compiled(apply, &apply_code, &[("n", Value::I64(n as i64))])?;
+            Ok(())
+        })?;
+        Ok(())
+    };
+    measure(label, input, cfg, mem, sink, body, |mem, label| {
+        let want = oracle(g);
+        for (i, (a, b)) in mem.f64_vec(arrays.rank).iter().zip(&want).enumerate() {
+            let ok = (a - b).abs() <= 1e-9 + 1e-6 * b.abs();
+            assert!(ok, "{label}: rank[{i}] = {a} vs {b}");
         }
-        m
-    });
-    (checked, sink)
+    })
 }
 
 /// Host oracle mirroring the serial schedule exactly.

@@ -13,13 +13,15 @@
 //! its oracle. The traversal around them is `crate::frontier`'s.
 
 use crate::frontier::{self, Part, RowWalk, Segment};
-use crate::runner::{measure, run_to_fixpoint, variant_pipeline, Fringe, Measurement, Variant};
+use crate::runner::{
+    measure, run_to_fixpoint, variant_pipeline, Fringe, Measurement, Ran, Sink, Variant,
+};
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId,
     StageProgram, Trap, Value, VarId,
 };
 use phloem_workloads::Graph;
-use pipette_sim::{CompiledPipeline, MachineConfig, Session, TraceSink};
+use pipette_sim::{CompiledPipeline, MachineConfig, Session};
 
 /// Number of simultaneously-sampled BFS sources (bits in the mask).
 pub const SOURCES: usize = 32;
@@ -309,25 +311,6 @@ pub fn run(
     run_opt_traced(variant, g, cfg, input, None).0
 }
 
-/// The round loop's view of [`RadiiArrays`], for `threads` producers.
-pub(crate) fn fringe(arrays: &RadiiArrays, threads: usize, g: &Graph) -> Fringe {
-    Fringe::strided(
-        arrays.fringe,
-        arrays.fringe_len,
-        arrays.next_fringe,
-        arrays.out_len,
-        threads,
-        segment(g),
-    )
-}
-
-/// Double-buffer swap after a round: visited <- nvisited (host work,
-/// free).
-pub(crate) fn swap_visited(session: &mut Session, arrays: &RadiiArrays) {
-    let nv = session.mem().values(arrays.nvisited);
-    session.mem_mut().set_values(arrays.visited, &nv);
-}
-
 /// The single run entry: [`run`] wraps it, and the app table in
 /// [`crate::apps`] and every traced caller call it. `sink`, when given,
 /// observes every pipeline invocation and is handed back even when the
@@ -337,29 +320,47 @@ pub fn run_opt_traced(
     g: &Graph,
     cfg: &MachineConfig,
     input: &str,
-    sink: Option<Box<dyn TraceSink>>,
-) -> (Result<Measurement, Trap>, Option<Box<dyn TraceSink>>) {
-    let threads = variant.threads();
+    sink: Option<Sink>,
+) -> Ran {
     let pipeline = pipeline_for(variant, segment(g), cfg).expect("radii pipeline");
-    let (mem, arrays) = build_mem(g, threads);
-    let fringe = fringe(&arrays, threads, g);
-    let what = format!("radii {}", variant.label());
-    let len = sources(g).len() as i64;
-    let (r, sink) = measure(variant.label(), input, cfg, mem, sink, |session| {
-        let compiled = CompiledPipeline::new(&pipeline)?;
+    let (threads, label) = (variant.threads(), variant.label());
+    run_pipeline(&pipeline, threads, label, g, cfg, input, sink)
+}
+
+/// Radii's round loop, Fig. 9's and Fig. 14's: runs `pipeline` over
+/// `producers` next-fringe segments until the fringe drains, passing
+/// `round` and the segment stride `seg` (only replicated stages declare
+/// it) and swapping `visited` after each round, then checks radii.
+pub(crate) fn run_pipeline(
+    pipeline: &Pipeline,
+    producers: usize,
+    label: String,
+    g: &Graph,
+    cfg: &MachineConfig,
+    input: &str,
+    sink: Option<Sink>,
+) -> Ran {
+    let (mem, a) = build_mem(g, producers);
+    let stride = segment(g);
+    let (cur, next) = ((a.fringe, a.fringe_len), (a.next_fringe, a.out_len));
+    let fringe = Fringe::strided(cur, next, producers, stride);
+    let what = format!("radii {label}");
+    let (len, seg) = (sources(g).len() as i64, Value::I64(stride as i64));
+    let body = |session: &mut Session| {
+        let compiled = CompiledPipeline::new(pipeline)?;
         run_to_fixpoint(session, &fringe, len, 1_000_000, &what, |session, k| {
-            let round = Value::I64(k as i64 + 1);
-            session.run_compiled(&pipeline, &compiled, &[("round", round)])?;
-            swap_visited(session, &arrays);
+            let params = [("round", Value::I64(k as i64 + 1)), ("seg", seg)];
+            session.run_compiled(pipeline, &compiled, &params)?;
+            // Double-buffer swap: visited <- nvisited (host work, free).
+            let nv = session.mem().values(a.nvisited);
+            session.mem_mut().set_values(a.visited, &nv);
             Ok(())
         })
-    });
-    let checked = r.map(|(m, mem)| {
-        let got = mem.i64_vec(arrays.radii);
-        assert_eq!(got, oracle(g), "radii wrong for {}", m.variant);
-        m
-    });
-    (checked, sink)
+    };
+    measure(label, input, cfg, mem, sink, body, |mem, label| {
+        let got = mem.i64_vec(a.radii);
+        assert_eq!(got, oracle(g), "radii wrong for {label}");
+    })
 }
 
 #[cfg(test)]

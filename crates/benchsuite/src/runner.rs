@@ -6,7 +6,7 @@ use phloem_compiler::{
     compile_static, decouple_with_cuts, CompileError, CompileOptions, PassConfig,
 };
 use phloem_ir::{ArrayId, Function, MemState, Pipeline, StageProgram, Trap, Value};
-use pipette_sim::{MachineConfig, RunStats, Session, ThreadStats, TraceSink};
+use pipette_sim::{MachineConfig, RunStats, Session, StallKind, TraceSink};
 
 /// Which program variant to run (the four bars of Fig. 9).
 #[derive(Clone, Debug, PartialEq)]
@@ -157,25 +157,27 @@ pub fn variant_pipeline(
     }
 }
 
-/// What [`measure`] hands back: the measurement with the final memory
-/// (for the app's oracle check), or the trap; plus the trace sink, if
-/// one was installed — returned even when the run traps, so callers can
-/// inspect the partial trace of a failed run.
-pub type Measured = (
-    Result<(Measurement, MemState), Trap>,
-    Option<Box<dyn TraceSink>>,
-);
+/// A trace sink handed to, and back from, a run.
+pub type Sink = Box<dyn TraceSink>;
+/// What a run hands back: the oracle-checked measurement or the trap,
+/// and the sink if one was given (even when the run traps).
+pub type Ran = (Result<Measurement, Trap>, Option<Sink>);
 
 /// Runs `body` on a fresh session over `mem`, observed by `sink` if one
-/// is given, and folds the session into a [`Measurement`].
+/// is given, folds the session into a [`Measurement`] and hands the
+/// final memory to the app's oracle `check` with the variant label. A
+/// failed check panics: the variant miscompiled. The sink comes back
+/// even when the run traps, so callers can inspect the partial trace of
+/// a failed run.
 pub fn measure(
     variant: String,
     input: &str,
     cfg: &MachineConfig,
     mem: MemState,
-    sink: Option<Box<dyn TraceSink>>,
+    sink: Option<Sink>,
     body: impl FnOnce(&mut Session) -> Result<(), Trap>,
-) -> Measured {
+    check: impl FnOnce(&MemState, &str),
+) -> Ran {
     let mut session = Session::new(cfg.clone(), mem);
     if let Some(s) = sink {
         session.set_trace(s);
@@ -186,13 +188,14 @@ pub fn measure(
         return (Err(e), sink);
     }
     let (mem, stats) = session.finish();
+    check(&mem, &variant);
     let m = Measurement {
         variant,
         input: input.into(),
         cycles: stats.cycles,
         stats,
     };
-    (Ok((m, mem)), sink)
+    (Ok(m), sink)
 }
 
 /// Where a frontier app keeps its work list: a dense `fringe` the
@@ -213,12 +216,11 @@ pub struct Fringe {
 }
 
 impl Fringe {
-    /// A fringe whose thread `t` segment starts at `t * stride`.
+    /// A fringe over `(fringe, fringe_len)` whose thread `t` segment of
+    /// `(next, out_len)` starts at `t * stride`.
     pub fn strided(
-        fringe: ArrayId,
-        fringe_len: ArrayId,
-        next: ArrayId,
-        out_len: ArrayId,
+        (fringe, fringe_len): (ArrayId, ArrayId),
+        (next, out_len): (ArrayId, ArrayId),
         threads: usize,
         stride: usize,
     ) -> Fringe {
@@ -372,7 +374,8 @@ pub fn candidate_outcome(
 /// [`CandidateProfile`]'s contract: the critical stage is the compute
 /// stage bounding the makespan, utilization is the non-stalled share of
 /// each stage's active window, and the dominant stall is the largest
-/// stall class summed across all stages — `"none"` when nothing stalled.
+/// stall class summed across all stages (the first on ties) — `"none"`
+/// when nothing stalled.
 fn profile_from_stats(stats: &RunStats) -> CandidateProfile {
     let critical = stats.critical_stage();
     let stage_utilization = stats
@@ -388,22 +391,8 @@ fn profile_from_stats(stats: &RunStats) -> CandidateProfile {
             (t.name.clone(), util)
         })
         .collect();
-    let total = |class: fn(&ThreadStats) -> u64| stats.threads.iter().map(class).sum::<u64>();
-    let classes = [
-        ("queue-full", total(|t| t.queue_full_stall_cycles)),
-        ("queue-empty", total(|t| t.queue_empty_stall_cycles)),
-        ("backend", total(|t| t.backend_stall_cycles)),
-        ("frontend", total(|t| t.frontend_stall_cycles)),
-    ];
-    // max_by_key keeps the *last* maximum; iterate in fixed order and
-    // prefer the first on ties for a stable label.
-    let dominant_stall = classes
-        .iter()
-        .rev()
-        .max_by_key(|(_, c)| *c)
-        .filter(|(_, c)| *c > 0)
-        .map_or("none", |(n, _)| n)
-        .to_string();
+    let total = |kind| stats.threads.iter().map(|t| t.stall(kind)).sum();
+    let dominant_stall = StallKind::dominant(total).to_string();
     CandidateProfile {
         critical_stage: critical.map(|t| t.name.clone()).unwrap_or_default(),
         stage_utilization,
@@ -453,6 +442,7 @@ pub fn data_parallel_pipeline(funcs: Vec<Function>, smt: usize) -> Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipette_sim::ThreadStats;
 
     #[test]
     fn gmean_basics() {

@@ -19,13 +19,13 @@
 //! and the control-value tags.
 
 use crate::frontier::{self, Part, DONE, NEXT};
-use crate::runner::{measure, variant_pipeline, Measurement, Variant};
+use crate::runner::{measure, variant_pipeline, Measurement, Ran, Sink, Variant};
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline, QueueId,
     RaConfig, RaMode, StageProgram, Trap, UnOp, Value,
 };
 use phloem_workloads::SparseMatrix;
-use pipette_sim::{MachineConfig, TraceSink};
+use pipette_sim::{MachineConfig, Session};
 
 /// SpMM's arrays, in allocation order: the one declaration every variant
 /// and [`build_mem`] share.
@@ -424,27 +424,25 @@ pub fn run_opt_traced(
     bt: &SparseMatrix,
     cfg: &MachineConfig,
     input: &str,
-    sink: Option<Box<dyn TraceSink>>,
-) -> (Result<Measurement, Trap>, Option<Box<dyn TraceSink>>) {
+    sink: Option<Sink>,
+) -> Ran {
     let pipeline = pipeline_for(variant, cfg).expect("SpMM pipeline");
     let (mem, arrays) = build_mem(a, bt, variant.threads());
-    let (r, sink) = measure(variant.label(), input, cfg, mem, sink, |session| {
+    let body = |session: &mut Session| {
         session.run(&pipeline, &[("n", Value::I64(a.rows as i64))])?;
         Ok(())
-    });
-    let checked = r.map(|(m, mem)| {
+    };
+    let label = variant.label();
+    measure(label, input, cfg, mem, sink, body, |mem, label| {
         let cnt: i64 = mem.i64_vec(arrays.out_cnt).iter().sum();
         let sum: f64 = mem.f64_vec(arrays.out_sum).iter().sum();
         let (want_cnt, want_sum) = oracle(a, bt);
-        assert_eq!(cnt, want_cnt, "SpMM count wrong for {}", m.variant);
+        assert_eq!(cnt, want_cnt, "SpMM count wrong for {label}");
         assert!(
             (sum - want_sum).abs() <= 1e-9 + 1e-9 * want_sum.abs(),
-            "SpMM sum wrong for {}: {sum} vs {want_sum}",
-            m.variant
+            "SpMM sum wrong for {label}: {sum} vs {want_sum}"
         );
-        m
-    });
-    (checked, sink)
+    })
 }
 
 #[cfg(test)]

@@ -10,12 +10,13 @@
 //! kernels.
 
 use crate::runner::{
-    compile_fitted, data_parallel_pipeline, measure, serial_pipeline, Measurement, Variant,
+    compile_fitted, data_parallel_pipeline, measure, serial_pipeline, Measurement, Ran, Sink,
+    Variant,
 };
 use phloem_compiler::replicate::partition_top_loop;
 use phloem_ir::{BinOp, Expr, MemState, Pipeline, Stmt, Trap, Value};
 use phloem_workloads::{DenseMatrix, SparseMatrix};
-use pipette_sim::{MachineConfig, TraceSink};
+use pipette_sim::{MachineConfig, Session};
 use taco_mini::{kernels, Kernel};
 
 /// Dense inner dimension used for SDDMM's `C (n x k)` and `D (k x m)`.
@@ -261,8 +262,8 @@ pub fn run_opt_traced(
     a: &SparseMatrix,
     cfg: &MachineConfig,
     input: &str,
-    sink: Option<Box<dyn TraceSink>>,
-) -> (Result<Measurement, Trap>, Option<Box<dyn TraceSink>>) {
+    sink: Option<Sink>,
+) -> Ran {
     let k = app.kernel();
     let pipelines = pipelines_for(app, variant, cfg).expect("taco pipelines");
     let (mem, out_id) = build_mem(app, &k, a);
@@ -278,25 +279,23 @@ pub fn run_opt_traced(
         }
         cur.f64_vec(out_id)
     };
-    let (r, sink) = measure(variant.label(), input, cfg, mem, sink, |session| {
+    let body = |session: &mut Session| {
         for p in &pipelines {
             session.run(p, &ps)?;
         }
         Ok(())
-    });
-    let checked = r.map(|(m, mem)| {
+    };
+    let label = variant.label();
+    measure(label, input, cfg, mem, sink, body, |mem, label| {
         let got = mem.f64_vec(out_id);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert!(
                 (g - w).abs() <= 1e-9 + 1e-9 * w.abs(),
-                "{} {}: out[{i}] = {g} vs {w}",
-                app.name(),
-                m.variant
+                "{} {label}: out[{i}] = {g} vs {w}",
+                app.name()
             );
         }
-        m
-    });
-    (checked, sink)
+    })
 }
 
 #[cfg(test)]

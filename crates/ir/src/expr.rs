@@ -157,36 +157,6 @@ impl Expr {
             Expr::Load { index, .. } => 1 + index.uop_count(),
         }
     }
-
-    /// Rewrites every subexpression bottom-up with `f`.
-    pub fn map(self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-        let e = match self {
-            Expr::Const(_) | Expr::Var(_) => self,
-            Expr::Unary(op, a) => Expr::Unary(op, Box::new(a.map(f))),
-            Expr::Binary(op, a, b) => Expr::Binary(op, Box::new(a.map(f)), Box::new(b.map(f))),
-            Expr::Load { id, array, index } => Expr::Load {
-                id,
-                array,
-                index: Box::new(index.map(f)),
-            },
-        };
-        f(e)
-    }
-
-    /// Replaces the load with the given id by an expression (used when the
-    /// compiler routes a load through a queue or reference accelerator).
-    /// Returns the rewritten expression and whether a replacement happened.
-    pub fn replace_load(self, target: LoadId, replacement: &Expr) -> (Expr, bool) {
-        let mut hit = false;
-        let out = self.map(&mut |e| match e {
-            Expr::Load { id, .. } if id == target => {
-                hit = true;
-                replacement.clone()
-            }
-            other => other,
-        });
-        (out, hit)
-    }
 }
 
 #[cfg(test)]
@@ -223,18 +193,6 @@ mod tests {
     fn uop_count_skips_leaves() {
         // loads: 2, add: 1, mul: 1 => 4
         assert_eq!(sample().uop_count(), 4);
-    }
-
-    #[test]
-    fn replace_load_substitutes_once() {
-        let (e, hit) = sample().replace_load(LoadId(0), &Expr::var(VarId(9)));
-        assert!(hit);
-        let mut loads = Vec::new();
-        e.for_each_load(&mut |id, _| loads.push(id));
-        assert_eq!(loads, vec![LoadId(1)]);
-        let mut vars = Vec::new();
-        e.for_each_var(&mut |v| vars.push(v));
-        assert!(vars.contains(&VarId(9)));
     }
 
     #[test]

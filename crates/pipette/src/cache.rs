@@ -85,25 +85,11 @@ impl CacheArray {
         false
     }
 
-    /// Inserts a line, evicting LRU.
+    /// Inserts a line, evicting LRU: [`CacheArray::miss_install`] on
+    /// the line's set.
     fn insert(&mut self, line: u64) {
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.ways;
-        self.clock += 1;
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.ways {
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
+        let base = (line & self.set_mask) as usize * self.ways;
+        self.miss_install(base, line);
     }
 
     /// The demand-path hot loop: branchless hit probe, then the miss
@@ -134,9 +120,10 @@ impl CacheArray {
         false
     }
 
-    /// Miss path of [`CacheArray::access_or_victim`]: victim scan (first
-    /// invalid way, else LRU) and install — [`CacheArray::insert`]'s
-    /// exact policy, with the set index already resolved.
+    /// Miss path of [`CacheArray::access_or_victim`] and all of
+    /// [`CacheArray::insert`]: victim scan (first invalid way, else LRU)
+    /// and install, with the set index already resolved. The scan never
+    /// reads the clock, so the clock bump may follow it.
     fn miss_install(&mut self, base: usize, line: u64) {
         let mut victim = 0;
         let mut oldest = u64::MAX;

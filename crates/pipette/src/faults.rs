@@ -174,14 +174,6 @@ impl FaultPlan {
         FaultPlan { faults }
     }
 
-    /// True if the plan kills at least one thread (such a plan can never
-    /// produce a successful run).
-    pub fn has_kill(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, Fault::ThreadKill { .. }))
-    }
-
     /// Effective capacity of `queue` for its next enqueue (ordinal
     /// `enq_ord`), given the `physical` capacity.
     pub(crate) fn queue_cap(&self, queue: usize, enq_ord: u64, physical: usize) -> usize {
@@ -307,6 +299,5 @@ mod tests {
         assert_eq!(p.deq_extra(0, 5), 0);
         assert_eq!(p.kill_at(2), Some(99));
         assert_eq!(p.kill_at(0), None);
-        assert!(p.has_kill());
     }
 }

@@ -205,6 +205,9 @@ impl Session {
     /// sink sees `begin`/`end` per invocation plus every structured
     /// event whose interest bit it declares; tracing never changes a
     /// single simulated cycle (`tests/trace_oracle.rs` pins this).
+    /// Events come from the timing world only: under a native backend an
+    /// installed sink makes every invocation fail with
+    /// [`Trap::Malformed`].
     pub fn set_trace(&mut self, sink: Box<dyn TraceSink>) {
         self.trace = Some(sink);
     }
@@ -319,12 +322,19 @@ impl Session {
             // backends) and then bypass the timing world entirely:
             // stages execute on real threads, over rings sized for the
             // host, and "cycles" are wall-clock nanoseconds. Faults are
-            // injected into the timing world, so a native run with a
-            // plan would silently run fault-free.
+            // injected into, and trace events emitted by, the timing
+            // world, so a native run with a plan would silently run
+            // fault-free and one with a sink would hand back an empty
+            // trace.
             if self.faults.is_some() {
                 return Err(Trap::Malformed(
                     "fault injection is simulator-only: a native run cannot apply a fault plan"
                         .into(),
+                ));
+            }
+            if self.trace.is_some() {
+                return Err(Trap::Malformed(
+                    "tracing is simulator-only: a native run cannot feed a trace sink".into(),
                 ));
             }
             let (run, trap) = crate::native::run_compiled(

@@ -78,19 +78,15 @@ impl StageMetrics {
         busy as f64 / self.active_cycles as f64
     }
 
-    /// Name of the stage's largest stall bucket ("none" when fully busy).
+    /// Name of the stage's largest stall class, by
+    /// [`StallKind::dominant`] ("none" when fully busy).
     pub fn dominant_stall(&self) -> &'static str {
-        let buckets = [
-            (self.queue_full_stall_cycles, "queue-full"),
-            (self.queue_empty_stall_cycles, "queue-empty"),
-            (self.backend_stall_cycles, "backend"),
-            (self.frontend_stall_cycles, "frontend"),
-        ];
-        buckets
-            .iter()
-            .max_by_key(|(c, _)| *c)
-            .filter(|(c, _)| *c > 0)
-            .map_or("none", |(_, n)| n)
+        StallKind::dominant(|kind| match kind {
+            StallKind::QueueFull => self.queue_full_stall_cycles,
+            StallKind::QueueEmpty => self.queue_empty_stall_cycles,
+            StallKind::Backend => self.backend_stall_cycles,
+            StallKind::Frontend => self.frontend_stall_cycles,
+        })
     }
 }
 

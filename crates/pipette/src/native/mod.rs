@@ -185,7 +185,9 @@ impl Drop for BackendScope {
 }
 
 /// Atoms per stage slice before round-robining to the worker's next
-/// stage (matches the interpreter scheduler's slice).
+/// stage. Its own constant, not the simulator scheduler's (128): it
+/// bounds how long one stage holds its host worker, and no simulated
+/// cycle depends on it.
 const SLICE: u32 = 256;
 
 /// Park timeout: bounds deadlock-detection and cancellation-poll

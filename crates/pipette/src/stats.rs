@@ -3,6 +3,7 @@
 
 use crate::cache::CacheStats;
 use crate::energy::EnergyBreakdown;
+use crate::trace::StallKind;
 use phloem_ir::Time;
 
 /// Counters for one hardware thread (stage or RA).
@@ -51,6 +52,16 @@ impl ThreadStats {
     /// Dynamic operations of every kind this thread committed.
     pub fn ops(&self) -> u64 {
         self.uops + self.branches + self.loads + self.stores + self.enqs + self.deqs
+    }
+
+    /// Cycles lost to one stall class.
+    pub fn stall(&self, kind: StallKind) -> u64 {
+        match kind {
+            StallKind::QueueFull => self.queue_full_stall_cycles,
+            StallKind::QueueEmpty => self.queue_empty_stall_cycles,
+            StallKind::Backend => self.backend_stall_cycles,
+            StallKind::Frontend => self.frontend_stall_cycles,
+        }
     }
 }
 

@@ -70,6 +70,39 @@ pub enum StallKind {
     Frontend,
 }
 
+impl StallKind {
+    /// Every class, in the order reports list them.
+    pub const ALL: [StallKind; 4] = [
+        StallKind::QueueFull,
+        StallKind::QueueEmpty,
+        StallKind::Backend,
+        StallKind::Frontend,
+    ];
+
+    /// The class as reports and the `search` payload name it.
+    pub fn label(self) -> &'static str {
+        match self {
+            StallKind::QueueFull => "queue-full",
+            StallKind::QueueEmpty => "queue-empty",
+            StallKind::Backend => "backend",
+            StallKind::Frontend => "frontend",
+        }
+    }
+
+    /// The label of the class with the most `cycles`, the first of
+    /// [`StallKind::ALL`] on ties; `"none"` when no class stalled.
+    pub fn dominant(cycles: impl Fn(StallKind) -> u64) -> &'static str {
+        let mut best = ("none", 0);
+        for kind in StallKind::ALL {
+            let c = cycles(kind);
+            if c > best.1 {
+                best = (kind.label(), c);
+            }
+        }
+        best.0
+    }
+}
+
 /// Why a traced run terminated abnormally.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceVerdict {
@@ -374,11 +407,6 @@ impl dyn TraceSink {
     /// Downcasts a boxed sink back to its concrete type.
     pub fn downcast_ref<T: TraceSink>(&self) -> Option<&T> {
         (self as &dyn Any).downcast_ref()
-    }
-
-    /// Mutable variant of `downcast_ref`.
-    pub fn downcast_mut<T: TraceSink>(&mut self) -> Option<&mut T> {
-        (self as &mut dyn Any).downcast_mut()
     }
 }
 
@@ -944,6 +972,17 @@ mod tests {
     }
 
     #[test]
+    fn dominant_stall_takes_the_first_class_on_ties() {
+        let cycles = |c: [u64; 4]| move |k: StallKind| c[k as usize];
+        assert_eq!(StallKind::dominant(cycles([0, 0, 0, 0])), "none");
+        assert_eq!(StallKind::dominant(cycles([1, 5, 2, 5])), "queue-empty");
+        assert_eq!(StallKind::dominant(cycles([3, 3, 3, 3])), "queue-full");
+        assert_eq!(StallKind::dominant(cycles([0, 0, 0, 1])), "frontend");
+        let labels = StallKind::ALL.map(StallKind::label);
+        assert_eq!(labels, ["queue-full", "queue-empty", "backend", "frontend"]);
+    }
+
+    #[test]
     fn digest_is_order_sensitive() {
         let a = TraceEvent::Finish { thread: 0, at: 1 };
         let b = TraceEvent::Finish { thread: 1, at: 2 };
@@ -953,12 +992,6 @@ mod tests {
         assert_ne!(digest_events([&a, &b]), digest_events([&a]));
     }
 
-    const KINDS: [StallKind; 4] = [
-        StallKind::QueueFull,
-        StallKind::QueueEmpty,
-        StallKind::Backend,
-        StallKind::Frontend,
-    ];
     const VERDICTS: [TraceVerdict; 4] = [
         TraceVerdict::CycleLimit,
         TraceVerdict::Livelock,
@@ -989,7 +1022,7 @@ mod tests {
         let q = |v: u64| v as u16;
         let t = |v: u64| v as u32;
         let flag = |v: u64| v % 2 == 1;
-        let kind = |v: u64| KINDS[v as usize % 4];
+        let kind = |v: u64| StallKind::ALL[v as usize % 4];
         let verdict = |v: u64| VERDICTS[v as usize % 4];
         vec![
             vary(|[a, b, at, d]| Enq {

@@ -9,7 +9,9 @@ use phloem_ir::{
     interp, ArrayDecl, ArrayId, BinOp, Expr, Function, FunctionBuilder, MemState, Pipeline,
     StageProgram, Trap, Value,
 };
-use pipette_sim::{ExecBackend, Fault, FaultPlan, MachineConfig, NativeConfig, Session};
+use pipette_sim::{
+    DigestSink, ExecBackend, Fault, FaultPlan, MachineConfig, NativeConfig, Session, TraceSink,
+};
 
 fn serial(f: &Function) -> Pipeline {
     let mut p = Pipeline::new(format!("{}-serial", f.name));
@@ -190,4 +192,34 @@ fn native_sessions_refuse_fault_plans() {
     s.run(&serial(&func), &[])
         .expect("an empty plan runs natively");
     assert_eq!(s.mem().i64_vec(out), vec![7, 0]);
+}
+
+/// Trace events come from the timing world, so a traced native run would
+/// hand back an empty sink: the native `Session` refuses it, leaves
+/// memory untouched and still hands the sink back. The simulator feeds
+/// the same sink.
+#[test]
+fn native_sessions_refuse_trace_sinks() {
+    let func = store_then(|_, _, _| {});
+    let mut mem = MemState::new();
+    mem.alloc(ArrayDecl::i64("a"), 4);
+    let out = mem.alloc(ArrayDecl::i64("out"), 2);
+    let untraced = DigestSink::new().digest();
+
+    let mut s = session(true, mem.clone());
+    s.set_trace(Box::new(DigestSink::new()));
+    match s.run(&serial(&func), &[]) {
+        Err(Trap::Malformed(msg)) => assert!(msg.contains("simulator-only"), "{msg}"),
+        other => panic!("a native run fed no trace sink and returned {other:?}"),
+    }
+    assert_eq!(s.mem().i64_vec(out), vec![0, 0]);
+    assert!(s.take_trace().is_some(), "the sink is handed back");
+
+    let mut s = session(false, mem);
+    s.set_trace(Box::new(DigestSink::new()));
+    s.run(&serial(&func), &[]).expect("a traced simulated run");
+    assert_eq!(s.mem().i64_vec(out), vec![7, 0]);
+    let sink: Box<dyn TraceSink> = s.take_trace().expect("sink");
+    let digest = sink.downcast_ref::<DigestSink>().unwrap().digest();
+    assert_ne!(digest, untraced, "the simulator fed the sink");
 }

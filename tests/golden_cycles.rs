@@ -12,7 +12,9 @@
 //! To re-capture after an intentional timing-model change:
 //! `GOLDEN_PRINT=1 cargo test --test golden_cycles -- --nocapture`
 
-use phloem_benchsuite::fig14::{run_bfs_replicated, run_cc_replicated, RepVariant};
+use phloem_benchsuite::fig14::{
+    run_bfs_replicated, run_cc_replicated, run_prd_replicated, run_radii_replicated, RepVariant,
+};
 use phloem_benchsuite::{bfs, cc, spmm, taco, Variant};
 use phloem_workloads::{graph, matrix};
 use pipette_sim::{DigestSink, MachineConfig, TeeSink, TraceEvent, TraceMeta, TraceSink};
@@ -31,6 +33,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("spmm/dp4/rnd_40", 32102),
     ("taco-spmv/phloem/rnd_48", 1961),
     ("cc/replicated/power_law_300", 17109),
+    ("radii/replicated/mesh_10", 20905),
+    ("prd/replicated/power_law_150", 21809),
 ];
 
 fn measure_all() -> Vec<(&'static str, u64)> {
@@ -106,6 +110,22 @@ fn measure_all() -> Vec<(&'static str, u64)> {
     out.push((
         "cc/replicated/power_law_300",
         run_cc_replicated(RepVariant::Phloem, &gc, &cfg4, "power_law_300")
+            .expect("golden run")
+            .cycles,
+    ));
+
+    let gm = graph::mesh(10, 4);
+    out.push((
+        "radii/replicated/mesh_10",
+        run_radii_replicated(RepVariant::Phloem, &gm, &cfg4, "mesh_10")
+            .expect("golden run")
+            .cycles,
+    ));
+
+    let gp = graph::power_law(150, 3, 6);
+    out.push((
+        "prd/replicated/power_law_150",
+        run_prd_replicated(RepVariant::Phloem, &gp, &cfg4, "power_law_150")
             .expect("golden run")
             .cycles,
     ));

@@ -1,13 +1,14 @@
-//! Worker-count independence of every fleet consumer: the
-//! work-stealing pool (`phloem-pool`) schedules whole simulations onto
-//! host threads, so the *only* acceptable effect of changing the worker
+//! Worker-count independence of every fleet consumer: the pool
+//! (`phloem-pool`) hands whole simulations to host threads from one
+//! shared cursor, so the *only* acceptable effect of changing the worker
 //! count is wall-clock time. These tests pin that down byte-for-byte:
 //! the PGO search report, a fuzzdiff sweep's full report, and a
 //! fig-style PGO sweep must render identically at worker counts
 //! {1, 2, 4, available_parallelism} and across repeated runs at the
-//! same count. (Pool-internal behavior — steal fairness, park/unpark,
-//! panic containment, empty/one-task edges — is covered by the unit
-//! suite in `crates/pool/tests/pool_unit.rs`.)
+//! same count. (Pool-internal behavior — load balance across a blocked
+//! worker, resident-thread reuse, cancellation, panic containment,
+//! empty/one-task edges — is covered by the unit suite in
+//! `crates/pool/tests/pool_unit.rs`.)
 //!
 //! The search property runs under proptest with a *randomized*
 //! synthetic cost function, so determinism is not an artifact of one

@@ -145,18 +145,6 @@ impl Expr {
             Expr::Load { index, .. } => index.for_each_var(f),
         }
     }
-
-    /// Number of expression nodes that cost a micro-op when executed
-    /// (constants and variable reads are free; loads, unary and binary ops
-    /// each cost one).
-    pub fn uop_count(&self) -> u32 {
-        match self {
-            Expr::Const(_) | Expr::Var(_) => 0,
-            Expr::Unary(_, a) => 1 + a.uop_count(),
-            Expr::Binary(_, a, b) => 1 + a.uop_count() + b.uop_count(),
-            Expr::Load { index, .. } => 1 + index.uop_count(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,12 +175,6 @@ mod tests {
         let mut seen = Vec::new();
         sample().for_each_load(&mut |id, a| seen.push((id, a)));
         assert_eq!(seen, vec![(LoadId(0), ArrayId(0)), (LoadId(1), ArrayId(1))]);
-    }
-
-    #[test]
-    fn uop_count_skips_leaves() {
-        // loads: 2, add: 1, mul: 1 => 4
-        assert_eq!(sample().uop_count(), 4);
     }
 
     #[test]

@@ -88,29 +88,14 @@ pub fn run_serial(
 ///
 /// # Errors
 /// Traps on deadlock (all unfinished stages blocked with no compute
-/// progress possible), runtime errors, or budget exhaustion.
+/// progress possible), runtime errors, or budget exhaustion
+/// ([`Trap::OpBudgetExceeded`] once any stage exceeds
+/// [`DEFAULT_BUDGET`] atoms).
 pub fn run_pipeline(
     pipeline: &Pipeline,
     mem: MemState,
     params: &[(&str, Value)],
     queue_capacity: usize,
-) -> Result<FunctionalRun, Trap> {
-    run_pipeline_budgeted(pipeline, mem, params, queue_capacity, DEFAULT_BUDGET)
-}
-
-/// [`run_pipeline`] with an explicit per-stage step budget, for callers
-/// that need a tighter runaway bound than [`DEFAULT_BUDGET`] (e.g. the
-/// fuzzing oracle, or profiling candidates that may diverge).
-///
-/// # Errors
-/// See [`run_pipeline`]; additionally traps with
-/// [`Trap::OpBudgetExceeded`] once any stage exceeds `budget` atoms.
-pub fn run_pipeline_budgeted(
-    pipeline: &Pipeline,
-    mem: MemState,
-    params: &[(&str, Value)],
-    queue_capacity: usize,
-    budget: u64,
 ) -> Result<FunctionalRun, Trap> {
     let n = pipeline.stages.len();
     let mut world = FunctionalWorld::new(mem, pipeline.num_queues as usize, queue_capacity, n);
@@ -128,7 +113,7 @@ pub fn run_pipeline_budgeted(
                 Tid(i as u32),
                 &bound,
             )
-            .with_budget(budget)
+            .with_budget(DEFAULT_BUDGET)
         })
         .collect();
     let is_compute: Vec<bool> = pipeline

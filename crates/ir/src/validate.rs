@@ -394,22 +394,13 @@ pub struct QueueEndpoints {
     pub consumer: Option<usize>,
 }
 
-impl QueueEndpoints {
-    /// Whether a single stage feeds this queue — the lock-free SPSC
-    /// channel case. Fan-in queues (EnqSel distribute boundaries,
-    /// broadcast control) return `false` and need a guarded send path.
-    #[must_use]
-    pub fn single_producer(&self) -> bool {
-        self.producers.len() == 1
-    }
-}
-
 /// Computes the producer/consumer endpoints of every queue referenced by
 /// `pipeline`, in queue-id order, using the same static scan as the
-/// validator. This is the channel-lowering map a physical backend keys
-/// on: [`QueueEndpoints::single_producer`] queues lower to SPSC rings,
-/// fan-in queues to a guarded multi-producer path, and `consumer` names
-/// the one stage allowed to hold the receiving endpoint.
+/// validator. This is the channel-lowering map the native backend keys
+/// on: it builds each queue as `slab_channel(depth, producers.len())`,
+/// whose one producer works lock-free and whose several (a fan-in queue:
+/// EnqSel distribute boundaries, broadcast control) share a lock, and
+/// hands the receiving endpoint to `consumer`.
 #[must_use]
 pub fn queue_topology(pipeline: &Pipeline) -> Vec<QueueEndpoints> {
     let ios: Vec<StageIo> = pipeline.stages.iter().map(stage_io).collect();

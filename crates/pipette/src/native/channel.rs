@@ -31,15 +31,15 @@
 //! are a constructor the native world does not use. They stay for
 //! `tests/channel_unit.rs` and for the benchmark's
 //! `native.chan_ns_per_op.{mpsc,ring,hybrid}` probe, whose smoke check
-//! fails if one of those metric names goes missing; ROADMAP item 1
-//! ("One channel") deletes the `Mpsc` and `Hybrid` buffers together with
-//! the two probe rows. Every `try_send` there is visible to the next
-//! `try_recv`, and every `try_recv` frees its slot at once. Only these
-//! endpoints keep lifecycle bookkeeping: sender counting (so a drained
-//! channel whose producers are all gone reports `Disconnected`, not
-//! `Empty`), receiver liveness (so producers feeding a dead consumer
-//! learn about it), and a send lock taken while more than one clone of
-//! the sender is live.
+//! fails if one of those metric names goes missing; ROADMAP item 1 (the
+//! benchmark-archetype change, "No public channel family") deletes the
+//! whole family together with the probe. Every `try_send` there is
+//! visible to the next `try_recv`, and every `try_recv` frees its slot
+//! at once. Only these endpoints keep lifecycle bookkeeping: sender
+//! counting (so a drained channel whose producers are all gone reports
+//! `Disconnected`, not `Empty`), receiver liveness (so producers
+//! feeding a dead consumer learn about it), and a send lock taken while
+//! more than one clone of the sender is live.
 
 use phloem_ir::Value;
 use std::cell::UnsafeCell;
@@ -51,7 +51,8 @@ use std::sync::{mpsc, Arc, Mutex};
 /// Which buffer a public [`channel`] uses. Only the constructor reads
 /// it: the native world always runs the ring, and this stays for
 /// `tests/channel_unit.rs` and the benchmark's per-kind ping-pong probe
-/// until ROADMAP item 1 deletes `Mpsc` and `Hybrid` with the probe rows.
+/// until ROADMAP item 1 ("No public channel family") deletes it with
+/// the rest of the family and the probe rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ChannelKind {
     /// `std::sync::mpsc::sync_channel`, wrapped.
@@ -393,7 +394,7 @@ impl Drop for Receiver {
 /// Creates a public bounded channel of the given kind and capacity.
 /// The native world never calls this; it stays for
 /// `tests/channel_unit.rs` and the benchmark's per-kind probe until
-/// ROADMAP item 1 deletes the `Mpsc` and `Hybrid` buffers with the probe
+/// ROADMAP item 1 ("No public channel family") deletes it with the probe
 /// rows (see the module doc).
 ///
 /// # Errors

@@ -58,17 +58,17 @@
 //! its stages' endpoints only on exit, after the slice end that
 //! published everything. A fan-in queue's producers take one lock per
 //! value and publish it at once. After a slice that moved a value the
-//! worker notifies the run's [`Parker`] once, indices first, so whoever
-//! sees the epoch bump sees what it announces. Endpoints carry no
+//! worker bumps the run's progress epoch once, indices first, so whoever
+//! sees the bump sees what it announces. Endpoints carry no
 //! lifecycle: a stage whose peer has finished sees empty or full, never
 //! a disconnection, and blocks like any other.
 //!
 //! A worker none of whose stages advanced retries them for
 //! `IDLE_ROUNDS` rounds (spinning when every worker has a core,
-//! yielding when they do not) and only then parks — on the same
-//! [`Parker`] the pool's idle workers sleep on: it read the epoch
-//! before its last attempts, and sleeps only while the epoch still has
-//! that value. A full park timeout with every live worker parked at
+//! yielding when they do not) and only then parks, in the run's `Hub`,
+//! the workspace's one park (a pool fleet never parks): it read the
+//! epoch before its last attempts, and sleeps only while the epoch still
+//! has that value. A full park timeout with every live worker parked at
 //! the same unchanged epoch is a deadlock, reported as
 //! [`Trap::Deadlock`] just like the interpreter's scheduler loop. The
 //! predicate needs no more than it did when every value bumped: each
@@ -105,10 +105,10 @@ use phloem_ir::{
     Value, World,
 };
 use phloem_ir::{OpCounts, RaMode};
-use phloem_pool::{run_resident, CancelToken, Parker};
+use phloem_pool::{run_resident, CancelToken};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which execution substrate a [`crate::Session`] drives.
@@ -274,13 +274,23 @@ impl Default for NativeRun {
     }
 }
 
-/// Rendezvous point for the stage workers: the pool's [`Parker`] for
-/// progress and sleep, first-trap capture, liveness counters, and the
-/// deadlock rule.
+/// Rendezvous point for the stage workers: the progress epoch and the
+/// workspace's one park (see the module doc), first-trap capture,
+/// liveness counters, and the deadlock rule. A bump is one SeqCst
+/// `fetch_add` and one load while nobody is parked: a parker announces
+/// itself in `parked` (SeqCst) before it re-reads the epoch under the
+/// lock, so a bumper that sees nobody there is guaranteed the parker
+/// sees its bump (Dekker), and [`PARK_TIMEOUT`] is a backstop, not a
+/// poll.
+#[derive(Default)]
 struct Hub {
-    /// Notified after every stage slice that moved a value (its queue
-    /// indices published first) and on stage completion.
-    parker: Parker,
+    /// Bumped after every stage slice that moved a value (its queue
+    /// indices published first), on stage completion and worker exit.
+    epoch: AtomicU64,
+    /// Workers inside [`Hub::park`] past its abort check.
+    parked: AtomicUsize,
+    waiting: Mutex<Waiting>,
+    cv: Condvar,
     /// Workers that have not yet exited.
     live: AtomicUsize,
     /// Unfinished compute stages; the run is done when it reaches zero
@@ -292,21 +302,39 @@ struct Hub {
     trap: Mutex<Option<Trap>>,
 }
 
+/// How many workers are parked having seen `epoch`, the newest epoch
+/// any has parked at. Keyed by epoch because `parked` alone over-counts:
+/// a worker woken by a bump stays in `parked` until the host schedules
+/// it again, which under load can outlast a peer's whole timeout. A
+/// newer registration voids every older one at once.
+#[derive(Default)]
+struct Waiting {
+    epoch: u64,
+    count: usize,
+}
+
 impl Hub {
     fn new(workers: usize, compute: usize) -> Hub {
         Hub {
-            parker: Parker::default(),
             live: AtomicUsize::new(workers),
             compute_remaining: AtomicUsize::new(compute),
-            abort: AtomicBool::new(false),
-            parks: AtomicU64::new(0),
-            trap: Mutex::new(None),
+            ..Hub::default()
         }
     }
 
-    /// Records progress and wakes parked workers.
+    /// The progress epoch, read before the attempts that may end in a park.
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Records progress: bumps the epoch and wakes every parked worker,
+    /// taking the lock only when somebody is parked.
     fn progress(&self) {
-        self.parker.notify();
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _g = self.waiting.lock().unwrap_or_else(|e| e.into_inner());
+            self.cv.notify_all();
+        }
     }
 
     fn done(&self) -> bool {
@@ -317,10 +345,11 @@ impl Hub {
         self.abort.load(Ordering::SeqCst)
     }
 
-    /// Parks until the epoch moves past `seen`, an abort, or the
-    /// timeout. Returns the deadlock predicate: the park timed out, the
-    /// epoch still equals `seen`, and every live worker is parked at
-    /// that same epoch — so nobody has anything left to react to.
+    /// Parks until the epoch moves past `seen` (at once if it already
+    /// has), an abort, or [`PARK_TIMEOUT`]. Returns the deadlock
+    /// predicate: the park timed out with every live worker registered
+    /// at `seen`, and the epoch still equals `seen` — so nobody has
+    /// anything left to react to.
     fn park(&self, seen: u64) -> bool {
         self.parks.fetch_add(1, Ordering::Relaxed);
         // An abort raised after `seen` was read has bumped the epoch;
@@ -328,9 +357,37 @@ impl Hub {
         if self.aborted() {
             return false;
         }
-        self.parker
-            .park(seen, PARK_TIMEOUT)
-            .is_some_and(|n| n == self.live.load(Ordering::SeqCst) && self.parker.epoch() == seen)
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now() + PARK_TIMEOUT;
+        let mut g = self.waiting.lock().unwrap_or_else(|e| e.into_inner());
+        if g.epoch < seen {
+            *g = Waiting {
+                epoch: seen,
+                count: 0,
+            };
+        }
+        if g.epoch == seen {
+            g.count += 1;
+        }
+        let mut timed_out = None;
+        while self.epoch() == seen {
+            let now = Instant::now();
+            if now >= deadline {
+                // Nobody registers past `seen` while the epoch is `seen`,
+                // so this worker is among the count.
+                timed_out = Some(g.count);
+                break;
+            }
+            #[allow(clippy::disallowed_methods)] // the workspace's one park
+            let woken = self.cv.wait_timeout(g, deadline - now);
+            g = woken.unwrap_or_else(|e| e.into_inner()).0;
+        }
+        if g.epoch == seen {
+            g.count -= 1;
+        }
+        drop(g);
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        timed_out.is_some_and(|n| n == self.live.load(Ordering::SeqCst) && self.epoch() == seen)
     }
 
     /// Records the first trap and aborts everyone.
@@ -672,7 +729,7 @@ pub(crate) fn run_compiled(
             // Read before the attempts below, every round: a bump before
             // this read published indices the attempts will see, and one
             // after it keeps `park(seen)` from sleeping.
-            let seen = hub.parker.epoch();
+            let seen = hub.epoch();
             let mut progressed = false;
             let mut all_done = true;
             for k in 0..mine.len() {
@@ -753,7 +810,7 @@ pub(crate) fn run_compiled(
         counts
     });
     run.wall_nanos = (start.elapsed().as_nanos() as u64).max(1);
-    run.epoch_bumps = hub.parker.epoch();
+    run.epoch_bumps = hub.epoch();
     run.parks = hub.parks.load(Ordering::Relaxed);
     let before = lifetime_counters();
     COUNTERS.set(NativeCounters {
@@ -916,12 +973,69 @@ mod tests {
         );
     }
 
+    /// A bump between the epoch sample and the park: the park must
+    /// return at once instead of sleeping out [`PARK_TIMEOUT`] — exactly
+    /// the lost-wakeup window the epoch closes. A hundred such parks that
+    /// each slept would take a hundred timeouts; a loaded host stretches
+    /// immediate returns far less.
+    #[test]
+    fn a_notify_between_sample_and_park_is_not_lost() {
+        let hub = Hub::new(1, 1);
+        let t0 = Instant::now();
+        for _ in 0..100 {
+            let seen = hub.epoch();
+            hub.progress();
+            assert!(!hub.park(seen));
+        }
+        assert!(t0.elapsed() < 100 * PARK_TIMEOUT, "woke via epoch");
+        // No bump at all: the backstop expires with the one live worker
+        // parked at `seen`.
+        assert!(hub.park(hub.epoch()));
+    }
+
+    /// The interleaving behind the native backend's false deadlocks: a
+    /// peer parks, a bump wakes it, and the host does not schedule it
+    /// again before this worker's own park times out. The peer is still
+    /// in `parked`, but not at the new epoch; once it has parked there
+    /// too, it counts. `live` is set to the count each park must find:
+    /// the verdict is a deadlock exactly when the two are equal.
+    #[test]
+    fn a_woken_but_unscheduled_peer_is_not_counted() {
+        let hub = Hub::new(1, 1);
+        // The peer, inside `park(0)`.
+        hub.parked.fetch_add(1, Ordering::SeqCst);
+        hub.waiting.lock().unwrap().count = 1;
+        hub.progress();
+        assert!(hub.park(1), "this worker alone is parked at epoch 1");
+        // The peer re-ran, found nothing to do, and parked at epoch 1.
+        hub.live.store(2, Ordering::SeqCst);
+        hub.waiting.lock().unwrap().count = 1;
+        assert!(hub.park(1), "both are parked at epoch 1");
+    }
+
+    /// An abort raised before the park: the call is counted, but the
+    /// worker never registers, so no peer's deadlock count includes it.
+    /// Were it to park, it would time out alone at `seen` — a deadlock
+    /// verdict, since it is the one live worker.
+    #[test]
+    fn an_aborted_park_returns_without_registering() {
+        let hub = Hub::new(1, 1);
+        hub.progress();
+        hub.abort.store(true, Ordering::SeqCst);
+        assert!(!hub.park(1));
+        assert_eq!(hub.parked.load(Ordering::SeqCst), 0);
+        let w = hub.waiting.lock().unwrap();
+        assert_eq!((w.epoch, w.count), (0, 0), "never registered");
+        assert_eq!(hub.parks.load(Ordering::Relaxed), 1);
+    }
+
     /// The interleaving behind the false deadlocks: a peer parks, a bump
     /// wakes it, and the host may not schedule it again before this
     /// worker's own park times out. The peer has progress to react to,
     /// so this is not a deadlock whether or not it has left its park
-    /// (`phloem_pool::Parker`'s unit test forces the case where it has
-    /// not). Both parked at one epoch is the stuck-pipeline test below.
+    /// (`a_woken_but_unscheduled_peer_is_not_counted` forces the case
+    /// where it has not). Both parked at one epoch is the stuck-pipeline
+    /// test below.
     #[test]
     #[allow(clippy::disallowed_methods)]
     fn a_woken_but_unscheduled_peer_is_not_a_deadlock() {

@@ -23,14 +23,14 @@
 //! `catch_unwind`: a panicking task yields `Err(TaskPanic)` in its own
 //! result slot and cannot take a worker (or the whole fleet) down.
 //!
-//! This crate is where the workspace gets its threads and parks them.
-//! A fleet's worker 0 is the caller; the others are **resident**
-//! threads, parked between runs rather than spawned and joined by each
-//! (`resident.rs`). Tasks that wait on *each other* — the native
-//! backend's stage workers — need a thread each, all at once, and a
-//! graph app launches them once per round: [`run_resident`] gives them
-//! exactly that, with the same panic isolation, and they sleep on a
-//! [`Parker`].
+//! This crate is where the workspace gets its threads. A fleet's
+//! worker 0 is the caller; the others are **resident** threads, idle
+//! between runs rather than spawned and joined by each (`resident.rs`).
+//! Tasks that wait on *each other* — the native backend's stage
+//! workers — need a thread each, all at once, and a graph app launches
+//! them once per round: [`run_resident`] gives them exactly that, with
+//! the same panic isolation. How they wait for each other is theirs to
+//! decide; nothing here parks.
 //!
 //! ## Determinism contract
 //!
@@ -45,11 +45,9 @@
 //! threads and never reaches into the simulated clock.
 
 mod cancel;
-mod park;
 mod resident;
 
 pub use cancel::CancelToken;
-pub use park::Parker;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -732,7 +732,8 @@ mod tests {
         stats.threads.push(ThreadStats {
             uops: 3 * cycles,
             backend_stall_cycles: cycles / 2,
-            queue_stall_cycles: cycles / 3,
+            queue_full_stall_cycles: cycles / 6,
+            queue_empty_stall_cycles: cycles / 6,
             frontend_stall_cycles: cycles / 5,
             ..Default::default()
         });

@@ -16,10 +16,12 @@
 //! [`record`]. Set `SCALE=tiny|small|full` to trade fidelity for runtime
 //! (default `small`; anything else is an error); fleet-shaped work (PGO
 //! searches, fuzz sweeps) runs on [`phloem_pool::default_workers`] host
-//! threads, which `PHLOEM_WORKERS` overrides. Absolute cycle counts come
-//! from our simulator, not the authors' testbed: compare *shapes* (who
-//! wins, by roughly what factor), which each figure prints alongside the
-//! paper's reported numbers.
+//! threads, which `PHLOEM_WORKERS` overrides. Figs. 9 and 13 share one
+//! search per app: `phloem_benchsuite::pgo_search`, the driver
+//! `phloemd`'s `search` op runs too, over the app's training inputs.
+//! Absolute cycle counts come from our simulator, not the authors'
+//! testbed: compare *shapes* (who wins, by roughly what factor), which
+//! each figure prints alongside the paper's reported numbers.
 
 #![warn(missing_docs)]
 
@@ -28,10 +30,8 @@ pub mod fuzz;
 pub mod record;
 
 use phloem_benchsuite::apps::{self, App, Input};
-use phloem_benchsuite::{candidate_outcome, Measurement, Variant};
-use phloem_compiler::search::{
-    search_profiled, CandidateProfile, SearchError, SearchOptions, SearchReport,
-};
+use phloem_benchsuite::{candidate_outcome, pgo_search, Measurement, Variant};
+use phloem_compiler::search::{CandidateProfile, SearchError, SearchOptions, SearchReport};
 use phloem_compiler::PassConfig;
 use phloem_ir::{Function, LoadId, Trap};
 use phloem_workloads::{Graph, Scale};
@@ -75,8 +75,8 @@ pub fn header(title: &str) {
 }
 
 // ---------------------------------------------------------------------
-// App lookups and PGO drivers (the figures, `benchmark/` and
-// `tests/pool_determinism.rs` share these)
+// App lookups and the figures' PGO searches (the figures and
+// `benchmark/` share these)
 // ---------------------------------------------------------------------
 
 /// The graph applications of the C-path evaluation.
@@ -127,32 +127,6 @@ pub fn phloem_with_cuts(cuts: &[LoadId]) -> Variant {
         stages: 4,
         cuts: cuts.to_vec(),
     }
-}
-
-/// The profile-guided search as Figs. 9 and 13 run it: every candidate
-/// pipeline of `kernel` runs once on each training input (`run`, under
-/// `cfg` with the search's per-candidate budget as its watchdog cap),
-/// and [`candidate_outcome`] says what those runs mean. Candidates that
-/// trap or panic are recorded, timed-out ones get one retry at an
-/// enlarged budget ([`search_profiled`]), and the report is the same at
-/// any `opts.workers`.
-///
-/// # Errors
-/// [`SearchError`] when nothing enumerates or no candidate profiles; the
-/// figures then fall back to the static cost model's cuts.
-pub fn pgo_search<I: Sync>(
-    kernel: &Function,
-    opts: &SearchOptions,
-    cfg: &MachineConfig,
-    training: &[I],
-    run: impl Fn(&Variant, &I, &MachineConfig) -> Result<Measurement, Trap> + Sync,
-) -> Result<SearchReport, SearchError> {
-    search_profiled(kernel, opts, |cuts, _pipe, budget| {
-        let variant = phloem_with_cuts(cuts);
-        let mut cfg = cfg.clone();
-        cfg.watchdog.cycle_cap = budget.cycle_cap;
-        candidate_outcome(training.iter().map(|i| run(&variant, i, &cfg)))
-    })
 }
 
 /// One app's search over its catalog training inputs.

@@ -31,4 +31,6 @@ pub mod runner;
 pub mod spmm;
 pub mod taco;
 
-pub use runner::{candidate_outcome, gmean, run_guarded, with_backend, Measurement, Variant};
+pub use runner::{
+    candidate_outcome, gmean, pgo_search, run_guarded, with_backend, Measurement, Variant,
+};

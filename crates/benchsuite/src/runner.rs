@@ -1,7 +1,9 @@
 //! Shared benchmark-runner infrastructure: variants, measurements, and
 //! helpers used by every application module and the figure harnesses.
 
-use phloem_compiler::search::{CandidateProfile, ProfileOutcome};
+use phloem_compiler::search::{
+    search_profiled, CandidateProfile, ProfileOutcome, SearchError, SearchOptions, SearchReport,
+};
 use phloem_compiler::{
     compile_static, decouple_with_cuts, CompileError, CompileOptions, PassConfig,
 };
@@ -334,12 +336,52 @@ pub fn run_guarded(
     }
 }
 
-/// What a PGO candidate's training runs mean: the one evaluation every
-/// search uses (`phloem_bench::pgo_search` behind Figs. 9 and 13,
-/// `phloemd`'s `search` op). `runs` yields one result per training
-/// input, in order, and is consumed lazily: the first trap ends the
-/// evaluation, so a failed candidate never pays for its remaining
-/// inputs. A watchdog expiry (`CycleLimit`, `Livelock`) is `TimedOut`,
+/// Applies a per-run budget on top of a machine config. A budget can
+/// only *tighten* the configured cap, never widen it, and a zero budget
+/// is one cycle.
+pub fn budgeted(cfg: &MachineConfig, cycle_cap: Option<u64>) -> MachineConfig {
+    let mut cfg = cfg.clone();
+    if let Some(cap) = cycle_cap {
+        cfg.watchdog.cycle_cap = cfg.watchdog.cycle_cap.min(cap.max(1));
+    }
+    cfg
+}
+
+/// The profile-guided search (PAPER.md Sec. V): each candidate pipeline
+/// of `kernel` runs as `Variant::Phloem` over its cuts, with
+/// `opts.compile.passes` and `opts.max_stages`, once per training input
+/// through `run`, under `cfg` [`budgeted`] by the candidate's cap, and
+/// [`candidate_outcome`] says what those runs mean. Trapped or panicking
+/// candidates are recorded, timed-out ones retried once at an enlarged
+/// budget ([`search_profiled`]), and the report is the same at any
+/// `opts.workers`. Figs. 9 and 13 search an app's training inputs,
+/// `phloemd`'s `search` op its one named input.
+///
+/// # Errors
+/// [`SearchError`] when nothing enumerates or no candidate profiles.
+pub fn pgo_search<I: Sync>(
+    kernel: &Function,
+    opts: &SearchOptions,
+    cfg: &MachineConfig,
+    training: &[I],
+    run: impl Fn(&Variant, &I, &MachineConfig) -> Result<Measurement, Trap> + Sync,
+) -> Result<SearchReport, SearchError> {
+    search_profiled(kernel, opts, |cuts, _pipe, budget| {
+        let variant = Variant::Phloem {
+            passes: opts.compile.passes,
+            stages: opts.max_stages,
+            cuts: cuts.to_vec(),
+        };
+        let cfg = budgeted(cfg, Some(budget.cycle_cap));
+        candidate_outcome(training.iter().map(|i| run(&variant, i, &cfg)))
+    })
+}
+
+/// What a PGO candidate's training runs mean: the one evaluation
+/// [`pgo_search`] applies to every candidate. `runs` yields one result
+/// per training input, in order, and is consumed lazily: the first trap
+/// ends the evaluation, so a failed candidate never pays for its
+/// remaining inputs. A watchdog expiry (`CycleLimit`, `Livelock`) is `TimedOut`,
 /// which the search retries once at a larger budget; any other trap is
 /// `Trapped` with its message. Otherwise the outcome is the gmean of the
 /// runs' cycles, and the candidate's stall profile is read from the
@@ -382,7 +424,7 @@ fn profile_from_stats(stats: &RunStats) -> CandidateProfile {
         .threads
         .iter()
         .map(|t| {
-            let stalls = t.queue_stall_cycles + t.backend_stall_cycles + t.frontend_stall_cycles;
+            let stalls = t.queue_stall_cycles() + t.backend_stall_cycles + t.frontend_stall_cycles;
             let util = if t.finish_time == 0 {
                 0.0
             } else {
@@ -458,7 +500,6 @@ mod tests {
                     name: "s0".into(),
                     finish_time: 100,
                     queue_full_stall_cycles: 30,
-                    queue_stall_cycles: 30,
                     ..Default::default()
                 },
                 ThreadStats {
@@ -543,6 +584,16 @@ mod tests {
             ProfileOutcome::Trapped(Trap::DivByZero.to_string())
         );
         assert!(profile.is_none());
+    }
+
+    #[test]
+    fn budget_only_tightens() {
+        let mut cfg = MachineConfig::paper_1core();
+        cfg.watchdog.cycle_cap = 1000;
+        assert_eq!(budgeted(&cfg, Some(10)).watchdog.cycle_cap, 10);
+        assert_eq!(budgeted(&cfg, Some(u64::MAX)).watchdog.cycle_cap, 1000);
+        assert_eq!(budgeted(&cfg, Some(0)).watchdog.cycle_cap, 1);
+        assert_eq!(budgeted(&cfg, None).watchdog.cycle_cap, 1000);
     }
 
     #[test]

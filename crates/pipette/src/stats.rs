@@ -27,9 +27,6 @@ pub struct ThreadStats {
     pub enqs: u64,
     /// Queue dequeues.
     pub deqs: u64,
-    /// Cycles lost blocked on full/empty queues (sum of the full/empty
-    /// splits below).
-    pub queue_stall_cycles: u64,
     /// Cycles lost waiting for a slot in a full downstream queue.
     pub queue_full_stall_cycles: u64,
     /// Cycles lost waiting for data in an empty upstream queue.
@@ -52,6 +49,12 @@ impl ThreadStats {
     /// Dynamic operations of every kind this thread committed.
     pub fn ops(&self) -> u64 {
         self.uops + self.branches + self.loads + self.stores + self.enqs + self.deqs
+    }
+
+    /// Cycles lost blocked on full or empty queues: the full and empty
+    /// splits together.
+    pub fn queue_stall_cycles(&self) -> u64 {
+        self.queue_full_stall_cycles + self.queue_empty_stall_cycles
     }
 
     /// Cycles lost to one stall class.
@@ -190,7 +193,7 @@ impl RunStats {
         for t in self.threads.iter().filter(|t| !t.is_ra) {
             b.issue += t.ops() as f64 / issue_width as f64;
             b.backend += t.backend_stall_cycles as f64;
-            b.queue += t.queue_stall_cycles as f64;
+            b.queue += t.queue_stall_cycles() as f64;
             b.other += t.frontend_stall_cycles as f64;
         }
         b
@@ -219,7 +222,6 @@ impl RunStats {
             mine.stores += theirs.stores;
             mine.enqs += theirs.enqs;
             mine.deqs += theirs.deqs;
-            mine.queue_stall_cycles += theirs.queue_stall_cycles;
             mine.queue_full_stall_cycles += theirs.queue_full_stall_cycles;
             mine.queue_empty_stall_cycles += theirs.queue_empty_stall_cycles;
             mine.backend_stall_cycles += theirs.backend_stall_cycles;

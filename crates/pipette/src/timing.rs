@@ -567,14 +567,8 @@ impl<'a> TimingWorld<'a> {
             }
         };
         match kind {
-            StallKind::QueueFull => {
-                th.stats.queue_stall_cycles += gap;
-                th.stats.queue_full_stall_cycles += gap;
-            }
-            StallKind::QueueEmpty => {
-                th.stats.queue_stall_cycles += gap;
-                th.stats.queue_empty_stall_cycles += gap;
-            }
+            StallKind::QueueFull => th.stats.queue_full_stall_cycles += gap,
+            StallKind::QueueEmpty => th.stats.queue_empty_stall_cycles += gap,
             StallKind::Frontend => th.stats.frontend_stall_cycles += gap,
             StallKind::Backend => th.stats.backend_stall_cycles += gap,
         }
@@ -854,7 +848,6 @@ impl World for TimingWorld<'_> {
         let core = {
             let th = self.complete(t, tc);
             th.stats.enqs += 1;
-            th.stats.queue_stall_cycles += extra;
             th.stats.queue_full_stall_cycles += extra;
             th.last_progress = th.last_progress.max(tc);
             th.core

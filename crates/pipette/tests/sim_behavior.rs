@@ -324,7 +324,12 @@ fn queue_stalls_are_visible_in_stats() {
         &[("n", Value::I64(N))],
     )
     .unwrap();
-    let total_queue_stalls: u64 = run.stats.threads.iter().map(|t| t.queue_stall_cycles).sum();
+    let total_queue_stalls: u64 = run
+        .stats
+        .threads
+        .iter()
+        .map(|t| t.queue_stall_cycles())
+        .sum();
     assert!(
         total_queue_stalls > 0,
         "an imbalanced pipeline must show queue stalls"
@@ -383,14 +388,6 @@ fn stall_reasons_split_into_full_and_empty() {
         &[("n", Value::I64(N))],
     )
     .unwrap();
-    for t in &run.stats.threads {
-        assert_eq!(
-            t.queue_stall_cycles,
-            t.queue_full_stall_cycles + t.queue_empty_stall_cycles,
-            "{}: full/empty split must partition the queue stalls",
-            t.name
-        );
-    }
     // The downstream `work` stage waits for data (empty), the upstream
     // fetch stage waits for space (full) in this imbalanced pipeline.
     let empty: u64 = run

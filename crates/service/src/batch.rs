@@ -4,29 +4,27 @@
 //! Building a catalog input is pure but not free (graph generators walk
 //! hundreds of thousands of edges); a batch of requests touching the
 //! same input must pay that cost once, not once per request.
-//! [`PreparedInputs`] materializes each catalog family the first time a
-//! name from it is requested and shares the inputs by `Arc` from then
-//! on — across requests, batches, and worker threads. For SpMM the
-//! transpose is part of the prepared input too (the inner-product
-//! kernel consumes B as CSC).
+//! [`PreparedInputs`] builds a catalog family the first time a name from
+//! it is requested, as the app table's own inputs
+//! ([`phloem_benchsuite::apps::CatalogInput`], an SpMM matrix with its
+//! transpose), and lends them from then on — across requests, batches,
+//! and worker threads. `simulate`, `trace` and `search` resolve names
+//! through its one lookup.
 //!
 //! [`Batch::run`] is index-ordered and deterministic at any worker
 //! count: the pool's determinism contract places result `i` in slot
 //! `i`, and each simulation is pure, so a batch returns bit-identical
 //! measurements whether it ran on one worker or sixteen.
 
-use phloem_benchsuite::apps::{self, Input, Sink};
+use phloem_benchsuite::apps::{self, App, CatalogInput, Sink};
+use phloem_benchsuite::runner::budgeted;
 use phloem_benchsuite::{Measurement, Variant};
 use phloem_ir::{Function, Trap};
 use phloem_pool::Pool;
-use phloem_workloads::{
-    catalog::{self, Scale},
-    Graph, SparseMatrix,
-};
+use phloem_workloads::catalog::Scale;
 use pipette_sim::trace::DigestSink;
 use pipette_sim::MachineConfig;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::OnceLock;
 
 /// One simulation request inside a batch.
 #[derive(Clone, Debug)]
@@ -41,81 +39,44 @@ pub struct SimRequest {
     pub cycle_cap: Option<u64>,
 }
 
-/// Catalog inputs, built lazily per family and shared by `Arc`.
-///
-/// Thread-safe: worker threads resolving names concurrently serialize
-/// only on the brief map probe, and the first resolver of a family pays
-/// its construction while holding the family's slot (subsequent lookups
-/// are a clone of an `Arc`).
+/// The named catalog inputs, built lazily per family (graphs,
+/// matrices): an app's training inputs followed by its test inputs.
+/// Thread-safe: the first resolver of a family builds it while later
+/// ones wait, and every lookup after that is a borrow.
 pub struct PreparedInputs {
     scale: Scale,
-    graphs: Mutex<Option<Family<Graph>>>,
-    matrices: Mutex<Option<Family<(SparseMatrix, SparseMatrix)>>>,
+    graphs: OnceLock<Vec<CatalogInput>>,
+    matrices: OnceLock<Vec<CatalogInput>>,
 }
-
-/// One lazily-built catalog family, shared by `Arc` at both levels.
-type Family<T> = Arc<HashMap<String, Arc<T>>>;
 
 impl PreparedInputs {
     /// Empty prepared set at the given catalog scale.
     pub fn new(scale: Scale) -> PreparedInputs {
         PreparedInputs {
             scale,
-            graphs: Mutex::new(None),
-            matrices: Mutex::new(None),
+            graphs: OnceLock::new(),
+            matrices: OnceLock::new(),
         }
     }
 
-    /// The catalog scale inputs are generated at.
-    pub fn scale(&self) -> Scale {
-        self.scale
-    }
-
-    /// Resolves a named graph (training or test catalog), materializing
-    /// the graph family on first use.
-    pub fn graph(&self, name: &str) -> Option<Arc<Graph>> {
-        let mut slot = self.graphs.lock().unwrap_or_else(|e| e.into_inner());
-        let map = slot.get_or_insert_with(|| {
-            let mut m = HashMap::new();
-            for gi in catalog::training_graphs(self.scale)
-                .into_iter()
-                .chain(catalog::test_graphs(self.scale))
-            {
-                m.insert(gi.name.to_string(), Arc::new(gi.graph));
-            }
-            Arc::new(m)
+    /// The input `name` of `app`'s family, building the family on first
+    /// use. A name the family lacks is [`Trap::BadId`] naming it.
+    pub(crate) fn lookup(&self, app: &App, name: &str) -> Result<&CatalogInput, Trap> {
+        let (family, what) = if app.runs_on_graphs() {
+            (&self.graphs, "graph")
+        } else {
+            (&self.matrices, "matrix")
+        };
+        let inputs = family.get_or_init(|| {
+            let mut all = app.training_inputs(self.scale);
+            all.extend(app.test_inputs(self.scale));
+            all
         });
-        map.get(name).cloned()
+        inputs
+            .iter()
+            .find(|i| i.name() == name)
+            .ok_or_else(|| Trap::BadId(format!("unknown {what} input {name:?}")))
     }
-
-    /// Resolves a named sparse matrix as `(matrix, transpose)`,
-    /// materializing the matrix family (and the transposes) on first
-    /// use.
-    pub fn matrix(&self, name: &str) -> Option<Arc<(SparseMatrix, SparseMatrix)>> {
-        let mut slot = self.matrices.lock().unwrap_or_else(|e| e.into_inner());
-        let map = slot.get_or_insert_with(|| {
-            let mut m = HashMap::new();
-            for mi in catalog::spmm_training_matrices(self.scale)
-                .into_iter()
-                .chain(catalog::spmm_test_matrices(self.scale))
-            {
-                let bt = mi.matrix.transpose();
-                m.insert(mi.name.to_string(), Arc::new((mi.matrix, bt)));
-            }
-            Arc::new(m)
-        });
-        map.get(name).cloned()
-    }
-}
-
-/// Applies a per-request budget on top of the session machine config.
-/// A request can only *tighten* the configured cap, never widen it.
-fn budgeted(cfg: &MachineConfig, cycle_cap: Option<u64>) -> MachineConfig {
-    let mut cfg = cfg.clone();
-    if let Some(cap) = cycle_cap {
-        cfg.watchdog.cycle_cap = cfg.watchdog.cycle_cap.min(cap.max(1));
-    }
-    cfg
 }
 
 /// The benchmark kernel a request's `app` names.
@@ -133,17 +94,11 @@ fn run_with(
     req: &SimRequest,
     sink: Option<Sink>,
 ) -> Result<(Measurement, Option<Sink>), Trap> {
-    let cfg = budgeted(cfg, req.cycle_cap);
-    let (v, name) = (&req.variant, req.input.as_str());
     let app = apps::app_by_id(&req.app)
         .ok_or_else(|| Trap::BadId(format!("unknown app {:?}", req.app)))?;
-    let (result, sink) = if app.runs_on_graphs() {
-        let g = resolve_graph(inputs, name)?;
-        app.run(v, Input::Graph(&g), &cfg, name, sink)
-    } else {
-        let m = resolve_matrix(inputs, name)?;
-        app.run(v, Input::Matrix(&m.0, &m.1), &cfg, name, sink)
-    };
+    let input = inputs.lookup(app, &req.input)?;
+    let cfg = budgeted(cfg, req.cycle_cap);
+    let (result, sink) = app.run(&req.variant, input.input(), &cfg, input.name(), sink);
     Ok((result?, sink))
 }
 
@@ -185,21 +140,6 @@ pub fn run_one_traced(
             events: d.count,
         },
     ))
-}
-
-fn resolve_graph(inputs: &PreparedInputs, name: &str) -> Result<Arc<Graph>, Trap> {
-    inputs
-        .graph(name)
-        .ok_or_else(|| Trap::BadId(format!("unknown graph input {name:?}")))
-}
-
-fn resolve_matrix(
-    inputs: &PreparedInputs,
-    name: &str,
-) -> Result<Arc<(SparseMatrix, SparseMatrix)>, Trap> {
-    inputs
-        .matrix(name)
-        .ok_or_else(|| Trap::BadId(format!("unknown matrix input {name:?}")))
 }
 
 /// The text of a host-task panic that may reach a response: its first
@@ -285,6 +225,28 @@ mod tests {
         assert!(matches!(out[1], Err(Trap::BadId(_))));
     }
 
+    /// One catalog per family, filled from the app table: every
+    /// training and test name resolves in its own family, and in the
+    /// other one it is the trap naming it.
+    #[test]
+    fn every_catalog_name_resolves_in_its_own_family_only() {
+        let inputs = PreparedInputs::new(Scale::Tiny);
+        let (bfs, spmm) = (apps::app("BFS").unwrap(), apps::app("SpMM").unwrap());
+        for (app, other, what) in [(bfs, spmm, "matrix"), (spmm, bfs, "graph")] {
+            let mut names = app.training_inputs(Scale::Tiny);
+            names.extend(app.test_inputs(Scale::Tiny));
+            assert!(names.len() > 2, "{}", app.name());
+            for name in names.iter().map(|i| i.name()) {
+                assert_eq!(inputs.lookup(app, name).unwrap().name(), name);
+                match inputs.lookup(other, name) {
+                    Err(Trap::BadId(m)) => assert_eq!(m, format!("unknown {what} input {name:?}")),
+                    Err(t) => panic!("{name} in the {what} family: {t}"),
+                    Ok(_) => panic!("{name} resolved in the {what} family"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn panic_text_is_one_bounded_line() {
         let long = phloem_pool::TaskPanic {
@@ -295,16 +257,6 @@ mod tests {
         assert!(text.starts_with("host task panicked: task 3 panicked: assertion failed: é"));
         assert!(!text.contains('\n') && !text.contains("left:"), "{text}");
         assert!(text.len() <= 220, "{}", text.len());
-    }
-
-    #[test]
-    fn budget_only_tightens() {
-        let mut cfg = tiny_cfg();
-        cfg.watchdog.cycle_cap = 1000;
-        assert_eq!(budgeted(&cfg, Some(10)).watchdog.cycle_cap, 10);
-        assert_eq!(budgeted(&cfg, Some(u64::MAX)).watchdog.cycle_cap, 1000);
-        assert_eq!(budgeted(&cfg, Some(0)).watchdog.cycle_cap, 1);
-        assert_eq!(budgeted(&cfg, None).watchdog.cycle_cap, 1000);
     }
 
     #[test]

@@ -292,7 +292,7 @@ pub fn stats_digest(s: &RunStats) -> u64 {
             .u64(t.stores)
             .u64(t.enqs)
             .u64(t.deqs)
-            .u64(t.queue_stall_cycles)
+            .u64(t.queue_stall_cycles())
             .u64(t.queue_full_stall_cycles)
             .u64(t.queue_empty_stall_cycles)
             .u64(t.backend_stall_cycles)

@@ -11,12 +11,13 @@ use super::Service;
 use crate::batch::{run_one, run_one_traced, SimRequest};
 use crate::key;
 use crate::proto::Json;
-use phloem_benchsuite::{candidate_outcome, Measurement, Variant};
+use phloem_benchsuite::apps::CatalogInput;
+use phloem_benchsuite::{pgo_search, Measurement, Variant};
 use phloem_compiler::compile_static;
-use phloem_compiler::search::{search_profiled, CandidateProfile, ProfileOutcome, SearchError};
+use phloem_compiler::search::{CandidateProfile, ProfileOutcome, SearchError};
 use phloem_ir::{StageKind, Trap};
 use phloem_pool::CancelToken;
-use pipette_sim::{CompiledPipeline, ExecBackend, NativeConfig};
+use pipette_sim::{CompiledPipeline, ExecBackend, MachineConfig, NativeConfig};
 use std::sync::Arc;
 
 /// Response payload fields, in render order.
@@ -113,21 +114,15 @@ impl Service {
         Ok(payload)
     }
 
+    /// Resolves its input as `simulate` does, then runs the figures'
+    /// search with that one input as the training set.
     fn do_search(&self, s: &SearchWork, cancel: &CancelToken) -> Result<Payload, ErrResp> {
-        let report = search_profiled(&s.kernel, &s.opts, |cuts, _pipe, budget| {
-            let sim = SimRequest {
-                app: s.app.to_string(),
-                variant: Variant::Phloem {
-                    passes: s.passes,
-                    stages: s.opts.max_stages,
-                    cuts: cuts.to_vec(),
-                },
-                input: s.input.clone(),
-                cycle_cap: Some(budget.cycle_cap),
-            };
-            candidate_outcome([run_one(&self.inputs, &self.cfg.machine, &sim)])
-        })
-        .map_err(|e| match e {
+        let input = std::slice::from_ref(self.inputs.lookup(s.app, &s.input).map_err(trap_err)?);
+        let run = |v: &Variant, i: &CatalogInput, cfg: &MachineConfig| {
+            s.app.run(v, i.input(), cfg, i.name(), None).0
+        };
+        let report = pgo_search(&s.kernel, &s.opts, &self.cfg.machine, input, run);
+        let report = report.map_err(|e| match e {
             SearchError::NoPipelines => ErrResp {
                 kind: "no_pipelines",
                 message: "no candidate pipeline compiles".to_string(),

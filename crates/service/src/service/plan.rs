@@ -13,8 +13,9 @@ use crate::batch::SimRequest;
 use crate::key::{self, KeyHasher};
 use crate::persist::Sel;
 use crate::proto::{Op, Request};
+use phloem_benchsuite::apps::{self, App};
 use phloem_benchsuite::runner::compile_options;
-use phloem_benchsuite::{apps, Variant};
+use phloem_benchsuite::Variant;
 use phloem_compiler::search::SearchOptions;
 use phloem_compiler::{CompileOptions, PassConfig};
 use phloem_ir::Function;
@@ -31,7 +32,7 @@ pub(crate) struct KeyTable {
 
 /// One row of the [`KeyTable`].
 pub(crate) struct AppKey {
-    id: &'static str,
+    app: &'static App,
     kernel: Arc<Function>,
     /// [`key::program_digest`] of `kernel`.
     program: u64,
@@ -44,7 +45,7 @@ impl KeyTable {
             .map(|a| {
                 let kernel = Arc::new(a.kernel());
                 AppKey {
-                    id: a.id(),
+                    app: a,
                     program: key::program_digest(&kernel),
                     kernel,
                 }
@@ -61,7 +62,7 @@ impl KeyTable {
         let id = required(&req.app, "app")?;
         self.apps
             .iter()
-            .find(|a| a.id == id)
+            .find(|a| a.app.id() == id)
             .ok_or_else(|| format!("unknown app {id:?}"))
     }
 }
@@ -86,9 +87,8 @@ pub(crate) struct CompileWork {
 
 pub(crate) struct SearchWork {
     pub(crate) kernel: Arc<Function>,
-    pub(crate) app: &'static str,
+    pub(crate) app: &'static App,
     pub(crate) input: String,
-    pub(crate) passes: PassConfig,
     pub(crate) opts: SearchOptions,
 }
 
@@ -133,7 +133,7 @@ pub(crate) fn plan(cfg: &ServiceConfig, keys: &KeyTable, req: &Request) -> Resul
                 work: Work::Compile(CompileWork {
                     kernel: Arc::clone(&app.kernel),
                     program: app.program,
-                    app: app.id,
+                    app: app.app.id(),
                     opts,
                     stages,
                 }),
@@ -159,11 +159,10 @@ pub(crate) fn plan(cfg: &ServiceConfig, keys: &KeyTable, req: &Request) -> Resul
         Op::Search => {
             let app = keys.app(req)?;
             let input = required(&req.input, "input")?;
-            let passes = parse_passes(req.passes.as_deref())?;
             let opts = SearchOptions {
                 max_stages: req.max_stages.unwrap_or(3),
                 top_k: req.top_k.unwrap_or(4),
-                compile: compile_options(&cfg.machine, passes),
+                compile: compile_options(&cfg.machine, parse_passes(req.passes.as_deref())?),
                 // Searches run inside pool tasks; the inner candidate sweep
                 // is serial and the batch provides the parallelism (a
                 // nested candidate fleet would only fight the batch for the
@@ -182,9 +181,8 @@ pub(crate) fn plan(cfg: &ServiceConfig, keys: &KeyTable, req: &Request) -> Resul
                 key: Some((Sel::Search, h.finish())),
                 work: Work::Search(SearchWork {
                     kernel: Arc::clone(&app.kernel),
-                    app: app.id,
+                    app: app.app,
                     input: input.to_string(),
-                    passes,
                     opts,
                 }),
             })
@@ -245,7 +243,7 @@ fn plan_sim(
         other => return Err(format!("unknown variant {other:?}")),
     };
     let sim = SimRequest {
-        app: app.id.to_string(),
+        app: app.app.id().to_string(),
         variant,
         input: input.to_string(),
         cycle_cap: Some(req.cycle_cap.unwrap_or(cfg.default_cycle_cap)),
@@ -308,7 +306,7 @@ mod tests {
         let svc = tiny_service();
         assert_eq!(svc.keys.apps.len(), apps::APPS.len());
         for a in &apps::APPS {
-            let row = svc.keys.apps.iter().find(|r| r.id == a.id()).unwrap();
+            let row = svc.keys.apps.iter().find(|r| r.app.id() == a.id()).unwrap();
             let kernel = app_kernel(a.id()).unwrap();
             assert_eq!(row.program, key::program_digest(&kernel), "{}", a.id());
         }

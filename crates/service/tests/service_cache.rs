@@ -8,7 +8,9 @@
 //! * **Bit-identity**: a cache hit returns exactly the bytes the cold
 //!   path produced.
 
-use phloem_benchsuite::{candidate_outcome, Variant};
+use phloem_benchsuite::runner::compile_options;
+use phloem_benchsuite::{apps, candidate_outcome, pgo_search, Variant};
+use phloem_compiler::search::{CandidateProfile, SearchOptions};
 use phloem_compiler::PassConfig;
 use phloem_ir::LoadId;
 use phloem_service::batch::run_one;
@@ -229,6 +231,28 @@ fn cache_hits_are_bit_identical_to_the_cold_path() {
     assert_eq!((search.hits, search.misses), (1, 1));
 }
 
+/// The `profile` a `search` answer carries, field by field, to the
+/// digits the frame prints.
+fn assert_served_profile(answer: &Json, profile: &CandidateProfile) {
+    let served = answer.get("profile").expect("the winner's profile");
+    let field = |name| served.get(name).and_then(|j| j.as_str()).unwrap();
+    assert_eq!(field("critical_stage"), profile.critical_stage);
+    assert_eq!(field("dominant_stall"), profile.dominant_stall);
+    let Some(Json::Arr(served)) = served.get("stage_utilization") else {
+        panic!("no utilization: {served:?}");
+    };
+    let compute_stages = answer.get("compute_stages").and_then(|j| j.as_usize());
+    assert!(compute_stages.unwrap() < served.len(), "no RA stage listed");
+    assert_eq!(served.len(), profile.stage_utilization.len());
+    for (s, (name, util)) in served.iter().zip(&profile.stage_utilization) {
+        let want = Json::Arr(vec![
+            Json::str(name.clone()),
+            Json::Num((util * 1e4).round() / 1e4),
+        ]);
+        assert_eq!(s, &want);
+    }
+}
+
 /// One derivation, two callers: the `profile` (and `train_cycles`) a
 /// `search` answers with is `candidate_outcome` of its winner's one run,
 /// so a direct run of the winner on the same input, read by the same
@@ -255,29 +279,78 @@ fn a_search_answers_with_the_shared_evaluation_of_its_winners_run() {
     let inputs = PreparedInputs::new(Scale::Tiny);
     let direct = run_one(&inputs, &MachineConfig::paper_1core(), &winner);
     let (outcome, profile) = candidate_outcome([direct]);
-    let profile = profile.expect("the winner runs");
 
     assert_eq!(
         answer.get("train_cycles"),
         outcome.cycles().map(Json::Num).as_ref()
     );
-    let served = answer.get("profile").expect("the winner's profile");
-    let field = |name| served.get(name).and_then(|j| j.as_str()).unwrap();
-    assert_eq!(field("critical_stage"), profile.critical_stage);
-    assert_eq!(field("dominant_stall"), profile.dominant_stall);
-    let Some(Json::Arr(served)) = served.get("stage_utilization") else {
-        panic!("no utilization: {served:?}");
+    assert_served_profile(&answer, &profile.expect("the winner runs"));
+}
+
+/// One driver: a daemon `search` is `phloem_benchsuite::pgo_search`
+/// with the named input as its one training input, under the options
+/// the daemon plans for a request that sets none.
+#[test]
+fn a_daemon_search_is_the_figures_search_over_its_one_input() {
+    let svc = tiny_service();
+    let ask = r#"{"id":1,"op":"search","app":"cc","input":"road-ny-s"}"#;
+    let answer = parse(&svc.handle_batch(&[ask.to_string()]).responses[0]).unwrap();
+
+    let (cc, machine) = (apps::app_by_id("cc").unwrap(), MachineConfig::paper_1core());
+    let mut training = cc.training_inputs(Scale::Tiny);
+    training.retain(|i| i.name() == "road-ny-s");
+    let opts = SearchOptions {
+        max_stages: 3,
+        top_k: 4,
+        compile: compile_options(&machine, PassConfig::all()),
+        workers: 1,
+        profile_cycle_cap: svc.config().default_cycle_cap,
+        retry_cap_factor: 2,
     };
-    let compute_stages = answer.get("compute_stages").and_then(|j| j.as_usize());
-    assert!(compute_stages.unwrap() < served.len(), "no RA stage listed");
-    assert_eq!(served.len(), profile.stage_utilization.len());
-    for (s, (name, util)) in served.iter().zip(&profile.stage_utilization) {
-        let want = Json::Arr(vec![
-            Json::str(name.clone()),
-            Json::Num((util * 1e4).round() / 1e4),
-        ]);
-        assert_eq!(s, &want);
+    let report = pgo_search(&cc.kernel(), &opts, &machine, &training, |v, i, cfg| {
+        cc.run(v, i.input(), cfg, i.name(), None).0
+    })
+    .expect("CC has viable candidates");
+    let best = &report.candidates[report.best];
+
+    let cuts = best.cuts.iter().map(|c| Json::u64(c.0 as u64)).collect();
+    assert_eq!(
+        answer.get("best_cuts"),
+        Some(&Json::Arr(cuts)),
+        "{answer:?}"
+    );
+    let count = answer.get("candidates").and_then(|j| j.as_usize());
+    assert_eq!(count, Some(report.candidates.len()));
+    let cycles = best.train_cycles().map(Json::Num);
+    assert_eq!(answer.get("train_cycles"), cycles.as_ref());
+    assert_served_profile(&answer, best.profile.as_ref().expect("the winner ran"));
+}
+
+/// A search resolves its input as `simulate` does, so an unknown name,
+/// or a name from the other app family, is the same `trap` (not a
+/// search whose every candidate failed), and an error is never cached.
+#[test]
+fn a_search_on_a_bad_input_is_the_trap_simulate_gives() {
+    let svc = tiny_service();
+    for (app, input) in [("bfs", "no-such-graph"), ("spmm", "internet-s")] {
+        let line = |op| format!(r#"{{"id":1,"op":"{op}","app":"{app}","input":"{input}"}}"#);
+        let out = svc.handle_batch(&[line("simulate"), line("search"), line("search")]);
+        let error = |resp: &String| {
+            let v = parse(resp).unwrap();
+            let e = v.get("error").unwrap_or_else(|| panic!("{resp}"));
+            let field = |k| e.get(k).and_then(|j| j.as_str()).unwrap().to_string();
+            (field("kind"), field("message"))
+        };
+        let simulate = error(&out.responses[0]);
+        assert_eq!(simulate.0, "trap");
+        assert!(simulate.1.contains(input), "{simulate:?}");
+        for resp in &out.responses[1..] {
+            assert_eq!(error(resp), simulate, "{resp}");
+            assert!(resp.contains(r#""cache":"miss""#), "{resp}");
+        }
     }
+    let (_, search) = svc.counters();
+    assert_eq!((search.hits, search.insertions), (0, 0));
 }
 
 #[test]

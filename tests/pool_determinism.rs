@@ -18,8 +18,8 @@
 use proptest::prelude::*;
 
 use phloem_bench::fuzz::{fuzz_sweep, render_failure};
-use phloem_bench::{app, machine, pgo_search};
-use phloem_benchsuite::bfs;
+use phloem_bench::{app, machine};
+use phloem_benchsuite::{bfs, pgo_search};
 use phloem_compiler::search::{
     search_profiled, CandidateProfile, ProfileOutcome, SearchOptions, SearchReport,
 };

@@ -171,12 +171,6 @@ fn reconcile(m: &Measurement, ring: &RingSink, metrics: &MetricsSink) {
             t.name
         );
         assert_eq!(
-            full + empty,
-            t.queue_stall_cycles,
-            "thread {i} ({}) queue total",
-            t.name
-        );
-        assert_eq!(
             backend, t.backend_stall_cycles,
             "thread {i} ({}) backend",
             t.name

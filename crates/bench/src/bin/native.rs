@@ -19,16 +19,25 @@
 //! shared memory and the ratio isolates what the pipeline adds (queue
 //! hops, park/wake) and wins (overlap). With no backend scope the
 //! serial variant would run on the cycle simulator instead, which is
-//! 1.3-1.5x slower and flatters every speedup. Wall seconds are
-//! best-of-`REPS` (default 2); every run verifies its output against
-//! the app's host oracle internally, so a divergence aborts the bench
-//! rather than skewing a number.
+//! 1.3-1.5x slower and flatters every speedup. Every repetition runs
+//! the serial kernel and then each configuration, so a ratio is paired
+//! within one repetition and host drift hits both sides alike; a cell
+//! reports the median and the quartiles of its ratios over `REPS`
+//! repetitions (default 5), and wall seconds are medians. Every run
+//! verifies its output against the app's host oracle internally, so a
+//! divergence aborts the bench rather than skewing a number.
+//!
+//! The one-worker column is the null: a one-stage pipeline that commits
+//! exactly the serial kernel's ops
+//! (`fitted_stages_commit_no_more_than_the_kernel`), on the same
+//! interpreter, so it should read 1.00x; how far it strays is what the
+//! host and the harness alone do to a ratio.
 //!
 //! Beside each wall time the row says why it is what it is: the ops
 //! each stage of the per-stage pipeline committed against the serial
 //! kernel's (a lopsided cut bounds the pipeline at its heaviest stage,
 //! whatever the thread count), and per configuration the stages it ran
-//! and the parks and epoch bumps of the repetition that was kept (a
+//! and the median parks and epoch bumps of its repetitions (a
 //! worker that sleeps through a 10 ms park timeout shows here before it
 //! shows in the ratio). `--smoke` asserts that every `nproc` cell ran
 //! at most `nproc` stages.
@@ -50,7 +59,7 @@
 
 use std::time::Instant;
 
-use phloem_bench::record::{self, host_cores, num, Gate};
+use phloem_bench::record::{self, host_cores, num, Gate, Spread};
 use phloem_bench::{header, machine, scale};
 use phloem_benchsuite::apps::APPS;
 use phloem_benchsuite::{taco, with_backend, Measurement, Variant};
@@ -68,39 +77,42 @@ struct Timed {
     stage_ops: Vec<(String, u64)>,
 }
 
-/// The fastest of `reps` runs of `f`, with that run's own counters.
-fn best_of(reps: usize, f: impl Fn() -> Measurement) -> Timed {
-    (0..reps)
-        .map(|_| {
-            let before = lifetime_counters();
-            let t0 = Instant::now();
-            let m = f();
-            let wall_s = t0.elapsed().as_secs_f64();
-            let after = lifetime_counters();
-            Timed {
-                wall_s,
-                parks: after.parks - before.parks,
-                epoch_bumps: after.epoch_bumps - before.epoch_bumps,
-                stage_ops: m
-                    .stats
-                    .threads
-                    .iter()
-                    .map(|t| (t.name.clone(), t.ops()))
-                    .collect(),
-            }
-        })
-        .min_by(|a, b| a.wall_s.total_cmp(&b.wall_s))
-        .expect("at least one repetition")
+/// One run of `f`, with its own counters.
+fn timed(f: impl Fn() -> Measurement) -> Timed {
+    let before = lifetime_counters();
+    let t0 = Instant::now();
+    let m = f();
+    let wall_s = t0.elapsed().as_secs_f64();
+    let after = lifetime_counters();
+    Timed {
+        wall_s,
+        parks: after.parks - before.parks,
+        epoch_bumps: after.epoch_bumps - before.epoch_bumps,
+        stage_ops: m
+            .stats
+            .threads
+            .iter()
+            .map(|t| (t.name.clone(), t.ops()))
+            .collect(),
+    }
 }
 
-/// One native pipeline configuration's best run.
+/// The median of some counts.
+fn median(xs: impl Iterator<Item = u64>) -> u64 {
+    let v: Vec<f64> = xs.map(|x| x as f64).collect();
+    Spread::of(&v).median.round() as u64
+}
+
+/// One native pipeline configuration over the repetitions.
 struct Cell {
     /// `NativeConfig::threads`: 0 is one thread per stage.
     threads: usize,
     /// Stages of the widest pipeline the run invoked.
     stages: usize,
+    /// Median wall seconds.
     wall_s: f64,
-    speedup: f64,
+    /// Serial over pipeline wall time, paired within each repetition.
+    speedup: Spread,
     parks: u64,
     epoch_bumps: u64,
 }
@@ -108,6 +120,7 @@ struct Cell {
 struct Row {
     app: String,
     input: String,
+    /// Median serial wall seconds.
     serial_s: f64,
     /// Ops the serial kernel committed.
     serial_ops: u64,
@@ -120,8 +133,8 @@ struct Row {
 
 impl Row {
     /// Builds one row by timing `run(variant)` serially on one native
-    /// worker and once per thread count as a pipeline. `run` must
-    /// verify its own output.
+    /// worker and once per thread count as a pipeline, `reps` times over,
+    /// interleaved. `run` must verify its own output.
     fn measure(
         app: &str,
         input: &str,
@@ -129,32 +142,45 @@ impl Row {
         thread_counts: &[usize],
         run: impl Fn(&Variant) -> Measurement,
     ) -> Row {
-        let serial = ExecBackend::Native(NativeConfig { threads: 1 });
-        let serial = best_of(reps, || with_backend(serial, || run(&Variant::Serial)));
-        let mut stage_ops = Vec::new();
-        let mut cells = Vec::new();
-        for &threads in thread_counts {
-            let backend = ExecBackend::Native(NativeConfig { threads });
-            let t = best_of(reps, || with_backend(backend, || run(&Variant::phloem())));
-            let stages = t.stage_ops.len();
-            if stage_ops.is_empty() {
-                stage_ops = t.stage_ops;
+        let serial_backend = ExecBackend::Native(NativeConfig { threads: 1 });
+        let mut serial = Vec::with_capacity(reps);
+        let mut piped: Vec<Vec<Timed>> = thread_counts.iter().map(|_| Vec::new()).collect();
+        for _ in 0..reps {
+            serial.push(timed(|| {
+                with_backend(serial_backend, || run(&Variant::Serial))
+            }));
+            for (runs, &threads) in piped.iter_mut().zip(thread_counts) {
+                let backend = ExecBackend::Native(NativeConfig { threads });
+                runs.push(timed(|| with_backend(backend, || run(&Variant::phloem()))));
             }
-            cells.push(Cell {
-                threads,
-                stages,
-                wall_s: t.wall_s,
-                speedup: serial.wall_s / t.wall_s,
-                parks: t.parks,
-                epoch_bumps: t.epoch_bumps,
-            });
         }
+        let walls = |runs: &[Timed]| -> Vec<f64> { runs.iter().map(|t| t.wall_s).collect() };
+        let serial_walls = walls(&serial);
+        let cells = piped
+            .iter()
+            .zip(thread_counts)
+            .map(|(runs, &threads)| {
+                let ratios: Vec<f64> = serial_walls
+                    .iter()
+                    .zip(runs)
+                    .map(|(s, t)| s / t.wall_s)
+                    .collect();
+                Cell {
+                    threads,
+                    stages: runs[0].stage_ops.len(),
+                    wall_s: Spread::of(&walls(runs)).median,
+                    speedup: Spread::of(&ratios),
+                    parks: median(runs.iter().map(|t| t.parks)),
+                    epoch_bumps: median(runs.iter().map(|t| t.epoch_bumps)),
+                }
+            })
+            .collect();
         Row {
             app: app.to_string(),
             input: input.to_string(),
-            serial_s: serial.wall_s,
-            serial_ops: serial.stage_ops.iter().map(|(_, n)| n).sum(),
-            stage_ops,
+            serial_s: Spread::of(&serial_walls).median,
+            serial_ops: serial[0].stage_ops.iter().map(|(_, n)| n).sum(),
+            stage_ops: piped[0][0].stage_ops.clone(),
             cells,
         }
     }
@@ -162,7 +188,7 @@ impl Row {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let reps = record::reps(2);
+    let reps = record::reps(if smoke { 3 } else { 5 });
     let host_cores = host_cores();
     let cfg = machine();
     let depth = ring_depth(cfg.queue_capacity);
@@ -179,7 +205,8 @@ fn main() {
     header("Native backend: real-thread wall clock vs the serial kernel on one native worker");
     println!(
         "  host cores: {host_cores}; scale {:?}; threads {:?}; rings of {depth}, slab {}; \
-         {reps} reps (best kept)",
+         {reps} interleaved reps (median ratio [IQR]); 1-thread is the null, a one-stage \
+         pipeline of the kernel's own ops: it should read 1.00x",
         scale(),
         thread_counts
             .iter()
@@ -212,13 +239,14 @@ fn main() {
 
     print!("  {:<14} {:>10}", "app", "serial_s");
     for &t in &thread_counts {
-        print!(" {:>10}", threads_label(t));
+        print!(" {:>20}", threads_label(t));
     }
     println!();
     for r in &rows {
         print!("  {:<14} {:>10.4}", r.app, r.serial_s);
         for c in &r.cells {
-            print!(" {:>9.2}x", c.speedup);
+            let s = c.speedup;
+            print!(" {:>7.2}x [{:.2}-{:.2}]", s.median, s.q1, s.q3);
         }
         println!();
         let split: Vec<String> = r.stage_ops.iter().map(|(_, n)| n.to_string()).collect();
@@ -245,7 +273,7 @@ fn main() {
     let enforced = host_cores > 1;
     let gate = |r: &Row| {
         let crossing = r.cells.iter().filter(|c| c.threads != 1);
-        let best = crossing.map(|c| c.speedup).fold(f64::MIN, f64::max);
+        let best = crossing.map(|c| c.speedup.median).fold(f64::MIN, f64::max);
         Gate::at_least(
             format!("{}.best_cross_thread_speedup", r.app),
             best,
@@ -280,7 +308,9 @@ fn main() {
             ("threads", Json::u64(c.threads as u64)),
             ("stages", Json::u64(c.stages as u64)),
             ("wall_s", num(c.wall_s, 6)),
-            ("speedup", num(c.speedup, 4)),
+            ("speedup", num(c.speedup.median, 4)),
+            ("speedup_q1", num(c.speedup.q1, 4)),
+            ("speedup_q3", num(c.speedup.q3, 4)),
             ("parks", Json::u64(c.parks)),
             ("epoch_bumps", Json::u64(c.epoch_bumps)),
         ])

@@ -19,10 +19,13 @@
 //!
 //! Output: a summary on stdout and `BENCH_simspeed.json` in the current
 //! directory. Set `SCALE=tiny|small|full` as usual; `REPS=<n>` (default
-//! 3) controls how many timed repetitions each combination gets (the
-//! best repetition is reported, minimizing host noise). With `--smoke`
-//! (used by CI) the sweep is truncated to a handful of candidates, one
-//! repetition, and no JSON is written.
+//! 7) controls how many timed repetitions each row gets. The rows that
+//! are compared are timed interleaved, repetition by repetition (the two
+//! watchdog modes, the four tracing modes, the two isolated rows), so
+//! host drift hits them alike, and every row reports the median and the
+//! quartiles of its repetitions: one slow or lucky repetition moves
+//! neither. With `--smoke` (used by CI) the sweep is truncated to a
+//! handful of candidates, one repetition, and no JSON is written.
 //!
 //! What it gates, in both modes: identical simulated cycles across the
 //! six session modes, identical atom counts between the two isolated
@@ -33,7 +36,7 @@
 
 use std::time::Instant;
 
-use phloem_bench::record::{self, num, Gate};
+use phloem_bench::record::{self, num, Gate, Spread};
 use phloem_bench::{app, header, machine, phloem_with_cuts, scale};
 use phloem_benchsuite::apps::Input;
 use phloem_benchsuite::{bfs, Variant};
@@ -93,7 +96,8 @@ fn profile_candidate(
 
 struct Timed {
     label: &'static str,
-    best_secs: f64,
+    /// Wall seconds of each repetition.
+    secs: Vec<f64>,
     sim_cycles: u64,
     /// Cycle total per candidate, compared across rows to assert
     /// bit-identical timing.
@@ -101,8 +105,12 @@ struct Timed {
 }
 
 impl Timed {
-    fn mcps(&self) -> f64 {
-        self.sim_cycles as f64 / 1e6 / self.best_secs
+    fn wall(&self) -> Spread {
+        Spread::of(&self.secs)
+    }
+
+    fn mcps(&self) -> Spread {
+        self.wall().map(|s| self.sim_cycles as f64 / 1e6 / s)
     }
 }
 
@@ -112,9 +120,8 @@ type Mode = (&'static str, WatchdogConfig, TraceMode);
 /// Times sweeps of the whole PGO search workload — every candidate,
 /// every training graph — once per mode, interleaved within each
 /// repetition so that host-load drift hits the modes alike and cannot
-/// masquerade as overhead. Returns the modes in order (best repetition
-/// kept for each) plus the raw wall times, one row per repetition, for
-/// the paired overhead estimator.
+/// masquerade as overhead. Returns the modes in order plus the raw wall
+/// times, one row per repetition, for the paired overhead estimator.
 fn time_modes(
     modes: &[Mode],
     candidates: &[Vec<LoadId>],
@@ -131,7 +138,7 @@ fn time_modes(
         cfgs.push(cfg);
         out.push(Timed {
             label,
-            best_secs: f64::INFINITY,
+            secs: Vec::with_capacity(reps),
             sim_cycles: 0,
             per_candidate: Vec::new(),
         });
@@ -144,7 +151,7 @@ fn time_modes(
             let profile = |cuts: &Vec<LoadId>| profile_candidate(cuts, cfg, graphs, *trace);
             timed.per_candidate = candidates.iter().map(profile).collect();
             row.push(t0.elapsed().as_secs_f64());
-            timed.best_secs = timed.best_secs.min(row[row.len() - 1]);
+            timed.secs.push(row[row.len() - 1]);
             timed.sim_cycles = timed.per_candidate.iter().flatten().sum();
         }
         rep_secs.push(row);
@@ -153,13 +160,18 @@ fn time_modes(
 }
 
 struct InterpTimed {
-    best_secs: f64,
+    /// Wall seconds of each repetition.
+    secs: Vec<f64>,
     atoms: u64,
 }
 
 impl InterpTimed {
-    fn ns_per_atom(&self) -> f64 {
-        self.best_secs * 1e9 / self.atoms as f64
+    fn wall(&self) -> Spread {
+        Spread::of(&self.secs)
+    }
+
+    fn ns_per_atom(&self) -> Spread {
+        self.wall().map(|s| s * 1e9 / self.atoms as f64)
     }
 }
 
@@ -212,53 +224,51 @@ fn drive(it: &mut FlatInterp<'_>, w: &mut FunctionalWorld) {
     }
 }
 
-/// Best wall time of `reps` runs of `run`, which returns atoms executed.
-fn best_of(reps: usize, mut run: impl FnMut() -> u64) -> InterpTimed {
-    let (mut best_secs, mut atoms) = (f64::INFINITY, 0);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        atoms = run();
-        best_secs = best_secs.min(t0.elapsed().as_secs_f64());
-    }
-    InterpTimed { best_secs, atoms }
-}
-
-fn time_interp(graphs: &[GraphInput], passes: usize, reps: usize) -> InterpTimed {
-    let _ = interp_run(graphs, 1); // warm-up
-    best_of(reps, || interp_run(graphs, passes))
-}
-
 /// World-isolated: the *same* serial BFS kernel as the interp rows, but
 /// driven through the full `Session` — cycle-accurate caches, issue
 /// calendar, predictors, watchdog.
 /// Both sides execute identical atom sequences (asserted in `main`), so
 /// the gap between this row's ns/atom and `interp_flat`'s is the host
 /// cost of the timing model itself, per atom.
-fn time_world_isolated(graphs: &[GraphInput], passes: usize, reps: usize) -> InterpTimed {
+fn world_run(graphs: &[GraphInput], passes: usize) -> u64 {
     let cfg = machine();
-    let run_all = |passes: usize| -> u64 {
-        let mut atoms = 0u64;
-        for _ in 0..passes {
-            for gi in graphs {
-                let m = bfs::run(&Variant::Serial, &gi.graph, 0, &cfg, gi.name)
-                    .expect("serial BFS through the full world");
-                atoms += m
-                    .stats
-                    .threads
-                    .iter()
-                    .map(|t| t.uops + t.branches + t.loads + t.stores + t.enqs + t.deqs)
-                    .sum::<u64>();
-            }
+    let mut atoms = 0u64;
+    for _ in 0..passes {
+        for gi in graphs {
+            let m = bfs::run(&Variant::Serial, &gi.graph, 0, &cfg, gi.name)
+                .expect("serial BFS through the full world");
+            atoms += m
+                .stats
+                .threads
+                .iter()
+                .map(|t| t.uops + t.branches + t.loads + t.stores + t.enqs + t.deqs)
+                .sum::<u64>();
         }
-        atoms
-    };
-    let _ = run_all(1); // warm-up
-    best_of(reps, || run_all(passes))
+    }
+    atoms
+}
+
+/// The engine-isolated and world-isolated rows, timed interleaved:
+/// each repetition runs one then the other.
+fn time_isolated(graphs: &[GraphInput], passes: usize, reps: usize) -> [InterpTimed; 2] {
+    let runs: [fn(&[GraphInput], usize) -> u64; 2] = [interp_run, world_run];
+    let mut out = runs.map(|run| InterpTimed {
+        secs: Vec::with_capacity(reps),
+        atoms: run(graphs, 1), // warm-up
+    });
+    for _ in 0..reps {
+        for (timed, run) in out.iter_mut().zip(runs) {
+            let t0 = Instant::now();
+            timed.atoms = run(graphs, passes);
+            timed.secs.push(t0.elapsed().as_secs_f64());
+        }
+    }
+    out
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let reps = if smoke { 1 } else { record::reps(3) };
+    let reps = if smoke { 1 } else { record::reps(7) };
     let kernel = bfs::kernel();
     let mut candidates: Vec<Vec<LoadId>> = enumerate_pipelines(&kernel, &SearchOptions::default())
         .into_iter()
@@ -271,21 +281,27 @@ fn main() {
 
     header("Sim throughput: BFS PGO search workload");
     println!(
-        "  {} candidate pipelines x {} training graphs, {} reps each (best kept)",
+        "  {} candidate pipelines x {} training graphs, {} reps each (median, IQR)",
         candidates.len(),
         graphs.len(),
         reps
     );
 
-    let time_one = |label, watchdog| {
-        let modes = [(label, watchdog, TraceMode::None)];
-        time_modes(&modes, &candidates, &graphs, reps).0.remove(0)
-    };
-    let session = time_one("session", WatchdogConfig::default());
     // Watchdog overhead: the same sweep with the watchdog fully
-    // disabled. The checks run at round boundaries only, so the target
-    // is well under 2% of host time.
-    let session_wd_off = time_one("session (watchdog off)", WatchdogConfig::off());
+    // disabled, interleaved with the default one. The checks run at
+    // round boundaries only, so the target is well under 2% of host
+    // time.
+    let watchdog_modes = [
+        ("session", WatchdogConfig::default(), TraceMode::None),
+        (
+            "session (watchdog off)",
+            WatchdogConfig::off(),
+            TraceMode::None,
+        ),
+    ];
+    let (mut wd, _) = time_modes(&watchdog_modes, &candidates, &graphs, reps);
+    let session_wd_off = wd.pop().expect("two modes");
+    let session = wd.pop().expect("two modes");
     // Tracing overhead. The off-overhead comparison (no sink vs. a
     // disabled sink) is the CI-pinned number, so the four tracing
     // modes are timed *interleaved*, rep by rep, with at least five
@@ -327,15 +343,19 @@ fn main() {
         trace_null,
         trace_digest,
     ] {
+        let m = t.mcps();
         println!(
-            "  {:<26}: {:>8.1} Mcycles/s  ({:.3} s, {} Mcycles)",
+            "  {:<26}: {:>8.1} Mcycles/s  (IQR {:.1}-{:.1}; {:.3} s, {} Mcycles)",
             t.label,
-            t.mcps(),
-            t.best_secs,
+            m.median,
+            m.q1,
+            m.q3,
+            t.wall().median,
             t.sim_cycles / 1_000_000
         );
     }
-    let watchdog_overhead_pct = (session_wd_off.mcps() / session.mcps() - 1.0).max(0.0) * 100.0;
+    let watchdog_overhead_pct =
+        (session_wd_off.mcps().median / session.mcps().median - 1.0).max(0.0) * 100.0;
     // Tracing overhead estimator. The true cost is a constant, so every
     // noise source only ever *inflates* a measured ratio; the cleanest
     // observation is therefore the smallest. Two views, take the lower:
@@ -391,30 +411,26 @@ fn main() {
 
     // Engine-isolated: serial kernel, functional world. More passes
     // than sweep reps so each timed run is long enough to be stable.
-    let passes = if smoke { 1 } else { 20 };
-    let interp_flat = time_interp(&graphs, passes, reps);
-    header("Engine-isolated: serial BFS kernel, functional world");
-    println!(
-        "  flat: {:>5.1} ns/atom   ({} atoms)",
-        interp_flat.ns_per_atom(),
-        interp_flat.atoms
-    );
-
     // World-isolated: the same serial kernel and atom sequence through
-    // the full timing model. ns/atom here minus interp_flat's is the
+    // the full timing model. ns/atom there minus interp_flat's is the
     // per-atom host cost of the cycle-accurate World.
-    let world_flat = time_world_isolated(&graphs, passes, reps);
+    let passes = if smoke { 1 } else { 20 };
+    let [interp_flat, world_flat] = time_isolated(&graphs, passes, reps);
     assert_eq!(
         world_flat.atoms, interp_flat.atoms,
         "the full world disagreed with the functional world on the serial kernel's atom count"
     );
-    let world_over_interp = world_flat.ns_per_atom() / interp_flat.ns_per_atom();
+    let (flat_ns, world_ns) = (interp_flat.ns_per_atom(), world_flat.ns_per_atom());
+    header("Engine-isolated: serial BFS kernel, functional world");
+    println!(
+        "  flat: {:>5.1} ns/atom (IQR {:.1}-{:.1})   ({} atoms)",
+        flat_ns.median, flat_ns.q1, flat_ns.q3, interp_flat.atoms
+    );
+    let world_over_interp = world_ns.median / flat_ns.median;
     header("World-isolated: same serial kernel, full timing model");
     println!(
-        "  full world: {:>5.1} ns/atom   functional world: {:>5.1} ns/atom   ({} atoms)",
-        world_flat.ns_per_atom(),
-        interp_flat.ns_per_atom(),
-        world_flat.atoms
+        "  full world: {:>5.1} ns/atom (IQR {:.1}-{:.1})   functional world: {:>5.1} ns/atom   ({} atoms)",
+        world_ns.median, world_ns.q1, world_ns.q3, flat_ns.median, world_flat.atoms
     );
     println!("  timing-model cost over interpreter dispatch       : {world_over_interp:.2}x");
 
@@ -424,17 +440,23 @@ fn main() {
     }
 
     let sweep = |name: &str, t: &Timed| {
+        let m = t.mcps();
         Json::obj([
             ("name", Json::str(name)),
-            ("wall_s", num(t.best_secs, 6)),
-            ("mcycles_per_s", num(t.mcps(), 3)),
+            ("wall_s", num(t.wall().median, 6)),
+            ("mcycles_per_s", num(m.median, 3)),
+            ("mcycles_per_s_q1", num(m.q1, 3)),
+            ("mcycles_per_s_q3", num(m.q3, 3)),
         ])
     };
     let interp = |name: &str, t: &InterpTimed| {
+        let ns = t.ns_per_atom();
         Json::obj([
             ("name", Json::str(name)),
-            ("wall_s", num(t.best_secs, 6)),
-            ("ns_per_atom", num(t.ns_per_atom(), 3)),
+            ("wall_s", num(t.wall().median, 6)),
+            ("ns_per_atom", num(ns.median, 3)),
+            ("ns_per_atom_q1", num(ns.q1, 3)),
+            ("ns_per_atom_q3", num(ns.q3, 3)),
         ])
     };
     let ratio = |name: &str, v: f64| Json::obj([("name", Json::str(name)), ("value", num(v, 4))]);

@@ -7,7 +7,8 @@
 //! host_cores  available parallelism of the recording host
 //! git_rev     `git describe --always --dirty` at recording time
 //! scale       tiny | small | full
-//! reps        repetitions each measurement is the best of
+//! reps        repetitions behind each measurement (`simspeed` and
+//!             `native` report their median and quartiles)
 //! ...         what the bench ran with, if it says (`native`: ring_depth,
 //!             slab)
 //! rows        measurements: objects keyed by "name", bench-specific fields
@@ -84,6 +85,52 @@ pub fn host_cores() -> usize {
 pub fn reps(default: usize) -> usize {
     let var = std::env::var("REPS").ok().and_then(|s| s.parse().ok());
     var.unwrap_or(default).max(1)
+}
+
+/// The quartiles of a set of repetitions: a median that one slow
+/// repetition cannot move, and the spread around it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// First quartile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// Third quartile.
+    pub q3: f64,
+}
+
+impl Spread {
+    /// The quartiles of `xs` (linear interpolation between order
+    /// statistics).
+    ///
+    /// # Panics
+    /// Panics if `xs` is empty.
+    pub fn of(xs: &[f64]) -> Spread {
+        assert!(!xs.is_empty(), "no repetitions");
+        let mut v = xs.to_vec();
+        v.sort_by(f64::total_cmp);
+        let at = |q: f64| {
+            let pos = q * (v.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+        };
+        Spread {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
+
+    /// Every quartile mapped through `f` (a monotone one keeps them in
+    /// order; a decreasing one swaps `q1` and `q3` back).
+    pub fn map(self, f: impl Fn(f64) -> f64) -> Spread {
+        let (a, m, b) = (f(self.q1), f(self.median), f(self.q3));
+        Spread {
+            q1: a.min(b),
+            median: m,
+            q3: a.max(b),
+        }
+    }
 }
 
 /// `v` rounded to `decimals` places, as a JSON number.
@@ -164,6 +211,16 @@ pub fn write(
 mod tests {
     use super::*;
     use phloem_service::proto::parse;
+
+    #[test]
+    fn spread_is_the_quartiles() {
+        let s = Spread::of(&[5.0, 1.0, 3.0, 2.0, 4.0]);
+        assert_eq!((s.q1, s.median, s.q3), (2.0, 3.0, 4.0));
+        let even = Spread::of(&[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((even.q1, even.median, even.q3), (1.75, 2.5, 3.25));
+        let inv = s.map(|x| 12.0 / x);
+        assert_eq!((inv.q1, inv.median, inv.q3), (3.0, 4.0, 6.0));
+    }
 
     #[test]
     fn a_rendering_and_the_three_committed_recordings_share_their_top_level_keys() {

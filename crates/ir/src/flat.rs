@@ -22,10 +22,11 @@
 //! counter is scheduler-independent, and a program with an empty body is
 //! born finished.
 
-use crate::bytecode::{BytecodeProgram, Instr, Opd};
+use crate::bytecode::{BytecodeProgram, Dst, Instr, Opd, Reg, TOp};
 use crate::expr::{QueueId, VarId};
+use crate::mem::{decode, word_of};
 use crate::stmt::HandlerEnd;
-use crate::value::{eval_binop, eval_unop, BinOp, Trap, UnOp, Value};
+use crate::value::{eval_binop, eval_unop, BinOp, Trap, Ty, UnOp, Value};
 use crate::world::{BlockReason, StepResult, Tid, Time, UopClass, World};
 
 /// `a op b` and the micro-op class it issues as: exactly
@@ -90,10 +91,84 @@ fn unop(op: UnOp, a: Value) -> Result<(Value, UopClass), Trap> {
     Ok((eval_unop(op, a)?, class))
 }
 
-/// One register slot: a value and its readiness time, kept adjacent so
+/// `a op b` over two words of `op`'s type: exactly the word of
+/// `eval_binop(op, a, b)` for the two [`Value`]s those words are, with
+/// no tag to inspect (the micro-op class is the instruction's).
+#[inline(always)]
+fn tbin(op: TOp, x: u64, y: u64) -> Result<u64, Trap> {
+    use TOp::*;
+    let (i, j) = (x as i64, y as i64);
+    let (f, g) = (f64::from_bits(x), f64::from_bits(y));
+    Ok(match op {
+        AddI => i.wrapping_add(j) as u64,
+        SubI => i.wrapping_sub(j) as u64,
+        MulI => i.wrapping_mul(j) as u64,
+        DivI | RemI if j == 0 => return Err(Trap::DivByZero),
+        DivI => i.wrapping_div(j) as u64,
+        RemI => i.wrapping_rem(j) as u64,
+        AndI => x & y,
+        OrI => x | y,
+        XorI => x ^ y,
+        ShlI => i.wrapping_shl(j as u32) as u64,
+        ShrI => i.wrapping_shr(j as u32) as u64,
+        LtI => u64::from(i < j),
+        LeI => u64::from(i <= j),
+        GtI => u64::from(i > j),
+        GeI => u64::from(i >= j),
+        EqI => u64::from(i == j),
+        NeI => u64::from(i != j),
+        MinI => i.min(j) as u64,
+        MaxI => i.max(j) as u64,
+        AddF => (f + g).to_bits(),
+        SubF => (f - g).to_bits(),
+        MulF => (f * g).to_bits(),
+        DivF | RemF if g == 0.0 => return Err(Trap::DivByZero),
+        DivF => (f / g).to_bits(),
+        RemF => (f % g).to_bits(),
+        MinF => f.min(g).to_bits(),
+        MaxF => f.max(g).to_bits(),
+        LtF => u64::from(f < g),
+        LeF => u64::from(f <= g),
+        GtF => u64::from(f > g),
+        GeF => u64::from(f >= g),
+        EqF => u64::from(f == g),
+        NeF => u64::from(f != g),
+    })
+}
+
+/// `op a` over a word of type `ty`: the word of `eval_unop(op, a)`.
+/// Never called with [`UnOp::CtrlTag`], which traps on any data word
+/// and so stays dynamic.
+#[inline(always)]
+fn tunop(op: UnOp, ty: Ty, w: u64) -> u64 {
+    let (i, f) = (w as i64, f64::from_bits(w));
+    match (op, ty) {
+        (UnOp::Neg, Ty::I64) => i.wrapping_neg() as u64,
+        (UnOp::Neg, Ty::F64) => (-f).to_bits(),
+        (UnOp::Not, Ty::I64) => u64::from(i == 0),
+        (UnOp::Not, Ty::F64) => u64::from(f == 0.0),
+        (UnOp::BitNot, Ty::I64) => !w,
+        (UnOp::BitNot, Ty::F64) => !(f as i64) as u64,
+        (UnOp::IsCtrl, _) => 0,
+        (UnOp::I2F, Ty::I64) => (i as f64).to_bits(),
+        (UnOp::I2F, Ty::F64) => ((f as i64) as f64).to_bits(),
+        (UnOp::F2I, Ty::I64) => (i as f64) as i64 as u64,
+        (UnOp::F2I, Ty::F64) => (f as i64) as u64,
+        (UnOp::CtrlTag, _) => unreachable!("ctrl_tag is never typed"),
+    }
+}
+
+/// One word slot: a `u64` word and its readiness time (16 bytes).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Word {
+    w: u64,
+    t: Time,
+}
+
+/// One tagged slot: a value and its readiness time, kept adjacent so
 /// the common read-value-and-time access touches one location.
 #[derive(Clone, Copy, Debug)]
-struct Slot {
+pub(crate) struct Slot {
     v: Value,
     t: Time,
 }
@@ -102,8 +177,10 @@ struct Slot {
 pub struct FlatInterp<'p> {
     prog: &'p BytecodeProgram,
     tid: Tid,
-    /// Register file: variables (slots `0..nvars`), then temporaries and
-    /// loop state.
+    /// Word register file: word variables, then constants and
+    /// temporaries (see [`BytecodeProgram`]).
+    words: Vec<Word>,
+    /// Tagged register file, laid out likewise.
     slots: Vec<Slot>,
     flow_time: Time,
     pc: u32,
@@ -124,27 +201,21 @@ impl<'p> FlatInterp<'p> {
     ///
     /// # Panics
     /// Panics if a parameter id is out of range (call
-    /// [`crate::Function::validate`] before compiling).
+    /// [`crate::Function::validate`] before compiling), or if a
+    /// parameter kept in a word slot is bound to a value that is not
+    /// data of its declared type.
     pub fn new(prog: &'p BytecodeProgram, tid: Tid, params: &[(VarId, Value)]) -> FlatInterp<'p> {
-        let nslots = prog.nslots as usize;
-        let mut slots = vec![
-            Slot {
-                v: Value::I64(0),
-                t: 0
-            };
-            nslots
-        ];
-        for (slot, zero) in slots.iter_mut().zip(&prog.var_zero) {
-            slot.v = *zero;
-        }
-        for (var, val) in params {
-            assert!(var.0 < prog.nvars, "param id {} out of range", var.0);
-            slots[var.0 as usize].v = *val;
-        }
-        FlatInterp {
+        let mut it = FlatInterp {
             prog,
             tid,
-            slots,
+            words: vec![Word { w: 0, t: 0 }; prog.nwords as usize],
+            slots: vec![
+                Slot {
+                    v: Value::I64(0),
+                    t: 0
+                };
+                prog.ntagged as usize
+            ],
             flow_time: 0,
             pc: 0,
             ret_stack: Vec::new(),
@@ -152,7 +223,20 @@ impl<'p> FlatInterp<'p> {
             pending_enq_sel: None,
             steps: 0,
             budget: u64::MAX,
+        };
+        for &(dst, v) in &prog.inits {
+            it.put(dst, v, 0).expect("a constant fits its slot");
         }
+        for &(var, val) in params {
+            let dst = *prog
+                .vars
+                .get(var.0 as usize)
+                .unwrap_or_else(|| panic!("param id {} out of range", var.0));
+            if let Err(e) = it.put(dst, val, 0) {
+                panic!("param {}: {e}", var.0);
+            }
+        }
+        it
     }
 
     /// Limits the number of interpreter steps (guards against runaway
@@ -181,7 +265,10 @@ impl<'p> FlatInterp<'p> {
 
     /// Current value of a variable (for reading scalar results).
     pub fn var(&self, v: VarId) -> Value {
-        self.slots[v.0 as usize].v
+        match self.prog.vars[v.0 as usize] {
+            Dst::Tag(s) => self.slots[s as usize].v,
+            Dst::Word(s, ty) => decode(ty, self.words[s as usize].w),
+        }
     }
 
     /// The thread's control-flow readiness time (diagnostics).
@@ -189,26 +276,43 @@ impl<'p> FlatInterp<'p> {
         self.flow_time
     }
 
-    /// Reads an operand with the tree interpreter's timing rules.
+    /// Reads a word operand with the tree interpreter's timing rules.
     /// `flow` is the caller's (local) control-flow time.
+    #[inline(always)]
+    fn word(&self, r: Reg, flow: Time) -> (u64, Time) {
+        let s = self.words[r.slot()];
+        (s.w, s.t.max(flow & r.flow_mask()))
+    }
+
+    /// Reads a dynamic operand as a [`Value`], with the same timing
+    /// rules.
     #[inline]
     fn read(&self, o: Opd, flow: Time) -> (Value, Time) {
         match o {
-            Opd::Const(i) => (self.prog.consts[i as usize], flow),
-            Opd::Var(i) => {
-                let s = self.slots[i as usize];
-                (s.v, s.t.max(flow))
+            Opd::Tag(r) => {
+                let s = self.slots[r.slot()];
+                (s.v, s.t.max(flow & r.flow_mask()))
             }
-            Opd::Tmp(i) => {
-                let s = self.slots[i as usize];
-                (s.v, s.t)
+            Opd::Word(r, ty) => {
+                let (w, t) = self.word(r, flow);
+                (decode(ty, w), t)
             }
         }
     }
 
+    #[inline(always)]
+    fn set_word(&mut self, slot: u32, w: u64, t: Time) {
+        self.words[slot as usize] = Word { w, t };
+    }
+
+    /// Writes a dynamic result; see [`word_of`] for the error.
     #[inline]
-    fn set(&mut self, slot: u32, v: Value, t: Time) {
-        self.slots[slot as usize] = Slot { v, t };
+    fn put(&mut self, dst: Dst, v: Value, t: Time) -> Result<(), Trap> {
+        match dst {
+            Dst::Tag(s) => self.slots[s as usize] = Slot { v, t },
+            Dst::Word(s, ty) => self.set_word(s, word_of(ty, v)?, t),
+        }
+        Ok(())
     }
 
     /// Resolves a handler's `break N` relative to the dispatching
@@ -218,15 +322,15 @@ impl<'p> FlatInterp<'p> {
         if levels == 0 {
             return Ok(deq_pc);
         }
-        let Instr::Deq { breaks, .. } = &self.prog.code[deq_pc as usize] else {
+        let Instr::Deq { breaks, depth, .. } = self.prog.code[deq_pc as usize] else {
             unreachable!("dispatch record points at a non-deq instruction");
         };
-        match breaks.get(levels as usize - 1) {
-            Some(t) => Ok(*t),
-            None => Err(Trap::Malformed(format!(
+        if levels > depth {
+            return Err(Trap::Malformed(format!(
                 "break {levels} crosses a handler or function boundary"
-            ))),
+            )));
         }
+        Ok(self.prog.breaks[(breaks + levels - 1) as usize])
     }
 
     /// Executes one atom: runs free instructions until an atom-ending
@@ -277,13 +381,51 @@ impl<'p> FlatInterp<'p> {
             // (blocked / finished).
             loop {
                 match &prog.code[pc as usize] {
-                    // ----- free instructions: fall through in the atom -----
+                    // ----- free, typed -----
+                    Instr::TUn {
+                        op,
+                        ty,
+                        class,
+                        a,
+                        dst,
+                    } => {
+                        let (x, ta) = self.word(*a, flow);
+                        let t = world.uop(tid, *class, ta);
+                        self.set_word(*dst, tunop(*op, *ty, x), t);
+                        pc += 1;
+                    }
+                    Instr::TBin {
+                        op,
+                        class,
+                        a,
+                        b,
+                        dst,
+                    } => {
+                        let (x, ta) = self.word(*a, flow);
+                        let (y, tb) = self.word(*b, flow);
+                        let w = tbin(*op, x, y)?;
+                        let t = world.uop(tid, *class, ta.max(tb));
+                        self.set_word(*dst, w, t);
+                        pc += 1;
+                    }
+                    Instr::TLoad {
+                        array,
+                        ty,
+                        index,
+                        dst,
+                    } => {
+                        let (i, ti) = self.word(*index, flow);
+                        let (w, t) = world.load_word(tid, *array, i as i64, *ty, ti)?;
+                        self.set_word(*dst, w, t);
+                        pc += 1;
+                    }
+                    // ----- free, dynamic -----
                     Instr::Un { op, a, dst } => {
                         let (op, a, dst) = (*op, *a, *dst);
                         let (va, ta) = self.read(a, flow);
                         let (res, class) = unop(op, va)?;
                         let t = world.uop(tid, class, ta);
-                        self.set(dst, res, t);
+                        self.slots[dst as usize] = Slot { v: res, t };
                         pc += 1;
                     }
                     Instr::Bin { op, a, b, dst } => {
@@ -292,7 +434,7 @@ impl<'p> FlatInterp<'p> {
                         let (vb, tb) = self.read(b, flow);
                         let (res, class) = binop(op, va, vb)?;
                         let t = world.uop(tid, class, ta.max(tb));
-                        self.set(dst, res, t);
+                        self.slots[dst as usize] = Slot { v: res, t };
                         pc += 1;
                     }
                     Instr::Load { array, index, dst } => {
@@ -300,7 +442,7 @@ impl<'p> FlatInterp<'p> {
                         let (vi, ti) = self.read(index, flow);
                         let idx = vi.as_i64()?;
                         let (v, t) = world.load(tid, array, idx, ti)?;
-                        self.set(dst, v, t);
+                        self.slots[dst as usize] = Slot { v, t };
                         pc += 1;
                     }
                     Instr::Jump(target) => {
@@ -317,15 +459,99 @@ impl<'p> FlatInterp<'p> {
                         let (ve, te) = self.read(end, flow);
                         let c = vs.as_i64()?;
                         let l = ve.as_i64()?;
-                        self.set(cur, Value::I64(c), ts);
-                        self.set(lim, Value::I64(l), te);
+                        self.set_word(cur, c as u64, ts);
+                        self.set_word(lim, l as u64, te);
                         pc += 1;
                     }
-                    // ----- atom-ending instructions -----
+                    // ----- atom-ending, typed -----
+                    Instr::TAssign { var, src } => {
+                        let (w, t) = self.word(*src, flow);
+                        self.set_word(*var, w, t);
+                        pc += 1;
+                        break;
+                    }
+                    Instr::TUnA {
+                        op,
+                        ty,
+                        class,
+                        a,
+                        var,
+                    } => {
+                        let (x, ta) = self.word(*a, flow);
+                        let t = world.uop(tid, *class, ta);
+                        self.set_word(*var, tunop(*op, *ty, x), t);
+                        pc += 1;
+                        break;
+                    }
+                    Instr::TBinA {
+                        op,
+                        class,
+                        a,
+                        b,
+                        var,
+                    } => {
+                        let (x, ta) = self.word(*a, flow);
+                        let (y, tb) = self.word(*b, flow);
+                        let w = tbin(*op, x, y)?;
+                        let t = world.uop(tid, *class, ta.max(tb));
+                        self.set_word(*var, w, t);
+                        pc += 1;
+                        break;
+                    }
+                    Instr::TLoadA {
+                        array,
+                        ty,
+                        index,
+                        var,
+                    } => {
+                        let (i, ti) = self.word(*index, flow);
+                        let (w, t) = world.load_word(tid, *array, i as i64, *ty, ti)?;
+                        self.set_word(*var, w, t);
+                        pc += 1;
+                        break;
+                    }
+                    Instr::TStore {
+                        array,
+                        ty,
+                        index,
+                        value,
+                    } => {
+                        let (i, ti) = self.word(*index, flow);
+                        let (w, tv) = self.word(*value, flow);
+                        world.store_word(tid, *array, i as i64, w, *ty, ti.max(tv))?;
+                        pc += 1;
+                        break;
+                    }
+                    Instr::TBranch { id, cond, target } => {
+                        let (w, t) = self.word(*cond, flow);
+                        let taken = w != 0;
+                        let resume = world.branch(tid, *id, taken, t);
+                        flow = flow.max(resume);
+                        pc = if taken { pc + 1 } else { *target };
+                        break;
+                    }
+                    Instr::TBinBranch {
+                        op,
+                        class,
+                        a,
+                        b,
+                        id,
+                        target,
+                    } => {
+                        let (x, ta) = self.word(*a, flow);
+                        let (y, tb) = self.word(*b, flow);
+                        let taken = tbin(*op, x, y)? != 0;
+                        let t_cmp = world.uop(tid, *class, ta.max(tb));
+                        let resume = world.branch(tid, *id, taken, t_cmp);
+                        flow = flow.max(resume);
+                        pc = if taken { pc + 1 } else { *target };
+                        break;
+                    }
+                    // ----- atom-ending, dynamic -----
                     Instr::Assign { var, src } => {
                         let (var, src) = (*var, *src);
                         let (v, t) = self.read(src, flow);
-                        self.set(var, v, t);
+                        self.put(var, v, t)?;
                         pc += 1;
                         break;
                     }
@@ -334,7 +560,7 @@ impl<'p> FlatInterp<'p> {
                         let (va, ta) = self.read(a, flow);
                         let (res, class) = unop(op, va)?;
                         let t = world.uop(tid, class, ta);
-                        self.set(var, res, t);
+                        self.put(var, res, t)?;
                         pc += 1;
                         break;
                     }
@@ -344,7 +570,7 @@ impl<'p> FlatInterp<'p> {
                         let (vb, tb) = self.read(b, flow);
                         let (res, class) = binop(op, va, vb)?;
                         let t = world.uop(tid, class, ta.max(tb));
-                        self.set(var, res, t);
+                        self.put(var, res, t)?;
                         pc += 1;
                         break;
                     }
@@ -353,7 +579,7 @@ impl<'p> FlatInterp<'p> {
                         let (vi, ti) = self.read(index, flow);
                         let idx = vi.as_i64()?;
                         let (v, t) = world.load(tid, array, idx, ti)?;
-                        self.set(var, v, t);
+                        self.put(var, v, t)?;
                         pc += 1;
                         break;
                     }
@@ -382,7 +608,7 @@ impl<'p> FlatInterp<'p> {
                         let (prev, t) =
                             world.atomic_rmw(tid, op, array, vi.as_i64()?, vv, ti.max(tv))?;
                         if let Some(o) = old {
-                            self.set(o, prev, t);
+                            self.put(o, prev, t)?;
                         }
                         pc += 1;
                         break;
@@ -468,7 +694,7 @@ impl<'p> FlatInterp<'p> {
                                         world.note_ctrl_handler(tid, queue, tag, t_jump);
                                         flow = flow.max(t_jump);
                                         if let Some(bind) = h.bind {
-                                            self.set(bind, w, t_jump);
+                                            self.put(bind, w, t_jump)?;
                                         }
                                         // The pc stays on the deq in the
                                         // record: Resume retries it.
@@ -477,38 +703,29 @@ impl<'p> FlatInterp<'p> {
                                         break;
                                     }
                                 }
-                                self.set(var, w, t);
+                                self.put(var, w, t)?;
                                 pc += 1;
                                 break;
                             }
                         }
                     }
-                    Instr::IfBranch { id, cond, else_t } => {
-                        let (id, cond, else_t) = (*id, *cond, *else_t);
+                    Instr::Branch { id, cond, target } => {
+                        let (id, cond, target) = (*id, *cond, *target);
                         let (v, t) = self.read(cond, flow);
                         let taken = v.as_bool()?;
                         let resume = world.branch(tid, id, taken, t);
                         flow = flow.max(resume);
-                        pc = if taken { pc + 1 } else { else_t };
+                        pc = if taken { pc + 1 } else { target };
                         break;
                     }
-                    Instr::WhileBranch { id, cond, exit } => {
-                        let (id, cond, exit) = (*id, *cond, *exit);
-                        let (v, t) = self.read(cond, flow);
-                        let taken = v.as_bool()?;
-                        let resume = world.branch(tid, id, taken, t);
-                        flow = flow.max(resume);
-                        pc = if taken { pc + 1 } else { exit };
-                        break;
-                    }
-                    Instr::BinIf {
+                    Instr::BinBranch {
                         op,
                         a,
                         b,
                         id,
-                        else_t,
+                        target,
                     } => {
-                        let (op, a, b, id, else_t) = (*op, *a, *b, *id, *else_t);
+                        let (op, a, b, id, target) = (*op, *a, *b, *id, *target);
                         let (va, ta) = self.read(a, flow);
                         let (vb, tb) = self.read(b, flow);
                         let (res, class) = binop(op, va, vb)?;
@@ -516,19 +733,7 @@ impl<'p> FlatInterp<'p> {
                         let taken = res.as_bool()?;
                         let resume = world.branch(tid, id, taken, t_cmp);
                         flow = flow.max(resume);
-                        pc = if taken { pc + 1 } else { else_t };
-                        break;
-                    }
-                    Instr::BinWhile { op, a, b, id, exit } => {
-                        let (op, a, b, id, exit) = (*op, *a, *b, *id, *exit);
-                        let (va, ta) = self.read(a, flow);
-                        let (vb, tb) = self.read(b, flow);
-                        let (res, class) = binop(op, va, vb)?;
-                        let t_cmp = world.uop(tid, class, ta.max(tb));
-                        let taken = res.as_bool()?;
-                        let resume = world.branch(tid, id, taken, t_cmp);
-                        flow = flow.max(resume);
-                        pc = if taken { pc + 1 } else { exit };
+                        pc = if taken { pc + 1 } else { target };
                         break;
                     }
                     Instr::ForTest {
@@ -553,10 +758,9 @@ impl<'p> FlatInterp<'p> {
                     } => {
                         let (id, var, cur, lim, body, exit) = (*id, *var, *cur, *lim, *body, *exit);
                         // Increment: a 1-cycle loop-carried dependence.
-                        let t =
-                            world.uop(tid, UopClass::IntAlu, self.slots[cur as usize].t.max(flow));
-                        let c = self.slots[cur as usize].v.as_i64()? + 1;
-                        self.set(cur, Value::I64(c), t);
+                        let s = self.words[cur as usize];
+                        let t = world.uop(tid, UopClass::IntAlu, s.t.max(flow));
+                        self.set_word(cur, (s.w as i64 + 1) as u64, t);
                         pc = self.for_test(world, id, var, cur, lim, body, exit, &mut flow)?;
                         break;
                     }
@@ -580,14 +784,14 @@ impl<'p> FlatInterp<'p> {
                                 break 'slice (n, StepResult::Finished);
                             }
                             HandlerEnd::FinishWhen(var, target) => {
-                                if self.slots[var.0 as usize].v.as_i64()? >= target {
+                                if self.var(var).as_i64()? >= target {
                                     self.finished = true;
                                     break 'slice (n, StepResult::Finished);
                                 }
                                 pc = deq_pc;
                             }
                             HandlerEnd::BreakWhen(var, target, levels) => {
-                                if self.slots[var.0 as usize].v.as_i64()? >= target {
+                                if self.var(var).as_i64()? >= target {
                                     pc = self.break_target(deq_pc, levels)?;
                                 } else {
                                     pc = deq_pc;
@@ -635,29 +839,27 @@ impl<'p> FlatInterp<'p> {
         &mut self,
         world: &mut W,
         id: crate::expr::BranchId,
-        var: u32,
+        var: Dst,
         cur: u32,
         lim: u32,
         body: u32,
         exit: u32,
         flow: &mut Time,
     ) -> Result<u32, Trap> {
-        let cur_time = self.slots[cur as usize].t;
-        let t_cmp = world.uop(
-            self.tid,
-            UopClass::IntAlu,
-            cur_time.max(self.slots[lim as usize].t).max(*flow),
-        );
-        let c = self.slots[cur as usize].v.as_i64()?;
-        let taken = c < self.slots[lim as usize].v.as_i64()?;
+        let (c, l) = (self.words[cur as usize], self.words[lim as usize]);
+        let t_cmp = world.uop(self.tid, UopClass::IntAlu, c.t.max(l.t).max(*flow));
+        let taken = (c.w as i64) < l.w as i64;
         let resume = world.branch(self.tid, id, taken, t_cmp);
         *flow = (*flow).max(resume);
-        if taken {
-            self.set(var, Value::I64(c), cur_time.max(*flow));
-            Ok(body)
-        } else {
-            Ok(exit)
+        if !taken {
+            return Ok(exit);
         }
+        let t = c.t.max(*flow);
+        match var {
+            Dst::Word(s, Ty::I64) => self.set_word(s, c.w, t),
+            var => self.put(var, Value::I64(c.w as i64), t)?,
+        }
+        Ok(body)
     }
 }
 
@@ -668,7 +870,6 @@ mod tests {
     use crate::bytecode::compile;
     use crate::expr::Expr;
     use crate::mem::MemState;
-    use crate::value::BinOp;
     use crate::world::FunctionalWorld;
 
     /// Bitwise equality: `NaN` equals itself and `0.0` differs from
@@ -757,6 +958,64 @@ mod tests {
                     same_outcome(&got, &want),
                     "{op} {a}: fast path {got:?}, generic {want:?}"
                 );
+            }
+        }
+    }
+
+    /// The word of a data value, as a word slot of its type holds it.
+    fn data_word(v: Value) -> Option<(u64, Ty)> {
+        match v {
+            Value::I64(x) => Some((x as u64, Ty::I64)),
+            Value::F64(x) => Some((x.to_bits(), Ty::F64)),
+            Value::Ctrl(_) => None,
+        }
+    }
+
+    /// Each typed operator is the generic pair over two data values of
+    /// its type, bit for bit and trap for trap, and carries the class
+    /// [`UopClass::for_binop`] gives them.
+    #[test]
+    fn typed_binops_equal_the_generic_pair() {
+        for op in BinOp::ALL {
+            for float in [false, true] {
+                let Some(top) = TOp::new(op, float) else {
+                    assert!(float, "every integer operator has a typed form");
+                    continue;
+                };
+                let ty = if float { Ty::F64 } else { Ty::I64 };
+                for a in EDGES {
+                    for b in EDGES {
+                        let (Some((x, tx)), Some((y, ty_b))) = (data_word(a), data_word(b)) else {
+                            continue;
+                        };
+                        if tx != ty || ty_b != ty {
+                            continue;
+                        }
+                        let want = eval_binop(op, a, b);
+                        let got = tbin(top, x, y).map(|w| decode(top.result(), w));
+                        match (&got, &want) {
+                            (Ok(g), Ok(w)) => assert!(same_word(*g, *w), "{a} {op} {b}"),
+                            _ => assert_eq!(got, want, "{a} {op} {b}"),
+                        }
+                        assert_eq!(top.class(), UopClass::for_binop(op, a, b), "{op}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Likewise for the unary operators over each data type.
+    #[test]
+    fn typed_unops_equal_the_generic_pair() {
+        use UnOp::*;
+        for op in [Neg, Not, BitNot, IsCtrl, I2F, F2I] {
+            for a in EDGES {
+                let Some((w, ty)) = data_word(a) else {
+                    continue;
+                };
+                let want = eval_unop(op, a).expect("no typed unary operator traps");
+                let got = decode(crate::bytecode::unop_result(op, ty), tunop(op, ty, w));
+                assert!(same_word(got, want), "{op} {a}: {got} vs {want}");
             }
         }
     }

@@ -54,6 +54,7 @@ pub mod expr;
 pub mod flat;
 pub mod func;
 pub mod interp;
+mod kinds;
 pub mod mem;
 pub mod pipeline;
 pub mod pretty;
@@ -64,7 +65,7 @@ pub mod value;
 pub mod world;
 
 pub use builder::FunctionBuilder;
-pub use bytecode::{compile, BytecodeProgram, ExecEngine};
+pub use bytecode::{compile, compile_pipeline, BytecodeProgram, ExecEngine};
 pub use expr::{ArrayId, BranchId, Expr, LoadId, QueueId, VarId};
 pub use flat::FlatInterp;
 pub use func::{expr_ty, ArrayDecl, Function, ValidateError, VarDecl};

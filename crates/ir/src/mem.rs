@@ -42,11 +42,29 @@ fn encode(ty: Ty, v: Value) -> Result<u64, Trap> {
     })
 }
 
+/// A word of type `ty` as a [`Value`].
 #[inline]
-fn decode(ty: Ty, w: u64) -> Value {
+pub(crate) fn decode(ty: Ty, w: u64) -> Value {
     match ty {
         Ty::I64 => Value::I64(w as i64),
         Ty::F64 => Value::F64(f64::from_bits(w)),
+    }
+}
+
+/// `v` as the word of a register or element of type `ty`, exactly:
+/// unlike [`encode`], no conversion.
+///
+/// # Errors
+/// [`Trap::Malformed`] if `v` is not data of type `ty`. The slot-kind
+/// analysis proves that no such value reaches a word register, so there
+/// this reports a stage that breaks its premises (a queue fed from
+/// outside the pipeline, say) instead of reinterpreting bits.
+#[inline]
+pub(crate) fn word_of(ty: Ty, v: Value) -> Result<u64, Trap> {
+    match (ty, v) {
+        (Ty::I64, Value::I64(x)) => Ok(x as u64),
+        (Ty::F64, Value::F64(x)) => Ok(x.to_bits()),
+        _ => Err(Trap::Malformed(format!("{v} reached a {ty} register"))),
     }
 }
 
@@ -230,6 +248,45 @@ impl MemState {
         let s = self.store_ref(a)?;
         let (w, addr) = s.cell(idx)?;
         w.store(encode(s.decl.ty, v)?, Relaxed);
+        Ok(addr)
+    }
+
+    /// Reads `a[idx]` as the word of an element of type `ty`, and its
+    /// byte address: the typed load, with no [`Value`] in between.
+    ///
+    /// # Errors
+    /// Traps on a bad array id or out-of-bounds index, then with
+    /// [`Trap::Malformed`] if the array holds another type than `ty` (a
+    /// stage whose array declarations disagree with memory's).
+    #[inline]
+    pub fn load_word(&self, a: ArrayId, idx: i64, ty: Ty) -> Result<(u64, u64), Trap> {
+        let s = self.store_ref(a)?;
+        let (w, addr) = s.cell(idx)?;
+        if s.decl.ty != ty {
+            return Err(Trap::Malformed(format!(
+                "array `{}` holds {}, read as {ty}",
+                s.decl.name, s.decl.ty
+            )));
+        }
+        Ok((w.load(Relaxed), addr))
+    }
+
+    /// Writes the word `w` of type `ty` to `a[idx]`, converted to the
+    /// array's declared type like [`Self::store`]; returns the byte
+    /// address.
+    ///
+    /// # Errors
+    /// Traps on a bad array id, then on an out-of-bounds index.
+    #[inline]
+    pub fn store_word(&self, a: ArrayId, idx: i64, w: u64, ty: Ty) -> Result<u64, Trap> {
+        let s = self.store_ref(a)?;
+        let (cell, addr) = s.cell(idx)?;
+        let w = if s.decl.ty == ty {
+            w
+        } else {
+            encode(s.decl.ty, decode(ty, w))?
+        };
+        cell.store(w, Relaxed);
         Ok(addr)
     }
 
@@ -443,6 +500,36 @@ mod tests {
             &[Value::F64(7.9), Value::I64(1), Value::I64(2), Value::I64(3)],
         );
         assert_eq!(m.i64_vec(a), vec![7, 1, 2, 3]);
+    }
+
+    #[test]
+    fn word_access_matches_value_access() {
+        let mut m = MemState::new();
+        let a = m.alloc_i64(ArrayDecl::i32("a"), [7, -3]);
+        let x = m.alloc_f64(ArrayDecl::f64("x"), [2.5, -0.0]);
+        assert_eq!(
+            m.load_word(a, 1, Ty::I64),
+            Ok(((-3i64) as u64, m.addr(a, 1).unwrap()))
+        );
+        assert_eq!(m.load_word(x, 1, Ty::F64).unwrap().0, (-0.0f64).to_bits());
+        assert!(matches!(
+            m.load_word(x, 0, Ty::I64),
+            Err(Trap::Malformed(_))
+        ));
+        assert_eq!(
+            m.load_word(a, 2, Ty::I64),
+            Err(Trap::OutOfBounds("a".into(), 2, 2))
+        );
+        // A typed store converts like a `Value` store.
+        m.store_word(a, 0, (-2.75f64).to_bits(), Ty::F64).unwrap();
+        m.store_word(x, 0, 3u64, Ty::I64).unwrap();
+        m.store_word(x, 1, 1.5f64.to_bits(), Ty::F64).unwrap();
+        assert_eq!(m.values(a), vec![Value::I64(-2), Value::I64(-3)]);
+        assert_eq!(m.values(x), vec![Value::F64(3.0), Value::F64(1.5)]);
+        assert_eq!(
+            m.store_word(ArrayId(9), 0, 0, Ty::I64),
+            Err(Trap::BadId("array 9".into()))
+        );
     }
 
     const N: i64 = 1 << 20;

@@ -444,6 +444,17 @@ mod tests {
         );
     }
 
+    /// A word register of `FlatInterp` is a `u64` and its ready time; a
+    /// tagged one holds a whole `Value`. The third smaller register
+    /// file, and one cache line holding four registers instead of
+    /// under three, is part of what the typed path buys: a word slot
+    /// that grows back to a tagged one's size gives it away.
+    #[test]
+    fn a_word_slot_stays_16_bytes() {
+        assert_eq!(std::mem::size_of::<crate::flat::Word>(), 16);
+        assert_eq!(std::mem::size_of::<crate::flat::Slot>(), 24);
+    }
+
     #[test]
     fn int_arithmetic() {
         assert_eq!(

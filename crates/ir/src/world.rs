@@ -7,8 +7,8 @@
 //! `pipette-sim`, and that crate's native world of real threads.
 
 use crate::expr::{ArrayId, BranchId, QueueId};
-use crate::mem::MemState;
-use crate::value::{BinOp, Trap, Value};
+use crate::mem::{decode, word_of, MemState};
+use crate::value::{BinOp, Trap, Ty, Value};
 use std::collections::VecDeque;
 
 /// Simulated time in core cycles.
@@ -114,6 +114,25 @@ pub trait World {
         dep: Time,
     ) -> Result<(Value, Time), Trap>;
 
+    /// Performs a typed load: the word of an element of type `ty`. The
+    /// same operation as [`World::load`], which the default runs.
+    ///
+    /// # Errors
+    /// As [`World::load`], and [`Trap::Malformed`] if the element is not
+    /// of type `ty`.
+    #[inline]
+    fn load_word(
+        &mut self,
+        t: Tid,
+        array: ArrayId,
+        index: i64,
+        ty: Ty,
+        dep: Time,
+    ) -> Result<(u64, Time), Trap> {
+        let (v, done) = self.load(t, array, index, dep)?;
+        Ok((word_of(ty, v)?, done))
+    }
+
     /// Performs a store.
     ///
     /// # Errors
@@ -126,6 +145,24 @@ pub trait World {
         value: Value,
         dep: Time,
     ) -> Result<Time, Trap>;
+
+    /// Performs a typed store of the word `w` of type `ty`. The same
+    /// operation as [`World::store`], which the default runs.
+    ///
+    /// # Errors
+    /// As [`World::store`].
+    #[inline]
+    fn store_word(
+        &mut self,
+        t: Tid,
+        array: ArrayId,
+        index: i64,
+        w: u64,
+        ty: Ty,
+        dep: Time,
+    ) -> Result<Time, Trap> {
+        self.store(t, array, index, decode(ty, w), dep)
+    }
 
     /// Performs an atomic read-modify-write; returns the old value.
     ///
@@ -268,6 +305,34 @@ impl World for FunctionalWorld {
     ) -> Result<(Value, Time), Trap> {
         self.counts_mut(t).loads += 1;
         Ok((self.mem.load(array, index)?, 0))
+    }
+
+    #[inline]
+    fn load_word(
+        &mut self,
+        t: Tid,
+        array: ArrayId,
+        index: i64,
+        ty: Ty,
+        _dep: Time,
+    ) -> Result<(u64, Time), Trap> {
+        self.counts_mut(t).loads += 1;
+        Ok((self.mem.load_word(array, index, ty)?.0, 0))
+    }
+
+    #[inline]
+    fn store_word(
+        &mut self,
+        t: Tid,
+        array: ArrayId,
+        index: i64,
+        w: u64,
+        ty: Ty,
+        _dep: Time,
+    ) -> Result<Time, Trap> {
+        self.counts_mut(t).stores += 1;
+        self.mem.store_word(array, index, w, ty)?;
+        Ok(0)
     }
 
     fn store(

@@ -16,11 +16,12 @@
 
 use std::collections::VecDeque;
 
-use phloem_ir::bytecode::compile;
+use phloem_ir::bytecode::{compile, compile_pipeline};
 use phloem_ir::{
     ArrayDecl, ArrayId, BinOp, BlockReason, BranchId, CtrlHandler, Expr, FlatInterp, Function,
-    FunctionBuilder, FunctionalWorld, HandlerEnd, MemState, QueueId, StageExec, StageSpec,
-    StepInterp, StepResult, Stmt, Tid, Time, Trap, UnOp, UopClass, Value, VarId, World,
+    FunctionBuilder, FunctionalWorld, HandlerEnd, MemState, Pipeline, QueueId, StageExec,
+    StageProgram, StageSpec, StepInterp, StepResult, Stmt, Tid, Time, Trap, Ty, UnOp, UopClass,
+    Value, VarId, World,
 };
 use proptest::prelude::*;
 
@@ -234,17 +235,24 @@ fn assert_engines_agree(
 }
 
 /// Runs a two-stage producer/consumer pipeline under both engines,
-/// round-robin, and asserts observational equality.
+/// round-robin, and asserts observational equality. The flat engine
+/// runs the stages compiled as one pipeline, so a dequeue target that
+/// no control value can reach is a word slot.
 fn assert_engines_agree_pipeline(
     stages: &[(&Function, &[CtrlHandler])],
     mem: MemState,
     nqueues: usize,
     capacity: usize,
 ) {
-    let progs: Vec<_> = stages
-        .iter()
-        .map(|(f, h)| compile(f, h).expect("compile"))
-        .collect();
+    let mut pipeline = Pipeline::new("differential");
+    for (f, h) in stages {
+        let program = StageProgram {
+            func: (*f).clone(),
+            handlers: h.to_vec(),
+        };
+        pipeline.add_stage(program, 0);
+    }
+    let progs = compile_pipeline(&pipeline).expect("compile");
     let mut wt = RecordingWorld::new(mem.clone(), nqueues, capacity);
     let mut wf = RecordingWorld::new(mem, nqueues, capacity);
     let mut tree: Vec<_> = stages
@@ -268,7 +276,7 @@ fn assert_engines_agree_pipeline(
         .map(|(i, p)| FlatInterp::new(p, Tid(i as u32), &[]).with_budget(BUDGET))
         .collect();
     let mut rounds = 0u64;
-    loop {
+    'run: loop {
         rounds += 1;
         let mut all_done = true;
         for i in 0..stages.len() {
@@ -279,8 +287,10 @@ fn assert_engines_agree_pipeline(
             let rt = tree[i].step(&mut wt);
             let rf = flat[i].step(&mut wf);
             assert_eq!(rt, rf, "stage {i} diverged in round {rounds}");
-            if !matches!(rt, Ok(StepResult::Finished)) {
-                all_done = false;
+            match rt {
+                Err(_) => break 'run,
+                Ok(StepResult::Finished) => {}
+                Ok(_) => all_done = false,
             }
         }
         if all_done {
@@ -290,6 +300,15 @@ fn assert_engines_agree_pipeline(
     }
     assert_eq!(wt.log, wf.log, "world call logs diverged");
     assert!(wt.mem.same_contents(&wf.mem), "final memory diverged");
+    for (i, (f, _)) in stages.iter().enumerate() {
+        for v in 0..f.vars.len() as u32 {
+            assert_eq!(
+                tree[i].var(VarId(v)),
+                flat[i].var(VarId(v)),
+                "stage {i} variable {v} diverged"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -453,6 +472,225 @@ fn memory_and_control_kernel() {
         );
     });
     let f = b.build();
+    assert_engines_agree(&f, &[], mem, 0, 0, Unblock::Data);
+}
+
+// ---------------------------------------------------------------------
+// Where typed and tagged registers part ways.
+// ---------------------------------------------------------------------
+
+/// A dequeue target that receives an unhandled control value is a
+/// tagged register, and using it as an index (or, below, as a branch
+/// condition) traps with `CtrlAsData` on both engines. The two data
+/// values before it index and branch normally.
+#[test]
+fn unhandled_ctrl_in_a_deq_target_traps_as_index_and_as_condition() {
+    let q = QueueId(0);
+    for as_index in [true, false] {
+        let mut mem = MemState::new();
+        mem.alloc_i64(ArrayDecl::i64("a"), [5, 6, 7, 8]);
+        let mut b = FunctionBuilder::new("consumer");
+        let a = b.array_i64("a");
+        let x = b.var_i64("x");
+        let sum = b.var_i64("sum");
+        b.while_loop(Expr::i64(1), |b| {
+            b.deq(x, q);
+            if as_index {
+                let l = b.load(a, Expr::var(x));
+                b.assign(sum, Expr::add(Expr::var(sum), l));
+            } else {
+                b.if_then(Expr::var(x), |b| {
+                    b.assign(sum, Expr::add(Expr::var(sum), Expr::var(x)));
+                });
+            }
+        });
+        let f = b.build();
+        assert_eq!(compile(&f, &[]).unwrap().word_type(x), None);
+        assert_engines_agree(&f, &[], mem, 1, 4, Unblock::CtrlEvery3);
+    }
+}
+
+/// The same in a pipeline: the producer sends data then a control value
+/// the consumer has no handler for, so the consumer's target stays
+/// tagged even though the pipeline analysis knows the queue.
+#[test]
+fn unhandled_ctrl_across_a_pipeline_stays_tagged_and_traps() {
+    let q = QueueId(0);
+    let mut mem = MemState::new();
+    mem.alloc_i64(ArrayDecl::i64("a"), [5, 6, 7, 8]);
+    let mut pb = FunctionBuilder::new("producer");
+    let i = pb.var_i64("i");
+    pb.for_loop(i, Expr::i64(0), Expr::i64(3), |b| b.enq(q, Expr::var(i)));
+    pb.enq_ctrl(q, 2);
+    let producer = pb.build();
+    let mut cb = FunctionBuilder::new("consumer");
+    let a = cb.array_i64("a");
+    let x = cb.var_i64("x");
+    let sum = cb.var_i64("sum");
+    cb.while_loop(Expr::i64(1), |b| {
+        b.deq(x, q);
+        let l = b.load(a, Expr::var(x));
+        b.assign(sum, Expr::add(Expr::var(sum), l));
+    });
+    let consumer = cb.build();
+    assert_engines_agree_pipeline(&[(&producer, &[]), (&consumer, &[])], mem, 1, 2);
+}
+
+/// A handler-bound variable holds the control value (tagged), while the
+/// dequeue target it guards receives only data (every tag is caught by
+/// the wildcard handler) and is a word register: it indexes memory and
+/// feeds typed arithmetic.
+#[test]
+fn handler_bind_is_tagged_and_the_guarded_deq_target_is_a_word() {
+    let q = QueueId(0);
+    let mut mem = MemState::new();
+    mem.alloc_i64(ArrayDecl::i64("a"), [3, 1, 4, 1, 5, 9, 2, 6]);
+    mem.alloc_i64(ArrayDecl::i64("out"), [0, 0]);
+    let mut pb = FunctionBuilder::new("producer");
+    let i = pb.var_i64("i");
+    pb.for_loop(i, Expr::i64(0), Expr::i64(8), |b| b.enq(q, Expr::var(i)));
+    pb.enq_ctrl(q, 4);
+    let producer = pb.build();
+    let mut cb = FunctionBuilder::new("consumer");
+    let a = cb.array_i64("a");
+    let out = cb.array_i64("out");
+    let x = cb.var_i64("x");
+    let sum = cb.var_i64("sum");
+    let cv = cb.var_i64("cv");
+    cb.while_loop(Expr::i64(1), |b| {
+        b.deq(x, q);
+        let l = b.load(a, Expr::var(x));
+        b.assign(sum, Expr::add(Expr::var(sum), Expr::mul(l, Expr::var(x))));
+    });
+    cb.store(out, Expr::i64(0), Expr::var(sum));
+    let consumer = cb.build();
+    let handlers = vec![CtrlHandler {
+        queue: q,
+        ctrl: None,
+        bind: Some(cv),
+        body: vec![Stmt::Store {
+            array: out,
+            index: Expr::i64(1),
+            value: Expr::un(UnOp::CtrlTag, Expr::var(cv)),
+        }],
+        end: HandlerEnd::BreakLoops(1),
+    }];
+    let mut p = Pipeline::new("kinds");
+    p.add_stage(StageProgram::plain(producer.clone()), 0);
+    p.add_stage(
+        StageProgram {
+            func: consumer.clone(),
+            handlers: handlers.clone(),
+        },
+        0,
+    );
+    let progs = compile_pipeline(&p).unwrap();
+    assert_eq!(progs[1].word_type(x), Some(Ty::I64));
+    assert_eq!(progs[1].word_type(cv), None);
+    assert_engines_agree_pipeline(&[(&producer, &[]), (&consumer, &handlers)], mem, 1, 2);
+}
+
+/// `acc = acc + va * vb` over float arrays, an integer constant meeting
+/// a float (`acc * 2`, converted at compile time), a float compare and
+/// a float division by zero at the end.
+#[test]
+fn float_multiply_add_and_float_traps() {
+    let mut mem = MemState::new();
+    mem.alloc_f64(ArrayDecl::f64("x"), [1.5, -2.25, 0.0, -0.0, 3.0, 1e300]);
+    mem.alloc_f64(ArrayDecl::f64("y"), [2.0, 4.0, -1.0, 8.0, 0.5, 1e10]);
+    mem.alloc_f64(ArrayDecl::f64("out"), [0.0; 6]);
+    let mut b = FunctionBuilder::new("fma");
+    let xs = b.array_f64("x");
+    let ys = b.array_f64("y");
+    let out = b.array_f64("out");
+    let i = b.var_i64("i");
+    let va = b.var_f64("va");
+    let vb = b.var_f64("vb");
+    let acc = b.var_f64("acc");
+    b.for_loop(i, Expr::i64(0), Expr::i64(6), |b| {
+        let l = b.load(xs, Expr::var(i));
+        b.assign(va, l);
+        let l = b.load(ys, Expr::var(i));
+        b.assign(vb, l);
+        b.assign(
+            acc,
+            Expr::add(Expr::var(acc), Expr::mul(Expr::var(va), Expr::var(vb))),
+        );
+        b.if_then(Expr::lt(Expr::var(va), Expr::var(vb)), |b| {
+            b.assign(acc, Expr::mul(Expr::var(acc), Expr::i64(2)));
+        });
+        b.store(out, Expr::var(i), Expr::var(acc));
+    });
+    b.assign(acc, Expr::bin(BinOp::Div, Expr::var(acc), Expr::f64(-0.0)));
+    let f = b.build();
+    let prog = compile(&f, &[]).unwrap();
+    assert_eq!(prog.word_type(acc), Some(Ty::F64));
+    assert_eq!(prog.tagged_slots(), 0, "every register is a word");
+    assert_engines_agree(&f, &[], mem, 0, 0, Unblock::Data);
+}
+
+/// Typed stores convert to the element type as a `Value` store does:
+/// `F64` into an integer array truncates and saturates, `I64` into a
+/// float array is `as f64`.
+#[test]
+fn typed_stores_convert_to_the_element_type() {
+    let mut mem = MemState::new();
+    mem.alloc_i64(ArrayDecl::i32("ints"), [0; 4]);
+    mem.alloc_f64(ArrayDecl::f64("floats"), [0.0; 4]);
+    let mut b = FunctionBuilder::new("convert");
+    let ints = b.array_i64("ints");
+    let floats = b.array_f64("floats");
+    let i = b.var_i64("i");
+    let f = b.var_f64("f");
+    let n = b.var_i64("n");
+    b.for_loop(i, Expr::i64(0), Expr::i64(4), |b| {
+        b.assign(
+            f,
+            Expr::mul(Expr::un(UnOp::I2F, Expr::var(i)), Expr::f64(-1.0e200 / 3.0)),
+        );
+        b.store(ints, Expr::var(i), Expr::var(f));
+        b.store(ints, Expr::var(i), Expr::add(Expr::var(f), Expr::f64(2.75)));
+        b.assign(n, Expr::mul(Expr::var(i), Expr::i64(i64::MAX / 3)));
+        b.store(floats, Expr::var(i), Expr::var(n));
+    });
+    let func = b.build();
+    let prog = compile(&func, &[]).unwrap();
+    assert_eq!(prog.tagged_slots(), 0, "every register is a word");
+    assert_engines_agree(&func, &[], mem, 0, 0, Unblock::Data);
+}
+
+/// A variable written from an `I64` and an `F64` expression holds
+/// either at run time, so it stays tagged, and everything reading it
+/// takes the dynamic path: a float index converts, a compare follows
+/// the runtime tag.
+#[test]
+fn a_variable_written_with_two_types_stays_tagged() {
+    let mut mem = MemState::new();
+    mem.alloc_i64(ArrayDecl::i64("a"), [10, 20, 30, 40]);
+    mem.alloc(ArrayDecl::i64("out"), 8);
+    let mut b = FunctionBuilder::new("mixed");
+    let a = b.array_i64("a");
+    let out = b.array_i64("out");
+    let i = b.var_i64("i");
+    let m = b.var_i64("m");
+    b.for_loop(i, Expr::i64(0), Expr::i64(8), |b| {
+        b.if_else(
+            Expr::eq(
+                Expr::bin(BinOp::Rem, Expr::var(i), Expr::i64(2)),
+                Expr::i64(0),
+            ),
+            |b| b.assign(m, Expr::var(i)),
+            |b| b.assign(m, Expr::mul(Expr::var(i), Expr::f64(0.45))),
+        );
+        let l = b.load(a, Expr::bin(BinOp::Rem, Expr::var(m), Expr::i64(4)));
+        b.if_then(Expr::lt(Expr::var(m), Expr::f64(2.5)), |b| {
+            b.store(out, Expr::var(i), l);
+        });
+    });
+    let f = b.build();
+    let prog = compile(&f, &[]).unwrap();
+    assert_eq!(prog.word_type(m), None);
+    assert_eq!(prog.word_type(i), Some(Ty::I64));
     assert_engines_agree(&f, &[], mem, 0, 0, Unblock::Data);
 }
 
@@ -731,7 +969,7 @@ fn build_random_kernel(ops: &[(u8, u8)]) -> (Function, MemState) {
 }
 
 /// Builds a kernel whose `if` and `while` conditions are single binary
-/// operations (so they lower to the fused `BinIf`/`BinWhile`) over
+/// operations (so they lower to a fused compare-and-branch) over
 /// operands of every dynamic type: an integer variable, a float
 /// variable, a variable holding whatever was last dequeued (an integer
 /// or, with no handler installed, a raw control value), and integer and

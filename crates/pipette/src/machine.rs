@@ -11,16 +11,16 @@
 //!
 //! This module owns the user-facing [`Session`]/[`Machine`] API.
 
-use crate::cache::MemHierarchy;
+use crate::cache::{CacheStats, MemHierarchy};
 use crate::config::MachineConfig;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::faults::FaultPlan;
 use crate::native::{BackendScope, ExecBackend};
 use crate::scheduler;
 use crate::stats::RunStats;
-use crate::timing::{build_flat_interps, compile_pipeline, AdvanceEvent, TimingWorld};
+use crate::timing::{build_flat_interps, AdvanceEvent, TimingWorld};
 use crate::trace::{StageMeta, TraceMeta, TraceSink};
-use phloem_ir::{MemState, Pipeline, StageKind, Time, Trap, Value};
+use phloem_ir::{compile_pipeline, MemState, Pipeline, StageKind, Time, Trap, Value};
 use phloem_pool::CancelToken;
 use std::cell::RefCell;
 
@@ -122,7 +122,10 @@ impl CompiledPipeline {
 pub struct Session {
     cfg: MachineConfig,
     emodel: EnergyModel,
-    hier: MemHierarchy,
+    /// The cache hierarchy, built on the first simulated invocation: a
+    /// native run never touches it, and with `paper_1core` its tags and
+    /// LRU stamps are over half a megabyte to allocate and fill.
+    hier: Option<MemHierarchy>,
     mem: MemState,
     now: Time,
     stats: RunStats,
@@ -151,11 +154,10 @@ pub struct Session {
 impl Session {
     /// Creates a session over `mem` with the given machine configuration.
     pub fn new(cfg: MachineConfig, mem: MemState) -> Session {
-        let hier = MemHierarchy::new(&cfg);
         Session {
             cfg,
             emodel: EnergyModel::default(),
-            hier,
+            hier: None,
             mem,
             now: 0,
             stats: RunStats::default(),
@@ -353,7 +355,7 @@ impl Session {
                 cycles: self.now + run.wall_nanos,
                 threads: Vec::with_capacity(pipeline.stages.len()),
                 queues: Vec::new(),
-                cache: self.hier.stats,
+                cache: self.cache_stats(),
                 energy: EnergyBreakdown::default(),
                 invocations: 1,
             };
@@ -398,9 +400,12 @@ impl Session {
             };
             sink.begin(&meta);
         }
+        let hier = self
+            .hier
+            .get_or_insert_with(|| MemHierarchy::new(&self.cfg));
         let mut world = TimingWorld::new(
             &self.cfg,
-            &mut self.hier,
+            hier,
             &self.mem,
             pipeline,
             base,
@@ -437,7 +442,7 @@ impl Session {
             cycles: end,
             threads: Vec::with_capacity(nstages),
             queues: queue_states.into_iter().map(|q| q.stats).collect(),
-            cache: self.hier.stats,
+            cache: self.cache_stats(),
             energy: EnergyBreakdown::default(),
             invocations: 1,
         };
@@ -464,7 +469,7 @@ impl Session {
             e.core_dynamic_pj += t.mispredicts as f64 * m.mispredict_pj;
             e.core_dynamic_pj += (t.enqs + t.deqs) as f64 * m.queue_pj;
         }
-        let c = &self.hier.stats;
+        let c = self.cache_stats();
         e.cache_pj += c.l1_hits as f64 * m.l1_pj;
         e.cache_pj += c.l2_hits as f64 * (m.l1_pj + m.l2_pj);
         e.cache_pj += c.l3_hits as f64 * (m.l1_pj + m.l2_pj + m.l3_pj);
@@ -473,8 +478,16 @@ impl Session {
         e.static_pj = self.now as f64 * self.active_cores.len() as f64 * m.static_core_pj_per_cycle;
         self.stats.energy = e;
         self.stats.cycles = self.now;
-        self.stats.cache = self.hier.stats;
+        self.stats.cache = c;
         (self.mem, self.stats)
+    }
+
+    /// The hierarchy's counters; all zero until a simulated invocation
+    /// builds it.
+    fn cache_stats(&self) -> CacheStats {
+        self.hier
+            .as_ref()
+            .map_or_else(CacheStats::default, |h| h.stats)
     }
 
     /// Accumulated statistics so far (energy is filled in by

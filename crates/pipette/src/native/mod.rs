@@ -98,11 +98,10 @@ pub use channel::{
 };
 use channel::{slab_channel, SlabReceiver, SlabSender};
 
-use crate::timing::compile_pipeline;
 use phloem_ir::{
-    bind_params, queue_topology, ArrayId, BinOp, BlockReason, BranchId, BytecodeProgram,
-    FlatInterp, MemState, Pipeline, QueueId, StageKind, StepResult, Tid, Time, Trap, UopClass,
-    Value, World,
+    bind_params, compile_pipeline, queue_topology, ArrayId, BinOp, BlockReason, BranchId,
+    BytecodeProgram, FlatInterp, MemState, Pipeline, QueueId, StageKind, StepResult, Tid, Time,
+    Trap, Ty, UopClass, Value, World,
 };
 use phloem_ir::{OpCounts, RaMode};
 use phloem_pool::{run_resident, CancelToken};
@@ -525,6 +524,23 @@ impl World for NativeWorld<'_> {
         Ok((self.mem.load(array, index)?, 0))
     }
 
+    // Inlined like `load`, for the same reason.
+    #[inline(always)]
+    fn load_word(
+        &mut self,
+        _t: Tid,
+        array: ArrayId,
+        index: i64,
+        ty: Ty,
+        _dep: Time,
+    ) -> Result<(u64, Time), Trap> {
+        self.counts.loads += 1;
+        if self.ra_base == Some(array) {
+            self.mem.prefetch(array, index + RA_PREFETCH_DIST);
+        }
+        Ok((self.mem.load_word(array, index, ty)?.0, 0))
+    }
+
     fn store(
         &mut self,
         _t: Tid,
@@ -535,6 +551,21 @@ impl World for NativeWorld<'_> {
     ) -> Result<Time, Trap> {
         self.counts.stores += 1;
         self.mem.store(array, index, value)?;
+        Ok(0)
+    }
+
+    #[inline]
+    fn store_word(
+        &mut self,
+        _t: Tid,
+        array: ArrayId,
+        index: i64,
+        w: u64,
+        ty: Ty,
+        _dep: Time,
+    ) -> Result<Time, Trap> {
+        self.counts.stores += 1;
+        self.mem.store_word(array, index, w, ty)?;
         Ok(0)
     }
 

@@ -56,7 +56,8 @@ use crate::watchdog::{self, Verdict, WatchdogConfig};
 use phloem_pool::CancelToken;
 
 use phloem_ir::{
-    ArrayId, BinOp, BranchId, MemState, QueueId, StageKind, Tid, Time, Trap, UopClass, Value, World,
+    ArrayId, BinOp, BranchId, MemState, QueueId, StageKind, Tid, Time, Trap, Ty, UopClass, Value,
+    World,
 };
 
 /// A fixed-length ring of completion timestamps carved out of the shared
@@ -637,6 +638,45 @@ impl<'a> TimingWorld<'a> {
         };
         (lat, t_issue)
     }
+
+    /// Timing of a load of the element at `addr` issued at `dep`:
+    /// cache access, fault latency, the RA outstanding-access limit.
+    /// Returns the completion time.
+    #[inline]
+    fn load_timing(&mut self, t: Tid, addr: u64, dep: Time) -> Time {
+        let (lat, mut ti) = self.mem_access(t, addr, dep);
+        let lat = match self.faults {
+            Some(f) => {
+                let extra = f.latency_extra(t.0 as usize, ti);
+                if extra > 0 {
+                    self.emit(EV_FAULT, || TraceEvent::FaultLatency {
+                        thread: t.0,
+                        extra,
+                        at: ti,
+                    });
+                }
+                lat + extra
+            }
+            None => lat,
+        };
+        if self.threads[t.0 as usize].is_ra {
+            ti = self.ra_load_slot(t, ti, lat);
+        }
+        let tc = ti + lat;
+        self.complete(t, tc).stats.loads += 1;
+        tc
+    }
+
+    /// Timing of a store to `addr` issued at `dep`; returns the
+    /// completion time.
+    #[inline]
+    fn store_timing(&mut self, t: Tid, addr: u64, dep: Time) -> Time {
+        let (_lat, ti) = self.mem_access(t, addr, dep);
+        // Stores drain through the store buffer: retirement is fast.
+        let tc = ti + 1;
+        self.complete(t, tc).stats.stores += 1;
+        tc
+    }
 }
 impl World for TimingWorld<'_> {
     /// The single most frequent [`World`] call: issue, latency, and
@@ -748,27 +788,20 @@ impl World for TimingWorld<'_> {
         dep: Time,
     ) -> Result<(Value, Time), Trap> {
         let (v, addr) = self.mem.load_with_addr(array, index)?;
-        let (lat, mut ti) = self.mem_access(t, addr, dep);
-        let lat = match self.faults {
-            Some(f) => {
-                let extra = f.latency_extra(t.0 as usize, ti);
-                if extra > 0 {
-                    self.emit(EV_FAULT, || TraceEvent::FaultLatency {
-                        thread: t.0,
-                        extra,
-                        at: ti,
-                    });
-                }
-                lat + extra
-            }
-            None => lat,
-        };
-        if self.threads[t.0 as usize].is_ra {
-            ti = self.ra_load_slot(t, ti, lat);
-        }
-        let tc = ti + lat;
-        self.complete(t, tc).stats.loads += 1;
-        Ok((v, tc))
+        Ok((v, self.load_timing(t, addr, dep)))
+    }
+
+    #[inline]
+    fn load_word(
+        &mut self,
+        t: Tid,
+        array: ArrayId,
+        index: i64,
+        ty: Ty,
+        dep: Time,
+    ) -> Result<(u64, Time), Trap> {
+        let (w, addr) = self.mem.load_word(array, index, ty)?;
+        Ok((w, self.load_timing(t, addr, dep)))
     }
 
     #[inline]
@@ -781,11 +814,21 @@ impl World for TimingWorld<'_> {
         dep: Time,
     ) -> Result<Time, Trap> {
         let addr = self.mem.store_with_addr(array, index, value)?;
-        let (_lat, ti) = self.mem_access(t, addr, dep);
-        // Stores drain through the store buffer: retirement is fast.
-        let tc = ti + 1;
-        self.complete(t, tc).stats.stores += 1;
-        Ok(tc)
+        Ok(self.store_timing(t, addr, dep))
+    }
+
+    #[inline]
+    fn store_word(
+        &mut self,
+        t: Tid,
+        array: ArrayId,
+        index: i64,
+        w: u64,
+        ty: Ty,
+        dep: Time,
+    ) -> Result<Time, Trap> {
+        let addr = self.mem.store_word(array, index, w, ty)?;
+        Ok(self.store_timing(t, addr, dep))
     }
 
     fn atomic_rmw(
@@ -945,21 +988,6 @@ impl World for TimingWorld<'_> {
         }
         Ok(Some((entry.value, tc)))
     }
-}
-
-/// Compiles every stage program of a pipeline to bytecode.
-///
-/// # Errors
-/// Propagates compile-time traps (out-of-range ids in unvalidated
-/// programs).
-pub(crate) fn compile_pipeline(
-    pipeline: &phloem_ir::Pipeline,
-) -> Result<Vec<phloem_ir::BytecodeProgram>, Trap> {
-    pipeline
-        .stages
-        .iter()
-        .map(|s| phloem_ir::compile(&s.program.func, &s.program.handlers))
-        .collect()
 }
 
 /// Builds the bytecode interpreters for a pipeline's stages (one

@@ -10,7 +10,8 @@ use phloem_ir::{
     StageProgram, Trap, Value,
 };
 use pipette_sim::{
-    DigestSink, ExecBackend, Fault, FaultPlan, MachineConfig, NativeConfig, Session, TraceSink,
+    CacheStats, DigestSink, ExecBackend, Fault, FaultPlan, MachineConfig, NativeConfig, Session,
+    TraceSink,
 };
 
 fn serial(f: &Function) -> Pipeline {
@@ -222,4 +223,46 @@ fn native_sessions_refuse_trace_sinks() {
     let sink: Box<dyn TraceSink> = s.take_trace().expect("sink");
     let digest = sink.downcast_ref::<DigestSink>().unwrap().digest();
     assert_ne!(digest, untraced, "the simulator fed the sink");
+}
+
+/// A native session never builds the cache hierarchy: its statistics
+/// carry the same op counts as a simulated one, with all-zero cache
+/// counters and no cache or DRAM energy. A simulated invocation after a
+/// native one builds the hierarchy then, cold, exactly as a session that
+/// only simulates.
+#[test]
+fn a_native_session_builds_no_cache_hierarchy() {
+    let mut b = FunctionBuilder::new("sum");
+    let a = b.array_i64("a");
+    let out = b.array_i64("out");
+    let i = b.var_i64("i");
+    b.for_loop(i, Expr::i64(0), Expr::i64(64), |f| {
+        let x = f.load(a, Expr::var(i));
+        f.atomic_rmw(BinOp::Add, out, Expr::i64(0), x, None);
+    });
+    let p = serial(&b.build());
+    let mut mem = MemState::new();
+    mem.alloc_i64(ArrayDecl::i64("a"), 0..64);
+    mem.alloc(ArrayDecl::i64("out"), 1);
+    let counts = |s: &Session| {
+        let t = &s.stats().threads[0];
+        (t.uops, t.branches, t.loads, t.stores)
+    };
+
+    let mut native = session(true, mem.clone());
+    native.run(&p, &[]).expect("native run");
+    let mut sim = session(false, mem.clone());
+    sim.run(&p, &[]).expect("simulated run");
+    assert_eq!(counts(&native), counts(&sim));
+    assert_eq!(native.stats().cache, CacheStats::default());
+    assert_ne!(sim.stats().cache, CacheStats::default());
+    let (_, stats) = native.finish();
+    assert_eq!(stats.cache, CacheStats::default());
+    assert_eq!((stats.energy.cache_pj, stats.energy.dram_pj), (0.0, 0.0));
+
+    let mut mixed = session(true, mem);
+    mixed.run(&p, &[]).expect("native run");
+    mixed.set_backend(ExecBackend::Sim);
+    mixed.run(&p, &[]).expect("simulated run");
+    assert_eq!(mixed.stats().cache, sim.stats().cache);
 }
